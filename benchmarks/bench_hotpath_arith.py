@@ -5,10 +5,10 @@ its naive reference, asserts the outputs are identical, and writes the
 speedup table to ``BENCH_hotpath.json``:
 
 * micro-op rows — group exponentiation variants (C ``pow``, pure-Python
-  sliding window, fixed-base tables, the dual-table OT key derivation),
-  simultaneous multi-exponentiation, batched modular inversion, Jacobi
-  membership, the big-int XOR, ``Fraction`` vs scaled-integer dot
-  products, and Paillier CRT / pooled-randomizer costs;
+  sliding window, fixed-base tables), simultaneous
+  multi-exponentiation, batched modular inversion, Jacobi membership,
+  the big-int XOR, ``Fraction`` vs scaled-integer dot products, and
+  Paillier CRT / pooled-randomizer costs;
 * protocol rows — full private nonlinear classification and similarity
   runs, hot path vs ``repro.math.fastpath.naive_arithmetic()``, same
   seeds, with identical-output assertions.
@@ -61,7 +61,7 @@ from repro.core.similarity.nonlinear import evaluate_similarity_private_nonlinea
 from repro.crypto.hashing import _xor
 from repro.crypto.paillier import PaillierCipher, generate_keypair
 from repro.math import fastpath, groups
-from repro.math.groups import DualBaseExponentiator, fast_group
+from repro.math.groups import fast_group
 from repro.math.numtheory import (
     batch_modular_inverse,
     jacobi_symbol,
@@ -148,33 +148,6 @@ def run_micro_benchmarks(quick=False):
     table_s = _time_loop(table_all, 3) / iterations
     rows.append(_micro_row("fixed_base_table_w8", iterations, pow_s, table_s,
                            note="g^r with the cached window-8 table"))
-
-    blinded = group.random_element(draw)
-    w_inverse = group.inv(group.random_element(draw))
-
-    def dual_all():
-        derive = DualBaseExponentiator(group, blinded, w_inverse)
-        for index, e in enumerate(exponents):
-            derive.key_point(index, e)
-
-    def dual_naive():
-        shifted = blinded
-        for e in exponents:
-            group.exp(shifted, e)
-            shifted = group.mul(shifted, w_inverse)
-
-    derive = DualBaseExponentiator(group, blinded, w_inverse)
-    shifted = blinded
-    for index, e in enumerate(exponents[:5]):
-        assert derive.key_point(index, e) == group.exp(shifted, e)
-        shifted = group.mul(shifted, w_inverse)
-    dual_s = _time_loop(dual_all, 1) / iterations
-    dual_naive_s = _time_loop(dual_naive, 1) / iterations
-    rows.append(_micro_row(
-        "dual_table_key_derivation", iterations, dual_naive_s, dual_s,
-        note="per-slot OT keys (V*w^-i)^r incl. table build amortized "
-             f"over {iterations} slots",
-    ))
 
     x, y = exponents[0], exponents[1]
     second = group.random_element(draw)

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
-from repro.exceptions import ObliviousTransferError, ValidationError
+from repro.exceptions import ValidationError
 from repro.utils.serialization import register_payload_type
 
 
@@ -47,25 +47,22 @@ class OTChoice:
     blinded_keys: Tuple[int, ...]
 
 
-@register_payload_type("ot/transfer")
+@register_payload_type("ot/transfer2")
 @dataclass(frozen=True)
 class OTTransfer:
-    """Sender's payload: per-message ephemeral points and wrapped bytes.
+    """Sender's payload: one ephemeral point and the wrapped messages.
 
-    ``ephemeral_points[i]`` is ``g^{r_i}``; ``wrapped[i]`` is the i-th
-    message encrypted under the key only the legitimate chooser of slot
-    ``i`` can derive.
+    ``ephemeral_point`` is ``g^r`` for the transfer's single exponent
+    ``r``; ``wrapped[i]`` is the i-th message encrypted under the key
+    only the legitimate chooser of slot ``i`` can derive.  The wire tag
+    is ``ot/transfer2``: the retired per-slot shape (``ot/transfer``,
+    one point per slot) no longer decodes, so a peer still on that
+    schedule fails at its first transfer instead of mis-keying.
     """
 
     session: bytes
-    ephemeral_points: Tuple[int, ...]
+    ephemeral_point: int
     wrapped: Tuple[bytes, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.ephemeral_points) != len(self.wrapped):
-            raise ObliviousTransferError(
-                "ephemeral point and payload counts differ"
-            )
 
     @property
     def message_count(self) -> int:
@@ -75,7 +72,7 @@ class OTTransfer:
         """Approximate wire size, for communication accounting."""
         return (
             len(self.session)
-            + element_bytes * len(self.ephemeral_points)
+            + element_bytes
             + sum(len(w) for w in self.wrapped)
         )
 

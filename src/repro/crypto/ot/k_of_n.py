@@ -14,11 +14,10 @@ receiver class enforces distinctness locally.  (A maliciously chosen
 repeated index would yield a duplicate message, never an extra one, so
 sender privacy degrades gracefully.)
 
-The transfer bandwidth is ``k`` full wrapped vectors.  For the large
-``M`` of the OMPE protocol we also provide a *batched* mode in which
-the sender reuses one ephemeral exponent per session across slots —
-the "precompute the random polynomials" optimization discussed at the
-end of paper Section VI-B.1 applies to this layer as well.
+Each session costs the sender three exponentiations whatever ``n`` is
+(the single-ephemeral schedule of :mod:`repro.crypto.ot.one_of_n`), so
+the whole phase costs ``3k``.  The transfer bandwidth is ``k`` full
+wrapped vectors plus one ephemeral group element per session.
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ from repro import obs
 from repro.crypto.ot.base import OTChoice, OTSetup, OTTransfer
 from repro.crypto.ot.one_of_n import OneOfNReceiver, OneOfNSender, TransferMaterial
 from repro.exceptions import ObliviousTransferError, ValidationError
-from repro.math import fastpath
 from repro.math.groups import SchnorrGroup
 from repro.utils.rng import ReproRandom
 
@@ -70,22 +68,12 @@ class KOfNSender:
                 f"{len(choices)} choices for {len(self._subsenders)} sessions"
             )
         material = TransferMaterial(messages)
-        # Montgomery batch inversion of every session's blinding point:
-        # one extended gcd for all k sessions instead of one each.  The
-        # inverses are unique, so transfers are unchanged.
-        inverses: Sequence[Optional[int]]
-        if fastpath.enabled() and len(self._subsenders) > 1:
-            inverses = self.group.batch_inv(
-                [sub._setup.blinding_points[0] for sub in self._subsenders]
-            )
-        else:
-            inverses = [None] * len(self._subsenders)
         with obs.get_tracer().span(
             "ot.transfer", sessions=len(choices), slots=len(messages)
         ):
             transfers = [
-                sub.transfer(messages, choice, material=material, w_inverse=inverse)
-                for sub, choice, inverse in zip(self._subsenders, choices, inverses)
+                sub.transfer(messages, choice, material=material)
+                for sub, choice in zip(self._subsenders, choices)
             ]
         metrics = obs.get_metrics()
         if metrics.enabled:

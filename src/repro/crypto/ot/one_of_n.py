@@ -1,6 +1,8 @@
 """1-out-of-n oblivious transfer (Naor–Pinkas style).
 
-Construction (semi-honest, random-oracle model, CDH assumption):
+Construction (semi-honest, random-oracle model, CDH assumption), with
+the single-ephemeral key schedule of Naor & Pinkas, "Efficient
+Oblivious Transfer Protocols" (SODA 2001):
 
 * **Setup.** The sender samples a public group element ``w`` with an
   unknown discrete log (derived from a random exponent it immediately
@@ -9,13 +11,17 @@ Construction (semi-honest, random-oracle model, CDH assumption):
   exponent ``k`` and sends ``V = g^k · w^σ``.  Since ``g^k`` is uniform,
   ``V`` is uniform in the group whatever ``σ`` is — the receiver's
   choice is *perfectly* hidden.
-* **Transfer.** For every slot ``i`` the sender samples ``r_i`` and
-  derives ``key_i = (V · w^{-i})^{r_i}``, sending ``g^{r_i}`` and the
-  message wrapped under ``key_i``.
+* **Transfer.** The sender samples one ``r``, sends ``R = g^r`` and,
+  for every slot ``i``, the message wrapped under
+  ``key_i = (V · w^{-i})^r``.  It computes ``K = V^r`` and
+  ``S = w^{-r}`` once and walks ``key_i = K · S^i`` by multiplication,
+  so a transfer costs three exponentiations whatever its slot count.
 * **Retrieve.** For ``i = σ``, ``V · w^{-σ} = g^k``, so the receiver
-  computes ``key_σ = (g^{r_σ})^k``.  For ``i ≠ σ`` the key equals
-  ``g^{k r_i} w^{(σ-i) r_i}`` and computing it requires solving CDH on
-  ``(w, g^{r_i})`` — infeasible for the honest-but-curious receiver.
+  computes ``key_σ = R^k``.  For ``i ≠ σ``,
+  ``key_i = key_σ · (w^r)^{σ-i}``; computing it requires ``w^r``, the
+  CDH of ``(g^r, w)`` — infeasible for the honest-but-curious
+  receiver.  Each key is hashed with the session id and its slot index,
+  so no two slots share a wrapping key.
 
 This is the workhorse primitive: the paper's ``m``-out-of-``M`` step
 runs ``m`` parallel sessions of this protocol
@@ -35,8 +41,7 @@ from repro.crypto.ot.base import (
     validate_messages,
 )
 from repro.exceptions import ObliviousTransferError
-from repro.math import fastpath
-from repro.math.groups import DUAL_TABLE_MIN_SLOTS, DualBaseExponentiator, SchnorrGroup
+from repro.math.groups import SchnorrGroup
 from repro.utils.rng import ReproRandom
 
 
@@ -88,31 +93,16 @@ class OneOfNSender:
         messages: Sequence[bytes],
         choice: OTChoice,
         material: Optional[TransferMaterial] = None,
-        w_inverse: Optional[int] = None,
     ) -> OTTransfer:
         """Wrap every message so only the chosen slot is recoverable.
 
         ``material`` optionally carries the pre-validated payload and
         per-slot context suffixes shared with sibling parallel sessions
-        (see :class:`TransferMaterial`); ``w_inverse`` optionally carries
-        the session blinding point's inverse when the caller batch-
-        inverted it across sessions (:meth:`SchnorrGroup.batch_inv`).
-        The output is identical with or without either.
-
-        Key derivation: the naive reference computes
-        ``key_i = (V · w^{-i})^{r_i}`` with one variable-base ``pow``
-        per slot.  On the hot path, for transfers with at least
-        :data:`DUAL_TABLE_MIN_SLOTS` slots, the identity
-        ``(V · w^{-i})^r = V^r · (w^{-1})^{i·r mod q}`` lets a
-        :class:`DualBaseExponentiator` serve every slot from two
-        session-constant windowed tables — same keys, same transcript
-        bytes, ~25–40% less sender time at protocol sizes.
-
-        Both derivations run entirely on the active bignum backend
-        (:mod:`repro.math.fastpath.backends`): ``group.exp`` /
-        ``exp_g`` dispatch through it and the dual tables hold
-        backend-native entries, so installing gmpy2 accelerates the OT
-        key schedule with no change to the transcript.
+        (see :class:`TransferMaterial`); the output is identical with or
+        without it.  Key schedule: one ``r``, ``R = g^r``, ``K = V^r``,
+        ``S = w^{-r}``, then ``key_i = K · S^i`` by multiplication —
+        three exponentiations per transfer, all on the active bignum
+        backend.
         """
         if self._setup is None:
             raise ObliviousTransferError("transfer before setup")
@@ -123,34 +113,24 @@ class OneOfNSender:
         if material is None:
             material = TransferMaterial(messages)
         material.sessions_served += 1
-        payload = material.payload
         group = self.group
         (w,) = self._setup.blinding_points
         blinded = choice.blinded_keys[0]
         if not group.contains(blinded):
             raise ObliviousTransferError("blinded key is not a group element")
-        if w_inverse is None:
-            w_inverse = group.inv(w)
         session = self._setup.session
-        derive = None
-        if fastpath.enabled() and len(payload) >= DUAL_TABLE_MIN_SLOTS:
-            derive = DualBaseExponentiator(group, blinded, w_inverse)
-        ephemeral_points: List[int] = []
+        r = group.random_exponent(self._rng)
+        ephemeral_point = group.exp_g(r)
+        key_point = group.exp(blinded, r)  # K = V^r, the key of slot 0
+        step = group.exp(w, -r)  # S = w^{-r}
         wrapped: List[bytes] = []
-        shifted = blinded  # V · w^{-i}, updated incrementally per slot.
-        for slot, (message, suffix) in enumerate(zip(payload, material.slot_suffixes)):
-            r = group.random_exponent(self._rng)
-            ephemeral_points.append(group.exp_g(r))
-            if derive is not None:
-                key_point = derive.key_point(slot, r)
-            else:
-                key_point = group.exp(shifted, r)
-                shifted = group.mul(shifted, w_inverse)
+        for message, suffix in zip(material.payload, material.slot_suffixes):
             key_bytes = group.encode_element(key_point)
             wrapped.append(wrap_message(key_bytes, message, session + suffix))
+            key_point = group.mul(key_point, step)
         return OTTransfer(
             session=session,
-            ephemeral_points=tuple(ephemeral_points),
+            ephemeral_point=ephemeral_point,
             wrapped=tuple(wrapped),
         )
 
@@ -163,6 +143,7 @@ class OneOfNReceiver:
         self._rng = rng
         self._secret: Optional[int] = None
         self._index: Optional[int] = None
+        self._count: Optional[int] = None
         self._session: Optional[bytes] = None
 
     def choose(self, setup: OTSetup, index: int, count: int) -> OTChoice:
@@ -175,6 +156,7 @@ class OneOfNReceiver:
             raise ObliviousTransferError("blinding point is not a group element")
         self._secret = self.group.random_exponent(self._rng)
         self._index = index
+        self._count = count
         self._session = setup.session
         blinded = self.group.mul(
             self.group.exp_g(self._secret),
@@ -182,22 +164,25 @@ class OneOfNReceiver:
         )
         return OTChoice(session=setup.session, blinded_keys=(blinded,))
 
-    def retrieve(self, transfer: OTTransfer) -> bytes:
-        """Unwrap the chosen message; aborts if it fails to authenticate."""
-        if self._secret is None or self._index is None:
+    def _key_bytes(self, transfer: OTTransfer) -> bytes:
+        """``R^k``: the only slot key this receiver can derive."""
+        if self._secret is None:
             raise ObliviousTransferError("retrieve before choose")
         if transfer.session != self._session:
             raise ObliviousTransferError("transfer belongs to a different session")
-        if self._index >= transfer.message_count:
+        if transfer.message_count != self._count:
             raise ObliviousTransferError(
-                f"chosen index {self._index} outside transfer of "
-                f"{transfer.message_count} messages"
+                f"transfer carries {transfer.message_count} slots, "
+                f"expected {self._count}"
             )
-        point = transfer.ephemeral_points[self._index]
-        if not self.group.contains(point):
+        point = transfer.ephemeral_point
+        if not isinstance(point, int) or not self.group.contains(point):
             raise ObliviousTransferError("ephemeral point is not a group element")
-        key_point = self.group.exp(point, self._secret)
-        key_bytes = self.group.encode_element(key_point)
+        return self.group.encode_element(self.group.exp(point, self._secret))
+
+    def retrieve(self, transfer: OTTransfer) -> bytes:
+        """Unwrap the chosen message; aborts if it fails to authenticate."""
+        key_bytes = self._key_bytes(transfer)
         plaintext = unwrap_message(
             key_bytes,
             transfer.wrapped[self._index],
@@ -211,20 +196,15 @@ class OneOfNReceiver:
         """Adversarial probe: try to unwrap *every* slot with our key.
 
         Used by the privacy analysis to demonstrate that all non-chosen
-        slots fail authentication (returns ``None`` entries).
+        slots fail authentication (returns ``None`` entries): the slot
+        index inside the key derivation separates them even though a
+        single ephemeral point serves every slot.
         """
-        if self._secret is None:
-            raise ObliviousTransferError("retrieve before choose")
-        results: List[Optional[bytes]] = []
-        for slot in range(transfer.message_count):
-            key_point = self.group.exp(transfer.ephemeral_points[slot], self._secret)
-            key_bytes = self.group.encode_element(key_point)
-            results.append(
-                unwrap_message(
-                    key_bytes, transfer.wrapped[slot], _slot_context(transfer.session, slot)
-                )
-            )
-        return results
+        key_bytes = self._key_bytes(transfer)
+        return [
+            unwrap_message(key_bytes, wrapped, _slot_context(transfer.session, slot))
+            for slot, wrapped in enumerate(transfer.wrapped)
+        ]
 
 
 def run_one_of_n(

@@ -1,12 +1,14 @@
 """1-out-of-2 oblivious transfer (classic Naor–Pinkas).
 
 The historical base case of the OT hierarchy (paper Section III-B step
-1).  The sender publishes a random group element ``C`` whose discrete
-log nobody knows.  The receiver with bit ``b`` samples ``k`` and sends
-``PK_b = g^k`` implicitly by transmitting ``PK_0``; the sender derives
-``PK_1 = C / PK_0``.  Messages are wrapped under ``PK_i^{r_i}``.  The
-receiver recovers only slot ``b`` as ``(g^{r_b})^k``; the complementary
-key would require knowing ``dlog(C)``.
+1), in the form of Naor & Pinkas, "Efficient Oblivious Transfer
+Protocols" (SODA 2001), §3.1.  The sender publishes a random group
+element ``C`` whose discrete log nobody knows.  The receiver with bit
+``b`` samples ``k`` and sends ``PK_b = g^k`` implicitly by transmitting
+``PK_0``; the sender derives ``PK_1 = C / PK_0``.  The sender draws one
+``r``, sends ``g^r`` and wraps message ``i`` under ``PK_i^r``.  The
+receiver recovers only slot ``b`` as ``(g^r)^k``; the complementary key
+``C^r / PK_b^r`` needs ``C^r``, the CDH of ``(g^r, C)``.
 
 Functionally subsumed by :mod:`repro.crypto.ot.one_of_n` (n = 2), but
 implemented independently because it is the textbook protocol and makes
@@ -60,19 +62,19 @@ class OneOfTwoSender:
         if not group.contains(pk0):
             raise ObliviousTransferError("public key is not a group element")
         pk1 = group.div(c, pk0)
-        ephemeral_points = []
-        wrapped = []
-        for slot, (pk, message) in enumerate(zip((pk0, pk1), payload)):
-            r = group.random_exponent(self._rng)
-            ephemeral_points.append(group.exp_g(r))
-            key_bytes = group.encode_element(group.exp(pk, r))
-            wrapped.append(
-                wrap_message(key_bytes, message, _slot_context(self._setup.session, slot))
+        r = group.random_exponent(self._rng)
+        wrapped = tuple(
+            wrap_message(
+                group.encode_element(group.exp(pk, r)),
+                message,
+                _slot_context(self._setup.session, slot),
             )
+            for slot, (pk, message) in enumerate(zip((pk0, pk1), payload))
+        )
         return OTTransfer(
             session=self._setup.session,
-            ephemeral_points=tuple(ephemeral_points),
-            wrapped=tuple(wrapped),
+            ephemeral_point=group.exp_g(r),
+            wrapped=wrapped,
         )
 
 
@@ -110,7 +112,9 @@ class OneOfTwoReceiver:
             raise ObliviousTransferError("transfer belongs to a different session")
         if transfer.message_count != 2:
             raise ObliviousTransferError("1-of-2 transfer must carry two messages")
-        point = transfer.ephemeral_points[self._bit]
+        point = transfer.ephemeral_point
+        if not isinstance(point, int) or not self.group.contains(point):
+            raise ObliviousTransferError("ephemeral point is not a group element")
         key_bytes = self.group.encode_element(self.group.exp(point, self._secret))
         plaintext = unwrap_message(
             key_bytes, transfer.wrapped[self._bit], _slot_context(transfer.session, self._bit)

@@ -3,7 +3,8 @@
 Every message of the OMPE protocol has a size that is a closed-form
 function of the configuration: the points message carries ``M`` nodes
 plus ``M·n`` coordinates, the OT phase carries ``m`` parallel sessions
-of ``M`` wrapped evaluations over a ``bits``-bit group, and so on.
+of ``M`` wrapped evaluations and one ``bits``-bit group element each,
+and so on.
 :func:`predict_classification_bytes` computes that closed form;
 ``tests/evaluation/test_costmodel.py`` checks it against measured
 transcripts (within a tolerance covering the variable-length integer
@@ -125,17 +126,17 @@ def predict_classification_bytes(
     frame = 5
     setup_record = frame + len("ot/setup") + (frame + 16) + frame
     choice_record = frame + len("ot/choice") + (frame + 16) + frame
-    transfer_record = frame + len("ot/transfer") + (frame + 16) + 2 * frame
+    transfer_record = frame + len("ot/transfer2") + (frame + 16) + frame
 
     # Points: M pairs, each (node scalar, n-coordinate vector).
     points = frame + M * (2 * frame + (1 + dimension) * scalar)
     # OT setup / choice: m session records x (session id + one element).
     ot_setup = frame + m * (setup_record + element)
     ot_choice = frame + m * (choice_record + element)
-    # OT transfer: m session records, each M ephemeral points + M
+    # OT transfer: m session records, each one ephemeral point + M
     # wrapped blobs (framed evaluation ciphertext + MAC tag).
     ot_transfer = frame + m * (
-        transfer_record + M * element + M * (frame + evaluation + TAG_BYTES)
+        transfer_record + element + M * (frame + evaluation + TAG_BYTES)
     )
 
     return CostBreakdown(

@@ -7,9 +7,9 @@ The protocol stack carries two parallel arithmetic implementations:
   is the seed implementation, retained verbatim as the correctness
   oracle;
 * the **hot path** — windowed fixed-base exponentiation tables, Jacobi
-  membership tests, Shamir dual-table OT key derivation, and
-  scaled-integer evaluation of rational polynomials that defers the
-  single ``Fraction`` normalisation to the very end.
+  membership tests, and scaled-integer evaluation of rational
+  polynomials that defers the single ``Fraction`` normalisation to the
+  very end.
 
 Every hot path is *output-identical* to the naive reference: same
 integers out of the group layer, same (canonically normalised)

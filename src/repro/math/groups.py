@@ -22,7 +22,6 @@ from repro import obs
 from repro.exceptions import ValidationError
 from repro.math import fastpath
 from repro.math.numtheory import (
-    batch_modular_inverse,
     generate_safe_prime,
     is_probable_prime,
     jacobi_symbol,
@@ -93,8 +92,8 @@ class SchnorrGroup:
     def exp_g(self, exponent: int) -> int:
         """Return ``g ** exponent mod p`` via a cached fixed-base table.
 
-        The OT protocols compute ``g^r`` for a fresh ``r`` on every
-        slot; a windowed precomputation table for the fixed base ``g``
+        The OT protocols compute ``g^r`` for every setup, choice and
+        transfer; a windowed precomputation table for the fixed base ``g``
         cuts that cost ~10x (see ``bench_hotpath_arith``).  The table is
         built lazily on first use and cached per parameter set.  When
         the hot path is disabled this falls back to the naive ``pow``
@@ -156,15 +155,6 @@ class SchnorrGroup:
     def inv(self, element: int) -> int:
         """Group inverse."""
         return modular_inverse(element, self.p)
-
-    def batch_inv(self, elements: Sequence[int]) -> List[int]:
-        """Invert many elements with one extended gcd (Montgomery's trick).
-
-        Used by the k-of-n OT sender to invert every session's blinding
-        point in one shot.  Inverses are unique, so the output matches
-        per-element :meth:`inv` exactly.
-        """
-        return batch_modular_inverse(elements, self.p)
 
     def div(self, a: int, b: int) -> int:
         """Return ``a / b`` in the group."""
@@ -293,7 +283,7 @@ class FixedBaseTable:
         self._table = []
         # Table entries are held in the backend-native representation
         # (mpz under gmpy2, plain int under python): the per-window
-        # multiplications in ``mul_power`` then run on native values
+        # multiplications in ``power`` then run on native values
         # with operator syntax — no per-multiply dispatch overhead —
         # and the result is lowered to int exactly once on return.
         lift = fastpath.get_backend().mpz
@@ -327,18 +317,9 @@ class FixedBaseTable:
 
     def power(self, exponent: int) -> int:
         """Return ``base ** exponent mod modulus``."""
-        return self.mul_power(1, exponent)
-
-    def mul_power(self, accumulator: int, exponent: int) -> int:
-        """Return ``accumulator * base ** exponent mod modulus``.
-
-        Folding the table walk into a caller's accumulator lets two
-        tables share one product chain (see
-        :class:`DualBaseExponentiator`) without an extra multiply.
-        """
         if exponent < 0:
             raise ValidationError("exponent must be non-negative")
-        result = accumulator
+        result = 1
         mask = (1 << self.window) - 1
         position = 0
         modulus = self.modulus
@@ -353,45 +334,6 @@ class FixedBaseTable:
             raise ValidationError("exponent exceeds the precomputed range")
         # Lower back to int: table entries may be backend-native (mpz).
         return int(result)
-
-
-#: Minimum slot count before the per-session dual tables pay for their
-#: build cost (2 bases × window tables ≈ 1.7 ms at 256 bits, recouped
-#: ~100 µs per slot; breakeven measured around 16 slots).
-DUAL_TABLE_MIN_SLOTS = 16
-
-
-class DualBaseExponentiator:
-    """Shamir-style dual-table evaluator for OT key derivation.
-
-    The Naor–Pinkas sender derives, for slot ``i`` with fresh exponent
-    ``r``, the key point ``(V · w^{-i})^r``.  Rewriting::
-
-        (V · w^{-i})^r  =  V^r · (w^{-1})^(i·r mod q)
-
-    turns every slot into *two fixed-base* evaluations over the session
-    constants ``V`` and ``w^{-1}`` — no per-slot squarings, one shared
-    product chain.  Output is bit-identical to the naive
-    ``pow(V * w^{-i}, r, p)`` derivation for every ``(i, r)``.
-
-    Worth it only when the per-slot savings amortize the two table
-    builds: callers gate on :data:`DUAL_TABLE_MIN_SLOTS`.
-    """
-
-    def __init__(self, group: SchnorrGroup, blinded: int, w_inverse: int, window: int = 4):
-        self._q = group.q
-        bits = group.q.bit_length()
-        self._blinded_table = FixedBaseTable(blinded, group.p, bits, window=window)
-        self._inverse_table = FixedBaseTable(w_inverse, group.p, bits, window=window)
-
-    def key_point(self, index: int, exponent: int) -> int:
-        """Return ``(V · w^{-index})^exponent`` in the group."""
-        reduced = exponent % self._q
-        partial = self._blinded_table.power(reduced)
-        shift = (index * reduced) % self._q
-        if shift:
-            partial = self._inverse_table.mul_power(partial, shift)
-        return partial
 
 
 def generate_group(bits: int, rng: Optional[ReproRandom] = None) -> SchnorrGroup:

@@ -697,6 +697,11 @@ class TrainerServer:
             )
             return None
         send_control(connection, WELCOME, {"version": 2})
+        # Stop counting the connection as a serve thread's before the
+        # mux loop counts it: the client may ask for health the moment
+        # WELCOME lands, and the loop answers only after adopt.
+        with self._lock:
+            self._connections.pop(connection, None)
         sock = connection.detach()
         try:
             self._mux_loop().adopt(sock, on_closed=self._slots.release)

@@ -1,8 +1,8 @@
 """Differential tests for the crypto-layer hot paths.
 
-The OT key-derivation tables, batched blinding-point inversion, Paillier
-CRT decryption, and the randomizer pool must all be *byte-identical* to
-the naive reference on the same rng seeds: same transfers on the wire,
+The OT key schedule (fixed-base ``g^r`` tables, Jacobi membership),
+Paillier CRT decryption, and the randomizer pool must all be
+*byte-identical* to the naive reference on the same rng seeds: same transfers on the wire,
 same ciphertext streams, same plaintexts (and same rejections) out.
 """
 
@@ -15,7 +15,6 @@ from repro.crypto.ot.k_of_n import run_k_of_n
 from repro.crypto.ot.one_of_n import run_one_of_n
 from repro.exceptions import DecryptionError, ValidationError
 from repro.math import fastpath
-from repro.math.groups import DUAL_TABLE_MIN_SLOTS
 from repro.crypto.paillier import (
     PaillierCipher,
     PaillierPrivateKey,
@@ -26,9 +25,10 @@ from repro.utils.rng import ReproRandom
 
 
 class TestOTDifferential:
-    # Slot counts straddling DUAL_TABLE_MIN_SLOTS: below (naive per-slot
-    # exponentiation), at the threshold, and above (dual-table path).
-    @pytest.mark.parametrize("slots", [5, DUAL_TABLE_MIN_SLOTS, 27])
+    # One slot (the key is V^r itself) up to the protocol's largest
+    # OMPE transfer width; every size runs the same three-exponentiation
+    # schedule.
+    @pytest.mark.parametrize("slots", [1, 5, 27, 81])
     def test_one_of_n_transfers_identical(self, group, slots):
         messages = [f"message-{i}".encode() for i in range(slots)]
         fast_value, fast_transfer = run_one_of_n(
@@ -42,7 +42,7 @@ class TestOTDifferential:
         assert fast_transfer == naive_transfer
 
     def test_k_of_n_transfers_identical(self, group):
-        messages = [f"slot-{i}".encode() for i in range(DUAL_TABLE_MIN_SLOTS + 4)]
+        messages = [f"slot-{i}".encode() for i in range(20)]
         indices = [1, 7, 13, 18]
         fast_values, fast_transfers = run_k_of_n(
             group, messages, indices, ReproRandom(123)

@@ -1,5 +1,7 @@
 """Tests for the oblivious transfer family."""
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -46,15 +48,22 @@ class TestBase:
         with pytest.raises(ValidationError):
             OTSetup(session=b"", blinding_points=(1,))
 
-    def test_transfer_count_mismatch(self):
-        with pytest.raises(ObliviousTransferError):
-            OTTransfer(session=b"s", ephemeral_points=(1,), wrapped=(b"a", b"b"))
+    def test_transfer_count_mismatch(self, group, rng):
+        """One point serves every slot, so the receiver checks the slot
+        count against the count it chose among."""
+        sender = OneOfNSender(group, rng.fork("s"))
+        receiver = OneOfNReceiver(group, rng.fork("r"))
+        choice = receiver.choose(sender.setup(), 0, 3)
+        transfer = sender.transfer([b"a", b"b", b"c"], choice)
+        padded = replace(transfer, wrapped=transfer.wrapped + (b"extra",))
+        with pytest.raises(ObliviousTransferError, match="4 slots, expected 3"):
+            receiver.retrieve(padded)
 
     def test_transfer_size_accounting(self):
         transfer = OTTransfer(
-            session=b"abcd", ephemeral_points=(1, 2), wrapped=(b"xx", b"yyy")
+            session=b"abcd", ephemeral_point=1, wrapped=(b"xx", b"yyy")
         )
-        assert transfer.size_bytes(32) == 4 + 64 + 5
+        assert transfer.size_bytes(32) == 4 + 32 + 5
 
 
 class TestOneOfTwo:
@@ -89,7 +98,7 @@ class TestOneOfTwo:
         transfer = sender.transfer([b"m0", b"m1"], choice)
         from repro.crypto.hashing import unwrap_message
 
-        key_point = group.exp(transfer.ephemeral_points[1], receiver._secret)
+        key_point = group.exp(transfer.ephemeral_point, receiver._secret)
         other = unwrap_message(
             group.encode_element(key_point),
             transfer.wrapped[1],
@@ -114,7 +123,7 @@ class TestOneOfTwo:
             sender.transfer([b"a", b"b"], OTChoice(session=b"x", blinded_keys=(2,)))
         with pytest.raises(ObliviousTransferError):
             receiver.retrieve(
-                OTTransfer(session=b"x", ephemeral_points=(2,), wrapped=(b"",))
+                OTTransfer(session=b"x", ephemeral_point=2, wrapped=(b"",))
             )
 
 
@@ -173,7 +182,7 @@ class TestOneOfN:
         receiver = OneOfNReceiver(group, rng)
         with pytest.raises(ObliviousTransferError):
             receiver.retrieve(
-                OTTransfer(session=b"x", ephemeral_points=(2,), wrapped=(b"",))
+                OTTransfer(session=b"x", ephemeral_point=2, wrapped=(b"",))
             )
 
     def test_transfer_before_setup(self, group, rng):
@@ -259,7 +268,7 @@ class TestTransferMaterial:
             group, 42, material
         )
         assert shared_transfer.session == plain_transfer.session
-        assert shared_transfer.ephemeral_points == plain_transfer.ephemeral_points
+        assert shared_transfer.ephemeral_point == plain_transfer.ephemeral_point
         assert shared_transfer.wrapped == plain_transfer.wrapped
         assert shared_message == plain_message == b"msg-2"
         assert material.sessions_served == 1

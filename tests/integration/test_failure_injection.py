@@ -6,24 +6,32 @@ wrong answer would be a correctness *and* privacy bug.  These tests
 drive the actual party state machines off the happy path.
 """
 
+import struct
+import threading
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from repro.core.ompe import OMPEFunction
+from repro.core.ompe.protocol import run_ompe_receiver, run_ompe_sender
 from repro.core.ompe.receiver import OMPEReceiver
 from repro.core.ompe.sender import OMPESender
 from repro.crypto.ot import OneOfNReceiver, OneOfNSender
-from repro.crypto.ot.base import OTChoice, OTTransfer
+from repro.crypto.ot.base import OTChoice
 from repro.exceptions import (
     ObliviousTransferError,
     ProtocolAbort,
     ProtocolError,
     ReproError,
+    ValidationError,
 )
 from repro.math.multivariate import MultivariatePolynomial
+from repro.net import wire
 from repro.net.party import connect_parties
+from repro.net.wire import WireChannel
 from repro.utils.rng import ReproRandom
+from repro.utils.serialization import WIRE_VERSION, encode_payload
 
 
 def make_parties(fast_config, seed=1, arity=2):
@@ -96,28 +104,20 @@ class TestOTTampering:
         transfer = sender.transfer([b"a", b"b", b"c", b"d"], choice)
         tampered_wrapped = list(transfer.wrapped)
         tampered_wrapped[1] = bytes([tampered_wrapped[1][0] ^ 1]) + tampered_wrapped[1][1:]
-        tampered = OTTransfer(
-            session=transfer.session,
-            ephemeral_points=transfer.ephemeral_points,
-            wrapped=tuple(tampered_wrapped),
-        )
+        tampered = replace(transfer, wrapped=tuple(tampered_wrapped))
         with pytest.raises(ObliviousTransferError):
             receiver.retrieve(tampered)
 
     def test_swapped_slots_detected(self, group, rng):
-        """Slot-binding: moving a ciphertext to another slot must fail."""
+        """Slot binding under one shared ephemeral point: a ciphertext
+        moved to another slot must not open there."""
         sender = OneOfNSender(group, rng.fork("s"))
         receiver = OneOfNReceiver(group, rng.fork("r"))
         setup = sender.setup()
         choice = receiver.choose(setup, 0, 3)
         transfer = sender.transfer([b"a", b"b", b"c"], choice)
-        swapped = OTTransfer(
-            session=transfer.session,
-            ephemeral_points=(
-                transfer.ephemeral_points[1],
-                transfer.ephemeral_points[0],
-                transfer.ephemeral_points[2],
-            ),
+        swapped = replace(
+            transfer,
             wrapped=(transfer.wrapped[1], transfer.wrapped[0], transfer.wrapped[2]),
         )
         with pytest.raises(ObliviousTransferError):
@@ -140,13 +140,35 @@ class TestOTTampering:
         setup = sender.setup()
         choice = receiver.choose(setup, 3, 4)
         transfer = sender.transfer([b"a", b"b", b"c", b"d"], choice)
-        short = OTTransfer(
-            session=transfer.session,
-            ephemeral_points=transfer.ephemeral_points[:2],
-            wrapped=transfer.wrapped[:2],
-        )
+        short = replace(transfer, wrapped=transfer.wrapped[:2])
         with pytest.raises(ObliviousTransferError):
             receiver.retrieve(short)
+
+    def test_empty_transfer_detected(self, group, rng):
+        sender = OneOfNSender(group, rng.fork("s"))
+        receiver = OneOfNReceiver(group, rng.fork("r"))
+        choice = receiver.choose(sender.setup(), 0, 2)
+        transfer = sender.transfer([b"a", b"b"], choice)
+        with pytest.raises(ObliviousTransferError, match="0 slots"):
+            receiver.retrieve(replace(transfer, wrapped=()))
+
+    @pytest.mark.parametrize("point", ["zero", "modulus", "non-residue", "bytes"])
+    def test_non_group_ephemeral_point_detected(self, group, rng, point):
+        sender = OneOfNSender(group, rng.fork("s"))
+        receiver = OneOfNReceiver(group, rng.fork("r"))
+        choice = receiver.choose(sender.setup(), 1, 2)
+        transfer = sender.transfer([b"a", b"b"], choice)
+        non_residue = 2
+        while group.contains(non_residue):
+            non_residue += 1
+        hostile = {
+            "zero": 0,
+            "modulus": group.p,
+            "non-residue": non_residue,
+            "bytes": b"\x04",
+        }[point]
+        with pytest.raises(ObliviousTransferError, match="not a group element"):
+            receiver.retrieve(replace(transfer, ephemeral_point=hostile))
 
     def test_non_group_element_choice_detected(self, group, rng):
         sender = OneOfNSender(group, rng.fork("s"))
@@ -157,6 +179,66 @@ class TestOTTampering:
         with pytest.raises(ObliviousTransferError):
             sender.transfer([b"m"], OTChoice(session=setup.session,
                                              blinded_keys=(non_member,)))
+
+
+def _varbytes(raw: bytes) -> bytes:
+    return struct.pack(">I", len(raw)) + raw
+
+
+class _LegacyTransferChannel(WireChannel):
+    """A sender endpoint still on the retired per-slot schedule: its OT
+    transfers go out as ``ot/transfer`` records with one point per slot."""
+
+    def send(self, sender, msg_type, payload):
+        if msg_type != "ompe/ot-transfers":
+            return super().send(sender, msg_type, payload)
+        records = [
+            b"C" + _varbytes(b"ot/transfer")
+            + encode_payload(transfer.session)
+            + encode_payload((transfer.ephemeral_point,) * transfer.message_count)
+            + encode_payload(transfer.wrapped)
+            for transfer in payload
+        ]
+        self.connection.send_frame(
+            bytes([WIRE_VERSION]) + _varbytes(msg_type.encode("ascii"))
+            + b"L" + struct.pack(">I", len(records)) + b"".join(records)
+        )
+
+
+@pytest.mark.socket
+class TestRetiredTransferTag:
+    def test_legacy_peer_refused_over_tcp(self, fast_config):
+        """A receiver on the single-ephemeral schedule refuses an
+        old-schedule transfer with a typed error at once, over TCP."""
+        function = OMPEFunction.from_polynomial(
+            MultivariatePolynomial.affine([Fraction(3, 7)] * 2, Fraction(1, 2))
+        )
+        server = wire.listen()
+        host, port = server.getsockname()[:2]
+        outcome = {}
+
+        def legacy_sender():
+            try:
+                with wire.accept(server, timeout=10.0, connection_timeout=10.0) as conn:
+                    channel = _LegacyTransferChannel("alice", "bob", conn)
+                    run_ompe_sender(function, channel, config=fast_config, seed=5)
+            except Exception as error:  # noqa: BLE001 — checked below
+                outcome["sender"] = error
+
+        peer = threading.Thread(target=legacy_sender, daemon=True)
+        peer.start()
+        try:
+            with wire.connect(host, port, timeout=10.0) as conn:
+                channel = WireChannel("bob", "alice", conn)
+                with pytest.raises(ValidationError, match="'ot/transfer'"):
+                    run_ompe_receiver(
+                        (Fraction(1, 3),) * 2, channel, config=fast_config, seed=5
+                    )
+            peer.join(10.0)
+            assert not peer.is_alive(), "legacy sender did not finish"
+        finally:
+            server.close()
+        assert "sender" not in outcome, outcome
 
 
 class TestErrorTaxonomy:

@@ -20,8 +20,6 @@ from repro.math import fastpath
 from repro.math.groups import (
     _FIXED_BASE_TABLE_CAP,
     _FIXED_BASE_TABLES,
-    DUAL_TABLE_MIN_SLOTS,
-    DualBaseExponentiator,
     FixedBaseTable,
     small_test_group,
 )
@@ -196,22 +194,6 @@ class TestGroupHotpaths:
         assert group.fixed_base_table().power(5) == pow(group.g, 5, group.p)
         for index in range(_FIXED_BASE_TABLE_CAP + 4):
             _FIXED_BASE_TABLES.pop(("synthetic", index), None)
-
-    def test_dual_base_exponentiator_matches_reference(self, group):
-        draw = ReproRandom(11)
-        blinded = group.random_element(draw)
-        w = group.random_element(draw)
-        w_inverse = group.inv(w)
-        derive = DualBaseExponentiator(group, blinded, w_inverse)
-        for index in range(DUAL_TABLE_MIN_SLOTS + 4):
-            r = group.random_exponent(draw)
-            shifted = group.mul(blinded, pow(w_inverse, index, group.p))
-            assert derive.key_point(index, r) == group.exp(shifted, r)
-
-    def test_batch_inv_matches_inv(self, group):
-        draw = ReproRandom(12)
-        elements = [group.random_element(draw) for _ in range(9)]
-        assert group.batch_inv(elements) == [group.inv(e) for e in elements]
 
 
 coefficients_st = st.lists(mixed_st, min_size=1, max_size=7)
