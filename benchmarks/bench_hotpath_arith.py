@@ -4,11 +4,10 @@ Measures every optimization in the hot-path arithmetic engine against
 its naive reference, asserts the outputs are identical, and writes the
 speedup table to ``BENCH_hotpath.json``:
 
-* micro-op rows — group exponentiation variants (C ``pow``, pure-Python
-  sliding window, fixed-base tables), simultaneous
-  multi-exponentiation, batched modular inversion, Jacobi membership,
-  the big-int XOR, ``Fraction`` vs scaled-integer dot products, and
-  Paillier CRT / pooled-randomizer costs;
+* micro-op rows — group exponentiation (C ``pow`` vs fixed-base
+  tables), Jacobi membership, the big-int XOR, ``Fraction`` vs
+  scaled-integer dot products, and Paillier CRT / pooled-randomizer
+  costs;
 * protocol rows — full private nonlinear classification and similarity
   runs, hot path vs ``repro.math.fastpath.naive_arithmetic()``, same
   seeds, with identical-output assertions.
@@ -62,13 +61,7 @@ from repro.crypto.hashing import _xor
 from repro.crypto.paillier import PaillierCipher, generate_keypair
 from repro.math import fastpath, groups
 from repro.math.groups import fast_group
-from repro.math.numtheory import (
-    batch_modular_inverse,
-    jacobi_symbol,
-    modular_inverse,
-    simultaneous_exp,
-    sliding_window_pow,
-)
+from repro.math.numtheory import jacobi_symbol
 from repro.math.polynomials import Polynomial
 from repro.ml.kernels import polynomial_kernel
 from repro.ml.svm.model import SVMModel, make_linear_model
@@ -124,19 +117,6 @@ def run_micro_benchmarks(quick=False):
     rows.append(_micro_row("variable_base_pow_c", iterations, pow_s, pow_s,
                            note="CPython C pow; the baseline"))
 
-    def window_all():
-        for e in exponents:
-            sliding_window_pow(base, e, group.p)
-
-    window_s = _time_loop(window_all, 1) / iterations
-    assert sliding_window_pow(base, exponents[0], group.p) == pow(
-        base, exponents[0], group.p
-    )
-    rows.append(_micro_row(
-        "sliding_window_pow", iterations, pow_s, window_s,
-        note="pure-Python loses to C pow (kept as reference/property oracle)",
-    ))
-
     table = group.fixed_base_table()
 
     def table_all():
@@ -149,44 +129,7 @@ def run_micro_benchmarks(quick=False):
     rows.append(_micro_row("fixed_base_table_w8", iterations, pow_s, table_s,
                            note="g^r with the cached window-8 table"))
 
-    x, y = exponents[0], exponents[1]
-    second = group.random_element(draw)
-    assert simultaneous_exp(base, x, second, y, group.p) == (
-        pow(base, x, group.p) * pow(second, y, group.p)
-    ) % group.p
-
-    def simul():
-        simultaneous_exp(base, x, second, y, group.p)
-
-    def simul_naive():
-        (pow(base, x, group.p) * pow(second, y, group.p)) % group.p
-
-    rows.append(_micro_row(
-        "simultaneous_exp", 1,
-        _time_loop(simul_naive, iterations), _time_loop(simul, iterations),
-        note="Straus a^x*b^y vs two C pows",
-    ))
-
-    # -- inversion and membership ---------------------------------------------
-    elements = [group.random_element(draw) for _ in range(32)]
-
-    def inv_batched():
-        batch_modular_inverse(elements, group.p)
-
-    def inv_each():
-        for element in elements:
-            modular_inverse(element, group.p)
-
-    assert batch_modular_inverse(elements, group.p) == [
-        modular_inverse(e, group.p) for e in elements
-    ]
-    rows.append(_micro_row(
-        "batch_modular_inverse", len(elements),
-        _time_loop(inv_each, 10 if quick else 30),
-        _time_loop(inv_batched, 10 if quick else 30),
-        note="Montgomery's trick, 32 inverses per batch",
-    ))
-
+    # -- subgroup membership ---------------------------------------------------
     member = pow(base, 2, group.p)
 
     def jacobi_test():

@@ -20,10 +20,7 @@ from repro.core.similarity.metric import (
     normal_inner_product,
     triangle_t_squared,
 )
-from repro.core.similarity.nonlinear import (
-    evaluate_similarity_private_nonlinear,
-    exact_normal_inner,
-)
+from repro.core.similarity.nonlinear import evaluate_similarity_private_nonlinear
 from repro.core.similarity.policy import (
     MitigatedScores,
     MitigatedSimilarityOutcome,
@@ -31,6 +28,11 @@ from repro.core.similarity.policy import (
     apply_output_policy,
     mitigate_similarity_outcome,
     parse_output_policy,
+)
+from repro.core.similarity.profile import (
+    SimilarityProfile,
+    exact_normal_inner,
+    similarity_profile,
 )
 
 __all__ = [
@@ -51,6 +53,8 @@ __all__ = [
     "triangle_t_squared",
     "evaluate_similarity_private_nonlinear",
     "exact_normal_inner",
+    "SimilarityProfile",
+    "similarity_profile",
     "MitigatedScores",
     "MitigatedSimilarityOutcome",
     "OutputPolicy",

@@ -36,17 +36,12 @@ from typing import Dict, Optional
 
 from repro import obs
 from repro.core.ompe import OMPEConfig, OMPEFunction, execute_ompe
-from repro.core.similarity.boundary import centroid, linear_boundary_points
-from repro.core.similarity.exact import (
-    exact_norm_squared,
-    snap,
-    snap_vector,
-)
+from repro.core.similarity.exact import snap
 from repro.core.similarity.metric import MetricParams
+from repro.core.similarity.profile import ModelOrProfile, similarity_profile
 from repro.exceptions import SimilarityError, ValidationError
 from repro.math.multivariate import MultivariatePolynomial
 from repro.math.polynomials import Number
-from repro.ml.svm.model import SVMModel
 from repro.net.channel import Channel
 from repro.net.runner import ProtocolReport
 from repro.utils.rng import ReproRandom
@@ -97,27 +92,9 @@ def build_t_squared_polynomial(
     return left * right * Fraction(1, 4)
 
 
-def linear_geometry(model: SVMModel, params: MetricParams):
-    """Snapped centroid and normal of a linear model's bounded hyperplane.
-
-    Shared by the in-process protocol and the remote role drivers
-    (:mod:`repro.core.similarity.remote`) so both sides derive identical
-    exact-rational geometry from the same model.
-    """
-    m = snap_vector(
-        centroid(
-            linear_boundary_points(
-                model.weight_vector(), model.bias, params.lower, params.upper
-            )
-        )
-    )
-    w = snap_vector(model.weight_vector())
-    return m, w
-
-
 def evaluate_similarity_private(
-    model_a: SVMModel,
-    model_b: SVMModel,
+    model_a: ModelOrProfile,
+    model_b: ModelOrProfile,
     params: Optional[MetricParams] = None,
     config: Optional[OMPEConfig] = None,
     seed: Optional[int] = None,
@@ -125,8 +102,11 @@ def evaluate_similarity_private(
 ) -> PrivateSimilarityOutcome:
     """Run the full private linear similarity protocol.
 
-    ``policy`` (an :class:`~repro.core.similarity.policy.OutputPolicy`)
-    switches the return type to a
+    Each side is a linear model or its
+    :class:`~repro.core.similarity.profile.SimilarityProfile` built
+    under ``params``.  ``policy`` (an
+    :class:`~repro.core.similarity.policy.OutputPolicy`) switches the
+    return type to a
     :class:`~repro.core.similarity.policy.MitigatedSimilarityOutcome`
     that withholds whatever the policy forbids; ``None`` keeps the
     legacy raw outcome.
@@ -157,8 +137,8 @@ def evaluate_similarity_private(
 
 
 def _evaluate_similarity_private(
-    model_a: SVMModel,
-    model_b: SVMModel,
+    model_a: ModelOrProfile,
+    model_b: ModelOrProfile,
     params: Optional[MetricParams],
     config: Optional[OMPEConfig],
     seed: Optional[int],
@@ -173,13 +153,14 @@ def _evaluate_similarity_private(
     root = ReproRandom(seed)
 
     # Step 1 — local geometry, snapped to exact rationals.
-    m_a, w_a = linear_geometry(model_a, params)
-    m_b, w_b = linear_geometry(model_b, params)
+    alice = similarity_profile(model_a, params, party="alice")
+    bob = similarity_profile(model_b, params, party="bob")
+    m_a, w_a = alice.centroid, alice.normal
 
     # Step 2 — Bob sends the two inseparable norms in the clear.
     with obs.get_tracer().span("similarity.clear", party="bob", phase="norms"):
         clear_channel = Channel("bob", "alice")
-        clear_channel.send("bob", "similarity/norms", (exact_norm_squared(m_b), exact_norm_squared(w_b)))
+        clear_channel.send("bob", "similarity/norms", (bob.centroid_norm, bob.normal_norm))
         norm_m_b, norm_w_b = clear_channel.receive("alice", "similarity/norms")
     clear_report = ProtocolReport(
         result=None,
@@ -188,7 +169,7 @@ def _evaluate_similarity_private(
     )
     if norm_w_b == 0:
         raise SimilarityError("Bob's normal vector is degenerate (zero)")
-    norm_w_a = exact_norm_squared(w_a)
+    norm_w_a = alice.normal_norm
     if norm_w_a == 0:
         raise SimilarityError("Alice's normal vector is degenerate (zero)")
 
@@ -199,7 +180,7 @@ def _evaluate_similarity_private(
     with obs.get_tracer().span("similarity.centroid_ompe", phase="centroid"):
         run1 = execute_ompe(
             centroid_function,
-            m_b,
+            bob.centroid,
             config=config,
             seed=root.fork("run1").seed,
             amplify=True,
@@ -215,7 +196,7 @@ def _evaluate_similarity_private(
     with obs.get_tracer().span("similarity.normal_ompe", phase="normal"):
         run2 = execute_ompe(
             normal_function,
-            w_b,
+            bob.normal,
             config=config,
             seed=root.fork("run2").seed,
             amplify=True,
@@ -225,7 +206,7 @@ def _evaluate_similarity_private(
         )
 
     # Step 5 — OMPE #3: Bob evaluates Eq. (7) at (x1, x2), unamplified.
-    c1 = exact_norm_squared(m_a) + norm_m_b
+    c1 = alice.centroid_norm + norm_m_b
     c2 = snap(params.l0) ** 4
     c3 = 1 / (norm_w_a * norm_w_b)
     c4 = 1 + snap(params.sin_theta0) ** 2

@@ -28,88 +28,69 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 from repro import obs
 from repro.core.ompe import OMPEConfig, OMPEFunction, execute_ompe
-from repro.core.similarity.boundary import centroid, kernel_boundary_points
-from repro.core.similarity.exact import (
-    exact_poly_kernel,
-    snap,
-    snap_vector,
-)
+from repro.core.similarity.exact import exact_poly_kernel, snap
 from repro.core.similarity.linear import (
     PrivateSimilarityOutcome,
     build_t_squared_polynomial,
 )
 from repro.core.similarity.metric import MetricParams
+from repro.core.similarity.profile import (
+    KernelParams,
+    ModelOrProfile,
+    SimilarityProfile,
+    similarity_profile,
+)
 from repro.exceptions import SimilarityError, ValidationError
 from repro.math import fastpath
 from repro.math.polynomials import Number
-from repro.ml.svm.model import SVMModel
 from repro.net.channel import Channel
 from repro.net.runner import ProtocolReport
 from repro.utils.rng import ReproRandom
 
 
-def _polynomial_kernel_params(model: SVMModel) -> Tuple[Fraction, Fraction, int]:
-    name, params = model.kernel_spec
-    if name not in ("poly", "polynomial"):
+def _kernel_params(profile: SimilarityProfile) -> KernelParams:
+    """The profile's ``(a0, b0, degree)``; a linear profile is refused."""
+    if profile.kernel is None:
         raise ValidationError(
             "nonlinear similarity requires polynomial-kernel models"
         )
-    return (
-        snap(params.get("a0", 1.0)),
-        snap(params.get("b0", 0.0)),
-        int(params.get("degree", 3)),
-    )
-
-
-def _pack_model(model: SVMModel) -> Tuple[Fraction, ...]:
-    """Pack Bob's dual coefficients and support vectors into one vector."""
-    packed: List[Fraction] = [snap(c) for c in model.dual_coefficients]
-    for row in model.support_vectors:
-        packed.extend(snap_vector(row))
-    return tuple(packed)
+    return profile.kernel
 
 
 def _normal_inner_function(
-    model_a: SVMModel,
-    a0: Fraction,
-    b0: Fraction,
-    degree: int,
-    peer_sv_count: int,
-    dimension: int,
+    alice: SimilarityProfile, peer_sv_count: int
 ) -> OMPEFunction:
     """Sender function computing ``⟨n_A, n_B⟩`` from Bob's packed model.
 
     The naive evaluator performs ``k_B · k_A`` exact kernel evaluations
-    in ``Fraction`` arithmetic per point.  The hot path rescales Alice's
-    duals and support vectors to integers once at construction, rescales
-    the packed input once per call, and then the whole double loop is
-    integer dots / powers with a single normalising ``Fraction`` at the
-    end — the dominant win for nonlinear similarity (same value, same
-    type, pinned by the differential suite).
+    in ``Fraction`` arithmetic per point.  The hot path runs over the
+    profile's scaled-integer form of Alice's duals and support vectors,
+    rescales the packed input once per call, and then the whole double
+    loop is integer dots / powers with a single normalising
+    ``Fraction`` at the end — the dominant win for nonlinear similarity
+    (same value, same type, pinned by the differential suite).
     """
-    alice_duals = [snap(c) for c in model_a.dual_coefficients]
-    alice_svs = [snap_vector(row) for row in model_a.support_vectors]
-    # Scaled-integer form of Alice's model (denominators divide 2^40).
-    dual_numerators, dual_den, _ = fastpath.scale_to_integers(alice_duals)
-    flat_svs = [value for row in alice_svs for value in row]
-    sv_numerators_flat, sv_den, _ = fastpath.scale_to_integers(flat_svs)
-    sv_numerators = [
-        sv_numerators_flat[row * dimension : (row + 1) * dimension]
-        for row in range(len(alice_svs))
+    a0, b0, degree = alice.kernel
+    dimension = alice.dimension
+    scaled = alice.scaled
+    alice_duals = alice.packed[: alice.n_support]
+    alice_svs = [
+        alice.packed[start : start + dimension]
+        for start in range(alice.n_support, len(alice.packed), dimension)
     ]
 
     def evaluate_fast(packed: Sequence[Number]):
-        scaled = fastpath.scale_to_integers(packed)
-        if scaled is None or not isinstance(packed[0], Fraction):
+        point = fastpath.scale_to_integers(packed)
+        if point is None or not isinstance(packed[0], Fraction):
             return fastpath.MISS
-        point_numerators, point_den, _ = scaled
+        point_numerators, point_den, _ = point
         # inner = a0 · (sv · x) + b0 over the common denominator
         # K = a0.den · sv_den · point_den · b0.den; kernel = inner^p / K^p.
-        base_den = a0.denominator * sv_den * point_den
+        base_den = a0.denominator * scaled.sv_den * point_den
         inner_scale = a0.numerator * b0.denominator
         inner_shift = b0.numerator * base_den
         kernel_den = base_den * b0.denominator
@@ -118,11 +99,11 @@ def _normal_inner_function(
             start = peer_sv_count + j * dimension
             vector = point_numerators[start : start + dimension]
             partial = 0
-            for dual_num, sv_row in zip(dual_numerators, sv_numerators):
+            for dual_num, sv_row in zip(scaled.dual_numerators, scaled.sv_numerators):
                 dot = sum(a * b for a, b in zip(sv_row, vector))
                 partial += dual_num * (inner_scale * dot + inner_shift) ** degree
             total += point_numerators[j] * partial
-        return Fraction(total, point_den * dual_den * kernel_den**degree)
+        return Fraction(total, point_den * scaled.dual_den * kernel_den**degree)
 
     def evaluate(packed: Sequence[Number]) -> Number:
         if fastpath.enabled():
@@ -151,40 +132,9 @@ def _normal_inner_function(
     )
 
 
-def kernel_centroid(model: SVMModel, params: MetricParams):
-    """Snapped centroid of a kernel model's boundary-point scan.
-
-    Shared by the in-process protocol and the remote role drivers so
-    both sides derive identical exact-rational geometry.
-    """
-    return snap_vector(
-        centroid(
-            kernel_boundary_points(
-                model, params.lower, params.upper, params.resolution
-            )
-        )
-    )
-
-
-def exact_normal_inner(
-    model_a: SVMModel, model_b: SVMModel
-) -> Fraction:
-    """Exact (snapped) feature-space inner product of the two normals."""
-    a0, b0, degree = _polynomial_kernel_params(model_a)
-    total = Fraction(0)
-    duals_a = [snap(c) for c in model_a.dual_coefficients]
-    svs_a = [snap_vector(row) for row in model_a.support_vectors]
-    duals_b = [snap(c) for c in model_b.dual_coefficients]
-    svs_b = [snap_vector(row) for row in model_b.support_vectors]
-    for ca, xa in zip(duals_a, svs_a):
-        for cb, xb in zip(duals_b, svs_b):
-            total += ca * cb * exact_poly_kernel(xa, xb, a0, b0, degree)
-    return total
-
-
 def evaluate_similarity_private_nonlinear(
-    model_a: SVMModel,
-    model_b: SVMModel,
+    model_a: ModelOrProfile,
+    model_b: ModelOrProfile,
     params: Optional[MetricParams] = None,
     config: Optional[OMPEConfig] = None,
     seed: Optional[int] = None,
@@ -192,7 +142,9 @@ def evaluate_similarity_private_nonlinear(
 ) -> PrivateSimilarityOutcome:
     """Run the full private nonlinear (polynomial-kernel) similarity protocol.
 
-    ``policy`` behaves as in
+    Each side is a polynomial-kernel model or its
+    :class:`~repro.core.similarity.profile.SimilarityProfile` built
+    under ``params``.  ``policy`` behaves as in
     :func:`~repro.core.similarity.linear.evaluate_similarity_private`:
     a non-``None`` :class:`~repro.core.similarity.policy.OutputPolicy`
     yields a mitigated outcome instead of the raw one.
@@ -223,53 +175,53 @@ def evaluate_similarity_private_nonlinear(
 
 
 def _evaluate_similarity_private_nonlinear(
-    model_a: SVMModel,
-    model_b: SVMModel,
+    model_a: ModelOrProfile,
+    model_b: ModelOrProfile,
     params: Optional[MetricParams],
     config: Optional[OMPEConfig],
     seed: Optional[int],
 ) -> PrivateSimilarityOutcome:
     params = params or MetricParams()
     config = config or OMPEConfig()
-    if model_a.kernel_spec != model_b.kernel_spec:
+    # Step 1 — local geometry (kernel boundary scan), snapped.
+    alice = similarity_profile(model_a, params, party="alice")
+    bob = similarity_profile(model_b, params, party="bob")
+    if alice.kernel != bob.kernel:
         raise SimilarityError(
             "both models must share the same kernel configuration"
         )
-    a0, b0, degree = _polynomial_kernel_params(model_a)
-    if model_a.dimension != model_b.dimension:
+    a0, b0, degree = _kernel_params(alice)
+    if alice.dimension != bob.dimension:
         raise SimilarityError("models must share input dimensionality")
     root = ReproRandom(seed)
-
-    # Step 1 — local geometry (kernel boundary scan), snapped.
-    m_a = kernel_centroid(model_a, params)
-    m_b = kernel_centroid(model_b, params)
+    m_a = alice.centroid
 
     # Step 2 — Bob sends K(m_B, m_B) and ⟨n_B, n_B⟩ in the clear.
-    k_mm_b = exact_poly_kernel(m_b, m_b, a0, b0, degree)
-    k_ww_b = exact_normal_inner(model_b, model_b)
     with obs.get_tracer().span("similarity.clear", party="bob", phase="norms"):
         clear_channel = Channel("bob", "alice")
-        clear_channel.send("bob", "similarity/kernel-norms", (k_mm_b, k_ww_b))
+        clear_channel.send(
+            "bob", "similarity/kernel-norms", (bob.centroid_norm, bob.normal_norm)
+        )
         k_mm_b, k_ww_b = clear_channel.receive("alice", "similarity/kernel-norms")
     clear_report = ProtocolReport(
         result=None,
         transcript=clear_channel.transcript,
         simulated_network_s=clear_channel.simulated_time,
     )
-    k_ww_a = exact_normal_inner(model_a, model_a)
+    k_ww_a = alice.normal_norm
     if k_ww_a <= 0 or k_ww_b <= 0:
         raise SimilarityError("degenerate feature-space normal")
 
     # Step 3 — OMPE #1: x1 = r_am K(m_A, m_B).
     centroid_function = OMPEFunction.from_callable(
-        arity=model_a.dimension,
+        arity=alice.dimension,
         total_degree=degree,
         evaluate=lambda y: exact_poly_kernel(m_a, y, a0, b0, degree),
     )
     with obs.get_tracer().span("similarity.centroid_ompe", phase="centroid"):
         run1 = execute_ompe(
             centroid_function,
-            m_b,
+            bob.centroid,
             config=config,
             seed=root.fork("run1").seed,
             amplify=True,
@@ -279,14 +231,11 @@ def _evaluate_similarity_private_nonlinear(
         )
 
     # Step 4 — OMPE #2: x2 = r_aw ⟨n_A, n_B⟩ + r_b over Bob's packed model.
-    packed = _pack_model(model_b)
-    normal_function = _normal_inner_function(
-        model_a, a0, b0, degree, model_b.n_support, model_b.dimension
-    )
+    normal_function = _normal_inner_function(alice, bob.n_support)
     with obs.get_tracer().span("similarity.normal_ompe", phase="normal"):
         run2 = execute_ompe(
             normal_function,
-            packed,
+            bob.packed,
             config=config,
             seed=root.fork("run2").seed,
             amplify=True,
@@ -296,7 +245,7 @@ def _evaluate_similarity_private_nonlinear(
         )
 
     # Step 5 — OMPE #3: Eq. (7) with kernel-space constants.
-    c1 = exact_poly_kernel(m_a, m_a, a0, b0, degree) + k_mm_b
+    c1 = alice.centroid_norm + k_mm_b
     c2 = snap(params.l0) ** 4
     c3 = 1 / (k_ww_a * k_ww_b)
     c4 = 1 + snap(params.sin_theta0) ** 2

@@ -15,6 +15,11 @@ in-process protocol.  Seeds derive identically on both sides
 split runs bit-identical to the in-process reference: same masked
 values, same ``T²``, same per-phase byte counts.
 
+Each driver takes its party's model or that model's
+:class:`~repro.core.similarity.profile.SimilarityProfile`; a server
+hosting a model derives the profile once and passes it to every
+session.
+
 What crosses the wire before these drivers start — model metadata like
 the peer's support-vector count for the nonlinear normal function —
 travels in the service layer's session-open control exchange
@@ -31,27 +36,19 @@ from typing import Callable, Dict, Optional
 from repro import obs
 from repro.core.ompe import OMPEConfig, OMPEFunction
 from repro.core.ompe.protocol import run_ompe_receiver, run_ompe_sender
-from repro.core.similarity.exact import (
-    exact_norm_squared,
-    exact_poly_kernel,
-    snap,
-)
+from repro.core.similarity.exact import exact_poly_kernel, snap
 from repro.core.similarity.linear import (
     PrivateSimilarityOutcome,
     build_t_squared_polynomial,
-    linear_geometry,
 )
 from repro.core.similarity.metric import MetricParams
 from repro.core.similarity.nonlinear import (
+    _kernel_params,
     _normal_inner_function,
-    _pack_model,
-    _polynomial_kernel_params,
-    exact_normal_inner,
-    kernel_centroid,
 )
+from repro.core.similarity.profile import ModelOrProfile, similarity_profile
 from repro.exceptions import SimilarityError, ValidationError
 from repro.math.multivariate import MultivariatePolynomial
-from repro.ml.svm.model import SVMModel
 from repro.net.runner import ProtocolReport
 from repro.utils.rng import ReproRandom
 
@@ -68,7 +65,7 @@ def _clear_report(channel) -> ProtocolReport:
 
 
 def run_similarity_alice_linear(
-    model_a: SVMModel,
+    model_a: ModelOrProfile,
     channel_factory: ChannelFactory,
     params: Optional[MetricParams] = None,
     config: Optional[OMPEConfig] = None,
@@ -84,20 +81,20 @@ def run_similarity_alice_linear(
     if not model_a.is_linear():
         raise ValidationError("linear similarity requires a linear model")
     root = ReproRandom(seed)
-    m_a, w_a = linear_geometry(model_a, params)
+    alice = similarity_profile(model_a, params, party="alice")
 
     clear = channel_factory()
     norm_m_b, norm_w_b = clear.receive("alice", "similarity/norms")
     clear_report = _clear_report(clear)
     if norm_w_b == 0:
         raise SimilarityError("Bob's normal vector is degenerate (zero)")
-    norm_w_a = exact_norm_squared(w_a)
+    norm_w_a = alice.normal_norm
     if norm_w_a == 0:
         raise SimilarityError("Alice's normal vector is degenerate (zero)")
 
     run1 = run_ompe_sender(
         OMPEFunction.from_polynomial(
-            _affine_polynomial(list(m_a))
+            _affine_polynomial(list(alice.centroid))
         ),
         channel_factory(),
         config=config,
@@ -108,7 +105,7 @@ def run_similarity_alice_linear(
     )
     run2 = run_ompe_sender(
         OMPEFunction.from_polynomial(
-            _affine_polynomial(list(w_a))
+            _affine_polynomial(list(alice.normal))
         ),
         channel_factory(),
         config=config,
@@ -118,7 +115,7 @@ def run_similarity_alice_linear(
         name="alice",
     )
 
-    c1 = exact_norm_squared(m_a) + norm_m_b
+    c1 = alice.centroid_norm + norm_m_b
     c2 = snap(params.l0) ** 4
     c3 = 1 / (norm_w_a * norm_w_b)
     c4 = 1 + snap(params.sin_theta0) ** 2
@@ -144,7 +141,7 @@ def run_similarity_alice_linear(
 
 
 def run_similarity_bob_linear(
-    model_b: SVMModel,
+    model_b: ModelOrProfile,
     channel_factory: ChannelFactory,
     params: Optional[MetricParams] = None,
     config: Optional[OMPEConfig] = None,
@@ -163,24 +160,20 @@ def run_similarity_bob_linear(
     if not model_b.is_linear():
         raise ValidationError("linear similarity requires a linear model")
     root = ReproRandom(seed)
-    m_b, w_b = linear_geometry(model_b, params)
+    bob = similarity_profile(model_b, params, party="bob")
 
     clear = channel_factory()
-    clear.send(
-        "bob",
-        "similarity/norms",
-        (exact_norm_squared(m_b), exact_norm_squared(w_b)),
-    )
+    clear.send("bob", "similarity/norms", (bob.centroid_norm, bob.normal_norm))
     clear_report = _clear_report(clear)
-    if exact_norm_squared(w_b) == 0:
+    if bob.normal_norm == 0:
         raise SimilarityError("Bob's normal vector is degenerate (zero)")
 
     run1 = run_ompe_receiver(
-        m_b, channel_factory(), config=config,
+        bob.centroid, channel_factory(), config=config,
         seed=root.fork("run1").seed, name="bob",
     )
     run2 = run_ompe_receiver(
-        w_b, channel_factory(), config=config,
+        bob.normal, channel_factory(), config=config,
         seed=root.fork("run2").seed, name="bob",
     )
     run3 = run_ompe_receiver(
@@ -194,7 +187,7 @@ def run_similarity_bob_linear(
 
 
 def run_similarity_alice_nonlinear(
-    model_a: SVMModel,
+    model_a: ModelOrProfile,
     peer_sv_count: int,
     channel_factory: ChannelFactory,
     params: Optional[MetricParams] = None,
@@ -213,20 +206,21 @@ def run_similarity_alice_nonlinear(
         raise ValidationError(
             f"peer_sv_count must be at least 1, got {peer_sv_count}"
         )
-    a0, b0, degree = _polynomial_kernel_params(model_a)
+    alice = similarity_profile(model_a, params, party="alice")
+    a0, b0, degree = _kernel_params(alice)
     root = ReproRandom(seed)
-    m_a = kernel_centroid(model_a, params)
+    m_a = alice.centroid
 
     clear = channel_factory()
     k_mm_b, k_ww_b = clear.receive("alice", "similarity/kernel-norms")
     clear_report = _clear_report(clear)
-    k_ww_a = exact_normal_inner(model_a, model_a)
+    k_ww_a = alice.normal_norm
     if k_ww_a <= 0 or k_ww_b <= 0:
         raise SimilarityError("degenerate feature-space normal")
 
     run1 = run_ompe_sender(
         OMPEFunction.from_callable(
-            arity=model_a.dimension,
+            arity=alice.dimension,
             total_degree=degree,
             evaluate=lambda y: exact_poly_kernel(m_a, y, a0, b0, degree),
         ),
@@ -238,9 +232,7 @@ def run_similarity_alice_nonlinear(
         name="alice",
     )
     run2 = run_ompe_sender(
-        _normal_inner_function(
-            model_a, a0, b0, degree, peer_sv_count, model_a.dimension
-        ),
+        _normal_inner_function(alice, peer_sv_count),
         channel_factory(),
         config=config,
         seed=root.fork("run2").seed,
@@ -249,7 +241,7 @@ def run_similarity_alice_nonlinear(
         name="alice",
     )
 
-    c1 = exact_poly_kernel(m_a, m_a, a0, b0, degree) + k_mm_b
+    c1 = alice.centroid_norm + k_mm_b
     c2 = snap(params.l0) ** 4
     c3 = 1 / (k_ww_a * k_ww_b)
     c4 = 1 + snap(params.sin_theta0) ** 2
@@ -275,7 +267,7 @@ def run_similarity_alice_nonlinear(
 
 
 def run_similarity_bob_nonlinear(
-    model_b: SVMModel,
+    model_b: ModelOrProfile,
     channel_factory: ChannelFactory,
     params: Optional[MetricParams] = None,
     config: Optional[OMPEConfig] = None,
@@ -288,27 +280,22 @@ def run_similarity_bob_nonlinear(
     """
     params = params or MetricParams()
     config = config or OMPEConfig()
-    a0, b0, degree = _polynomial_kernel_params(model_b)
+    bob = similarity_profile(model_b, params, party="bob")
+    _kernel_params(bob)  # refuses a linear profile
     root = ReproRandom(seed)
-    m_b = kernel_centroid(model_b, params)
 
     clear = channel_factory()
     clear.send(
-        "bob",
-        "similarity/kernel-norms",
-        (
-            exact_poly_kernel(m_b, m_b, a0, b0, degree),
-            exact_normal_inner(model_b, model_b),
-        ),
+        "bob", "similarity/kernel-norms", (bob.centroid_norm, bob.normal_norm)
     )
     clear_report = _clear_report(clear)
 
     run1 = run_ompe_receiver(
-        m_b, channel_factory(), config=config,
+        bob.centroid, channel_factory(), config=config,
         seed=root.fork("run1").seed, name="bob",
     )
     run2 = run_ompe_receiver(
-        _pack_model(model_b), channel_factory(), config=config,
+        bob.packed, channel_factory(), config=config,
         seed=root.fork("run2").seed, name="bob",
     )
     run3 = run_ompe_receiver(

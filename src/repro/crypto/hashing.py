@@ -19,6 +19,9 @@ from repro.exceptions import DecryptionError, ValidationError
 #: Length of the integrity tag appended to wrapped messages.
 TAG_BYTES = 16
 
+#: SHA-256 output size: one keystream block per counter value.
+_BLOCK_BYTES = 32
+
 
 def kdf(key_material: bytes, length: int, context: bytes = b"") -> bytes:
     """Derive ``length`` pseudorandom bytes from ``key_material``.
@@ -27,16 +30,12 @@ def kdf(key_material: bytes, length: int, context: bytes = b"") -> bytes:
     """
     if length < 0:
         raise ValidationError(f"length must be non-negative, got {length}")
-    blocks = []
-    counter = 0
-    while sum(len(b) for b in blocks) < length:
-        digest = hashlib.sha256()
-        digest.update(counter.to_bytes(8, "big"))
-        digest.update(context)
-        digest.update(key_material)
-        blocks.append(digest.digest())
-        counter += 1
-    return b"".join(blocks)[:length]
+    suffix = context + key_material
+    blocks = -(-length // _BLOCK_BYTES)
+    return b"".join(
+        hashlib.sha256(counter.to_bytes(8, "big") + suffix).digest()
+        for counter in range(blocks)
+    )[:length]
 
 
 def _xor(data: bytes, keystream: bytes) -> bytes:
@@ -56,7 +55,7 @@ def wrap_message(key_material: bytes, plaintext: bytes, context: bytes = b"") ->
     keystream = kdf(key_material, len(plaintext), context + b"|stream")
     ciphertext = _xor(plaintext, keystream)
     mac_key = kdf(key_material, 32, context + b"|mac")
-    tag = hmac.new(mac_key, ciphertext, hashlib.sha256).digest()[:TAG_BYTES]
+    tag = hmac.digest(mac_key, ciphertext, "sha256")[:TAG_BYTES]
     return ciphertext + tag
 
 
@@ -73,7 +72,7 @@ def unwrap_message(
         raise DecryptionError("wrapped message shorter than its tag")
     ciphertext, tag = wrapped[:-TAG_BYTES], wrapped[-TAG_BYTES:]
     mac_key = kdf(key_material, 32, context + b"|mac")
-    expected = hmac.new(mac_key, ciphertext, hashlib.sha256).digest()[:TAG_BYTES]
+    expected = hmac.digest(mac_key, ciphertext, "sha256")[:TAG_BYTES]
     if not hmac.compare_digest(tag, expected):
         return None
     keystream = kdf(key_material, len(ciphertext), context + b"|stream")

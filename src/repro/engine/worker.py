@@ -34,8 +34,10 @@ from repro.core.ompe import OMPEConfig, OMPEFunction, execute_ompe
 from repro.core.ompe.precompute import ReceiverPool, SenderPool
 from repro.core.similarity import (
     MetricParams,
+    SimilarityProfile,
     evaluate_similarity_private,
     evaluate_similarity_private_nonlinear,
+    similarity_profile,
 )
 from repro.engine.jobs import (
     CLASSIFICATION,
@@ -163,6 +165,9 @@ class WorkerState:
     jobs_done: int = 0
     #: Lazily reconstructed keyed left models (``spec.model_documents``).
     extra_models: Dict[str, SVMModel] = field(default_factory=dict)
+    #: Similarity profiles of the left models, keyed like
+    #: :meth:`model_for`; each is derived on its model's first job.
+    profiles: Dict[Optional[str], SimilarityProfile] = field(default_factory=dict)
 
     @classmethod
     def from_spec(cls, spec: EngineSpec, worker_id: int) -> "WorkerState":
@@ -191,6 +196,18 @@ class WorkerState:
         model = model_from_dict(documents[left_key])
         self.extra_models[left_key] = model
         return model
+
+    def profile_for(self, left_key: Optional[str]) -> SimilarityProfile:
+        """The similarity profile of the left-side model a job asked for."""
+        profile = self.profiles.get(left_key)
+        if profile is None:
+            profile = similarity_profile(
+                self.model_for(left_key),
+                self.spec.metric_params or MetricParams(),
+                party="alice",
+            )
+            self.profiles[left_key] = profile
+        return profile
 
     # -- precompute pools --------------------------------------------------
 
@@ -349,7 +366,7 @@ def _run_similarity(
     state: WorkerState, job: SimilarityJob, attempt: int
 ) -> JobResult:
     start = time.perf_counter()
-    left = state.model_for(job.left_key)
+    left = state.profile_for(job.left_key)
     other = model_from_dict(job.model_document)
     params = state.spec.metric_params or MetricParams()
     if left.is_linear() and other.is_linear():

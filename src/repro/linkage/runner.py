@@ -34,8 +34,10 @@ from typing import Dict, List, Optional, Tuple
 
 from repro import obs
 from repro.core.similarity import (
+    SimilarityProfile,
     evaluate_similarity_private,
     evaluate_similarity_private_nonlinear,
+    similarity_profile,
 )
 from repro.engine.engine import EnginePolicy, ProtocolEngine
 from repro.exceptions import (
@@ -77,15 +79,37 @@ class LinkageRunner:
 
 
 class SerialLinkageRunner(LinkageRunner):
-    """Pair-at-a-time scoring in the calling process (the baseline)."""
+    """Pair-at-a-time scoring in the calling process (the baseline).
+
+    Each model's :class:`~repro.core.similarity.profile.SimilarityProfile`
+    is derived on its first pair in a job and reused for the rest of
+    the job's pairs; :meth:`close` drops them.
+    """
+
+    def __init__(self) -> None:
+        self._spec: Optional[LinkageJobSpec] = None
+        self._profiles: Dict[Tuple[str, str], SimilarityProfile] = {}
+
+    def _profile(
+        self, spec: LinkageJobSpec, party: str, key: str
+    ) -> SimilarityProfile:
+        if spec is not self._spec:
+            self.close()
+            self._spec = spec
+        profile = self._profiles.get((party, key))
+        if profile is None:
+            models = spec.left if party == "alice" else spec.right
+            profile = similarity_profile(models[key], spec.params, party=party)
+            self._profiles[party, key] = profile
+        return profile
 
     def run_chunk(
         self, spec: LinkageJobSpec, chunk: LinkageChunk
     ) -> List[PairScore]:
-        left = spec.left[chunk.left_key]
+        left = self._profile(spec, "alice", chunk.left_key)
         scores = []
         for right_key in chunk.right_keys:
-            right = spec.right[right_key]
+            right = self._profile(spec, "bob", right_key)
             evaluate = (
                 evaluate_similarity_private
                 if left.is_linear()
@@ -104,6 +128,10 @@ class SerialLinkageRunner(LinkageRunner):
                 )
             )
         return scores
+
+    def close(self) -> None:
+        self._spec = None
+        self._profiles.clear()
 
 
 class EngineLinkageRunner(LinkageRunner):

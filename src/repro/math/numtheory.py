@@ -147,47 +147,6 @@ def modular_inverse(value: int, modulus: int) -> int:
     return x % modulus
 
 
-def batch_modular_inverse(values: Sequence[int], modulus: int) -> List[int]:
-    """Invert many values modulo ``modulus`` with one extended gcd.
-
-    Montgomery's trick: form the prefix products, invert the total once,
-    then peel individual inverses off with two multiplications per
-    value.  For ``n`` values this costs one :func:`modular_inverse` plus
-    ``3(n - 1)`` modular multiplications instead of ``n`` inversions.
-    Results are identical to calling :func:`modular_inverse` per value.
-
-    Raises :class:`ValidationError` when any value is not invertible,
-    naming the first offending value.
-    """
-    if modulus <= 1:
-        raise ValidationError(f"modulus must exceed 1, got {modulus}")
-    reduced = [value % modulus for value in values]
-    if not reduced:
-        return []
-    # Under the hot path, run the product chains on backend-native
-    # values (mpz under gmpy2; identity under python) and lower each
-    # inverse back to int — type and value identical to the reference.
-    backend = fastpath.get_backend() if fastpath.enabled() else None
-    lift = backend.mpz if backend is not None else (lambda v: v)
-    mod = lift(modulus)
-    lifted = [lift(value) for value in reduced]
-    prefix = [0] * len(lifted)
-    running = lift(1)
-    for index, value in enumerate(lifted):
-        prefix[index] = running
-        running = (running * value) % mod
-    if math.gcd(int(running), modulus) != 1:
-        for value in reduced:  # locate the culprit for a precise error
-            if math.gcd(value, modulus) != 1:
-                raise ValidationError(f"{value} is not invertible modulo {modulus}")
-    inverse_running = lift(modular_inverse(int(running), modulus))
-    inverses = [0] * len(lifted)
-    for index in range(len(lifted) - 1, -1, -1):
-        inverses[index] = int((inverse_running * prefix[index]) % mod)
-        inverse_running = (inverse_running * lifted[index]) % mod
-    return inverses
-
-
 def jacobi_symbol(a: int, n: int) -> int:
     """Jacobi symbol ``(a | n)`` for odd ``n > 0``.
 
@@ -214,82 +173,6 @@ def jacobi_symbol(a: int, n: int) -> int:
             result = -result
         a %= n
     return result if n == 1 else 0
-
-
-def sliding_window_pow(base: int, exponent: int, modulus: int, window: int = 4) -> int:
-    """Left-to-right sliding-window modular exponentiation.
-
-    Precomputes the odd powers ``base^1, base^3, ..., base^(2^w - 1)``
-    and scans the exponent bits, absorbing maximal odd windows.  Output
-    equals ``pow(base, exponent, modulus)`` exactly.
-
-    Measured note (recorded in ``BENCH_hotpath.json``): CPython's C
-    ``pow`` already uses a windowed ladder internally, so this pure-
-    Python variant does *not* beat it for variable bases — the win for
-    protocol exponentiation comes from fixed-base tables
-    (:class:`repro.math.groups.FixedBaseTable`), which eliminate the
-    squarings entirely.  This function exists as the readable reference
-    for the windowed technique and for property testing.
-    """
-    if modulus <= 0:
-        raise ValidationError(f"modulus must be positive, got {modulus}")
-    if exponent < 0:
-        raise ValidationError("exponent must be non-negative")
-    if window < 1:
-        raise ValidationError(f"window must be at least 1, got {window}")
-    if modulus == 1:
-        return 0
-    if exponent == 0:
-        return 1
-    base %= modulus
-    # Odd powers: odd_powers[k] = base^(2k + 1).
-    squared = (base * base) % modulus
-    odd_powers = [base]
-    for _ in range((1 << (window - 1)) - 1):
-        odd_powers.append((odd_powers[-1] * squared) % modulus)
-    result = 1
-    position = exponent.bit_length() - 1
-    while position >= 0:
-        if not (exponent >> position) & 1:
-            result = (result * result) % modulus
-            position -= 1
-            continue
-        # Take the widest window ending in a set bit.
-        low = max(position - window + 1, 0)
-        while not (exponent >> low) & 1:
-            low += 1
-        digit = (exponent >> low) & ((1 << (position - low + 1)) - 1)
-        for _ in range(position - low + 1):
-            result = (result * result) % modulus
-        result = (result * odd_powers[digit >> 1]) % modulus
-        position = low - 1
-    return result
-
-
-def simultaneous_exp(a: int, x: int, b: int, y: int, modulus: int) -> int:
-    """Straus/Shamir simultaneous exponentiation ``a^x · b^y mod modulus``.
-
-    Interleaves the two square-and-multiply ladders, sharing the
-    squarings: one pass over ``max(bits(x), bits(y))`` bit positions
-    with a four-entry table ``{1, a, b, ab}``, instead of two full
-    ladders.  Output equals ``(pow(a, x, m) * pow(b, y, m)) % m``.
-    """
-    if modulus <= 0:
-        raise ValidationError(f"modulus must be positive, got {modulus}")
-    if x < 0 or y < 0:
-        raise ValidationError("exponents must be non-negative")
-    if modulus == 1:
-        return 0
-    a %= modulus
-    b %= modulus
-    table = (1, a, b, (a * b) % modulus)
-    result = 1
-    for position in range(max(x.bit_length(), y.bit_length()) - 1, -1, -1):
-        result = (result * result) % modulus
-        digit = (((y >> position) & 1) << 1) | ((x >> position) & 1)
-        if digit:
-            result = (result * table[digit]) % modulus
-    return result
 
 
 def crt_combine(residues: Sequence[int], moduli: Sequence[int]) -> int:

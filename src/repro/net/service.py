@@ -77,6 +77,7 @@ from repro.core.ompe.protocol import run_ompe_receiver, run_ompe_sender
 from repro.core.similarity.linear import PrivateSimilarityOutcome
 from repro.core.similarity.metric import MetricParams
 from repro.core.similarity.policy import OutputPolicy
+from repro.core.similarity.profile import SimilarityProfile, similarity_profile
 from repro.core.similarity.remote import (
     run_similarity_alice_linear,
     run_similarity_alice_nonlinear,
@@ -380,6 +381,11 @@ class TrainerServer:
         self.models: Dict[str, SVMModel] = dict(models) if models else {}
         self.config = config or OMPEConfig()
         self.params = params or MetricParams()
+        #: Similarity profiles of the hosted models, keyed like the
+        #: session's ``model`` selector and derived on each model's first
+        #: similarity session (never at start-up: classify-only servers
+        #: would pay for a boundary scan they never use).
+        self._profiles: Dict[Optional[str], SimilarityProfile] = {}
         #: Server-side similarity output policy.  ``None`` keeps the
         #: legacy raw output; a policy here is the server's *mandate* —
         #: every similarity session runs under it, and a client that
@@ -1071,7 +1077,7 @@ class TrainerServer:
 
         if linear:
             run_similarity_alice_linear(
-                serving, factory,
+                self._similarity_profile(model_key, serving), factory,
                 params=self.params, config=self.config, seed=seed,
             )
         else:
@@ -1082,9 +1088,21 @@ class TrainerServer:
                     f"count in session/open, got {peer_sv_count!r}"
                 )
             run_similarity_alice_nonlinear(
-                serving, peer_sv_count, factory,
-                params=self.params, config=self.config, seed=seed,
+                self._similarity_profile(model_key, serving), peer_sv_count,
+                factory, params=self.params, config=self.config, seed=seed,
             )
+
+    def _similarity_profile(
+        self, model_key: Optional[str], model: SVMModel
+    ) -> SimilarityProfile:
+        profile = self._profiles.get(model_key)
+        if profile is None:
+            # Racing first sessions may both derive it; setdefault keeps
+            # one instance for every later session.
+            profile = self._profiles.setdefault(
+                model_key, similarity_profile(model, self.params, party="alice")
+            )
+        return profile
 
     # -- admin channel --------------------------------------------------------
 

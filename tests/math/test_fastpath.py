@@ -25,13 +25,7 @@ from repro.math.groups import (
 )
 from repro.math.interpolation import lagrange_at_zero
 from repro.math.multivariate import MultivariatePolynomial
-from repro.math.numtheory import (
-    batch_modular_inverse,
-    jacobi_symbol,
-    modular_inverse,
-    simultaneous_exp,
-    sliding_window_pow,
-)
+from repro.math.numtheory import jacobi_symbol
 from repro.math.polynomials import Polynomial, evaluate_all
 from repro.utils.rng import ReproRandom
 
@@ -89,49 +83,6 @@ class TestScaleHelpers:
 
 
 class TestNumtheoryHotpaths:
-    @given(
-        st.integers(min_value=2, max_value=1 << 128),
-        st.integers(min_value=0, max_value=1 << 128),
-        st.integers(min_value=3, max_value=1 << 128),
-    )
-    @settings(max_examples=150, deadline=None)
-    def test_sliding_window_pow_matches_pow(self, base, exponent, modulus):
-        assert sliding_window_pow(base, exponent, modulus) == pow(
-            base, exponent, modulus
-        )
-
-    @given(
-        st.integers(min_value=1, max_value=1 << 64),
-        st.integers(min_value=0, max_value=1 << 64),
-        st.integers(min_value=1, max_value=1 << 64),
-        st.integers(min_value=0, max_value=1 << 64),
-        st.integers(min_value=2, max_value=1 << 64),
-    )
-    @settings(max_examples=150, deadline=None)
-    def test_simultaneous_exp_matches_product(self, a, x, b, y, modulus):
-        expected = (pow(a, x, modulus) * pow(b, y, modulus)) % modulus
-        assert simultaneous_exp(a, x, b, y, modulus) == expected
-
-    def test_batch_inverse_matches_individual(self):
-        modulus = 10007
-        values = [1, 2, 3, 5000, 10006, 42]
-        batched = batch_modular_inverse(values, modulus)
-        assert batched == [modular_inverse(v, modulus) for v in values]
-
-    def test_batch_inverse_empty(self):
-        assert batch_modular_inverse([], 97) == []
-
-    def test_batch_inverse_reports_culprit(self):
-        with pytest.raises(ValidationError):
-            batch_modular_inverse([3, 14, 5], 21)  # 14 shares a factor
-
-    @given(st.lists(st.integers(min_value=1, max_value=10006), min_size=1, max_size=20))
-    @settings(max_examples=50, deadline=None)
-    def test_batch_inverse_property(self, values):
-        modulus = 10007  # prime, so every nonzero value is invertible
-        for value, inverse in zip(values, batch_modular_inverse(values, modulus)):
-            assert value * inverse % modulus == 1
-
     @given(st.integers(min_value=0, max_value=10**9))
     @settings(max_examples=200, deadline=None)
     def test_jacobi_equals_euler_criterion(self, a):
