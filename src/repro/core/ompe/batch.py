@@ -19,6 +19,7 @@ from typing import List, Optional, Sequence, Tuple
 from repro import obs
 from repro.core.ompe.config import OMPEConfig, draw_amplifier
 from repro.core.ompe.function import OMPEFunction, as_exact_vector
+from repro.core.ompe.hiding import disguise_vector, draw_hiders
 from repro.crypto.ot.k_of_n import KOfNReceiver, KOfNSender
 from repro.exceptions import OMPEError, ProtocolAbort, ValidationError
 from repro.math.interpolation import lagrange_at_zero
@@ -166,22 +167,14 @@ class _BatchReceiver(Party):
             m=cover_count,
             M=pair_count,
             batch=len(self.inputs),
+            hiders=len(self.inputs) * len(self.inputs[0]) * (pair_count - cover_count + 1),
         ), self.timings.measure("receiver/randomize"):
             batches = []
             self._nodes: List[List[Number]] = []
             self._positions: List[List[int]] = []
             for query_index, input_vector in enumerate(self.inputs):
                 draw = self.rng.fork("query", query_index)
-                hiders = [
-                    Polynomial.random(
-                        self.config.security_degree,
-                        draw.fork("g", position),
-                        constant_term=coordinate,
-                        coefficient_bound=self.config.coefficient_bound,
-                        exact=self.config.exact,
-                    )
-                    for position, coordinate in enumerate(input_vector)
-                ]
+                hiders = draw_hiders(draw, ("g",), input_vector, self.config)
                 nodes = draw.fork("nodes").distinct_fractions(
                     pair_count, -self.config.node_bound, self.config.node_bound
                 )
@@ -193,19 +186,16 @@ class _BatchReceiver(Party):
                 pairs = []
                 for index, node in enumerate(nodes):
                     if index in position_set:
-                        vector = tuple(g(node) for g in hiders)
+                        vector = hiders.at(node)
                     else:
-                        fakes = [
-                            Polynomial.random(
-                                self.config.security_degree,
-                                disguise_draw.fork("poly", index, position),
-                                constant_term=disguise_draw.fraction(-1, 1),
-                                coefficient_bound=self.config.coefficient_bound,
-                                exact=self.config.exact,
-                            )
-                            for position in range(len(input_vector))
-                        ]
-                        vector = tuple(g(node) for g in fakes)
+                        vector = disguise_vector(
+                            disguise_draw,
+                            disguise_draw,
+                            ("poly", index),
+                            len(input_vector),
+                            node,
+                            self.config,
+                        )
                     pairs.append((node, vector))
                 batches.append(tuple(pairs))
                 self._nodes.append(nodes)

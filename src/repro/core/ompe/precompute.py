@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from repro.core.ompe.config import OMPEConfig, draw_amplifier
+from repro.core.ompe.hiding import disguise_vector
 from repro.exceptions import OMPEError, ValidationError
 from repro.math.polynomials import Number, Polynomial
 from repro.utils.rng import ReproRandom
@@ -183,23 +184,16 @@ class ReceiverPool:
                 if pair_index in position_set:
                     disguises.append(None)
                     continue
-                constants = [
-                    disguise_draw.fraction(-1, 1)
-                    if config.exact
-                    else disguise_draw.uniform(-1.0, 1.0)
-                    for _ in range(arity)
-                ]
-                fakes = [
-                    Polynomial.random(
-                        config.security_degree,
-                        disguise_draw.fork("poly", pair_index, position),
-                        constant_term=constant,
-                        coefficient_bound=config.coefficient_bound,
-                        exact=config.exact,
+                disguises.append(
+                    disguise_vector(
+                        disguise_draw,
+                        disguise_draw,
+                        ("poly", pair_index),
+                        arity,
+                        node,
+                        config,
                     )
-                    for position, constant in enumerate(constants)
-                ]
-                disguises.append(tuple(g(node) for g in fakes))
+                )
             self._bundles.append(
                 ReceiverBundle(
                     zero_hiders=zero_hiders,

@@ -20,15 +20,16 @@ Implements the receiver steps of Sections III-C and IV-A:
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from repro import obs
 from repro.core.ompe.config import OMPEConfig
 from repro.core.ompe.function import as_exact_vector
+from repro.core.ompe.hiding import points_message
 from repro.crypto.ot.k_of_n import KOfNReceiver
 from repro.exceptions import OMPEError, ProtocolAbort
 from repro.math.interpolation import lagrange_at_zero
-from repro.math.polynomials import Number, Polynomial, evaluate_all
+from repro.math.polynomials import Number, evaluate_all
 from repro.net.party import Party
 from repro.utils.rng import ReproRandom
 from repro.utils.serialization import decode_value
@@ -82,28 +83,6 @@ class OMPEReceiver(Party):
 
     # -- step 2 ---------------------------------------------------------------
 
-    def _random_node(self, draw: ReproRandom) -> Number:
-        if self.config.exact:
-            return draw.nonzero_fraction(-self.config.node_bound, self.config.node_bound)
-        while True:
-            value = draw.uniform(-self.config.node_bound, self.config.node_bound)
-            if abs(value) > 1e-9:
-                return value
-
-    def _hiding_polynomials(
-        self, draw: ReproRandom, constants: Sequence[Number]
-    ) -> List[Polynomial]:
-        return [
-            Polynomial.random(
-                self.config.security_degree,
-                draw.fork("g", index),
-                constant_term=constant,
-                coefficient_bound=self.config.coefficient_bound,
-                exact=self.config.exact,
-            )
-            for index, constant in enumerate(constants)
-        ]
-
     def handle_params(self) -> None:
         """Receive ``(p, m, M)``; send the ``M`` disguised pairs."""
         with obs.get_tracer().span(
@@ -132,6 +111,7 @@ class OMPEReceiver(Party):
                     f"precomputation pool was built for degree "
                     f"{self.pool.function_degree}, sender announced {degree}"
                 )
+            span.set(hiders=0)  # drawn offline with the pool
             with self.timings.measure("receiver/randomize"):
                 bundle = self.pool.pop()
                 hiders = [
@@ -151,50 +131,12 @@ class OMPEReceiver(Party):
                 self._cover_positions = list(bundle.cover_positions)
             self.send("ompe/points", tuple(pairs))
             return
+        span.set(hiders=len(self.input_vector) * (pair_count - cover_count + 1))
         with self.timings.measure("receiver/randomize"):
-            draw = self.rng.fork("hide")
-            hiders = self._hiding_polynomials(draw.fork("covers"), self.input_vector)
-            if self.config.exact:
-                nodes = draw.fork("nodes").distinct_fractions(
-                    pair_count,
-                    -self.config.node_bound,
-                    self.config.node_bound,
-                    exclude_zero=True,
-                )
-            else:
-                node_draw = draw.fork("nodes")
-                seen = set()
-                nodes = []
-                while len(nodes) < pair_count:
-                    value = self._random_node(node_draw)
-                    if value not in seen:
-                        seen.add(value)
-                        nodes.append(value)
-            positions = draw.fork("positions").sample_indices(pair_count, cover_count)
-            position_set = set(positions)
-            pairs: List[Tuple[Number, tuple]] = []
-            disguise_draw = draw.fork("disguises")
-            for index, node in enumerate(nodes):
-                if index in position_set:
-                    # Shared node power tables across the n hiders.
-                    vector = tuple(evaluate_all(hiders, node))
-                else:
-                    # Fresh hiding polynomials with random constant terms:
-                    # disguises are identically distributed with covers.
-                    constants = [
-                        disguise_draw.fraction(-1, 1)
-                        if self.config.exact
-                        else disguise_draw.uniform(-1.0, 1.0)
-                        for _ in self.input_vector
-                    ]
-                    fakes = self._hiding_polynomials(
-                        disguise_draw.fork("poly", index), constants
-                    )
-                    vector = tuple(evaluate_all(fakes, node))
-                pairs.append((node, vector))
-            self._nodes = nodes
-            self._cover_positions = positions
-        self.send("ompe/points", tuple(pairs))
+            pairs, self._nodes, self._cover_positions = points_message(
+                self.input_vector, self.config, self.rng.fork("hide"), cover_count, pair_count
+            )
+        self.send("ompe/points", pairs)
 
     # -- steps 3 and 4 ----------------------------------------------------------
 

@@ -29,12 +29,10 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from repro.core.ompe.config import OMPEConfig
+from repro.core.ompe.hiding import PointsMessage, points_message
 from repro.exceptions import ValidationError
-from repro.math.polynomials import Number, Polynomial
 from repro.math.statistics import KSResult, ks_2samp
 from repro.utils.rng import ReproRandom
-
-PointsMessage = Tuple[Tuple[Number, Tuple[Number, ...]], ...]
 
 
 def simulate_sender_view(
@@ -45,50 +43,23 @@ def simulate_sender_view(
 ) -> PointsMessage:
     """Produce a points message distributed like a real one.
 
-    Uses a dummy all-zero input; if the real distribution depended on
-    the input, the statistical test below would expose it.
+    Runs the receiver's own generator
+    (:func:`repro.core.ompe.hiding.points_message`) on a dummy all-zero
+    input, so the result is exactly what an :class:`OMPEReceiver` with
+    input zero and stream ``rng`` would send; if the real distribution
+    depended on the input, the statistical test below would expose it.
     """
     if arity < 1:
         raise ValidationError(f"arity must be at least 1, got {arity}")
     rng = rng or ReproRandom()
-    dummy_input = tuple(Fraction(0) for _ in range(arity))
-    pair_count = config.pair_count(function_degree)
-    cover_count = config.cover_count(function_degree)
-    draw = rng.fork("hide")
-    hiders = [
-        Polynomial.random(
-            config.security_degree,
-            draw.fork("covers").fork("g", index),
-            constant_term=constant,
-            coefficient_bound=config.coefficient_bound,
-            exact=config.exact,
-        )
-        for index, constant in enumerate(dummy_input)
-    ]
-    nodes = draw.fork("nodes").distinct_fractions(
-        pair_count, -config.node_bound, config.node_bound
+    pairs, _, _ = points_message(
+        tuple(Fraction(0) for _ in range(arity)),
+        config,
+        rng.fork("hide"),
+        config.cover_count(function_degree),
+        config.pair_count(function_degree),
     )
-    positions = set(draw.fork("positions").sample_indices(pair_count, cover_count))
-    disguise_draw = draw.fork("disguises")
-    pairs = []
-    for index, node in enumerate(nodes):
-        if index in positions:
-            vector = tuple(g(node) for g in hiders)
-        else:
-            constants = [disguise_draw.fraction(-1, 1) for _ in range(arity)]
-            fakes = [
-                Polynomial.random(
-                    config.security_degree,
-                    disguise_draw.fork("poly", index),
-                    constant_term=constant,
-                    coefficient_bound=config.coefficient_bound,
-                    exact=config.exact,
-                )
-                for constant in constants
-            ]
-            vector = tuple(g(node) for g in fakes)
-        pairs.append((node, vector))
-    return tuple(pairs)
+    return pairs
 
 
 def _scalar_pool(messages: Sequence[PointsMessage]) -> Tuple[List[float], List[float]]:

@@ -162,6 +162,8 @@ class ReproRandom:
         nonzero, since the protocols reserve ``v = 0`` for the secret).
         """
         span = (high - low) * grid + 1
+        if exclude_zero and low <= 0 <= high:
+            span -= 1
         if count > span:
             raise ValidationError(
                 f"cannot draw {count} distinct fractions from a grid of {span}"

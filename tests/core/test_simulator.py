@@ -4,13 +4,15 @@ from fractions import Fraction
 
 import pytest
 
-from repro.core.ompe import OMPEFunction, execute_ompe
+from repro.core.ompe import OMPEFunction, OMPEReceiver, execute_ompe
 from repro.core.privacy import (
     sender_view_indistinguishable,
     simulate_sender_view,
 )
 from repro.exceptions import ValidationError
 from repro.math.multivariate import MultivariatePolynomial
+from repro.math.statistics import ks_2samp
+from repro.net.channel import Channel
 from repro.utils.rng import ReproRandom
 
 
@@ -86,6 +88,51 @@ class TestSimulator:
         passed, _, coordinate_test = sender_view_indistinguishable(honest, leaky)
         assert not passed
         assert coordinate_test.pvalue < 0.01
+
+    def test_equals_receiver_points_for_zero_input(self, fast_config):
+        """The simulator is the receiver's generator on the zero input."""
+        rng = ReproRandom(31)
+        receiver = OMPEReceiver("bob", (0, 0, 0, 0), fast_config, rng=rng)
+        channel = Channel("alice", "bob")
+        receiver.connect(channel)
+        channel.send(
+            "alice",
+            "ompe/params",
+            (2, fast_config.cover_count(2), fast_config.pair_count(2)),
+        )
+        receiver.handle_params()
+        real = channel.receive("alice", "ompe/points")
+        assert simulate_sender_view(fast_config, 4, 2, rng) == real
+
+    def test_within_vector_spreads_match_real(self, fast_config):
+        """Every coordinate gets its own hiding polynomial: the spread
+        (max - min) inside one vector is distributed as in a real view.
+        Disguises whose coordinates shared their non-constant
+        coefficients would collapse the simulated spreads."""
+        arity = 4
+        polynomial = MultivariatePolynomial.affine(
+            [Fraction(1, 2), Fraction(-1, 3), Fraction(1, 5), Fraction(2, 7)],
+            Fraction(1, 4),
+        )
+        function = OMPEFunction.from_polynomial(polynomial)
+        rng = ReproRandom(41)
+        real, simulated = [], []
+        for index in range(20):
+            vector = tuple(rng.fraction(-1, 1) for _ in range(arity))
+            outcome = execute_ompe(function, vector, config=fast_config, seed=index)
+            real.append(outcome.report.transcript.of_type("ompe/points")[0].payload)
+            simulated.append(
+                simulate_sender_view(fast_config, arity, 1, rng.fork("sim", index))
+            )
+
+        def spreads(messages):
+            return [
+                float(max(vector) - min(vector))
+                for message in messages
+                for _, vector in message
+            ]
+
+        assert ks_2samp(spreads(real), spreads(simulated)).pvalue > 0.01
 
     def test_validation(self, fast_config):
         with pytest.raises(ValidationError):

@@ -113,6 +113,16 @@ class TestReproRandom:
         with pytest.raises(ValidationError):
             ReproRandom(1).distinct_fractions(100, 0, 1, grid=10)
 
+    def test_distinct_fractions_capacity_excludes_zero(self):
+        """The grid {-1, 0, 1} holds only two nonzero values: asking for
+        three must raise, not loop forever."""
+        with pytest.raises(ValidationError):
+            ReproRandom(1).distinct_fractions(3, -1, 1, grid=1)
+        assert sorted(ReproRandom(1).distinct_fractions(2, -1, 1, grid=1)) == [-1, 1]
+        assert sorted(
+            ReproRandom(1).distinct_fractions(3, -1, 1, grid=1, exclude_zero=False)
+        ) == [-1, 0, 1]
+
     def test_sample_indices_sorted_distinct(self):
         indices = ReproRandom(9).sample_indices(100, 20)
         assert indices == sorted(indices)
