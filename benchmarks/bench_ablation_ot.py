@@ -10,7 +10,6 @@ from __future__ import annotations
 
 
 from repro.crypto.ot import run_k_of_n
-from repro.crypto.ot.k_of_n import transfer_size_bytes
 from repro.math.groups import default_group, fast_group
 from repro.utils.rng import ReproRandom
 
@@ -19,10 +18,10 @@ INDICES = [1, 7, 13, 19]
 
 
 def test_larger_group_costs_more_bytes():
-    _, fast_transfers = run_k_of_n(fast_group(), MESSAGES, INDICES, ReproRandom(1))
-    _, big_transfers = run_k_of_n(default_group(), MESSAGES, INDICES, ReproRandom(1))
-    fast_bytes = transfer_size_bytes(fast_transfers, fast_group().element_bytes)
-    big_bytes = transfer_size_bytes(big_transfers, default_group().element_bytes)
+    _, fast_transfer = run_k_of_n(fast_group(), MESSAGES, INDICES, ReproRandom(1))
+    _, big_transfer = run_k_of_n(default_group(), MESSAGES, INDICES, ReproRandom(1))
+    fast_bytes = fast_transfer.size_bytes(fast_group().element_bytes)
+    big_bytes = big_transfer.size_bytes(default_group().element_bytes)
     assert big_bytes > fast_bytes
     print(f"\n256-bit group: {fast_bytes} B; 512-bit group: {big_bytes} B")
 
@@ -32,8 +31,8 @@ def test_transfer_grows_linearly_in_n():
     _, small = run_k_of_n(fast_group(), small_messages, [1, 3], ReproRandom(2))
     _, large = run_k_of_n(fast_group(), MESSAGES, [1, 3], ReproRandom(2))
     element_bytes = fast_group().element_bytes
-    small_bytes = transfer_size_bytes(small, element_bytes)
-    large_bytes = transfer_size_bytes(large, element_bytes)
+    small_bytes = small.size_bytes(element_bytes)
+    large_bytes = large.size_bytes(element_bytes)
     # 3x the messages → roughly 3x the transfer volume.
     assert 2.0 < large_bytes / small_bytes < 4.0
 

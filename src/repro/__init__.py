@@ -10,8 +10,9 @@ A from-scratch Python reproduction of Jia, Guo, Jin & Fang (IEEE ICDCS
   the plaintext/Paillier baselines;
 * :mod:`repro.ml` — an SMO-based SVM trainer (LIBSVM substitute),
   kernels, and seeded synthetic analogs of the paper's 17 datasets;
-* :mod:`repro.crypto` — Naor–Pinkas oblivious transfer (1-of-2,
-  1-of-n, k-of-n) and the Paillier cryptosystem;
+* :mod:`repro.crypto` — Naor–Pinkas oblivious transfer (1-of-n of
+  16-byte keys, k-of-n over payloads sealed once) and the Paillier
+  cryptosystem;
 * :mod:`repro.math` — exact polynomial algebra, Lagrange
   interpolation, multinomial expansion, Taylor polynomialization,
   number theory, and statistics (two-sample K-S test);

@@ -135,8 +135,8 @@ class _BatchSender(Party):
             if self._ot_sender is None:
                 raise OMPEError("handle_choices before handle_points")
             with self.timings.measure("sender/ot"):
-                transfers = self._ot_sender.transfer(self._evaluations, choices)
-            self.send("ompe-batch/ot-transfers", transfers)
+                transfer = self._ot_sender.transfer(self._evaluations, choices)
+            self.send("ompe-batch/ot-transfers", transfer)
 
 
 class _BatchReceiver(Party):
@@ -224,9 +224,9 @@ class _BatchReceiver(Party):
     def finish(self) -> List[Number]:
         if self._ot_receiver is None:
             raise OMPEError("finish before handle_ot_setups")
-        transfers = self.receive("ompe-batch/ot-transfers")
+        transfer = self.receive("ompe-batch/ot-transfers")
         with self.timings.measure("receiver/ot"):
-            payloads = self._ot_receiver.retrieve(transfers)
+            payloads = self._ot_receiver.retrieve(transfer)
         with obs.get_tracer().span(
             "ompe.interpolate",
             party=self.name,

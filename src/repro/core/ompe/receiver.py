@@ -164,9 +164,9 @@ class OMPEReceiver(Party):
         with tracer.span("ompe.finish", party=self.name, phase="finish"):
             if self._ot_receiver is None:
                 raise OMPEError("finish before handle_ot_setups")
-            transfers = self.receive("ompe/ot-transfers")
+            transfer = self.receive("ompe/ot-transfers")
             with self.timings.measure("receiver/ot"):
-                payloads = self._ot_receiver.retrieve(transfers)
+                payloads = self._ot_receiver.retrieve(transfer)
             with tracer.span(
                 "ompe.interpolate",
                 party=self.name,

@@ -185,5 +185,5 @@ class OMPESender(Party):
             if self._ot_sender is None:
                 raise OMPEError("handle_choices before handle_points")
             with self.timings.measure("sender/ot"):
-                transfers = self._ot_sender.transfer(self._evaluations, choices)
-            self.send("ompe/ot-transfers", transfers)
+                transfer = self._ot_sender.transfer(self._evaluations, choices)
+            self.send("ompe/ot-transfers", transfer)

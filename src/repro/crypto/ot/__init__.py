@@ -1,6 +1,6 @@
-"""Oblivious transfer protocols: 1-of-2, 1-of-n, and k-of-n."""
+"""Oblivious transfer protocols: 1-of-n of 16-byte keys, and k-of-n."""
 
-from repro.crypto.ot.base import OTChoice, OTSetup, OTTransfer
+from repro.crypto.ot.base import KOfNTransfer, OTChoice, OTSetup, OTTransfer
 from repro.crypto.ot.k_of_n import KOfNReceiver, KOfNSender, run_k_of_n
 from repro.crypto.ot.one_of_n import (
     OneOfNReceiver,
@@ -8,9 +8,9 @@ from repro.crypto.ot.one_of_n import (
     TransferMaterial,
     run_one_of_n,
 )
-from repro.crypto.ot.one_of_two import OneOfTwoReceiver, OneOfTwoSender, run_one_of_two
 
 __all__ = [
+    "KOfNTransfer",
     "OTChoice",
     "OTSetup",
     "OTTransfer",
@@ -21,7 +21,4 @@ __all__ = [
     "OneOfNSender",
     "TransferMaterial",
     "run_one_of_n",
-    "OneOfTwoReceiver",
-    "OneOfTwoSender",
-    "run_one_of_two",
 ]

@@ -7,8 +7,9 @@ run either as direct function calls or over the simulated network of
 
 1. sender  → receiver : :class:`OTSetup` (public parameters)
 2. receiver → sender  : :class:`OTChoice` (blinded selection)
-3. sender  → receiver : :class:`OTTransfer` (all wrapped payloads)
-4. receiver unwraps exactly the chosen payload(s) locally.
+3. sender  → receiver : :class:`KOfNTransfer` (payloads sealed once,
+   plus one :class:`OTTransfer` of padded keys per session)
+4. receiver unpads exactly the chosen key(s) and opens their payloads.
 """
 
 from __future__ import annotations
@@ -16,8 +17,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
+from repro.crypto.hashing import TAG_BYTES
 from repro.exceptions import ValidationError
 from repro.utils.serialization import register_payload_type
+
+#: Length of the per-payload keys the Naor–Pinkas sessions carry.
+KEY_BYTES = 16
 
 
 @register_payload_type("ot/setup")
@@ -50,30 +55,65 @@ class OTChoice:
 @register_payload_type("ot/transfer2")
 @dataclass(frozen=True)
 class OTTransfer:
-    """Sender's payload: one ephemeral point and the wrapped messages.
+    """One 1-of-n session's answer: an ephemeral point and padded keys.
 
     ``ephemeral_point`` is ``g^r`` for the transfer's single exponent
-    ``r``; ``wrapped[i]`` is the i-th message encrypted under the key
-    only the legitimate chooser of slot ``i`` can derive.  The wire tag
-    is ``ot/transfer2``: the retired per-slot shape (``ot/transfer``,
-    one point per slot) no longer decodes, so a peer still on that
-    schedule fails at its first transfer instead of mis-keying.
+    ``r``; ``pads[i]`` is the i-th 16-byte key XORed with a pad only the
+    legitimate chooser of slot ``i`` can derive.  The wire tag is
+    ``ot/transfer2``: the retired per-slot shape (``ot/transfer``, one
+    point per slot) no longer decodes, so a peer still on that schedule
+    fails at its first transfer instead of mis-keying.
     """
 
     session: bytes
     ephemeral_point: int
-    wrapped: Tuple[bytes, ...]
+    pads: Tuple[bytes, ...]
 
     @property
     def message_count(self) -> int:
-        return len(self.wrapped)
+        return len(self.pads)
 
     def size_bytes(self, element_bytes: int) -> int:
         """Approximate wire size, for communication accounting."""
-        return (
-            len(self.session)
-            + element_bytes
-            + sum(len(w) for w in self.wrapped)
+        return len(self.session) + element_bytes + sum(len(p) for p in self.pads)
+
+
+@register_payload_type("ot/kofn")
+@dataclass(frozen=True)
+class KOfNTransfer:
+    """The sender's whole answer to a k-out-of-n OT.
+
+    ``sealed[i]`` is payload ``i`` wrapped once under its own fresh
+    16-byte key; ``sessions`` holds the ``k`` parallel 1-of-n transfers
+    that move those keys.  Decoding runs ``__post_init__``, so a hostile
+    record is refused by the type itself.
+    """
+
+    sealed: Tuple[bytes, ...]
+    sessions: Tuple[OTTransfer, ...]
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.sealed, tuple) or not all(
+            isinstance(blob, bytes) and len(blob) >= TAG_BYTES for blob in self.sealed
+        ):
+            raise ValidationError(
+                f"sealed payloads must be a tuple of byte strings of at least "
+                f"{TAG_BYTES} bytes"
+            )
+        if not isinstance(self.sessions, tuple) or not all(
+            isinstance(session, OTTransfer) for session in self.sessions
+        ):
+            raise ValidationError("sessions must be a tuple of ot/transfer2 records")
+        for session in self.sessions:
+            if not isinstance(session.pads, tuple) or not all(
+                isinstance(pad, bytes) and len(pad) == KEY_BYTES for pad in session.pads
+            ):
+                raise ValidationError(f"padded slots must be {KEY_BYTES}-byte strings")
+
+    def size_bytes(self, element_bytes: int) -> int:
+        """Approximate wire size, for communication accounting."""
+        return sum(len(blob) for blob in self.sealed) + sum(
+            session.size_bytes(element_bytes) for session in self.sessions
         )
 
 
@@ -88,6 +128,17 @@ def validate_messages(messages: Sequence[bytes]) -> List[bytes]:
                 f"messages[{index}] must be bytes, got {type(message).__name__}"
             )
     return [bytes(m) for m in items]
+
+
+def validate_keys(keys: Sequence[bytes]) -> List[bytes]:
+    """Validate the keys of a 1-of-n transfer (each ``KEY_BYTES`` long)."""
+    items = validate_messages(keys)
+    for index, key in enumerate(items):
+        if len(key) != KEY_BYTES:
+            raise ValidationError(
+                f"keys[{index}] must be {KEY_BYTES} bytes, got {len(key)}"
+            )
+    return items
 
 
 def validate_index(index: int, count: int) -> int:

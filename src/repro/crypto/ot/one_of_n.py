@@ -1,74 +1,83 @@
-"""1-out-of-n oblivious transfer (Naor–Pinkas style).
+"""1-out-of-n oblivious transfer of 16-byte keys (Naor–Pinkas style).
 
 Construction (semi-honest, random-oracle model, CDH assumption), with
 the single-ephemeral key schedule of Naor & Pinkas, "Efficient
 Oblivious Transfer Protocols" (SODA 2001):
 
-* **Setup.** The sender samples a public group element ``w`` with an
-  unknown discrete log (derived from a random exponent it immediately
-  forgets — here simply a random element) and a session id.
+* **Setup.** The sender draws an exponent ``c``, publishes
+  ``w = g^c`` and a session id, and keeps ``c`` as private state.  The
+  receiver never learns ``c``: to it, ``w`` is a random element with
+  an unknown discrete log.
 * **Choice.** To select index ``σ``, the receiver samples a secret
   exponent ``k`` and sends ``V = g^k · w^σ``.  Since ``g^k`` is uniform,
   ``V`` is uniform in the group whatever ``σ`` is — the receiver's
   choice is *perfectly* hidden.
 * **Transfer.** The sender samples one ``r``, sends ``R = g^r`` and,
-  for every slot ``i``, the message wrapped under
-  ``key_i = (V · w^{-i})^r``.  It computes ``K = V^r`` and
-  ``S = w^{-r}`` once and walks ``key_i = K · S^i`` by multiplication,
-  so a transfer costs three exponentiations whatever its slot count.
+  for every slot ``i``, the 16-byte key ``κ_i`` XORed with
+  ``H(key_i, session, i)`` where ``key_i = (V · w^{-i})^r``.  It
+  computes ``K = V^r`` and ``S = w^{-r} = g^{-rc}`` once (the latter from
+  the fixed-base table of ``g``) and walks ``key_i = K · S^i`` by
+  multiplication, so a transfer costs one variable-base and two
+  fixed-base exponentiations whatever its slot count.
 * **Retrieve.** For ``i = σ``, ``V · w^{-σ} = g^k``, so the receiver
   computes ``key_σ = R^k``.  For ``i ≠ σ``,
   ``key_i = key_σ · (w^r)^{σ-i}``; computing it requires ``w^r``, the
   CDH of ``(g^r, w)`` — infeasible for the honest-but-curious
   receiver.  Each key is hashed with the session id and its slot index,
-  so no two slots share a wrapping key.
+  so no two slots share a pad.
 
-This is the workhorse primitive: the paper's ``m``-out-of-``M`` step
-runs ``m`` parallel sessions of this protocol
-(:mod:`repro.crypto.ot.k_of_n`).
+The pads carry no tag: a wrong key unpads to garbage that is caught
+when it fails to open its sealed payload
+(:mod:`repro.crypto.ot.k_of_n`, which runs ``m`` parallel sessions of
+this protocol for the paper's ``m``-out-of-``M`` step).
 """
 
 from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
-from repro.crypto.hashing import unwrap_message, wrap_message
+from repro.crypto.hashing import _xor, kdf
 from repro.crypto.ot.base import (
+    KEY_BYTES,
     OTChoice,
     OTSetup,
     OTTransfer,
     validate_index,
-    validate_messages,
+    validate_keys,
 )
 from repro.exceptions import ObliviousTransferError
 from repro.math.groups import SchnorrGroup
 from repro.utils.rng import ReproRandom
 
 
-def _slot_context(session: bytes, slot: int) -> bytes:
-    return session + b"|slot:" + str(slot).encode("ascii")
+def _slot_suffix(slot: int) -> bytes:
+    return b"|slot:" + str(slot).encode("ascii")
+
+
+def _pad(key_bytes: bytes, value: bytes, context: bytes) -> bytes:
+    """``value ⊕ H(key, context)``; its own inverse."""
+    return _xor(value, kdf(key_bytes, KEY_BYTES, context))
 
 
 class TransferMaterial:
     """Memoized sender-side material shared by parallel sessions.
 
     The ``k``-of-``n`` construction answers every one of its ``k·m``
-    parallel sessions over the *same* message vector.  Everything about
+    parallel sessions over the *same* key vector.  Everything about
     that vector that does not depend on the session — the validated
-    payload copy and the per-slot key-derivation context suffixes — is
+    key copy and the per-slot key-derivation context suffixes — is
     deterministic, so it is computed once here and reused by every
     session instead of once per session.  Purely a cache: a transfer
     produced through a shared :class:`TransferMaterial` is bit-identical
     to one produced without it (covered by ``tests/crypto/test_ot.py``).
     """
 
-    __slots__ = ("payload", "slot_suffixes", "sessions_served")
+    __slots__ = ("keys", "slot_suffixes", "sessions_served")
 
-    def __init__(self, messages: Sequence[bytes]) -> None:
-        self.payload = validate_messages(messages)
+    def __init__(self, keys: Sequence[bytes]) -> None:
+        self.keys = validate_keys(keys)
         self.slot_suffixes: Tuple[bytes, ...] = tuple(
-            b"|slot:" + str(slot).encode("ascii")
-            for slot in range(len(self.payload))
+            _slot_suffix(slot) for slot in range(len(self.keys))
         )
         self.sessions_served = 0
 
@@ -80,29 +89,31 @@ class OneOfNSender:
         self.group = group
         self._rng = rng
         self._setup: Optional[OTSetup] = None
+        self._blinding_log: Optional[int] = None
 
     def setup(self) -> OTSetup:
         """Publish the session's public parameters."""
         session = self._rng.bytes(16)
-        w = self.group.random_element(self._rng)
+        self._blinding_log = self.group.random_exponent(self._rng)
+        w = self.group.exp_g(self._blinding_log)
         self._setup = OTSetup(session=session, blinding_points=(w,))
         return self._setup
 
     def transfer(
         self,
-        messages: Sequence[bytes],
+        keys: Sequence[bytes],
         choice: OTChoice,
         material: Optional[TransferMaterial] = None,
     ) -> OTTransfer:
-        """Wrap every message so only the chosen slot is recoverable.
+        """Pad every key so only the chosen slot's is recoverable.
 
-        ``material`` optionally carries the pre-validated payload and
+        ``material`` optionally carries the pre-validated keys and
         per-slot context suffixes shared with sibling parallel sessions
         (see :class:`TransferMaterial`); the output is identical with or
         without it.  Key schedule: one ``r``, ``R = g^r``, ``K = V^r``,
-        ``S = w^{-r}``, then ``key_i = K · S^i`` by multiplication —
-        three exponentiations per transfer, all on the active bignum
-        backend.
+        ``S = w^{-r} = g^{-rc}``, then ``key_i = K · S^i`` by
+        multiplication — one variable-base and two fixed-base
+        exponentiations per transfer, all on the active bignum backend.
         """
         if self._setup is None:
             raise ObliviousTransferError("transfer before setup")
@@ -111,10 +122,9 @@ class OneOfNSender:
         if len(choice.blinded_keys) != 1:
             raise ObliviousTransferError("1-of-n choice must carry one blinded key")
         if material is None:
-            material = TransferMaterial(messages)
+            material = TransferMaterial(keys)
         material.sessions_served += 1
         group = self.group
-        (w,) = self._setup.blinding_points
         blinded = choice.blinded_keys[0]
         if not group.contains(blinded):
             raise ObliviousTransferError("blinded key is not a group element")
@@ -122,16 +132,13 @@ class OneOfNSender:
         r = group.random_exponent(self._rng)
         ephemeral_point = group.exp_g(r)
         key_point = group.exp(blinded, r)  # K = V^r, the key of slot 0
-        step = group.exp(w, -r)  # S = w^{-r}
-        wrapped: List[bytes] = []
-        for message, suffix in zip(material.payload, material.slot_suffixes):
-            key_bytes = group.encode_element(key_point)
-            wrapped.append(wrap_message(key_bytes, message, session + suffix))
+        step = group.exp_g(-r * self._blinding_log)  # S = w^{-r}
+        pads: List[bytes] = []
+        for key, suffix in zip(material.keys, material.slot_suffixes):
+            pads.append(_pad(group.encode_element(key_point), key, session + suffix))
             key_point = group.mul(key_point, step)
         return OTTransfer(
-            session=session,
-            ephemeral_point=ephemeral_point,
-            wrapped=tuple(wrapped),
+            session=session, ephemeral_point=ephemeral_point, pads=tuple(pads)
         )
 
 
@@ -180,46 +187,47 @@ class OneOfNReceiver:
             raise ObliviousTransferError("ephemeral point is not a group element")
         return self.group.encode_element(self.group.exp(point, self._secret))
 
+    def _unpad(self, key_bytes: bytes, transfer: OTTransfer, slot: int) -> bytes:
+        pad = transfer.pads[slot]
+        if not isinstance(pad, bytes) or len(pad) != KEY_BYTES:
+            raise ObliviousTransferError(f"padded slot {slot} is not {KEY_BYTES} bytes")
+        return _pad(key_bytes, pad, transfer.session + _slot_suffix(slot))
+
     def retrieve(self, transfer: OTTransfer) -> bytes:
-        """Unwrap the chosen message; aborts if it fails to authenticate."""
-        key_bytes = self._key_bytes(transfer)
-        plaintext = unwrap_message(
-            key_bytes,
-            transfer.wrapped[self._index],
-            _slot_context(transfer.session, self._index),
-        )
-        if plaintext is None:
-            raise ObliviousTransferError("chosen slot failed to authenticate")
-        return plaintext
+        """Unpad the chosen key.
 
-    def attempt_all(self, transfer: OTTransfer) -> List[Optional[bytes]]:
-        """Adversarial probe: try to unwrap *every* slot with our key.
+        The pad carries no tag, so a tampered slot yields a wrong key;
+        the caller detects it when the key fails to open its payload.
+        """
+        return self._unpad(self._key_bytes(transfer), transfer, self._index)
 
-        Used by the privacy analysis to demonstrate that all non-chosen
-        slots fail authentication (returns ``None`` entries): the slot
-        index inside the key derivation separates them even though a
-        single ephemeral point serves every slot.
+    def unpad_all(self, transfer: OTTransfer) -> List[bytes]:
+        """Adversarial probe: unpad *every* slot with this receiver's key.
+
+        Only the chosen slot yields the sender's key; the privacy
+        analysis (:meth:`repro.crypto.ot.k_of_n.KOfNReceiver.attempt_all`)
+        shows the others open nothing.
         """
         key_bytes = self._key_bytes(transfer)
         return [
-            unwrap_message(key_bytes, wrapped, _slot_context(transfer.session, slot))
-            for slot, wrapped in enumerate(transfer.wrapped)
+            self._unpad(key_bytes, transfer, slot)
+            for slot in range(transfer.message_count)
         ]
 
 
 def run_one_of_n(
     group: SchnorrGroup,
-    messages: Sequence[bytes],
+    keys: Sequence[bytes],
     index: int,
     rng: ReproRandom,
 ) -> Tuple[bytes, OTTransfer]:
     """Convenience one-shot execution (both roles locally).
 
-    Returns the retrieved message and the transfer (for accounting).
+    Returns the retrieved key and the transfer (for accounting).
     """
     sender = OneOfNSender(group, rng.fork("sender"))
     receiver = OneOfNReceiver(group, rng.fork("receiver"))
     setup = sender.setup()
-    choice = receiver.choose(setup, index, len(messages))
-    transfer = sender.transfer(messages, choice)
+    choice = receiver.choose(setup, index, len(keys))
+    transfer = sender.transfer(keys, choice)
     return receiver.retrieve(transfer), transfer

@@ -2,9 +2,9 @@
 
 Every message of the OMPE protocol has a size that is a closed-form
 function of the configuration: the points message carries ``M`` nodes
-plus ``M·n`` coordinates, the OT phase carries ``m`` parallel sessions
-of ``M`` wrapped evaluations and one ``bits``-bit group element each,
-and so on.
+plus ``M·n`` coordinates, the OT phase carries the ``M`` evaluations
+sealed once plus ``m`` parallel sessions of ``M`` 16-byte padded keys
+and one ``bits``-bit group element each, and so on.
 :func:`predict_classification_bytes` computes that closed form;
 ``tests/evaluation/test_costmodel.py`` checks it against measured
 transcripts (within a tolerance covering the variable-length integer
@@ -18,6 +18,7 @@ from typing import Dict
 
 from repro.core.ompe.config import OMPEConfig
 from repro.crypto.hashing import TAG_BYTES
+from repro.crypto.ot.base import KEY_BYTES
 from repro.exceptions import ValidationError
 
 #: Canonical phase label (see :func:`repro.net.transcript.phase_of`)
@@ -127,16 +128,20 @@ def predict_classification_bytes(
     setup_record = frame + len("ot/setup") + (frame + 16) + frame
     choice_record = frame + len("ot/choice") + (frame + 16) + frame
     transfer_record = frame + len("ot/transfer2") + (frame + 16) + frame
+    kofn_record = frame + len("ot/kofn") + frame + frame
 
     # Points: M pairs, each (node scalar, n-coordinate vector).
     points = frame + M * (2 * frame + (1 + dimension) * scalar)
     # OT setup / choice: m session records x (session id + one element).
     ot_setup = frame + m * (setup_record + element)
     ot_choice = frame + m * (choice_record + element)
-    # OT transfer: m session records, each one ephemeral point + M
-    # wrapped blobs (framed evaluation ciphertext + MAC tag).
-    ot_transfer = frame + m * (
-        transfer_record + element + M * (frame + evaluation + TAG_BYTES)
+    # OT transfer: M sealed blobs once (framed evaluation ciphertext +
+    # MAC tag), then m session records, each one ephemeral point + M
+    # framed 16-byte padded keys.
+    ot_transfer = (
+        kofn_record
+        + M * (frame + evaluation + TAG_BYTES)
+        + m * (transfer_record + element + M * (frame + KEY_BYTES))
     )
 
     return CostBreakdown(

@@ -27,10 +27,10 @@ from repro.utils.rng import ReproRandom
 class TestOTDifferential:
     # One slot (the key is V^r itself) up to the protocol's largest
     # OMPE transfer width; every size runs the same three-exponentiation
-    # schedule.
+    # schedule over 16-byte keys.
     @pytest.mark.parametrize("slots", [1, 5, 27, 81])
     def test_one_of_n_transfers_identical(self, group, slots):
-        messages = [f"message-{i}".encode() for i in range(slots)]
+        messages = [f"message-{i}".encode().ljust(16, b".") for i in range(slots)]
         fast_value, fast_transfer = run_one_of_n(
             group, messages, slots // 2, ReproRandom(99)
         )

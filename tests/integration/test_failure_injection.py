@@ -8,6 +8,7 @@ drive the actual party state machines off the happy path.
 
 import struct
 import threading
+from contextlib import contextmanager
 from dataclasses import replace
 from fractions import Fraction
 
@@ -17,7 +18,7 @@ from repro.core.ompe import OMPEFunction
 from repro.core.ompe.protocol import run_ompe_receiver, run_ompe_sender
 from repro.core.ompe.receiver import OMPEReceiver
 from repro.core.ompe.sender import OMPESender
-from repro.crypto.ot import OneOfNReceiver, OneOfNSender
+from repro.crypto.ot import KOfNReceiver, KOfNSender, OneOfNReceiver, OneOfNSender
 from repro.crypto.ot.base import OTChoice
 from repro.exceptions import (
     ObliviousTransferError,
@@ -95,30 +96,36 @@ class TestOMPEMessageTampering:
             sender.handle_request()  # nothing sent yet
 
 
+def keys(count):
+    """16-byte keys, the only strings the 1-of-n OT carries."""
+    return [bytes([65 + i]) * 16 for i in range(count)]
+
+
+def sealed_exchange(group, rng, indices, count):
+    """A k-of-n exchange up to the transfer: ``(receiver, transfer)``."""
+    sender = KOfNSender(group, rng.fork("s"))
+    receiver = KOfNReceiver(group, rng.fork("r"))
+    choices = receiver.choose(sender.setup(len(indices)), indices, count)
+    messages = [f"payload-{i}".encode() for i in range(count)]
+    return receiver, sender.transfer(messages, choices)
+
+
 class TestOTTampering:
     def test_tampered_ciphertext_detected(self, group, rng):
-        sender = OneOfNSender(group, rng.fork("s"))
-        receiver = OneOfNReceiver(group, rng.fork("r"))
-        setup = sender.setup()
-        choice = receiver.choose(setup, 1, 4)
-        transfer = sender.transfer([b"a", b"b", b"c", b"d"], choice)
-        tampered_wrapped = list(transfer.wrapped)
-        tampered_wrapped[1] = bytes([tampered_wrapped[1][0] ^ 1]) + tampered_wrapped[1][1:]
-        tampered = replace(transfer, wrapped=tuple(tampered_wrapped))
+        receiver, transfer = sealed_exchange(group, rng, [1], 4)
+        tampered_sealed = list(transfer.sealed)
+        tampered_sealed[1] = bytes([tampered_sealed[1][0] ^ 1]) + tampered_sealed[1][1:]
+        tampered = replace(transfer, sealed=tuple(tampered_sealed))
         with pytest.raises(ObliviousTransferError):
             receiver.retrieve(tampered)
 
     def test_swapped_slots_detected(self, group, rng):
-        """Slot binding under one shared ephemeral point: a ciphertext
-        moved to another slot must not open there."""
-        sender = OneOfNSender(group, rng.fork("s"))
-        receiver = OneOfNReceiver(group, rng.fork("r"))
-        setup = sender.setup()
-        choice = receiver.choose(setup, 0, 3)
-        transfer = sender.transfer([b"a", b"b", b"c"], choice)
+        """Slot binding: a sealed payload moved to another slot must not
+        open there."""
+        receiver, transfer = sealed_exchange(group, rng, [0], 3)
         swapped = replace(
             transfer,
-            wrapped=(transfer.wrapped[1], transfer.wrapped[0], transfer.wrapped[2]),
+            sealed=(transfer.sealed[1], transfer.sealed[0], transfer.sealed[2]),
         )
         with pytest.raises(ObliviousTransferError):
             receiver.retrieve(swapped)
@@ -132,15 +139,15 @@ class TestOTTampering:
         choice_a = receiver.choose(setup_a, 0, 2)
         # Feed A's choice to B (session ids differ).
         with pytest.raises(ObliviousTransferError):
-            sender_b.transfer([b"x", b"y"], choice_a)
+            sender_b.transfer(keys(2), choice_a)
 
     def test_short_transfer_detected(self, group, rng):
         sender = OneOfNSender(group, rng.fork("s"))
         receiver = OneOfNReceiver(group, rng.fork("r"))
         setup = sender.setup()
         choice = receiver.choose(setup, 3, 4)
-        transfer = sender.transfer([b"a", b"b", b"c", b"d"], choice)
-        short = replace(transfer, wrapped=transfer.wrapped[:2])
+        transfer = sender.transfer(keys(4), choice)
+        short = replace(transfer, pads=transfer.pads[:2])
         with pytest.raises(ObliviousTransferError):
             receiver.retrieve(short)
 
@@ -148,16 +155,16 @@ class TestOTTampering:
         sender = OneOfNSender(group, rng.fork("s"))
         receiver = OneOfNReceiver(group, rng.fork("r"))
         choice = receiver.choose(sender.setup(), 0, 2)
-        transfer = sender.transfer([b"a", b"b"], choice)
+        transfer = sender.transfer(keys(2), choice)
         with pytest.raises(ObliviousTransferError, match="0 slots"):
-            receiver.retrieve(replace(transfer, wrapped=()))
+            receiver.retrieve(replace(transfer, pads=()))
 
     @pytest.mark.parametrize("point", ["zero", "modulus", "non-residue", "bytes"])
     def test_non_group_ephemeral_point_detected(self, group, rng, point):
         sender = OneOfNSender(group, rng.fork("s"))
         receiver = OneOfNReceiver(group, rng.fork("r"))
         choice = receiver.choose(sender.setup(), 1, 2)
-        transfer = sender.transfer([b"a", b"b"], choice)
+        transfer = sender.transfer(keys(2), choice)
         non_residue = 2
         while group.contains(non_residue):
             non_residue += 1
@@ -177,7 +184,7 @@ class TestOTTampering:
         while group.contains(non_member):
             non_member += 1
         with pytest.raises(ObliviousTransferError):
-            sender.transfer([b"m"], OTChoice(session=setup.session,
+            sender.transfer(keys(1), OTChoice(session=setup.session,
                                              blinded_keys=(non_member,)))
 
 
@@ -196,8 +203,8 @@ class _LegacyTransferChannel(WireChannel):
             b"C" + _varbytes(b"ot/transfer")
             + encode_payload(transfer.session)
             + encode_payload((transfer.ephemeral_point,) * transfer.message_count)
-            + encode_payload(transfer.wrapped)
-            for transfer in payload
+            + encode_payload(payload.sealed)
+            for transfer in payload.sessions
         ]
         self.connection.send_frame(
             bytes([WIRE_VERSION]) + _varbytes(msg_type.encode("ascii"))
@@ -205,40 +212,68 @@ class _LegacyTransferChannel(WireChannel):
         )
 
 
+class _PreSealingTransferChannel(WireChannel):
+    """A sender endpoint from before sealing: its OT transfers go out as
+    a bare list of ``ot/transfer2`` records, each wrapping every payload."""
+
+    def send(self, sender, msg_type, payload):
+        if msg_type == "ompe/ot-transfers":
+            payload = [
+                replace(session, pads=payload.sealed) for session in payload.sessions
+            ]
+        return super().send(sender, msg_type, payload)
+
+
+@contextmanager
+def _legacy_peer(fast_config, channel_type):
+    """Serve a real OMPE sender over loopback TCP through a channel that
+    rewrites its transfers; yields the receiver's run, then checks that
+    the sender thread finished cleanly."""
+    function = OMPEFunction.from_polynomial(
+        MultivariatePolynomial.affine([Fraction(3, 7)] * 2, Fraction(1, 2))
+    )
+    server = wire.listen()
+    host, port = server.getsockname()[:2]
+    outcome = {}
+
+    def legacy_sender():
+        try:
+            with wire.accept(server, timeout=10.0, connection_timeout=10.0) as conn:
+                channel = channel_type("alice", "bob", conn)
+                run_ompe_sender(function, channel, config=fast_config, seed=5)
+        except Exception as error:  # noqa: BLE001 — checked below
+            outcome["sender"] = error
+
+    peer = threading.Thread(target=legacy_sender, daemon=True)
+    peer.start()
+    try:
+        with wire.connect(host, port, timeout=10.0) as conn:
+            channel = WireChannel("bob", "alice", conn)
+            yield lambda: run_ompe_receiver(
+                (Fraction(1, 3),) * 2, channel, config=fast_config, seed=5
+            )
+        peer.join(10.0)
+        assert not peer.is_alive(), "legacy sender did not finish"
+    finally:
+        server.close()
+    assert "sender" not in outcome, outcome
+
+
 @pytest.mark.socket
 class TestRetiredTransferTag:
     def test_legacy_peer_refused_over_tcp(self, fast_config):
         """A receiver on the single-ephemeral schedule refuses an
         old-schedule transfer with a typed error at once, over TCP."""
-        function = OMPEFunction.from_polynomial(
-            MultivariatePolynomial.affine([Fraction(3, 7)] * 2, Fraction(1, 2))
-        )
-        server = wire.listen()
-        host, port = server.getsockname()[:2]
-        outcome = {}
+        with _legacy_peer(fast_config, _LegacyTransferChannel) as receive:
+            with pytest.raises(ValidationError, match="'ot/transfer'"):
+                receive()
 
-        def legacy_sender():
-            try:
-                with wire.accept(server, timeout=10.0, connection_timeout=10.0) as conn:
-                    channel = _LegacyTransferChannel("alice", "bob", conn)
-                    run_ompe_sender(function, channel, config=fast_config, seed=5)
-            except Exception as error:  # noqa: BLE001 — checked below
-                outcome["sender"] = error
-
-        peer = threading.Thread(target=legacy_sender, daemon=True)
-        peer.start()
-        try:
-            with wire.connect(host, port, timeout=10.0) as conn:
-                channel = WireChannel("bob", "alice", conn)
-                with pytest.raises(ValidationError, match="'ot/transfer'"):
-                    run_ompe_receiver(
-                        (Fraction(1, 3),) * 2, channel, config=fast_config, seed=5
-                    )
-            peer.join(10.0)
-            assert not peer.is_alive(), "legacy sender did not finish"
-        finally:
-            server.close()
-        assert "sender" not in outcome, outcome
+    def test_pre_sealing_peer_refused_over_tcp(self, fast_config):
+        """A bare list of per-session ``ot/transfer2`` records decodes,
+        and the k-of-n receiver refuses it with a typed error."""
+        with _legacy_peer(fast_config, _PreSealingTransferChannel) as receive:
+            with pytest.raises(ObliviousTransferError, match="ot/kofn"):
+                receive()
 
 
 class TestErrorTaxonomy:

@@ -239,13 +239,8 @@ class TestProtocolUnderFaults:
         def corrupt_transfers(payload):
             import dataclasses
 
-            corrupted = []
-            for transfer in payload:
-                wrapped = tuple(
-                    bytes([blob[0] ^ 1]) + blob[1:] for blob in transfer.wrapped
-                )
-                corrupted.append(dataclasses.replace(transfer, wrapped=wrapped))
-            return corrupted
+            sealed = tuple(bytes([blob[0] ^ 1]) + blob[1:] for blob in payload.sealed)
+            return dataclasses.replace(payload, sealed=sealed)
 
         base = Channel("alice", "bob")
         sender, receiver = self._parties(fast_config, base)
