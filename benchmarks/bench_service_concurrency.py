@@ -258,11 +258,11 @@ def _v2_seed(client, session):
     return 5000 + client * 10 + session
 
 
-def _run_v1_thread_per_connection(model, config, think_s):
+def _run_v1_four_connection_slots(model, config, think_s):
     """16 clients, one connection each, two think-separated sessions,
-    against a server with a fixed budget of 4 serve threads.  The think
-    time parks a scarce serve thread: this is the head-of-line cost v2
-    exists to remove."""
+    against a server with 4 connection slots.  A v1 connection holds
+    its slot through the think time, so the other clients wait in the
+    backlog: this is the head-of-line cost v2 exists to remove."""
     server = TrainerServer(
         model, config=config, max_connections=4, session_timeout=120.0,
     )
@@ -368,7 +368,7 @@ def _run_v2_multiplexed(model, config, think_s):
 
 def test_v2_multiplexing_is_2x_v1_at_16_clients(bench_config):
     """Fixed thread budget (4 protocol threads), 16 clients with think
-    time: v2 session throughput >= 2x v1 thread-per-connection, with
+    time: v2 session throughput >= 2x v1 with 4 connection slots, with
     transcripts bit-identical to v1 and to the in-process protocol."""
     model = make_linear_model(_MODEL_WEIGHTS, _MODEL_BIAS)
 
@@ -385,7 +385,7 @@ def test_v2_multiplexing_is_2x_v1_at_16_clients(bench_config):
     calibration.close()
     think_s = max(0.25, 30.0 * session_cost)
 
-    wall_v1, outcomes_v1 = _run_v1_thread_per_connection(
+    wall_v1, outcomes_v1 = _run_v1_four_connection_slots(
         model, bench_config, think_s
     )
     wall_v2, outcomes_v2 = _run_v2_multiplexed(model, bench_config, think_s)
@@ -393,7 +393,7 @@ def test_v2_multiplexing_is_2x_v1_at_16_clients(bench_config):
     total = _V2_CLIENTS * _SESSIONS_PER_CLIENT
     speedup = wall_v1 / wall_v2
     print(
-        f"\nv1 thread-per-connection {wall_v1:.2f}s "
+        f"\nv1, 4 connection slots {wall_v1:.2f}s "
         f"({total / wall_v1:.1f} sessions/s), "
         f"v2 multiplexed {wall_v2:.2f}s ({total / wall_v2:.1f} sessions/s), "
         f"speedup {speedup:.2f}x "
@@ -437,7 +437,7 @@ def test_v2_multiplexing_is_2x_v1_at_16_clients(bench_config):
             )
 
     assert speedup >= 2.0, (
-        f"v2 multiplexing only {speedup:.2f}x over v1 thread-per-connection "
+        f"v2 multiplexing only {speedup:.2f}x over v1 with 4 connection slots "
         f"(v1 {wall_v1:.2f}s, v2 {wall_v2:.2f}s)"
     )
 

@@ -784,12 +784,12 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--max-sessions", type=int, default=None,
                        help="exit after serving this many sessions")
     serve.add_argument("--timeout", type=float, default=30.0,
-                       help="per-connection socket timeout in seconds")
+                       help="seconds the server waits on a silent client")
     serve.add_argument("--workers", type=int, default=8,
                        help="max concurrent client connections")
     serve.add_argument("--session-workers", type=int, default=8,
-                       help="worker threads for protocol v2 multiplexed "
-                            "sessions (v1 connections are unaffected)")
+                       help="worker threads that run sessions, v1 and v2 "
+                            "alike (at most this many compute at once)")
     serve.add_argument("--drain-timeout", type=float, default=5.0,
                        help="seconds in-flight sessions get to finish on shutdown")
     serve.add_argument("--security-degree", type=int, default=2)

@@ -73,8 +73,8 @@ CLOSE = "session/close"
 #: Negotiation labels.  ``mux/hello`` is the *first* message a v2
 #: client sends on a fresh connection, as a plain v1 frame; a v2 server
 #: answers ``mux/welcome`` (also v1-framed) and both sides switch to v2
-#: frames.  A v1 client never sends ``mux/hello``, so a v2 server falls
-#: back to the v1 serve loop for it — negotiation is per connection.
+#: frames.  A v1 client never sends ``mux/hello``, so a v2 server serves
+#: its connection as a v1 one — negotiation is per connection.
 HELLO = "mux/hello"
 WELCOME = "mux/welcome"
 
@@ -349,8 +349,15 @@ class MuxSession:
         return msg_type, payload
 
     def pending(self) -> bool:
-        """True when a frame is queued for this session."""
-        return not self._inbound.empty()
+        """True when a data frame is queued for this session.
+
+        A poison marker is not data: a peer that hangs up right after
+        its last frame must leave a finished session reading drained.
+        """
+        with self._inbound.mutex:
+            return any(
+                not isinstance(item, Exception) for item in self._inbound.queue
+            )
 
     def cancel(self, reason: str = "session cancelled") -> None:
         """Cancel this session from the local side.

@@ -1,23 +1,27 @@
 """TCP trainer service: concurrent private classification and similarity.
 
 :class:`TrainerServer` hosts a trainer's model behind a listening
-socket and serves protocol sessions **concurrently**: every accepted
-connection gets its own serve thread, bounded by ``max_connections``
-worker slots that are acquired *before* accepting — accept-side
-backpressure, so a full server leaves further clients in the kernel
-backlog instead of piling up threads.  :class:`TrainerClient` dials a
-server and drives the client side of one connection;
-:class:`TrainerClientPool` keeps ``size`` pooled connections and fans
-batches out across them (:meth:`~TrainerClientPool.classify_many`).
+socket and serves protocol sessions **concurrently** on one event loop
+(:class:`~repro.net.muxserver.MuxServerLoop`): up to
+``max_connections`` connection slots are acquired *before* accepting —
+accept-side backpressure, so a full server leaves further clients in
+the kernel backlog — and every accepted socket goes straight to the
+loop.  A connection's first frame picks its wire protocol (``mux/hello``
+for multiplexed v2, anything else for sequential v1); either way each
+session runs on a pool of ``session_workers`` threads.
+:class:`TrainerClient` dials a server and drives the client side of one
+connection; :class:`TrainerClientPool` keeps ``size`` pooled
+connections and fans batches out across them
+(:meth:`~TrainerClientPool.classify_many`).
 
-Each connection carries any number of sequential sessions, each opened
-by a control exchange and then executed by the role-split protocol
-drivers over fresh :class:`~repro.net.wire.WireChannel` endpoints.
-Connections never share a channel: all per-session state — channel,
-transcript, RNG — lives on the serve thread's stack, so concurrent
-sessions are bit-identical to single-client runs.  Shared
+A v1 connection carries any number of sequential sessions, a v2
+connection any number of concurrent ones; each is opened by a control
+exchange and then executed by the role-split protocol drivers over a
+fresh channel.  Sessions never share a channel: all per-session state —
+channel, transcript, RNG — lives on the session worker's stack, so
+concurrent sessions are bit-identical to single-client runs.  Shared
 observability (the metrics registry and tracer in :mod:`repro.obs`) is
-thread-safe; per-connection span trees land as separate roots in the
+thread-safe; per-session span trees land as separate roots in the
 shared tracer, losslessly.
 
 Control messages (``session/open``, ``session/accept``,
@@ -43,8 +47,8 @@ bit-identical to in-process runs.
   total), reconciled with ``bytes_by_phase()`` — see
   :func:`repro.obs.drift.drift_from_service_metrics`.
 
-Fault behaviour: every server connection runs under a per-connection
-socket timeout; a stalled or vanished client surfaces as a typed
+Fault behaviour: every wait on a client is bounded by the session
+timeout; a stalled or vanished client surfaces as a typed
 :class:`~repro.exceptions.ProtocolError`, bumps
 ``repro_service_faults_total{kind=...}``, closes *that* connection, and
 the server keeps serving every other one.  Transient accept-time
@@ -93,16 +97,10 @@ from repro.exceptions import (
 )
 from repro.ml.svm.model import SVMModel
 from repro.net import wire
-from repro.net.mux import (
-    HELLO,
-    WELCOME,
-    MuxChannel,
-    MuxClientConnection,
-    MuxRouter,
-)
+from repro.net.mux import MuxChannel, MuxClientConnection, MuxRouter
 from repro.net.muxserver import MuxConnection, MuxServerLoop
 from repro.net.transcript import Transcript
-from repro.net.wire import ConnectionClosed, WireChannel, WireConnection
+from repro.net.wire import WireChannel, WireConnection
 from repro.obs.distributed import (
     AdminHealth,
     AdminMetricsDump,
@@ -117,7 +115,6 @@ from repro.utils.serialization import (
     CONTROL_SESSION_ID,
     decode_message,
     encode_message,
-    encode_mux_frame,
 )
 
 #: Control message labels (never seen by protocol transcripts).
@@ -131,8 +128,6 @@ CLOSE = "session/close"
 ADMIN_METRICS = "admin/metrics"
 ADMIN_HEALTH = "admin/health"
 ADMIN_TRACE = "admin/trace"
-
-_ADMIN_FRAMES = frozenset({ADMIN_METRICS, ADMIN_HEALTH, ADMIN_TRACE})
 
 _SESSION_KINDS = ("classify", "similarity")
 
@@ -149,8 +144,8 @@ SESSION_BYTES = "repro_service_session_bytes_total"
 SERVICE_FAULTS = "repro_service_faults_total"
 _SERVICE_FAULTS_HELP = "Trainer service faults, by kind"
 
-#: Sessions currently being served, labelled by wire protocol
-#: (``protocol="v1"`` thread-per-connection, ``protocol="v2"``
+#: Sessions currently being served, labelled by the wire protocol of
+#: their connection (``protocol="v1"`` sequential, ``protocol="v2"``
 #: multiplexed).
 SESSIONS_INFLIGHT = "repro_service_sessions_inflight"
 
@@ -201,50 +196,18 @@ def _annotate_session(span: Any, accept: Any) -> None:
         span.set(session=session)
 
 
-class _WireEndpoint:
-    """Server-side session plumbing for a v1 (sequential) connection.
+class _SessionEndpoint:
+    """Server-side plumbing for one session on the event loop.
 
-    The protocol-agnostic face :meth:`TrainerServer._serve_session`
-    serves through: control sends and protocol channels ride the
-    blocking connection directly, exactly as before protocol v2
-    existed — which is what keeps v1 serving bit-identical.
+    The face :meth:`TrainerServer._serve_session` serves through:
+    control sends and protocol channels ride the session, whose frames
+    carry the v2 envelope or, on a v1 connection, none.  The *inner*
+    messages are encoded identically, so both wire protocols serve
+    bit-identical protocol runs through the one ``_serve_session`` path.
     """
-
-    protocol = "v1"
-
-    def __init__(self, server: "TrainerServer", connection: WireConnection) -> None:
-        self._server = server
-        self._connection = connection
-        self.transport = getattr(connection, "transport", "tcp")
-
-    def send_control(self, msg_type: str, payload: Any) -> None:
-        send_control(self._connection, msg_type, payload)
-
-    def channel(self) -> WireChannel:
-        return WireChannel("alice", "bob", self._connection)
-
-    def note_session(self, session_id: str, kind: str) -> None:
-        with self._server._lock:
-            state = self._server._connections.get(self._connection)
-            if state is not None:
-                state.session_id = session_id
-                state.kind = kind
-
-
-class _MuxEndpoint:
-    """Server-side session plumbing for one multiplexed (v2) session.
-
-    Same face as :class:`_WireEndpoint`, but control sends and protocol
-    channels ride this session's envelope on the shared connection.
-    The *inner* messages are encoded identically, so the two endpoints
-    serve bit-identical protocol runs through the shared
-    ``_serve_session`` code path.
-    """
-
-    protocol = "v2"
 
     def __init__(
-        self, server: "TrainerServer", session: Any, transport: str = "tcp"
+        self, server: "TrainerServer", session: Any, transport: str
     ) -> None:
         self._server = server
         self._session = session
@@ -258,63 +221,33 @@ class _MuxEndpoint:
 
     def note_session(self, session_id: str, kind: str) -> None:
         with self._server._lock:
-            self._server._mux_live[self._session.id] = {
+            self._server._live[self] = {
                 "session": session_id,
                 "kind": kind,
                 "started_at": time.monotonic(),
+                "thread": threading.get_ident(),
             }
 
     def clear_session(self) -> None:
         with self._server._lock:
-            self._server._mux_live.pop(self._session.id, None)
-
-
-class _MuxControlProxy:
-    """Duck-typed connection whose frames ride control session 0.
-
-    Lets :meth:`TrainerServer._serve_admin` answer admin requests on a
-    multiplexed connection through the same ``send_control`` helper the
-    v1 path uses — the reply is simply wrapped in the session-0
-    envelope.  Sends are deadline-bounded because they run on the event
-    loop thread.
-    """
-
-    def __init__(self, conn: MuxConnection) -> None:
-        self._conn = conn
-
-    def send_frame(self, data: bytes) -> int:
-        return self._conn.send_frame(
-            encode_mux_frame(CONTROL_SESSION_ID, data), deadline_s=2.0
-        )
-
-
-class _ConnState:
-    """Live per-connection bookkeeping (guarded by the server lock)."""
-
-    __slots__ = ("state", "session_id", "kind", "started_at", "thread_ident")
-
-    def __init__(self) -> None:
-        self.state = "idle"  # "idle" | "session"
-        self.session_id: Optional[str] = None
-        self.kind: Optional[str] = None
-        self.started_at: float = 0.0
-        self.thread_ident: Optional[int] = None
+            self._server._live.pop(self, None)
 
 
 class TrainerServer:
     """Hosts one trained model; serves sessions concurrently.
 
     The server is the trainer — *Alice*, the OMPE sender — in every
-    session.  Up to ``max_connections`` clients are served in parallel,
-    one daemon thread per accepted connection; ``session_timeout``
-    bounds each blocking socket operation on an accepted connection, so
-    a vanished client cannot wedge its serve thread forever.
+    session.  Up to ``max_connections`` clients are connected at once;
+    one event-loop thread reads them all, and sessions run on a pool of
+    ``session_workers`` threads, whichever wire protocol the client
+    speaks.  ``session_timeout`` bounds each wait on a client, so a
+    vanished client cannot wedge a session worker forever.
 
-    The model, config, and params are shared read-only across serve
-    threads; every mutable protocol object (channel, transcript, RNG)
-    is created per session on the serving thread.  ``stop()`` performs
-    a graceful drain: no new connections or sessions, in-flight
-    sessions get ``drain_timeout`` seconds to finish, stragglers are
+    The model, config, and params are shared read-only across session
+    workers; every mutable protocol object (channel, transcript, RNG)
+    is created per session on its worker.  ``stop()`` performs a
+    graceful drain: no new connections or sessions, in-flight sessions
+    get ``drain_timeout`` seconds to finish, stragglers are
     force-closed.
     """
 
@@ -393,10 +326,10 @@ class TrainerServer:
         self.output_policy = output_policy
         self.session_timeout = session_timeout
         self.max_connections = max_connections
-        #: Concurrent *multiplexed* sessions served at once (protocol
-        #: v2).  Independent of ``max_connections``: v2 connections are
-        #: cheap to hold idle (the event loop owns them), and this
-        #: bounds the CPU-side worker pool the protocol math runs on.
+        #: Sessions served at once, over every connection and both wire
+        #: protocols: the size of the worker pool the protocol math runs
+        #: on.  Independent of ``max_connections``: an idle connection
+        #: costs the event loop nothing but a socket.
         self.session_workers = session_workers
         self.drain_timeout = drain_timeout
         self._function = decision_function_for_model(model)
@@ -422,14 +355,12 @@ class TrainerServer:
         self._budget_done = threading.Event()
         self._serve_done = threading.Event()
         self._serve_done.set()  # no serve loop running yet
-        self._connections: Dict[WireConnection, _ConnState] = {}
-        self._workers: List[threading.Thread] = []
         self._session_ids = itertools.count(1)
-        #: Protocol-v2 event loop; built lazily on the first upgraded
-        #: connection so v1-only servers never start the extra thread.
+        #: The event loop every connection is served on; built on the
+        #: first connection and retired by each drain.
         self._mux: Optional[MuxServerLoop] = None
-        #: Live multiplexed sessions, for ``admin/health`` (under lock).
-        self._mux_live: Dict[int, Dict[str, Any]] = {}
+        #: Live sessions by endpoint, for ``admin/health`` (under lock).
+        self._live: Dict[_SessionEndpoint, Dict[str, Any]] = {}
         #: Completed sessions' span fragments, newest last, bounded.
         self._trace_log: "collections.deque" = collections.deque(
             maxlen=max(1, trace_log_size)
@@ -448,11 +379,10 @@ class TrainerServer:
 
     @property
     def active_connections(self) -> int:
-        """Connections currently held by a serve thread or the mux loop."""
+        """Connections currently held by the event loop."""
         with self._lock:
-            count = len(self._connections)
             mux = self._mux
-        return count + (mux.connection_count if mux is not None else 0)
+        return mux.connection_count if mux is not None else 0
 
     def close(self) -> None:
         """Close the listening socket (unblocks a running serve loop)."""
@@ -521,7 +451,7 @@ class TrainerServer:
         )
         try:
             while not (self._stopping.is_set() or self._budget_done.is_set()):
-                # Backpressure: take a worker slot *before* accepting.
+                # Backpressure: take a connection slot *before* accepting.
                 if not self._slots.acquire(timeout=self._POLL_S):
                     continue
                 accepted = False
@@ -552,16 +482,10 @@ class TrainerServer:
                         self._slots.release()
                 if accept_timeout is not None:
                     idle_deadline = time.monotonic() + accept_timeout
-                worker = threading.Thread(
-                    target=self._run_connection,
-                    args=(connection,),
-                    name="trainer-serve",
-                    daemon=True,
+                # The loop holds the slot until the connection closes.
+                self._mux_loop().adopt(
+                    connection.detach(), on_closed=self._slots.release
                 )
-                with self._lock:
-                    self._connections[connection] = _ConnState()
-                    self._workers.append(worker)
-                worker.start()
         finally:
             self._drain()
             self._serve_done.set()
@@ -572,103 +496,23 @@ class TrainerServer:
 
         The transport-agnostic entry point: hand it one end of a
         :func:`repro.net.wire.memory_pair` (or an accepted socket) and
-        it runs the same control loop — sessions, admin frames, slot
-        accounting — as connections accepted by :meth:`serve_forever`.
-        Returns when the peer closes or a fault drops the connection.
+        its frames feed the same per-connection state machine —
+        sessions, admin frames, slot accounting, either wire protocol —
+        as connections accepted by :meth:`serve_forever`.  Returns when
+        the peer closes or a fault drops the connection, once its
+        sessions have finished.
         """
         if self._stopping.is_set():
             raise ProtocolError("server is stopping; connection refused")
         self._slots.acquire()
-        with self._lock:
-            self._connections[connection] = _ConnState()
-        self._run_connection(connection)
-
-    def _run_connection(self, connection: WireConnection) -> None:
-        """One serve thread: sequential sessions on one connection.
-
-        A connection that upgrades to protocol v2 mid-loop is *detached*
-        here — its socket now belongs to the mux event loop, which keeps
-        holding this connection's accept slot until it closes.
-        """
-        with self._lock:
-            state = self._connections.get(connection)
-            if state is not None:
-                state.thread_ident = threading.get_ident()
-        outcome = None
-        try:
-            outcome = self._serve_connection(connection)
-        except ReproError as error:
-            _service_fault("session-aborted")
-            try:
-                send_control(connection, ERROR, str(error))
-            except ReproError:
-                pass  # the connection is already gone
-        finally:
-            if outcome != "detached":
-                connection.close()
-                self._slots.release()
-            with self._lock:
-                self._connections.pop(connection, None)
-                try:
-                    self._workers.remove(threading.current_thread())
-                except ValueError:
-                    pass
-
-    def _serve_connection(self, connection: WireConnection) -> Optional[str]:
-        while True:
-            try:
-                msg_type, request = recv_control(connection)
-            except ConnectionClosed:
-                return  # client hung up between sessions — not a fault
-            except ValidationError as error:
-                # Corrupted control frame: count it and tell the peer.
-                _service_fault("control")
-                raise ProtocolError(
-                    f"malformed control frame: {error}"
-                ) from error
-            except ProtocolError:
-                if connection.closed or self._stopping.is_set():
-                    return  # server-side shutdown cut this connection
-                _service_fault("control")
-                return  # stalled or truncated mid-frame; drop the client
-            if msg_type == CLOSE:
-                return None
-            if msg_type == HELLO:
-                # Per-connection protocol negotiation: a v2-capable
-                # client leads with mux/hello; v1 clients never send it
-                # and fall straight through to the legacy serve loop.
-                return self._upgrade_connection(connection, request)
-            if msg_type in _ADMIN_FRAMES:
-                # Admin traffic consumes no session slot or budget and
-                # stays off every protocol transcript.
-                self._serve_admin(connection, msg_type, request)
-                continue
-            if msg_type != OPEN:
-                _service_fault("control")
-                raise ProtocolError(
-                    f"expected {OPEN!r} or {CLOSE!r}, got {msg_type!r}"
-                )
-            if not self._begin_session(connection):
-                send_control(
-                    connection, ERROR,
-                    "server is stopping or out of session budget",
-                )
-                return
-            try:
-                self._serve_session(_WireEndpoint(self, connection), request)
-            except ReproError:
-                self._abort_session(connection)
-                raise
-            self._finish_session(connection)
-
-    # -- protocol v2 (multiplexed connections) --------------------------------
+        self._mux_loop().serve(connection, on_closed=self._slots.release)
 
     def _mux_loop(self) -> MuxServerLoop:
         with self._lock:
             if self._mux is None:
                 self._mux = MuxServerLoop(
                     session_handler=self._run_mux_session,
-                    control_handler=self._serve_mux_control,
+                    control_handler=self._serve_admin,
                     service_fault=_service_fault,
                     router_factory=MuxRouter,
                     session_workers=self.session_workers,
@@ -676,119 +520,45 @@ class TrainerServer:
                 )
             return self._mux
 
-    def _upgrade_connection(
-        self, connection: WireConnection, request: Any
-    ) -> Optional[str]:
-        """Negotiate ``mux/hello``; hand the socket to the event loop.
-
-        Returns ``"detached"`` once the mux loop owns the socket (the
-        serve thread must stop touching it and keep the accept slot
-        held — it is released when the mux connection closes), or
-        ``None`` when the upgrade was refused and the connection ends.
-        """
-        versions = request.get("versions") if isinstance(request, dict) else None
-        if not isinstance(versions, (list, tuple)) or 2 not in versions:
-            _service_fault("control")
-            send_control(
-                connection,
-                ERROR,
-                f"no mutually supported wire protocol in {versions!r} "
-                f"(server speaks v2)",
-            )
-            return None
-        if not hasattr(connection, "detach"):
-            _service_fault("control")
-            send_control(
-                connection, ERROR, "protocol v2 requires a socket connection"
-            )
-            return None
-        send_control(connection, WELCOME, {"version": 2})
-        # Stop counting the connection as a serve thread's before the
-        # mux loop counts it: the client may ask for health the moment
-        # WELCOME lands, and the loop answers only after adopt.
-        with self._lock:
-            self._connections.pop(connection, None)
-        sock = connection.detach()
-        try:
-            self._mux_loop().adopt(sock, on_closed=self._slots.release)
-        except ProtocolError:
-            # The loop is shutting down: the socket is already closed;
-            # give the accept slot back ourselves.
-            self._slots.release()
-        return "detached"
-
     def _run_mux_session(
         self, conn: MuxConnection, session: Any, request: Any
-    ) -> None:
-        """Serve one multiplexed session (on a session-worker thread).
+    ) -> bool:
+        """Serve one session on a session-worker thread; True on success.
 
         The shared ``_serve_session`` path does the protocol work; this
-        wrapper owns the v2-specific accounting and fault containment —
-        an aborted session answers with a ``session/error`` frame on its
-        own id and leaves every other session on the connection running.
+        wrapper owns the accounting and fault containment — a failed
+        session answers with a ``session/error`` frame on its own id
+        (the event loop then closes a v1 connection; a v2 connection's
+        other sessions keep running).
         """
-        if not self._begin_mux_session():
+        protocol = conn.mode
+        if not self._begin_session(protocol):
             try:
                 session.send_control(
                     ERROR, "server is stopping or out of session budget"
                 )
             except ReproError:
                 pass
-            return
-        endpoint = _MuxEndpoint(
-            self, session, getattr(conn, "transport", "tcp")
-        )
+            return False
+        endpoint = _SessionEndpoint(self, session, conn.transport)
         try:
             self._serve_session(endpoint, request)
         except ReproError as error:
-            self._abort_mux_session()
+            self._abort_session(protocol)
             _service_fault("session-aborted")
             try:
                 session.send_control(ERROR, str(error))
             except ReproError:
                 pass  # the connection (or session) is already gone
-        else:
-            self._finish_mux_session()
+            return False
         finally:
             endpoint.clear_session()
-
-    def _serve_mux_control(
-        self, conn: MuxConnection, msg_type: str, request: Any
-    ) -> None:
-        """Answer one control-session (admin) frame on a v2 connection."""
-        if msg_type not in _ADMIN_FRAMES:
-            raise ProtocolError(
-                f"unexpected control-session message {msg_type!r}"
-            )
-        self._serve_admin(_MuxControlProxy(conn), msg_type, request)
-
-    def _begin_mux_session(self) -> bool:
-        with self._lock:
-            if self._stopping.is_set() or self._draining.is_set():
-                return False
-            if self._remaining is not None:
-                if self._remaining <= 0:
-                    return False
-                self._remaining -= 1
-        _sessions_inflight(1, "v2")
+        self._finish_session(protocol)
         return True
 
-    def _abort_mux_session(self) -> None:
-        with self._lock:
-            if self._remaining is not None:
-                self._remaining += 1
-        _sessions_inflight(-1, "v2")
+    # -- session accounting (shared across session workers) ------------------
 
-    def _finish_mux_session(self) -> None:
-        with self._lock:
-            self._served += 1
-            if self._target is not None and self._served >= self._target:
-                self._budget_done.set()
-        _sessions_inflight(-1, "v2")
-
-    # -- session accounting (shared across serve threads) --------------------
-
-    def _begin_session(self, connection: WireConnection) -> bool:
+    def _begin_session(self, protocol: str) -> bool:
         """Claim a session slot; False once stopping/draining/out of budget."""
         with self._lock:
             if self._stopping.is_set() or self._draining.is_set():
@@ -797,86 +567,45 @@ class TrainerServer:
                 if self._remaining <= 0:
                     return False
                 self._remaining -= 1
-            state = self._connections.setdefault(connection, _ConnState())
-            state.state = "session"
-            state.started_at = time.monotonic()
-        _sessions_inflight(1, "v1")
+        _sessions_inflight(1, protocol)
         return True
 
-    def _set_idle(self, connection: WireConnection) -> None:
-        state = self._connections.get(connection)
-        if state is not None:
-            state.state = "idle"
-            state.session_id = None
-            state.kind = None
-
-    def _abort_session(self, connection: WireConnection) -> None:
+    def _abort_session(self, protocol: str) -> None:
         """Return a claimed slot: a failed session is a fault, not served."""
         with self._lock:
             if self._remaining is not None:
                 self._remaining += 1
-            self._set_idle(connection)
-        _sessions_inflight(-1, "v1")
+        _sessions_inflight(-1, protocol)
 
-    def _finish_session(self, connection: WireConnection) -> None:
+    def _finish_session(self, protocol: str) -> None:
         with self._lock:
             self._served += 1
-            self._set_idle(connection)
             if self._target is not None and self._served >= self._target:
                 self._budget_done.set()
-        _sessions_inflight(-1, "v1")
+        _sessions_inflight(-1, protocol)
 
     def _drain(self) -> None:
         """Drain in-flight sessions, then force-close the stragglers.
 
-        Runs on the serve-loop thread after it stops accepting.  Idle
-        connections (between sessions) are closed immediately — they
-        can never start another session because :meth:`_begin_session`
-        refuses while draining.  Connections mid-session get until the
-        drain deadline to finish, then are force-closed.
+        Runs once the serve loop stops accepting.  From here on every
+        new session is refused; the event loop keeps serving in-flight
+        ones until the drain deadline, then force-closes whatever is
+        still running and closes every connection.
         """
         self._draining.set()
-        deadline = time.monotonic() + self.drain_timeout
         with self._lock:
-            idle = [
-                conn for conn, state in self._connections.items()
-                if state.state == "idle"
-            ]
-        for connection in idle:
-            connection.close()
-        while time.monotonic() < deadline:
-            with self._lock:
-                busy = any(
-                    state.state == "session"
-                    for state in self._connections.values()
-                )
-                mux = self._mux
-            if not busy and (mux is None or mux.session_count == 0):
-                break
-            time.sleep(self._POLL_S)
-        with self._lock:
-            leftover = list(self._connections.items())
-            workers = list(self._workers)
-            mux = self._mux
-        for connection, state in leftover:
-            if state.state == "session":
-                _service_fault("force-closed")
-            connection.close()
+            mux, self._mux = self._mux, None
         if mux is not None:
-            # The deadline above already covered the graceful wait;
-            # whatever is still running gets force-closed right away.
-            mux.shutdown(drain_timeout=0.0)
-        for worker in workers:
-            worker.join(timeout=self.drain_timeout + 1.0)
+            mux.shutdown(drain_timeout=self.drain_timeout)
 
     # -- one session ---------------------------------------------------------
 
     def _serve_session(self, endpoint: Any, request: Any) -> None:
         """Serve one session through a protocol-agnostic endpoint.
 
-        ``endpoint`` is a :class:`_WireEndpoint` (v1) or
-        :class:`_MuxEndpoint` (v2) — the single shared code path is
-        what makes v2 sessions bit-identical to v1 by construction.
+        ``endpoint`` is a :class:`_SessionEndpoint` on a v1 or a v2
+        connection — the single shared code path is what makes v2
+        sessions bit-identical to v1 by construction.
         """
         if not isinstance(request, dict):
             raise ProtocolError("session/open payload must be a mapping")
@@ -1107,9 +836,18 @@ class TrainerServer:
     # -- admin channel --------------------------------------------------------
 
     def _serve_admin(
-        self, connection: WireConnection, msg_type: str, request: Any
+        self, conn: MuxConnection, msg_type: str, request: Any
     ) -> None:
-        """Answer one ``admin/*`` request on the same connection."""
+        """Answer one ``admin/*`` request on control session 0."""
+
+        def reply(payload: Any) -> None:
+            # Runs on the event loop thread: bound the send.
+            conn.send_message(
+                CONTROL_SESSION_ID,
+                encode_message(msg_type, payload),
+                deadline_s=2.0,
+            )
+
         if msg_type == ADMIN_METRICS:
             metrics = obs.get_metrics()
             if metrics.enabled:
@@ -1120,9 +858,9 @@ class TrainerServer:
                 )
             else:
                 dump = AdminMetricsDump(enabled=False, prometheus="", snapshot_json="")
-            send_control(connection, ADMIN_METRICS, dump)
+            reply(dump)
         elif msg_type == ADMIN_HEALTH:
-            send_control(connection, ADMIN_HEALTH, self._health())
+            reply(self._health())
         else:
             session = None
             if isinstance(request, dict):
@@ -1134,7 +872,7 @@ class TrainerServer:
                 for entry in list(self._trace_log)
                 if session is None or entry["session"] == session
             ]
-            send_control(connection, ADMIN_TRACE, AdminTraceDump(tuple(entries)))
+            reply(AdminTraceDump(tuple(entries)))
 
     def _health(self) -> AdminHealth:
         """A point-in-time occupancy/drain snapshot for ``admin/health``."""
@@ -1142,39 +880,23 @@ class TrainerServer:
         open_by_thread = tracer.open_spans() if tracer.enabled else {}
         now = time.monotonic()
         with self._lock:
-            states = list(self._connections.values())
+            live = [dict(entry) for entry in self._live.values()]
             served = self._served
-            mux_live = [dict(entry) for entry in self._mux_live.values()]
             mux = self._mux
         sessions = []
-        for entry in mux_live:
-            sessions.append(
-                {
-                    "session": entry["session"],
-                    "kind": entry["kind"],
-                    "age_s": now - entry["started_at"],
-                }
-            )
-        for state in states:
-            if state.state != "session":
-                continue
-            entry: Dict[str, Any] = {
-                "session": state.session_id,
-                "kind": state.kind,
-                "age_s": now - state.started_at,
+        for entry in live:
+            item: Dict[str, Any] = {
+                "session": entry["session"],
+                "kind": entry["kind"],
+                "age_s": now - entry["started_at"],
             }
-            span = (
-                open_by_thread.get(state.thread_ident)
-                if state.thread_ident is not None
-                else None
-            )
+            span = open_by_thread.get(entry["thread"])
             if span is not None:
-                entry["span"] = span.name
-                entry["phase"] = span.phase
-            sessions.append(entry)
+                item["span"] = span.name
+                item["phase"] = span.phase
+            sessions.append(item)
         return AdminHealth(
-            active_connections=len(states)
-            + (mux.connection_count if mux is not None else 0),
+            active_connections=mux.connection_count if mux is not None else 0,
             max_connections=self.max_connections,
             sessions_served=served,
             stopping=self._stopping.is_set(),

@@ -61,6 +61,14 @@ def _wire_fault(kind: str) -> None:
     obs.record_fault(kind, _FAULT_COUNTER, _FAULT_DESCRIPTION)
 
 
+def _count_wire_bytes(direction: str, count: int) -> None:
+    metrics = obs.get_metrics()
+    if metrics.enabled:
+        metrics.counter(
+            "repro_wire_bytes_total", "Raw TCP bytes, by direction"
+        ).inc(count, direction=direction)
+
+
 class ConnectionClosed(ProtocolError):
     """The peer closed the connection at a frame boundary.
 
@@ -132,11 +140,7 @@ class WireConnection:
             _wire_fault("disconnect")
             raise ProtocolError(f"peer connection lost during send: {exc}") from exc
         self.bytes_sent += len(frame)
-        metrics = obs.get_metrics()
-        if metrics.enabled:
-            metrics.counter(
-                "repro_wire_bytes_total", "Raw TCP bytes, by direction"
-            ).inc(len(frame), direction="sent")
+        _count_wire_bytes("sent", len(frame))
         return len(frame)
 
     def recv_frame(self) -> bytes:
@@ -156,11 +160,7 @@ class WireConnection:
                 f"{self.max_frame_bytes}-byte frame cap"
             )
         data = self._recv_exact(length, "frame body")
-        metrics = obs.get_metrics()
-        if metrics.enabled:
-            metrics.counter(
-                "repro_wire_bytes_total", "Raw TCP bytes, by direction"
-            ).inc(_HEADER.size + length, direction="received")
+        _count_wire_bytes("received", _HEADER.size + length)
         return data
 
     def _recv_exact(self, count: int, what: str, at_boundary: bool = False) -> bytes:
@@ -199,9 +199,8 @@ class WireConnection:
     def detach(self) -> socket.socket:
         """Hand off the underlying socket and retire this wrapper.
 
-        Used when a connection is upgraded to protocol v2: the accept
-        thread's blocking :class:`WireConnection` surrenders its socket
-        to the multiplexing event loop.  The wrapper reads as closed
+        Used by the trainer server's accept thread to hand an accepted
+        socket to its event loop.  The wrapper reads as closed
         afterwards (so accounting sees it gone) but the socket itself is
         left untouched — the caller owns it from here.
         """
@@ -323,11 +322,7 @@ class MemoryConnection:
             self._out.condition.notify_all()
         frame_len = _HEADER.size + len(data)
         self.bytes_sent += frame_len
-        metrics = obs.get_metrics()
-        if metrics.enabled:
-            metrics.counter(
-                "repro_wire_bytes_total", "Raw TCP bytes, by direction"
-            ).inc(frame_len, direction="sent")
+        _count_wire_bytes("sent", frame_len)
         return frame_len
 
     def recv_frame(self) -> bytes:
@@ -358,11 +353,7 @@ class MemoryConnection:
                         raise ProtocolError("timed out waiting for frame header")
                 self._in.condition.wait(remaining)
         self.bytes_received += _HEADER.size + len(data)
-        metrics = obs.get_metrics()
-        if metrics.enabled:
-            metrics.counter(
-                "repro_wire_bytes_total", "Raw TCP bytes, by direction"
-            ).inc(_HEADER.size + len(data), direction="received")
+        _count_wire_bytes("received", _HEADER.size + len(data))
         return data
 
     def set_timeout(self, timeout: Optional[float]) -> None:

@@ -209,7 +209,7 @@ class Tracer:
 
     Thread-safe: the open-span stack is **per thread**, so spans nest
     within the thread that opened them and concurrent workloads (one
-    serve thread per trainer-service connection) each grow their own
+    session worker per trainer-service session) each grow their own
     root trees inside the shared tracer — appended under a lock, so no
     span is ever lost.  A span must be exited on the thread that
     entered it.
@@ -267,7 +267,7 @@ class Tracer:
     def open_spans(self) -> Dict[int, Span]:
         """Innermost *currently open* span per thread id.
 
-        Live introspection for ``admin/health``: while a serve thread is
+        Live introspection for ``admin/health``: while a session worker is
         inside a protocol phase, this reports which span it is in right
         now.  Best-effort — stacks mutate concurrently — but never
         raises and never blocks the recording threads.

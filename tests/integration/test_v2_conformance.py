@@ -24,7 +24,6 @@ from repro.core.similarity import (
 )
 from repro.core.similarity.metric import MetricParams
 from repro.core.similarity.policy import parse_output_policy
-from repro.exceptions import ProtocolError
 from repro.ml.datasets import interaction_boundary
 from repro.ml.svm import train_svm
 from repro.ml.svm.model import make_linear_model
@@ -434,19 +433,41 @@ class TestNegotiation:
             reference.report
         )
 
-    def test_v2_mandate_refused_on_memory_transport(self, fast_config,
-                                                    linear_model_a):
-        """Explicit v2 over an in-memory pair fails with a typed error —
-        the mux layer needs a detachable socket."""
-        end_a, end_b = wire.memory_pair()
+    def test_v2_over_memory_transport_bit_identical(
+        self, fast_config, linear_model_a
+    ):
+        """Explicit v2 over an in-memory pair negotiates and serves
+        pipelined sessions bit-identical to the in-process protocol —
+        the same connection state machine runs either transport."""
+        samples = [(0.5, -0.25, 0.75), (-0.375, 0.125, -0.5)]
+        seeds = [61, 62]
+        expected = [
+            private_classify(
+                linear_model_a, sample, config=fast_config, seed=seed
+            )
+            for sample, seed in zip(samples, seeds)
+        ]
+        end_a, end_b = wire.memory_pair(timeout=30.0)
         server = TrainerServer(linear_model_a, config=fast_config)
         peer = _Peer(lambda: server.serve_connection(end_a))
         peer.start()
         try:
-            with pytest.raises(ProtocolError, match="requires a socket"):
-                TrainerClient(
-                    connection=end_b, config=fast_config, protocol="v2"
-                )
+            with TrainerClient(
+                connection=end_b, config=fast_config, protocol="v2"
+            ) as client:
+                assert client.protocol == "v2"
+                futures = [
+                    client.classify_async(sample, seed=seed)
+                    for sample, seed in zip(samples, seeds)
+                ]
+                outcomes = [future.result(timeout=30.0) for future in futures]
         finally:
             peer.join_result()
             server.close()
+
+        for outcome, reference in zip(outcomes, expected):
+            assert outcome.label == reference.label
+            assert outcome.randomized_value == reference.randomized_value
+            assert _phase_profile(outcome.report) == _phase_profile(
+                reference.report
+            )

@@ -425,3 +425,55 @@ class TestAdminOverTCP:
 
         assert sessions_total(mid) == 1.0
         assert sessions_total(fin) == 2.0
+
+    def test_health_reports_span_and_phase_of_v2_session(
+        self, fast_config, model, tracer
+    ):
+        """An in-flight *v2* session carries its open span and phase in
+        admin/health, exactly like a v1 session."""
+        server = TrainerServer(model, config=fast_config)
+        host, port = server.address
+        serve = _Peer(lambda: server.serve_forever())
+        serve.start()
+        barrier = threading.Barrier(2, timeout=30.0)
+        paused = []
+        original_span = tracer.span
+
+        def spying_span(name, **kwargs):
+            # Pause the session worker the first time it opens a span
+            # nested inside an already-open one.
+            span = original_span(name, **kwargs)
+            nested = threading.get_ident() in tracer.open_spans()
+            worker = threading.current_thread().name.startswith("mux-session")
+            if nested and worker and not paused:
+                paused.append(name)
+                barrier.wait()  # admin probe runs now
+                barrier.wait()  # ...and has finished
+            return span
+
+        tracer.span = spying_span
+        try:
+            def run_session():
+                with TrainerClient(
+                    host, port, config=fast_config, protocol="v2"
+                ) as client:
+                    return client.classify(SAMPLE, seed=7)
+
+            session = _Peer(run_session)
+            session.start()
+            barrier.wait()
+            try:
+                with AdminClient(host, port) as admin:
+                    health = admin.health()
+            finally:
+                barrier.wait()
+            session.join_result()
+        finally:
+            tracer.span = original_span
+            server.stop()
+            serve.join_result()
+
+        live = [e for e in health.sessions if e.get("kind") == "classify"]
+        assert len(live) == 1
+        assert isinstance(live[0].get("span"), str)
+        assert isinstance(live[0].get("phase"), str)

@@ -26,6 +26,7 @@ from repro.net.mux import (
     OPEN,
     ClosedSessionError,
     DuplicateSessionError,
+    MuxChannel,
     MuxError,
     MuxFrameError,
     MuxRouter,
@@ -329,6 +330,25 @@ class TestMuxSession:
         assert (msg_type, payload) == ("ompe/points", (1, 2, 3))
         with pytest.raises(ProtocolError, match="disconnected"):
             session.recv_message()
+
+    def test_poison_marker_is_not_undelivered_data(self):
+        """A peer that hangs up right after its last frame poisons the
+        finished session; the drained check must still pass.  A queued
+        data frame must still fail it, poisoned or not."""
+        _, send_frame = self._collect()
+        session = MuxSession(1, send_frame, timeout=5.0)
+        session.poison(ProtocolError("eof"))
+        channel = MuxChannel("bob", "alice", session)
+        assert channel.pending("bob") == 0
+        channel.assert_drained()
+
+        stale = MuxSession(2, send_frame, timeout=5.0)
+        stale.deliver(encode_message("ompe/points", (1, 2, 3)))
+        stale.poison(ProtocolError("eof"))
+        channel = MuxChannel("bob", "alice", stale)
+        assert channel.pending("bob") == 1
+        with pytest.raises(ProtocolError, match="undelivered"):
+            channel.assert_drained()
 
     def test_accept_control_round_trip(self):
         sent, send_frame = self._collect()

@@ -1,7 +1,7 @@
 """Concurrent trainer-service tests: parallel clients, drain, faults.
 
-The server under test runs a bounded worker pool (one serve thread per
-accepted connection).  Everything here checks the two invariants that
+The server under test serves every connection on one event loop and
+runs sessions on a bounded worker pool.  Everything here checks the two invariants that
 make concurrency safe to ship: results stay **bit-identical** to the
 in-process protocols whatever the interleaving, and one client's fate
 (disconnect, stall, refusal) never leaks into another's session.
@@ -10,6 +10,8 @@ Real loopback sockets throughout, so the module is ``socket``-marked
 and runs in the dedicated serial CI job under the SIGALRM hard timeout.
 """
 
+import socket
+import sys
 import threading
 import time
 
@@ -22,7 +24,10 @@ from repro.core.similarity.metric import MetricParams
 from repro.exceptions import ProtocolError, ValidationError
 from repro.ml.svm.model import make_linear_model
 from repro.net import wire
+from repro.net.mux import MuxRouter
+from repro.net.muxserver import MuxServerLoop
 from repro.net.service import (
+    ERROR,
     OPEN,
     SERVICE_FAULTS,
     TrainerClient,
@@ -31,6 +36,7 @@ from repro.net.service import (
     send_control,
 )
 from repro.obs import MetricsRegistry
+from repro.utils.serialization import decode_message
 
 pytestmark = pytest.mark.socket
 
@@ -223,6 +229,44 @@ class TestConcurrentSessions:
             assert outcome.randomized_value == reference.randomized_value
 
 
+class TestEventLoopHandoff:
+    def test_concurrent_adopts_all_reach_the_loop(self):
+        """Sockets handed to the event loop from several threads while
+        it admits them, under a tiny switch interval: none is lost."""
+        def slow_router():
+            time.sleep(0.001)  # widens the window a lost handoff needs
+            return MuxRouter()
+
+        loop = MuxServerLoop(
+            session_handler=lambda conn, session, request: True,
+            control_handler=lambda conn, msg_type, payload: None,
+            service_fault=lambda kind: None,
+            router_factory=slow_router,
+        )
+        peers = []
+
+        def adopt_many():
+            for _ in range(25):
+                ours, theirs = socket.socketpair()
+                peers.append(theirs)
+                loop.adopt(ours)
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [_Peer(adopt_many) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join_result()
+            assert loop.connection_count == 100
+        finally:
+            sys.setswitchinterval(previous)
+            loop.shutdown(drain_timeout=0.0)
+            for sock in peers:
+                sock.close()
+
+
 class TestStopAndDrain:
     def test_stop_drains_in_flight_session(
         self, registry, fast_config, model_a
@@ -247,10 +291,7 @@ class TestStopAndDrain:
         deadline = time.monotonic() + 10.0
         while time.monotonic() < deadline:
             with server._lock:
-                in_session = any(
-                    state.state == "session"
-                    for state in server._connections.values()
-                )
+                in_session = bool(server._live)
                 served = server._served
             if in_session or served:
                 break
@@ -277,7 +318,7 @@ class TestStopAndDrain:
         host, port = server.address
         serving = _serve_in_thread(server, accept_timeout=30.0)
 
-        # Open a session and then go silent: the serve thread blocks
+        # Open a session and then go silent: the session worker blocks
         # waiting for protocol traffic that never comes.
         connection = wire.connect(host, port, timeout=5.0)
         send_control(connection, OPEN, {"kind": "classify", "seed": 1})
@@ -316,28 +357,27 @@ class TestStopAndDrain:
         """Session admission: stopping, draining, and a spent budget
         all refuse; a live budget claims one unit per session."""
         server = TrainerServer(model_a, config=fast_config)
-        marker = object()
         try:
             with server._lock:
                 server._remaining = 2
-            assert server._begin_session(marker)
+            assert server._begin_session("v1")
             with server._lock:
                 assert server._remaining == 1
-            server._abort_session(marker)
+            server._abort_session("v1")
             with server._lock:
                 assert server._remaining == 2
 
             server._draining.set()
-            assert not server._begin_session(marker)
+            assert not server._begin_session("v2")
             server._draining.clear()
 
             server._stopping.set()
-            assert not server._begin_session(marker)
+            assert not server._begin_session("v1")
             server._stopping.clear()
 
             with server._lock:
                 server._remaining = 0
-            assert not server._begin_session(marker)
+            assert not server._begin_session("v2")
         finally:
             server.close()
 
@@ -352,6 +392,42 @@ class TestStopAndDrain:
                 server.serve_forever(max_sessions=0)
         finally:
             server.close()
+
+
+class TestV1ControlFaults:
+    def test_undecodable_control_frame_drops_only_that_client(
+        self, registry, fast_config, model_a
+    ):
+        """A v1 client that sends an undecodable frame between sessions
+        gets a session/error and loses its own connection; the fault is
+        counted once as ``control`` and everyone else keeps being
+        served."""
+        server = TrainerServer(model_a, config=fast_config)
+        host, port = server.address
+        serving = _serve_in_thread(server, max_sessions=4, accept_timeout=30.0)
+        bystander = TrainerClient(host, port, config=fast_config)
+        faulty = TrainerClient(host, port, config=fast_config)
+        try:
+            bystander.classify(SAMPLES[0], seed=21)
+            faulty.classify(SAMPLES[1], seed=22)
+            faulty._connection.send_frame(b"\x07 not a message")
+            msg_type, _, _ = decode_message(faulty._connection.recv_frame())
+            assert msg_type == ERROR
+            with pytest.raises(ProtocolError):
+                faulty._connection.recv_frame()  # the server hung up
+            bystander.classify(SAMPLES[2], seed=23)
+            with TrainerClient(host, port, config=fast_config) as late:
+                outcome = late.classify(SAMPLES[3], seed=24)
+        finally:
+            faulty.close()
+            bystander.close()
+        assert serving.join_result() == 4
+        server.close()
+        reference = private_classify(
+            model_a, SAMPLES[3], config=fast_config, seed=24
+        )
+        assert outcome.randomized_value == reference.randomized_value
+        assert registry.counter(SERVICE_FAULTS).value(kind="control") == 1
 
 
 class TestAcceptFaultTolerance:
