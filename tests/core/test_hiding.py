@@ -10,7 +10,8 @@ evaluates without building :class:`~fractions.Fraction` coefficients or
 ``Polynomial.random`` + ``evaluate_all``.  These tests hold the two to
 the same *bytes* (``encode_payload``) and the same value types, for the
 online, batch and pooled receivers, and pin the per-coordinate seed
-layout with known-answer digests.
+layout with known-answer digests.  Known-answer digests also pin the
+online, pooled and batched senders' mask/amplifier/offset draws.
 """
 
 from __future__ import annotations
@@ -24,9 +25,11 @@ import pytest
 
 from repro import obs
 from repro.core.ompe import OMPEConfig, hiding
-from repro.core.ompe.batch import _BatchReceiver
-from repro.core.ompe.precompute import ReceiverPool
+from repro.core.ompe.batch import _BatchReceiver, _BatchSender
+from repro.core.ompe.function import OMPEFunction
+from repro.core.ompe.precompute import ReceiverPool, SenderPool
 from repro.core.ompe.receiver import OMPEReceiver
+from repro.core.ompe.sender import OMPESender
 from repro.core.similarity import (
     evaluate_similarity_private,
     evaluate_similarity_private_nonlinear,
@@ -150,6 +153,75 @@ def float_messages():
         )
 
 
+def degree_function(degree: int) -> OMPEFunction:
+    return OMPEFunction.from_callable(2, degree, lambda vector: vector[0])
+
+
+SENDER_FLAGS = [(amplify, offset) for amplify in (False, True) for offset in (False, True)]
+
+
+def online_sender_draws():
+    """``(mask coefficients, amplifier, offset)`` of online senders."""
+    for index, (exact, (amplify, offset), degree) in enumerate(
+        (exact, flags, degree)
+        for exact in (True, False)
+        for flags in SENDER_FLAGS
+        for degree in (1, 2, 3)
+    ):
+        sender = OMPESender(
+            "alice",
+            degree_function(degree),
+            OMPEConfig(security_degree=1 + index % 3, exact=exact),
+            rng=ReproRandom(5000 + index),
+            amplify=amplify,
+            offset=offset,
+        )
+        channel = Channel("alice", "bob")
+        sender.connect(channel)
+        channel.send("bob", "ompe/request", 2)
+        sender.handle_request()
+        yield (sender._mask.coefficients, sender.amplifier, sender.offset_value)
+
+
+def pooled_sender_draws():
+    """The bundles of sender pools, in pop order."""
+    for index, (exact, (amplify, offset), degree) in enumerate(
+        (exact, flags, degree)
+        for exact in (True, False)
+        for flags in SENDER_FLAGS
+        for degree in (1, 3)
+    ):
+        pool = SenderPool(
+            OMPEConfig(security_degree=1 + index % 2, exact=exact),
+            degree,
+            3,
+            ReproRandom(6000 + index),
+            amplify=amplify,
+            offset=offset,
+        )
+        while len(pool):
+            bundle = pool.pop()
+            yield (bundle.mask.coefficients, bundle.amplifier, bundle.offset)
+
+
+def batch_sender_draws():
+    """The per-query masks and amplifiers of batched senders."""
+    for index, (q, degree, batch_size) in enumerate([(1, 1, 1), (2, 2, 3), (3, 1, 4)]):
+        sender = _BatchSender(
+            "alice",
+            degree_function(degree),
+            OMPEConfig(security_degree=q),
+            ReproRandom(7000 + index),
+            TimingRecorder(),
+        )
+        channel = Channel("alice", "bob")
+        sender.connect(channel)
+        channel.send("bob", "ompe-batch/request", (2, batch_size))
+        sender.handle_request()
+        for mask, amplifier in zip(sender._masks, sender.amplifiers):
+            yield (mask.coefficients, amplifier, 0)
+
+
 def digest(messages) -> str:
     sha = hashlib.sha256()
     for message in messages:
@@ -160,11 +232,17 @@ def digest(messages) -> str:
 #: SHA-256 over the encoded points messages of the grids above, recorded
 #: from the ``Polynomial.random`` receiver before the lattice hot path
 #: existed.  They pin the per-coordinate fork labels and draw order.
+#: The ``sender-*`` digests pin the sender's mask/amplifier/offset draws
+#: the same way; labels and T² are exact whatever the masks, so no
+#: other test would notice a change of fork label or draw order.
 KNOWN_ANSWERS = {
     "online": "f901401936816823d10d4ba0d6479aa3fc6be4b763d023eab448803ce54a39fb",
     "batch": "236f9a4bc13bc2c62932e851f94a03b9907ec701019247cf2aeb833b61876844",
     "pooled": "ba9133229d37bc3cc3f4812b5d96a36abe0e69dead50b4d65eaf689836aaef0e",
     "float": "816e85815d572f1911c20539b3afa0b19f97a345465dfd9d5599b46ab8a9f2dc",
+    "sender-online": "cf7d0a02c3f84a24f61d396d344e24eb4ef736803d3c7f176bc02e1f0efdaba6",
+    "sender-pooled": "a260e23771535e4ec234f6cb2b981bb1337fe38381a8ac526a09df64f476d337",
+    "sender-batch": "685b1c4e9267c77001229196aaf32733cc25ec4b618da59bf57741e783a34e19",
 }
 
 GRIDS = {
@@ -172,6 +250,9 @@ GRIDS = {
     "batch": batch_messages,
     "pooled": pooled_messages,
     "float": float_messages,
+    "sender-online": online_sender_draws,
+    "sender-pooled": pooled_sender_draws,
+    "sender-batch": batch_sender_draws,
 }
 
 
