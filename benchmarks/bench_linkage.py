@@ -14,11 +14,7 @@ workload and records pair throughput per backend in
   transport;
 * **resume** — a run SIGKILLed mid-chunk (the store's deterministic
   crash hook) and resumed must reproduce the uninterrupted run's
-  filtered pair set byte for byte;
-* **pool health** — a linkage-sized encryption budget drawn from the
-  shared Paillier pool never finds it dry (the low-water refill keeps
-  ``repro_precompute_randomizers_available`` above zero) and every
-  refill is attributed to its trigger.
+  filtered pair set byte for byte.
 
 Correctness is asserted unconditionally; only the scaling gate is
 CPU-gated.
@@ -37,10 +33,7 @@ from pathlib import Path
 import pytest
 
 from artifact import BENCH_DIR, BENCH_SEED, update_artifact
-from repro import obs
 from repro.core.similarity import evaluate_similarity_private
-from repro.crypto.paillier import generate_keypair
-from repro.crypto.precompute import PrecomputeService
 from repro.linkage import (
     EngineLinkageRunner,
     LinkageJobSpec,
@@ -320,39 +313,6 @@ def test_resume_after_kill_is_bit_identical(workload, tmp_path):
             "crash_after_lines": crash_after,
             "surviving_pairs": survivors,
             "matches_bytes_identical": True,
-        },
-        directory=_artifact_dir(),
-    )
-
-
-def test_pool_health_at_linkage_scale():
-    """A linkage-sized encryption budget never finds the shared pool
-    dry: the low-water refill tops it up between takes."""
-    budget = LEFT * RIGHT  # one hypothetical encryption per pair
-    public, _private = generate_keypair(bits=128, rng=ReproRandom(BENCH_SEED))
-    service = PrecomputeService(seed=BENCH_SEED)
-    pool = service.paillier_pool(public, batch=32)
-    registry = obs.get_metrics()
-    for _ in range(budget):
-        pool.take()
-        assert pool.available > 0, "pool went dry mid-run"
-    refills = registry.counter("repro_precompute_pool_refills_total")
-    bits = str(public.n.bit_length())
-    assert refills.value(trigger="empty", bits=bits) == 0
-    low_water = refills.value(trigger="low-water", bits=bits)
-    assert low_water >= 1
-    print(
-        f"\n{budget} takes, {pool.available} randomizers still ready, "
-        f"{int(low_water)} low-water refills, 0 cold refills"
-    )
-    update_artifact(
-        "linkage",
-        "pool_health",
-        {
-            "takes": budget,
-            "available_after": pool.available,
-            "low_water_refills": int(low_water),
-            "empty_refills": 0,
         },
         directory=_artifact_dir(),
     )

@@ -404,7 +404,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         max_connections=args.workers,
         drain_timeout=args.drain_timeout,
         output_policy=output_policy,
-        precompute=args.precompute,
         session_workers=args.session_workers,
         models=models,
     ) as server:
@@ -414,7 +413,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         policy_note = (
             f", output policy {output_policy.label}" if output_policy else ""
         )
-        precompute_note = "warm" if args.precompute else "cold"
         if models:
             what = (
                 f"{len(models)} keyed models from {args.models_dir} "
@@ -429,8 +427,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
               f"up to {args.workers} concurrent connections, "
               f"protocols v1+v2 ({args.session_workers} session workers)"
               f"{policy_note}, "
-              f"bignum backend {fastpath.backend_name()}, "
-              f"precompute {precompute_note})")
+              f"bignum backend {fastpath.backend_name()})")
         if args.port_file:
             with open(args.port_file, "w", encoding="utf-8") as handle:
                 handle.write(str(port))
@@ -801,11 +798,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "session: raw, threshold:<t>, top-k:<k>, or "
                             "permuted (clients requesting a different "
                             "policy are refused)")
-    serve.add_argument("--precompute", default=True,
-                       action=argparse.BooleanOptionalAction,
-                       help="warm the shared precompute store (generator "
-                            "tables) at startup so sessions never rebuild "
-                            "it; --no-precompute measures cold starts")
 
     remote_classify = sub.add_parser(
         "remote-classify",

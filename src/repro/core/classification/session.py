@@ -18,7 +18,7 @@ import numpy as np
 from repro import obs
 from repro.core.classification.linear import ClassificationOutcome, _label_from_value
 from repro.core.ompe import OMPEConfig, OMPEFunction, execute_ompe
-from repro.core.ompe.precompute import ReceiverPool, SenderPool
+from repro.core.ompe.precompute import ReceiverPool, SenderPool, draw_pools
 from repro.exceptions import ValidationError
 from repro.ml.svm.model import SVMModel
 from repro.utils.rng import ReproRandom
@@ -93,19 +93,11 @@ class PrivateClassificationSession:
             pool_size=self.pool_size,
             refill=self._refills,
         ):
-            pool_rng = self._root.fork("pools", self._refills)
-            self._sender_pool = SenderPool(
+            self._sender_pool, self._receiver_pool = draw_pools(
                 self.config,
-                self._function.total_degree,
+                self._function,
                 self.pool_size,
-                pool_rng.fork("sender"),
-            )
-            self._receiver_pool = ReceiverPool(
-                self.config,
-                self._function.arity,
-                self._function.total_degree,
-                self.pool_size,
-                pool_rng.fork("receiver"),
+                self._root.fork("pools", self._refills),
             )
         metrics = obs.get_metrics()
         if metrics.enabled:

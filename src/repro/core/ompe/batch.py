@@ -17,9 +17,10 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from repro import obs
-from repro.core.ompe.config import OMPEConfig, draw_amplifier
+from repro.core.ompe.config import OMPEConfig
 from repro.core.ompe.function import OMPEFunction, as_exact_vector
-from repro.core.ompe.hiding import disguise_vector, draw_hiders
+from repro.core.ompe.hiding import disguise_vector, draw_hiders, draw_nodes
+from repro.core.ompe.precompute import draw_sender_bundle
 from repro.crypto.ot.k_of_n import KOfNReceiver, KOfNSender
 from repro.exceptions import OMPEError, ProtocolAbort, ValidationError
 from repro.math.interpolation import lagrange_at_zero
@@ -64,21 +65,14 @@ class _BatchSender(Party):
         with obs.get_tracer().span(
             "ompe.params", party=self.name, phase="params", batch=batch_size
         ), self.timings.measure("sender/randomize"):
-            mask_degree = self.function.total_degree * self.config.security_degree
             for index in range(batch_size):
-                draw = self.rng.fork("query", index)
-                self._masks.append(
-                    Polynomial.random(
-                        mask_degree,
-                        draw.fork("mask"),
-                        constant_term=0,
-                        coefficient_bound=self.config.coefficient_bound,
-                        exact=self.config.exact,
-                    )
+                bundle = draw_sender_bundle(
+                    self.rng.fork("query", index),
+                    self.config,
+                    self.function.total_degree,
                 )
-                self.amplifiers.append(
-                    draw_amplifier(draw.fork("amplifier"), exact=self.config.exact)
-                )
+                self._masks.append(bundle.mask)
+                self.amplifiers.append(bundle.amplifier)
         cover_count = self.config.cover_count(self.function.total_degree)
         pair_count = self.config.pair_count(self.function.total_degree)
         self.send(
@@ -175,9 +169,7 @@ class _BatchReceiver(Party):
             for query_index, input_vector in enumerate(self.inputs):
                 draw = self.rng.fork("query", query_index)
                 hiders = draw_hiders(draw, ("g",), input_vector, self.config)
-                nodes = draw.fork("nodes").distinct_fractions(
-                    pair_count, -self.config.node_bound, self.config.node_bound
-                )
+                nodes = draw_nodes(draw.fork("nodes"), pair_count, self.config)
                 positions = draw.fork("positions").sample_indices(
                     pair_count, cover_count
                 )

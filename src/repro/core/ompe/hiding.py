@@ -153,9 +153,13 @@ def disguise_vector(
     return hiders.at(node)
 
 
-def _float_nodes(draw: ReproRandom, count: int, bound: int) -> List[float]:
+def draw_nodes(draw: ReproRandom, count: int, config: OMPEConfig) -> List[Number]:
+    """``count`` distinct nonzero interpolation nodes in ``±node_bound``."""
+    bound = config.node_bound
+    if config.exact:
+        return draw.distinct_fractions(count, -bound, bound)
     seen = set()
-    nodes: List[float] = []
+    nodes: List[Number] = []
     while len(nodes) < count:
         value = draw.uniform(-bound, bound)
         if abs(value) > 1e-9 and value not in seen:
@@ -177,12 +181,7 @@ def points_message(
     hiders, reused at all ``m`` cover nodes, and one per disguise.
     """
     hiders = draw_hiders(draw.fork("covers"), ("g",), input_vector, config)
-    if config.exact:
-        nodes = draw.fork("nodes").distinct_fractions(
-            pair_count, -config.node_bound, config.node_bound, exclude_zero=True
-        )
-    else:
-        nodes = _float_nodes(draw.fork("nodes"), pair_count, config.node_bound)
+    nodes = draw_nodes(draw.fork("nodes"), pair_count, config)
     positions = draw.fork("positions").sample_indices(pair_count, cover_count)
     position_set = set(positions)
     disguise_draw = draw.fork("disguises")

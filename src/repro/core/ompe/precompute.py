@@ -13,7 +13,9 @@ an OMPE run is independent of the actual query:
 
 :class:`SenderPool` and :class:`ReceiverPool` pre-generate batches of
 these bundles; the sender/receiver classes pop from them during the
-online phase.  ``benchmarks/bench_ablation_precompute.py`` measures the
+online phase.  :func:`draw_sender_bundle` is the one sender draw: the
+pool, the online sender and the batched sender all call it, each with
+its own stream.  ``benchmarks/bench_ablation_precompute.py`` measures the
 online-latency reduction.
 """
 
@@ -23,7 +25,8 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from repro.core.ompe.config import OMPEConfig, draw_amplifier
-from repro.core.ompe.hiding import disguise_vector
+from repro.core.ompe.function import OMPEFunction
+from repro.core.ompe.hiding import disguise_vector, draw_nodes
 from repro.exceptions import OMPEError, ValidationError
 from repro.math.polynomials import Number, Polynomial
 from repro.utils.rng import ReproRandom
@@ -36,6 +39,42 @@ class SenderBundle:
     mask: Polynomial
     amplifier: Number
     offset: Number
+
+
+def draw_sender_bundle(
+    draw: ReproRandom,
+    config: OMPEConfig,
+    function_degree: int,
+    amplify: bool = True,
+    offset: bool = False,
+) -> SenderBundle:
+    """The sender's randomness for one query, drawn from ``draw``.
+
+    The mask ``h`` (degree ``deg(P)·q``, ``h(0) = 0``) comes from
+    ``draw.fork("mask")``, the amplifier ``r_a`` from
+    ``draw.fork("amplifier")`` (``1`` unless ``amplify``) and the offset
+    ``r_b`` from ``draw.fork("offset")`` (``0`` unless ``offset``).
+    """
+    mask = Polynomial.random(
+        function_degree * config.security_degree,
+        draw.fork("mask"),
+        constant_term=0,
+        coefficient_bound=config.coefficient_bound,
+        exact=config.exact,
+    )
+    amplifier: Number = 1
+    if amplify:
+        amplifier = draw_amplifier(draw.fork("amplifier"), exact=config.exact)
+    offset_value: Number = 0
+    if offset:
+        bound = config.coefficient_bound
+        offset_draw = draw.fork("offset")
+        offset_value = (
+            offset_draw.nonzero_fraction(-bound, bound)
+            if config.exact
+            else offset_draw.uniform(-bound, bound)
+        )
+    return SenderBundle(mask=mask, amplifier=amplifier, offset=offset_value)
 
 
 @dataclass(frozen=True)
@@ -54,7 +93,11 @@ class ReceiverBundle:
 
 
 class SenderPool:
-    """Pre-generates sender bundles for a fixed function degree."""
+    """Pre-generates sender bundles for a fixed function degree.
+
+    ``amplify`` and ``offset`` are recorded: a sender refuses a pool
+    drawn with other settings.
+    """
 
     def __init__(
         self,
@@ -73,36 +116,15 @@ class SenderPool:
             )
         self.config = config
         self.function_degree = function_degree
+        self.amplify = amplify
+        self.offset = offset
         rng = rng or ReproRandom()
-        mask_degree = function_degree * config.security_degree
-        self._bundles: List[SenderBundle] = []
-        for index in range(count):
-            draw = rng.fork("bundle", index)
-            mask = Polynomial.random(
-                mask_degree,
-                draw.fork("mask"),
-                constant_term=0,
-                coefficient_bound=config.coefficient_bound,
-                exact=config.exact,
+        self._bundles = [
+            draw_sender_bundle(
+                rng.fork("bundle", index), config, function_degree, amplify, offset
             )
-            amplifier: Number = 1
-            if amplify:
-                amplifier = draw_amplifier(draw.fork("amplifier"), exact=config.exact)
-            offset_value: Number = 0
-            if offset:
-                offset_draw = draw.fork("offset")
-                offset_value = (
-                    offset_draw.nonzero_fraction(
-                        -config.coefficient_bound, config.coefficient_bound
-                    )
-                    if config.exact
-                    else offset_draw.uniform(
-                        -config.coefficient_bound, config.coefficient_bound
-                    )
-                )
-            self._bundles.append(
-                SenderBundle(mask=mask, amplifier=amplifier, offset=offset_value)
-            )
+            for index in range(count)
+        ]
 
     def __len__(self) -> int:
         return len(self._bundles)
@@ -158,22 +180,7 @@ class ReceiverPool:
                 )
                 for position in range(arity)
             )
-            if config.exact:
-                nodes = tuple(
-                    draw.fork("nodes").distinct_fractions(
-                        pair_count, -config.node_bound, config.node_bound
-                    )
-                )
-            else:
-                node_draw = draw.fork("nodes")
-                seen = set()
-                node_list: List[float] = []
-                while len(node_list) < pair_count:
-                    value = node_draw.uniform(-config.node_bound, config.node_bound)
-                    if abs(value) > 1e-9 and value not in seen:
-                        seen.add(value)
-                        node_list.append(value)
-                nodes = tuple(node_list)
+            nodes = tuple(draw_nodes(draw.fork("nodes"), pair_count, config))
             positions = tuple(
                 draw.fork("positions").sample_indices(pair_count, cover_count)
             )
@@ -216,3 +223,15 @@ class ReceiverPool:
         if not self._bundles:
             raise OMPEError("receiver precomputation pool exhausted")
         return self._bundles.pop()
+
+
+def draw_pools(
+    config: OMPEConfig, function: OMPEFunction, count: int, rng: ReproRandom
+) -> Tuple[SenderPool, ReceiverPool]:
+    """A matching sender/receiver pool pair of ``count`` bundles for
+    ``function``, drawn from ``rng.fork("sender")`` / ``rng.fork("receiver")``."""
+    degree = function.total_degree
+    return (
+        SenderPool(config, degree, count, rng.fork("sender")),
+        ReceiverPool(config, function.arity, degree, count, rng.fork("receiver")),
+    )

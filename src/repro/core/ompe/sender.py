@@ -17,8 +17,9 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro import obs
-from repro.core.ompe.config import OMPEConfig, draw_amplifier
+from repro.core.ompe.config import OMPEConfig
 from repro.core.ompe.function import OMPEFunction
+from repro.core.ompe.precompute import draw_sender_bundle
 from repro.crypto.ot.k_of_n import KOfNSender
 from repro.exceptions import OMPEError, ProtocolAbort
 from repro.math import fastpath
@@ -49,11 +50,18 @@ class OMPESender(Party):
         self.amplify = amplify
         self.offset = offset
         self.pool = pool
-        if pool is not None and pool.function_degree != function.total_degree:
-            raise OMPEError(
-                f"precomputation pool was built for degree "
-                f"{pool.function_degree}, function has {function.total_degree}"
-            )
+        if pool is not None:
+            if pool.function_degree != function.total_degree:
+                raise OMPEError(
+                    f"precomputation pool was built for degree "
+                    f"{pool.function_degree}, function has {function.total_degree}"
+                )
+            if (pool.amplify, pool.offset) != (amplify, offset):
+                raise OMPEError(
+                    f"precomputation pool was built for amplify={pool.amplify}, "
+                    f"offset={pool.offset}; sender has amplify={amplify}, "
+                    f"offset={offset}"
+                )
         self.timings = timings or TimingRecorder()
         self.amplifier: Number = 1
         self.offset_value: Number = 0
@@ -77,37 +85,17 @@ class OMPESender(Party):
                     )
                 if self.pool is not None:
                     bundle = self.pool.pop()
-                    self._mask = bundle.mask
-                    self.amplifier = bundle.amplifier
-                    self.offset_value = bundle.offset
                 else:
-                    mask_degree = (
-                        self.function.total_degree * self.config.security_degree
+                    bundle = draw_sender_bundle(
+                        self.rng,
+                        self.config,
+                        self.function.total_degree,
+                        self.amplify,
+                        self.offset,
                     )
-                    self._mask = Polynomial.random(
-                        mask_degree,
-                        self.rng.fork("mask"),
-                        constant_term=0,
-                        coefficient_bound=self.config.coefficient_bound,
-                        exact=self.config.exact,
-                    )
-                    if self.amplify:
-                        self.amplifier = draw_amplifier(
-                            self.rng.fork("amplifier"), exact=self.config.exact
-                        )
-                    if self.offset:
-                        draw = self.rng.fork("offset")
-                        self.offset_value = (
-                            draw.nonzero_fraction(
-                                -self.config.coefficient_bound,
-                                self.config.coefficient_bound,
-                            )
-                            if self.config.exact
-                            else draw.uniform(
-                                -self.config.coefficient_bound,
-                                self.config.coefficient_bound,
-                            )
-                        )
+                self._mask = bundle.mask
+                self.amplifier = bundle.amplifier
+                self.offset_value = bundle.offset
                 self._cover_count = self.config.cover_count(
                     self.function.total_degree
                 )

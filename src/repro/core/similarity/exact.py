@@ -68,22 +68,3 @@ def exact_poly_kernel(
     if degree < 1:
         raise ValidationError(f"degree must be at least 1, got {degree}")
     return (a0 * exact_dot(first, second) + b0) ** degree
-
-
-def exact_distance_squared(
-    first: Sequence[Fraction], second: Sequence[Fraction]
-) -> Fraction:
-    """Exact squared Euclidean distance."""
-    if len(first) != len(second):
-        raise ValidationError("distance of mismatched vectors")
-    if fastpath.enabled():
-        combined = fastpath.scale_to_integers(tuple(first) + tuple(second))
-        if combined is not None:
-            half = len(first)
-            numerators, common, _ = combined
-            total = sum(
-                (a - b) ** 2
-                for a, b in zip(numerators[:half], numerators[half:])
-            )
-            return Fraction(total, common * common)
-    return sum(((a - b) ** 2 for a, b in zip(first, second)), Fraction(0))

@@ -18,12 +18,10 @@ Fixed-point encoding maps signed rationals onto ``Z_n``.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple, Union
 
-from repro import obs
 from repro.exceptions import DecryptionError, KeyGenerationError, ValidationError
 from repro.math import fastpath
 from repro.math.numtheory import crt_combine, generate_prime, lcm, modular_inverse
@@ -177,7 +175,10 @@ class RandomizerPool:
     precomputation.  The pool draws its ``r`` values from the caller's
     rng in encryption order, so the ``i``-th pooled encryption uses
     exactly the randomizer the ``i``-th unpooled encryption would have
-    drawn: ciphertext streams are identical.
+    drawn: ciphertext streams are identical.  It is the private pool
+    behind ``PaillierCipher(pool_batch=...)``, which the Paillier
+    baseline benchmarks use; nothing shares it across threads or
+    processes.
     """
 
     def __init__(
@@ -190,103 +191,30 @@ class RandomizerPool:
         self._batch = batch
         self._ready: List[int] = []
         self.precomputed_total = 0
-        self.taken_total = 0
-        self.refills_total = 0
 
-    def refill(self, count: Optional[int] = None, trigger: str = "manual") -> None:
-        """Precompute ``count`` (default: one batch of) randomizers.
-
-        ``trigger`` labels the refill counter: ``"manual"`` (explicit
-        warm-up), ``"empty"`` (a :meth:`take` found the pool dry and
-        had to refill inline — the slow path long batch runs should
-        avoid), or ``"low-water"`` (a proactive top-up by
-        :class:`~repro.crypto.precompute.SharedRandomizerPool`).
-        """
+    def refill(self, count: Optional[int] = None) -> None:
+        """Precompute ``count`` (default: one batch of) randomizers."""
         count = self._batch if count is None else count
         n = self.public_key.n
         n_sq = self.public_key.n_squared
         powmod = _powmod()
-        started = time.perf_counter()
         fresh = [
             powmod(self._rng.randrange_coprime(n), n, n_sq) for _ in range(count)
         ]
-        elapsed = time.perf_counter() - started
         fresh.reverse()  # take() pops from the end, oldest first
         self._ready[:0] = fresh
         self.precomputed_total += count
-        self.refills_total += 1
-        self._record_health(refill_seconds=elapsed, trigger=trigger)
 
     def take(self) -> int:
         """Pop the next randomizer, refilling the pool when empty."""
         if not self._ready:
-            self.refill(trigger="empty")
-        self.taken_total += 1
-        randomizer = self._ready.pop()
-        self._record_health()
-        return randomizer
+            self.refill()
+        return self._ready.pop()
 
     @property
     def available(self) -> int:
         """Randomizers currently precomputed and unused."""
         return len(self._ready)
-
-    def export_ready(self) -> List[int]:
-        """The unused randomizers, oldest first (for cross-process sharding)."""
-        return list(reversed(self._ready))
-
-    def adopt(self, ready: List[int], precomputed_total: Optional[int] = None) -> None:
-        """Replace the ready queue with externally precomputed randomizers.
-
-        Used by the precompute service to hand each engine worker a
-        *disjoint* shard of a warm batch — randomizers are never
-        duplicated across processes (reuse would break semantic
-        security), only redistributed.
-        """
-        self._ready = list(reversed(ready))
-        self.precomputed_total = (
-            len(ready) if precomputed_total is None else precomputed_total
-        )
-        self._record_health()
-
-    def _record_health(
-        self,
-        refill_seconds: Optional[float] = None,
-        trigger: Optional[str] = None,
-    ) -> None:
-        """Export pool health into the metrics registry (when enabled).
-
-        The plain attributes (``precomputed_total``, ``available``,
-        ``taken_total``) remain the source of truth; the gauges mirror
-        them so ``repro observe`` / ``repro top`` see pool state
-        without holding a reference to the pool object.
-        """
-        metrics = obs.get_metrics()
-        if not metrics.enabled:
-            return
-        bits = str(self.public_key.n.bit_length())
-        metrics.gauge(
-            "repro_precompute_randomizers_total",
-            "Randomizers ever precomputed by a Paillier pool",
-        ).set(self.precomputed_total, bits=bits)
-        metrics.gauge(
-            "repro_precompute_randomizers_available",
-            "Randomizers precomputed and not yet consumed",
-        ).set(len(self._ready), bits=bits)
-        metrics.gauge(
-            "repro_precompute_randomizers_outstanding",
-            "Randomizers already consumed by encryptions",
-        ).set(self.taken_total, bits=bits)
-        if refill_seconds is not None:
-            metrics.histogram(
-                "repro_precompute_refill_seconds",
-                "Latency of Paillier randomizer-pool refills",
-            ).observe(refill_seconds, bits=bits)
-        if trigger is not None:
-            metrics.counter(
-                "repro_precompute_pool_refills_total",
-                "Paillier randomizer-pool refills, by trigger",
-            ).inc(trigger=trigger, bits=bits)
 
 
 class FixedPointCodec:

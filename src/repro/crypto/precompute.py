@@ -1,114 +1,40 @@
-"""Warm shared precompute service for group and Paillier material.
+"""Warm shared precompute service for the OT group's generator tables.
 
-PR 3 introduced two per-process caches: the window-8 generator tables
-in :mod:`repro.math.groups` and the Paillier ``r^n``
-:class:`~repro.crypto.paillier.RandomizerPool`.  Both were rebuilt
-silently in every process that touched them — notably in *every*
-:class:`~repro.engine.engine.ProtocolEngine` worker, because nothing
-warmed the parent before the fork.  This module promotes those caches
-into an explicit service:
+The window-8 generator tables in :mod:`repro.math.groups` are public
+precompute: the same for every session over one group.  Built
+silently, they would be rebuilt in every process that touched them —
+notably in *every* :class:`~repro.engine.engine.ProtocolEngine` worker,
+because nothing warmed the parent before the fork.  This module makes
+that warm-up explicit:
 
 * :meth:`PrecomputeService.warm_group` builds (or confirms) the
   generator table for a ``(p, q, g)`` triple **once**, recording
   ``repro_precompute_hits_total`` / ``repro_precompute_misses_total``
   and build-time histograms in the active metrics registry;
 * :meth:`PrecomputeService.export_state` /
-  :meth:`PrecomputeService.install_state` serialize warm material into
+  :meth:`PrecomputeService.install_state` serialize warm tables into
   a picklable blob — the engine ships it inside the worker spec, so
   workers under both ``fork`` (inherit) and ``spawn`` (install) start
   warm, and :class:`~repro.net.service.TrainerServer` warms at
-  construction so every accepted session runs on hot tables;
-* :meth:`PrecomputeService.paillier_pool` hands out one shared,
-  thread-safe randomizer pool per public key.  Exported pool state is
-  **sharded, never duplicated** across workers: reusing an ``r^n``
-  randomizer in two ciphertexts would break semantic security.
+  construction so every accepted session runs on hot tables.
 
 The service is deliberately process-global (one warm store per
-process), mirroring the caches it fronts; :func:`reset_precompute_service`
+process), mirroring the cache it fronts; :func:`reset_precompute_service`
 exists for test isolation.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Dict, List, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro import obs
-from repro.crypto.paillier import PaillierPublicKey, RandomizerPool
-from repro.exceptions import ValidationError
 from repro.math import groups
 from repro.math.groups import SchnorrGroup
-from repro.utils.rng import ReproRandom, derive_seed
-
-
-class SharedRandomizerPool:
-    """A thread-safe facade over one :class:`RandomizerPool`.
-
-    ``TrainerServer`` sessions run on concurrent threads; the raw pool
-    mutates a plain list.  This wrapper serializes ``take``/``refill``
-    so one warm pool can serve every session.  It is duck-compatible
-    with the raw pool where it matters: ``encrypt_raw(pool=...)`` only
-    calls :meth:`take`.
-
-    ``low_water`` keeps sustained batch runs warm: whenever a take
-    leaves fewer than that many randomizers ready, the pool tops itself
-    up by a batch *before* the next encryption arrives, so
-    ``repro_precompute_randomizers_available`` never silently hits zero
-    and no encryption ever pays the cold ``trigger="empty"`` refill
-    inline.  ``low_water=0`` restores the old drain-then-refill
-    behaviour.
-    """
-
-    def __init__(self, pool: RandomizerPool, low_water: int = 0) -> None:
-        if low_water < 0:
-            raise ValidationError(
-                f"low_water must be non-negative, got {low_water}"
-            )
-        self._pool = pool
-        self._low_water = low_water
-        self._lock = threading.Lock()
-
-    def take(self) -> int:
-        with self._lock:
-            randomizer = self._pool.take()
-            if self._low_water and self._pool.available <= self._low_water:
-                self._pool.refill(trigger="low-water")
-            return randomizer
-
-    def refill(self, count: Optional[int] = None) -> None:
-        with self._lock:
-            self._pool.refill(count)
-
-    @property
-    def low_water(self) -> int:
-        return self._low_water
-
-    @property
-    def refills_total(self) -> int:
-        return self._pool.refills_total
-
-    @property
-    def available(self) -> int:
-        return self._pool.available
-
-    @property
-    def precomputed_total(self) -> int:
-        return self._pool.precomputed_total
-
-    @property
-    def public_key(self) -> PaillierPublicKey:
-        return self._pool.public_key
 
 
 class PrecomputeService:
-    """Process-wide warm store of group tables and Paillier pools."""
-
-    def __init__(self, seed: int = 0) -> None:
-        self._seed = seed
-        self._lock = threading.Lock()
-        self._pools: Dict[int, SharedRandomizerPool] = {}
-
-    # -- group tables ------------------------------------------------------
+    """Process-wide warm store of group generator tables."""
 
     def warm_group(self, group: SchnorrGroup) -> None:
         """Ensure the generator table for ``group`` is built and hot.
@@ -128,134 +54,24 @@ class PrecomputeService:
                     "Precompute-store hits served from warm material",
                 ).inc(kind="fixed-base-table")
 
-    def warm_groups(self, group_list: Sequence[SchnorrGroup]) -> None:
-        for group in group_list:
-            self.warm_group(group)
-
-    def warmed_group_keys(self) -> List[tuple]:
-        """``(p, q, g)`` triples currently warm in this process."""
-        return groups.cached_table_keys()
-
-    # -- paillier pools ----------------------------------------------------
-
-    def paillier_pool(
-        self,
-        public_key: PaillierPublicKey,
-        batch: int = 64,
-        warm: bool = True,
-        low_water: Optional[int] = None,
-    ) -> SharedRandomizerPool:
-        """One shared randomizer pool per public key, built on demand.
-
-        The pool draws from a dedicated rng seeded by
-        ``derive_seed(service seed, "paillier-pool", n)`` — shared
-        pools trade the pooled-equals-unpooled ciphertext-stream
-        guarantee (which requires the *caller's* rng) for cross-session
-        amortization; callers needing that guarantee keep constructing
-        private pools via ``PaillierCipher(pool_batch=...)``.
-
-        ``low_water`` defaults to a quarter batch: sustained batch runs
-        (the linkage pipeline's million-pair jobs) top the pool up
-        proactively instead of letting an encryption hit an empty pool
-        and pay a cold inline refill.  Pass ``low_water=0`` for the old
-        drain-then-refill behaviour.
-        """
-        if batch < 1:
-            raise ValidationError(f"batch must be at least 1, got {batch}")
-        if low_water is None:
-            low_water = max(1, batch // 4)
-        key = public_key.n
-        with self._lock:
-            shared = self._pools.get(key)
-            if shared is None:
-                rng = ReproRandom(derive_seed(self._seed, "paillier-pool", key))
-                shared = SharedRandomizerPool(
-                    RandomizerPool(public_key, rng, batch=batch),
-                    low_water=low_water,
-                )
-                self._pools[key] = shared
-        if warm and shared.available == 0:
-            shared.refill()
-        return shared
-
     # -- cross-process hand-off --------------------------------------------
 
     def export_state(
-        self,
-        group_list: Optional[Sequence[SchnorrGroup]] = None,
-        shard_index: int = 0,
-        shard_count: int = 1,
+        self, group_list: Optional[Sequence[SchnorrGroup]] = None
     ) -> dict:
-        """Serialize warm material for another process (picklable).
-
-        Tables are exported whole (they are pure public precompute);
-        pool randomizers are exported as the ``shard_index``-th of
-        ``shard_count`` disjoint slices so no randomizer ever lands in
-        two processes.
-        """
-        if shard_count < 1 or not 0 <= shard_index < shard_count:
-            raise ValidationError(
-                f"invalid shard {shard_index}/{shard_count}"
-            )
+        """Serialize warm tables (all, or ``group_list``'s) for another process."""
         keys = None
         if group_list is not None:
             keys = [(g.p, g.q, g.g) for g in group_list]
-        with self._lock:
-            pools = [
-                {
-                    "n": shared.public_key.n,
-                    "ready": shared._pool.export_ready()[shard_index::shard_count],
-                    "batch": shared._pool._batch,
-                }
-                for shared in self._pools.values()
-            ]
-        return {
-            "tables": groups.export_fixed_base_tables(keys),
-            "pools": pools,
-            "shard": (shard_index, shard_count),
-        }
+        return {"tables": groups.export_fixed_base_tables(keys)}
 
-    def install_state(self, state: dict) -> Dict[str, int]:
-        """Install exported material into this process's warm store.
+    def install_state(self, state: dict) -> int:
+        """Install exported tables into this process; returns how many.
 
-        Returns ``{"tables": installed, "pools": installed}``.  Under
-        ``fork`` the tables already exist (inherited) and install is a
-        no-op; under ``spawn`` this is what makes the worker warm.
+        Under ``fork`` the tables already exist (inherited) and install
+        is a no-op; under ``spawn`` this is what makes the worker warm.
         """
-        installed_tables = groups.install_fixed_base_tables(
-            state.get("tables", ())
-        )
-        installed_pools = 0
-        shard_index, shard_count = state.get("shard", (0, 1))
-        for blob in state.get("pools", ()):
-            public_key = PaillierPublicKey(n=blob["n"])
-            shared = self.paillier_pool(
-                public_key, batch=blob.get("batch", 64), warm=False
-            )
-            with shared._lock:
-                if blob["ready"]:
-                    shared._pool.adopt(blob["ready"])
-                    installed_pools += 1
-                if shard_count > 1:
-                    # Post-shard refills MUST diverge per worker: every
-                    # process's pool was seeded with the same
-                    # ``(seed, "paillier-pool", n)`` stream, so once a
-                    # long batch run drains its shard, identically
-                    # seeded refills would hand the *same* ``r^n``
-                    # randomizers to every worker — randomizer reuse
-                    # across ciphertexts, a semantic-security break.
-                    # Re-seed the refill stream with the shard index so
-                    # exhausted shards refill disjointly.
-                    shared._pool._rng = ReproRandom(
-                        derive_seed(
-                            self._seed,
-                            "paillier-pool-shard",
-                            blob["n"],
-                            shard_index,
-                            shard_count,
-                        )
-                    )
-        return {"tables": installed_tables, "pools": installed_pools}
+        return groups.install_fixed_base_tables(state.get("tables", ()))
 
     # -- observability -----------------------------------------------------
 
@@ -282,21 +98,11 @@ class PrecomputeService:
 
     def stats(self) -> dict:
         """Human-readable snapshot for the CLI."""
-        table_stats = groups.fixed_base_table_stats()
-        with self._lock:
-            pool_stats = {
-                str(n): {
-                    "available": shared.available,
-                    "precomputed_total": shared.precomputed_total,
-                }
-                for n, shared in self._pools.items()
-            }
         return {
             "tables": {
                 "cached": len(groups.cached_table_keys()),
-                **table_stats,
+                **groups.fixed_base_table_stats(),
             },
-            "paillier_pools": pool_stats,
         }
 
 

@@ -128,7 +128,6 @@ class ProtocolEngine:
         policy: Optional[EnginePolicy] = None,
         seed: int = 0,
         trace: bool = False,
-        precompute: bool = True,
         models: Optional[Mapping[str, SVMModel]] = None,
         params=None,
     ) -> None:
@@ -150,7 +149,6 @@ class ProtocolEngine:
         self.workers = workers
         self.queue_capacity = queue_capacity
         self.seed = seed
-        self.precompute = precompute
         self.spec = make_spec(
             model,
             config=config,
@@ -182,18 +180,16 @@ class ProtocolEngine:
         """Spawn the worker fleet (idempotent)."""
         if self._started:
             return self
-        if self.precompute:
-            # Warm the generator table in the *parent* before the fleet
-            # exists: fork children inherit the hot cache outright, and
-            # the serialized copy in the spec covers spawn contexts.
-            # Without this, every worker silently rebuilt the table.
-            service = get_precompute_service()
-            group = self.spec.config.resolved_group()
-            service.warm_group(group)
-            self.spec = replace(
-                self.spec,
-                warm_state=service.export_state(group_list=[group]),
-            )
+        # Warm the generator table in the *parent* before the fleet
+        # exists: fork children inherit the hot cache outright, and the
+        # serialized copy in the spec covers spawn contexts.  Without
+        # this, every worker silently rebuilt the table.
+        service = get_precompute_service()
+        group = self.spec.config.resolved_group()
+        service.warm_group(group)
+        self.spec = replace(
+            self.spec, warm_state=service.export_state(group_list=[group])
+        )
         try:
             ctx = multiprocessing.get_context("fork")
         except ValueError:  # pragma: no cover - non-POSIX fallback
@@ -448,7 +444,6 @@ def run_engine(
     policy: Optional[EnginePolicy] = None,
     seed: int = 0,
     trace: bool = False,
-    precompute: bool = True,
 ) -> EngineReport:
     """One-shot convenience: classify ``samples`` through an engine."""
     with ProtocolEngine(
@@ -460,7 +455,6 @@ def run_engine(
         policy=policy,
         seed=seed,
         trace=trace,
-        precompute=precompute,
     ) as engine:
         for sample in samples:
             engine.submit_classification(sample)

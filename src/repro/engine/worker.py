@@ -31,7 +31,7 @@ from repro.core.classification.linear import _label_from_value
 from repro.crypto.precompute import get_precompute_service
 from repro.math import groups
 from repro.core.ompe import OMPEConfig, OMPEFunction, execute_ompe
-from repro.core.ompe.precompute import ReceiverPool, SenderPool
+from repro.core.ompe.precompute import ReceiverPool, SenderPool, draw_pools
 from repro.core.similarity import (
     MetricParams,
     SimilarityProfile,
@@ -220,24 +220,16 @@ class WorkerState:
         transparently instead, so a long drain never trips exhaustion.
         """
         self.refills += 1
-        pool_rng = self.root.fork("pools", self.refills)
-        self.sender_pool = SenderPool(
+        self.sender_pool, self.receiver_pool = draw_pools(
             self.spec.config,
-            self.function.total_degree,
+            self.function,
             self.spec.pool_size,
-            pool_rng.fork("sender"),
-        )
-        self.receiver_pool = ReceiverPool(
-            self.spec.config,
-            self.function.arity,
-            self.function.total_degree,
-            self.spec.pool_size,
-            pool_rng.fork("receiver"),
+            self.root.fork("pools", self.refills),
         )
         metrics = obs.get_metrics()
         if metrics.enabled:
             metrics.counter(
-                "repro_engine_pool_refills_total",
+                "repro_engine_refills_total",
                 "Precompute pool refills across engine workers",
             ).inc()
 

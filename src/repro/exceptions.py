@@ -25,10 +25,6 @@ class InterpolationError(MathError):
     """Interpolation is impossible (duplicate nodes, too few points)."""
 
 
-class RootFindingError(MathError):
-    """A root finder failed to bracket or converge on a root."""
-
-
 class CryptoError(ReproError):
     """Base class for cryptographic failures."""
 

@@ -581,11 +581,6 @@ class MuxClientConnection:
             self._sessions.pop(session.id, None)
             self._finished_ids.add(session.id)
 
-    @property
-    def open_sessions(self) -> int:
-        with self._sessions_lock:
-            return len(self._sessions)
-
     # -- control (session 0) -----------------------------------------------------
 
     def control_request(

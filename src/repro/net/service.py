@@ -268,7 +268,6 @@ class TrainerServer:
         drain_timeout: float = 5.0,
         trace_log_size: int = 256,
         output_policy: Optional[OutputPolicy] = None,
-        precompute: bool = True,
         session_workers: int = 8,
         models: Optional[Dict[str, SVMModel]] = None,
     ) -> None:
@@ -333,17 +332,13 @@ class TrainerServer:
         self.session_workers = session_workers
         self.drain_timeout = drain_timeout
         self._function = decision_function_for_model(model)
-        #: Warm the shared precompute store before the first accept:
-        #: the generator table for this server's group is built exactly
-        #: once here, and every session (each on its own thread) then
-        #: runs on the hot table — zero per-session rebuilds.  The
-        #: ``serve --no-precompute`` flag disables this for cold-start
-        #: measurements.
-        self.precompute = precompute
-        if precompute:
-            service = get_precompute_service()
-            service.warm_group(self.config.resolved_group())
-            service.export_metrics(scope="server")
+        # Warm the shared precompute store before the first accept:
+        # the generator table for this server's group is built exactly
+        # once here, and every session then runs on the hot table —
+        # zero per-session rebuilds.
+        service = get_precompute_service()
+        service.warm_group(self.config.resolved_group())
+        service.export_metrics(scope="server")
         self._socket = wire.listen(host, port, backlog=max(4, max_connections))
         self._lock = threading.Lock()
         self._served = 0
@@ -622,12 +617,11 @@ class TrainerServer:
             raise ProtocolError("session/open 'trace' must be a trace context")
         transport = endpoint.transport
         session_id = f"s{next(self._session_ids)}"
-        if self.precompute:
-            # Hand the session the warm store: a hit here (the expected
-            # case after the constructor warmed the group) is counted
-            # as repro_precompute_hits_total{kind="fixed-base-table"};
-            # a miss rebuilds and is counted loudly as such.
-            get_precompute_service().warm_group(self.config.resolved_group())
+        # Hand the session the warm store: a hit here (the expected
+        # case after the constructor warmed the group) is counted as
+        # repro_precompute_hits_total{kind="fixed-base-table"}; a miss
+        # rebuilds and is counted loudly as such.
+        get_precompute_service().warm_group(self.config.resolved_group())
         endpoint.note_session(session_id, kind)
         metrics = obs.get_metrics()
         if metrics.enabled:

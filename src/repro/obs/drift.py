@@ -57,12 +57,6 @@ class PhaseDrift:
             return float("inf") if self.observed_bytes else 1.0
         return self.observed_bytes / self.predicted_bytes
 
-    @property
-    def relative_error(self) -> float:
-        if self.predicted_bytes == 0:
-            return float("inf") if self.observed_bytes else 0.0
-        return abs(self.observed_bytes - self.predicted_bytes) / self.predicted_bytes
-
 
 @dataclass(frozen=True)
 class DriftReport:

@@ -129,6 +129,25 @@ class TestPooledExecution:
                 sender_pool=sender_pool,
             )
 
+    def test_amplify_and_offset_mismatch_rejected(
+        self, fast_config, polynomial, function
+    ):
+        # A default pool would run amplify=False with a random amplifier
+        # and offset=True with offset 0.
+        for flags in ({"amplify": False}, {"offset": True}):
+            with pytest.raises(OMPEError, match="pool was built"):
+                execute_ompe(
+                    function, ALPHA, config=fast_config, seed=15,
+                    sender_pool=SenderPool(fast_config, 1, 2, ReproRandom(8)),
+                    **flags,
+                )
+        matching = SenderPool(fast_config, 1, 1, ReproRandom(8), amplify=False)
+        outcome = execute_ompe(
+            function, ALPHA, config=fast_config, seed=15, amplify=False,
+            sender_pool=matching,
+        )
+        assert outcome.value == polynomial(ALPHA)
+
     def test_pool_runs_differ_across_bundles(self, fast_config, function):
         sender_pool = SenderPool(fast_config, 1, 2, ReproRandom(7))
         a = execute_ompe(function, ALPHA, config=fast_config, seed=14,

@@ -252,9 +252,7 @@ class TestProfileReuse:
 class TestServerProfiles:
     def test_built_lazily_and_once_under_racing_sessions(self, light_config):
         model = PAIRS["kernel"][0]
-        server = TrainerServer(
-            model, config=light_config, params=PARAMS, precompute=False
-        )
+        server = TrainerServer(model, config=light_config, params=PARAMS)
         try:
             assert server._profiles == {}  # nothing derived at start-up
             barrier = threading.Barrier(8)

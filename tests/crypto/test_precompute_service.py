@@ -1,36 +1,28 @@
-"""The warm shared precompute service (group tables + Paillier pools).
+"""The warm shared precompute service (generator tables).
 
-Pins the PR-8 contracts:
+Pins its contracts:
 
 * ``warm_group`` builds once and records hits/misses in the metrics
   registry (miss path inside ``fixed_base_table``, hit path in the
   service);
 * ``export_state`` / ``install_state`` round-trip generator tables
   bit-exactly into a cold process (simulated by clearing the module
-  cache) and hand pool randomizers out in **disjoint** shards;
-* the shared Paillier pool is one-per-key, thread-safe, and exports
-  health gauges (`repro_precompute_randomizers_*`) on every take/refill.
+  cache) and never replace a resident table.
 """
 
 from __future__ import annotations
 
-import threading
-
 import pytest
 
 from repro import obs
-from repro.crypto.paillier import generate_keypair
 from repro.crypto.precompute import (
     PrecomputeService,
-    SharedRandomizerPool,
     get_precompute_service,
     reset_precompute_service,
 )
-from repro.exceptions import ValidationError
 from repro.math import groups
 from repro.math.groups import fast_group
 from repro.obs.metrics import MetricsRegistry
-from repro.utils.rng import ReproRandom
 
 
 @pytest.fixture
@@ -48,14 +40,9 @@ def registry():
 def service():
     reset_precompute_service()
     try:
-        yield PrecomputeService(seed=7)
+        yield PrecomputeService()
     finally:
         reset_precompute_service()
-
-
-@pytest.fixture
-def keypair():
-    return generate_keypair(bits=128, rng=ReproRandom(11))
 
 
 class TestWarmGroup:
@@ -85,7 +72,7 @@ class TestWarmGroup:
     def test_warmed_group_keys_lists_triple(self, service):
         group = fast_group()
         service.warm_group(group)
-        assert (group.p, group.q, group.g) in service.warmed_group_keys()
+        assert (group.p, group.q, group.g) in groups.cached_table_keys()
 
     def test_export_metrics_scoped_gauges(self, registry, service):
         service.warm_group(fast_group())
@@ -97,6 +84,10 @@ class TestWarmGroup:
             registry.gauge("repro_precompute_table_builds").value(scope="server")
             == stats["builds"]
         )
+
+    def test_stats_shape_for_cli(self, service):
+        service.warm_group(fast_group())
+        assert service.stats()["tables"]["cached"] >= 1
 
 
 class TestStateHandOff:
@@ -110,8 +101,7 @@ class TestStateHandOff:
         saved = dict(groups._FIXED_BASE_TABLES)
         groups._FIXED_BASE_TABLES.clear()
         try:
-            installed = service.install_state(state)
-            assert installed["tables"] == 1
+            assert service.install_state(state) == 1
             assert (group.p, group.q, group.g) in groups.cached_table_keys()
             assert [group.exp_g(e) for e in (1, 2, 5, group.q - 1)] == expected
         finally:
@@ -123,105 +113,8 @@ class TestStateHandOff:
         service.warm_group(group)
         resident = groups._FIXED_BASE_TABLES[(group.p, group.q, group.g)]
         state = service.export_state(group_list=[group])
-        installed = service.install_state(state)
-        assert installed["tables"] == 0
+        assert service.install_state(state) == 0
         assert groups._FIXED_BASE_TABLES[(group.p, group.q, group.g)] is resident
-
-    def test_pool_shards_are_disjoint_and_cover(self, service, keypair):
-        public, _ = keypair
-        shared = service.paillier_pool(public, batch=12)
-        full = shared._pool.export_ready()
-        shards = [
-            service.export_state(shard_index=i, shard_count=3)["pools"][0]["ready"]
-            for i in range(3)
-        ]
-        flattened = [r for shard in shards for r in shard]
-        assert sorted(flattened) == sorted(full)
-        assert len(set(flattened)) == len(full)  # no randomizer duplicated
-
-    def test_installed_shard_feeds_a_cold_pool(self, service, keypair):
-        public, _ = keypair
-        service.paillier_pool(public, batch=8)
-        state = service.export_state(shard_index=1, shard_count=2)
-
-        reset_precompute_service()
-        cold = PrecomputeService(seed=99)
-        installed = cold.install_state(state)
-        assert installed["pools"] == 1
-        pool = cold.paillier_pool(public, warm=False)
-        assert pool.available == len(state["pools"][0]["ready"])
-        taken = {pool.take() for _ in range(pool.available)}
-        assert taken == set(state["pools"][0]["ready"])
-
-    def test_invalid_shard_rejected(self, service):
-        with pytest.raises(ValidationError, match="invalid shard"):
-            service.export_state(shard_index=2, shard_count=2)
-        with pytest.raises(ValidationError, match="invalid shard"):
-            service.export_state(shard_index=0, shard_count=0)
-
-
-class TestSharedPool:
-    def test_one_pool_per_public_key(self, service, keypair):
-        public, _ = keypair
-        first = service.paillier_pool(public)
-        second = service.paillier_pool(public)
-        assert first is second
-        assert isinstance(first, SharedRandomizerPool)
-
-    def test_batch_must_be_positive(self, service, keypair):
-        public, _ = keypair
-        with pytest.raises(ValidationError, match="batch must be at least 1"):
-            service.paillier_pool(public, batch=0)
-
-    def test_concurrent_takes_never_duplicate(self, service, keypair):
-        public, _ = keypair
-        shared = service.paillier_pool(public, batch=64)
-        taken, errors = [], []
-        lock = threading.Lock()
-
-        def worker():
-            try:
-                for _ in range(8):
-                    value = shared.take()
-                    with lock:
-                        taken.append(value)
-            except Exception as exc:  # pragma: no cover - fails the test
-                errors.append(exc)
-
-        threads = [threading.Thread(target=worker) for _ in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert not errors
-        assert len(taken) == 64
-        assert len(set(taken)) == 64
-
-    def test_health_gauges_exported_on_take(self, registry, service, keypair):
-        public, _ = keypair
-        shared = service.paillier_pool(public, batch=4)
-        shared.take()
-        bits = str(public.n.bit_length())
-        assert (
-            registry.gauge("repro_precompute_randomizers_outstanding").value(bits=bits)
-            == 1.0
-        )
-        assert (
-            registry.gauge("repro_precompute_randomizers_available").value(bits=bits)
-            == 3.0
-        )
-        snap = registry.snapshot()
-        assert "repro_precompute_refill_seconds" in snap
-
-    def test_stats_shape_for_cli(self, service, keypair):
-        public, _ = keypair
-        service.warm_group(fast_group())
-        service.paillier_pool(public, batch=4)
-        stats = service.stats()
-        assert stats["tables"]["cached"] >= 1
-        pool_stats = stats["paillier_pools"][str(public.n)]
-        assert pool_stats["available"] == 4
-        assert pool_stats["precomputed_total"] >= 4
 
 
 class TestGlobalService:
