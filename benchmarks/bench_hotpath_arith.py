@@ -268,6 +268,24 @@ def _timed_modes(run, repeats):
     return fast_results, naive_results, fast_s, naive_s
 
 
+def _interleaved_best(run, rounds):
+    """Best of ``rounds`` cold runs per mode, alternating hot path and
+    naive, so a slow spell of the host rarely lands on one mode only."""
+    fast_results, naive_results = [], []
+    fast_s = naive_s = float("inf")
+    for _ in range(rounds):
+        clear_composition_cache()
+        start = time.perf_counter()
+        fast_results.append(run())
+        fast_s = min(fast_s, time.perf_counter() - start)
+        clear_composition_cache()
+        with fastpath.naive_arithmetic():
+            start = time.perf_counter()
+            naive_results.append(run())
+            naive_s = min(naive_s, time.perf_counter() - start)
+    return fast_results, naive_results, fast_s, naive_s
+
+
 def run_protocol_benchmarks(quick=False, backend=None):
     """Full protocol runs, hot path vs naive, identical outputs enforced."""
     if backend is None:
@@ -309,7 +327,8 @@ def run_protocol_benchmarks(quick=False, backend=None):
             model_a, model_b, config=config, seed=BENCH_SEED
         )
 
-    fast, naive, fast_s, naive_s = _timed_modes(similarity, 1)
+    # One sample per mode let a slow spell of a shared host fail the gate.
+    fast, naive, fast_s, naive_s = _interleaved_best(similarity, 3)
     identical = all(
         f.t_squared == n.t_squared for f, n in zip(fast, naive)
     )

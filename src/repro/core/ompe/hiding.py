@@ -6,37 +6,49 @@ pairs: ``m`` covers ``(v, (g_1(v), ..., g_n(v)))`` and ``M - m``
 disguises, each built from fresh hiding polynomials with random
 constant terms.
 
-Every coordinate's polynomial is drawn from its own stream
-``parent.fork(*prefix, i)``, exactly as ``Polynomial.random`` draws it:
-the nonzero leading coefficient first, then the ``q - 1`` middle ones,
-all on the ``1/10**6`` lattice of :meth:`ReproRandom.fraction`.  In
-exact mode with the hot path on, :class:`Hiders` keeps only those
-integer numerators ``n_j`` and evaluates at a node ``x/y`` as::
+In exact mode every coordinate's coefficients are integer numerators
+over the ``1/10**6`` lattice, drawn by :func:`lattice_numerators` from
+one keyed BLAKE2b stream per hider set: the key comes from
+``parent.seed``, the message is the label path ``prefix`` followed by
+the coordinate index and a block counter.  The nonzero leading
+numerator ``n_q`` is drawn first, then the ``q - 1`` middle ones.  With
+the hot path on, :class:`Hiders` keeps only those numerators ``n_j``
+and evaluates at a node ``x/y`` as::
 
     g(x/y) = (a·G·y^q + b·Σ n_j·x^j·y^(q-j)) / (b·G·y^q)
 
 for a constant term ``a/b`` and ``G = 10**6``, sharing the node's
 powers ``x^j·y^(q-j)`` across the vector and building one ``Fraction``
-per value.  Floats and :func:`repro.math.fastpath.naive_arithmetic`
-build ``Polynomial.random`` + ``evaluate_all`` from the same streams —
-the differential oracle.  Both give the same values, value types and
-bytes (``tests/core/test_hiding.py``).
+per value.  :func:`repro.math.fastpath.naive_arithmetic` and the
+receiver pool build ``Polynomial`` objects from the same numerators
+(:func:`hiding_polynomials`), and the oracle evaluates them with
+``evaluate_all``.  Both give the same values, value types and bytes
+(``tests/core/test_hiding.py``).  Floats draw ``Polynomial.random`` from
+``parent.fork(*prefix, i)``.
 """
 
 from __future__ import annotations
 
-import random
+import hashlib
 from fractions import Fraction
 from operator import mul
 from typing import List, Optional, Sequence, Tuple
 
 from repro.core.ompe.config import OMPEConfig
+from repro.exceptions import ValidationError
 from repro.math import fastpath
 from repro.math.polynomials import Number, Polynomial, evaluate_all
 from repro.utils.rng import _DEFAULT_FRACTION_GRID as LATTICE
-from repro.utils.rng import ReproRandom, derive_seed
+from repro.utils.rng import ReproRandom
 
 PointsMessage = Tuple[Tuple[Number, Tuple[Number, ...]], ...]
+
+#: Bytes per stream block: one full-width BLAKE2b digest.
+BLOCK_BYTES = 64
+#: Fixed width of the coordinate index and of the block counter.
+COUNTER_BYTES = 8
+_KEY_PERSON = b"repro.hiders.key"
+_STREAM_PERSON = b"repro.hiders"
 
 
 class Hiders:
@@ -82,42 +94,121 @@ def _lattice_mode(config: OMPEConfig) -> bool:
     return config.exact and fastpath.enabled()
 
 
+def _stream_key(seed: int) -> bytes:
+    """A 32-byte BLAKE2b key from any ``int`` seed, negative or wide."""
+    encoded = seed.to_bytes(seed.bit_length() // 8 + 1, "big", signed=True)
+    return hashlib.blake2b(encoded, digest_size=32, person=_KEY_PERSON).digest()
+
+
+def _encode_prefix(prefix: tuple) -> bytes:
+    """Each label's ``repr``, length-prefixed: distinct paths never collide."""
+    parts = []
+    for label in prefix:
+        text = repr(label).encode("utf-8")
+        parts.append(len(text).to_bytes(4, "big") + text)
+    return b"".join(parts)
+
+
+def lattice_numerators(
+    seed: int, prefix: tuple, count: int, degree: int, high: int
+) -> List[List[int]]:
+    """Numerators ``(n_q, n_1, ..., n_(q-1))`` of ``count`` hiders, each
+    uniform on ``[-high, high]`` with ``n_q ≠ 0``.
+
+    Coordinate ``i`` reads the blocks
+    ``BLAKE2b(key=K(seed), msg=prefix ‖ i ‖ block)`` as big-endian words
+    of ``⌈log₂₅₆ span⌉ + 4`` bytes, ``span = 2·high + 1``; a word at or
+    above the largest multiple of ``span`` is rejected, any other gives
+    ``word mod span − high``.  The lead is drawn first and redrawn while
+    zero, then the ``q − 1`` middle numerators.
+    """
+    if high < 1:
+        raise ValidationError(f"lattice bound must be at least 1, got {high}")
+    span = 2 * high + 1
+    width = (span.bit_length() + 7) // 8 + 4
+    limit = (1 << (8 * width)) // span * span
+    offsets = range(0, BLOCK_BYTES - width + 1, width)
+    stream = hashlib.blake2b(
+        key=_stream_key(seed), digest_size=BLOCK_BYTES, person=_STREAM_PERSON
+    )
+    stream.update(_encode_prefix(prefix))
+    from_bytes = int.from_bytes
+    drawn = []
+    for index in range(count):
+        coordinate = index.to_bytes(COUNTER_BYTES, "big")
+        row: List[int] = []
+        block_index = 0
+        while len(row) < degree:
+            hasher = stream.copy()
+            hasher.update(coordinate + block_index.to_bytes(COUNTER_BYTES, "big"))
+            block = hasher.digest()
+            block_index += 1
+            for offset in offsets:
+                word = from_bytes(block[offset : offset + width], "big")
+                if word >= limit:
+                    continue
+                value = word % span - high
+                if value or row:  # a zero lead is redrawn
+                    row.append(value)
+                    if len(row) == degree:
+                        break
+        drawn.append(row)
+    return drawn
+
+
 def _lattice_numerators(
     parent: ReproRandom, prefix: tuple, count: int, config: OMPEConfig
 ) -> List[List[int]]:
-    """``Polynomial.random``'s coefficient draws, as lattice numerators."""
-    high = config.coefficient_bound * LATTICE
-    low = -high
-    middle = range(config.security_degree - 1)
-    seed = parent.seed
-    drawn = []
-    for index in range(count):
-        randint = random.Random(derive_seed(seed, *prefix, index)).randint
-        lead = randint(low, high)
-        while not lead:
-            lead = randint(low, high)
-        drawn.append([lead] + [randint(low, high) for _ in middle])
-    return drawn
+    return lattice_numerators(
+        parent.seed,
+        prefix,
+        count,
+        config.security_degree,
+        config.coefficient_bound * LATTICE,
+    )
+
+
+def hiding_polynomials(
+    parent: ReproRandom, prefix: tuple, constants: Sequence[Number], config: OMPEConfig
+) -> List[Polynomial]:
+    """``g_i`` with ``g_i(0) = constants[i]`` as ``Polynomial`` objects.
+
+    Exact mode builds them from :func:`lattice_numerators`, the draw the
+    lattice hot path evaluates; floats take ``Polynomial.random`` from
+    ``parent.fork(*prefix, i)``.
+    """
+    if config.exact:
+        numerators = _lattice_numerators(parent, prefix, len(constants), config)
+        return [
+            Polynomial(
+                [
+                    constant,
+                    *(Fraction(n, LATTICE) for n in middle),
+                    Fraction(lead, LATTICE),
+                ]
+            )
+            for constant, (lead, *middle) in zip(constants, numerators)
+        ]
+    return [
+        Polynomial.random(
+            config.security_degree,
+            parent.fork(*prefix, index),
+            constant_term=constant,
+            coefficient_bound=config.coefficient_bound,
+            exact=False,
+        )
+        for index, constant in enumerate(constants)
+    ]
 
 
 def draw_hiders(
     parent: ReproRandom, prefix: tuple, constants: Sequence[Number], config: OMPEConfig
 ) -> Hiders:
-    """Draw ``g_i`` with ``g_i(0) = constants[i]`` from ``parent.fork(*prefix, i)``."""
+    """Draw ``g_i`` with ``g_i(0) = constants[i]`` for label path ``prefix``."""
     degree = config.security_degree
     if not _lattice_mode(config):
         return Hiders(
-            degree,
-            polynomials=[
-                Polynomial.random(
-                    degree,
-                    parent.fork(*prefix, index),
-                    constant_term=constant,
-                    coefficient_bound=config.coefficient_bound,
-                    exact=config.exact,
-                )
-                for index, constant in enumerate(constants)
-            ],
+            degree, polynomials=hiding_polynomials(parent, prefix, constants, config)
         )
     return Hiders(
         degree,
@@ -135,8 +226,8 @@ def disguise_vector(
     config: OMPEConfig,
 ) -> Tuple[Number, ...]:
     """A disguise at ``node``: fresh hiders whose constant terms ``draw``
-    supplies (uniform on ``[-1, 1]``), coordinate ``i`` from
-    ``parent.fork(*prefix, i)``."""
+    supplies (uniform on ``[-1, 1]``), drawn for label path ``prefix``
+    of ``parent`` as in :func:`draw_hiders`."""
     if not _lattice_mode(config):
         constants = [
             draw.fraction(-1, 1) if config.exact else draw.uniform(-1.0, 1.0)

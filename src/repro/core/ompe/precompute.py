@@ -26,7 +26,7 @@ from typing import List, Optional, Tuple
 
 from repro.core.ompe.config import OMPEConfig, draw_amplifier
 from repro.core.ompe.function import OMPEFunction
-from repro.core.ompe.hiding import disguise_vector, draw_nodes
+from repro.core.ompe.hiding import disguise_vector, draw_nodes, hiding_polynomials
 from repro.exceptions import OMPEError, ValidationError
 from repro.math.polynomials import Number, Polynomial
 from repro.utils.rng import ReproRandom
@@ -170,16 +170,7 @@ class ReceiverPool:
         self._bundles: List[ReceiverBundle] = []
         for index in range(count):
             draw = rng.fork("bundle", index)
-            zero_hiders = tuple(
-                Polynomial.random(
-                    config.security_degree,
-                    draw.fork("g", position),
-                    constant_term=0,
-                    coefficient_bound=config.coefficient_bound,
-                    exact=config.exact,
-                )
-                for position in range(arity)
-            )
+            zero_hiders = tuple(hiding_polynomials(draw, ("g",), [0] * arity, config))
             nodes = tuple(draw_nodes(draw.fork("nodes"), pair_count, config))
             positions = tuple(
                 draw.fork("positions").sample_indices(pair_count, cover_count)

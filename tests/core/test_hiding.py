@@ -2,16 +2,18 @@
 
 The OMPE receiver hides each input coordinate in a random degree-``q``
 polynomial and evaluates it at the ``M`` nodes of its points message
-(:mod:`repro.core.ompe.hiding`).  In exact mode the hot path draws the
-coefficients as integer numerators over the ``1/10**6`` lattice and
-evaluates without building :class:`~fractions.Fraction` coefficients or
-:class:`~repro.math.polynomials.Polynomial` objects; under
-:func:`repro.math.fastpath.naive_arithmetic` the same draws go through
-``Polynomial.random`` + ``evaluate_all``.  These tests hold the two to
+(:mod:`repro.core.ompe.hiding`).  In exact mode the coefficients are
+integer numerators over the ``1/10**6`` lattice, drawn from one keyed
+BLAKE2b stream per hider set; the hot path evaluates them without
+building :class:`~fractions.Fraction` coefficients or
+:class:`~repro.math.polynomials.Polynomial` objects, and under
+:func:`repro.math.fastpath.naive_arithmetic` the same numerators go
+through ``Polynomial`` + ``evaluate_all``.  These tests hold the two to
 the same *bytes* (``encode_payload``) and the same value types, for the
-online, batch and pooled receivers, and pin the per-coordinate seed
-layout with known-answer digests.  Known-answer digests also pin the
-online, pooled and batched senders' mask/amplifier/offset draws.
+online, batch and pooled receivers, pin the stream layout with
+known-answer digests, and check the sampler's range and uniformity.
+Known-answer digests also pin the online, pooled and batched senders'
+mask/amplifier/offset draws.
 """
 
 from __future__ import annotations
@@ -229,16 +231,19 @@ def digest(messages) -> str:
     return sha.hexdigest()
 
 
-#: SHA-256 over the encoded points messages of the grids above, recorded
-#: from the ``Polynomial.random`` receiver before the lattice hot path
-#: existed.  They pin the per-coordinate fork labels and draw order.
+#: SHA-256 over the encoded points messages of the grids above.  The
+#: exact-mode ``online``, ``batch`` and ``pooled`` digests were recorded
+#: from the keyed BLAKE2b hider stream (``hiding.lattice_numerators``);
+#: they pin its key, message layout and draw order together with the
+#: fork labels of nodes, positions and disguise constants.  ``float``
+#: was recorded from the ``Polynomial.random`` receiver.
 #: The ``sender-*`` digests pin the sender's mask/amplifier/offset draws
 #: the same way; labels and T² are exact whatever the masks, so no
 #: other test would notice a change of fork label or draw order.
 KNOWN_ANSWERS = {
-    "online": "f901401936816823d10d4ba0d6479aa3fc6be4b763d023eab448803ce54a39fb",
-    "batch": "236f9a4bc13bc2c62932e851f94a03b9907ec701019247cf2aeb833b61876844",
-    "pooled": "ba9133229d37bc3cc3f4812b5d96a36abe0e69dead50b4d65eaf689836aaef0e",
+    "online": "52befec8296ca4b52d2a55b891553cee19ee543c284d7d29081f3ea03a36b0f2",
+    "batch": "60b32d13c6825691c7f9def9f19b0deafe419905e7aa5974e190491c023c59bf",
+    "pooled": "8449723fc2fd59b151c3b3de283ce45734f9e543dd87b30b41a8ce88e7990d64",
     "float": "816e85815d572f1911c20539b3afa0b19f97a345465dfd9d5599b46ab8a9f2dc",
     "sender-online": "cf7d0a02c3f84a24f61d396d344e24eb4ef736803d3c7f176bc02e1f0efdaba6",
     "sender-pooled": "a260e23771535e4ec234f6cb2b981bb1337fe38381a8ac526a09df64f476d337",
@@ -343,6 +348,81 @@ class TestFastMatchesNaive:
         ) == expected
 
 
+def chi_square(values, support) -> float:
+    """Pearson's statistic of ``values`` against uniform on ``support``."""
+    expected = len(values) / len(support)
+    counts = {value: 0 for value in support}
+    for value in values:
+        counts[value] += 1
+    return sum((count - expected) ** 2 / expected for count in counts.values())
+
+
+class TestLatticeSampler:
+    """``hiding.lattice_numerators``: range, uniformity, determinism and
+    the stream's key and message layout."""
+
+    def test_tiny_span_reaches_both_endpoints_uniformly(self):
+        rows = hiding.lattice_numerators(11, ("chi",), 3000, 3, 2)
+        leads = [row[0] for row in rows]
+        middles = [value for row in rows for value in row[1:]]
+        assert min(middles) == -2 and max(middles) == 2
+        assert min(leads) == -2 and max(leads) == 2
+        # 0.1% critical values of chi-square with 4 and 3 degrees of freedom.
+        assert chi_square(middles, range(-2, 3)) < 18.47
+        assert chi_square(leads, (-2, -1, 1, 2)) < 16.27
+
+    def test_lead_is_never_zero(self):
+        rows = hiding.lattice_numerators(3, ("g",), 2000, 2, 1)
+        assert all(row[0] != 0 for row in rows)
+        # A third of the middle draws are 0, so zeros are drawn and redrawn.
+        assert sum(row[1] == 0 for row in rows) > 500
+
+    def test_deterministic_per_seed_prefix_and_index(self):
+        high = 8 * hiding.LATTICE
+        rows = hiding.lattice_numerators(5, ("poly", 4), 12, 3, high)
+        assert rows == hiding.lattice_numerators(5, ("poly", 4), 12, 3, high)
+        for index in range(12):
+            prefix_rows = hiding.lattice_numerators(5, ("poly", 4), index + 1, 3, high)
+            assert prefix_rows[index] == rows[index]
+        assert rows != hiding.lattice_numerators(6, ("poly", 4), 12, 3, high)
+        assert rows != hiding.lattice_numerators(5, ("poly", 5), 12, 3, high)
+        assert len({tuple(row) for row in rows}) == 12
+
+    def test_label_path_and_index_encode_unambiguously(self):
+        high = 8 * hiding.LATTICE
+        joined = hiding.lattice_numerators(9, ("poly", 1), 24, 4, high)[23]
+        split = hiding.lattice_numerators(9, ("poly", 12), 4, 4, high)[3]
+        assert joined != split
+
+    def test_span_wider_than_32_bits_stays_in_range(self):
+        config = OMPEConfig(coefficient_bound=5000, security_degree=3)
+        high = 5000 * hiding.LATTICE
+        assert 2 * high + 1 > 2**32
+        rows = hiding._lattice_numerators(ReproRandom(1), ("g",), 400, config)
+        values = [abs(value) for row in rows for value in row]
+        assert max(values) <= high
+        assert max(values) > 2**32
+
+    @pytest.mark.parametrize("seed", [-5, 2**100 + 3])
+    def test_negative_and_wide_parent_seeds(self, seed):
+        config = shape_config(2, 4)
+        high = config.coefficient_bound * hiding.LATTICE
+        parent = ReproRandom(seed)
+        rows = hiding._lattice_numerators(parent, ("g",), 4, config)
+        assert rows == hiding._lattice_numerators(ReproRandom(seed), ("g",), 4, config)
+        assert rows != hiding._lattice_numerators(ReproRandom(abs(seed) + 1), ("g",), 4, config)
+        assert all(row[0] != 0 and all(abs(n) <= high for n in row) for row in rows)
+        if seed < 0:
+            assert rows != hiding._lattice_numerators(ReproRandom(-seed), ("g",), 4, config)
+
+        def build():
+            hiders = hiding.draw_hiders(parent, ("g",), inputs_for("fraction", 4), config)
+            return hiders.at(Fraction(-7, 3))
+
+        fast, naive = fast_and_naive(build)
+        assert_identical(fast, naive)
+
+
 def kernel_model(rng: random.Random, svs: int = 12, dimension: int = 6, degree: int = 3):
     """A homogeneous polynomial-kernel model whose boundary crosses the box
     (the shape of one ``linkage-kernel`` benchmark model)."""
@@ -371,9 +451,26 @@ def points_spans(run):
     return [span for span, _ in tracer.spans() if span.name == "ompe.points"]
 
 
+def reseeds(monkeypatch, run) -> int:
+    """``random.Random.seed`` calls made by ``run()``."""
+    calls = []
+    seed = random.Random.seed
+
+    def counting(self, *args, **kwargs):
+        calls.append(None)
+        return seed(self, *args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(random.Random, "seed", counting)
+        run()
+    return len(calls)
+
+
 class TestHiderCounts:
     """``ompe.points`` carries ``hiders = arity·(M - m + 1)``: the cover
-    cost of a trace as a deterministic count."""
+    cost of a trace as a deterministic count.  The same pairs pin their
+    ``random.Random`` reseeds: hiders draw from a keyed hash stream, so
+    only the other forks (nodes, positions, constants, OT, masks) reseed."""
 
     CONFIG = OMPEConfig(security_degree=2, cover_expansion=3, group=fast_group())
 
@@ -394,6 +491,28 @@ class TestHiderCounts:
             lambda: evaluate_similarity_private(left, right, config=self.CONFIG, seed=1)
         )
         assert sum(span.attributes["hiders"] for span in spans) == 80
+
+    def test_linkage_kernel_pair_reseeds(self, monkeypatch):
+        rng = random.Random(2016)
+        left, right = kernel_model(rng), kernel_model(rng)
+        assert reseeds(
+            monkeypatch,
+            lambda: evaluate_similarity_private_nonlinear(
+                left, right, config=self.CONFIG, seed=1
+            ),
+        ) == 143
+
+    def test_linear_pair_reseeds(self, monkeypatch):
+        left = make_linear_model([0.5, -0.25, 0.75], -0.2)
+        right = make_linear_model([-0.3, 0.9, 0.1], 0.1)
+        assert reseeds(
+            monkeypatch,
+            lambda: evaluate_similarity_private(left, right, config=self.CONFIG, seed=1),
+        ) == 103
+
+    def test_hiding_never_reseeds_a_mersenne_twister(self):
+        assert not hasattr(hiding, "random")
+        assert not hasattr(hiding, "derive_seed")
 
     def test_batch_and_pool(self):
         config = shape_config(2, 3)
