@@ -56,7 +56,6 @@ from repro.core.ompe.compose import clear_composition_cache
 from repro.core.classification.nonlinear import classify_nonlinear
 from repro.core.similarity.exact import exact_dot
 from repro.core.similarity.linear import evaluate_similarity_private
-from repro.core.similarity.nonlinear import evaluate_similarity_private_nonlinear
 from repro.crypto.hashing import _xor
 from repro.crypto.paillier import PaillierCipher, generate_keypair
 from repro.math import fastpath, groups
@@ -323,7 +322,7 @@ def run_protocol_benchmarks(quick=False, backend=None):
     model_b = _poly_model(2, n_sv, dim, degree)
 
     def similarity():
-        return evaluate_similarity_private_nonlinear(
+        return evaluate_similarity_private(
             model_a, model_b, config=config, seed=BENCH_SEED
         )
 

@@ -17,10 +17,7 @@ from itertools import combinations
 import numpy as np
 
 from repro.core.ompe import OMPEConfig
-from repro.core.similarity import (
-    MetricParams,
-    evaluate_similarity_private_nonlinear,
-)
+from repro.core.similarity import MetricParams, evaluate_similarity_private
 from repro.math.statistics import ks_average_over_dimensions, spearman_correlation
 from repro.ml.svm import train_svm
 
@@ -52,7 +49,7 @@ def main() -> None:
     t_values, ks_values, pair_names = [], [], []
     t_matrix = {}
     for (name_a, name_b) in combinations(drifts, 2):
-        outcome = evaluate_similarity_private_nonlinear(
+        outcome = evaluate_similarity_private(
             models[name_a], models[name_b], params, config=config,
             seed=hash((name_a, name_b)) % 2**31,
         )

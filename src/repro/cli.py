@@ -41,7 +41,6 @@ from repro.core.similarity import (
     MetricParams,
     evaluate_similarity_plain,
     evaluate_similarity_private,
-    evaluate_similarity_private_nonlinear,
 )
 from repro.evaluation import available_experiments, run_experiment
 from repro.exceptions import ReproError
@@ -173,20 +172,12 @@ def _cmd_similarity(args: argparse.Namespace) -> int:
 
         policy = parse_output_policy(args.output_policy)
     if args.private:
-        if model_a.is_linear():
-            outcome = evaluate_similarity_private(
-                model_a, model_b, params,
-                config=OMPEConfig(security_degree=args.security_degree),
-                seed=args.seed,
-                policy=policy,
-            )
-        else:
-            outcome = evaluate_similarity_private_nonlinear(
-                model_a, model_b, params,
-                config=OMPEConfig(security_degree=args.security_degree),
-                seed=args.seed,
-                policy=policy,
-            )
+        outcome = evaluate_similarity_private(
+            model_a, model_b, params,
+            config=OMPEConfig(security_degree=args.security_degree),
+            seed=args.seed,
+            policy=policy,
+        )
         _print_similarity_outcome(outcome, "in-process")
     else:
         result = evaluate_similarity_plain(model_a, model_b, params)

@@ -12,7 +12,6 @@ from repro.core.similarity import (
     MetricParams,
     evaluate_similarity_plain,
     evaluate_similarity_private,
-    evaluate_similarity_private_nonlinear,
 )
 
 __all__ = [
@@ -26,5 +25,4 @@ __all__ = [
     "MetricParams",
     "evaluate_similarity_plain",
     "evaluate_similarity_private",
-    "evaluate_similarity_private_nonlinear",
 ]

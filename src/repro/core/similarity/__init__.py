@@ -20,7 +20,6 @@ from repro.core.similarity.metric import (
     normal_inner_product,
     triangle_t_squared,
 )
-from repro.core.similarity.nonlinear import evaluate_similarity_private_nonlinear
 from repro.core.similarity.policy import (
     MitigatedScores,
     MitigatedSimilarityOutcome,
@@ -51,7 +50,6 @@ __all__ = [
     "evaluate_similarity_plain",
     "normal_inner_product",
     "triangle_t_squared",
-    "evaluate_similarity_private_nonlinear",
     "exact_normal_inner",
     "SimilarityProfile",
     "similarity_profile",

@@ -1,10 +1,16 @@
-"""Privacy-preserving linear similarity evaluation (paper Section V-B).
+"""Privacy-preserving similarity evaluation (paper Sections V-B and V-C).
 
-Alice and Bob are both trainers with linear models.  Bob learns the
-triangle metric ``T`` and nothing else about Alice's model; Alice
-learns only the two inseparable norms ``|m_B|²`` and ``|w_B|²``.
+Alice and Bob are both trainers with linear models, or both with models
+over one polynomial kernel.  Bob learns the triangle metric ``T`` and
+nothing else about Alice's model; Alice learns only the two inseparable
+norms ``|m_B|²`` and ``|w_B|²`` (``K(m_B, m_B)`` and ``⟨n_B, n_B⟩`` for a
+kernel model).
 
-Protocol (three OMPE runs plus one clear exchange):
+Protocol (three OMPE runs plus one clear exchange), in its linear form;
+the kernel form swaps the dot products for kernel evaluations (see
+:mod:`~repro.core.similarity.nonlinear`), and each party's
+:class:`~repro.core.similarity.profile.SimilarityProfile` makes that
+choice, so one driver runs both kinds:
 
 1. Both parties locally compute their bounded-hyperplane boundary
    points (Eq. 5), centroid ``m``, and normal ``w``.
@@ -25,6 +31,11 @@ Protocol (three OMPE runs plus one clear exchange):
    (note ``d₂ = r_aw⁻²``: the paper's Eq. 7 prints ``r_aw⁻¹``, which
    does not cancel the squared amplifier — see DESIGN.md errata) and
    Bob evaluates it at ``(x₁, x₂)`` *unamplified*, obtaining ``T²``.
+
+:func:`evaluate_similarity_private` runs both parties in one process;
+:mod:`~repro.core.similarity.remote` splits the same steps into Alice's
+and Bob's sides.  The helpers both share — the degenerate-normal check,
+the Eq. (7) assembly and Bob's outcome-plus-policy step — live here.
 """
 
 from __future__ import annotations
@@ -38,7 +49,16 @@ from repro import obs
 from repro.core.ompe import OMPEConfig, OMPEFunction, execute_ompe
 from repro.core.similarity.exact import snap
 from repro.core.similarity.metric import MetricParams
-from repro.core.similarity.profile import ModelOrProfile, similarity_profile
+from repro.core.similarity.policy import (
+    OutputPolicy,
+    mitigate_similarity_outcome,
+    policy_seed,
+)
+from repro.core.similarity.profile import (
+    ModelOrProfile,
+    SimilarityProfile,
+    similarity_profile,
+)
 from repro.exceptions import SimilarityError, ValidationError
 from repro.math.multivariate import MultivariatePolynomial
 from repro.math.polynomials import Number
@@ -92,150 +112,189 @@ def build_t_squared_polynomial(
     return left * right * Fraction(1, 4)
 
 
+def check_normal(party: str, normal_norm: Number) -> None:
+    """Refuse a degenerate normal: ``‖w‖²`` or ``⟨n, n⟩`` not positive."""
+    if normal_norm <= 0:
+        raise SimilarityError(
+            f"{party}'s normal is degenerate (squared norm {normal_norm})"
+        )
+
+
+def area_function(
+    params: MetricParams,
+    alice: SimilarityProfile,
+    centroid_norm_b: Number,
+    normal_norm_b: Number,
+    run1,
+    run2,
+) -> OMPEFunction:
+    """Alice's OMPE #3 function: Eq. (7) with this pair's constants.
+
+    ``centroid_norm_b`` and ``normal_norm_b`` are Bob's clear norms;
+    ``run1`` and ``run2`` are Alice's OMPE #1/#2 outcomes, whose
+    amplifiers and offset the polynomial cancels.
+    """
+    return OMPEFunction.from_polynomial(
+        build_t_squared_polynomial(
+            alice.centroid_norm + centroid_norm_b,
+            snap(params.l0) ** 4,
+            1 / (alice.normal_norm * normal_norm_b),
+            1 + snap(params.sin_theta0) ** 2,
+            1 / run1.amplifier,
+            1 / run2.amplifier**2,
+            -run2.offset,
+        )
+    )
+
+
+def clear_report(channel) -> ProtocolReport:
+    """The report of the clear norm exchange on ``channel``."""
+    return ProtocolReport(
+        result=None,
+        transcript=channel.transcript,
+        simulated_network_s=channel.simulated_time,
+    )
+
+
+def phase_reports(clear, run1, run2, run3) -> Dict[str, ProtocolReport]:
+    """One report per protocol phase, keyed as every driver reports them."""
+    return {
+        "clear": clear,
+        "centroid_ompe": run1.report,
+        "normal_ompe": run2.report,
+        "area_ompe": run3.report,
+    }
+
+
+def release_outcome(
+    kind: str,
+    t_squared: Number,
+    reports: Dict[str, ProtocolReport],
+    policy: Optional[OutputPolicy],
+    seed: Optional[int],
+):
+    """Bob's last step: refuse a negative ``T²``, count the run, apply ``policy``.
+
+    ``kind`` labels ``repro_similarity_runs_total``.  A non-``None``
+    ``policy`` returns a
+    :class:`~repro.core.similarity.policy.MitigatedSimilarityOutcome`,
+    its mitigation seed derived from the protocol ``seed`` alike on
+    every transport.
+    """
+    if t_squared < 0:
+        raise SimilarityError(f"negative T² ({t_squared}) — protocol corrupted")
+    metrics = obs.get_metrics()
+    if metrics.enabled:
+        metrics.counter(
+            "repro_similarity_runs_total",
+            "Completed private similarity evaluations",
+        ).inc(kind=kind)
+    outcome = PrivateSimilarityOutcome(
+        t=math.sqrt(float(t_squared)), t_squared=t_squared, reports=reports
+    )
+    if policy is None:
+        return outcome
+    return mitigate_similarity_outcome(outcome, policy, seed=policy_seed(seed))
+
+
+def _check_pair(alice: SimilarityProfile, bob: SimilarityProfile) -> None:
+    if alice.is_linear() != bob.is_linear():
+        raise ValidationError(
+            "similarity needs two linear or two polynomial-kernel models, "
+            "got one of each"
+        )
+    if alice.kernel != bob.kernel:
+        raise SimilarityError(
+            "both models must share the same kernel configuration"
+        )
+    if alice.dimension != bob.dimension:
+        raise SimilarityError("models must share input dimensionality")
+
+
 def evaluate_similarity_private(
     model_a: ModelOrProfile,
     model_b: ModelOrProfile,
     params: Optional[MetricParams] = None,
     config: Optional[OMPEConfig] = None,
     seed: Optional[int] = None,
-    policy=None,
+    policy: Optional[OutputPolicy] = None,
 ) -> PrivateSimilarityOutcome:
-    """Run the full private linear similarity protocol.
+    """Run the full private similarity protocol, both parties in process.
 
-    Each side is a linear model or its
+    Each side is a linear or polynomial-kernel model, or its
     :class:`~repro.core.similarity.profile.SimilarityProfile` built
-    under ``params``.  ``policy`` (an
+    under ``params``; both sides must be of one kind
+    (:class:`~repro.exceptions.ValidationError` otherwise), share the
+    kernel and the dimension
+    (:class:`~repro.exceptions.SimilarityError` otherwise).
+    ``policy`` (an
     :class:`~repro.core.similarity.policy.OutputPolicy`) switches the
     return type to a
     :class:`~repro.core.similarity.policy.MitigatedSimilarityOutcome`
     that withholds whatever the policy forbids; ``None`` keeps the
     legacy raw outcome.
     """
-    with obs.get_tracer().span(
-        "similarity.linear", phase="similarity", dimension=model_a.dimension
-    ) as span:
-        outcome = _evaluate_similarity_private(
-            model_a, model_b, params, config, seed
-        )
-        span.set(total_bytes=outcome.total_bytes, t=float(outcome.t))
-    metrics = obs.get_metrics()
-    if metrics.enabled:
-        metrics.counter(
-            "repro_similarity_runs_total",
-            "Completed private similarity evaluations",
-        ).inc(kind="linear")
-    if policy is not None:
-        from repro.core.similarity.policy import (
-            mitigate_similarity_outcome,
-            policy_seed,
-        )
-
-        return mitigate_similarity_outcome(
-            outcome, policy, seed=policy_seed(seed)
-        )
-    return outcome
-
-
-def _evaluate_similarity_private(
-    model_a: ModelOrProfile,
-    model_b: ModelOrProfile,
-    params: Optional[MetricParams],
-    config: Optional[OMPEConfig],
-    seed: Optional[int],
-) -> PrivateSimilarityOutcome:
     params = params or MetricParams()
     config = config or OMPEConfig()
-    if not (model_a.is_linear() and model_b.is_linear()):
-        raise ValidationError(
-            "evaluate_similarity_private requires two linear models "
-            "(see repro.core.similarity.nonlinear for kernel models)"
-        )
+    kind = "linear" if model_a.is_linear() else "nonlinear"
+    tracer = obs.get_tracer()
     root = ReproRandom(seed)
 
-    # Step 1 — local geometry, snapped to exact rationals.
-    alice = similarity_profile(model_a, params, party="alice")
-    bob = similarity_profile(model_b, params, party="bob")
-    m_a, w_a = alice.centroid, alice.normal
+    def run(phase, function, receiver_input, label, amplify, offset):
+        with tracer.span(f"similarity.{phase}_ompe", phase=phase):
+            return execute_ompe(
+                function,
+                receiver_input,
+                config=config,
+                seed=root.fork(label).seed,
+                amplify=amplify,
+                offset=offset,
+                sender_name="alice",
+                receiver_name="bob",
+            )
 
-    # Step 2 — Bob sends the two inseparable norms in the clear.
-    with obs.get_tracer().span("similarity.clear", party="bob", phase="norms"):
-        clear_channel = Channel("bob", "alice")
-        clear_channel.send("bob", "similarity/norms", (bob.centroid_norm, bob.normal_norm))
-        norm_m_b, norm_w_b = clear_channel.receive("alice", "similarity/norms")
-    clear_report = ProtocolReport(
-        result=None,
-        transcript=clear_channel.transcript,
-        simulated_network_s=clear_channel.simulated_time,
-    )
-    if norm_w_b == 0:
-        raise SimilarityError("Bob's normal vector is degenerate (zero)")
-    norm_w_a = alice.normal_norm
-    if norm_w_a == 0:
-        raise SimilarityError("Alice's normal vector is degenerate (zero)")
+    with tracer.span(
+        f"similarity.{kind}", phase="similarity", dimension=model_a.dimension
+    ) as span:
+        # Step 1 — local geometry, snapped to exact rationals.
+        alice = similarity_profile(model_a, params, party="alice")
+        bob = similarity_profile(model_b, params, party="bob")
+        _check_pair(alice, bob)
 
-    # Step 3 — OMPE #1: x1 = r_am (m_A · m_B).
-    centroid_function = OMPEFunction.from_polynomial(
-        MultivariatePolynomial.affine(list(m_a), Fraction(0))
-    )
-    with obs.get_tracer().span("similarity.centroid_ompe", phase="centroid"):
-        run1 = execute_ompe(
-            centroid_function,
-            bob.centroid,
-            config=config,
-            seed=root.fork("run1").seed,
-            amplify=True,
-            offset=False,
-            sender_name="alice",
-            receiver_name="bob",
+        # Step 2 — Bob sends the two inseparable norms in the clear.
+        with tracer.span("similarity.clear", party="bob", phase="norms"):
+            clear_channel = Channel("bob", "alice")
+            clear_channel.send(
+                "bob", bob.norms_tag, (bob.centroid_norm, bob.normal_norm)
+            )
+            centroid_norm_b, normal_norm_b = clear_channel.receive(
+                "alice", alice.norms_tag
+            )
+        clear = clear_report(clear_channel)
+        check_normal("Bob", normal_norm_b)
+        check_normal("Alice", alice.normal_norm)
+
+        # Step 3 — OMPE #1: x1 = r_am (m_A · m_B).
+        run1 = run(
+            "centroid", alice.centroid_function(), bob.centroid, "run1",
+            amplify=True, offset=False,
         )
-
-    # Step 4 — OMPE #2: x2 = r_aw (w_A · w_B) + r_b.
-    normal_function = OMPEFunction.from_polynomial(
-        MultivariatePolynomial.affine(list(w_a), Fraction(0))
-    )
-    with obs.get_tracer().span("similarity.normal_ompe", phase="normal"):
-        run2 = execute_ompe(
-            normal_function,
-            bob.normal,
-            config=config,
-            seed=root.fork("run2").seed,
-            amplify=True,
-            offset=True,
-            sender_name="alice",
-            receiver_name="bob",
+        # Step 4 — OMPE #2: x2 = r_aw (w_A · w_B) + r_b.
+        run2 = run(
+            "normal", alice.normal_function(bob.n_support), bob.normal_input,
+            "run2", amplify=True, offset=True,
         )
-
-    # Step 5 — OMPE #3: Bob evaluates Eq. (7) at (x1, x2), unamplified.
-    c1 = alice.centroid_norm + norm_m_b
-    c2 = snap(params.l0) ** 4
-    c3 = 1 / (norm_w_a * norm_w_b)
-    c4 = 1 + snap(params.sin_theta0) ** 2
-    d1 = 1 / run1.amplifier
-    d2 = 1 / run2.amplifier**2
-    d3 = -run2.offset
-    t_squared_polynomial = build_t_squared_polynomial(c1, c2, c3, c4, d1, d2, d3)
-    with obs.get_tracer().span("similarity.area_ompe", phase="area"):
-        run3 = execute_ompe(
-            OMPEFunction.from_polynomial(t_squared_polynomial),
-            (run1.value, run2.value),
-            config=config,
-            seed=root.fork("run3").seed,
-            amplify=False,
-            offset=False,
-            sender_name="alice",
-            receiver_name="bob",
+        # Step 5 — OMPE #3: Bob evaluates Eq. (7) at (x1, x2), unamplified.
+        run3 = run(
+            "area",
+            area_function(params, alice, centroid_norm_b, normal_norm_b, run1, run2),
+            (run1.value, run2.value), "run3", amplify=False, offset=False,
         )
-
-    t_squared = run3.value
-    if t_squared < 0:
-        raise SimilarityError(f"negative T² ({t_squared}) — protocol corrupted")
-    return PrivateSimilarityOutcome(
-        t=math.sqrt(float(t_squared)),
-        t_squared=t_squared,
-        reports={
-            "clear": clear_report,
-            "centroid_ompe": run1.report,
-            "normal_ompe": run2.report,
-            "area_ompe": run3.report,
-        },
-    )
+        outcome = release_outcome(
+            kind, run3.value, phase_reports(clear, run1, run2, run3),
+            policy, seed,
+        )
+        span.set(
+            total_bytes=outcome.total_bytes, t=math.sqrt(float(run3.value))
+        )
+    return outcome

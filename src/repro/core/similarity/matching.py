@@ -20,7 +20,7 @@ from typing import Dict, List, Mapping, Optional, Tuple
 from repro.core.ompe import OMPEConfig
 from repro.core.similarity.linear import evaluate_similarity_private
 from repro.core.similarity.metric import MetricParams
-from repro.core.similarity.nonlinear import evaluate_similarity_private_nonlinear
+from repro.core.similarity.profile import similarity_profile
 from repro.exceptions import SimilarityError, ValidationError
 from repro.ml.svm.model import SVMModel
 from repro.utils.rng import ReproRandom
@@ -84,39 +84,24 @@ def run_matching(
         raise ValidationError("matching requires at least two parties")
     if len(set(names)) != len(names):
         raise ValidationError("party names must be distinct")
-    linear_flags = {name: models[name].is_linear() for name in names}
-    if len(set(linear_flags.values())) != 1:
-        raise SimilarityError(
-            "all parties must use the same model family (all linear or "
-            "all kernel); got a mix"
-        )
-    all_linear = next(iter(linear_flags.values()))
-    if not all_linear:
-        specs = {
-            (models[name].kernel_spec[0], tuple(sorted(models[name].kernel_spec[1].items())))
-            for name in names
-        }
-        if len(specs) != 1:
-            raise SimilarityError(
-                f"kernel parties must share one kernel spec, got {len(specs)}"
-            )
-
     params = params or MetricParams()
     config = config or OMPEConfig()
+    profiles = {name: similarity_profile(models[name], params) for name in names}
+    kernels = {profile.kernel for profile in profiles.values()}
+    if len(kernels) != 1:
+        raise SimilarityError(
+            "all parties must use one model family (all linear, or all one "
+            f"polynomial kernel); got {len(kernels)}"
+        )
     root = ReproRandom(seed)
 
     t_values: Dict[Pair, float] = {}
     total_bytes = 0
     for first, second in combinations(names, 2):
         pair_seed = root.fork("pair", first, second).seed
-        if all_linear:
-            outcome = evaluate_similarity_private(
-                models[first], models[second], params, config=config, seed=pair_seed
-            )
-        else:
-            outcome = evaluate_similarity_private_nonlinear(
-                models[first], models[second], params, config=config, seed=pair_seed
-            )
+        outcome = evaluate_similarity_private(
+            profiles[first], profiles[second], params, config=config, seed=pair_seed
+        )
         t_values[_normalized_pair(first, second)] = outcome.t
         total_bytes += outcome.total_bytes
 

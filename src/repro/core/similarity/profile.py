@@ -9,11 +9,15 @@ on the peer, so a :class:`SimilarityProfile` built once serves every
 pair the model takes part in.  It never crosses the wire: the drivers
 send exactly the values they sent when they derived them per pair.
 
-:func:`similarity_profile` is the one place this derivation lives.  The
-drivers in :mod:`~repro.core.similarity.linear`,
-:mod:`~repro.core.similarity.nonlinear` and
-:mod:`~repro.core.similarity.remote` accept a model or a profile for
-each side and start from the profile.
+:func:`similarity_profile` is the one place this derivation lives, and
+the profile is the one place the protocol's per-kind choices live:
+Alice's OMPE #1 and #2 functions (:meth:`SimilarityProfile.centroid_function`,
+:meth:`SimilarityProfile.normal_function`), Bob's OMPE #2 input
+(:attr:`SimilarityProfile.normal_input`) and the tag of his clear norms
+(:attr:`SimilarityProfile.norms_tag`).  The three drivers — in process
+in :mod:`~repro.core.similarity.linear`, Alice's and Bob's split sides
+in :mod:`~repro.core.similarity.remote` — accept a model or a profile
+for each side, start from the profile and never branch on the kind.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from fractions import Fraction
 from typing import Optional, Tuple, Union
 
 from repro import obs
+from repro.core.ompe import OMPEFunction
 from repro.core.similarity.boundary import (
     centroid,
     kernel_boundary_points,
@@ -35,8 +40,10 @@ from repro.core.similarity.exact import (
     snap_vector,
 )
 from repro.core.similarity.metric import MetricParams
+from repro.core.similarity.nonlinear import kernel_normal_function
 from repro.exceptions import ValidationError
 from repro.math import fastpath
+from repro.math.multivariate import MultivariatePolynomial
 from repro.ml.svm.model import SVMModel
 
 #: ``(a0, b0, degree)`` of a polynomial kernel, snapped.
@@ -87,6 +94,49 @@ class SimilarityProfile:
     def is_linear(self) -> bool:
         """True for a linear model's profile (as :meth:`SVMModel.is_linear`)."""
         return self.kernel is None
+
+    @property
+    def norms_tag(self) -> str:
+        """Message tag of Bob's clear norms (step 2)."""
+        return "similarity/norms" if self.kernel is None else "similarity/kernel-norms"
+
+    @property
+    def normal_input(self) -> Tuple[Fraction, ...]:
+        """Bob's OMPE #2 input: his normal ``w``, or his packed kernel model."""
+        return self.normal if self.kernel is None else self.packed
+
+    def centroid_function(self) -> OMPEFunction:
+        """Alice's OMPE #1 function: ``y ↦ m_A · y``, or ``y ↦ K(m_A, y)``."""
+        if self.kernel is None:
+            return _dot_function(self.centroid)
+        a0, b0, degree = self.kernel
+        m_a = self.centroid
+        return OMPEFunction.from_callable(
+            arity=self.dimension,
+            total_degree=degree,
+            evaluate=lambda y: exact_poly_kernel(m_a, y, a0, b0, degree),
+        )
+
+    def normal_function(self, peer_sv_count: Optional[int] = None) -> OMPEFunction:
+        """Alice's OMPE #2 function: ``y ↦ w_A · y``, or ``⟨n_A, n_B⟩``.
+
+        The kernel form reads Bob's packed model, so it needs his
+        support-vector count ``peer_sv_count``; a linear profile
+        ignores it.
+        """
+        if self.kernel is None:
+            return _dot_function(self.normal)
+        if not isinstance(peer_sv_count, int) or peer_sv_count < 1:
+            raise ValidationError(
+                f"peer_sv_count must be at least 1, got {peer_sv_count!r}"
+            )
+        return kernel_normal_function(self, peer_sv_count)
+
+
+def _dot_function(vector: Tuple[Fraction, ...]) -> OMPEFunction:
+    return OMPEFunction.from_polynomial(
+        MultivariatePolynomial.affine(list(vector), Fraction(0))
+    )
 
 
 ModelOrProfile = Union[SVMModel, SimilarityProfile]

@@ -28,12 +28,6 @@ from repro.math.numtheory import crt_combine, generate_prime, lcm, modular_inver
 from repro.utils.rng import ReproRandom
 
 
-def _powmod():
-    """Active modexp: bignum backend under the hot path, CPython otherwise."""
-    if fastpath.enabled():
-        return fastpath.get_backend().powmod
-    return pow
-
 Number = Union[int, float, Fraction]
 
 #: Default fixed-point scaling factor for encoding reals.
@@ -71,7 +65,7 @@ class PaillierPublicKey:
             randomizer = pool.take()
         else:
             r = rng.randrange_coprime(self.n)
-            randomizer = _powmod()(r, self.n, n_sq)
+            randomizer = fastpath.get_backend().powmod(r, self.n, n_sq)
         # (1 + n)^m = 1 + m*n (mod n^2) — the g = n + 1 shortcut.
         g_m = (1 + message * self.n) % n_sq
         return (g_m * randomizer) % n_sq
@@ -82,7 +76,7 @@ class PaillierPublicKey:
 
     def multiply_plain(self, ciphertext: int, scalar: int) -> int:
         """Homomorphic multiplication by a plaintext integer."""
-        powmod = _powmod()
+        powmod = fastpath.get_backend().powmod
         if scalar < 0:
             inverse = modular_inverse(ciphertext, self.n_squared)
             return powmod(inverse, -scalar, self.n_squared)
@@ -116,7 +110,7 @@ class PaillierPrivateKey:
             raise DecryptionError("ciphertext out of range")
         if fastpath.enabled() and self.p is not None and self.q is not None:
             return self._decrypt_crt(ciphertext)
-        x = _powmod()(ciphertext, self.lam, n_sq)
+        x = fastpath.get_backend().powmod(ciphertext, self.lam, n_sq)
         if (x - 1) % n != 0:
             raise DecryptionError("ciphertext is not a valid Paillier encryption")
         return ((x - 1) // n * self.mu) % n
@@ -132,7 +126,7 @@ class PaillierPrivateKey:
         rejected exactly as the ``λ`` path rejects it.
         """
         p, q = self.p, self.q
-        powmod = _powmod()
+        powmod = fastpath.get_backend().powmod
         residues: List[int] = []
         for prime in (p, q):
             prime_sq = prime * prime
@@ -197,7 +191,7 @@ class RandomizerPool:
         count = self._batch if count is None else count
         n = self.public_key.n
         n_sq = self.public_key.n_squared
-        powmod = _powmod()
+        powmod = fastpath.get_backend().powmod
         fresh = [
             powmod(self._rng.randrange_coprime(n), n, n_sq) for _ in range(count)
         ]

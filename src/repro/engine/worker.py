@@ -28,6 +28,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.core.classification.linear import _label_from_value
+from repro.core.classification.session import decision_function_for_model
 from repro.crypto.precompute import get_precompute_service
 from repro.math import groups
 from repro.core.ompe import OMPEConfig, OMPEFunction, execute_ompe
@@ -36,7 +37,6 @@ from repro.core.similarity import (
     MetricParams,
     SimilarityProfile,
     evaluate_similarity_private,
-    evaluate_similarity_private_nonlinear,
     similarity_profile,
 )
 from repro.engine.jobs import (
@@ -132,24 +132,6 @@ def make_spec(
     )
 
 
-def _decision_function(model: SVMModel) -> OMPEFunction:
-    """The model's decision function as an OMPE sender function
-    (same shapes as ``PrivateClassificationSession``)."""
-    if model.is_linear():
-        return OMPEFunction.from_polynomial(model.linear_decision_polynomial())
-    name, params = model.kernel_spec
-    if name not in ("poly", "polynomial"):
-        raise ValidationError(
-            "the engine serves linear and polynomial-kernel models; "
-            "polynomialize RBF/sigmoid models first"
-        )
-    return OMPEFunction.from_callable(
-        arity=model.dimension,
-        total_degree=int(params.get("degree", 3)),
-        evaluate=model.exact_decision_value,
-    )
-
-
 @dataclass
 class WorkerState:
     """Per-worker protocol state (model, pools, seeded streams)."""
@@ -176,7 +158,7 @@ class WorkerState:
             worker_id=worker_id,
             spec=spec,
             model=model,
-            function=_decision_function(model),
+            function=decision_function_for_model(model),
             root=ReproRandom(spec.seed).fork("worker", worker_id),
         )
 
@@ -361,22 +343,13 @@ def _run_similarity(
     left = state.profile_for(job.left_key)
     other = model_from_dict(job.model_document)
     params = state.spec.metric_params or MetricParams()
-    if left.is_linear() and other.is_linear():
-        outcome = evaluate_similarity_private(
-            left,
-            other,
-            params,
-            config=state.spec.config,
-            seed=job.seed,
-        )
-    else:
-        outcome = evaluate_similarity_private_nonlinear(
-            left,
-            other,
-            params,
-            config=state.spec.config,
-            seed=job.seed,
-        )
+    outcome = evaluate_similarity_private(
+        left,
+        other,
+        params,
+        config=state.spec.config,
+        seed=job.seed,
+    )
     return JobResult(
         job_id=job.job_id,
         kind=SIMILARITY,

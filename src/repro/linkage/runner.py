@@ -36,7 +36,6 @@ from repro import obs
 from repro.core.similarity import (
     SimilarityProfile,
     evaluate_similarity_private,
-    evaluate_similarity_private_nonlinear,
     similarity_profile,
 )
 from repro.engine.engine import EnginePolicy, ProtocolEngine
@@ -110,12 +109,7 @@ class SerialLinkageRunner(LinkageRunner):
         scores = []
         for right_key in chunk.right_keys:
             right = self._profile(spec, "bob", right_key)
-            evaluate = (
-                evaluate_similarity_private
-                if left.is_linear()
-                else evaluate_similarity_private_nonlinear
-            )
-            outcome = evaluate(
+            outcome = evaluate_similarity_private(
                 left,
                 right,
                 spec.params,

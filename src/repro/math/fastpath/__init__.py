@@ -18,23 +18,21 @@ protocol transcripts, labels, and similarity values on the same seeds.
 ``tests/core/test_hotpath_differential.py`` pins that guarantee and
 ``benchmarks/bench_hotpath_arith.py`` measures the gap.
 
-The switch is process-global: :func:`set_enabled` /
-:func:`naive_arithmetic` flip it (benchmarks and differential tests),
-and the ``REPRO_NAIVE_ARITH=1`` environment variable disables the hot
-path at import time (engine worker processes inherit it).
+The switch is process-global: :func:`naive_arithmetic` flips it for
+the enclosed block (benchmarks and differential tests).
 
 Underneath the switch sits a second, orthogonal axis: the **bignum
-backend** (:mod:`repro.math.fastpath.backends`).  The hot path
-dispatches its primitive operations (``powmod``, ``invert``,
-``mul_mod``, ``jacobi``) through the active :class:`BignumBackend` —
-pure CPython by default (the oracle), GMP via ``gmpy2`` when importable
-or forced with ``REPRO_BIGNUM_BACKEND``.  Both backends are
-bit-identical; the naive reference never touches the backend at all.
+backend** (:mod:`repro.math.fastpath.backends`).  Modular
+exponentiation, inversion and the Jacobi symbol (``powmod``,
+``invert``, ``jacobi``) always run on the active
+:class:`BignumBackend`, switch or no switch — pure CPython by default
+(the oracle), GMP via ``gmpy2`` when importable or forced with
+``REPRO_BIGNUM_BACKEND``.  Both backends are bit-identical, and the
+python backend is the one copy of those algorithms.
 """
 
 from __future__ import annotations
 
-import os
 from contextlib import contextmanager
 from fractions import Fraction
 from math import gcd
@@ -52,11 +50,7 @@ from repro.math.fastpath.backends import (  # noqa: F401 - re-exported API
     use_backend,
 )
 
-_ENABLED = os.environ.get("REPRO_NAIVE_ARITH", "").strip().lower() not in (
-    "1",
-    "true",
-    "yes",
-)
+_ENABLED = True
 
 
 def enabled() -> bool:
@@ -64,32 +58,16 @@ def enabled() -> bool:
     return _ENABLED
 
 
-def set_enabled(value: bool) -> None:
-    """Enable or disable every hot-path shortcut (process-global)."""
-    global _ENABLED
-    _ENABLED = bool(value)
-
-
 @contextmanager
 def naive_arithmetic() -> Iterator[None]:
     """Run the enclosed block on the naive reference arithmetic."""
+    global _ENABLED
     previous = _ENABLED
-    set_enabled(False)
+    _ENABLED = False
     try:
         yield
     finally:
-        set_enabled(previous)
-
-
-@contextmanager
-def hotpath_arithmetic() -> Iterator[None]:
-    """Force the hot path inside the block (symmetry helper for benches)."""
-    previous = _ENABLED
-    set_enabled(True)
-    try:
-        yield
-    finally:
-        set_enabled(previous)
+        _ENABLED = previous
 
 
 #: Sentinel returned by fast evaluators when the input shape is not

@@ -22,10 +22,13 @@ Selection order:
 2. ``gmpy2`` when importable;
 3. ``python`` otherwise.
 
-The active backend only ever runs under the hot path
-(:func:`repro.math.fastpath.enabled`); the naive reference arithmetic
-stays pure CPython regardless of backend, so ``REPRO_NAIVE_ARITH=1``
-always reproduces the seed implementation verbatim.
+:mod:`repro.math.numtheory` (``modular_inverse``, ``jacobi_symbol``,
+Miller–Rabin), :meth:`repro.math.groups.SchnorrGroup.exp` and the
+Paillier cipher's modular exponentiations dispatch into the active
+backend unconditionally, so :class:`PythonBackend` holds the one
+pure-Python copy of those algorithms;
+:func:`repro.math.fastpath.naive_arithmetic` does not change which
+backend runs them.
 """
 
 from __future__ import annotations
@@ -77,12 +80,10 @@ class BignumBackend(Protocol):
 class PythonBackend:
     """Pure-CPython backend — the bit-identity correctness oracle.
 
-    The inverse/Jacobi implementations intentionally mirror
+    Its inverse and Jacobi implementations are the ones
     :func:`repro.math.numtheory.modular_inverse` and
-    :func:`repro.math.numtheory.jacobi_symbol` (they cannot import them:
-    ``numtheory`` dispatches *into* this module), including the exact
-    error messages, so swapping dispatch layers never changes observable
-    behaviour.
+    :func:`repro.math.numtheory.jacobi_symbol` run on this backend; the
+    gmpy2 backend raises the same error messages.
     """
 
     name = "python"

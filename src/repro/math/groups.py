@@ -78,16 +78,12 @@ class SchnorrGroup:
         return pow(element, self.q, self.p) == 1
 
     def exp(self, base: int, exponent: int) -> int:
-        """Return ``base ** exponent mod p``.
+        """Return ``base ** exponent mod p`` on the active bignum backend.
 
-        Variable-base exponentiation routes through the active bignum
-        backend under the hot path (gmpy2's ``powmod`` is several times
-        faster than CPython ``pow`` at these sizes); the naive
-        reference stays pure CPython.
+        gmpy2's ``powmod`` is several times faster than CPython ``pow``
+        at these sizes; the python backend is ``pow`` itself.
         """
-        if fastpath.enabled():
-            return fastpath.get_backend().powmod(base, exponent % self.q, self.p)
-        return pow(base, exponent % self.q, self.p)
+        return fastpath.get_backend().powmod(base, exponent % self.q, self.p)
 
     def exp_g(self, exponent: int) -> int:
         """Return ``g ** exponent mod p`` via a cached fixed-base table.

@@ -83,10 +83,8 @@ from repro.core.similarity.metric import MetricParams
 from repro.core.similarity.policy import OutputPolicy
 from repro.core.similarity.profile import SimilarityProfile, similarity_profile
 from repro.core.similarity.remote import (
-    run_similarity_alice_linear,
-    run_similarity_alice_nonlinear,
-    run_similarity_bob_linear,
-    run_similarity_bob_nonlinear,
+    run_similarity_alice,
+    run_similarity_bob,
 )
 from repro.crypto.precompute import get_precompute_service
 from repro.exceptions import (
@@ -798,22 +796,19 @@ class TrainerServer:
             transcripts.append(channel.transcript)
             return channel
 
-        if linear:
-            run_similarity_alice_linear(
-                self._similarity_profile(model_key, serving), factory,
-                params=self.params, config=self.config, seed=seed,
-            )
-        else:
+        peer_sv_count = None
+        if not linear:
             peer_sv_count = request.get("n_support")
             if not isinstance(peer_sv_count, int) or peer_sv_count < 1:
                 raise ProtocolError(
                     "kernel similarity needs the client's support-vector "
                     f"count in session/open, got {peer_sv_count!r}"
                 )
-            run_similarity_alice_nonlinear(
-                self._similarity_profile(model_key, serving), peer_sv_count,
-                factory, params=self.params, config=self.config, seed=seed,
-            )
+        run_similarity_alice(
+            self._similarity_profile(model_key, serving), factory,
+            params=self.params, config=self.config, seed=seed,
+            peer_sv_count=peer_sv_count,
+        )
 
     def _similarity_profile(
         self, model_key: Optional[str], model: SVMModel
@@ -1332,19 +1327,11 @@ class TrainerClient:
                         f"instead of the requested {server_model!r}"
                     )
                 _annotate_session(span, accept)
-                factory = session.channel
-                if linear:
-                    outcome = run_similarity_bob_linear(
-                        model, factory,
-                        params=self.params, config=self.config, seed=seed,
-                        policy=echoed,
-                    )
-                else:
-                    outcome = run_similarity_bob_nonlinear(
-                        model, factory,
-                        params=self.params, config=self.config, seed=seed,
-                        policy=echoed,
-                    )
+                outcome = run_similarity_bob(
+                    model, session.channel,
+                    params=self.params, config=self.config, seed=seed,
+                    policy=echoed,
+                )
                 session.finish()
                 return outcome
             except ReproError as error:

@@ -34,7 +34,6 @@ from repro.core.ompe.receiver import OMPEReceiver
 from repro.core.ompe.sender import OMPESender
 from repro.core.similarity import (
     evaluate_similarity_private,
-    evaluate_similarity_private_nonlinear,
 )
 from repro.math import fastpath
 from repro.math.groups import fast_group
@@ -478,7 +477,7 @@ class TestHiderCounts:
         rng = random.Random(2016)
         left, right = kernel_model(rng), kernel_model(rng)
         spans = points_spans(
-            lambda: evaluate_similarity_private_nonlinear(
+            lambda: evaluate_similarity_private(
                 left, right, config=self.CONFIG, seed=1
             )
         )
@@ -497,7 +496,7 @@ class TestHiderCounts:
         left, right = kernel_model(rng), kernel_model(rng)
         assert reseeds(
             monkeypatch,
-            lambda: evaluate_similarity_private_nonlinear(
+            lambda: evaluate_similarity_private(
                 left, right, config=self.CONFIG, seed=1
             ),
         ) == 143

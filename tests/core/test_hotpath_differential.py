@@ -26,7 +26,6 @@ from repro.core.ompe.compose import (
 )
 from repro.core.similarity import boundary
 from repro.core.similarity.linear import evaluate_similarity_private
-from repro.core.similarity.nonlinear import evaluate_similarity_private_nonlinear
 from repro.math import fastpath
 from repro.math.multivariate import MultivariatePolynomial
 from repro.ml.kernels import polynomial_kernel
@@ -154,12 +153,12 @@ class TestSimilarityDifferential:
         model_a = make_poly_model(1, n_sv=4, dim=2, degree=2)
         model_b = make_poly_model(2, n_sv=4, dim=2, degree=2)
         clear_composition_cache()
-        fast = evaluate_similarity_private_nonlinear(
+        fast = evaluate_similarity_private(
             model_a, model_b, config=fast_config, seed=32
         )
         clear_composition_cache()
         with fastpath.naive_arithmetic():
-            naive = evaluate_similarity_private_nonlinear(
+            naive = evaluate_similarity_private(
                 model_a, model_b, config=fast_config, seed=32
             )
         assert fast.t_squared == naive.t_squared

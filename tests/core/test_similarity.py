@@ -13,7 +13,6 @@ from repro.core.similarity import (
     cosine_similarity,
     evaluate_similarity_plain,
     evaluate_similarity_private,
-    evaluate_similarity_private_nonlinear,
     exact_normal_inner,
     kernel_boundary_points,
     linear_boundary_points,
@@ -303,12 +302,15 @@ class TestPrivateLinearSimilarity:
         assert private.t == pytest.approx(plain.t, rel=1e-9)
 
     def test_rejects_nonlinear_models(self, fast_config):
+        """A linear model paired with a kernel one, in either order."""
         data = two_gaussians("nl", dimension=2, train_size=50, test_size=5, seed=1)
         poly = train_svm(
             data.X_train, data.y_train, kernel="poly", degree=3, a0=0.5, b0=0.0
         )
-        with pytest.raises(ValidationError):
-            evaluate_similarity_private(poly, poly, config=fast_config)
+        linear = make_linear_model([1.0, 0.0], 0.0)
+        for pair in ((linear, poly), (poly, linear)):
+            with pytest.raises(ValidationError, match="one of each"):
+                evaluate_similarity_private(*pair, config=fast_config)
 
     def test_deterministic(self, fast_config):
         a = make_linear_model([1.0, 0.7], -0.2)
@@ -333,7 +335,7 @@ class TestPrivateNonlinearSimilarity:
         a, b = poly_models
         params = MetricParams(resolution=32)
         plain = evaluate_similarity_plain(a, b, params)
-        private = evaluate_similarity_private_nonlinear(
+        private = evaluate_similarity_private(
             a, b, params, config=fast_config, seed=3
         )
         assert private.t == pytest.approx(plain.t, rel=1e-3)
@@ -351,9 +353,12 @@ class TestPrivateNonlinearSimilarity:
             data.X_train, data.y_train, kernel="poly", degree=2, a0=1.0, b0=0.0
         )
         with pytest.raises(SimilarityError):
-            evaluate_similarity_private_nonlinear(a, other, config=fast_config)
+            evaluate_similarity_private(a, other, config=fast_config)
 
-    def test_rejects_linear_models(self, fast_config):
-        model = make_linear_model([1.0, 0.0], 0.0)
-        with pytest.raises(ValidationError):
-            evaluate_similarity_private_nonlinear(model, model, config=fast_config)
+    def test_rejects_linear_models(self, poly_models, fast_config):
+        """A kernel model paired with a linear one, in either order."""
+        poly, _ = poly_models
+        linear = make_linear_model([1.0, 0.0, 0.5], 0.0)
+        for pair in ((poly, linear), (linear, poly)):
+            with pytest.raises(ValidationError, match="one of each"):
+                evaluate_similarity_private(*pair, config=fast_config)

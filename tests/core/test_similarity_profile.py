@@ -9,37 +9,36 @@ process and through the split Alice/Bob drivers.
 
 from __future__ import annotations
 
+import dataclasses
 import random
 import sys
 import threading
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.core.ompe import OMPEConfig
 from repro.core.similarity import (
     MetricParams,
     evaluate_similarity_private,
-    evaluate_similarity_private_nonlinear,
     similarity_profile,
 )
 from repro.core.similarity import profile as profile_module
-from repro.core.similarity.remote import (
-    run_similarity_alice_linear,
-    run_similarity_alice_nonlinear,
-    run_similarity_bob_linear,
-    run_similarity_bob_nonlinear,
-)
+from repro.core.similarity.remote import run_similarity_alice, run_similarity_bob
 from repro.engine.jobs import SimilarityJob
 from repro.engine.worker import EngineSpec, WorkerState, execute_job
-from repro.exceptions import ValidationError
+from repro.exceptions import ProtocolError, SimilarityError, ValidationError
 from repro.linkage import LinkageJobSpec, SerialLinkageRunner, run_linkage
 from repro.math.groups import fast_group
 from repro.ml.kernels import polynomial_kernel
 from repro.ml.svm.model import SVMModel, make_linear_model
 from repro.ml.svm.persistence import model_to_dict
+from repro.net import wire
 from repro.net.channel import Channel
-from repro.net.service import TrainerServer
+from repro.net.service import TrainerClient, TrainerServer
+from repro.obs import Tracer
 
 PARAMS = MetricParams(resolution=16)
 
@@ -77,11 +76,6 @@ PAIRS = {
     "kernel": (_kernel_model(1), _kernel_model(2)),
 }
 
-IN_PROCESS = {
-    "linear": evaluate_similarity_private,
-    "kernel": evaluate_similarity_private_nonlinear,
-}
-
 
 def _rows(outcome):
     """Per-phase transcript rows: bytes by phase, message types, rounds."""
@@ -116,8 +110,12 @@ class _BlockingChannel(Channel):
             return super().receive(recipient, expected_type)
 
 
-def _run_split(kind, side_a, side_b, config, seed):
-    """Alice's and Bob's drivers on two threads, one channel per phase."""
+def _split_pair(side_a, side_b, config, seed):
+    """Alice's and Bob's drivers on two threads, one channel per phase.
+
+    Returns ``(outcome, bob_error, alice_error)`` once both sides have
+    stopped; an error is ``None`` when that side did not raise.
+    """
     channels = []
     lock = threading.Lock()
 
@@ -135,32 +133,34 @@ def _run_split(kind, side_a, side_b, config, seed):
 
         return factory
 
-    if kind == "linear":
-        alice = lambda: run_similarity_alice_linear(  # noqa: E731
-            side_a, factory_for(), params=PARAMS, config=config, seed=seed
-        )
-        bob_driver = run_similarity_bob_linear
-    else:
-        alice = lambda: run_similarity_alice_nonlinear(  # noqa: E731
-            side_a, side_b.n_support, factory_for(),
-            params=PARAMS, config=config, seed=seed,
-        )
-        bob_driver = run_similarity_bob_nonlinear
-    errors = []
+    alice_errors = []
 
     def run_alice():
         try:
-            alice()
+            run_similarity_alice(
+                side_a, factory_for(), params=PARAMS, config=config,
+                seed=seed, peer_sv_count=side_b.n_support,
+            )
         except Exception as error:  # surfaced below
-            errors.append(error)
+            alice_errors.append(error)
 
     thread = threading.Thread(target=run_alice)
     thread.start()
-    outcome = bob_driver(
-        side_b, factory_for(), params=PARAMS, config=config, seed=seed
-    )
+    outcome = bob_error = None
+    try:
+        outcome = run_similarity_bob(
+            side_b, factory_for(), params=PARAMS, config=config, seed=seed
+        )
+    except Exception as error:  # surfaced below
+        bob_error = error
     thread.join(60)
-    assert not thread.is_alive() and not errors, errors
+    assert not thread.is_alive()
+    return outcome, bob_error, next(iter(alice_errors), None)
+
+
+def _run_split(side_a, side_b, config, seed):
+    outcome, bob_error, alice_error = _split_pair(side_a, side_b, config, seed)
+    assert bob_error is None and alice_error is None, (bob_error, alice_error)
     return outcome
 
 
@@ -168,7 +168,7 @@ def _run_split(kind, side_a, side_b, config, seed):
 class TestProfileDifferential:
     def test_in_process_profiles_match_models(self, kind, light_config):
         model_a, model_b = PAIRS[kind]
-        evaluate = IN_PROCESS[kind]
+        evaluate = evaluate_similarity_private
         reference = evaluate(model_a, model_b, PARAMS, config=light_config, seed=5)
         profile_a = similarity_profile(model_a, PARAMS)
         profile_b = similarity_profile(model_b, PARAMS)
@@ -183,13 +183,13 @@ class TestProfileDifferential:
 
     def test_split_drivers_match_in_process(self, kind, light_config):
         model_a, model_b = PAIRS[kind]
-        reference = IN_PROCESS[kind](
+        reference = evaluate_similarity_private(
             model_a, model_b, PARAMS, config=light_config, seed=9
         )
         profile_a = similarity_profile(model_a, PARAMS)
         profile_b = similarity_profile(model_b, PARAMS)
         for side_a, side_b in ((model_a, model_b), (profile_a, profile_b)):
-            outcome = _run_split(kind, side_a, side_b, light_config, seed=9)
+            outcome = _run_split(side_a, side_b, light_config, seed=9)
             assert outcome.t_squared == reference.t_squared
             assert _rows(outcome) == _rows(reference)
 
@@ -295,25 +295,78 @@ class TestProfileGuards:
             )
 
     def test_linear_profile_refused_like_linear_model(self, light_config):
-        model = PAIRS["linear"][0]
-        profile = similarity_profile(model, PARAMS)
+        """A linear side paired with a kernel side: same refusal from
+        profiles as from models."""
+        linear, kernel = PAIRS["linear"][0], PAIRS["kernel"][0]
+        profiles = (
+            similarity_profile(linear, PARAMS),
+            similarity_profile(kernel, PARAMS),
+        )
         with pytest.raises(ValidationError) as from_model:
-            evaluate_similarity_private_nonlinear(
-                model, model, PARAMS, config=light_config
+            evaluate_similarity_private(
+                linear, kernel, PARAMS, config=light_config
             )
         with pytest.raises(ValidationError) as from_profile:
-            evaluate_similarity_private_nonlinear(
-                profile, profile, PARAMS, config=light_config
-            )
+            evaluate_similarity_private(*profiles, PARAMS, config=light_config)
         assert str(from_profile.value) == str(from_model.value)
 
     def test_kernel_profile_refused_by_linear_driver(self, light_config):
-        model = PAIRS["kernel"][0]
-        profile = similarity_profile(model, PARAMS)
+        """The same pair in the other order: kernel side first."""
+        linear, kernel = PAIRS["linear"][0], PAIRS["kernel"][0]
+        profiles = (
+            similarity_profile(kernel, PARAMS),
+            similarity_profile(linear, PARAMS),
+        )
         with pytest.raises(ValidationError) as from_model:
-            evaluate_similarity_private(model, model, PARAMS, config=light_config)
-        with pytest.raises(ValidationError) as from_profile:
             evaluate_similarity_private(
-                profile, profile, PARAMS, config=light_config
+                kernel, linear, PARAMS, config=light_config
             )
+        with pytest.raises(ValidationError) as from_profile:
+            evaluate_similarity_private(*profiles, PARAMS, config=light_config)
         assert str(from_profile.value) == str(from_model.value)
+
+
+class TestDegenerateNormal:
+    @pytest.mark.parametrize("kind", ["linear", "kernel"])
+    def test_split_bob_refuses_his_degenerate_normal(self, kind, light_config):
+        """Both sides refuse Bob's zero normal right after the clear
+        exchange; neither waits on an OMPE run the other never starts."""
+        model_a, model_b = PAIRS[kind]
+        degenerate = dataclasses.replace(
+            similarity_profile(model_b, PARAMS), normal_norm=Fraction(0)
+        )
+        outcome, bob_error, alice_error = _split_pair(
+            model_a, degenerate, light_config, seed=3
+        )
+        assert outcome is None
+        assert isinstance(bob_error, SimilarityError)
+        assert isinstance(alice_error, SimilarityError)
+        assert str(bob_error) == str(alice_error)
+
+
+class TestMixedKindSession:
+    def test_kernel_client_refused_by_linear_server(self, light_config):
+        """A typed ProtocolError on both sides, and nothing hangs."""
+        server = TrainerServer(
+            PAIRS["linear"][0], config=light_config, params=PARAMS
+        )
+        end_a, end_b = wire.memory_pair(timeout=30.0)
+        peer = threading.Thread(target=server.serve_connection, args=(end_a,))
+        previous = obs.get_tracer()
+        obs.set_tracer(Tracer())
+        try:
+            peer.start()
+            with TrainerClient(
+                connection=end_b, config=light_config, params=PARAMS
+            ) as client:
+                with pytest.raises(
+                    ProtocolError, match="both models to be linear or both kernel"
+                ):
+                    client.evaluate_similarity(PAIRS["kernel"][1], seed=4)
+            peer.join(30)
+            assert not peer.is_alive()
+        finally:
+            obs.set_tracer(previous)
+            server.close()
+        (entry,) = server._trace_log
+        assert entry["error"].startswith("ProtocolError: ")

@@ -20,7 +20,6 @@ from repro import obs
 from repro.core.classification import private_classify
 from repro.core.similarity import (
     evaluate_similarity_private,
-    evaluate_similarity_private_nonlinear,
 )
 from repro.core.similarity.metric import MetricParams
 from repro.core.similarity.policy import parse_output_policy
@@ -290,7 +289,7 @@ class TestSimilarityConformance:
     ):
         model_a, model_b = poly_models
         params = MetricParams(resolution=32)
-        reference = evaluate_similarity_private_nonlinear(
+        reference = evaluate_similarity_private(
             model_a, model_b, params=params, config=fast_config, seed=13
         )
 

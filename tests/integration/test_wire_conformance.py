@@ -24,7 +24,6 @@ from repro.core.ompe.protocol import (
 )
 from repro.core.similarity import (
     evaluate_similarity_private,
-    evaluate_similarity_private_nonlinear,
 )
 from repro.core.similarity.metric import MetricParams
 from repro.ml.datasets import interaction_boundary
@@ -259,7 +258,7 @@ class TestSimilarityConformance:
     ):
         model_a, model_b = poly_models
         params = MetricParams(resolution=32)
-        reference = evaluate_similarity_private_nonlinear(
+        reference = evaluate_similarity_private(
             model_a, model_b, params=params, config=fast_config, seed=13
         )
 

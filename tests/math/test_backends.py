@@ -165,8 +165,7 @@ class TestDispatchLayer:
         group = fast_group()
         rng = ReproRandom(77)
         values = [rng.randint(2, group.p - 2) for _ in range(8)]
-        expected = []
-        with fastpath.naive_arithmetic():
+        with fastpath.use_backend("python"):
             expected = [modular_inverse(v, group.p) for v in values]
         assert [modular_inverse(v, group.p) for v in values] == expected
 
@@ -174,7 +173,7 @@ class TestDispatchLayer:
         group = fast_group()
         rng = ReproRandom(78)
         values = [rng.randint(1, group.p - 1) for _ in range(16)]
-        with fastpath.naive_arithmetic():
+        with fastpath.use_backend("python"):
             expected = [jacobi_symbol(v, group.p) for v in values]
         assert [jacobi_symbol(v, group.p) for v in values] == expected
 

@@ -43,17 +43,7 @@ class TestSwitch:
         assert fastpath.enabled()
         with fastpath.naive_arithmetic():
             assert not fastpath.enabled()
-            with fastpath.hotpath_arithmetic():
-                assert fastpath.enabled()
-            assert not fastpath.enabled()
         assert fastpath.enabled()
-
-    def test_set_enabled(self):
-        fastpath.set_enabled(False)
-        try:
-            assert not fastpath.enabled()
-        finally:
-            fastpath.set_enabled(True)
 
 
 class TestScaleHelpers:
