@@ -14,7 +14,7 @@ speedup table to ``BENCH_hotpath.json``:
 
 Every row carries a ``backend`` column and the whole suite repeats once
 per available bignum backend (``python`` always; ``gmpy2`` when
-importable — PR 8).  The naive reference is re-measured inside each
+importable; ``gmp`` when the system libgmp loads).  The naive reference is re-measured inside each
 backend leg but always runs on pure CPython ``pow``: the oracle is
 never routed through a backend.  Results land in the ``arith`` section
 of ``BENCH_hotpath.json`` (via ``update_artifact``, so the

@@ -219,13 +219,13 @@ def _cmd_observe(args: argparse.Namespace) -> int:
     from repro.crypto.precompute import get_precompute_service
     from repro.math import fastpath
 
-    availability = (
-        "gmpy2 available" if fastpath.gmpy2_available() else "gmpy2 unavailable"
-    )
     precompute_stats = get_precompute_service().stats()
     tables = precompute_stats["tables"]
     print("== arithmetic engine ==")
-    print(f"bignum backend: {fastpath.backend_name()} ({availability})")
+    print(
+        f"bignum backend: {fastpath.backend_name()} "
+        f"(available: {', '.join(fastpath.available_backends())})"
+    )
     print(
         f"precompute: {tables['cached']} warm generator table(s), "
         f"{int(tables['hits'])} hits / {int(tables['builds'])} builds "

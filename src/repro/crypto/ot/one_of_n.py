@@ -183,7 +183,7 @@ class OneOfNReceiver:
                 f"expected {self._count}"
             )
         point = transfer.ephemeral_point
-        if not isinstance(point, int) or not self.group.contains(point):
+        if not self.group.contains(point):
             raise ObliviousTransferError("ephemeral point is not a group element")
         return self.group.encode_element(self.group.exp(point, self._secret))
 

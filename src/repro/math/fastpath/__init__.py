@@ -26,9 +26,11 @@ backend** (:mod:`repro.math.fastpath.backends`).  Modular
 exponentiation, inversion and the Jacobi symbol (``powmod``,
 ``invert``, ``jacobi``) always run on the active
 :class:`BignumBackend`, switch or no switch — pure CPython by default
-(the oracle), GMP via ``gmpy2`` when importable or forced with
-``REPRO_BIGNUM_BACKEND``.  Both backends are bit-identical, and the
-python backend is the one copy of those algorithms.
+(the oracle), GMP via ``gmpy2`` when importable, else GMP via the
+system libgmp through ctypes (``gmp``) when it loads; any of them can
+be forced with ``REPRO_BIGNUM_BACKEND``.  All backends are
+bit-identical, and the python backend is the one copy of those
+algorithms.
 """
 
 from __future__ import annotations
@@ -40,11 +42,13 @@ from typing import Iterator, Optional, Sequence, Tuple
 
 from repro.math.fastpath.backends import (  # noqa: F401 - re-exported API
     BignumBackend,
+    GmpBackend,
     Gmpy2Backend,
     PythonBackend,
     available_backends,
     backend_name,
     get_backend,
+    gmp_available,
     gmpy2_available,
     set_backend,
     use_backend,

@@ -69,8 +69,13 @@ class SchnorrGroup:
         ``e^q mod p`` test).  The naive ``pow`` test is retained as the
         reference and used when the hot path is disabled; both agree on
         every input (``p ≡ 3 mod 4``, so ``-1`` is a non-residue and
-        ``p - 1`` is correctly excluded by either test).
+        ``p - 1`` is correctly excluded by either test).  Anything that
+        is not an ``int`` — ``bool``, ``Fraction``, ``float``, ``str`` —
+        is not an element, so a decoded hostile value is refused here
+        rather than failing inside the arithmetic.
         """
+        if not isinstance(element, int) or isinstance(element, bool):
+            return False
         if not 0 < element < self.p:
             return False
         if fastpath.enabled():
@@ -80,8 +85,9 @@ class SchnorrGroup:
     def exp(self, base: int, exponent: int) -> int:
         """Return ``base ** exponent mod p`` on the active bignum backend.
 
-        gmpy2's ``powmod`` is several times faster than CPython ``pow``
-        at these sizes; the python backend is ``pow`` itself.
+        GMP's ``powm`` (gmpy2 or the ctypes ``gmp`` backend) is several
+        times faster than CPython ``pow`` at these sizes; the python
+        backend is ``pow`` itself.
         """
         return fastpath.get_backend().powmod(base, exponent % self.q, self.p)
 

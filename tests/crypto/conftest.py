@@ -3,7 +3,8 @@
 Mirror of ``tests/math/conftest.py``: every OT/Paillier/hashing test
 runs under each available bignum backend, pinning transcript- and
 ciphertext-level bit-identity between the pure-Python oracle and the
-gmpy2 accelerator (skipped when gmpy2 is not importable).
+GMP backends (gmpy2, and ``gmp`` over the system libgmp; each skipped
+when it is not available).
 """
 
 from __future__ import annotations
@@ -15,15 +16,19 @@ from repro.math.fastpath import backends
 
 def _backend_params():
     params = [pytest.param("python", id="be-python")]
-    params.append(
-        pytest.param(
-            "gmpy2",
-            id="be-gmpy2",
-            marks=pytest.mark.skipif(
-                not backends.gmpy2_available(), reason="gmpy2 not installed"
-            ),
+    for name, available in (
+        ("gmpy2", backends.gmpy2_available),
+        ("gmp", backends.gmp_available),
+    ):
+        params.append(
+            pytest.param(
+                name,
+                id=f"be-{name}",
+                marks=pytest.mark.skipif(
+                    not available(), reason=f"{name} backend not available"
+                ),
+            )
         )
-    )
     return params
 
 

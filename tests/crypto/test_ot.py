@@ -1,6 +1,7 @@
 """Tests for the oblivious transfer family."""
 
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +19,7 @@ from repro.crypto.ot import (
 from repro.crypto.ot.base import OTChoice, OTSetup, OTTransfer, validate_index, validate_messages
 from repro.exceptions import ObliviousTransferError, ValidationError
 from repro.utils.rng import ReproRandom
+from repro.utils.serialization import decode_payload, encode_payload
 
 
 def keys(*labels):
@@ -175,6 +177,30 @@ class TestOneOfN:
         if not group.contains(group.p - 1):
             with pytest.raises(ObliviousTransferError):
                 sender.transfer(keys("a"), bad_choice)
+
+    @pytest.mark.parametrize(
+        "element", [Fraction(3, 2), Fraction(4, 1), 2.5, True], ids=repr
+    )
+    def test_non_int_blinded_key_rejected(self, group, rng, element):
+        """A hostile peer's decoded non-int is refused with the typed error."""
+        sender = OneOfNSender(group, rng)
+        setup = sender.setup()
+        choice = decode_payload(
+            encode_payload(OTChoice(session=setup.session, blinded_keys=(element,)))
+        )
+        with pytest.raises(ObliviousTransferError, match="not a group element"):
+            sender.transfer(keys("a", "b"), choice)
+
+    @pytest.mark.parametrize(
+        "element", [Fraction(3, 2), Fraction(4, 1), 2.5, True], ids=repr
+    )
+    def test_non_int_blinding_point_rejected(self, group, rng, element):
+        receiver = OneOfNReceiver(group, rng)
+        setup = decode_payload(
+            encode_payload(OTSetup(session=b"s" * 16, blinding_points=(element,)))
+        )
+        with pytest.raises(ObliviousTransferError, match="not a group element"):
+            receiver.choose(setup, 0, 2)
 
     def test_retrieve_before_choose(self, group, rng):
         receiver = OneOfNReceiver(group, rng)

@@ -2,7 +2,8 @@
 
 Every test in this directory runs once per available bignum backend
 (:mod:`repro.math.fastpath.backends`): the pure-Python oracle always,
-and gmpy2 when importable (skipped otherwise).  Bit-identity between
+gmpy2 when importable and the ctypes ``gmp`` backend when libgmp
+loads (each skipped otherwise).  Bit-identity between
 backends is thereby enforced by the *entire* suite, not just by the
 dedicated cross-backend tests in ``test_backends.py``.
 """
@@ -16,15 +17,19 @@ from repro.math.fastpath import backends
 
 def _backend_params():
     params = [pytest.param("python", id="be-python")]
-    params.append(
-        pytest.param(
-            "gmpy2",
-            id="be-gmpy2",
-            marks=pytest.mark.skipif(
-                not backends.gmpy2_available(), reason="gmpy2 not installed"
-            ),
+    for name, available in (
+        ("gmpy2", backends.gmpy2_available),
+        ("gmp", backends.gmp_available),
+    ):
+        params.append(
+            pytest.param(
+                name,
+                id=f"be-{name}",
+                marks=pytest.mark.skipif(
+                    not available(), reason=f"{name} backend not available"
+                ),
+            )
         )
-    )
     return params
 
 

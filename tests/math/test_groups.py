@@ -1,8 +1,11 @@
 """Tests for Schnorr groups."""
 
+from fractions import Fraction
+
 import pytest
 
 from repro.exceptions import ValidationError
+from repro.math import fastpath
 from repro.math.groups import (
     SchnorrGroup,
     default_group,
@@ -81,6 +84,17 @@ class TestOperations:
         assert not group.contains(0)
         assert not group.contains(group.p)
         assert not group.contains(group.p + 5)
+
+    @pytest.mark.parametrize(
+        "element", [True, Fraction(4, 1), Fraction(3, 2), 2.5, "7", None], ids=repr
+    )
+    def test_contains_rejects_non_int(self, group, element):
+        # True and Fraction(4, 1) equal subgroup members (1 and 4) but
+        # are not group elements; the rest used to raise TypeError.
+        assert group.contains(group.g)
+        assert group.contains(element) is False
+        with fastpath.naive_arithmetic():
+            assert group.contains(element) is False
 
     def test_random_exponent_range(self, group, rng):
         for _ in range(20):
