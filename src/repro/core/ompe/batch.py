@@ -19,7 +19,12 @@ from typing import List, Optional, Sequence, Tuple
 from repro import obs
 from repro.core.ompe.config import OMPEConfig
 from repro.core.ompe.function import OMPEFunction, as_exact_vector
-from repro.core.ompe.hiding import disguise_vector, draw_hiders, draw_nodes
+from repro.core.ompe.hiding import (
+    check_points,
+    disguise_vector,
+    draw_hiders,
+    draw_nodes,
+)
 from repro.core.ompe.precompute import draw_sender_bundle
 from repro.crypto.ot.k_of_n import KOfNReceiver, KOfNSender
 from repro.exceptions import OMPEError, ProtocolAbort, ValidationError
@@ -82,10 +87,10 @@ class _BatchSender(Party):
 
     def handle_points(self) -> None:
         batches = self.receive("ompe-batch/points")
-        if len(batches) != self._batch_size:
-            raise ProtocolAbort(
-                f"expected {self._batch_size} pair lists, got {len(batches)}"
-            )
+        if not isinstance(batches, (tuple, list)) or len(batches) != self._batch_size:
+            raise ProtocolAbort(f"expected {self._batch_size} pair lists")
+        for pairs in batches:
+            check_points(pairs, self.function.arity, self.config.exact)
         expected_pairs = self.config.pair_count(self.function.total_degree)
         with obs.get_tracer().span(
             "ompe.evaluate",
@@ -103,10 +108,6 @@ class _BatchSender(Party):
                 mask = self._masks[query_index]
                 amplifier = self.amplifiers[query_index]
                 for node, vector in pairs:
-                    if len(vector) != self.function.arity:
-                        raise ProtocolAbort(
-                            f"query {query_index}: vector arity {len(vector)}"
-                        )
                     value = mask(node) + amplifier * self.function(vector)
                     evaluations.append(encode_value(value))
         with obs.get_tracer().span(

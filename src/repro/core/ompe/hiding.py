@@ -25,6 +25,9 @@ receiver pool build ``Polynomial`` objects from the same numerators
 ``evaluate_all``.  Both give the same values, value types and bytes
 (``tests/core/test_hiding.py``).  Floats draw ``Polynomial.random`` from
 ``parent.fork(*prefix, i)``.
+
+:func:`check_points` is the senders' first step on a received points
+message: it refuses any value that is not a well-formed pair of numbers.
 """
 
 from __future__ import annotations
@@ -35,13 +38,17 @@ from operator import mul
 from typing import List, Optional, Sequence, Tuple
 
 from repro.core.ompe.config import OMPEConfig
-from repro.exceptions import ValidationError
+from repro.exceptions import ProtocolAbort, ValidationError
 from repro.math import fastpath
 from repro.math.polynomials import Number, Polynomial, evaluate_all
 from repro.utils.rng import _DEFAULT_FRACTION_GRID as LATTICE
 from repro.utils.rng import ReproRandom
 
 PointsMessage = Tuple[Tuple[Number, Tuple[Number, ...]], ...]
+
+#: Number types a points message may carry, by ``OMPEConfig.exact``;
+#: ``bool`` never counts.
+_POINT_TYPES = {True: (int, Fraction), False: (int, Fraction, float)}
 
 #: Bytes per stream block: one full-width BLAKE2b digest.
 BLOCK_BYTES = 64
@@ -257,6 +264,41 @@ def draw_nodes(draw: ReproRandom, count: int, config: OMPEConfig) -> List[Number
             seen.add(value)
             nodes.append(value)
     return nodes
+
+
+def _is_number(value, allowed) -> bool:
+    return isinstance(value, allowed) and not isinstance(value, bool)
+
+
+def check_points(pairs, arity: int, exact: bool) -> None:
+    """Refuse a points message that is not ``((node, vector), ...)`` of numbers.
+
+    Each entry must be a 2-sequence of a number and a sequence of
+    ``arity`` numbers; numbers are ``int`` or ``Fraction``, and also
+    ``float`` when ``exact`` is false.  Raises
+    :class:`~repro.exceptions.ProtocolAbort` on the first violation, so
+    a hostile peer meets the typed abort and never the evaluator.
+    """
+    allowed = _POINT_TYPES[bool(exact)]
+    if not isinstance(pairs, (tuple, list)):
+        raise ProtocolAbort(f"points message is a {type(pairs).__name__}, not a sequence")
+    for index, pair in enumerate(pairs):
+        if not isinstance(pair, (tuple, list)) or len(pair) != 2:
+            raise ProtocolAbort(f"points entry {index} is not a (node, vector) pair")
+        node, vector = pair
+        if not _is_number(node, allowed):
+            raise ProtocolAbort(
+                f"points entry {index}: node of type {type(node).__name__}"
+            )
+        if not isinstance(vector, (tuple, list)) or len(vector) != arity:
+            raise ProtocolAbort(
+                f"points entry {index}: vector is not {arity} coordinates"
+            )
+        for value in vector:
+            if not _is_number(value, allowed):
+                raise ProtocolAbort(
+                    f"points entry {index}: coordinate of type {type(value).__name__}"
+                )
 
 
 def points_message(

@@ -19,6 +19,7 @@ from typing import List, Optional
 from repro import obs
 from repro.core.ompe.config import OMPEConfig
 from repro.core.ompe.function import OMPEFunction
+from repro.core.ompe.hiding import check_points
 from repro.core.ompe.precompute import draw_sender_bundle
 from repro.crypto.ot.k_of_n import KOfNSender
 from repro.exceptions import OMPEError, ProtocolAbort
@@ -116,6 +117,7 @@ class OMPESender(Party):
         """Evaluate ``A`` on all pairs and open the OT phase."""
         tracer = obs.get_tracer()
         pairs = self.receive("ompe/points")
+        check_points(pairs, self.function.arity, self.config.exact)
         expected = self.config.pair_count(self.function.total_degree)
         if len(pairs) != expected:
             raise ProtocolAbort(
@@ -138,11 +140,6 @@ class OMPESender(Party):
                 skip_offset = skip and self.offset_value == 0
                 evaluations: List[bytes] = []
                 for node, vector in pairs:
-                    if len(vector) != self.function.arity:
-                        raise ProtocolAbort(
-                            f"vector of length {len(vector)} for arity "
-                            f"{self.function.arity}"
-                        )
                     value = self.function(vector)
                     if not skip_amplifier:
                         value = self.amplifier * value

@@ -15,31 +15,55 @@ or ``β`` — ``n · 2^(n-1)`` one-dimensional problems.
 from __future__ import annotations
 
 import itertools
-from typing import Callable, List, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.exceptions import SimilarityError, ValidationError
+from repro.ml.kernels import polynomial_inner
 from repro.ml.svm.model import SVMModel
 
 Point = Tuple[float, ...]
 
 #: Tolerance for deduplicating boundary points and accepting solutions.
 _EPS = 1e-9
+#: Relative slack of the certified scan grid: far above the rounding gap
+#: between ``pow`` and repeated multiplication below ``_CERTIFIED_LIMIT``
+#: support vectors and degree (DESIGN.md §9).
+_CERTIFICATE_SLACK = 2.0**-36
+_CERTIFIED_LIMIT = 1 << 15
+#: Row pairs per closeness block in :func:`_dedupe`.
+_DEDUPE_BLOCK = 1 << 18
 
 
 def _corner_assignments(count: int, lower: float, upper: float):
     return itertools.product((lower, upper), repeat=count)
 
 
-def _dedupe(points: List[Point]) -> List[Point]:
-    unique: List[Point] = []
-    for point in points:
-        if not any(
-            max(abs(a - b) for a, b in zip(point, seen)) < _EPS for seen in unique
-        ):
-            unique.append(point)
-    return unique
+def _dedupe(points) -> List[Point]:
+    """Drop each point within ``_EPS`` in every coordinate of an earlier kept one.
+
+    Greedy keep-first over the rows of ``points`` (a sequence of
+    points or a 2-D array), in order.  The pairwise closeness test runs
+    on blocks of at most ``_DEDUPE_BLOCK`` row pairs; only a row close
+    to some earlier row is decided one at a time.
+    """
+    count = len(points)
+    if count == 0:
+        return []
+    rows = np.asarray(points, dtype=float)
+    keep = np.ones(count, dtype=bool)
+    step = max(1, _DEDUPE_BLOCK // count)
+    for start in range(0, count, step):
+        stop = min(count, start + step)
+        near = np.ones((stop - start, stop), dtype=bool)
+        for column in rows.T:
+            near &= np.abs(column[start:stop, None] - column[None, :stop]) < _EPS
+        # Only earlier rows count: row start + r against j < start + r.
+        near = np.tril(near, start - 1)
+        for r in np.flatnonzero(near.any(axis=1)):
+            keep[start + r] = not (near[r] & keep[:stop]).any()
+    return [tuple(row) for row in rows[keep].tolist()]
 
 
 def linear_boundary_points(
@@ -135,6 +159,57 @@ def _bisect(
     return 0.5 * (left + right)
 
 
+def _edge_templates(n: int, lower: float, upper: float) -> Tuple[np.ndarray, np.ndarray]:
+    """Every box edge as ``(axis, template)`` rows, axis-major.
+
+    ``templates[e]`` fixes the non-axis coordinates of edge ``e`` at one
+    corner of ``itertools.product((lower, upper), repeat=n - 1)`` and
+    holds 0 on its axis ``axes[e]``.
+    """
+    corners = np.array(
+        list(_corner_assignments(max(n - 1, 0), lower, upper)), dtype=float
+    )
+    templates = np.zeros((n * len(corners), n))
+    for axis in range(n):
+        block = templates[axis * len(corners) : (axis + 1) * len(corners)]
+        block[:, [i for i in range(n) if i != axis]] = corners
+    axes = np.repeat(np.arange(n), len(corners))
+    return axes, templates
+
+
+def _certified_grid_values(model: SVMModel, grid: np.ndarray) -> Optional[np.ndarray]:
+    """Polynomial-kernel decision values on ``grid``, certified or ``None``.
+
+    ``decision_values`` takes ``inner ** p`` through libm ``pow``; this
+    computes the same ``inner`` and takes the power by repeated
+    multiplication, then bounds the gap to the exact values by
+    ``δ = 2⁻³⁶·(|power| @ |duals| + |bias|)`` per cell.  The values are
+    returned only when every cell is finite with ``|f̃| > _EPS + δ``:
+    such a cell has the same hit, sign and bracket class as the exact
+    value (see DESIGN.md §9).  ``None`` sends the caller to
+    ``decision_values``.
+    """
+    if model.kernel.polynomial is None:
+        return None
+    a0, b0, degree = model.kernel.polynomial
+    if not isinstance(degree, int) or not (
+        model.n_support < _CERTIFIED_LIMIT and degree < _CERTIFIED_LIMIT
+    ):
+        return None
+    inner = polynomial_inner(grid, model.support_vectors, a0, b0)
+    power = inner.copy()
+    for _ in range(degree - 1):
+        power *= inner
+    values = power @ model.dual_coefficients + model.bias
+    slack = np.abs(power, out=inner) @ np.abs(model.dual_coefficients)
+    slack += abs(model.bias)
+    slack *= _CERTIFICATE_SLACK
+    slack += _EPS
+    if np.all(np.isfinite(values)) and np.all(np.abs(values) > slack):
+        return values
+    return None
+
+
 def kernel_boundary_points(
     model: SVMModel,
     lower: float = -1.0,
@@ -148,11 +223,11 @@ def kernel_boundary_points(
     generalization of Eq. (5).
 
     The whole scan grid (all ``n·2^(n-1)`` edges at once) is evaluated
-    in one vectorized :meth:`~repro.ml.svm.model.SVMModel.decision_values`
-    call, and all bracketed crossings are refined by lockstep bisection
-    — one batched evaluation per bisection level instead of one scalar
-    kernel evaluation per point (the scan used to dominate similarity
-    wall time).
+    in one array pass — certified repeated multiplication for a
+    polynomial kernel, else one
+    :meth:`~repro.ml.svm.model.SVMModel.decision_values` call — and all
+    bracketed crossings are refined by lockstep bisection on the exact
+    decision values, one batched evaluation per bisection level.
     """
     if lower >= upper:
         raise ValidationError(f"lower ({lower}) must be below upper ({upper})")
@@ -160,68 +235,45 @@ def kernel_boundary_points(
         raise ValidationError(f"resolution must be at least 2, got {resolution}")
     n = model.dimension
     xs = np.linspace(lower, upper, resolution)
-    edges: List[Tuple[int, np.ndarray]] = []
-    for axis in range(n):
-        others = [i for i in range(n) if i != axis]
-        for corner in _corner_assignments(n - 1, lower, upper):
-            template = np.zeros(n)
-            for position, index in enumerate(others):
-                template[index] = corner[position]
-            edges.append((axis, template))
-    grid = np.empty((len(edges) * resolution, n))
-    for row, (axis, template) in enumerate(edges):
-        block = grid[row * resolution : (row + 1) * resolution]
-        block[:] = template
-        block[:, axis] = xs
-    values = model.decision_values(grid).reshape(len(edges), resolution)
+    axes, templates = _edge_templates(n, lower, upper)
+    grid = np.repeat(templates, resolution, axis=0)
+    grid[np.arange(len(grid)), np.repeat(axes, resolution)] = np.tile(xs, len(axes))
+    values = _certified_grid_values(model, grid)
+    if values is None:
+        values = model.decision_values(grid)
+    values = values.reshape(len(axes), resolution)
 
     # Per-edge ordered root slots: exact grid hits resolve immediately,
-    # sign changes become brackets refined below.
-    slots: List[List] = [[] for _ in edges]
-    brackets: List[Tuple[int, int]] = []  # (edge index, slot index)
-    bracket_left: List[float] = []
-    bracket_right: List[float] = []
-    bracket_f_left: List[float] = []
-    for e, f in enumerate(values):
-        index = 0
-        while index < resolution - 1:
-            if abs(f[index]) < _EPS:
-                slots[e].append(float(xs[index]))
-                index += 1
-                continue
-            if f[index] * f[index + 1] < 0.0:
-                brackets.append((e, len(slots[e])))
-                slots[e].append(None)
-                bracket_left.append(float(xs[index]))
-                bracket_right.append(float(xs[index + 1]))
-                bracket_f_left.append(float(f[index]))
-            index += 1
-        if abs(f[-1]) < _EPS:
-            slots[e].append(float(xs[-1]))
+    # sign changes (from a cell that is no hit) become brackets refined
+    # below.  Row-major order over (edge, cell) is the scan order.
+    hits = np.abs(values) < _EPS
+    crossings = np.zeros_like(hits)
+    crossings[:, :-1] = ~hits[:, :-1] & (values[:, :-1] * values[:, 1:] < 0.0)
+    slot_edges, slot_cells = np.nonzero(hits | crossings)
+    roots = xs[slot_cells]
+    brackets = np.flatnonzero(crossings[slot_edges, slot_cells])
 
-    if brackets:
-        left = np.asarray(bracket_left)
-        right = np.asarray(bracket_right)
-        f_left = np.asarray(bracket_f_left)
-        roots = np.full(len(brackets), np.nan)
+    if len(brackets):
+        left = roots[brackets]
+        right = xs[slot_cells[brackets] + 1]
+        f_left = values[slot_edges[brackets], slot_cells[brackets]]
+        refined = np.full(len(brackets), np.nan)
         active = np.ones(len(brackets), dtype=bool)
-        probe = np.empty((len(brackets), n))
-        for b, (e, _) in enumerate(brackets):
-            axis, template = edges[e]
-            probe[b] = template
-        axes = np.asarray([edges[e][0] for e, _ in brackets])
+        probe = templates[slot_edges[brackets]]
+        rows = np.arange(len(brackets))
+        bracket_axes = axes[slot_edges[brackets]]
         for _ in range(80):
             if not active.any():
                 break
             middle = 0.5 * (left + right)
-            probe[np.arange(len(brackets)), axes] = middle
+            probe[rows, bracket_axes] = middle
             f_middle = model.decision_values(probe[active])
             indices = np.flatnonzero(active)
             converged = (np.abs(f_middle) < _EPS) | (
                 (right[indices] - left[indices]) < 1e-14
             )
             done = indices[converged]
-            roots[done] = middle[done]
+            refined[done] = middle[done]
             active[done] = False
             live = indices[~converged]
             f_live = f_middle[~converged]
@@ -230,16 +282,11 @@ def kernel_boundary_points(
             left[live[~descend]] = middle[live[~descend]]
             f_left[live[~descend]] = f_live[~descend]
         still = np.flatnonzero(active)
-        roots[still] = 0.5 * (left[still] + right[still])
-        for b, (e, slot) in enumerate(brackets):
-            slots[e][slot] = float(roots[b])
+        refined[still] = 0.5 * (left[still] + right[still])
+        roots[brackets] = refined
 
-    points: List[Point] = []
-    for e, (axis, template) in enumerate(edges):
-        for root in slots[e]:
-            point = template.copy()
-            point[axis] = root
-            points.append(tuple(float(v) for v in point))
+    points = templates[slot_edges]
+    points[np.arange(len(points)), axes[slot_edges]] = roots
     points = _dedupe(points)
     if not points:
         raise SimilarityError(

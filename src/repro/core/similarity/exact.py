@@ -9,7 +9,9 @@ exactly and tests can assert equality instead of tolerances.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Sequence, Tuple
 
 from repro.exceptions import ValidationError
@@ -68,3 +70,64 @@ def exact_poly_kernel(
     if degree < 1:
         raise ValidationError(f"degree must be at least 1, got {degree}")
     return (a0 * exact_dot(first, second) + b0) ** degree
+
+
+@dataclass(frozen=True)
+class ScaledModel:
+    """A kernel model's duals and support vectors over common integers.
+
+    ``dual_numerators[s] / dual_den`` is dual ``s`` and
+    ``sv_numerators[s][i] / sv_den`` coordinate ``i`` of support vector
+    ``s`` — the form the kernel double sum loops over.
+    """
+
+    dual_numerators: Tuple[int, ...]
+    dual_den: int
+    sv_numerators: Tuple[Tuple[int, ...], ...]
+    sv_den: int
+
+
+def scale_model(
+    duals: Sequence[Fraction], support_vectors: Sequence[Sequence[Fraction]]
+) -> ScaledModel:
+    """Rescale exact duals and support-vector rows onto common integers."""
+    dual_numerators, dual_den, _ = fastpath.scale_to_integers(duals)
+    dimension = len(support_vectors[0])
+    flat, sv_den, _ = fastpath.scale_to_integers(
+        [value for row in support_vectors for value in row]
+    )
+    rows = tuple(
+        flat[start : start + dimension] for start in range(0, len(flat), dimension)
+    )
+    return ScaledModel(dual_numerators, dual_den, rows, sv_den)
+
+
+def kernel_double_sum(
+    left: ScaledModel,
+    right: ScaledModel,
+    a0: Fraction,
+    b0: Fraction,
+    degree: int,
+) -> Fraction:
+    """Exact ``Σ_t Σ_s c_t c_s (a0 x_s·y_t + b0)^p`` over two scaled models.
+
+    The double loop runs in integers over one common denominator and
+    normalises once, so the value equals the ``Fraction`` double sum
+    of :func:`exact_poly_kernel` terms.  ``inner = a0·(x·y) + b0`` is
+    ``(inner_scale·dot + inner_shift) / kernel_den`` with
+    ``kernel_den = a0.den · left.sv_den · right.sv_den · b0.den``.
+    """
+    if degree < 1:
+        raise ValidationError(f"degree must be at least 1, got {degree}")
+    base_den = a0.denominator * left.sv_den * right.sv_den
+    inner_scale = a0.numerator * b0.denominator
+    inner_shift = b0.numerator * base_den
+    kernel_den = base_den * b0.denominator
+    total = 0
+    for right_dual, right_row in zip(right.dual_numerators, right.sv_numerators):
+        partial = 0
+        for left_dual, left_row in zip(left.dual_numerators, left.sv_numerators):
+            dot = sum(map(mul, left_row, right_row))
+            partial += left_dual * (inner_scale * dot + inner_shift) ** degree
+        total += right_dual * partial
+    return Fraction(total, left.dual_den * right.dual_den * kernel_den**degree)

@@ -32,7 +32,11 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Sequence
 
 from repro.core.ompe import OMPEFunction
-from repro.core.similarity.exact import exact_poly_kernel
+from repro.core.similarity.exact import (
+    ScaledModel,
+    exact_poly_kernel,
+    kernel_double_sum,
+)
 from repro.math import fastpath
 from repro.math.polynomials import Number
 
@@ -46,12 +50,13 @@ def kernel_normal_function(
     """Sender function computing ``⟨n_A, n_B⟩`` from Bob's packed model.
 
     The naive evaluator performs ``k_B · k_A`` exact kernel evaluations
-    in ``Fraction`` arithmetic per point.  The hot path runs over the
-    profile's scaled-integer form of Alice's duals and support vectors,
-    rescales the packed input once per call, and then the whole double
-    loop is integer dots / powers with a single normalising
-    ``Fraction`` at the end — the dominant win for nonlinear similarity
-    (same value, same type, pinned by the differential suite).
+    in ``Fraction`` arithmetic per point.  The hot path rescales the
+    packed input once per call and runs
+    :func:`~repro.core.similarity.exact.kernel_double_sum` against the
+    profile's scaled-integer form of Alice's model: integer dots and
+    powers with a single normalising ``Fraction`` at the end — the
+    dominant win for nonlinear similarity (same value, same type,
+    pinned by the differential suite).
     """
     a0, b0, degree = alice.kernel
     dimension = alice.dimension
@@ -66,23 +71,17 @@ def kernel_normal_function(
         point = fastpath.scale_to_integers(packed)
         if point is None or not isinstance(packed[0], Fraction):
             return fastpath.MISS
-        point_numerators, point_den, _ = point
-        # inner = a0 · (sv · x) + b0 over the common denominator
-        # K = a0.den · sv_den · point_den · b0.den; kernel = inner^p / K^p.
-        base_den = a0.denominator * scaled.sv_den * point_den
-        inner_scale = a0.numerator * b0.denominator
-        inner_shift = b0.numerator * base_den
-        kernel_den = base_den * b0.denominator
-        total = 0
-        for j in range(peer_sv_count):
-            start = peer_sv_count + j * dimension
-            vector = point_numerators[start : start + dimension]
-            partial = 0
-            for dual_num, sv_row in zip(scaled.dual_numerators, scaled.sv_numerators):
-                dot = sum(a * b for a, b in zip(sv_row, vector))
-                partial += dual_num * (inner_scale * dot + inner_shift) ** degree
-            total += point_numerators[j] * partial
-        return Fraction(total, point_den * scaled.dual_den * kernel_den**degree)
+        numerators, den, _ = point
+        bob = ScaledModel(
+            numerators[:peer_sv_count],
+            den,
+            tuple(
+                numerators[start : start + dimension]
+                for start in range(peer_sv_count, len(numerators), dimension)
+            ),
+            den,
+        )
+        return kernel_double_sum(scaled, bob, a0, b0, degree)
 
     def evaluate(packed: Sequence[Number]) -> Number:
         if fastpath.enabled():

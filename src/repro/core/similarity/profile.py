@@ -34,35 +34,22 @@ from repro.core.similarity.boundary import (
     linear_boundary_points,
 )
 from repro.core.similarity.exact import (
+    ScaledModel,
     exact_norm_squared,
     exact_poly_kernel,
+    kernel_double_sum,
+    scale_model,
     snap,
     snap_vector,
 )
 from repro.core.similarity.metric import MetricParams
 from repro.core.similarity.nonlinear import kernel_normal_function
 from repro.exceptions import ValidationError
-from repro.math import fastpath
 from repro.math.multivariate import MultivariatePolynomial
 from repro.ml.svm.model import SVMModel
 
 #: ``(a0, b0, degree)`` of a polynomial kernel, snapped.
 KernelParams = Tuple[Fraction, Fraction, int]
-
-
-@dataclass(frozen=True)
-class ScaledModel:
-    """A kernel model's duals and support vectors over common integers.
-
-    ``dual_numerators[s] / dual_den`` is dual ``s`` and
-    ``sv_numerators[s][i] / sv_den`` coordinate ``i`` of support vector
-    ``s`` — the form Alice's normal function loops over.
-    """
-
-    dual_numerators: Tuple[int, ...]
-    dual_den: int
-    sv_numerators: Tuple[Tuple[int, ...], ...]
-    sv_den: int
 
 
 @dataclass(frozen=True)
@@ -155,20 +142,25 @@ def _polynomial_kernel_params(model: SVMModel) -> KernelParams:
     )
 
 
+def _snapped_model(model: SVMModel):
+    """A kernel model's snapped duals and support-vector rows."""
+    duals = [snap(c) for c in model.dual_coefficients]
+    svs = [snap_vector(row) for row in model.support_vectors]
+    return duals, svs
+
+
 def exact_normal_inner(
     model_a: SVMModel, model_b: SVMModel
 ) -> Fraction:
-    """Exact (snapped) feature-space inner product of the two normals."""
+    """Exact (snapped) feature-space inner product of the two normals.
+
+    ``Σ_s Σ_t c_s c_t K(x_s, y_t)`` under ``model_a``'s kernel, run as
+    the integer double sum Alice's kernel normal function also runs.
+    """
     a0, b0, degree = _polynomial_kernel_params(model_a)
-    total = Fraction(0)
-    duals_a = [snap(c) for c in model_a.dual_coefficients]
-    svs_a = [snap_vector(row) for row in model_a.support_vectors]
-    duals_b = [snap(c) for c in model_b.dual_coefficients]
-    svs_b = [snap_vector(row) for row in model_b.support_vectors]
-    for ca, xa in zip(duals_a, svs_a):
-        for cb, xb in zip(duals_b, svs_b):
-            total += ca * cb * exact_poly_kernel(xa, xb, a0, b0, degree)
-    return total
+    left = scale_model(*_snapped_model(model_a))
+    right = left if model_b is model_a else scale_model(*_snapped_model(model_b))
+    return kernel_double_sum(left, right, a0, b0, degree)
 
 
 def similarity_profile(
@@ -230,25 +222,15 @@ def _kernel_profile(model: SVMModel, params: MetricParams) -> SimilarityProfile:
             )
         )
     )
-    duals = [snap(c) for c in model.dual_coefficients]
-    svs = [snap_vector(row) for row in model.support_vectors]
-    # Scaled-integer form of the model (denominators divide 2^40).
-    dual_numerators, dual_den, _ = fastpath.scale_to_integers(duals)
-    flat_svs = [value for row in svs for value in row]
-    sv_numerators_flat, sv_den, _ = fastpath.scale_to_integers(flat_svs)
-    dimension = model.dimension
-    sv_numerators = tuple(
-        sv_numerators_flat[row * dimension : (row + 1) * dimension]
-        for row in range(len(svs))
-    )
+    duals, svs = _snapped_model(model)
     return SimilarityProfile(
         params=params,
-        dimension=dimension,
+        dimension=model.dimension,
         centroid=m,
         centroid_norm=exact_poly_kernel(m, m, a0, b0, degree),
         normal_norm=exact_normal_inner(model, model),
         kernel=kernel,
         n_support=model.n_support,
-        packed=tuple(duals) + tuple(flat_svs),
-        scaled=ScaledModel(dual_numerators, dual_den, sv_numerators, sv_den),
+        packed=tuple(duals) + tuple(value for row in svs for value in row),
+        scaled=scale_model(duals, svs),
     )

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence, Union
+from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -36,11 +36,17 @@ def _as_array(vector: Vector) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Kernel:
-    """A named kernel with parameters and a vectorized gram computation."""
+    """A named kernel with parameters and a vectorized gram computation.
+
+    ``polynomial`` holds ``(a0, b0, degree)`` for a polynomial kernel,
+    whose gram is ``polynomial_inner(a, b, a0, b0) ** degree``, and is
+    ``None`` for every other kernel.
+    """
 
     name: str
     function: Callable[[np.ndarray, np.ndarray], float]
     gram_function: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    polynomial: Optional[Tuple[float, float, int]] = None
 
     def __call__(self, x: Vector, y: Vector) -> float:
         return float(self.function(_as_array(x), _as_array(y)))
@@ -59,6 +65,11 @@ def linear_kernel() -> Kernel:
     )
 
 
+def polynomial_inner(a: np.ndarray, b: np.ndarray, a0: float, b0: float) -> np.ndarray:
+    """``a0 · (a @ bᵀ) + b0``: a polynomial kernel's gram before the power."""
+    return a0 * (a @ b.T) + b0
+
+
 def polynomial_kernel(degree: int = 3, a0: float = 1.0, b0: float = 0.0) -> Kernel:
     """``(a0 x·y + b0)^degree`` — paper default a0 = 1/n, b0 = 0, p = 3."""
     if degree < 1:
@@ -66,7 +77,8 @@ def polynomial_kernel(degree: int = 3, a0: float = 1.0, b0: float = 0.0) -> Kern
     return Kernel(
         name=f"poly(p={degree},a0={a0},b0={b0})",
         function=lambda x, y: (a0 * float(np.dot(x, y)) + b0) ** degree,
-        gram_function=lambda a, b: (a0 * (a @ b.T) + b0) ** degree,
+        gram_function=lambda a, b: polynomial_inner(a, b, a0, b0) ** degree,
+        polynomial=(a0, b0, degree),
     )
 
 

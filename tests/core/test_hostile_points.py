@@ -1,0 +1,139 @@
+"""A hostile receiver's ``ompe/points`` values meet a typed abort.
+
+The codec accepts any encodable value, so a peer can send a points
+message of the right shape whose nodes or coordinates are text, bytes,
+``None``, nested tuples, booleans or floats.  The online and batched
+senders check the message first (``check_points``) and raise
+:class:`~repro.exceptions.ProtocolAbort`, never an untyped error from
+the evaluator.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+import pytest
+
+from repro.core.ompe import OMPEConfig, OMPEFunction, OMPEReceiver, OMPESender
+from repro.core.ompe.batch import _BatchReceiver, _BatchSender
+from repro.exceptions import ProtocolAbort
+from repro.math.multivariate import MultivariatePolynomial
+from repro.net.party import connect_parties
+from repro.utils.rng import ReproRandom
+from repro.utils.timer import TimingRecorder
+
+FUNCTION = OMPEFunction.from_polynomial(
+    MultivariatePolynomial.affine([Fraction(1), Fraction(-2)], Fraction(3))
+)
+INPUT = (Fraction(1, 2), Fraction(-1, 3))
+
+
+def _replace_node(value):
+    def mutate(pairs):
+        (_, vector), *rest = pairs
+        return ((value, vector), *rest)
+
+    return mutate
+
+
+def _replace_coordinate(value):
+    def mutate(pairs):
+        (node, vector), *rest = pairs
+        return ((node, (value,) + tuple(vector[1:])), *rest)
+
+    return mutate
+
+
+HOSTILE = {
+    "str node": _replace_node("1/2"),
+    "None node": _replace_node(None),
+    "bytes node": _replace_node(b"\x01"),
+    "nested node": _replace_node((Fraction(1), Fraction(2))),
+    "bool node": _replace_node(True),
+    "float node": _replace_node(0.5),
+    "str coordinate": _replace_coordinate("x"),
+    "None coordinate": _replace_coordinate(None),
+    "bytes coordinate": _replace_coordinate(b""),
+    "nested coordinate": _replace_coordinate((Fraction(1),)),
+    "bool coordinate": _replace_coordinate(False),
+    "float coordinate": _replace_coordinate(0.25),
+    "one-tuple entry": lambda pairs: ((pairs[0][0],),) + tuple(pairs[1:]),
+    "three-tuple entry": lambda pairs: (pairs[0] + (1,),) + tuple(pairs[1:]),
+    "scalar entry": lambda pairs: (Fraction(1),) + tuple(pairs[1:]),
+    "short vector": lambda pairs: ((pairs[0][0], pairs[0][1][:1]),) + tuple(pairs[1:]),
+    "text vector": lambda pairs: ((pairs[0][0], "ab"),) + tuple(pairs[1:]),
+    "not a sequence": lambda pairs: None,
+}
+
+
+@pytest.fixture
+def config():
+    from repro.math.groups import fast_group
+
+    return OMPEConfig(security_degree=1, cover_expansion=2, group=fast_group())
+
+
+def _online_sender_after(mutate, config):
+    rng = ReproRandom(4)
+    sender = OMPESender("alice", FUNCTION, config, rng=rng.fork("s"))
+    receiver = OMPEReceiver("bob", INPUT, config, rng=rng.fork("r"))
+    connect_parties(sender, receiver)
+    receiver.send_request()
+    sender.handle_request()
+    receiver.handle_params()
+    honest = sender.receive("ompe/points")
+    receiver.send("ompe/points", mutate(honest))
+    return sender
+
+
+def _batch_sender_after(mutate, config):
+    rng = ReproRandom(4)
+    timings = TimingRecorder()
+    sender = _BatchSender("alice", FUNCTION, config, rng.fork("s"), timings)
+    receiver = _BatchReceiver("bob", [INPUT, INPUT], config, rng.fork("r"), timings)
+    connect_parties(sender, receiver)
+    receiver.send_request()
+    sender.handle_request()
+    receiver.handle_params()
+    first, second = sender.receive("ompe-batch/points")
+    receiver.send("ompe-batch/points", (first, mutate(second)))
+    return sender
+
+
+@pytest.mark.parametrize("case", sorted(HOSTILE))
+def test_online_sender_aborts(case, config):
+    sender = _online_sender_after(HOSTILE[case], config)
+    with pytest.raises(ProtocolAbort):
+        sender.handle_points()
+
+
+@pytest.mark.parametrize("case", sorted(HOSTILE))
+def test_batched_sender_aborts(case, config):
+    sender = _batch_sender_after(HOSTILE[case], config)
+    with pytest.raises(ProtocolAbort):
+        sender.handle_points()
+
+
+def test_batch_container_checked(config):
+    sender = _batch_sender_after(lambda pairs: pairs, config)
+    sender.receive("ompe-batch/points")
+    sender.channel.send("bob", "ompe-batch/points", "not batches")
+    with pytest.raises(ProtocolAbort):
+        sender.handle_points()
+
+
+def test_honest_messages_pass(config):
+    _online_sender_after(lambda pairs: pairs, config).handle_points()
+    _batch_sender_after(lambda pairs: pairs, config).handle_points()
+
+
+def test_float_mode_accepts_floats():
+    float_config = OMPEConfig(security_degree=1, cover_expansion=2, exact=False)
+    rng = ReproRandom(4)
+    sender = OMPESender("alice", FUNCTION, float_config, rng=rng.fork("s"))
+    receiver = OMPEReceiver("bob", (0.5, -0.25), float_config, rng=rng.fork("r"))
+    connect_parties(sender, receiver)
+    receiver.send_request()
+    sender.handle_request()
+    receiver.handle_params()
+    sender.handle_points()
