@@ -26,32 +26,40 @@ one documented library call, so it doubles as executable documentation.
 
 from __future__ import annotations
 
-import argparse
 import os
-import sys
-import time
-from typing import List, Optional
 
-import numpy as np
+# One OpenBLAS thread, set before numpy loads its BLAS.  A process not
+# pinned to one CPU otherwise spreads each small polynomial-kernel gram
+# over several threads and pays more in hand-offs than the product
+# costs (tens of times slower on two vCPUs); the values are the same
+# either way.  An explicit setting in the environment wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from repro import obs
-from repro.core.classification import classify_linear, private_classify
-from repro.core.ompe import OMPEConfig
-from repro.core.similarity import (
+import argparse  # noqa: E402
+import sys  # noqa: E402
+import time  # noqa: E402
+from typing import List, Optional  # noqa: E402
+
+import numpy as np  # noqa: E402
+
+from repro import obs  # noqa: E402
+from repro.core.classification import classify_linear, private_classify  # noqa: E402
+from repro.core.ompe import OMPEConfig  # noqa: E402
+from repro.core.similarity import (  # noqa: E402
     MetricParams,
     evaluate_similarity_plain,
     evaluate_similarity_private,
 )
-from repro.evaluation import available_experiments, run_experiment
-from repro.exceptions import ReproError
-from repro.ml.datasets import (
+from repro.evaluation import available_experiments, run_experiment  # noqa: E402
+from repro.exceptions import ReproError  # noqa: E402
+from repro.ml.datasets import (  # noqa: E402
     available_datasets,
     load_dataset,
     read_libsvm,
     write_libsvm,
 )
-from repro.ml.datasets.registry import get_spec
-from repro.ml.svm import accuracy, load_model, save_model, train_svm
+from repro.ml.datasets.registry import get_spec  # noqa: E402
+from repro.ml.svm import accuracy, load_model, save_model, train_svm  # noqa: E402
 
 
 def _cmd_datasets(_: argparse.Namespace) -> int:

@@ -84,6 +84,7 @@ def classify_nonlinear(
             arity=model.dimension,
             total_degree=degree,
             evaluate=model.exact_decision_value,
+            evaluate_batch=model.exact_decision_values,
         )
         protocol_input = tuple(sample)
 

@@ -45,6 +45,7 @@ def decision_function_for_model(model: SVMModel) -> OMPEFunction:
         arity=model.dimension,
         total_degree=int(params.get("degree", 3)),
         evaluate=model.exact_decision_value,
+        evaluate_batch=model.exact_decision_values,
     )
 
 

@@ -107,8 +107,11 @@ class _BatchSender(Party):
                     )
                 mask = self._masks[query_index]
                 amplifier = self.amplifiers[query_index]
-                for node, vector in pairs:
-                    value = mask(node) + amplifier * self.function(vector)
+                values = self.function.evaluate_all(
+                    [vector for _, vector in pairs]
+                )
+                for (node, _), value in zip(pairs, values):
+                    value = mask(node) + amplifier * value
                     evaluations.append(encode_value(value))
         with obs.get_tracer().span(
             "ompe.ot_setup", party=self.name, phase="ot-setups"

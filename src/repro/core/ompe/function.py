@@ -15,13 +15,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, List, Optional, Sequence
 
 from repro.exceptions import ValidationError
 from repro.math.multivariate import MultivariatePolynomial
 from repro.math.polynomials import Number
 
 Evaluator = Callable[[Sequence[Number]], Number]
+BatchEvaluator = Callable[[Sequence[Sequence[Number]]], List[Number]]
 
 
 @dataclass(frozen=True)
@@ -36,11 +37,15 @@ class OMPEFunction:
         Total degree of ``P`` (drives masking degree and cover count).
     evaluate:
         Point evaluator.
+    evaluate_batch:
+        Optional evaluator of a whole points message at once; it must
+        return exactly ``[evaluate(p) for p in points]``.
     """
 
     arity: int
     total_degree: int
     evaluate: Evaluator
+    evaluate_batch: Optional[BatchEvaluator] = None
 
     def __post_init__(self) -> None:
         if self.arity < 1:
@@ -75,19 +80,40 @@ class OMPEFunction:
 
     @classmethod
     def from_callable(
-        cls, arity: int, total_degree: int, evaluate: Evaluator
+        cls,
+        arity: int,
+        total_degree: int,
+        evaluate: Evaluator,
+        evaluate_batch: Optional[BatchEvaluator] = None,
     ) -> "OMPEFunction":
         """Wrap a black-box evaluator with a declared degree.
 
         The declared degree is a *correctness* contract: if the true
         function has higher degree in any input, interpolation silently
         returns garbage.  Tests cover this failure mode.
+        ``evaluate_batch``, when given, evaluates a whole points message
+        in one pass (see :meth:`evaluate_all`).
         """
-        return cls(arity=arity, total_degree=total_degree, evaluate=evaluate)
+        return cls(
+            arity=arity,
+            total_degree=total_degree,
+            evaluate=evaluate,
+            evaluate_batch=evaluate_batch,
+        )
 
     def __call__(self, point: Sequence[Number]) -> Number:
         value = self.evaluate(point)
         return value
+
+    def evaluate_all(self, points: Sequence[Sequence[Number]]) -> List[Number]:
+        """Evaluate every point of one points message, in order.
+
+        Runs the batch evaluator when the function has one, else the
+        point evaluator once per point; both give the same values.
+        """
+        if self.evaluate_batch is not None:
+            return self.evaluate_batch(points)
+        return [self(point) for point in points]
 
 
 def as_exact_vector(values: Sequence) -> tuple:

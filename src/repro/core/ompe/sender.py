@@ -138,9 +138,11 @@ class OMPESender(Party):
                 skip = fastpath.enabled() and self.config.exact
                 skip_amplifier = skip and self.amplifier == 1
                 skip_offset = skip and self.offset_value == 0
+                values = self.function.evaluate_all(
+                    [vector for _, vector in pairs]
+                )
                 evaluations: List[bytes] = []
-                for node, vector in pairs:
-                    value = self.function(vector)
+                for (node, _), value in zip(pairs, values):
                     if not skip_amplifier:
                         value = self.amplifier * value
                     value = self._mask(node) + value

@@ -29,13 +29,13 @@ Both models must share the same polynomial kernel.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, List, Sequence
 
 from repro.core.ompe import OMPEFunction
 from repro.core.similarity.exact import (
     ScaledModel,
     exact_poly_kernel,
-    kernel_double_sum,
+    kernel_double_sums,
 )
 from repro.math import fastpath
 from repro.math.polynomials import Number
@@ -50,44 +50,26 @@ def kernel_normal_function(
     """Sender function computing ``⟨n_A, n_B⟩`` from Bob's packed model.
 
     The naive evaluator performs ``k_B · k_A`` exact kernel evaluations
-    in ``Fraction`` arithmetic per point.  The hot path rescales the
-    packed input once per call and runs
-    :func:`~repro.core.similarity.exact.kernel_double_sum` against the
-    profile's scaled-integer form of Alice's model: integer dots and
-    powers with a single normalising ``Fraction`` at the end — the
-    dominant win for nonlinear similarity (same value, same type,
-    pinned by the differential suite).
+    in ``Fraction`` arithmetic per point.  The hot path evaluates a
+    whole points message at once: it rescales each packed input onto
+    its own common denominator and runs
+    :func:`~repro.core.similarity.exact.kernel_double_sums` over all of
+    them against the profile's scaled-integer form of Alice's model —
+    one integer matmul with a single normalising ``Fraction`` per point
+    (same value, same type, pinned by the differential suite).  A
+    message with any point that is not all ``int``/``Fraction`` with a
+    ``Fraction`` first value (float mode) runs the naive evaluator at
+    every point, whose result type follows the input's.
     """
     a0, b0, degree = alice.kernel
     dimension = alice.dimension
-    scaled = alice.scaled
     alice_duals = alice.packed[: alice.n_support]
     alice_svs = [
         alice.packed[start : start + dimension]
         for start in range(alice.n_support, len(alice.packed), dimension)
     ]
 
-    def evaluate_fast(packed: Sequence[Number]):
-        point = fastpath.scale_to_integers(packed)
-        if point is None or not isinstance(packed[0], Fraction):
-            return fastpath.MISS
-        numerators, den, _ = point
-        bob = ScaledModel(
-            numerators[:peer_sv_count],
-            den,
-            tuple(
-                numerators[start : start + dimension]
-                for start in range(peer_sv_count, len(numerators), dimension)
-            ),
-            den,
-        )
-        return kernel_double_sum(scaled, bob, a0, b0, degree)
-
-    def evaluate(packed: Sequence[Number]) -> Number:
-        if fastpath.enabled():
-            value = evaluate_fast(packed)
-            if value is not fastpath.MISS:
-                return value
+    def evaluate_naive(packed: Sequence[Number]) -> Number:
         duals = packed[:peer_sv_count]
         total = Fraction(0) if isinstance(packed[0], Fraction) else 0.0
         for j in range(peer_sv_count):
@@ -103,8 +85,34 @@ def kernel_normal_function(
             total = total + duals[j] * f_a
         return total
 
+    def evaluate_batch(points: Sequence[Sequence[Number]]) -> List[Number]:
+        if fastpath.enabled():
+            bobs = []
+            for packed in points:
+                scaled = fastpath.scale_to_integers(packed)
+                if scaled is None or not isinstance(packed[0], Fraction):
+                    break
+                numerators, den, _ = scaled
+                bobs.append(
+                    ScaledModel(
+                        numerators[:peer_sv_count],
+                        den,
+                        tuple(
+                            numerators[start : start + dimension]
+                            for start in range(
+                                peer_sv_count, len(numerators), dimension
+                            )
+                        ),
+                        den,
+                    )
+                )
+            else:
+                return kernel_double_sums(alice.scaled, bobs, a0, b0, degree)
+        return [evaluate_naive(packed) for packed in points]
+
     return OMPEFunction.from_callable(
         arity=peer_sv_count * (dimension + 1),
         total_degree=degree + 1,
-        evaluate=evaluate,
+        evaluate=lambda packed: evaluate_batch([packed])[0],
+        evaluate_batch=evaluate_batch,
     )

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from fractions import Fraction
-from math import gcd
+from math import lcm
 from typing import Iterator, Optional, Sequence, Tuple
 
 from repro.math.fastpath.backends import (  # noqa: F401 - re-exported API
@@ -103,24 +103,14 @@ def scale_to_integers(
     records whether any input was a :class:`Fraction` *instance* — the
     naive path's result type depends on that, not on the denominator.
     """
-    numerators = []
-    denominators = []
     has_fraction = False
     for value in values:
         if isinstance(value, Fraction):
             has_fraction = True
-            numerators.append(value.numerator)
-            denominators.append(value.denominator)
-        elif isinstance(value, int) and not isinstance(value, bool):
-            numerators.append(value)
-            denominators.append(1)
-        else:
+        elif not isinstance(value, int) or isinstance(value, bool):
             return None
-    common = 1
-    for denominator in denominators:
-        common = common * denominator // gcd(common, denominator)
+    common = lcm(*{value.denominator for value in values})
     scaled = tuple(
-        numerator * (common // denominator)
-        for numerator, denominator in zip(numerators, denominators)
+        value.numerator * (common // value.denominator) for value in values
     )
     return scaled, common, has_fraction

@@ -200,8 +200,11 @@ class SVMModel:
         The model is treated as immutable after construction (as every
         protocol does); the cache holds the snapped duals / support
         vectors / kernel constants rescaled onto common integer
-        denominators so :meth:`exact_decision_value` can run the per-SV
-        kernel loop in plain integer arithmetic.
+        denominators so :meth:`exact_decision_values` can run the kernel
+        in plain integer arithmetic.  The integer matrices are
+        ``dtype=object`` arrays: their entries stay Python ints, which
+        grow past any fixed width (the powered kernel values reach
+        hundreds of bits).
         """
         cached = self.__dict__.get("_scaled_form_cache")
         if cached is not None:
@@ -218,9 +221,11 @@ class SVMModel:
         ]
         form = {
             "bias": _to_fraction(self.bias),
-            "dual_numerators": dual_numerators,
+            "dual_numerators": np.array(dual_numerators, dtype=object),
             "dual_den": dual_den,
-            "sv_numerators": sv_numerators,
+            # dimension × n_support: one ``@`` dots every point with
+            # every support vector.
+            "sv_columns": np.array(sv_numerators, dtype=object).T,
             "sv_den": sv_den,
         }
         if name in ("poly", "polynomial"):
@@ -235,61 +240,66 @@ class SVMModel:
         self.__dict__["_scaled_form_cache"] = form
         return form
 
-    def _exact_decision_value_fast(self, exact_point: Sequence[Fraction]):
-        """Scaled-integer evaluation of ``d(t)`` (bit-identical to naive).
-
-        Every operand is a snapped :class:`Fraction`, so the naive loop
-        always returns a canonical ``Fraction``; computing one big
-        integer numerator and normalising once yields the same canonical
-        value without a gcd per multiply-add.
-        """
-        scaled_point = fastpath.scale_to_integers(exact_point)
-        if scaled_point is None:
-            return fastpath.MISS
-        point_numerators, point_den, _ = scaled_point
-        form = self._exact_scaled_form()
-        bias = form["bias"]
-        name = self.kernel_spec[0]
-        if name == "linear":
-            numerator = sum(
-                w * c for w, c in zip(form["weight_numerators"], point_numerators)
-            )
-            den = form["weight_den"] * point_den
-            return Fraction(bias.numerator * den + bias.denominator * numerator,
-                            bias.denominator * den)
-        degree = form["degree"]
-        a0, b0 = form["a0"], form["b0"]
-        # inner = a0 · (sv·t) + b0 over the common denominator:
-        # kernel = (inner_scale·dot + inner_shift)^p / kernel_den^p.
-        base_den = a0.denominator * form["sv_den"] * point_den
-        inner_scale = a0.numerator * b0.denominator
-        inner_shift = b0.numerator * base_den
-        kernel_den = base_den * b0.denominator
-        total = 0
-        for dual_num, sv_row in zip(form["dual_numerators"], form["sv_numerators"]):
-            dot = sum(a * b for a, b in zip(sv_row, point_numerators))
-            total += dual_num * (inner_scale * dot + inner_shift) ** degree
-        den = form["dual_den"] * kernel_den**degree
-        return Fraction(bias.numerator * den + bias.denominator * total,
-                        bias.denominator * den)
-
-    def exact_decision_value(self, point: Sequence) -> Fraction:
-        """Exact (Fraction) evaluation of ``d`` via the kernel form.
-
-        Matches :meth:`decision_polynomial` for linear and polynomial
-        kernels, but with cost independent of the monomial count — this
-        is what the direct-evaluation OMPE sender uses.
-        """
-        name, params = self.kernel_spec
+    def _exact_point(self, point: Sequence) -> list:
         exact_point = [Fraction(v) if not isinstance(v, Fraction) else v for v in point]
         if len(exact_point) != self.dimension:
             raise ValidationError(
                 f"point must have {self.dimension} coordinates, got {len(exact_point)}"
             )
-        if fastpath.enabled() and name in ("linear", "poly", "polynomial"):
-            value = self._exact_decision_value_fast(exact_point)
-            if value is not fastpath.MISS:
-                return value
+        return exact_point
+
+    def _scaled_decision_values(self, exact_points) -> list:
+        """Scaled-integer evaluation of ``d`` at every point (bit-identical
+        to the naive loop).
+
+        Each point is rescaled onto the lcm of its own denominators.
+        For a polynomial kernel the points are stacked into one
+        ``dtype=object`` matrix and every kernel value comes out of one
+        matmul, so the arithmetic stays in Python ints and its
+        summation order cannot change a value.  Every operand is a
+        snapped :class:`Fraction`, so the naive loop always returns a
+        canonical ``Fraction``; one big integer numerator per point,
+        normalised once, is that same canonical value.
+        """
+        form = self._exact_scaled_form()
+        bias = form["bias"]
+        scaled = [fastpath.scale_to_integers(point)[:2] for point in exact_points]
+        values = []
+        if self.kernel_spec[0] == "linear":
+            for point_numerators, point_den in scaled:
+                numerator = sum(
+                    w * c for w, c in zip(form["weight_numerators"], point_numerators)
+                )
+                den = form["weight_den"] * point_den
+                values.append(
+                    Fraction(bias.numerator * den + bias.denominator * numerator,
+                             bias.denominator * den)
+                )
+            return values
+        if not scaled:
+            return values
+        degree = form["degree"]
+        a0, b0 = form["a0"], form["b0"]
+        # inner = a0 · (sv·t) + b0 over each point's common denominator:
+        # kernel = (inner_scale·dot + inner_shift)^p / kernel_den^p.
+        base_dens = [a0.denominator * form["sv_den"] * den for _, den in scaled]
+        inner_scale = a0.numerator * b0.denominator
+        inner_shifts = np.array(
+            [b0.numerator * base_den for base_den in base_dens], dtype=object
+        )
+        points = np.array([numerators for numerators, _ in scaled], dtype=object)
+        inner = inner_scale * (points @ form["sv_columns"]) + inner_shifts[:, None]
+        totals = (inner**degree) @ form["dual_numerators"]
+        for total, base_den in zip(totals.tolist(), base_dens):
+            den = form["dual_den"] * (base_den * b0.denominator) ** degree
+            values.append(
+                Fraction(bias.numerator * den + bias.denominator * total,
+                         bias.denominator * den)
+            )
+        return values
+
+    def _naive_decision_value(self, exact_point) -> Fraction:
+        name, params = self.kernel_spec
         duals = [_to_fraction(c) for c in self.dual_coefficients]
         svs = [[_to_fraction(v) for v in row] for row in self.support_vectors]
         total = _to_fraction(self.bias)
@@ -313,6 +323,28 @@ class SVMModel:
             f"exact evaluation unsupported for kernel {name!r}; "
             "polynomialize it first (repro.math.taylor)"
         )
+
+    def exact_decision_values(self, points: Sequence[Sequence]) -> list:
+        """Exact (Fraction) values of ``d`` at every point, in order.
+
+        Coordinates are converted to :class:`Fraction` first (floats
+        exactly), so every point of a linear or polynomial model takes
+        the scaled-integer pass while the hot path is on; under
+        :func:`~repro.math.fastpath.naive_arithmetic` the plain
+        ``Fraction`` loop runs per point as the reference.
+        """
+        if fastpath.enabled() and self.kernel_spec[0] in ("linear", "poly", "polynomial"):
+            return self._scaled_decision_values([self._exact_point(p) for p in points])
+        return [self._naive_decision_value(self._exact_point(p)) for p in points]
+
+    def exact_decision_value(self, point: Sequence) -> Fraction:
+        """Exact (Fraction) evaluation of ``d`` via the kernel form.
+
+        Matches :meth:`decision_polynomial` for linear and polynomial
+        kernels, but with cost independent of the monomial count — this
+        is what the direct-evaluation OMPE sender uses.
+        """
+        return self.exact_decision_values([point])[0]
 
 
 def make_linear_model(

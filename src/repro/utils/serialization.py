@@ -35,8 +35,21 @@ A full message is ``version byte (0x01) + varbytes(msg_type) +
 payload``; :mod:`repro.net.wire` length-prefixes that with a ``u32``
 frame header.  Decoding is strict: every malformed, truncated, or
 unknown-tag input raises :class:`ValidationError` (never a bare
-``struct.error`` or an unbounded allocation), and trailing garbage is
-rejected so both codecs are injective in each direction.
+``struct.error`` or an unbounded allocation), trailing garbage is
+rejected, and so is every non-canonical form — an integer with a sign
+byte other than 0/1, an empty magnitude, a leading zero byte or a
+negative zero; a fraction not in lowest terms with a positive
+denominator; a dict with a repeated key — so both codecs are injective
+in each direction.
+
+Encoding and sizing share one dispatch: the exact type picks the
+branch for the values messages are made of (``Fraction``, ``tuple``,
+``list``, ``bytes``, ``int``, registered dataclasses, whose header and
+field names are cached at registration), and everything else takes the
+``isinstance`` order, which fixes the bytes and errors of ``bool``,
+``None``, ``str``, ``dict``, ``float``, ``bytearray`` and subclasses.
+The encoder appends to one parts list joined once per message;
+decoding dispatches on the tag byte and reads integers in place.
 """
 
 from __future__ import annotations
@@ -67,71 +80,129 @@ MUX_WIRE_VERSION = 2
 MAX_DECODE_DEPTH = 64
 
 
+_U32 = struct.Struct(">I")
+_pack_u32 = _U32.pack
+_unpack_u32 = _U32.unpack_from
+_pack_int_head = struct.Struct(">IB").pack
+_DOUBLE = struct.Struct(">d")
+
+_TAG_I, _TAG_F, _TAG_D, _TAG_T = b"IFDT"
+_TAG_N, _TAG_B, _TAG_Y, _TAG_S, _TAG_L, _TAG_M, _TAG_C = b"NBYSLMC"
+
+
 def _encode_int(value: int) -> bytes:
-    sign = b"\x01" if value < 0 else b"\x00"
-    magnitude = abs(value)
-    payload = magnitude.to_bytes((magnitude.bit_length() + 7) // 8 or 1, "big")
-    body = sign + payload
-    return struct.pack(">I", len(body)) + body
+    """``varbytes(sign byte + big-endian magnitude)``: the body of an
+    ``I`` value, and each half of an ``F`` value."""
+    if value < 0:
+        magnitude = (-value).to_bytes(((-value).bit_length() + 7) // 8, "big")
+        return _pack_int_head(len(magnitude) + 1, 1) + magnitude
+    magnitude = value.to_bytes((value.bit_length() + 7) // 8 or 1, "big")
+    return _pack_int_head(len(magnitude) + 1, 0) + magnitude
 
 
 def _int_body_size(value: int) -> int:
     """Exact size of ``_encode_int``'s output, without materializing it."""
-    magnitude = abs(value)
-    return 4 + 1 + ((magnitude.bit_length() + 7) // 8 or 1)
+    return 5 + ((value.bit_length() + 7) // 8 or 1)
 
 
 def _decode_int(data: bytes, offset: int) -> Tuple[int, int]:
+    """Read one ``_encode_int`` field in place; refuse non-canonical forms.
+
+    Canonical means what ``_encode_int`` writes: sign byte 0 or 1, a
+    non-empty magnitude without a leading zero byte, and no negative
+    zero — so every integer has exactly one encoding.
+    """
     if offset + 4 > len(data):
         raise ValidationError("truncated integer length")
-    (length,) = struct.unpack_from(">I", data, offset)
+    (length,) = _unpack_u32(data, offset)
     offset += 4
-    body = data[offset : offset + length]
-    if len(body) != length or length < 1:
+    end = offset + length
+    if length < 1 or end > len(data):
         raise ValidationError("truncated integer payload")
-    sign = -1 if body[0] == 1 else 1
-    return sign * int.from_bytes(body[1:], "big"), offset + length
+    sign = data[offset]
+    if sign > 1:
+        raise ValidationError(f"non-canonical integer: sign byte {sign:#x}")
+    if length == 1:
+        raise ValidationError("non-canonical integer: empty magnitude")
+    if data[offset + 1] == 0 and (length > 2 or sign):
+        raise ValidationError(
+            "non-canonical integer: negative zero"
+            if length == 2
+            else "non-canonical integer: leading zero byte"
+        )
+    magnitude = int.from_bytes(data[offset + 1 : end], "big")
+    return (-magnitude if sign else magnitude), end
+
+
+def _decode_fraction(data: bytes, offset: int) -> Tuple[Fraction, int]:
+    """Read the two integers of an ``F`` value (tag already consumed)."""
+    numerator, offset = _decode_int(data, offset)
+    denominator, offset = _decode_int(data, offset)
+    if denominator == 0:
+        raise ValidationError("fraction with zero denominator")
+    value = Fraction(numerator, denominator)
+    if value.denominator != denominator:
+        raise ValidationError(
+            f"non-canonical fraction: {numerator}/{denominator} is not in "
+            f"lowest terms with a positive denominator"
+        )
+    return value, offset
+
+
+def _decode_float(data: bytes, offset: int) -> Tuple[float, int]:
+    if offset + 8 > len(data):
+        raise ValidationError("truncated float payload")
+    (value,) = _DOUBLE.unpack_from(data, offset)
+    return value, offset + 8
+
+
+def _encode_value_into(value: Encodable, append) -> None:
+    """Append ``value``'s scalar-codec encoding to a parts list."""
+    if isinstance(value, bool):
+        raise ValidationError("booleans are not protocol values")
+    if isinstance(value, int):
+        append(b"I")
+        append(_encode_int(value))
+    elif isinstance(value, Fraction):
+        append(b"F")
+        append(_encode_int(value.numerator))
+        append(_encode_int(value.denominator))
+    elif isinstance(value, float):
+        append(b"D")
+        append(_DOUBLE.pack(value))
+    elif isinstance(value, tuple):
+        append(b"T")
+        append(_pack_u32(len(value)))
+        for item in value:
+            _encode_value_into(item, append)
+    else:
+        raise ValidationError(
+            f"cannot encode {type(value).__name__} as a protocol value"
+        )
 
 
 def encode_value(value: Encodable) -> bytes:
     """Encode a scalar or (nested) tuple of scalars to canonical bytes."""
-    if isinstance(value, bool):
-        raise ValidationError("booleans are not protocol values")
-    if isinstance(value, int):
-        return b"I" + _encode_int(value)
-    if isinstance(value, Fraction):
-        return b"F" + _encode_int(value.numerator) + _encode_int(value.denominator)
-    if isinstance(value, float):
-        return b"D" + struct.pack(">d", value)
-    if isinstance(value, tuple):
-        parts = [b"T", struct.pack(">I", len(value))]
-        parts.extend(encode_value(item) for item in value)
-        return b"".join(parts)
-    raise ValidationError(f"cannot encode {type(value).__name__} as a protocol value")
+    parts: list = []
+    _encode_value_into(value, parts.append)
+    return b"".join(parts)
 
 
 def _decode_at(data: bytes, offset: int) -> Tuple[Encodable, int]:
     if offset >= len(data):
         raise ValidationError("truncated protocol value")
-    tag = data[offset : offset + 1]
+    tag = data[offset]
     offset += 1
-    if tag == b"I":
+    if tag == _TAG_F:
+        return _decode_fraction(data, offset)
+    if tag == _TAG_I:
         return _decode_int(data, offset)
-    if tag == b"F":
-        numerator, offset = _decode_int(data, offset)
-        denominator, offset = _decode_int(data, offset)
-        if denominator == 0:
-            raise ValidationError("fraction with zero denominator")
-        return Fraction(numerator, denominator), offset
-    if tag == b"D":
-        if offset + 8 > len(data):
-            raise ValidationError("truncated float payload")
-        (value,) = struct.unpack_from(">d", data, offset)
-        return value, offset + 8
-    if tag == b"T":
+    if tag == _TAG_D:
+        return _decode_float(data, offset)
+    if tag == _TAG_T:
         if offset + 4 > len(data):
             raise ValidationError("truncated tuple count")
-        (count,) = struct.unpack_from(">I", data, offset)
+        (count,) = _unpack_u32(data, offset)
         offset += 4
         if count > len(data) - offset:
             raise ValidationError("tuple count exceeds available bytes")
@@ -140,14 +211,17 @@ def _decode_at(data: bytes, offset: int) -> Tuple[Encodable, int]:
             item, offset = _decode_at(data, offset)
             items.append(item)
         return tuple(items), offset
-    raise ValidationError(f"unknown protocol value tag {tag!r}")
+    raise ValidationError(
+        f"unknown protocol value tag {data[offset - 1 : offset]!r}"
+    )
 
 
 def decode_value(data: bytes) -> Encodable:
     """Decode bytes produced by :func:`encode_value`.
 
-    Raises :class:`ValidationError` on trailing garbage, so the codec is
-    injective in both directions.
+    Raises :class:`ValidationError` on trailing garbage and on any
+    non-canonical integer or fraction, so the codec is injective in
+    both directions.
     """
     value, offset = _decode_at(data, 0)
     if offset != len(data):
@@ -162,10 +236,12 @@ def encoded_size(value: Encodable) -> int:
 
 # -- message payload codec ---------------------------------------------------
 
-#: Registered dataclass payload types: wire name <-> class.  Names are
-#: part of the wire format; once published they must stay stable.
+#: Registered dataclass payload types: wire name -> class, and per class
+#: its ``b"C" + varbytes(name)`` header and field names in declaration
+#: order, built once at registration.  Names are part of the wire
+#: format; once published they must stay stable.
 _PAYLOAD_TYPES_BY_NAME: Dict[str, Type] = {}
-_PAYLOAD_NAMES_BY_TYPE: Dict[Type, str] = {}
+_PAYLOAD_LAYOUTS: Dict[Type, Tuple[bytes, Tuple[str, ...]]] = {}
 
 
 def register_payload_type(name: str, cls: Optional[Type] = None):
@@ -190,63 +266,96 @@ def register_payload_type(name: str, cls: Optional[Type] = None):
             f"{existing.__name__}"
         )
     _PAYLOAD_TYPES_BY_NAME[name] = cls
-    _PAYLOAD_NAMES_BY_TYPE[cls] = name
+    _PAYLOAD_LAYOUTS[cls] = (
+        b"C" + _varbytes(name.encode("utf-8")),
+        tuple(field.name for field in dataclasses.fields(cls)),
+    )
     return cls
 
 
 def _varbytes(raw: bytes) -> bytes:
-    return struct.pack(">I", len(raw)) + raw
+    return _pack_u32(len(raw)) + raw
 
 
 def _decode_varbytes(data: bytes, offset: int) -> Tuple[bytes, int]:
     if offset + 4 > len(data):
         raise ValidationError("truncated length prefix")
-    (length,) = struct.unpack_from(">I", data, offset)
+    (length,) = _unpack_u32(data, offset)
     offset += 4
     if length > len(data) - offset:
         raise ValidationError("length prefix exceeds available bytes")
     return data[offset : offset + length], offset + length
 
 
+def _unregistered(payload: Any) -> ValidationError:
+    return ValidationError(
+        f"{type(payload).__name__} is not a registered payload type "
+        f"(see repro.utils.serialization.register_payload_type)"
+    )
+
+
+def _encode_payload_into(payload: Any, append) -> None:
+    """Append ``payload``'s encoding to a parts list.
+
+    The values messages are made of are dispatched first: exact
+    ``Fraction`` and ``int``, any ``tuple``/``list`` or byte string
+    (no other branch can match an instance of those), and registered
+    dataclasses.  Everything else — ``None``, ``bool``, ``str``,
+    ``dict``, ``float``, other subclasses, unregistered classes — takes
+    the ``isinstance`` order, which fixes its bytes and its error.
+    """
+    kind = type(payload)
+    if kind is Fraction:
+        numerator, denominator = payload.as_integer_ratio()
+        append(b"F")
+        append(_encode_int(numerator))
+        append(_encode_int(denominator))
+    elif isinstance(payload, (tuple, list)):
+        append(b"T" if isinstance(payload, tuple) else b"L")
+        append(_pack_u32(len(payload)))
+        for item in payload:
+            _encode_payload_into(item, append)
+    elif kind is int:
+        append(b"I")
+        append(_encode_int(payload))
+    elif isinstance(payload, (bytes, bytearray)):
+        raw = bytes(payload)
+        append(b"Y")
+        append(_pack_u32(len(raw)))
+        append(raw)
+    elif kind in _PAYLOAD_LAYOUTS:
+        header, names = _PAYLOAD_LAYOUTS[kind]
+        append(header)
+        for name in names:
+            _encode_payload_into(getattr(payload, name), append)
+    elif payload is None:
+        append(b"N")
+    elif isinstance(payload, bool):
+        append(b"B\x01" if payload else b"B\x00")
+    elif isinstance(payload, (int, float, Fraction)):
+        _encode_value_into(payload, append)
+    elif isinstance(payload, str):
+        append(b"S")
+        append(_varbytes(payload.encode("utf-8")))
+    elif isinstance(payload, dict):
+        append(b"M")
+        append(_pack_u32(len(payload)))
+        for key, value in payload.items():
+            _encode_payload_into(key, append)
+            _encode_payload_into(value, append)
+    elif dataclasses.is_dataclass(payload) and not isinstance(payload, type):
+        raise _unregistered(payload)
+    else:
+        raise ValidationError(
+            f"cannot encode {type(payload).__name__} as a message payload"
+        )
+
+
 def encode_payload(payload: Any) -> bytes:
     """Encode any message-vocabulary value to canonical bytes."""
-    if payload is None:
-        return b"N"
-    if isinstance(payload, bool):
-        return b"B\x01" if payload else b"B\x00"
-    if isinstance(payload, (int, float, Fraction)):
-        return encode_value(payload)
-    if isinstance(payload, (bytes, bytearray)):
-        return b"Y" + _varbytes(bytes(payload))
-    if isinstance(payload, str):
-        return b"S" + _varbytes(payload.encode("utf-8"))
-    if isinstance(payload, (tuple, list)):
-        parts = [b"T" if isinstance(payload, tuple) else b"L"]
-        parts.append(struct.pack(">I", len(payload)))
-        parts.extend(encode_payload(item) for item in payload)
-        return b"".join(parts)
-    if isinstance(payload, dict):
-        parts = [b"M", struct.pack(">I", len(payload))]
-        for key, value in payload.items():
-            parts.append(encode_payload(key))
-            parts.append(encode_payload(value))
-        return b"".join(parts)
-    if dataclasses.is_dataclass(payload) and not isinstance(payload, type):
-        name = _PAYLOAD_NAMES_BY_TYPE.get(type(payload))
-        if name is None:
-            raise ValidationError(
-                f"{type(payload).__name__} is not a registered payload type "
-                f"(see repro.utils.serialization.register_payload_type)"
-            )
-        parts = [b"C", _varbytes(name.encode("utf-8"))]
-        parts.extend(
-            encode_payload(getattr(payload, field.name))
-            for field in dataclasses.fields(payload)
-        )
-        return b"".join(parts)
-    raise ValidationError(
-        f"cannot encode {type(payload).__name__} as a message payload"
-    )
+    parts: list = []
+    _encode_payload_into(payload, parts.append)
+    return b"".join(parts)
 
 
 def encoded_payload_size(payload: Any) -> int:
@@ -255,8 +364,28 @@ def encoded_payload_size(payload: Any) -> int:
     This is the single byte-accounting definition shared by the
     simulated transport (:func:`repro.net.message.measure_size`) and
     the TCP transport, so per-phase byte counts are identical across
-    both; ``tests/utils/test_serialization.py`` pins the equality.
+    both; ``tests/utils/test_serialization.py`` pins the equality.  It
+    dispatches exactly as the encoder does.
     """
+    kind = type(payload)
+    if kind is Fraction:
+        numerator, denominator = payload.as_integer_ratio()
+        # Both ``_int_body_size`` terms, inlined on the hottest path.
+        return 11 + (
+            ((numerator.bit_length() + 7) // 8 or 1)
+            + ((denominator.bit_length() + 7) // 8 or 1)
+        )
+    if isinstance(payload, (tuple, list)):
+        return 5 + sum(map(encoded_payload_size, payload))
+    if kind is int:
+        return 1 + _int_body_size(payload)
+    if isinstance(payload, (bytes, bytearray)):
+        return 5 + len(payload)
+    if kind in _PAYLOAD_LAYOUTS:
+        header, names = _PAYLOAD_LAYOUTS[kind]
+        return len(header) + sum(
+            encoded_payload_size(getattr(payload, name)) for name in names
+        )
     if payload is None:
         return 1
     if isinstance(payload, bool):
@@ -269,28 +398,15 @@ def encoded_payload_size(payload: Any) -> int:
         )
     if isinstance(payload, float):
         return 9
-    if isinstance(payload, (bytes, bytearray)):
-        return 5 + len(payload)
     if isinstance(payload, str):
         return 5 + len(payload.encode("utf-8"))
-    if isinstance(payload, (tuple, list)):
-        return 5 + sum(encoded_payload_size(item) for item in payload)
     if isinstance(payload, dict):
         return 5 + sum(
             encoded_payload_size(key) + encoded_payload_size(value)
             for key, value in payload.items()
         )
     if dataclasses.is_dataclass(payload) and not isinstance(payload, type):
-        name = _PAYLOAD_NAMES_BY_TYPE.get(type(payload))
-        if name is None:
-            raise ValidationError(
-                f"{type(payload).__name__} is not a registered payload type "
-                f"(see repro.utils.serialization.register_payload_type)"
-            )
-        return 5 + len(name.encode("utf-8")) + sum(
-            encoded_payload_size(getattr(payload, field.name))
-            for field in dataclasses.fields(payload)
-        )
+        raise _unregistered(payload)
     raise ValidationError(
         f"cannot encode {type(payload).__name__} as a message payload"
     )
@@ -301,44 +417,69 @@ def _decode_payload_at(data: bytes, offset: int, depth: int) -> Tuple[Any, int]:
         raise ValidationError("payload nesting exceeds the decoder depth bound")
     if offset >= len(data):
         raise ValidationError("truncated message payload")
-    tag = data[offset : offset + 1]
+    tag = data[offset]
     offset += 1
-    if tag == b"N":
+    if tag == _TAG_F:
+        return _decode_fraction(data, offset)
+    if tag == _TAG_T or tag == _TAG_L:
+        if offset + 4 > len(data):
+            raise ValidationError("truncated container count")
+        (count,) = _unpack_u32(data, offset)
+        offset += 4
+        if count > len(data) - offset:
+            raise ValidationError("container count exceeds available bytes")
+        items = []
+        depth += 1
+        for _ in range(count):
+            item, offset = _decode_payload_at(data, offset, depth)
+            items.append(item)
+        return (tuple(items) if tag == _TAG_T else items), offset
+    if tag == _TAG_I:
+        return _decode_int(data, offset)
+    if tag == _TAG_Y:
+        return _decode_varbytes(data, offset)
+    if tag == _TAG_C:
+        raw_name, offset = _decode_varbytes(data, offset)
+        try:
+            name = raw_name.decode("utf-8")
+        except UnicodeDecodeError:
+            raise ValidationError("invalid utf-8 in payload type name")
+        cls = _PAYLOAD_TYPES_BY_NAME.get(name)
+        if cls is None:
+            raise ValidationError(f"unknown payload type {name!r}")
+        values = {}
+        for field_name in _PAYLOAD_LAYOUTS[cls][1]:
+            value, offset = _decode_payload_at(data, offset, depth + 1)
+            values[field_name] = value
+        try:
+            return cls(**values), offset
+        except ValidationError:
+            raise
+        except Exception as error:
+            raise ValidationError(
+                f"decoded {name!r} failed construction: {error}"
+            )
+    if tag == _TAG_N:
         return None, offset
-    if tag == b"B":
+    if tag == _TAG_B:
         if offset >= len(data):
             raise ValidationError("truncated boolean payload")
         flag = data[offset]
         if flag not in (0, 1):
             raise ValidationError(f"invalid boolean byte {flag:#x}")
         return bool(flag), offset + 1
-    if tag in (b"I", b"F", b"D"):
-        return _decode_at(data, offset - 1)
-    if tag == b"Y":
-        raw, offset = _decode_varbytes(data, offset)
-        return raw, offset
-    if tag == b"S":
+    if tag == _TAG_D:
+        return _decode_float(data, offset)
+    if tag == _TAG_S:
         raw, offset = _decode_varbytes(data, offset)
         try:
             return raw.decode("utf-8"), offset
         except UnicodeDecodeError as error:
             raise ValidationError(f"invalid utf-8 in string payload: {error}")
-    if tag in (b"T", b"L"):
-        if offset + 4 > len(data):
-            raise ValidationError("truncated container count")
-        (count,) = struct.unpack_from(">I", data, offset)
-        offset += 4
-        if count > len(data) - offset:
-            raise ValidationError("container count exceeds available bytes")
-        items = []
-        for _ in range(count):
-            item, offset = _decode_payload_at(data, offset, depth + 1)
-            items.append(item)
-        return (tuple(items) if tag == b"T" else items), offset
-    if tag == b"M":
+    if tag == _TAG_M:
         if offset + 4 > len(data):
             raise ValidationError("truncated dict count")
-        (count,) = struct.unpack_from(">I", data, offset)
+        (count,) = _unpack_u32(data, offset)
         offset += 4
         if count > (len(data) - offset) // 2:
             raise ValidationError("dict count exceeds available bytes")
@@ -352,29 +493,12 @@ def _decode_payload_at(data: bytes, offset: int, depth: int) -> Tuple[Any, int]:
                 raise ValidationError(
                     f"unhashable dict key of type {type(key).__name__}"
                 )
+        if len(mapping) != count:
+            raise ValidationError("non-canonical dict: repeated key")
         return mapping, offset
-    if tag == b"C":
-        raw_name, offset = _decode_varbytes(data, offset)
-        try:
-            name = raw_name.decode("utf-8")
-        except UnicodeDecodeError:
-            raise ValidationError("invalid utf-8 in payload type name")
-        cls = _PAYLOAD_TYPES_BY_NAME.get(name)
-        if cls is None:
-            raise ValidationError(f"unknown payload type {name!r}")
-        values = {}
-        for field in dataclasses.fields(cls):
-            value, offset = _decode_payload_at(data, offset, depth + 1)
-            values[field.name] = value
-        try:
-            return cls(**values), offset
-        except ValidationError:
-            raise
-        except Exception as error:
-            raise ValidationError(
-                f"decoded {name!r} failed construction: {error}"
-            )
-    raise ValidationError(f"unknown message payload tag {tag!r}")
+    raise ValidationError(
+        f"unknown message payload tag {data[offset - 1 : offset]!r}"
+    )
 
 
 def decode_payload(data: bytes) -> Any:
@@ -397,11 +521,9 @@ def encode_message(msg_type: str, payload: Any) -> bytes:
     """Encode one protocol message (version + type + payload)."""
     if not msg_type:
         raise ValidationError("msg_type must be non-empty")
-    return (
-        bytes([WIRE_VERSION])
-        + _varbytes(msg_type.encode("utf-8"))
-        + encode_payload(payload)
-    )
+    parts = [bytes([WIRE_VERSION]), _varbytes(msg_type.encode("utf-8"))]
+    _encode_payload_into(payload, parts.append)
+    return b"".join(parts)
 
 
 def peek_message_type(data: bytes) -> str:

@@ -2,14 +2,21 @@
 
 from __future__ import annotations
 
-import signal
-import threading
+import os
 
-import pytest
+# One OpenBLAS thread for the whole suite, as the CLI sets it: unpinned,
+# each small polynomial-kernel gram would otherwise pay a cross-thread
+# hand-off many times its own cost.  Set before anything loads numpy.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from repro.core.ompe import OMPEConfig
-from repro.math.groups import SchnorrGroup, fast_group
-from repro.utils.rng import ReproRandom
+import signal  # noqa: E402
+import threading  # noqa: E402
+
+import pytest  # noqa: E402
+
+from repro.core.ompe import OMPEConfig  # noqa: E402
+from repro.math.groups import SchnorrGroup, fast_group  # noqa: E402
+from repro.utils.rng import ReproRandom  # noqa: E402
 
 #: Hard wall-clock ceiling for each ``socket``-marked test.  Socket
 #: tests block on real I/O; a deadlocked pairing must fail loudly, not

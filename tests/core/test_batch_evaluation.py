@@ -1,0 +1,319 @@
+"""One evaluation per points message, held to the per-point oracle.
+
+The OMPE senders evaluate their function once per points message
+(:meth:`repro.core.ompe.OMPEFunction.evaluate_all`).  The two kernel
+functions that have a batch evaluator — an SVM's exact decision value
+and Alice's kernel normal function — run it as one ``dtype=object``
+integer matmul with a single ``Fraction`` per point.  These tests
+compare both with the plain ``Fraction`` loop that
+:func:`repro.math.fastpath.naive_arithmetic` runs, with exact equality
+and exact result types, on points whose numerators overflow any fixed
+width, and pin digests of small kernel classifications and a kernel
+similarity job computed before the batch path existed.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import itertools
+import random
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from repro.core.classification.nonlinear import classify_nonlinear
+from repro.core.ompe import OMPEConfig, OMPEFunction, execute_ompe
+from repro.core.ompe.batch import execute_ompe_batch
+from repro.core.similarity import (
+    MetricParams,
+    evaluate_similarity_private,
+    similarity_profile,
+)
+from repro.core.similarity.exact import kernel_double_sum, kernel_double_sums, scale_model
+from repro.exceptions import ValidationError
+from repro.math import fastpath
+from repro.math.groups import fast_group
+from repro.ml.kernels import polynomial_kernel, rbf_kernel
+from repro.ml.svm.model import SVMModel, make_linear_model
+
+
+def _kernel_model(seed: int, svs: int, dimension: int, degree: int, b0: float) -> SVMModel:
+    rng = random.Random(seed)
+    a0 = 1.0 / dimension
+    return SVMModel(
+        support_vectors=[
+            [rng.uniform(-1.0, 1.0) for _ in range(dimension)] for _ in range(svs)
+        ],
+        dual_coefficients=[rng.uniform(-1.0, 1.0) for _ in range(svs)],
+        bias=rng.uniform(-0.5, 0.5),
+        kernel=polynomial_kernel(degree=degree, a0=a0, b0=b0),
+        kernel_spec=("poly", {"degree": degree, "a0": a0, "b0": b0}),
+    )
+
+
+def _crossing_model(seed: int, svs: int, dimension: int, degree: int, b0: float) -> SVMModel:
+    """A kernel model whose decision surface crosses the ``[-1, 1]`` box,
+    so its similarity profile has boundary points."""
+    corners = np.array(list(itertools.product((-1.0, 1.0), repeat=dimension)))
+    for attempt in itertools.count():
+        model = _kernel_model(seed * 1000 + attempt, svs, dimension, degree, b0)
+        values = model.decision_values(corners)
+        if values.min() < 0 < values.max():
+            return model
+
+
+def _fraction_points(seed: int, count: int, dimension: int, bits: int = 40) -> list:
+    """Points with mixed, unrelated denominators (as hidden vectors have)."""
+    rng = random.Random(seed)
+    return [
+        tuple(
+            Fraction(rng.randint(-(2**bits), 2**bits), rng.randint(1, 2**bits))
+            for _ in range(dimension)
+        )
+        for _ in range(count)
+    ]
+
+
+def _naive_values(function, points) -> list:
+    with fastpath.naive_arithmetic():
+        return [function(point) for point in points]
+
+
+def _assert_identical(values, expected) -> None:
+    assert values == expected
+    assert [type(value) for value in values] == [type(value) for value in expected]
+
+
+# -- SVM decision values -------------------------------------------------------
+
+
+class TestDecisionValues:
+    @pytest.mark.parametrize("b0", [0.0, 0.5])
+    @pytest.mark.parametrize("degree", [1, 2, 3, 4])
+    def test_matches_naive(self, degree, b0):
+        for dimension, svs in ((2, 3), (5, 17), (12, 40)):
+            model = _kernel_model(degree * 100 + dimension, svs, dimension, degree, b0)
+            points = _fraction_points(degree + dimension, 21, dimension)
+            values = model.exact_decision_values(points)
+            assert all(type(value) is Fraction for value in values)
+            _assert_identical(values, _naive_values(model.exact_decision_value, points))
+
+    def test_int_only_points(self):
+        model = _kernel_model(5, 9, 4, 3, 0.5)
+        rng = random.Random(5)
+        points = [tuple(rng.randint(-50, 50) for _ in range(4)) for _ in range(9)]
+        values = model.exact_decision_values(points)
+        assert all(type(value) is Fraction for value in values)
+        _assert_identical(values, _naive_values(model.exact_decision_value, points))
+
+    @pytest.mark.parametrize("bits", [64, 300])
+    def test_numerators_past_fixed_width(self, bits):
+        """Scaled numerators of 2^64 and 2^300 wrap an int64 array and
+        lose digits in a float one; object arrays keep them exact."""
+        model = _kernel_model(6, 12, 6, 3, 0.5)
+        points = _fraction_points(bits, 7, 6, bits=bits)
+        points.append(tuple(2**bits + index for index in range(6)))
+        values = model.exact_decision_values(points)
+        _assert_identical(values, _naive_values(model.exact_decision_value, points))
+
+    def test_float_coordinates(self):
+        """Float mode: coordinates convert to exact fractions first."""
+        model = _kernel_model(7, 8, 3, 2, 0.0)
+        rng = random.Random(7)
+        points = [tuple(rng.uniform(-1, 1) for _ in range(3)) for _ in range(5)]
+        values = model.exact_decision_values(points)
+        assert all(type(value) is Fraction for value in values)
+        _assert_identical(values, _naive_values(model.exact_decision_value, points))
+
+    def test_linear_model(self):
+        model = make_linear_model([0.25, -1.5, 3.0], 0.125)
+        points = _fraction_points(8, 6, 3) + [(1, 2, 3)]
+        _assert_identical(
+            model.exact_decision_values(points),
+            _naive_values(model.exact_decision_value, points),
+        )
+
+    def test_one_point_and_empty_message(self):
+        model = _kernel_model(9, 5, 3, 3, 0.5)
+        point = _fraction_points(9, 1, 3)[0]
+        assert model.exact_decision_value(point) == model.exact_decision_values([point])[0]
+        assert model.exact_decision_values([]) == []
+
+    def test_refusals_unchanged(self):
+        model = _kernel_model(10, 4, 3, 2, 0.5)
+        with pytest.raises(ValidationError, match="3 coordinates"):
+            model.exact_decision_values([(Fraction(1), Fraction(2))])
+        rbf = SVMModel(
+            support_vectors=[[0.0, 1.0]],
+            dual_coefficients=[1.0],
+            bias=0.0,
+            kernel=rbf_kernel(gamma=1.0),
+            kernel_spec=("rbf", {"gamma": 1.0}),
+        )
+        with pytest.raises(ValidationError, match="unsupported"):
+            rbf.exact_decision_values([(Fraction(0), Fraction(0))])
+
+
+# -- Alice's kernel normal function -------------------------------------------
+
+
+def _profiles(degree: int, b0: float, dimension: int, alice_svs: int, bob_svs: int):
+    params = MetricParams()
+    alice = similarity_profile(
+        _crossing_model(degree * 7 + 1, alice_svs, dimension, degree, b0), params
+    )
+    bob = similarity_profile(
+        _crossing_model(degree * 7 + 2, bob_svs, dimension, degree, b0), params
+    )
+    return alice, bob
+
+
+def _packed_points(bob, count: int, seed: int, bits: int = 40) -> list:
+    """Bob's packed model first, then packed vectors of random fractions."""
+    points = [tuple(bob.packed)]
+    points.extend(_fraction_points(seed, count - 1, len(bob.packed), bits=bits))
+    return points
+
+
+class TestKernelNormalBatch:
+    @pytest.mark.parametrize("b0", [0.0, 0.5])
+    @pytest.mark.parametrize("degree", [1, 2, 3, 4])
+    def test_matches_naive(self, degree, b0):
+        for dimension, alice_svs, bob_svs in ((2, 3, 2), (6, 12, 12)):
+            alice, bob = _profiles(degree, b0, dimension, alice_svs, bob_svs)
+            function = alice.normal_function(bob.n_support)
+            points = _packed_points(bob, 9, degree * 10 + dimension)
+            values = function.evaluate_all(points)
+            assert all(type(value) is Fraction for value in values)
+            _assert_identical(values, _naive_values(function, points))
+
+    @pytest.mark.parametrize("bits", [64, 300])
+    def test_numerators_past_fixed_width(self, bits):
+        alice, bob = _profiles(3, 0.5, 3, 5, 4)
+        function = alice.normal_function(bob.n_support)
+        points = _packed_points(bob, 4, bits, bits=bits)
+        points.append((Fraction(2**bits + 1, 3),) + tuple(range(2**bits, 2**bits + 15)))
+        _assert_identical(function.evaluate_all(points), _naive_values(function, points))
+
+    def test_float_point_sends_the_whole_message_naive(self):
+        """One float-mode point: every point of the message takes the
+        naive evaluator, whose result type follows each input."""
+        alice, bob = _profiles(2, 0.5, 3, 4, 3)
+        function = alice.normal_function(bob.n_support)
+        exact = tuple(bob.packed)
+        floats = tuple(float(value) for value in exact)
+        int_first = (1,) + exact[1:]
+        points = [exact, floats, int_first]
+        values = function.evaluate_all(points)
+        _assert_identical(values, _naive_values(function, points))
+        assert [type(value) for value in values] == [Fraction, float, float]
+
+    def test_point_evaluator_is_the_one_point_batch(self):
+        alice, bob = _profiles(3, 0.0, 4, 6, 5)
+        function = alice.normal_function(bob.n_support)
+        packed = tuple(bob.packed)
+        assert function(packed) == function.evaluate_all([packed])[0]
+        assert function.evaluate_all([]) == []
+
+    def test_double_sum_is_the_one_point_case(self):
+        alice, bob = _profiles(3, 0.5, 4, 6, 5)
+        a0, b0, degree = alice.kernel
+        rights = [bob.scaled, alice.scaled, bob.scaled]
+        batch = kernel_double_sums(alice.scaled, rights, a0, b0, degree)
+        assert batch == [
+            kernel_double_sum(alice.scaled, right, a0, b0, degree) for right in rights
+        ]
+        assert batch[1] == alice.normal_norm
+        one = scale_model([Fraction(1, 3)], [[Fraction(1, 2)] * 4])
+        assert kernel_double_sums(one, [one], a0, b0, degree) == [
+            Fraction(1, 9) * (a0 * Fraction(1, 4) * 4 + b0) ** degree
+        ]
+        with pytest.raises(ValidationError):
+            kernel_double_sums(one, [one], a0, b0, 0)
+
+
+# -- the senders call the batch once per message -------------------------------
+
+
+def _counting_function(model: SVMModel, calls: list) -> OMPEFunction:
+    def evaluate_batch(points):
+        calls.append(len(points))
+        return model.exact_decision_values(points)
+
+    return OMPEFunction.from_callable(
+        arity=model.dimension,
+        total_degree=3,
+        evaluate=model.exact_decision_value,
+        evaluate_batch=evaluate_batch,
+    )
+
+
+class TestSenders:
+    def test_online_sender_evaluates_once_per_message(self, fast_config):
+        model = _kernel_model(11, 5, 3, 3, 0.5)
+        calls: list = []
+        sample = (Fraction(1, 3), Fraction(-1, 2), Fraction(2, 5))
+        outcome = execute_ompe(_counting_function(model, calls), sample, config=fast_config, seed=4)
+        assert calls == [fast_config.pair_count(3)]
+        assert outcome.value == outcome.amplifier * model.exact_decision_value(sample)
+
+    def test_batch_sender_evaluates_once_per_query(self, fast_config):
+        model = _kernel_model(12, 5, 3, 3, 0.5)
+        calls: list = []
+        inputs = [
+            (Fraction(1, 3), Fraction(-1, 2), Fraction(2, 5)),
+            (Fraction(0), Fraction(1, 7), Fraction(-3, 4)),
+        ]
+        outcome = execute_ompe_batch(
+            _counting_function(model, calls), inputs, config=fast_config, seed=5
+        )
+        assert calls == [fast_config.pair_count(3)] * len(inputs)
+        for value, amplifier, point in zip(outcome.values, outcome.amplifiers, inputs):
+            assert value == amplifier * model.exact_decision_value(point)
+
+
+# -- digests pinned from the per-point implementation --------------------------
+
+
+def test_kernel_classification_digest():
+    """SHA-256 of ``(bytes_by_phase, randomized_value)`` over five
+    in-process kernel classifications, pinned from the implementation
+    that evaluated one point per call."""
+    config = OMPEConfig(security_degree=1, cover_expansion=2, group=fast_group())
+    model = _kernel_model(2016, 10, 5, 3, 0.5)
+    rng = np.random.default_rng(7)
+    rows = []
+    for index in range(5):
+        sample = rng.uniform(-1.0, 1.0, size=5)
+        outcome = classify_nonlinear(model, sample, config=config, seed=index)
+        rows.append(
+            (
+                sorted(outcome.report.transcript.bytes_by_phase().items()),
+                str(outcome.randomized_value),
+            )
+        )
+    digest = hashlib.sha256(repr(rows).encode()).hexdigest()
+    assert digest == (
+        "35ca531a5d6cdd4f6e8b0312f5e502330b14e4dde76992a3fcd5a40d74cfe3e0"
+    )
+
+
+def test_kernel_similarity_digest():
+    """SHA-256 of ``(T², total bytes)`` over a 2×2 kernel job (degree 2,
+    dimension 4, ``b0 = 0``), pinned from the per-point implementation."""
+    config = OMPEConfig(security_degree=1, cover_expansion=3, group=fast_group())
+    params = MetricParams()
+    lefts = [_crossing_model(300 + i, 5, 4, 2, 0.0) for i in range(2)]
+    rights = [_crossing_model(400 + j, 6, 4, 2, 0.0) for j in range(2)]
+    rows = []
+    for i, left in enumerate(lefts):
+        for j, right in enumerate(rights):
+            outcome = evaluate_similarity_private(
+                left, right, params, config=config, seed=10 * i + j
+            )
+            rows.append((str(outcome.t_squared), outcome.total_bytes))
+    digest = hashlib.sha256(repr(rows).encode()).hexdigest()
+    assert digest == (
+        "9c52c12936b1100c32ad62f360ff8c89d72e3407ef16e8f18667a6e5643c5d7f"
+    )

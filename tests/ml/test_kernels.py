@@ -1,6 +1,10 @@
 """Tests for kernel functions."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -119,3 +123,50 @@ class TestFactory:
     def test_parameters_forwarded(self):
         k = make_kernel("poly", degree=5)
         assert k([1], [2]) == 32.0
+
+
+_SRC = str(Path(__file__).resolve().parents[2] / "src")
+
+_GRAM_DIGEST = """
+import hashlib, os, sys
+import numpy as np
+from repro.ml.kernels import polynomial_inner
+rng = np.random.default_rng(3)
+grid = rng.uniform(-1.0, 1.0, size=(12288, 6))
+svs = rng.uniform(-1.0, 1.0, size=(12, 6))
+gram = polynomial_inner(grid, svs, 1.0 / 6.0, 0.5)
+print(os.environ.get("OPENBLAS_NUM_THREADS"), hashlib.sha256(gram.tobytes()).hexdigest())
+"""
+
+
+def _run(code: str, **env_overrides) -> str:
+    env = {
+        key: value for key, value in os.environ.items() if key != "OPENBLAS_NUM_THREADS"
+    }
+    env["PYTHONPATH"] = _SRC
+    env.update(env_overrides)
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    )
+    return result.stdout.strip()
+
+
+class TestBlasThreads:
+    def test_gram_identical_with_one_or_default_blas_threads(self):
+        """The CLI pins OpenBLAS to one thread for speed; the polynomial
+        gram must not depend on it, byte for byte."""
+        unset = _run(_GRAM_DIGEST).split()
+        one = _run(_GRAM_DIGEST, OPENBLAS_NUM_THREADS="1").split()
+        assert unset[0] == "None" and one[0] == "1"
+        assert unset[1] == one[1]
+
+    def test_cli_sets_one_thread_unless_told_otherwise(self):
+        probe = "import os, repro.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"
+        assert _run(probe) == "1"
+        assert _run(probe, OPENBLAS_NUM_THREADS="2") == "2"
+
