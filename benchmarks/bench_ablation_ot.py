@@ -26,6 +26,18 @@ def test_larger_group_costs_more_bytes():
     print(f"\n256-bit group: {fast_bytes} B; 512-bit group: {big_bytes} B")
 
 
+def test_one_point_and_k_pad_rows_per_transfer():
+    """One ``ot/kofn2`` record: every payload sealed once, one ephemeral
+    point whatever ``k`` is, and ``k`` rows of ``n`` 16-byte pads."""
+    _, transfer = run_k_of_n(fast_group(), MESSAGES, INDICES, ReproRandom(1))
+    element_bytes = fast_group().element_bytes
+    sealed = sum(len(blob) for blob in transfer.sealed)
+    assert len(transfer.pads) == len(INDICES)
+    assert transfer.size_bytes(element_bytes) == (
+        sealed + element_bytes + 16 * len(INDICES) * len(MESSAGES)
+    )
+
+
 def test_transfer_grows_linearly_in_n():
     small_messages = MESSAGES[:8]
     _, small = run_k_of_n(fast_group(), small_messages, [1, 3], ReproRandom(2))

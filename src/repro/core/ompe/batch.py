@@ -4,7 +4,7 @@ The one-shot protocol costs 6 communication rounds per query; a client
 holding ``k`` samples (the Fig. 9 workload) can evaluate all of them in
 a *single* 6-round conversation by concatenating the per-query
 messages: one points message carrying ``k`` independent pair lists, one
-OT setup/choice/transfer exchange carrying ``k·m`` parallel sessions.
+OT setup/choice/transfer exchange choosing ``k·m`` of ``k·M`` slots.
 Per-query randomness stays independent (fresh masks, amplifiers, hiding
 polynomials per query), so the privacy argument is unchanged — only the
 round count is amortized, which matters when the link model has
@@ -26,6 +26,7 @@ from repro.core.ompe.hiding import (
     draw_nodes,
 )
 from repro.core.ompe.precompute import draw_sender_bundle
+from repro.core.ompe.receiver import check_evaluations
 from repro.crypto.ot.k_of_n import KOfNReceiver, KOfNSender
 from repro.exceptions import OMPEError, ProtocolAbort, ValidationError
 from repro.math.interpolation import lagrange_at_zero
@@ -121,19 +122,19 @@ class _BatchSender(Party):
                 self._ot_sender = KOfNSender(
                     self.config.resolved_group(), self.rng.fork("ot")
                 )
-                setups = self._ot_sender.setup(cover_count * self._batch_size)
+                setup = self._ot_sender.setup(cover_count * self._batch_size)
                 self._evaluations = evaluations
-            self.send("ompe-batch/ot-setups", setups)
+            self.send("ompe-batch/ot-setups", setup)
 
     def handle_choices(self) -> None:
         with obs.get_tracer().span(
             "ompe.ot_transfer", party=self.name, phase="ot-transfers"
         ):
-            choices = self.receive("ompe-batch/ot-choices")
+            choice = self.receive("ompe-batch/ot-choices")
             if self._ot_sender is None:
                 raise OMPEError("handle_choices before handle_points")
             with self.timings.measure("sender/ot"):
-                transfer = self._ot_sender.transfer(self._evaluations, choices)
+                transfer = self._ot_sender.transfer(self._evaluations, choice)
             self.send("ompe-batch/ot-transfers", transfer)
 
 
@@ -199,7 +200,7 @@ class _BatchReceiver(Party):
         self.send("ompe-batch/points", tuple(batches))
 
     def handle_ot_setups(self) -> None:
-        setups = self.receive("ompe-batch/ot-setups")
+        setup = self.receive("ompe-batch/ot-setups")
         with obs.get_tracer().span(
             "ompe.ot_choice", party=self.name, phase="ot-choices"
         ), self.timings.measure("receiver/ot"):
@@ -212,10 +213,10 @@ class _BatchReceiver(Party):
             self._ot_receiver = KOfNReceiver(
                 self.config.resolved_group(), self.rng.fork("ot")
             )
-            choices = self._ot_receiver.choose(
-                setups, global_indices, self._pair_count * len(self.inputs)
+            choice = self._ot_receiver.choose(
+                setup, global_indices, self._pair_count * len(self.inputs)
             )
-        self.send("ompe-batch/ot-choices", choices)
+        self.send("ompe-batch/ot-choices", choice)
 
     def finish(self) -> List[Number]:
         if self._ot_receiver is None:
@@ -235,7 +236,9 @@ class _BatchReceiver(Party):
                 blobs = payloads[cursor : cursor + len(positions)]
                 cursor += len(positions)
                 nodes = [self._nodes[query_index][p] for p in positions]
-                decoded = [decode_value(blob) for blob in blobs]
+                decoded = check_evaluations(
+                    [decode_value(blob) for blob in blobs], exact=True
+                )
                 values.append(lagrange_at_zero(nodes, decoded))
         return values
 

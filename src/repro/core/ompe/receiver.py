@@ -20,6 +20,7 @@ Implements the receiver steps of Sections III-C and IV-A:
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import List, Optional, Sequence
 
 from repro import obs
@@ -34,6 +35,21 @@ from repro.net.party import Party
 from repro.utils.rng import ReproRandom
 from repro.utils.serialization import decode_value
 from repro.utils.timer import TimingRecorder
+
+
+def check_evaluations(values: List[Number], exact: bool) -> List[Number]:
+    """Refuse a decoded evaluation that is not a scalar.
+
+    The sender seals whatever it likes, so a tuple (or, in exact mode,
+    a float) is refused here, before it reaches the interpolation.
+    """
+    allowed = (int, Fraction) if exact else (int, Fraction, float)
+    for value in values:
+        if not isinstance(value, allowed):
+            raise ProtocolAbort(
+                f"retrieved evaluation is a {type(value).__name__}, not a scalar"
+            )
+    return values
 
 
 class OMPEReceiver(Party):
@@ -148,15 +164,15 @@ class OMPEReceiver(Party):
             phase="ot-choices",
             m=self._cover_count,
         ):
-            setups = self.receive("ompe/ot-setups")
+            setup = self.receive("ompe/ot-setups")
             with self.timings.measure("receiver/ot"):
                 self._ot_receiver = KOfNReceiver(
                     self.config.resolved_group(), self.rng.fork("ot")
                 )
-                choices = self._ot_receiver.choose(
-                    setups, self._cover_positions, self._pair_count
+                choice = self._ot_receiver.choose(
+                    setup, self._cover_positions, self._pair_count
                 )
-            self.send("ompe/ot-choices", choices)
+            self.send("ompe/ot-choices", choice)
 
     def finish(self) -> Number:
         """Retrieve cover evaluations, interpolate, return ``B(0)``."""
@@ -174,7 +190,9 @@ class OMPEReceiver(Party):
                 covers=len(self._cover_positions),
             ):
                 with self.timings.measure("receiver/interpolate"):
-                    values = [decode_value(blob) for blob in payloads]
+                    values = check_evaluations(
+                        [decode_value(blob) for blob in payloads], self.config.exact
+                    )
                     nodes = [self._nodes[i] for i in self._cover_positions]
                     if not self.config.exact:
                         values = [float(v) for v in values]

@@ -159,18 +159,18 @@ class OMPESender(Party):
                 self._ot_sender = KOfNSender(
                     self.config.resolved_group(), self.rng.fork("ot")
                 )
-                setups = self._ot_sender.setup(self._cover_count)
+                setup = self._ot_sender.setup(self._cover_count)
                 self._evaluations = evaluations
-            self.send("ompe/ot-setups", setups)
+            self.send("ompe/ot-setups", setup)
 
     def handle_choices(self) -> None:
         """Answer the receiver's OT choices."""
         with obs.get_tracer().span(
             "ompe.ot_transfer", party=self.name, phase="ot-transfers"
         ):
-            choices = self.receive("ompe/ot-choices")
+            choice = self.receive("ompe/ot-choices")
             if self._ot_sender is None:
                 raise OMPEError("handle_choices before handle_points")
             with self.timings.measure("sender/ot"):
-                transfer = self._ot_sender.transfer(self._evaluations, choices)
+                transfer = self._ot_sender.transfer(self._evaluations, choice)
             self.send("ompe/ot-transfers", transfer)

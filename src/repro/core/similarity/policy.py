@@ -87,17 +87,13 @@ class OutputPolicy:
             )
         if self.mode == THRESHOLD:
             value = self.threshold
-            if (
-                isinstance(value, bool)
-                or not isinstance(value, (int, float))
-                or not math.isfinite(float(value))
-                or float(value) <= 0.0
-            ):
+            # A float and nothing else: an int would re-encode to other
+            # bytes than the float it stands for.
+            if not isinstance(value, float) or not math.isfinite(value) or value <= 0.0:
                 raise ValidationError(
-                    "threshold mode needs a finite positive threshold, "
+                    "threshold mode needs a finite positive float threshold, "
                     f"got {value!r}"
                 )
-            object.__setattr__(self, "threshold", float(value))
         elif self.threshold is not None:
             raise ValidationError(
                 f"{self.mode!r} mode takes no threshold, got {self.threshold!r}"

@@ -3,8 +3,8 @@
 Every message of the OMPE protocol has a size that is a closed-form
 function of the configuration: the points message carries ``M`` nodes
 plus ``M·n`` coordinates, the OT phase carries the ``M`` evaluations
-sealed once plus ``m`` parallel sessions of ``M`` 16-byte padded keys
-and one ``bits``-bit group element each, and so on.
+sealed once plus one ``bits``-bit group element and ``m`` rows of ``M``
+16-byte padded keys, and so on.
 :func:`predict_classification_bytes` computes that closed form;
 ``tests/evaluation/test_costmodel.py`` checks it against measured
 transcripts (within a tolerance covering the variable-length integer
@@ -127,21 +127,22 @@ def predict_classification_bytes(
     frame = 5
     setup_record = frame + len("ot/setup") + (frame + 16) + frame
     choice_record = frame + len("ot/choice") + (frame + 16) + frame
-    transfer_record = frame + len("ot/transfer2") + (frame + 16) + frame
-    kofn_record = frame + len("ot/kofn") + frame + frame
+    transfer_record = frame + len("ot/kofn2") + frame + frame
 
     # Points: M pairs, each (node scalar, n-coordinate vector).
     points = frame + M * (2 * frame + (1 + dimension) * scalar)
-    # OT setup / choice: m session records x (session id + one element).
-    ot_setup = frame + m * (setup_record + element)
-    ot_choice = frame + m * (choice_record + element)
+    # OT setup: one record carrying one element ``w``; choice: one
+    # record carrying m blinded elements.
+    ot_setup = setup_record + element
+    ot_choice = choice_record + m * element
     # OT transfer: M sealed blobs once (framed evaluation ciphertext +
-    # MAC tag), then m session records, each one ephemeral point + M
-    # framed 16-byte padded keys.
+    # MAC tag), one ephemeral point, then m rows of M framed 16-byte
+    # padded keys.
     ot_transfer = (
-        kofn_record
+        transfer_record
         + M * (frame + evaluation + TAG_BYTES)
-        + m * (transfer_record + element + M * (frame + KEY_BYTES))
+        + element
+        + m * (frame + M * (frame + KEY_BYTES))
     )
 
     return CostBreakdown(

@@ -141,10 +141,10 @@ class AdminHealth:
                 raise ValidationError(f"admin health {name} must be a non-negative int")
         if not isinstance(self.stopping, bool) or not isinstance(self.draining, bool):
             raise ValidationError("admin health flags must be booleans")
-        sessions = tuple(self.sessions) if self.sessions else ()
-        if any(not isinstance(entry, dict) for entry in sessions):
-            raise ValidationError("admin health sessions must be dicts")
-        object.__setattr__(self, "sessions", sessions)
+        if not isinstance(self.sessions, tuple) or any(
+            not isinstance(entry, dict) for entry in self.sessions
+        ):
+            raise ValidationError("admin health sessions must be a tuple of dicts")
 
 
 @register_payload_type("obs/admin-metrics")
@@ -186,13 +186,11 @@ class AdminTraceDump:
     sessions: Tuple[Dict[str, Any], ...] = ()
 
     def __post_init__(self) -> None:
-        sessions = tuple(self.sessions) if self.sessions else ()
-        for entry in sessions:
-            if not isinstance(entry, dict) or not isinstance(
-                entry.get("jsonl", ""), str
-            ):
-                raise ValidationError("admin trace sessions must be jsonl dicts")
-        object.__setattr__(self, "sessions", sessions)
+        if not isinstance(self.sessions, tuple) or any(
+            not isinstance(entry, dict) or not isinstance(entry.get("jsonl", ""), str)
+            for entry in self.sessions
+        ):
+            raise ValidationError("admin trace sessions must be a tuple of jsonl dicts")
 
 
 # -- fragment stitching ----------------------------------------------------

@@ -63,7 +63,18 @@ class ReproRandom:
         if seed is None:
             seed = secrets.randbits(64)
         self.seed = int(seed)
-        self._rng = random.Random(self.seed)
+
+    def __getattr__(self, name: str):
+        # The Mersenne Twister is seeded on the first draw, not at
+        # construction: most forks only fork again or lend their
+        # ``seed``, and seeding costs more than deriving the seed.  Once
+        # set, ``_rng`` is an instance attribute and this hook is not
+        # consulted again.
+        if name != "_rng":
+            raise AttributeError(name)
+        rng = random.Random(self.seed)
+        self._rng = rng
+        return rng
 
     # -- stream management -------------------------------------------------
 

@@ -188,7 +188,9 @@ def encode_value(value: Encodable) -> bytes:
     return b"".join(parts)
 
 
-def _decode_at(data: bytes, offset: int) -> Tuple[Encodable, int]:
+def _decode_at(data: bytes, offset: int, depth: int = 0) -> Tuple[Encodable, int]:
+    if depth > MAX_DECODE_DEPTH:
+        raise ValidationError("protocol value nesting exceeds the decoder depth bound")
     if offset >= len(data):
         raise ValidationError("truncated protocol value")
     tag = data[offset]
@@ -208,7 +210,7 @@ def _decode_at(data: bytes, offset: int) -> Tuple[Encodable, int]:
             raise ValidationError("tuple count exceeds available bytes")
         items = []
         for _ in range(count):
-            item, offset = _decode_at(data, offset)
+            item, offset = _decode_at(data, offset, depth + 1)
             items.append(item)
         return tuple(items), offset
     raise ValidationError(
@@ -219,9 +221,9 @@ def _decode_at(data: bytes, offset: int) -> Tuple[Encodable, int]:
 def decode_value(data: bytes) -> Encodable:
     """Decode bytes produced by :func:`encode_value`.
 
-    Raises :class:`ValidationError` on trailing garbage and on any
-    non-canonical integer or fraction, so the codec is injective in
-    both directions.
+    Raises :class:`ValidationError` on trailing garbage, on nesting
+    deeper than :data:`MAX_DECODE_DEPTH` and on any non-canonical
+    integer or fraction, so the codec is injective in both directions.
     """
     value, offset = _decode_at(data, 0)
     if offset != len(data):

@@ -275,45 +275,80 @@ class TestSenders:
 
 # -- digests pinned from the per-point implementation --------------------------
 
+#: Transcript phases of the oblivious transfer.  Their bytes moved when
+#: a k-of-n transfer became one exchange; every other phase, the
+#: randomized values and T² are pinned from the per-point implementation.
+OT_PHASES = ("ot-setups", "ot-choices", "ot-transfers")
+
+
+def _digest(rows) -> str:
+    return hashlib.sha256(repr(rows).encode()).hexdigest()
+
+
+def _split_phases(by_phase):
+    """``(protocol phases, OT phases)``, each sorted by phase name."""
+    items = sorted(by_phase.items())
+    return (
+        [item for item in items if item[0] not in OT_PHASES],
+        [item for item in items if item[0] in OT_PHASES],
+    )
+
+
+def _split_bytes(outcome):
+    """A similarity outcome's ``(non-OT bytes, OT bytes)``."""
+    protocol = ot = 0
+    for report in outcome.reports.values():
+        for phase, size in report.transcript.bytes_by_phase().items():
+            if phase in OT_PHASES:
+                ot += size
+            else:
+                protocol += size
+    return protocol, ot
+
 
 def test_kernel_classification_digest():
-    """SHA-256 of ``(bytes_by_phase, randomized_value)`` over five
+    """SHA-256 of ``(non-OT bytes_by_phase, randomized_value)`` over five
     in-process kernel classifications, pinned from the implementation
-    that evaluated one point per call."""
+    that evaluated one point per call, and of their OT phase bytes,
+    pinned from the one-exchange transfer."""
     config = OMPEConfig(security_degree=1, cover_expansion=2, group=fast_group())
     model = _kernel_model(2016, 10, 5, 3, 0.5)
     rng = np.random.default_rng(7)
-    rows = []
+    rows, ot_rows = [], []
     for index in range(5):
         sample = rng.uniform(-1.0, 1.0, size=5)
         outcome = classify_nonlinear(model, sample, config=config, seed=index)
-        rows.append(
-            (
-                sorted(outcome.report.transcript.bytes_by_phase().items()),
-                str(outcome.randomized_value),
-            )
-        )
-    digest = hashlib.sha256(repr(rows).encode()).hexdigest()
-    assert digest == (
-        "35ca531a5d6cdd4f6e8b0312f5e502330b14e4dde76992a3fcd5a40d74cfe3e0"
+        protocol, ot = _split_phases(outcome.report.transcript.bytes_by_phase())
+        rows.append((protocol, str(outcome.randomized_value)))
+        ot_rows.append(ot)
+    assert _digest(rows) == (
+        "c3fab7b299f529814ecdf07c37c92bd7a0dd919e580fce28bddcd30f4b8d3425"
+    )
+    assert _digest(ot_rows) == (
+        "249a819e644d46ab2e1dd846e42de6db69076ecc9daed7fdf519288982abfc5e"
     )
 
 
 def test_kernel_similarity_digest():
-    """SHA-256 of ``(T², total bytes)`` over a 2×2 kernel job (degree 2,
-    dimension 4, ``b0 = 0``), pinned from the per-point implementation."""
+    """SHA-256 of ``(T², non-OT bytes)`` over a 2×2 kernel job (degree 2,
+    dimension 4, ``b0 = 0``), pinned from the per-point implementation,
+    and of its OT bytes, pinned from the one-exchange transfer."""
     config = OMPEConfig(security_degree=1, cover_expansion=3, group=fast_group())
     params = MetricParams()
     lefts = [_crossing_model(300 + i, 5, 4, 2, 0.0) for i in range(2)]
     rights = [_crossing_model(400 + j, 6, 4, 2, 0.0) for j in range(2)]
-    rows = []
+    rows, ot_rows = [], []
     for i, left in enumerate(lefts):
         for j, right in enumerate(rights):
             outcome = evaluate_similarity_private(
                 left, right, params, config=config, seed=10 * i + j
             )
-            rows.append((str(outcome.t_squared), outcome.total_bytes))
-    digest = hashlib.sha256(repr(rows).encode()).hexdigest()
-    assert digest == (
-        "9c52c12936b1100c32ad62f360ff8c89d72e3407ef16e8f18667a6e5643c5d7f"
+            protocol, ot = _split_bytes(outcome)
+            rows.append((str(outcome.t_squared), protocol))
+            ot_rows.append(ot)
+    assert _digest(rows) == (
+        "6e542b17932245b46ce16c37d77012bff565a0b216c09ed1133606e0ff77a57d"
+    )
+    assert _digest(ot_rows) == (
+        "ff7babda2a9723f88b312c32839e73d2ac335214baeccbc7ee83ca4cd5f3422a"
     )

@@ -468,8 +468,10 @@ def reseeds(monkeypatch, run) -> int:
 class TestHiderCounts:
     """``ompe.points`` carries ``hiders = arity·(M - m + 1)``: the cover
     cost of a trace as a deterministic count.  The same pairs pin their
-    ``random.Random`` reseeds: hiders draw from a keyed hash stream, so
-    only the other forks (nodes, positions, constants, OT, masks) reseed."""
+    ``random.Random`` reseeds: hiders draw from a keyed hash stream, and
+    a ``ReproRandom`` seeds its Mersenne Twister only on its first draw,
+    so only the streams that draw (nodes, positions, constants, OT
+    exponents and sealing keys, masks) reseed."""
 
     CONFIG = OMPEConfig(security_degree=2, cover_expansion=3, group=fast_group())
 
@@ -499,7 +501,7 @@ class TestHiderCounts:
             lambda: evaluate_similarity_private(
                 left, right, config=self.CONFIG, seed=1
             ),
-        ) == 143
+        ) == 24
 
     def test_linear_pair_reseeds(self, monkeypatch):
         left = make_linear_model([0.5, -0.25, 0.75], -0.2)
@@ -507,7 +509,7 @@ class TestHiderCounts:
         assert reseeds(
             monkeypatch,
             lambda: evaluate_similarity_private(left, right, config=self.CONFIG, seed=1),
-        ) == 103
+        ) == 24
 
     def test_hiding_never_reseeds_a_mersenne_twister(self):
         assert not hasattr(hiding, "random")

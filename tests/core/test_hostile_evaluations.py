@@ -1,0 +1,77 @@
+"""A hostile sender's sealed evaluations meet a typed error.
+
+The OT hands the receiver whatever the sender sealed.  A sender that
+seals a tuple, a float in exact mode, or a value nested past the
+decoder's depth bound must make the online and batched receivers raise
+a :class:`~repro.exceptions.ReproError` subclass before interpolation,
+never a ``RecursionError`` or a ``TypeError`` from the arithmetic.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+import pytest
+
+from repro.core.ompe import OMPEConfig, OMPEFunction, execute_ompe
+from repro.core.ompe import batch as batch_module
+from repro.core.ompe import sender as sender_module
+from repro.core.ompe.batch import execute_ompe_batch
+from repro.exceptions import ProtocolAbort, ReproError, ValidationError
+from repro.math.groups import fast_group
+from repro.math.multivariate import MultivariatePolynomial
+from repro.utils.serialization import MAX_DECODE_DEPTH, decode_value, encode_value
+
+FUNCTION = OMPEFunction.from_polynomial(
+    MultivariatePolynomial.affine([Fraction(1), Fraction(-2)], Fraction(3))
+)
+INPUT = (Fraction(1, 2), Fraction(-1, 3))
+CONFIG = OMPEConfig(security_degree=1, cover_expansion=2, group=fast_group())
+
+#: What a hostile sender seals in place of ``encode_value(value)``,
+#: and the typed error the receiver raises for it.
+SEALS = {
+    "nested tuple": (lambda value: encode_value(((value,),)), ProtocolAbort),
+    "pair": (lambda value: encode_value((value, value)), ProtocolAbort),
+    "float": (lambda value: encode_value(float(value)), ProtocolAbort),
+    "past the depth bound": (
+        lambda value: b"T\x00\x00\x00\x01" * 3000 + encode_value(value),
+        ValidationError,
+    ),
+}
+
+
+def test_decode_value_depth_bound():
+    at_bound = b"T\x00\x00\x00\x01" * MAX_DECODE_DEPTH + encode_value(1)
+    nested = decode_value(at_bound)
+    for _ in range(MAX_DECODE_DEPTH):
+        (nested,) = nested
+    assert nested == 1
+    with pytest.raises(ValidationError, match="depth bound"):
+        decode_value(b"T\x00\x00\x00\x01" + at_bound)
+    with pytest.raises(ValidationError, match="depth bound"):
+        decode_value(b"T\x00\x00\x00\x01" * 3000 + encode_value(1))
+
+
+@pytest.mark.parametrize("case", sorted(SEALS))
+def test_online_receiver_refuses(monkeypatch, case):
+    seal, error = SEALS[case]
+    monkeypatch.setattr(sender_module, "encode_value", seal)
+    with pytest.raises(error) as raised:
+        execute_ompe(FUNCTION, INPUT, config=CONFIG, seed=3)
+    assert isinstance(raised.value, ReproError)
+
+
+@pytest.mark.parametrize("case", sorted(SEALS))
+def test_batched_receiver_refuses(monkeypatch, case):
+    seal, error = SEALS[case]
+    monkeypatch.setattr(batch_module, "encode_value", seal)
+    with pytest.raises(error) as raised:
+        execute_ompe_batch(FUNCTION, [INPUT, INPUT], config=CONFIG, seed=3)
+    assert isinstance(raised.value, ReproError)
+
+
+def test_float_mode_receiver_accepts_floats():
+    config = OMPEConfig(security_degree=1, cover_expansion=2, exact=False)
+    outcome = execute_ompe(FUNCTION, (0.5, -0.25), config=config, seed=3)
+    assert isinstance(outcome.value, float)

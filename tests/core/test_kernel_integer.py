@@ -109,24 +109,34 @@ class TestIntegerNormalInner:
 
 
 def test_small_kernel_job_digest():
-    """SHA-256 of ``(T², total bytes)`` over a 2×2 kernel job.
+    """SHA-256 of ``(T², non-OT bytes)`` over a 2×2 kernel job.
 
     Pinned from the implementation before the array scan and the
     integer ``⟨n, n⟩``: boundary points, centroids and norms feed every
-    protocol value, so any drift moves this digest.
+    protocol value, so any drift moves this digest.  The OT phases'
+    bytes, pinned from the one-exchange transfer, have their own digest.
     """
     config = OMPEConfig(security_degree=1, cover_expansion=2, group=fast_group())
     params = MetricParams()
     lefts = [_crossing_model(100 + i, svs=4) for i in range(2)]
     rights = [_crossing_model(200 + j, svs=5) for j in range(2)]
-    rows = []
+    rows, ot_rows = [], []
     for i, left in enumerate(lefts):
         for j, right in enumerate(rights):
             outcome = evaluate_similarity_private(
                 left, right, params, config=config, seed=10 * i + j
             )
-            rows.append((str(outcome.t_squared), outcome.total_bytes))
-    digest = hashlib.sha256(repr(rows).encode()).hexdigest()
-    assert digest == (
-        "e4714ac658919506d5d90657a1a24b2189cc32e99e6ccb1305e62d2df7d8858e"
+            ot = sum(
+                size
+                for report in outcome.reports.values()
+                for phase, size in report.transcript.bytes_by_phase().items()
+                if phase.startswith("ot-")
+            )
+            rows.append((str(outcome.t_squared), outcome.total_bytes - ot))
+            ot_rows.append(ot)
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
+        "e7a641fe7c09b7abe7cb19fb5dc01ff97d4021f46064e4d3773b757385f35cad"
+    )
+    assert hashlib.sha256(repr(ot_rows).encode()).hexdigest() == (
+        "d5aab67612c36453c08d48a54366ae414f0c0c3c7c0aa4e3c7189db299482fa5"
     )

@@ -12,7 +12,6 @@ import pytest
 
 from repro.crypto.hashing import _xor, unwrap_message, wrap_message
 from repro.crypto.ot.k_of_n import run_k_of_n
-from repro.crypto.ot.one_of_n import run_one_of_n
 from repro.exceptions import DecryptionError, ValidationError
 from repro.math import fastpath
 from repro.crypto.paillier import (
@@ -27,18 +26,18 @@ from repro.utils.rng import ReproRandom
 class TestOTDifferential:
     # One slot (the key is V^r itself) up to the protocol's largest
     # OMPE transfer width; every size runs the same three-exponentiation
-    # schedule over 16-byte keys.
+    # sender schedule for its one choice.
     @pytest.mark.parametrize("slots", [1, 5, 27, 81])
     def test_one_of_n_transfers_identical(self, group, slots):
         messages = [f"message-{i}".encode().ljust(16, b".") for i in range(slots)]
-        fast_value, fast_transfer = run_one_of_n(
-            group, messages, slots // 2, ReproRandom(99)
+        fast_value, fast_transfer = run_k_of_n(
+            group, messages, [slots // 2], ReproRandom(99)
         )
         with fastpath.naive_arithmetic():
-            naive_value, naive_transfer = run_one_of_n(
-                group, messages, slots // 2, ReproRandom(99)
+            naive_value, naive_transfer = run_k_of_n(
+                group, messages, [slots // 2], ReproRandom(99)
             )
-        assert fast_value == naive_value == messages[slots // 2]
+        assert fast_value == naive_value == [messages[slots // 2]]
         assert fast_transfer == naive_transfer
 
     def test_k_of_n_transfers_identical(self, group):

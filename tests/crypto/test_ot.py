@@ -7,24 +7,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.crypto.ot import (
-    OneOfNReceiver,
-    OneOfNSender,
-    KOfNReceiver,
-    KOfNSender,
-    TransferMaterial,
-    run_k_of_n,
-    run_one_of_n,
+from repro.crypto.ot import KOfNReceiver, KOfNSender, run_k_of_n
+from repro.crypto.ot.base import (
+    KOfNTransfer,
+    OTChoice,
+    OTSetup,
+    validate_index,
+    validate_messages,
 )
-from repro.crypto.ot.base import OTChoice, OTSetup, OTTransfer, validate_index, validate_messages
 from repro.exceptions import ObliviousTransferError, ValidationError
 from repro.utils.rng import ReproRandom
 from repro.utils.serialization import decode_payload, encode_payload
 
 
 def keys(*labels):
-    """16-byte keys, the only strings the 1-of-n OT carries."""
+    """16-byte messages, the shape of the keys an OT row pads."""
     return [label.encode().ljust(16, b".") for label in labels]
+
+
+def one_of_n(group, messages, index, rng):
+    """A 1-of-n transfer: the k-of-n exchange with ``k = 1``."""
+    received, transfer = run_k_of_n(group, messages, [index], rng)
+    return received[0], transfer
 
 
 class TestBase:
@@ -51,48 +55,48 @@ class TestBase:
     def test_setup_requires_session(self):
         with pytest.raises(ValidationError):
             OTSetup(session=b"", blinding_points=(1,))
+        with pytest.raises(ValidationError):
+            OTSetup(session=5, blinding_points=(1,))
 
     def test_transfer_count_mismatch(self, group, rng):
-        """One point serves every slot, so the receiver checks the slot
-        count against the count it chose among."""
-        sender = OneOfNSender(group, rng.fork("s"))
-        receiver = OneOfNReceiver(group, rng.fork("r"))
-        choice = receiver.choose(sender.setup(), 0, 3)
+        """One point serves every slot, so the receiver checks each
+        row's slot count against the count it chose among."""
+        sender = KOfNSender(group, rng.fork("s"))
+        receiver = KOfNReceiver(group, rng.fork("r"))
+        choice = receiver.choose(sender.setup(1), [0], 3)
         transfer = sender.transfer(keys("a", "b", "c"), choice)
-        padded = replace(transfer, pads=transfer.pads + tuple(keys("extra")))
+        padded = replace(transfer, pads=(transfer.pads[0] + tuple(keys("extra")),))
         with pytest.raises(ObliviousTransferError, match="4 slots, expected 3"):
             receiver.retrieve(padded)
 
     def test_transfer_size_accounting(self):
-        transfer = OTTransfer(
-            session=b"abcd", ephemeral_point=1, pads=(b"xx", b"yyy")
+        transfer = KOfNTransfer(
+            sealed=(b"s" * 16, b"t" * 17),
+            ephemeral_point=1,
+            pads=((b"k" * 16, b"l" * 16),),
         )
-        assert transfer.size_bytes(32) == 4 + 32 + 5
+        assert transfer.size_bytes(32) == 33 + 32 + 32
 
 
 class TestOneOfTwo:
-    """1-of-2 OT is the 1-of-n OT with ``n = 2``; these pin the cases a
-    dedicated 1-of-2 construction used to cover."""
+    """1-of-2 OT is the k-of-n OT with ``k = 1`` and ``n = 2``; these pin
+    the cases a dedicated 1-of-2 construction used to cover."""
 
     @pytest.mark.parametrize("bit", [0, 1])
     def test_correct_message(self, group, bit):
-        message, _ = run_one_of_n(
-            group, keys("zero", "one"), bit, ReproRandom(bit + 10)
-        )
+        message, _ = one_of_n(group, keys("zero", "one"), bit, ReproRandom(bit + 10))
         assert message == keys("zero", "one")[bit]
 
     def test_bad_bit(self, group, rng):
-        receiver = OneOfNReceiver(group, rng)
-        sender = OneOfNSender(group, rng.fork("s"))
-        setup = sender.setup()
+        receiver = KOfNReceiver(group, rng)
+        setup = KOfNSender(group, rng.fork("s")).setup(1)
         with pytest.raises(ValidationError):
-            receiver.choose(setup, 2, 2)
+            receiver.choose(setup, [2], 2)
 
     def test_requires_two_messages(self, group, rng):
-        sender = OneOfNSender(group, rng.fork("s"))
-        receiver = OneOfNReceiver(group, rng.fork("r"))
-        setup = sender.setup()
-        choice = receiver.choose(setup, 0, 2)
+        sender = KOfNSender(group, rng.fork("s"))
+        receiver = KOfNReceiver(group, rng.fork("r"))
+        choice = receiver.choose(sender.setup(1), [0], 2)
         transfer = sender.transfer(keys("only-one"), choice)
         with pytest.raises(ObliviousTransferError, match="1 slots, expected 2"):
             receiver.retrieve(transfer)
@@ -101,28 +105,28 @@ class TestOneOfTwo:
         """Sender privacy: the unchosen payload never authenticates."""
         sender = KOfNSender(group, rng.fork("s"))
         receiver = KOfNReceiver(group, rng.fork("r"))
-        choices = receiver.choose(sender.setup(1), [0], 2)
-        opened = receiver.attempt_all(sender.transfer([b"m0", b"m1"], choices))
+        choice = receiver.choose(sender.setup(1), [0], 2)
+        opened = receiver.attempt_all(sender.transfer([b"m0", b"m1"], choice))
         assert opened == [b"m0", None]
 
     def test_session_mismatch_rejected(self, group, rng):
-        sender_a = OneOfNSender(group, rng.fork("a"))
-        sender_b = OneOfNSender(group, rng.fork("b"))
-        receiver = OneOfNReceiver(group, rng.fork("r"))
-        setup_a = sender_a.setup()
-        sender_b.setup()
-        choice = receiver.choose(setup_a, 0, 2)
-        with pytest.raises(ObliviousTransferError):
+        sender_a = KOfNSender(group, rng.fork("a"))
+        sender_b = KOfNSender(group, rng.fork("b"))
+        receiver = KOfNReceiver(group, rng.fork("r"))
+        setup_a = sender_a.setup(1)
+        sender_b.setup(1)
+        choice = receiver.choose(setup_a, [0], 2)
+        with pytest.raises(ObliviousTransferError, match="different session"):
             sender_b.transfer(keys("a", "b"), choice)
 
     def test_protocol_order_enforced(self, group, rng):
-        sender = OneOfNSender(group, rng.fork("s"))
-        receiver = OneOfNReceiver(group, rng.fork("r"))
+        sender = KOfNSender(group, rng.fork("s"))
+        receiver = KOfNReceiver(group, rng.fork("r"))
         with pytest.raises(ObliviousTransferError):
             sender.transfer(keys("a", "b"), OTChoice(session=b"x", blinded_keys=(2,)))
         with pytest.raises(ObliviousTransferError):
             receiver.retrieve(
-                OTTransfer(session=b"x", ephemeral_point=2, pads=(b"",))
+                KOfNTransfer(sealed=(b"s" * 16,), ephemeral_point=2, pads=((b"k" * 16,),))
             )
 
 
@@ -130,61 +134,58 @@ class TestOneOfN:
     @pytest.mark.parametrize("index", [0, 3, 9])
     def test_correct_message(self, group, index):
         messages = keys(*(f"msg-{i}" for i in range(10)))
-        received, _ = run_one_of_n(group, messages, index, ReproRandom(index))
+        received, _ = one_of_n(group, messages, index, ReproRandom(index))
         assert received == messages[index]
 
     def test_single_message(self, group):
-        received, _ = run_one_of_n(group, keys("only"), 0, ReproRandom(1))
+        received, _ = one_of_n(group, keys("only"), 0, ReproRandom(1))
         assert received == keys("only")[0]
 
     def test_out_of_range_index(self, group, rng):
-        receiver = OneOfNReceiver(group, rng)
-        sender = OneOfNSender(group, rng.fork("s"))
-        setup = sender.setup()
+        receiver = KOfNReceiver(group, rng)
+        setup = KOfNSender(group, rng.fork("s")).setup(1)
         with pytest.raises(ValidationError):
-            receiver.choose(setup, 5, 5)
+            receiver.choose(setup, [5], 5)
 
     def test_choice_hides_index(self, group):
         """Receiver privacy: V = g^k w^sigma is uniform for any sigma."""
         # Statistical smoke check: choices for different indices are
         # not equal and both valid group elements.
-        sender = OneOfNSender(group, ReproRandom(1))
-        setup = sender.setup()
+        setup = KOfNSender(group, ReproRandom(1)).setup(1)
         choices = set()
         for index in range(5):
-            receiver = OneOfNReceiver(group, ReproRandom(100 + index))
-            choice = receiver.choose(setup, index, 5)
+            receiver = KOfNReceiver(group, ReproRandom(100 + index))
+            choice = receiver.choose(setup, [index], 5)
             assert group.contains(choice.blinded_keys[0])
             choices.add(choice.blinded_keys[0])
         assert len(choices) == 5
 
     def test_attempt_all_only_opens_chosen(self, group, rng):
-        """One session's key opens only the chosen sealed payload (the
-        probe lives on the k-of-n receiver, which holds the sealing)."""
+        """One row's key opens only the chosen sealed payload."""
         messages = [f"m{i}".encode() for i in range(6)]
         sender = KOfNSender(group, rng.fork("s"))
         receiver = KOfNReceiver(group, rng.fork("r"))
-        choices = receiver.choose(sender.setup(1), [2], 6)
-        transfer = sender.transfer(messages, choices)
+        choice = receiver.choose(sender.setup(1), [2], 6)
+        transfer = sender.transfer(messages, choice)
         opened = receiver.attempt_all(transfer)
         assert opened[2] == b"m2"
         assert all(item is None for i, item in enumerate(opened) if i != 2)
 
     def test_invalid_blinded_key_rejected(self, group, rng):
-        sender = OneOfNSender(group, rng)
-        setup = sender.setup()
+        sender = KOfNSender(group, rng)
+        setup = sender.setup(1)
+        assert not group.contains(group.p - 1)
         bad_choice = OTChoice(session=setup.session, blinded_keys=(group.p - 1,))
-        if not group.contains(group.p - 1):
-            with pytest.raises(ObliviousTransferError):
-                sender.transfer(keys("a"), bad_choice)
+        with pytest.raises(ObliviousTransferError, match="not a group element"):
+            sender.transfer(keys("a"), bad_choice)
 
     @pytest.mark.parametrize(
         "element", [Fraction(3, 2), Fraction(4, 1), 2.5, True], ids=repr
     )
     def test_non_int_blinded_key_rejected(self, group, rng, element):
         """A hostile peer's decoded non-int is refused with the typed error."""
-        sender = OneOfNSender(group, rng)
-        setup = sender.setup()
+        sender = KOfNSender(group, rng)
+        setup = sender.setup(1)
         choice = decode_payload(
             encode_payload(OTChoice(session=setup.session, blinded_keys=(element,)))
         )
@@ -195,23 +196,23 @@ class TestOneOfN:
         "element", [Fraction(3, 2), Fraction(4, 1), 2.5, True], ids=repr
     )
     def test_non_int_blinding_point_rejected(self, group, rng, element):
-        receiver = OneOfNReceiver(group, rng)
+        receiver = KOfNReceiver(group, rng)
         setup = decode_payload(
             encode_payload(OTSetup(session=b"s" * 16, blinding_points=(element,)))
         )
         with pytest.raises(ObliviousTransferError, match="not a group element"):
-            receiver.choose(setup, 0, 2)
+            receiver.choose(setup, [0], 2)
 
     def test_retrieve_before_choose(self, group, rng):
-        receiver = OneOfNReceiver(group, rng)
-        with pytest.raises(ObliviousTransferError):
+        receiver = KOfNReceiver(group, rng)
+        with pytest.raises(ObliviousTransferError, match="before choose"):
             receiver.retrieve(
-                OTTransfer(session=b"x", ephemeral_point=2, pads=(b"",))
+                KOfNTransfer(sealed=(b"s" * 16,), ephemeral_point=2, pads=((b"k" * 16,),))
             )
 
     def test_transfer_before_setup(self, group, rng):
-        sender = OneOfNSender(group, rng)
-        with pytest.raises(ObliviousTransferError):
+        sender = KOfNSender(group, rng)
+        with pytest.raises(ObliviousTransferError, match="before setup"):
             sender.transfer(keys("a"), OTChoice(session=b"x", blinded_keys=(2,)))
 
 
@@ -220,7 +221,8 @@ class TestKOfN:
         messages = [f"item-{i}".encode() for i in range(12)]
         received, transfer = run_k_of_n(group, messages, [1, 5, 9], ReproRandom(3))
         assert received == [b"item-1", b"item-5", b"item-9"]
-        assert len(transfer.sessions) == 3
+        assert len(transfer.pads) == 3
+        assert all(len(row) == 12 for row in transfer.pads)
         assert len(transfer.sealed) == 12
 
     def test_all_indices(self, group):
@@ -231,16 +233,17 @@ class TestKOfN:
     def test_duplicate_indices_rejected(self, group, rng):
         sender = KOfNSender(group, rng.fork("s"))
         receiver = KOfNReceiver(group, rng.fork("r"))
-        setups = sender.setup(2)
+        setup = sender.setup(2)
         with pytest.raises(ValidationError):
-            receiver.choose(setups, [1, 1], 5)
+            receiver.choose(setup, [1, 1], 5)
 
     def test_setup_choice_count_mismatch(self, group, rng):
+        """The sender set up for three choices refuses two."""
         sender = KOfNSender(group, rng.fork("s"))
         receiver = KOfNReceiver(group, rng.fork("r"))
-        setups = sender.setup(3)
-        with pytest.raises(ObliviousTransferError):
-            receiver.choose(setups[:2], [0, 1, 2], 5)
+        choice = receiver.choose(sender.setup(3), [0, 1], 5)
+        with pytest.raises(ObliviousTransferError, match="3 blinded keys"):
+            sender.transfer([b"m"] * 5, choice)
 
     def test_zero_k_rejected(self, group, rng):
         with pytest.raises(ValidationError):
@@ -249,8 +252,7 @@ class TestKOfN:
     def test_indices_property(self, group, rng):
         sender = KOfNSender(group, rng.fork("s"))
         receiver = KOfNReceiver(group, rng.fork("r"))
-        setups = sender.setup(2)
-        receiver.choose(setups, [3, 1], 5)
+        receiver.choose(sender.setup(2), [3, 1], 5)
         assert receiver.indices == (3, 1)
 
     def test_indices_before_choose(self, group, rng):
@@ -270,68 +272,80 @@ class TestKOfN:
 
 
 class TestTransferMaterial:
-    """The k·m-session memoization must be output-transparent: a
-    transfer built through shared :class:`TransferMaterial` is
-    bit-identical to one built without it on the same seeds."""
+    """Every row pads the *same* key vector: the sealed payloads and
+    the ephemeral point depend on the seeds and the messages, never on
+    the choice, and each row pads with its own row index."""
 
-    def _transfer_pair(self, group, seed, material):
-        """One full 1-of-n exchange; sender/receiver streams fixed by
-        ``seed`` so the only variable is the ``material`` argument."""
-        sender = OneOfNSender(group, ReproRandom(seed).fork("sender"))
-        receiver = OneOfNReceiver(group, ReproRandom(seed).fork("receiver"))
-        setup = sender.setup()
-        choice = receiver.choose(setup, 2, 5)
-        messages = keys(*(f"msg-{i}" for i in range(5)))
-        transfer = sender.transfer(messages, choice, material=material)
+    def _exchange(self, group, seed, indices, messages):
+        sender = KOfNSender(group, ReproRandom(seed).fork("sender"))
+        receiver = KOfNReceiver(group, ReproRandom(seed).fork("receiver"))
+        choice = receiver.choose(sender.setup(len(indices)), indices, len(messages))
+        transfer = sender.transfer(messages, choice)
         return transfer, receiver.retrieve(transfer)
 
     def test_material_path_is_bit_identical(self, group):
+        """Two choices on the same seeds seal bit-identical payloads
+        under one ``R``; only the padded rows differ."""
         messages = keys(*(f"msg-{i}" for i in range(5)))
-        plain_transfer, plain_message = self._transfer_pair(group, 42, None)
-        material = TransferMaterial(messages)
-        shared_transfer, shared_message = self._transfer_pair(
-            group, 42, material
-        )
-        assert shared_transfer.session == plain_transfer.session
-        assert shared_transfer.ephemeral_point == plain_transfer.ephemeral_point
-        assert shared_transfer.pads == plain_transfer.pads
-        assert shared_message == plain_message == messages[2]
-        assert material.sessions_served == 1
+        first, first_messages = self._exchange(group, 42, [2], messages)
+        second, second_messages = self._exchange(group, 42, [4], messages)
+        assert first.sealed == second.sealed
+        assert first.ephemeral_point == second.ephemeral_point
+        assert first.pads != second.pads
+        assert first_messages == [messages[2]]
+        assert second_messages == [messages[4]]
 
     def test_material_reused_across_sessions(self, group):
-        """One material can serve many sessions; every session still
-        pads with its own session id, so transfers differ while each
-        retrieve succeeds."""
+        """One key vector serves every row; every row pads with its own
+        row index, so rows differ even on one slot while each opens."""
         messages = keys(*(f"item-{i}" for i in range(4)))
-        material = TransferMaterial(messages)
-        transfers = []
-        for round_index in range(3):
-            sender = OneOfNSender(group, ReproRandom(100 + round_index))
-            receiver = OneOfNReceiver(group, ReproRandom(200 + round_index))
-            setup = sender.setup()
-            choice = receiver.choose(setup, round_index, 4)
-            transfer = sender.transfer(messages, choice, material=material)
-            transfers.append(transfer)
-            assert receiver.retrieve(transfer) == messages[round_index]
-        assert material.sessions_served == 3
-        assert len({t.session for t in transfers}) == 3
+        transfer, received = self._exchange(group, 100, [0, 1, 2], messages)
+        assert received == messages[:3]
+        assert len(set(transfer.pads)) == 3
+        assert len({row[3] for row in transfer.pads}) == 3
 
-    def test_material_validates_payload(self):
+    def test_material_validates_payload(self, group, rng):
+        sender = KOfNSender(group, rng.fork("s"))
+        receiver = KOfNReceiver(group, rng.fork("r"))
+        choice = receiver.choose(sender.setup(1), [0], 2)
         with pytest.raises(ValidationError):
-            TransferMaterial([])
+            sender.transfer([], choice)
         with pytest.raises(ValidationError):
-            TransferMaterial([b"ok", "not-bytes"])
-        with pytest.raises(ValidationError, match="16 bytes"):
-            TransferMaterial([b"short"])
+            sender.transfer([b"ok", "not-bytes"], choice)
 
     def test_k_of_n_outputs_unchanged_by_memoization(self, group):
-        """End-to-end: the k-of-n sender (which now routes every
-        sub-session through one shared material) returns the exact
-        messages for the chosen indices — same as the pre-memoization
-        contract pinned by the suite above."""
+        """End to end: one exchange returns the exact messages for the
+        chosen indices, with one pad row per choice."""
         messages = [f"item-{i}".encode() for i in range(8)]
-        received, transfer = run_k_of_n(
-            group, messages, [0, 3, 7], ReproRandom(77)
-        )
+        received, transfer = run_k_of_n(group, messages, [0, 3, 7], ReproRandom(77))
         assert received == [b"item-0", b"item-3", b"item-7"]
-        assert len({t.session for t in transfer.sessions}) == 3
+        assert len(set(transfer.pads)) == 3
+
+
+class TestRecordShape:
+    def test_list_of_setups_refused(self, group, rng):
+        """The retired shape sent one ``ot/setup`` per choice."""
+        setup = KOfNSender(group, rng.fork("s")).setup(2)
+        with pytest.raises(ObliviousTransferError, match="one ot/setup record"):
+            KOfNReceiver(group, rng.fork("r")).choose([setup, setup], [0, 1], 3)
+
+    @pytest.mark.parametrize("points", [(), (4, 4), [4]], ids=repr)
+    def test_setup_must_carry_one_point(self, group, rng, points):
+        setup = OTSetup(session=b"s" * 16, blinding_points=points)
+        with pytest.raises(ObliviousTransferError, match="one blinding point"):
+            KOfNReceiver(group, rng).choose(setup, [0], 2)
+
+    def test_list_of_choices_refused(self, group, rng):
+        sender = KOfNSender(group, rng.fork("s"))
+        choice = KOfNReceiver(group, rng.fork("r")).choose(sender.setup(1), [0], 2)
+        with pytest.raises(ObliviousTransferError, match="one ot/choice record"):
+            sender.transfer([b"a", b"b"], [choice])
+
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_wrong_number_of_blinded_keys(self, group, rng, count):
+        sender = KOfNSender(group, rng.fork("s"))
+        setup = sender.setup(2)
+        point = group.exp_g(5)
+        choice = OTChoice(session=setup.session, blinded_keys=(point,) * count)
+        with pytest.raises(ObliviousTransferError, match="2 blinded keys"):
+            sender.transfer([b"a", b"b", b"c"], choice)

@@ -1,59 +1,45 @@
-"""The single-ephemeral Naor–Pinkas key schedule, against an oracle.
+"""The batched Naor–Pinkas key schedule, against an oracle.
 
-The sender of a 1-of-n transfer draws one ``r`` and derives every slot
-key from ``K = V^r`` and ``S = w^{-r} = g^{-rc}`` by multiplication.
-These tests pin that schedule two ways:
+A k-of-n transfer is one exchange: one ``w = g^c``, one ``r``, and for
+row ``j`` and slot ``i`` the pad ``κ_i ⊕ H((V_j · w^{-i})^r, session ‖
+j ‖ i)``.  The sender derives every key from ``K_j = V_j^r`` and
+``S = w^{-r} = g^{-rc}`` by multiplication.  These tests pin that
+schedule two ways:
 
 * a test-local oracle replays the sender's seeded draws and computes
-  each key directly as ``pow(V · w^{-i}, r, p)``; its transfers must be
-  byte-identical to the protocol's, for the 1-of-n pads and for the
-  k-of-n transfer that seals every payload once and pads its keys;
+  each key directly as ``pow(V_j · w^{-i} mod p, r, p)``; its transfers
+  must be byte-identical to the protocol's, from 1-of-1 to 9-of-81 and
+  in the batched OMPE's shape (``batch`` queries of ``k`` choices each
+  over ``batch · M`` slots);
 * counting wrappers around ``SchnorrGroup.exp`` / ``exp_g`` pin the
-  public-key work: one variable-base and two fixed-base sender
-  exponentiations per transfer whatever the slot count, and 105 for one
-  linear similarity pair.
+  public-key work: ``k + 3`` sender and ``3k`` receiver exponentiations
+  per transfer whatever the slot count, 69 for one linear similarity
+  pair and 109 for one kernel pair.
 """
 
+import random
 from collections import Counter
 
 import pytest
 
 from repro import obs
 from repro.core.ompe import OMPEConfig
-from repro.core.similarity import evaluate_similarity_private
+from repro.core.similarity import MetricParams, evaluate_similarity_private
+from repro.crypto import hashing
 from repro.crypto.hashing import kdf, wrap_message
-from repro.crypto.ot import KOfNReceiver, KOfNSender, OneOfNReceiver, OneOfNSender
-from repro.crypto.ot.base import KOfNTransfer, OTTransfer
+from repro.crypto.ot import KOfNReceiver, KOfNSender
+from repro.crypto.ot.base import KOfNTransfer
 from repro.math.groups import SchnorrGroup
-from repro.ml.svm.model import make_linear_model
+from repro.ml.kernels import polynomial_kernel
+from repro.ml.svm.model import SVMModel, make_linear_model
 from repro.utils.rng import ReproRandom
 
 
-def oracle_transfer(group, seed, blinded, keys):
-    """Replay the sender's draws from ``ReproRandom(seed)``: session id,
-    setup exponent of ``w``, then the transfer's one ``r``.  Slot ``i``
-    carries ``keys[i] ⊕ H(key_i, session, i)[:16]``."""
-    p, q, g = group.p, group.q, group.g
-    draw = ReproRandom(seed)
-    session = draw.bytes(16)
-    w = pow(g, draw.randint(1, q - 1), p)
-    r = draw.randint(1, q - 1)
-    pads = []
-    for i, key in enumerate(keys):
-        key_i = pow(blinded * pow(w, -i, p) % p, r, p)
-        pad = kdf(
-            key_i.to_bytes(group.element_bytes, "big"),
-            16,
-            session + b"|slot:" + str(i).encode("ascii"),
-        )
-        pads.append(bytes(a ^ b for a, b in zip(key, pad)))
-    return OTTransfer(session=session, ephemeral_point=pow(g, r, p), pads=tuple(pads))
-
-
-def oracle_k_of_n(group, seed, choices, messages):
+def oracle_k_of_n(group, seed, choice, messages):
     """Replay a k-of-n sender seeded with ``seed``: the sealing keys
-    from its ``"sealing"`` fork, then session ``j``'s draws from its
-    ``("session", j)`` fork."""
+    from its ``"sealing"`` fork, then from the root stream the session
+    id, the exponent of ``w`` and the transfer's one ``r``."""
+    p, q, g = group.p, group.q, group.g
     root = ReproRandom(seed)
     sealing = root.fork("sealing")
     keys = [sealing.bytes(16) for _ in messages]
@@ -61,53 +47,83 @@ def oracle_k_of_n(group, seed, choices, messages):
         wrap_message(key, message, b"|sealed:" + str(i).encode("ascii"))
         for i, (key, message) in enumerate(zip(keys, messages))
     )
-    sessions = tuple(
-        oracle_transfer(group, root.fork("session", j).seed, choice.blinded_keys[0], keys)
-        for j, choice in enumerate(choices)
-    )
-    return KOfNTransfer(sealed=sealed, sessions=sessions)
+    session = root.bytes(16)
+    w = pow(g, root.randint(1, q - 1), p)
+    r = root.randint(1, q - 1)
+    rows = []
+    for j, blinded in enumerate(choice.blinded_keys):
+        row = []
+        for i, key in enumerate(keys):
+            key_ji = pow(blinded * pow(w, -i, p) % p, r, p)
+            pad = kdf(
+                key_ji.to_bytes(group.element_bytes, "big"),
+                16,
+                session + b"|row:" + str(j).encode("ascii")
+                + b"|slot:" + str(i).encode("ascii"),
+            )
+            row.append(bytes(a ^ b for a, b in zip(key, pad)))
+        rows.append(tuple(row))
+    return KOfNTransfer(sealed=sealed, ephemeral_point=pow(g, r, p), pads=tuple(rows))
 
 
 def slot_keys(slots):
     return [f"key-{i}".encode().ljust(16, b".") for i in range(slots)]
 
 
+def exchange(group, indices, messages):
+    """One seeded exchange: ``(choice, transfer, retrieved)``."""
+    sender = KOfNSender(group, ReproRandom(2016))
+    receiver = KOfNReceiver(group, ReproRandom(7))
+    choice = receiver.choose(sender.setup(len(indices)), indices, len(messages))
+    transfer = sender.transfer(messages, choice)
+    return choice, transfer, receiver.retrieve(transfer)
+
+
+#: ``(k, M)`` with ``k ≤ M`` over k ∈ {1, 3, 9} and M ∈ {1, 2, 9, 27, 81}.
+SHAPES = [(k, M) for k in (1, 3, 9) for M in (1, 2, 9, 27, 81) if k <= M]
+
+
 class TestOracle:
     @pytest.mark.parametrize("slots", [1, 2, 9, 27, 81])
     def test_one_of_n_matches_direct_keys(self, group, slots):
         messages = slot_keys(slots)
-        sender = OneOfNSender(group, ReproRandom(2016))
-        receiver = OneOfNReceiver(group, ReproRandom(7))
-        choice = receiver.choose(sender.setup(), slots - 1, slots)
-        transfer = sender.transfer(messages, choice)
-        assert transfer == oracle_transfer(
-            group, 2016, choice.blinded_keys[0], messages
-        )
-        assert receiver.retrieve(transfer) == messages[-1]
+        choice, transfer, received = exchange(group, [slots - 1], messages)
+        assert transfer == oracle_k_of_n(group, 2016, choice, messages)
+        assert received == [messages[-1]]
 
     @pytest.mark.parametrize("slots", [1, 2, 9, 27, 81])
     def test_k_of_n_matches_direct_keys(self, group, slots):
         messages = [f"evaluation-{i}".encode() * (1 + i % 3) for i in range(slots)]
         indices = sorted({0, slots // 2, slots - 1})
-        sender = KOfNSender(group, ReproRandom(2016))
-        receiver = KOfNReceiver(group, ReproRandom(7))
-        choices = receiver.choose(sender.setup(len(indices)), indices, slots)
-        transfer = sender.transfer(messages, choices)
-        assert transfer == oracle_k_of_n(group, 2016, choices, messages)
-        assert receiver.retrieve(transfer) == [messages[i] for i in indices]
+        choice, transfer, received = exchange(group, indices, messages)
+        assert transfer == oracle_k_of_n(group, 2016, choice, messages)
+        assert received == [messages[i] for i in indices]
+
+    @pytest.mark.parametrize("batch", [1, 3])
+    @pytest.mark.parametrize("k, slots", SHAPES)
+    def test_every_shape_matches_direct_keys(self, group, k, slots, batch):
+        """``batch`` queries, each choosing ``k`` of its own ``M`` slots
+        (global index ``query · M + position``): the batched OMPE's one
+        exchange of ``k · batch`` rows over ``M · batch`` slots."""
+        draw = ReproRandom(1000 * k + slots)
+        indices = [
+            query * slots + position
+            for query in range(batch)
+            for position in draw.sample_indices(slots, k)
+        ]
+        messages = [f"y-{i}".encode() for i in range(slots * batch)]
+        choice, transfer, received = exchange(group, indices, messages)
+        assert transfer == oracle_k_of_n(group, 2016, choice, messages)
+        assert received == [messages[i] for i in indices]
+        assert len(transfer.pads) == k * batch
 
     @pytest.mark.parametrize("bit", [0, 1])
     def test_one_of_two_matches_direct_keys(self, group, bit):
-        """1-of-2 is the ``n = 2`` instance: both choices match the oracle."""
+        """1-of-2 is the ``k = 1, n = 2`` instance: both choices match."""
         messages = slot_keys(2)
-        sender = OneOfNSender(group, ReproRandom(2016))
-        receiver = OneOfNReceiver(group, ReproRandom(7))
-        choice = receiver.choose(sender.setup(), bit, 2)
-        transfer = sender.transfer(messages, choice)
-        assert transfer == oracle_transfer(
-            group, 2016, choice.blinded_keys[0], messages
-        )
-        assert receiver.retrieve(transfer) == messages[bit]
+        choice, transfer, received = exchange(group, [bit], messages)
+        assert transfer == oracle_k_of_n(group, 2016, choice, messages)
+        assert received == [messages[bit]]
 
     def test_known_log_step_matches_variable_base(self, group):
         """``S = g^{-rc}`` from the generator table is ``w^{-r}``."""
@@ -134,12 +150,43 @@ def exp_calls(monkeypatch):
     return counts
 
 
+@pytest.fixture
+def kdf_calls(monkeypatch):
+    """Count the ``kdf`` calls of the sealing wrap and unwrap."""
+    calls = []
+    original = hashing.kdf
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(hashing, "kdf", counted)
+    return calls
+
+
+def _kernel_model(seed):
+    """A homogeneous degree-3 polynomial-kernel model crossing the box."""
+    rng = random.Random(seed)
+    while True:
+        model = SVMModel(
+            support_vectors=[[rng.uniform(-1, 1) for _ in range(3)] for _ in range(4)],
+            dual_coefficients=[rng.uniform(-1, 1) for _ in range(4)],
+            bias=rng.uniform(-0.05, 0.05),
+            kernel=polynomial_kernel(degree=3, a0=1 / 3, b0=0.0),
+            kernel_spec=("poly", {"degree": 3, "a0": 1 / 3, "b0": 0.0}),
+        )
+        corners = [[(-1) ** (i >> b & 1) for b in range(3)] for i in range(8)]
+        values = [model.decision_value(corner) for corner in corners]
+        if min(values) < 0 < max(values):
+            return model
+
+
 class TestOperationCounts:
     @pytest.mark.parametrize("slots", [9, 27, 81])
     def test_three_sender_exponentiations_per_transfer(self, group, exp_calls, slots):
-        sender = OneOfNSender(group, ReproRandom(1))
-        receiver = OneOfNReceiver(group, ReproRandom(2))
-        choice = receiver.choose(sender.setup(), slots // 2, slots)
+        sender = KOfNSender(group, ReproRandom(1))
+        receiver = KOfNReceiver(group, ReproRandom(2))
+        choice = receiver.choose(sender.setup(1), [slots // 2], slots)
         exp_calls.clear()
         transfer = sender.transfer(slot_keys(slots), choice)
         assert exp_calls == {"exp": 1, "exp_g": 2}
@@ -147,13 +194,31 @@ class TestOperationCounts:
         receiver.retrieve(transfer)
         assert exp_calls == {"exp": 1}
 
-    def test_linear_similarity_pair(self, group, exp_calls):
+    @pytest.mark.parametrize("k", [1, 3, 9])
+    def test_k_plus_three_sender_and_3k_receiver(self, group, exp_calls, k):
+        sender = KOfNSender(group, ReproRandom(1))
+        receiver = KOfNReceiver(group, ReproRandom(2))
+        setup = sender.setup(k)
+        assert exp_calls == {"exp_g": 1}
+        exp_calls.clear()
+        choice = receiver.choose(setup, list(range(0, 2 * k, 2)), 27)
+        assert exp_calls == {"exp": k, "exp_g": k}
+        exp_calls.clear()
+        transfer = sender.transfer(slot_keys(27), choice)
+        assert exp_calls == {"exp": k, "exp_g": 2}
+        exp_calls.clear()
+        receiver.retrieve(transfer)
+        assert exp_calls == {"exp": k}
+
+    def test_linear_similarity_pair(self, group, exp_calls, kdf_calls):
         # Two dot-product OMPEs (m=3 covers of M=9 pairs) and one area
-        # OMPE (m=9, M=27): each OT session costs 1 (setup) + 2 (choose)
-        # + 3 (transfer) + 1 (retrieve) = 7, and 7 * (3 + 3 + 9) = 105:
-        # 3 * 15 = 45 variable-base and 4 * 15 = 60 fixed-base.  Each
-        # evaluation is sealed once (9 + 9 + 27 = 45) and its key padded
-        # once per session (3*9 + 3*9 + 9*27 = 297).
+        # OMPE (m=9, M=27).  Each transfer costs the sender m + 3 and
+        # the receiver 3m: (3+3) + (3+3) + (9+3) = 24 and 3 * 15 = 45,
+        # so 69 in all: 15 (sender K_j) + 30 (receiver w^σ, R^k)
+        # variable-base and 9 + 15 fixed-base.  Each evaluation is
+        # sealed once (9 + 9 + 27 = 45) and its key padded once per row
+        # (3*9 + 3*9 + 9*27 = 297); the pads hash inline, so ``kdf``
+        # runs only for the 45 wraps and 15 unwraps, twice each.
         config = OMPEConfig(security_degree=2, cover_expansion=3, group=group)
         with obs.observed() as (tracer, _):
             evaluate_similarity_private(
@@ -162,8 +227,21 @@ class TestOperationCounts:
                 config=config,
                 seed=2016,
             )
-        assert sum(exp_calls.values()) == 105
-        assert exp_calls == {"exp": 45, "exp_g": 60}
+        assert sum(exp_calls.values()) == 69
+        assert exp_calls == {"exp": 45, "exp_g": 24}
+        assert len(kdf_calls) == 120
         transfers = tracer.find("ot.transfer")
+        assert sum(span.attributes["sessions"] for span in transfers) == 15
         assert sum(span.attributes["sealed"] for span in transfers) == 45
         assert sum(span.attributes["padded"] for span in transfers) == 297
+
+    def test_kernel_similarity_pair(self, group, exp_calls):
+        # Degree-3 kernels: centroid and normal OMPEs of m = 7 and 9
+        # covers and the area OMPE of m = 9, 25 choices in three
+        # transfers: 75 variable-base and 3 * 3 + 25 = 34 fixed-base.
+        config = OMPEConfig(security_degree=2, cover_expansion=3, group=group)
+        evaluate_similarity_private(
+            _kernel_model(1), _kernel_model(2), MetricParams(), config=config, seed=3
+        )
+        assert exp_calls == {"exp": 75, "exp_g": 34}
+        assert sum(exp_calls.values()) == 109

@@ -1,7 +1,7 @@
 """Sealed k-of-n OT: tampering, hostile records, shape checks, the probe.
 
-The k-of-n sender seals each payload once under its own 16-byte key and
-its 1-of-n sessions carry only padded keys.  The pads have no tag of
+The k-of-n sender seals each payload once under its own 16-byte key;
+its ``k`` pad rows carry only padded keys.  The pads have no tag of
 their own, so every tamper must surface when the chosen sealed payload
 fails its MAC, as a typed :class:`ObliviousTransferError`.  The oracle
 for the construction itself is ``tests/crypto/test_ot_schedule.py``.
@@ -12,7 +12,7 @@ from dataclasses import replace
 import pytest
 
 from repro.crypto.ot import KOfNReceiver, KOfNSender
-from repro.crypto.ot.base import KOfNTransfer, OTTransfer
+from repro.crypto.ot.base import KOfNTransfer
 from repro.exceptions import ObliviousTransferError, ValidationError
 from repro.utils.rng import ReproRandom
 from repro.utils.serialization import decode_payload, encode_payload
@@ -26,18 +26,18 @@ def exchange(group):
     """A 3-of-8 exchange up to the transfer: ``(receiver, transfer)``."""
     sender = KOfNSender(group, ReproRandom(21))
     receiver = KOfNReceiver(group, ReproRandom(22))
-    choices = receiver.choose(sender.setup(len(INDICES)), INDICES, len(MESSAGES))
-    return receiver, sender.transfer(MESSAGES, choices)
+    choice = receiver.choose(sender.setup(len(INDICES)), INDICES, len(MESSAGES))
+    return receiver, sender.transfer(MESSAGES, choice)
 
 
 def flip(blob: bytes) -> bytes:
     return bytes([blob[0] ^ 1]) + blob[1:]
 
 
-def with_pads(transfer, session_index, pads):
-    sessions = list(transfer.sessions)
-    sessions[session_index] = replace(sessions[session_index], pads=tuple(pads))
-    return replace(transfer, sessions=tuple(sessions))
+def with_pads(transfer, row_index, pads):
+    rows = list(transfer.pads)
+    rows[row_index] = tuple(pads)
+    return replace(transfer, pads=tuple(rows))
 
 
 class TestRoundTrip:
@@ -50,9 +50,7 @@ class TestRoundTrip:
     def test_size_counts_sealed_payloads_once(self, exchange):
         _, transfer = exchange
         sealed = sum(len(blob) for blob in transfer.sealed)
-        sessions = sum(session.size_bytes(32) for session in transfer.sessions)
-        assert transfer.size_bytes(32) == sealed + sessions
-        assert sessions == len(INDICES) * (16 + 32 + 16 * len(MESSAGES))
+        assert transfer.size_bytes(32) == sealed + 32 + len(INDICES) * 16 * len(MESSAGES)
 
 
 class TestTampering:
@@ -65,7 +63,7 @@ class TestTampering:
 
     def test_flipped_pad_bit(self, exchange):
         receiver, transfer = exchange
-        pads = list(transfer.sessions[1].pads)
+        pads = list(transfer.pads[1])
         pads[INDICES[1]] = flip(pads[INDICES[1]])
         with pytest.raises(ObliviousTransferError, match="failed to authenticate"):
             receiver.retrieve(with_pads(transfer, 1, pads))
@@ -79,31 +77,46 @@ class TestTampering:
 
     def test_swapped_pads(self, exchange):
         receiver, transfer = exchange
-        pads = list(transfer.sessions[2].pads)
+        pads = list(transfer.pads[2])
         pads[INDICES[2]], pads[0] = pads[0], pads[INDICES[2]]
         with pytest.raises(ObliviousTransferError, match="failed to authenticate"):
             receiver.retrieve(with_pads(transfer, 2, pads))
 
     def test_sessions_swapped(self, exchange):
+        """The row index is inside every pad's hash: swapped rows open
+        nothing even though both rows' keys are the receiver's."""
         receiver, transfer = exchange
-        sessions = transfer.sessions
-        swapped = replace(transfer, sessions=(sessions[1], sessions[0], sessions[2]))
-        with pytest.raises(ObliviousTransferError, match="different session"):
+        rows = transfer.pads
+        swapped = replace(transfer, pads=(rows[1], rows[0], rows[2]))
+        with pytest.raises(ObliviousTransferError, match="failed to authenticate"):
             receiver.retrieve(swapped)
+
+    def test_foreign_ephemeral_point(self, group, exchange):
+        """Another member ``R`` keys every row wrongly: the MAC fails."""
+        receiver, transfer = exchange
+        foreign = replace(transfer, ephemeral_point=group.exp_g(12345))
+        with pytest.raises(ObliviousTransferError, match="failed to authenticate"):
+            receiver.retrieve(foreign)
 
 
 class TestShape:
     def test_bare_session_list_refused(self, exchange):
-        """The pre-sealing shape: one ``ot/transfer2`` per session."""
+        """A bare list of rows, outside an ``ot/kofn2`` record."""
         receiver, transfer = exchange
-        with pytest.raises(ObliviousTransferError, match="ot/kofn"):
-            receiver.retrieve(list(transfer.sessions))
+        with pytest.raises(ObliviousTransferError, match="ot/kofn2"):
+            receiver.retrieve(list(transfer.pads))
 
     def test_session_count_mismatch(self, exchange):
         receiver, transfer = exchange
-        short = replace(transfer, sessions=transfer.sessions[:2])
-        with pytest.raises(ObliviousTransferError, match="2 transfers for 3 sessions"):
+        short = replace(transfer, pads=transfer.pads[:2])
+        with pytest.raises(ObliviousTransferError, match="2 pad rows for 3 choices"):
             receiver.retrieve(short)
+
+    def test_extra_row(self, exchange):
+        receiver, transfer = exchange
+        extra = replace(transfer, pads=transfer.pads + transfer.pads[:1])
+        with pytest.raises(ObliviousTransferError, match="4 pad rows for 3 choices"):
+            receiver.retrieve(extra)
 
     def test_sealed_count_mismatch(self, exchange):
         receiver, transfer = exchange
@@ -113,9 +126,17 @@ class TestShape:
 
     def test_session_slot_count_mismatch(self, exchange):
         receiver, transfer = exchange
-        short = with_pads(transfer, 0, transfer.sessions[0].pads[:-1])
+        short = with_pads(transfer, 0, transfer.pads[0][:-1])
         with pytest.raises(ObliviousTransferError, match="7 slots, expected 8"):
             receiver.retrieve(short)
+
+    @pytest.mark.parametrize("point", [0, -4, 2.0, b"\x04", None], ids=repr)
+    def test_ephemeral_point_not_a_member(self, group, exchange, point):
+        receiver, transfer = exchange
+        if point == 0:
+            point = group.p
+        with pytest.raises(ObliviousTransferError, match="not a group element"):
+            receiver.retrieve(replace(transfer, ephemeral_point=point))
 
     def test_retrieve_before_choose(self, group, exchange):
         _, transfer = exchange
@@ -126,29 +147,25 @@ class TestShape:
 def _hostile(transfer, field, value):
     """``transfer`` with one field replaced, bypassing validation."""
     hostile = object.__new__(KOfNTransfer)
-    for name in ("sealed", "sessions"):
+    for name in ("sealed", "ephemeral_point", "pads"):
         object.__setattr__(hostile, name, getattr(transfer, name))
     object.__setattr__(hostile, field, value)
     return hostile
 
 
-def _hostile_pads(transfer, pads):
-    session = object.__new__(OTTransfer)
-    for name in ("session", "ephemeral_point"):
-        object.__setattr__(session, name, getattr(transfer.sessions[0], name))
-    object.__setattr__(session, "pads", pads)
-    return _hostile(transfer, "sessions", (session,) + transfer.sessions[1:])
+def _hostile_pads(transfer, row):
+    return _hostile(transfer, "pads", (row,) + transfer.pads[1:])
 
 
 HOSTILE = {
     "sealed-not-bytes": lambda t: _hostile(t, "sealed", ("text",) + t.sealed[1:]),
     "sealed-list": lambda t: _hostile(t, "sealed", list(t.sealed)),
     "sealed-shorter-than-tag": lambda t: _hostile(t, "sealed", (b"x",) + t.sealed[1:]),
-    "session-not-transfer": lambda t: _hostile(t, "sessions", (b"x",) + t.sessions[1:]),
-    "sessions-list": lambda t: _hostile(t, "sessions", list(t.sessions)),
-    "pad-15-bytes": lambda t: _hostile_pads(t, (b"\x00" * 15,) + t.sessions[0].pads[1:]),
-    "pad-not-bytes": lambda t: _hostile_pads(t, (7,) + t.sessions[0].pads[1:]),
-    "pads-list": lambda t: _hostile_pads(t, list(t.sessions[0].pads)),
+    "session-not-transfer": lambda t: _hostile_pads(t, b"x" * 16),
+    "sessions-list": lambda t: _hostile(t, "pads", list(t.pads)),
+    "pad-15-bytes": lambda t: _hostile_pads(t, (b"\x00" * 15,) + t.pads[0][1:]),
+    "pad-not-bytes": lambda t: _hostile_pads(t, (7,) + t.pads[0][1:]),
+    "pads-list": lambda t: _hostile_pads(t, list(t.pads[0])),
 }
 
 
@@ -157,7 +174,9 @@ class TestHostileRecords:
     def test_constructor_refuses(self, exchange, case):
         _, transfer = exchange
         hostile = HOSTILE[case](transfer)
-        values = {"sealed": hostile.sealed, "sessions": hostile.sessions}
+        values = {
+            name: getattr(hostile, name) for name in ("sealed", "ephemeral_point", "pads")
+        }
         with pytest.raises(ValidationError):
             KOfNTransfer(**values)
 

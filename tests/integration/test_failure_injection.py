@@ -18,7 +18,7 @@ from repro.core.ompe import OMPEFunction
 from repro.core.ompe.protocol import run_ompe_receiver, run_ompe_sender
 from repro.core.ompe.receiver import OMPEReceiver
 from repro.core.ompe.sender import OMPESender
-from repro.crypto.ot import KOfNReceiver, KOfNSender, OneOfNReceiver, OneOfNSender
+from repro.crypto.ot import KOfNReceiver, KOfNSender
 from repro.crypto.ot.base import OTChoice
 from repro.exceptions import (
     ObliviousTransferError,
@@ -97,7 +97,7 @@ class TestOMPEMessageTampering:
 
 
 def keys(count):
-    """16-byte keys, the only strings the 1-of-n OT carries."""
+    """16-byte messages, the shape of the keys an OT row pads."""
     return [bytes([65 + i]) * 16 for i in range(count)]
 
 
@@ -105,9 +105,9 @@ def sealed_exchange(group, rng, indices, count):
     """A k-of-n exchange up to the transfer: ``(receiver, transfer)``."""
     sender = KOfNSender(group, rng.fork("s"))
     receiver = KOfNReceiver(group, rng.fork("r"))
-    choices = receiver.choose(sender.setup(len(indices)), indices, count)
+    choice = receiver.choose(sender.setup(len(indices)), indices, count)
     messages = [f"payload-{i}".encode() for i in range(count)]
-    return receiver, sender.transfer(messages, choices)
+    return receiver, sender.transfer(messages, choice)
 
 
 class TestOTTampering:
@@ -131,40 +131,30 @@ class TestOTTampering:
             receiver.retrieve(swapped)
 
     def test_cross_session_replay_detected(self, group, rng):
-        sender_a = OneOfNSender(group, rng.fork("a"))
-        sender_b = OneOfNSender(group, rng.fork("b"))
-        receiver = OneOfNReceiver(group, rng.fork("r"))
-        setup_a = sender_a.setup()
-        sender_b.setup()  # B's session exists but its setup is unused
-        choice_a = receiver.choose(setup_a, 0, 2)
+        sender_a = KOfNSender(group, rng.fork("a"))
+        sender_b = KOfNSender(group, rng.fork("b"))
+        receiver = KOfNReceiver(group, rng.fork("r"))
+        setup_a = sender_a.setup(1)
+        sender_b.setup(1)  # B's exchange exists but its setup is unused
+        choice_a = receiver.choose(setup_a, [0], 2)
         # Feed A's choice to B (session ids differ).
-        with pytest.raises(ObliviousTransferError):
+        with pytest.raises(ObliviousTransferError, match="different session"):
             sender_b.transfer(keys(2), choice_a)
 
     def test_short_transfer_detected(self, group, rng):
-        sender = OneOfNSender(group, rng.fork("s"))
-        receiver = OneOfNReceiver(group, rng.fork("r"))
-        setup = sender.setup()
-        choice = receiver.choose(setup, 3, 4)
-        transfer = sender.transfer(keys(4), choice)
-        short = replace(transfer, pads=transfer.pads[:2])
+        receiver, transfer = sealed_exchange(group, rng, [3], 4)
+        short = replace(transfer, pads=(transfer.pads[0][:2],))
         with pytest.raises(ObliviousTransferError):
             receiver.retrieve(short)
 
     def test_empty_transfer_detected(self, group, rng):
-        sender = OneOfNSender(group, rng.fork("s"))
-        receiver = OneOfNReceiver(group, rng.fork("r"))
-        choice = receiver.choose(sender.setup(), 0, 2)
-        transfer = sender.transfer(keys(2), choice)
+        receiver, transfer = sealed_exchange(group, rng, [0], 2)
         with pytest.raises(ObliviousTransferError, match="0 slots"):
-            receiver.retrieve(replace(transfer, pads=()))
+            receiver.retrieve(replace(transfer, pads=((),)))
 
     @pytest.mark.parametrize("point", ["zero", "modulus", "non-residue", "bytes"])
     def test_non_group_ephemeral_point_detected(self, group, rng, point):
-        sender = OneOfNSender(group, rng.fork("s"))
-        receiver = OneOfNReceiver(group, rng.fork("r"))
-        choice = receiver.choose(sender.setup(), 1, 2)
-        transfer = sender.transfer(keys(2), choice)
+        receiver, transfer = sealed_exchange(group, rng, [1], 2)
         non_residue = 2
         while group.contains(non_residue):
             non_residue += 1
@@ -178,8 +168,8 @@ class TestOTTampering:
             receiver.retrieve(replace(transfer, ephemeral_point=hostile))
 
     def test_non_group_element_choice_detected(self, group, rng):
-        sender = OneOfNSender(group, rng.fork("s"))
-        setup = sender.setup()
+        sender = KOfNSender(group, rng.fork("s"))
+        setup = sender.setup(1)
         non_member = 2
         while group.contains(non_member):
             non_member += 1
@@ -192,35 +182,66 @@ def _varbytes(raw: bytes) -> bytes:
     return struct.pack(">I", len(raw)) + raw
 
 
+def _record(name: bytes, *fields) -> bytes:
+    """A registered-dataclass frame body, whether or not ``name`` is
+    still registered."""
+    return b"C" + _varbytes(name) + b"".join(encode_payload(field) for field in fields)
+
+
+def _send_raw(channel, msg_type: str, body: bytes) -> None:
+    channel.connection.send_frame(
+        bytes([WIRE_VERSION]) + _varbytes(msg_type.encode("ascii")) + body
+    )
+
+
 class _LegacyTransferChannel(WireChannel):
-    """A sender endpoint still on the retired per-slot schedule: its OT
+    """A sender endpoint still on the per-slot schedule: its OT
     transfers go out as ``ot/transfer`` records with one point per slot."""
 
     def send(self, sender, msg_type, payload):
         if msg_type != "ompe/ot-transfers":
             return super().send(sender, msg_type, payload)
         records = [
-            b"C" + _varbytes(b"ot/transfer")
-            + encode_payload(transfer.session)
-            + encode_payload((transfer.ephemeral_point,) * transfer.message_count)
-            + encode_payload(payload.sealed)
-            for transfer in payload.sessions
+            _record(
+                b"ot/transfer",
+                b"s" * 16,
+                (payload.ephemeral_point,) * len(row),
+                payload.sealed,
+            )
+            for row in payload.pads
         ]
-        self.connection.send_frame(
-            bytes([WIRE_VERSION]) + _varbytes(msg_type.encode("ascii"))
-            + b"L" + struct.pack(">I", len(records)) + b"".join(records)
+        _send_raw(
+            self, msg_type, b"L" + struct.pack(">I", len(records)) + b"".join(records)
+        )
+
+
+class _PerSessionTransferChannel(WireChannel):
+    """A sender endpoint on the one-session-per-choice schedule: its OT
+    transfers go out as an ``ot/kofn`` record of ``ot/transfer2``
+    sessions, each with its own point."""
+
+    def send(self, sender, msg_type, payload):
+        if msg_type != "ompe/ot-transfers":
+            return super().send(sender, msg_type, payload)
+        sessions = [
+            _record(b"ot/transfer2", b"s" * 16, payload.ephemeral_point, row)
+            for row in payload.pads
+        ]
+        _send_raw(
+            self,
+            msg_type,
+            _record(b"ot/kofn", payload.sealed)
+            + b"T" + struct.pack(">I", len(sessions)) + b"".join(sessions),
         )
 
 
 class _PreSealingTransferChannel(WireChannel):
     """A sender endpoint from before sealing: its OT transfers go out as
-    a bare list of ``ot/transfer2`` records, each wrapping every payload."""
+    a bare list of padded rows, outside any ``ot/kofn2`` record."""
 
     def send(self, sender, msg_type, payload):
         if msg_type == "ompe/ot-transfers":
-            payload = [
-                replace(session, pads=payload.sealed) for session in payload.sessions
-            ]
+            payload = list(payload.pads)
         return super().send(sender, msg_type, payload)
 
 
@@ -262,17 +283,24 @@ def _legacy_peer(fast_config, channel_type):
 @pytest.mark.socket
 class TestRetiredTransferTag:
     def test_legacy_peer_refused_over_tcp(self, fast_config):
-        """A receiver on the single-ephemeral schedule refuses an
-        old-schedule transfer with a typed error at once, over TCP."""
+        """A receiver on the one-exchange schedule refuses a per-slot
+        transfer with a typed error at once, over TCP."""
         with _legacy_peer(fast_config, _LegacyTransferChannel) as receive:
             with pytest.raises(ValidationError, match="'ot/transfer'"):
                 receive()
 
+    def test_per_session_peer_refused_over_tcp(self, fast_config):
+        """The retired ``ot/kofn`` record of per-choice ``ot/transfer2``
+        sessions no longer decodes: a typed error, never a TypeError."""
+        with _legacy_peer(fast_config, _PerSessionTransferChannel) as receive:
+            with pytest.raises(ValidationError, match="'ot/kofn'"):
+                receive()
+
     def test_pre_sealing_peer_refused_over_tcp(self, fast_config):
-        """A bare list of per-session ``ot/transfer2`` records decodes,
-        and the k-of-n receiver refuses it with a typed error."""
+        """A bare list of pad rows decodes, and the k-of-n receiver
+        refuses it with a typed error."""
         with _legacy_peer(fast_config, _PreSealingTransferChannel) as receive:
-            with pytest.raises(ObliviousTransferError, match="ot/kofn"):
+            with pytest.raises(ObliviousTransferError, match="ot/kofn2"):
                 receive()
 
 
