@@ -56,7 +56,7 @@ class MonomialTransform:
         if self.arity > MAX_MONOMIALS:
             raise ValidationError(
                 f"transform would create {self.arity} monomials "
-                f"(cap {MAX_MONOMIALS}); use the direct-evaluation protocol"
+                f"(cap {MAX_MONOMIALS})"
             )
 
     @property

@@ -11,6 +11,7 @@ from repro.core.privacy.attacks import (
     DistanceRetrievalAttack,
     EstimatedModel,
     ModelEstimationAttack,
+    cover_consistency_attack,
 )
 from repro.core.privacy.leakage import (
     FingerprintResult,
@@ -45,6 +46,7 @@ __all__ = [
     "DistanceRetrievalAttack",
     "EstimatedModel",
     "ModelEstimationAttack",
+    "cover_consistency_attack",
     "FingerprintResult",
     "LeakageScore",
     "ReleasedTable",

@@ -1,6 +1,6 @@
-"""Collusion attacks on the classification protocol (paper Section VI-A).
+"""Attacks on the protocols' privacy (paper Section VI-A and beyond).
 
-Two attacks justify the amplifier ``r_a``:
+Two collusion attacks on classification justify the amplifier ``r_a``:
 
 * :class:`DistanceRetrievalAttack` (Fig. 6) — if the protocol returned
   the *true* decision value ``d(t̃)``, colluding clients holding
@@ -14,11 +14,15 @@ Two attacks justify the amplifier ``r_a``:
   decrease as colluders pool more samples.  The attack class reproduces
   the paper's experiment (2/4/10/20/50 pooled samples against a 2-D
   classifier trained on 1000 points).
+
+:func:`cover_consistency_attack` is the sender's attack on an OMPE
+points message whose ``m`` covers outnumber ``q + 1``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -27,6 +31,7 @@ from repro.core.classification.linear import classify_linear
 from repro.core.ompe import OMPEConfig
 from repro.core.ompe.config import draw_amplifier
 from repro.exceptions import ValidationError
+from repro.math.interpolation import lagrange_interpolate
 from repro.ml.svm.model import SVMModel
 from repro.utils.rng import ReproRandom
 
@@ -300,3 +305,43 @@ class ModelEstimationAttack:
             self.estimate(count, seed=seed + index, through_protocol=through_protocol)
             for index, count in enumerate(counts)
         ]
+
+
+def cover_consistency_attack(points, q: int) -> Tuple[int, ...]:
+    """The largest set of points of a points message on one curve per coordinate.
+
+    ``points`` is the sender's view of an OMPE points message, pairs
+    ``(x_i, v_i)``.  The receiver's ``m`` covers lie on the receiver's
+    hider curves of degree ``q``, one per coordinate, whose values at 0
+    are the receiver's input; a disguise lies on none of them.  For each ``(q + 1)``-subset
+    of the nodes this interpolates each coordinate's curve and keeps
+    every other point on all of them.  Returns the largest set found,
+    as sorted positions in the message: when ``m > q + 1`` it is the
+    covers, and interpolating them at 0 recovers the input; when
+    ``m = q + 1`` no set exceeds ``q + 1`` points.
+    """
+    nodes = [node for node, _ in points]
+    vectors = [tuple(vector) for _, vector in points]
+    best: Tuple[int, ...] = ()
+    for subset in combinations(range(len(points)), q + 1):
+        if set(subset) <= set(best):
+            continue
+        xs = [nodes[i] for i in subset]
+        curves = {}
+
+        def on_curves(target: int) -> bool:
+            for axis, value in enumerate(vectors[target]):
+                if axis not in curves:
+                    curves[axis] = lagrange_interpolate(
+                        xs, [vectors[i][axis] for i in subset]
+                    )
+                if curves[axis](nodes[target]) != value:
+                    return False
+            return True
+
+        found = tuple(
+            i for i in range(len(points)) if i in subset or on_curves(i)
+        )
+        if len(found) > len(best):
+            best = found
+    return best

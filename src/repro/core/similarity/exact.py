@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -56,24 +56,6 @@ def exact_dot(first: Sequence[Fraction], second: Sequence[Fraction]) -> Fraction
     return sum((a * b for a, b in zip(first, second)), Fraction(0))
 
 
-def exact_norm_squared(vector: Sequence[Fraction]) -> Fraction:
-    """Exact squared Euclidean norm."""
-    return exact_dot(vector, vector)
-
-
-def exact_poly_kernel(
-    first: Sequence[Fraction],
-    second: Sequence[Fraction],
-    a0: Fraction,
-    b0: Fraction,
-    degree: int,
-) -> Fraction:
-    """Exact polynomial kernel ``(a0 x·y + b0)^p``."""
-    if degree < 1:
-        raise ValidationError(f"degree must be at least 1, got {degree}")
-    return (a0 * exact_dot(first, second) + b0) ** degree
-
-
 @dataclass(frozen=True)
 class ScaledModel:
     """A kernel model's duals and support vectors over common integers.
@@ -104,62 +86,6 @@ def scale_model(
     return ScaledModel(dual_numerators, dual_den, rows, sv_den)
 
 
-def kernel_double_sums(
-    left: ScaledModel,
-    rights: Sequence[ScaledModel],
-    a0: Fraction,
-    b0: Fraction,
-    degree: int,
-) -> List[Fraction]:
-    """Exact ``Σ_t Σ_s c_t c_s (a0 x_s·y_t + b0)^p`` for every right model.
-
-    All right models' support-vector rows are stacked into one
-    ``dtype=object`` matrix and dotted with the left model's rows in
-    one matmul, so the arithmetic stays in Python ints; integer
-    addition is associative, so the summation order cannot change a
-    value.  Each right model then gets one normalising ``Fraction``,
-    equal to the ``Fraction`` double sum of :func:`exact_poly_kernel`
-    terms.  For right model ``t``, ``inner = a0·(x·y) + b0`` is
-    ``(inner_scale·dot + inner_shift_t) / kernel_den_t`` with
-    ``kernel_den_t = a0.den · left.sv_den · right_t.sv_den · b0.den``.
-    """
-    if degree < 1:
-        raise ValidationError(f"degree must be at least 1, got {degree}")
-    if not rights:
-        return []
-    base_dens = [a0.denominator * left.sv_den * right.sv_den for right in rights]
-    inner_scale = a0.numerator * b0.denominator
-    inner_shifts = np.array(
-        [
-            b0.numerator * base_den
-            for right, base_den in zip(rights, base_dens)
-            for _ in right.sv_numerators
-        ],
-        dtype=object,
-    )
-    rows = np.array(
-        [row for right in rights for row in right.sv_numerators], dtype=object
-    )
-    left_columns = np.array(left.sv_numerators, dtype=object).T
-    inner = inner_scale * (rows @ left_columns) + inner_shifts[:, None]
-    partials = ((inner**degree) @ np.array(left.dual_numerators, dtype=object)).tolist()
-    values = []
-    start = 0
-    for right, base_den in zip(rights, base_dens):
-        stop = start + len(right.dual_numerators)
-        total = sum(map(mul, right.dual_numerators, partials[start:stop]))
-        start = stop
-        values.append(
-            Fraction(
-                total,
-                left.dual_den
-                * right.dual_den
-                * (base_den * b0.denominator) ** degree,
-            )
-        )
-    return values
-
-
 def kernel_double_sum(
     left: ScaledModel,
     right: ScaledModel,
@@ -169,6 +95,24 @@ def kernel_double_sum(
 ) -> Fraction:
     """Exact ``Σ_t Σ_s c_t c_s (a0 x_s·y_t + b0)^p`` over two scaled models.
 
-    The one-right-model case of :func:`kernel_double_sums`.
+    The right model's support-vector rows are dotted with the left
+    model's in one ``dtype=object`` matmul, so the arithmetic stays in
+    Python ints; integer addition is associative, so the summation
+    order cannot change a value.  One normalising ``Fraction`` at the
+    end gives the ``Fraction`` double sum's value.  ``inner = a0·(x·y)
+    + b0`` is ``(inner_scale·dot + inner_shift) / kernel_den`` with
+    ``kernel_den = a0.den · left.sv_den · right.sv_den · b0.den``.
     """
-    return kernel_double_sums(left, [right], a0, b0, degree)[0]
+    if degree < 1:
+        raise ValidationError(f"degree must be at least 1, got {degree}")
+    base_den = a0.denominator * left.sv_den * right.sv_den
+    rows = np.array(right.sv_numerators, dtype=object)
+    left_columns = np.array(left.sv_numerators, dtype=object).T
+    inner = a0.numerator * b0.denominator * (rows @ left_columns) + (
+        b0.numerator * base_den
+    )
+    partials = (inner**degree) @ np.array(left.dual_numerators, dtype=object)
+    return Fraction(
+        sum(map(mul, right.dual_numerators, partials.tolist())),
+        left.dual_den * right.dual_den * (base_den * b0.denominator) ** degree,
+    )

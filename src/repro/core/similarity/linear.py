@@ -7,8 +7,10 @@ norms ``|m_B|²`` and ``|w_B|²`` (``K(m_B, m_B)`` and ``⟨n_B, n_B⟩`` for a
 kernel model).
 
 Protocol (three OMPE runs plus one clear exchange), in its linear form;
-the kernel form swaps the dot products for kernel evaluations (see
-:mod:`~repro.core.similarity.nonlinear`), and each party's
+the kernel form runs the same dot products over the kernel's monomial
+map (``τ``, paper Section IV-B), with Bob's inputs ``τ(m_B)`` and
+``τ(n_B) = Σ_j c_j τ(x_j)`` and Alice's weights scaled by the kernel's
+multinomial weights.  Each party's
 :class:`~repro.core.similarity.profile.SimilarityProfile` makes that
 choice, so one driver runs both kinds:
 
@@ -276,12 +278,12 @@ def evaluate_similarity_private(
 
         # Step 3 — OMPE #1: x1 = r_am (m_A · m_B).
         run1 = run(
-            "centroid", alice.centroid_function(), bob.centroid, "run1",
+            "centroid", alice.centroid_function(), bob.centroid_input, "run1",
             amplify=True, offset=False,
         )
         # Step 4 — OMPE #2: x2 = r_aw (w_A · w_B) + r_b.
         run2 = run(
-            "normal", alice.normal_function(bob.n_support), bob.normal_input,
+            "normal", alice.normal_function(), bob.normal_input,
             "run2", amplify=True, offset=True,
         )
         # Step 5 — OMPE #3: Bob evaluates Eq. (7) at (x1, x2), unamplified.

@@ -24,8 +24,7 @@ Each driver takes its party's model or that model's
 hosting a model derives the profile once and passes it to every
 session.
 
-What crosses the wire before these drivers start — model metadata like
-the peer's support-vector count for the kernel normal function —
+What crosses the wire before these drivers start — the model kind —
 travels in the service layer's session-open control exchange
 (:mod:`repro.net.service`), not on the protocol channels, so protocol
 transcripts stay comparable across transports.
@@ -61,24 +60,16 @@ def run_similarity_alice(
     params: Optional[MetricParams] = None,
     config: Optional[OMPEConfig] = None,
     seed: Optional[int] = None,
-    peer_sv_count: Optional[int] = None,
 ) -> Dict[str, ProtocolReport]:
     """Alice's (sender) side of the private similarity protocol.
 
-    ``peer_sv_count`` is Bob's support-vector count, which shapes a
-    kernel model's packed-model normal function; it arrives via the
-    service layer's session-open exchange, and a linear model ignores
-    it.  Returns Alice's per-phase reports; the similarity value
-    belongs to Bob and never enters Alice's view.
+    Returns Alice's per-phase reports; the similarity value belongs to
+    Bob and never enters Alice's view.
     """
     params = params or MetricParams()
     config = config or OMPEConfig()
     root = ReproRandom(seed)
     alice = similarity_profile(model_a, params, party="alice")
-    # Built before any message, so a bad peer_sv_count is refused
-    # before the clear exchange.
-    centroid_function = alice.centroid_function()
-    normal_function = alice.normal_function(peer_sv_count)
 
     def send(function, label, amplify, offset):
         return run_ompe_sender(
@@ -97,8 +88,8 @@ def run_similarity_alice(
     check_normal("Bob", normal_norm_b)
     check_normal("Alice", alice.normal_norm)
 
-    run1 = send(centroid_function, "run1", amplify=True, offset=False)
-    run2 = send(normal_function, "run2", amplify=True, offset=True)
+    run1 = send(alice.centroid_function(), "run1", amplify=True, offset=False)
+    run2 = send(alice.normal_function(), "run2", amplify=True, offset=True)
     run3 = send(
         area_function(params, alice, centroid_norm_b, normal_norm_b, run1, run2),
         "run3", amplify=False, offset=False,
@@ -139,7 +130,7 @@ def run_similarity_bob(
     clear_phase = clear_report(clear)
     check_normal("Bob", bob.normal_norm)
 
-    run1 = receive(bob.centroid, "run1")
+    run1 = receive(bob.centroid_input, "run1")
     run2 = receive(bob.normal_input, "run2")
     run3 = receive((run1.value, run2.value), "run3")
     return release_outcome(

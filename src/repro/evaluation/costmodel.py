@@ -14,7 +14,7 @@ encodings).  Operators can budget bandwidth without running protocols.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
+from typing import Dict, Optional
 
 from repro.core.ompe.config import OMPEConfig
 from repro.crypto.hashing import TAG_BYTES
@@ -155,17 +155,35 @@ def predict_classification_bytes(
     )
 
 
-def predict_similarity_bytes(config: OMPEConfig, dimension: int) -> int:
-    """Lower-bound the wire cost of one private linear similarity run.
+def predict_similarity_bytes(
+    config: OMPEConfig,
+    dimension: int,
+    kernel_degree: Optional[int] = None,
+    homogeneous: bool = True,
+) -> int:
+    """Lower-bound the wire cost of one private similarity run.
 
-    Three OMPE runs: two dot products over ``dimension`` inputs
-    (degree 1) and one 2-variate degree-4 polynomial, plus the clear
-    norm exchange.  This is a *lower bound*: the area run's inputs
-    ``x₁, x₂`` are already products of long rationals, so its scalars
-    exceed the calibrated first-run sizes (measured runs land within
-    about 1.5x of the bound).
+    Three OMPE runs: two dot products (degree 1) and one 2-variate
+    degree-4 polynomial, plus the clear norm exchange.  A linear pair's
+    dot products run over ``dimension`` inputs; a polynomial-kernel
+    pair's (``kernel_degree`` set) over the kernel's monomial map, whose
+    arity is the monomial count — plus, for OMPE #2 of a
+    non-``homogeneous`` kernel (``b0 ≠ 0``), the constant monomial.
+    This is a *lower bound*: the area run's inputs ``x₁, x₂`` are
+    already products of long rationals, so its scalars exceed the
+    calibrated first-run sizes (measured runs land within about 1.5x of
+    the bound).
     """
-    dot_product = predict_classification_bytes(config, dimension, 1).total_bytes
+    centroid = normal = dimension
+    if kernel_degree is not None:
+        from repro.core.classification.transform import MonomialTransform
+
+        centroid = MonomialTransform(dimension, kernel_degree, homogeneous).arity
+        normal = centroid + (0 if homogeneous else 1)
+    dot_products = sum(
+        predict_classification_bytes(config, arity, 1).total_bytes
+        for arity in (centroid, normal)
+    )
     area = predict_classification_bytes(config, 2, 4).total_bytes
     clear_exchange = 5 + 2 * _scalar_bytes(config.security_degree)
-    return 2 * dot_product + area + clear_exchange
+    return dot_products + area + clear_exchange

@@ -796,18 +796,9 @@ class TrainerServer:
             transcripts.append(channel.transcript)
             return channel
 
-        peer_sv_count = None
-        if not linear:
-            peer_sv_count = request.get("n_support")
-            if not isinstance(peer_sv_count, int) or peer_sv_count < 1:
-                raise ProtocolError(
-                    "kernel similarity needs the client's support-vector "
-                    f"count in session/open, got {peer_sv_count!r}"
-                )
         run_similarity_alice(
             self._similarity_profile(model_key, serving), factory,
             params=self.params, config=self.config, seed=seed,
-            peer_sv_count=peer_sv_count,
         )
 
     def _similarity_profile(
@@ -1278,7 +1269,6 @@ class TrainerClient:
                 "kind": "similarity",
                 "seed": seed,
                 "linear": linear,
-                "n_support": None if linear else model.n_support,
                 "policy": policy,
             }
             if server_model is not None:

@@ -1,15 +1,15 @@
 """One evaluation per points message, held to the per-point oracle.
 
 The OMPE senders evaluate their function once per points message
-(:meth:`repro.core.ompe.OMPEFunction.evaluate_all`).  The two kernel
-functions that have a batch evaluator — an SVM's exact decision value
-and Alice's kernel normal function — run it as one ``dtype=object``
-integer matmul with a single ``Fraction`` per point.  These tests
-compare both with the plain ``Fraction`` loop that
+(:meth:`repro.core.ompe.OMPEFunction.evaluate_all`).  An SVM's exact
+decision value runs it as one ``dtype=object`` integer matmul with a
+single ``Fraction`` per point; Alice's kernel normal function, a dot
+product over the kernel's monomial map, costs one integer dot product
+and one ``Fraction`` per point.  These tests compare both with the plain ``Fraction`` loop that
 :func:`repro.math.fastpath.naive_arithmetic` runs, with exact equality
 and exact result types, on points whose numerators overflow any fixed
 width, and pin digests of small kernel classifications and a kernel
-similarity job computed before the batch path existed.
+similarity job.
 """
 
 from __future__ import annotations
@@ -28,9 +28,9 @@ from repro.core.ompe.batch import execute_ompe_batch
 from repro.core.similarity import (
     MetricParams,
     evaluate_similarity_private,
+    exact_normal_inner,
     similarity_profile,
 )
-from repro.core.similarity.exact import kernel_double_sum, kernel_double_sums, scale_model
 from repro.exceptions import ValidationError
 from repro.math import fastpath
 from repro.math.groups import fast_group
@@ -158,79 +158,77 @@ class TestDecisionValues:
 # -- Alice's kernel normal function -------------------------------------------
 
 
+def _models(degree: int, b0: float, dimension: int, alice_svs: int, bob_svs: int):
+    return (
+        _crossing_model(degree * 7 + 1, alice_svs, dimension, degree, b0),
+        _crossing_model(degree * 7 + 2, bob_svs, dimension, degree, b0),
+    )
+
+
 def _profiles(degree: int, b0: float, dimension: int, alice_svs: int, bob_svs: int):
     params = MetricParams()
-    alice = similarity_profile(
-        _crossing_model(degree * 7 + 1, alice_svs, dimension, degree, b0), params
+    return tuple(
+        similarity_profile(model, params)
+        for model in _models(degree, b0, dimension, alice_svs, bob_svs)
     )
-    bob = similarity_profile(
-        _crossing_model(degree * 7 + 2, bob_svs, dimension, degree, b0), params
-    )
-    return alice, bob
 
 
-def _packed_points(bob, count: int, seed: int, bits: int = 40) -> list:
-    """Bob's packed model first, then packed vectors of random fractions."""
-    points = [tuple(bob.packed)]
-    points.extend(_fraction_points(seed, count - 1, len(bob.packed), bits=bits))
+def _tau_points(bob, count: int, seed: int, bits: int = 40) -> list:
+    """Bob's τ-form normal first, then vectors of random fractions."""
+    points = [tuple(bob.normal_input)]
+    points.extend(_fraction_points(seed, count - 1, len(bob.normal_input), bits=bits))
     return points
 
 
 class TestKernelNormalBatch:
+    """Alice's OMPE #2 function over the kernel's monomial map: one
+    rescale, one integer dot product and one ``Fraction`` per point."""
+
     @pytest.mark.parametrize("b0", [0.0, 0.5])
     @pytest.mark.parametrize("degree", [1, 2, 3, 4])
     def test_matches_naive(self, degree, b0):
         for dimension, alice_svs, bob_svs in ((2, 3, 2), (6, 12, 12)):
-            alice, bob = _profiles(degree, b0, dimension, alice_svs, bob_svs)
-            function = alice.normal_function(bob.n_support)
-            points = _packed_points(bob, 9, degree * 10 + dimension)
+            model_a, model_b = _models(degree, b0, dimension, alice_svs, bob_svs)
+            alice, bob = (similarity_profile(m, MetricParams()) for m in (model_a, model_b))
+            function = alice.normal_function()
+            assert function.total_degree == 1
+            points = _tau_points(bob, 9, degree * 10 + dimension)
             values = function.evaluate_all(points)
             assert all(type(value) is Fraction for value in values)
             _assert_identical(values, _naive_values(function, points))
+            assert values[0] == exact_normal_inner(model_a, model_b)
 
     @pytest.mark.parametrize("bits", [64, 300])
     def test_numerators_past_fixed_width(self, bits):
         alice, bob = _profiles(3, 0.5, 3, 5, 4)
-        function = alice.normal_function(bob.n_support)
-        points = _packed_points(bob, 4, bits, bits=bits)
-        points.append((Fraction(2**bits + 1, 3),) + tuple(range(2**bits, 2**bits + 15)))
+        function = alice.normal_function()
+        points = _tau_points(bob, 4, bits, bits=bits)
+        arity = len(bob.normal_input)
+        points.append((Fraction(2**bits + 1, 3),) + tuple(range(2**bits, 2**bits + arity - 1)))
         _assert_identical(function.evaluate_all(points), _naive_values(function, points))
 
-    def test_float_point_sends_the_whole_message_naive(self):
-        """One float-mode point: every point of the message takes the
-        naive evaluator, whose result type follows each input."""
+    def test_float_point_takes_the_naive_loop(self):
+        """Each point takes its own path: a float-mode point runs the
+        plain loop and returns a float; int and ``Fraction`` points give
+        a ``Fraction`` either way."""
         alice, bob = _profiles(2, 0.5, 3, 4, 3)
-        function = alice.normal_function(bob.n_support)
-        exact = tuple(bob.packed)
+        function = alice.normal_function()
+        exact = tuple(bob.normal_input)
         floats = tuple(float(value) for value in exact)
-        int_first = (1,) + exact[1:]
-        points = [exact, floats, int_first]
+        ints = tuple(range(len(exact)))
+        points = [exact, floats, ints]
         values = function.evaluate_all(points)
         _assert_identical(values, _naive_values(function, points))
-        assert [type(value) for value in values] == [Fraction, float, float]
+        assert [type(value) for value in values] == [Fraction, float, Fraction]
 
     def test_point_evaluator_is_the_one_point_batch(self):
         alice, bob = _profiles(3, 0.0, 4, 6, 5)
-        function = alice.normal_function(bob.n_support)
-        packed = tuple(bob.packed)
-        assert function(packed) == function.evaluate_all([packed])[0]
+        function = alice.normal_function()
+        point = tuple(bob.normal_input)
+        assert function(point) == function.evaluate_all([point])[0]
         assert function.evaluate_all([]) == []
-
-    def test_double_sum_is_the_one_point_case(self):
-        alice, bob = _profiles(3, 0.5, 4, 6, 5)
-        a0, b0, degree = alice.kernel
-        rights = [bob.scaled, alice.scaled, bob.scaled]
-        batch = kernel_double_sums(alice.scaled, rights, a0, b0, degree)
-        assert batch == [
-            kernel_double_sum(alice.scaled, right, a0, b0, degree) for right in rights
-        ]
-        assert batch[1] == alice.normal_norm
-        one = scale_model([Fraction(1, 3)], [[Fraction(1, 2)] * 4])
-        assert kernel_double_sums(one, [one], a0, b0, degree) == [
-            Fraction(1, 9) * (a0 * Fraction(1, 4) * 4 + b0) ** degree
-        ]
-        with pytest.raises(ValidationError):
-            kernel_double_sums(one, [one], a0, b0, 0)
+        with pytest.raises(ValidationError, match="coordinates"):
+            function(point[1:])
 
 
 # -- the senders call the batch once per message -------------------------------
@@ -330,25 +328,25 @@ def test_kernel_classification_digest():
 
 
 def test_kernel_similarity_digest():
-    """SHA-256 of ``(T², non-OT bytes)`` over a 2×2 kernel job (degree 2,
-    dimension 4, ``b0 = 0``), pinned from the per-point implementation,
-    and of its OT bytes, pinned from the one-exchange transfer."""
+    """SHA-256 of the T² values of a 2×2 kernel job (degree 2, dimension
+    4, ``b0 = 0``), pinned from the per-point packed-model
+    implementation, and of its ``(non-OT, OT)`` bytes, pinned from OMPE
+    #1 and #2 over the kernel's monomial map."""
     config = OMPEConfig(security_degree=1, cover_expansion=3, group=fast_group())
     params = MetricParams()
     lefts = [_crossing_model(300 + i, 5, 4, 2, 0.0) for i in range(2)]
     rights = [_crossing_model(400 + j, 6, 4, 2, 0.0) for j in range(2)]
-    rows, ot_rows = [], []
+    rows, byte_rows = [], []
     for i, left in enumerate(lefts):
         for j, right in enumerate(rights):
             outcome = evaluate_similarity_private(
                 left, right, params, config=config, seed=10 * i + j
             )
-            protocol, ot = _split_bytes(outcome)
-            rows.append((str(outcome.t_squared), protocol))
-            ot_rows.append(ot)
+            rows.append(str(outcome.t_squared))
+            byte_rows.append(_split_bytes(outcome))
     assert _digest(rows) == (
-        "6e542b17932245b46ce16c37d77012bff565a0b216c09ed1133606e0ff77a57d"
+        "e4fef3b41170fd6a35a43e0c1ac9703d201eae2c94f7c03a39d945248d15579d"
     )
-    assert _digest(ot_rows) == (
-        "ff7babda2a9723f88b312c32839e73d2ac335214baeccbc7ee83ca4cd5f3422a"
+    assert _digest(byte_rows) == (
+        "ab57195d8a5f378ac024c2ad4ccfc53f2feada8c8aa126075a8eca990808bfe9"
     )

@@ -483,7 +483,9 @@ class TestHiderCounts:
                 left, right, config=self.CONFIG, seed=1
             )
         )
-        assert [span.attributes["hiders"] for span in spans] == [90, 1596, 38]
+        # Arity 56 (the degree-3 monomials in 6 variables) over
+        # M - m + 1 = 7 hider sets for OMPE #1 and #2, then 2 · 19.
+        assert [span.attributes["hiders"] for span in spans] == [392, 392, 38]
 
     def test_linear_pair(self):
         left = make_linear_model([0.5, -0.25, 0.75], -0.2)

@@ -1,11 +1,15 @@
 """Exact integer paths of the kernel similarity profile.
 
-``⟨n, n⟩`` in a kernel profile and Alice's kernel normal function both
-run :func:`~repro.core.similarity.exact.kernel_double_sum`: an integer
+:func:`~repro.core.similarity.exact_normal_inner` runs
+:func:`~repro.core.similarity.exact.kernel_double_sum`: an integer
 double loop over common denominators with one ``Fraction`` at the end.
-These tests hold it to a plain ``Fraction`` double sum written out here,
-with exact equality, and pin a small kernel job's ``T²`` and transcript
-sizes.
+A kernel profile runs OMPE #1 and #2 over the kernel's monomial map
+instead: Alice's functions are dot products against Alice's weighted
+``τ`` vectors, Bob's inputs are Bob's ``τ`` vectors.  These tests hold both to the
+plain ``Fraction`` sums ``K(m_A, m_B)`` and ``Σ_s Σ_t c_s c_t K(x_s,
+y_t)`` written out here, with exact equality, refuse a monomial map
+past the cap before any message, and pin a small kernel job's ``T²``
+and transcript sizes.
 """
 
 from __future__ import annotations
@@ -19,12 +23,15 @@ import numpy as np
 import pytest
 
 from repro.core.ompe import OMPEConfig
+from repro.core.classification.transform import MAX_MONOMIALS
 from repro.core.similarity import (
     MetricParams,
     evaluate_similarity_private,
     exact_normal_inner,
     similarity_profile,
 )
+from repro.core.similarity.boundary import centroid, kernel_boundary_points
+from repro.core.similarity.remote import run_similarity_alice, run_similarity_bob
 from repro.exceptions import ValidationError
 from repro.math.groups import fast_group
 from repro.ml.kernels import polynomial_kernel
@@ -65,14 +72,18 @@ def _model(seed: int, svs: int, dimension: int = 3, degree: int = 3, b0: float =
     )
 
 
-def _crossing_model(seed: int, svs: int) -> SVMModel:
+def _crossing_model_of(seed: int, svs: int, degree: int, b0: float) -> SVMModel:
     """A dimension-3 model whose decision surface crosses the box."""
     corners = np.array(list(itertools.product((-1.0, 1.0), repeat=3)))
     for attempt in itertools.count():
-        model = _model(seed * 1000 + attempt, svs)
+        model = _model(seed * 1000 + attempt, svs, degree=degree, b0=b0)
         values = model.decision_values(corners)
         if values.min() < 0 < values.max():
             return model
+
+
+def _crossing_model(seed: int, svs: int) -> SVMModel:
+    return _crossing_model_of(seed, svs, degree=3, b0=0.5)
 
 
 class TestIntegerNormalInner:
@@ -97,8 +108,8 @@ class TestIntegerNormalInner:
         model_b = _model(22, svs=6, b0=0.5)
         alice = similarity_profile(model_a, params)
         bob = similarity_profile(model_b, params)
-        function = alice.normal_function(bob.n_support)
-        assert function(list(bob.packed)) == _reference_inner(model_a, model_b)
+        function = alice.normal_function()
+        assert function(list(bob.normal_input)) == _reference_inner(model_a, model_b)
         assert bob.normal_norm == _reference_inner(model_b, model_b)
 
     def test_degree_below_one_refused(self):
@@ -108,19 +119,86 @@ class TestIntegerNormalInner:
             exact_normal_inner(model, model)
 
 
-def test_small_kernel_job_digest():
-    """SHA-256 of ``(T², non-OT bytes)`` over a 2×2 kernel job.
+def _reference_kernel(model: SVMModel, x, y) -> Fraction:
+    """``(a0 x·y + b0)^p`` in ``Fraction`` arithmetic."""
+    _, spec = model.kernel_spec
+    a0, b0, degree = _snap(spec["a0"]), _snap(spec["b0"]), int(spec["degree"])
+    return (a0 * sum((u * v for u, v in zip(x, y)), Fraction(0)) + b0) ** degree
 
-    Pinned from the implementation before the array scan and the
-    integer ``⟨n, n⟩``: boundary points, centroids and norms feed every
-    protocol value, so any drift moves this digest.  The OT phases'
-    bytes, pinned from the one-exchange transfer, have their own digest.
+
+def _snapped_centroid(model: SVMModel, params: MetricParams):
+    points = kernel_boundary_points(
+        model, params.lower, params.upper, params.resolution
+    )
+    return [_snap(value) for value in centroid(points)]
+
+
+class TestMonomialMapForm:
+    @pytest.mark.parametrize("b0", [0.0, 0.5, 1.25])
+    @pytest.mark.parametrize("degree", [2, 3])
+    def test_functions_at_bobs_inputs(self, degree, b0):
+        """OMPE #1 and #2 at Bob's τ inputs are ``K(m_A, m_B)`` and
+        ``⟨n_A, n_B⟩``, and the self norms are ``K(m, m)`` and ``⟨n, n⟩``."""
+        params = MetricParams()
+        model_a = _crossing_model_of(degree * 10 + 5, 5, degree, b0)
+        model_b = _crossing_model_of(degree * 10 + 6, 3, degree, b0)
+        alice = similarity_profile(model_a, params)
+        bob = similarity_profile(model_b, params)
+        m_a, m_b = (_snapped_centroid(m, params) for m in (model_a, model_b))
+        arity = len(alice.normal_input)
+        assert len(alice.centroid_input) == arity - (1 if b0 else 0)
+        assert alice.centroid_function().total_degree == 1
+        assert alice.normal_function().total_degree == 1
+        assert alice.centroid_function()(bob.centroid_input) == _reference_kernel(
+            model_a, m_a, m_b
+        )
+        assert alice.normal_function()(bob.normal_input) == _reference_inner(
+            model_a, model_b
+        )
+        assert bob.centroid_norm == _reference_kernel(model_b, m_b, m_b)
+        assert bob.normal_norm == _reference_inner(model_b, model_b)
+
+    def test_model_past_the_cap_refused_before_any_message(self):
+        """``C(63, 4)`` degree-4 monomials in 60 variables: every driver
+        refuses the model before it opens a channel."""
+        model = SVMModel(
+            support_vectors=[[0.5] * 60],
+            dual_coefficients=[1.0],
+            bias=0.0,
+            kernel=polynomial_kernel(degree=4, a0=1 / 60, b0=0.0),
+            kernel_spec=("poly", {"degree": 4, "a0": 1 / 60, "b0": 0.0}),
+        )
+        opened = []
+
+        def factory():
+            opened.append(1)
+            raise AssertionError("a channel was opened")
+
+        with pytest.raises(ValidationError, match=f"cap {MAX_MONOMIALS}"):
+            similarity_profile(model, MetricParams())
+        with pytest.raises(ValidationError, match="cap"):
+            evaluate_similarity_private(model, model)
+        with pytest.raises(ValidationError, match="cap"):
+            run_similarity_alice(model, factory)
+        with pytest.raises(ValidationError, match="cap"):
+            run_similarity_bob(model, factory)
+        assert opened == []
+
+
+def test_small_kernel_job_digest():
+    """SHA-256 of the T² values of a 2×2 kernel job, and of its
+    ``(non-OT, OT)`` bytes.
+
+    The T² digest is pinned from the implementation before the array
+    scan and the integer ``⟨n, n⟩``: boundary points, centroids and
+    norms feed every protocol value, so any drift moves it.  The bytes
+    are pinned from OMPE #1 and #2 over the kernel's monomial map.
     """
     config = OMPEConfig(security_degree=1, cover_expansion=2, group=fast_group())
     params = MetricParams()
     lefts = [_crossing_model(100 + i, svs=4) for i in range(2)]
     rights = [_crossing_model(200 + j, svs=5) for j in range(2)]
-    rows, ot_rows = [], []
+    rows, byte_rows = [], []
     for i, left in enumerate(lefts):
         for j, right in enumerate(rights):
             outcome = evaluate_similarity_private(
@@ -132,11 +210,11 @@ def test_small_kernel_job_digest():
                 for phase, size in report.transcript.bytes_by_phase().items()
                 if phase.startswith("ot-")
             )
-            rows.append((str(outcome.t_squared), outcome.total_bytes - ot))
-            ot_rows.append(ot)
+            rows.append(str(outcome.t_squared))
+            byte_rows.append((outcome.total_bytes - ot, ot))
     assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
-        "e7a641fe7c09b7abe7cb19fb5dc01ff97d4021f46064e4d3773b757385f35cad"
+        "cbaf0cac1d619368364fed659b1d5d8b8606e9eeea50f56f36f64b95f8717d34"
     )
-    assert hashlib.sha256(repr(ot_rows).encode()).hexdigest() == (
-        "d5aab67612c36453c08d48a54366ae414f0c0c3c7c0aa4e3c7189db299482fa5"
+    assert hashlib.sha256(repr(byte_rows).encode()).hexdigest() == (
+        "9093d2c9a93097a366b3ed246ad1bf31ef37b4ef726f0b8b27fa690f9b36f897"
     )

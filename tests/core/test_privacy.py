@@ -13,6 +13,7 @@ from repro.core.privacy import (
     DistanceRetrievalAttack,
     ModelEstimationAttack,
     client_view_is_randomized,
+    cover_consistency_attack,
     cover_disguise_samples,
     extract_view,
     indistinguishability_test,
@@ -367,3 +368,102 @@ class TestExactRetrieval:
         queries = np.array([[0.1, 0.2], [0.5, -0.4], [-0.3, 0.7]])
         with pytest.raises(ValidationError):
             attack.run(queries, seed=1, exact=True, through_protocol=False)
+
+
+# -- cover consistency: overdetermined covers give Bob's input away -----------
+
+
+def _linkage_kernel_model(rng):
+    """A ``linkage-kernel``-shaped model (d = 6, 12 SVs, degree 3,
+    ``b0 = 0``) whose decision surface crosses the box."""
+    import itertools
+
+    from repro.ml.kernels import polynomial_kernel
+    from repro.ml.svm.model import SVMModel
+
+    corners = np.array(list(itertools.product((-1.0, 1.0), repeat=6)))
+    while True:
+        model = SVMModel(
+            support_vectors=rng.uniform(-1.0, 1.0, size=(12, 6)).tolist(),
+            dual_coefficients=rng.uniform(-1.0, 1.0, size=12).tolist(),
+            bias=float(rng.uniform(-0.05, 0.05)),
+            kernel=polynomial_kernel(degree=3, a0=1 / 6, b0=0.0),
+            kernel_spec=("poly", {"degree": 3, "a0": 1 / 6, "b0": 0.0}),
+        )
+        values = model.decision_values(corners)
+        if values.min() < 0 < values.max():
+            return model
+
+
+def _points_payload(report):
+    (message,) = report.transcript.of_type("ompe/points")
+    return message.payload
+
+
+class TestCoverConsistencyAttack:
+    CONFIG_ARGS = dict(security_degree=2, cover_expansion=3)
+
+    def _config(self):
+        from repro.core.ompe import OMPEConfig
+        from repro.math.groups import fast_group
+
+        return OMPEConfig(group=fast_group(), **self.CONFIG_ARGS)
+
+    def test_kernel_runs_one_and_two_are_not_overdetermined(self):
+        """m = q + 1 covers: no (q + 1)-subset of nodes extends."""
+        from repro.core.similarity import evaluate_similarity_private
+
+        rng = np.random.default_rng(2016)
+        left, right = _linkage_kernel_model(rng), _linkage_kernel_model(rng)
+        outcome = evaluate_similarity_private(left, right, config=self._config(), seed=1)
+        for phase in ("centroid_ompe", "normal_ompe"):
+            points = _points_payload(outcome.reports[phase])
+            assert len(points) == 9
+            assert len(points[0][1]) == 56
+            assert len(cover_consistency_attack(points, q=2)) == 3
+
+    def test_recovers_the_old_packed_input(self):
+        """Power: the packed-model normal function (degree p + 1 = 4, so
+        m = 9 covers of M = 27) hands Alice Bob's whole packed model."""
+        from repro.core.ompe import execute_ompe
+        from repro.math.interpolation import lagrange_at_zero
+
+        rng = np.random.default_rng(7)
+        dimension, svs, degree = 2, 3, 3
+        alice_duals = [Fraction(int(v), 10**6) for v in rng.integers(-10**6, 10**6, 3)]
+        alice_svs = [
+            [Fraction(int(v), 10**6) for v in rng.integers(-10**6, 10**6, dimension)]
+            for _ in range(3)
+        ]
+
+        def packed_normal(packed):
+            # Σ_j c_j Σ_s c_s^A (x_s^A · x_j / d)^p over Bob's packed model.
+            total = Fraction(0)
+            for j in range(svs):
+                start = svs + j * dimension
+                x_j = packed[start : start + dimension]
+                for dual, sv in zip(alice_duals, alice_svs):
+                    dot = sum((a * b for a, b in zip(sv, x_j)), Fraction(0))
+                    total += packed[j] * dual * (dot / dimension) ** degree
+            return total
+
+        bob_input = tuple(
+            Fraction(int(v), 10**6)
+            for v in rng.integers(-10**6, 10**6, svs * (dimension + 1))
+        )
+        outcome = execute_ompe(
+            OMPEFunction.from_callable(
+                arity=len(bob_input), total_degree=degree + 1, evaluate=packed_normal
+            ),
+            bob_input, config=self._config(), seed=3, amplify=True, offset=True,
+        )
+        points = _points_payload(outcome.report)
+        assert len(points) == 27
+        found = cover_consistency_attack(points, q=2)
+        assert len(found) == 9
+        nodes = [points[i][0] for i in found]
+        recovered = tuple(
+            lagrange_at_zero(nodes, [points[i][1][axis] for i in found])
+            for axis in range(len(bob_input))
+        )
+        assert recovered == bob_input

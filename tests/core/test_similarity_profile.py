@@ -26,6 +26,7 @@ from repro.core.similarity import (
     similarity_profile,
 )
 from repro.core.similarity import profile as profile_module
+from repro.core.similarity.exact import snap
 from repro.core.similarity.remote import run_similarity_alice, run_similarity_bob
 from repro.engine.jobs import SimilarityJob
 from repro.engine.worker import EngineSpec, WorkerState, execute_job
@@ -139,7 +140,7 @@ def _split_pair(side_a, side_b, config, seed):
         try:
             run_similarity_alice(
                 side_a, factory_for(), params=PARAMS, config=config,
-                seed=seed, peer_sv_count=side_b.n_support,
+                seed=seed,
             )
         except Exception as error:  # surfaced below
             alice_errors.append(error)
@@ -210,7 +211,7 @@ class TestProfileReuse:
         self, monkeypatch, light_config, tmp_path
     ):
         scans = self._counting(monkeypatch, "kernel_boundary_points")
-        inners = self._counting(monkeypatch, "exact_normal_inner")
+        maps = self._counting(monkeypatch, "monomial_map")
         spec = LinkageJobSpec(
             {f"L{i}": _kernel_model(10 + i) for i in range(2)},
             {f"R{j}": _kernel_model(20 + j) for j in range(4)},
@@ -224,7 +225,7 @@ class TestProfileReuse:
         assert report.pairs_scored == 8
         # 2 + 4 distinct models; per-pair derivation would make 16 each.
         assert len(scans) == 6
-        assert len(inners) == 6
+        assert len(maps) == 6
         assert runner._profiles == {}
 
     def test_engine_worker_reuses_left_profile(self, light_config):
@@ -370,3 +371,40 @@ class TestMixedKindSession:
             server.close()
         (entry,) = server._trace_log
         assert entry["error"].startswith("ProtocolError: ")
+
+    def test_packed_model_client_refused_with_protocol_abort(self, light_config):
+        """A client still sending the packed kernel model (duals, then
+        support vectors: arity k_B·(d+1) = 12) into OMPE #2 meets the
+        server's typed arity abort (3 degree-2 monomials in 2
+        variables), never a TypeError."""
+        model_b = PAIRS["kernel"][1]
+        packed = tuple(snap(c) for c in model_b.dual_coefficients) + tuple(
+            snap(value) for row in model_b.support_vectors for value in row
+        )
+        old_shaped = dataclasses.replace(
+            similarity_profile(model_b, PARAMS), normal_input=packed
+        )
+        server = TrainerServer(
+            PAIRS["kernel"][0], config=light_config, params=PARAMS
+        )
+        end_a, end_b = wire.memory_pair(timeout=30.0)
+        peer = threading.Thread(target=server.serve_connection, args=(end_a,))
+        previous = obs.get_tracer()
+        obs.set_tracer(Tracer())
+        try:
+            peer.start()
+            with TrainerClient(
+                connection=end_b, config=light_config, params=PARAMS
+            ) as client:
+                with pytest.raises(ProtocolError, match="session/error"):
+                    client.evaluate_similarity(old_shaped, seed=4)
+            peer.join(30)
+            assert not peer.is_alive()
+        finally:
+            obs.set_tracer(previous)
+            server.close()
+        (entry,) = server._trace_log
+        assert len(packed) == 12
+        assert entry["error"] == (
+            "ProtocolAbort: receiver announced arity 12, function has 3"
+        )

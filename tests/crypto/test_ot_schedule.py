@@ -14,7 +14,8 @@ schedule two ways:
 * counting wrappers around ``SchnorrGroup.exp`` / ``exp_g`` pin the
   public-key work: ``k + 3`` sender and ``3k`` receiver exponentiations
   per transfer whatever the slot count, 69 for one linear similarity
-  pair and 109 for one kernel pair.
+  pair and 69 for one kernel pair, whose centroid and normal OMPEs run
+  over the kernel's monomial map at degree 1.
 """
 
 import random
@@ -235,13 +236,24 @@ class TestOperationCounts:
         assert sum(span.attributes["sealed"] for span in transfers) == 45
         assert sum(span.attributes["padded"] for span in transfers) == 297
 
-    def test_kernel_similarity_pair(self, group, exp_calls):
-        # Degree-3 kernels: centroid and normal OMPEs of m = 7 and 9
-        # covers and the area OMPE of m = 9, 25 choices in three
-        # transfers: 75 variable-base and 3 * 3 + 25 = 34 fixed-base.
+    def test_kernel_similarity_pair(self, group, exp_calls, monkeypatch):
+        # Degree-3 kernels run OMPE #1 and #2 over the monomial map, as
+        # degree-1 OMPEs: the linear pair's (3, 9), (3, 9), (9, 27)
+        # transfers, 45 variable-base and 24 fixed-base, 69 in all.
+        # Each transfer checks the sender's m points V_j and the
+        # receiver's w and R: (3+2) + (3+2) + (9+2) = 21 membership checks.
+        checks = []
+        contains = SchnorrGroup.contains
+
+        def counted(self, element):
+            checks.append(element)
+            return contains(self, element)
+
+        monkeypatch.setattr(SchnorrGroup, "contains", counted)
         config = OMPEConfig(security_degree=2, cover_expansion=3, group=group)
         evaluate_similarity_private(
             _kernel_model(1), _kernel_model(2), MetricParams(), config=config, seed=3
         )
-        assert exp_calls == {"exp": 75, "exp_g": 34}
-        assert sum(exp_calls.values()) == 109
+        assert exp_calls == {"exp": 45, "exp_g": 24}
+        assert sum(exp_calls.values()) == 69
+        assert len(checks) == 21

@@ -13,7 +13,8 @@ from repro.evaluation.costmodel import (
 from repro.exceptions import ValidationError
 from repro.math.groups import fast_group
 from repro.math.multivariate import MultivariatePolynomial
-from repro.ml.svm.model import make_linear_model
+from repro.ml.kernels import polynomial_kernel
+from repro.ml.svm.model import SVMModel, make_linear_model
 from repro.utils.rng import ReproRandom
 
 
@@ -130,5 +131,32 @@ class TestSimilarityModel:
             model_a, model_b, config=fast_config, seed=4
         )
         predicted = predict_similarity_bytes(fast_config, 3)
+        assert predicted <= outcome.total_bytes
+        assert outcome.total_bytes < 2.5 * predicted
+
+    @pytest.mark.parametrize("b0", [0.0, 0.5])
+    def test_lower_bound_holds_for_a_kernel_pair(self, fast_config, b0):
+        """OMPE #1 and #2 of a kernel pair run over the kernel's
+        monomial map: 10 degree-3 monomials in 3 variables (20 with
+        every degree, 21 with the constant for OMPE #2)."""
+        params = {"degree": 3, "a0": 1 / 3, "b0": b0}
+        models = [
+            SVMModel(
+                support_vectors=rows,
+                dual_coefficients=[0.75, -0.5, 0.25],
+                bias=0.05,
+                kernel=polynomial_kernel(**params),
+                kernel_spec=("poly", params),
+            )
+            for rows in (
+                [[0.9, -0.2, 0.4], [-0.6, 0.8, 0.1], [0.3, 0.5, -0.9]],
+                [[-0.7, 0.4, 0.6], [0.2, -0.9, 0.3], [0.8, 0.1, -0.5]],
+            )
+        ]
+        outcome = evaluate_similarity_private(*models, config=fast_config, seed=4)
+        predicted = predict_similarity_bytes(
+            fast_config, 3, kernel_degree=3, homogeneous=b0 == 0
+        )
+        assert predicted > predict_similarity_bytes(fast_config, 3)
         assert predicted <= outcome.total_bytes
         assert outcome.total_bytes < 2.5 * predicted

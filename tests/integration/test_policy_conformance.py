@@ -269,7 +269,6 @@ class TestPolicyNegotiation:
                 "kind": "similarity",
                 "seed": SEED,
                 "linear": True,
-                "n_support": None,
                 "policy": "top-k:2",
             })
             with pytest.raises(ProtocolError, match="output-policy"):
