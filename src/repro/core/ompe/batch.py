@@ -91,7 +91,7 @@ class _BatchSender(Party):
         if not isinstance(batches, (tuple, list)) or len(batches) != self._batch_size:
             raise ProtocolAbort(f"expected {self._batch_size} pair lists")
         for pairs in batches:
-            check_points(pairs, self.function.arity, self.config.exact)
+            check_points(pairs, self.function.arity)
         expected_pairs = self.config.pair_count(self.function.total_degree)
         with obs.get_tracer().span(
             "ompe.evaluate",
@@ -236,9 +236,7 @@ class _BatchReceiver(Party):
                 blobs = payloads[cursor : cursor + len(positions)]
                 cursor += len(positions)
                 nodes = [self._nodes[query_index][p] for p in positions]
-                decoded = check_evaluations(
-                    [decode_value(blob) for blob in blobs], exact=True
-                )
+                decoded = check_evaluations([decode_value(blob) for blob in blobs])
                 values.append(lagrange_at_zero(nodes, decoded))
         return values
 
@@ -252,14 +250,8 @@ def execute_ompe_batch(
     sender_name: str = "alice",
     receiver_name: str = "bob",
 ) -> BatchOutcome:
-    """Evaluate the sender function on every input in one conversation.
-
-    Only exact mode is supported (the batch layer exists for the
-    protocol benchmarks, which run exact).
-    """
+    """Evaluate the sender function on every input in one conversation."""
     config = config or OMPEConfig()
-    if not config.exact:
-        raise ValidationError("execute_ompe_batch supports exact mode only")
     input_list = [as_exact_vector(vector) for vector in inputs]
     if not input_list:
         raise ValidationError("batch must contain at least one input")

@@ -9,18 +9,25 @@ The paper's parameters (Sections III-C and IV):
 * ``cover_expansion`` (the paper's ``k``) — the receiver sends
   ``M = m * cover_expansion`` point/vector pairs, of which only ``m``
   are real covers; the rest are disguises.
-* ``exact`` — Fraction arithmetic (bit-exact protocol, default) versus
-  float (fast mode; see the arithmetic ablation bench).
+
+Every run is exact: inputs, hiders, masks and evaluations are ``int``
+or :class:`fractions.Fraction`, so labels and ``T²`` equal the
+plaintext results bit for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional
 
 from repro.exceptions import ValidationError
 from repro.math.groups import SchnorrGroup, fast_group
 from repro.utils.serialization import register_payload_type
+
+
+#: Fields that must be plain ``int`` (``bool`` does not count).
+_INT_FIELDS = ("security_degree", "cover_expansion", "coefficient_bound", "node_bound")
 
 
 @register_payload_type("ompe/config")
@@ -30,12 +37,21 @@ class OMPEConfig:
 
     security_degree: int = 2
     cover_expansion: int = 3
-    exact: bool = True
     coefficient_bound: int = 8
     node_bound: int = 4
     group: Optional[SchnorrGroup] = None
 
     def __post_init__(self) -> None:
+        for name in _INT_FIELDS:
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValidationError(
+                    f"{name} must be an int, got {type(value).__name__}"
+                )
+        if self.group is not None and not isinstance(self.group, SchnorrGroup):
+            raise ValidationError(
+                f"group must be a SchnorrGroup or None, got {type(self.group).__name__}"
+            )
         if self.security_degree < 1:
             raise ValidationError(
                 f"security_degree must be at least 1, got {self.security_degree}"
@@ -65,23 +81,20 @@ class OMPEConfig:
         return self.cover_count(function_degree) * self.cover_expansion
 
 
-def draw_amplifier(rng, exact: bool = True, decades: int = 2):
+#: The amplifier's decimal exponent is uniform on ``[-2, 2]``.
+AMPLIFIER_DECADES = 2
+
+
+def draw_amplifier(rng) -> Fraction:
     """Draw the positive amplifier ``r_a`` (paper Section IV-A.1).
 
-    The paper only requires ``r_a > 0``; we draw it *log-uniformly*
-    across ``[10^-decades, 10^decades]`` (mantissa in [1, 10), uniform
-    exponent).  A heavy-tailed scale is what makes the Fig. 5
-    collusion attack "keep rambling": a narrow uniform amplifier would
-    let least-squares average the noise away, while a four-decade
-    spread keeps pooled regressions dominated by a handful of samples.
+    The paper only requires ``r_a > 0``; we draw it *log-uniformly*:
+    a mantissa in [1, 10) times ``10`` to a uniform exponent in
+    ``[-AMPLIFIER_DECADES, AMPLIFIER_DECADES]``.
+    A heavy-tailed scale is what makes the Fig. 5 collusion attack
+    "keep rambling": a narrow uniform amplifier would let least-squares
+    average the noise away, while a four-decade spread keeps pooled
+    regressions dominated by a handful of samples.
     """
-    from fractions import Fraction
-
-    exponent = rng.randint(-decades, decades)
-    if exact:
-        mantissa = rng.positive_fraction(1, 10)
-        base = Fraction(10)
-    else:
-        mantissa = rng.uniform(1.0, 10.0)
-        base = 10.0
-    return mantissa * base**exponent
+    exponent = rng.randint(-AMPLIFIER_DECADES, AMPLIFIER_DECADES)
+    return rng.positive_fraction(1, 10) * Fraction(10) ** exponent

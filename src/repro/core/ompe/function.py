@@ -13,6 +13,8 @@ measures the cost gap.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, List, Optional, Sequence
@@ -117,10 +119,29 @@ class OMPEFunction:
 
 
 def as_exact_vector(values: Sequence) -> tuple:
-    """Convert an input vector to exact Fractions (protocol default)."""
-    return tuple(
-        value if isinstance(value, Fraction) else Fraction(value) for value in values
-    )
+    """Convert an input vector to exact ``Fraction``s.
+
+    Every coordinate must be a finite real: ``int``, ``Fraction``,
+    ``float`` or a numpy integer or float scalar.  A float converts
+    exactly (``Fraction(0.1)`` is the double's own value).  NaN, ±inf,
+    ``bool``, ``None``, strings and other types raise
+    :class:`~repro.exceptions.ValidationError`.
+    """
+    exact = []
+    for index, value in enumerate(values):
+        if isinstance(value, Fraction):
+            exact.append(value)
+        elif isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ValidationError(
+                f"input coordinate {index} is a {type(value).__name__}, not a real number"
+            )
+        elif isinstance(value, numbers.Integral):
+            exact.append(Fraction(int(value)))
+        elif not math.isfinite(value):
+            raise ValidationError(f"input coordinate {index} is {value}, not finite")
+        else:
+            exact.append(Fraction(float(value)))
+    return tuple(exact)
 
 
 def audit_degree(function: OMPEFunction, rng, trials: int = 3) -> bool:

@@ -6,8 +6,8 @@ pairs: ``m`` covers ``(v, (g_1(v), ..., g_n(v)))`` and ``M - m``
 disguises, each built from fresh hiding polynomials with random
 constant terms.
 
-In exact mode every coordinate's coefficients are integer numerators
-over the ``1/10**6`` lattice, drawn by :func:`lattice_numerators` from
+Every coordinate's coefficients are integer numerators over the
+``1/10**6`` lattice, drawn by :func:`lattice_numerators` from
 one keyed BLAKE2b stream per hider set: the key comes from
 ``parent.seed``, the message is the label path ``prefix`` followed by
 the coordinate index and a block counter.  The nonzero leading
@@ -23,8 +23,7 @@ per value.  :func:`repro.math.fastpath.naive_arithmetic` and the
 receiver pool build ``Polynomial`` objects from the same numerators
 (:func:`hiding_polynomials`), and the oracle evaluates them with
 ``evaluate_all``.  Both give the same values, value types and bytes
-(``tests/core/test_hiding.py``).  Floats draw ``Polynomial.random`` from
-``parent.fork(*prefix, i)``.
+(``tests/core/test_hiding.py``).
 
 :func:`check_points` is the senders' first step on a received points
 message: it refuses any value that is not a well-formed pair of numbers.
@@ -46,9 +45,8 @@ from repro.utils.rng import ReproRandom
 
 PointsMessage = Tuple[Tuple[Number, Tuple[Number, ...]], ...]
 
-#: Number types a points message may carry, by ``OMPEConfig.exact``;
-#: ``bool`` never counts.
-_POINT_TYPES = {True: (int, Fraction), False: (int, Fraction, float)}
+#: Number types a points message may carry; ``bool`` never counts.
+_POINT_TYPES = (int, Fraction)
 
 #: Bytes per stream block: one full-width BLAKE2b digest.
 BLOCK_BYTES = 64
@@ -62,7 +60,7 @@ class Hiders:
     """The hiding polynomials of one vector, ready to evaluate at nodes.
 
     Build with :func:`draw_hiders`.  Holds either ``Polynomial`` objects
-    (floats, naive arithmetic) or, in lattice form, per coordinate the
+    (naive arithmetic) or, in lattice form, per coordinate the
     constant term as ``(a, b)`` and the numerators ``(n_q, n_1, ...,
     n_(q-1))`` in draw order.
     """
@@ -95,10 +93,6 @@ class Hiders:
             total = sum(map(mul, numerators, powers))
             values.append(Fraction(a * scale + b * total, b * scale))
         return tuple(values)
-
-
-def _lattice_mode(config: OMPEConfig) -> bool:
-    return config.exact and fastpath.enabled()
 
 
 def _stream_key(seed: int) -> bytes:
@@ -178,33 +172,19 @@ def _lattice_numerators(
 def hiding_polynomials(
     parent: ReproRandom, prefix: tuple, constants: Sequence[Number], config: OMPEConfig
 ) -> List[Polynomial]:
-    """``g_i`` with ``g_i(0) = constants[i]`` as ``Polynomial`` objects.
-
-    Exact mode builds them from :func:`lattice_numerators`, the draw the
-    lattice hot path evaluates; floats take ``Polynomial.random`` from
-    ``parent.fork(*prefix, i)``.
-    """
-    if config.exact:
-        numerators = _lattice_numerators(parent, prefix, len(constants), config)
-        return [
-            Polynomial(
-                [
-                    constant,
-                    *(Fraction(n, LATTICE) for n in middle),
-                    Fraction(lead, LATTICE),
-                ]
-            )
-            for constant, (lead, *middle) in zip(constants, numerators)
-        ]
+    """``g_i`` with ``g_i(0) = constants[i]`` as ``Polynomial`` objects,
+    built from :func:`lattice_numerators`, the draw the lattice hot path
+    evaluates."""
+    numerators = _lattice_numerators(parent, prefix, len(constants), config)
     return [
-        Polynomial.random(
-            config.security_degree,
-            parent.fork(*prefix, index),
-            constant_term=constant,
-            coefficient_bound=config.coefficient_bound,
-            exact=False,
+        Polynomial(
+            [
+                constant,
+                *(Fraction(n, LATTICE) for n in middle),
+                Fraction(lead, LATTICE),
+            ]
         )
-        for index, constant in enumerate(constants)
+        for constant, (lead, *middle) in zip(constants, numerators)
     ]
 
 
@@ -213,7 +193,7 @@ def draw_hiders(
 ) -> Hiders:
     """Draw ``g_i`` with ``g_i(0) = constants[i]`` for label path ``prefix``."""
     degree = config.security_degree
-    if not _lattice_mode(config):
+    if not fastpath.enabled():
         return Hiders(
             degree, polynomials=hiding_polynomials(parent, prefix, constants, config)
         )
@@ -235,11 +215,8 @@ def disguise_vector(
     """A disguise at ``node``: fresh hiders whose constant terms ``draw``
     supplies (uniform on ``[-1, 1]``), drawn for label path ``prefix``
     of ``parent`` as in :func:`draw_hiders`."""
-    if not _lattice_mode(config):
-        constants = [
-            draw.fraction(-1, 1) if config.exact else draw.uniform(-1.0, 1.0)
-            for _ in range(arity)
-        ]
+    if not fastpath.enabled():
+        constants = [draw.fraction(-1, 1) for _ in range(arity)]
         return draw_hiders(parent, prefix, constants, config).at(node)
     # ReproRandom.fraction(-1, 1) draws exactly this numerator over LATTICE.
     constants = [(draw.randint(-LATTICE, LATTICE), LATTICE) for _ in range(arity)]
@@ -253,40 +230,28 @@ def disguise_vector(
 
 def draw_nodes(draw: ReproRandom, count: int, config: OMPEConfig) -> List[Number]:
     """``count`` distinct nonzero interpolation nodes in ``±node_bound``."""
-    bound = config.node_bound
-    if config.exact:
-        return draw.distinct_fractions(count, -bound, bound)
-    seen = set()
-    nodes: List[Number] = []
-    while len(nodes) < count:
-        value = draw.uniform(-bound, bound)
-        if abs(value) > 1e-9 and value not in seen:
-            seen.add(value)
-            nodes.append(value)
-    return nodes
+    return draw.distinct_fractions(count, -config.node_bound, config.node_bound)
 
 
-def _is_number(value, allowed) -> bool:
-    return isinstance(value, allowed) and not isinstance(value, bool)
+def _is_number(value) -> bool:
+    return isinstance(value, _POINT_TYPES) and not isinstance(value, bool)
 
 
-def check_points(pairs, arity: int, exact: bool) -> None:
+def check_points(pairs, arity: int) -> None:
     """Refuse a points message that is not ``((node, vector), ...)`` of numbers.
 
     Each entry must be a 2-sequence of a number and a sequence of
-    ``arity`` numbers; numbers are ``int`` or ``Fraction``, and also
-    ``float`` when ``exact`` is false.  Raises
+    ``arity`` numbers; numbers are ``int`` or ``Fraction``.  Raises
     :class:`~repro.exceptions.ProtocolAbort` on the first violation, so
     a hostile peer meets the typed abort and never the evaluator.
     """
-    allowed = _POINT_TYPES[bool(exact)]
     if not isinstance(pairs, (tuple, list)):
         raise ProtocolAbort(f"points message is a {type(pairs).__name__}, not a sequence")
     for index, pair in enumerate(pairs):
         if not isinstance(pair, (tuple, list)) or len(pair) != 2:
             raise ProtocolAbort(f"points entry {index} is not a (node, vector) pair")
         node, vector = pair
-        if not _is_number(node, allowed):
+        if not _is_number(node):
             raise ProtocolAbort(
                 f"points entry {index}: node of type {type(node).__name__}"
             )
@@ -295,7 +260,7 @@ def check_points(pairs, arity: int, exact: bool) -> None:
                 f"points entry {index}: vector is not {arity} coordinates"
             )
         for value in vector:
-            if not _is_number(value, allowed):
+            if not _is_number(value):
                 raise ProtocolAbort(
                     f"points entry {index}: coordinate of type {type(value).__name__}"
                 )

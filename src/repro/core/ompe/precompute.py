@@ -60,20 +60,14 @@ def draw_sender_bundle(
         draw.fork("mask"),
         constant_term=0,
         coefficient_bound=config.coefficient_bound,
-        exact=config.exact,
     )
     amplifier: Number = 1
     if amplify:
-        amplifier = draw_amplifier(draw.fork("amplifier"), exact=config.exact)
+        amplifier = draw_amplifier(draw.fork("amplifier"))
     offset_value: Number = 0
     if offset:
         bound = config.coefficient_bound
-        offset_draw = draw.fork("offset")
-        offset_value = (
-            offset_draw.nonzero_fraction(-bound, bound)
-            if config.exact
-            else offset_draw.uniform(-bound, bound)
-        )
+        offset_value = draw.fork("offset").nonzero_fraction(-bound, bound)
     return SenderBundle(mask=mask, amplifier=amplifier, offset=offset_value)
 
 

@@ -37,15 +37,14 @@ from repro.utils.serialization import decode_value
 from repro.utils.timer import TimingRecorder
 
 
-def check_evaluations(values: List[Number], exact: bool) -> List[Number]:
-    """Refuse a decoded evaluation that is not a scalar.
+def check_evaluations(values: List[Number]) -> List[Number]:
+    """Refuse a decoded evaluation that is not an ``int`` or ``Fraction``.
 
-    The sender seals whatever it likes, so a tuple (or, in exact mode,
-    a float) is refused here, before it reaches the interpolation.
+    The sender seals whatever it likes, so a tuple or a float is refused
+    here, before it reaches the interpolation.
     """
-    allowed = (int, Fraction) if exact else (int, Fraction, float)
     for value in values:
-        if not isinstance(value, allowed):
+        if not isinstance(value, (int, Fraction)):
             raise ProtocolAbort(
                 f"retrieved evaluation is a {type(value).__name__}, not a scalar"
             )
@@ -74,9 +73,7 @@ class OMPEReceiver(Party):
         vector = tuple(input_vector)
         if not vector:
             raise OMPEError("input vector must be non-empty")
-        self.input_vector = as_exact_vector(vector) if config.exact else tuple(
-            float(v) for v in vector
-        )
+        self.input_vector = as_exact_vector(vector)
         self.config = config
         self.timings = timings or TimingRecorder()
         self._cover_count: int = 0
@@ -190,11 +187,7 @@ class OMPEReceiver(Party):
                 covers=len(self._cover_positions),
             ):
                 with self.timings.measure("receiver/interpolate"):
-                    values = check_evaluations(
-                        [decode_value(blob) for blob in payloads], self.config.exact
-                    )
+                    values = check_evaluations([decode_value(blob) for blob in payloads])
                     nodes = [self._nodes[i] for i in self._cover_positions]
-                    if not self.config.exact:
-                        values = [float(v) for v in values]
                     secret = lagrange_at_zero(nodes, values)
         return secret

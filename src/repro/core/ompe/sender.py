@@ -23,7 +23,6 @@ from repro.core.ompe.hiding import check_points
 from repro.core.ompe.precompute import draw_sender_bundle
 from repro.crypto.ot.k_of_n import KOfNSender
 from repro.exceptions import OMPEError, ProtocolAbort
-from repro.math import fastpath
 from repro.math.polynomials import Number, Polynomial
 from repro.net.party import Party
 from repro.utils.rng import ReproRandom
@@ -117,7 +116,7 @@ class OMPESender(Party):
         """Evaluate ``A`` on all pairs and open the OT phase."""
         tracer = obs.get_tracer()
         pairs = self.receive("ompe/points")
-        check_points(pairs, self.function.arity, self.config.exact)
+        check_points(pairs, self.function.arity)
         expected = self.config.pair_count(self.function.total_degree)
         if len(pairs) != expected:
             raise ProtocolAbort(
@@ -131,13 +130,10 @@ class OMPESender(Party):
             with self.timings.measure("sender/evaluate"):
                 # With identity amplifier/offset (amplify=False runs,
                 # e.g. the similarity protocol's third OMPE), skip the
-                # no-op Fraction multiply/add on the hot path — the
-                # values are unchanged (x*1 == x, x+0 == x exactly).
-                # Exact mode only: float -0.0 + 0 would flip its sign
-                # bit and change the encoded transcript.
-                skip = fastpath.enabled() and self.config.exact
-                skip_amplifier = skip and self.amplifier == 1
-                skip_offset = skip and self.offset_value == 0
+                # no-op Fraction multiply/add — the values are unchanged
+                # (x*1 == x, x+0 == x exactly on int and Fraction).
+                skip_amplifier = self.amplifier == 1
+                skip_offset = self.offset_value == 0
                 values = self.function.evaluate_all(
                     [vector for _, vector in pairs]
                 )

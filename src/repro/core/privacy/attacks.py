@@ -29,7 +29,7 @@ import numpy as np
 
 from repro.core.classification.linear import classify_linear
 from repro.core.ompe import OMPEConfig
-from repro.core.ompe.config import draw_amplifier
+from repro.core.ompe.config import AMPLIFIER_DECADES
 from repro.exceptions import ValidationError
 from repro.math.interpolation import lagrange_interpolate
 from repro.ml.svm.model import SVMModel
@@ -66,6 +66,13 @@ def _solve_linear_system(
     design = np.hstack([samples, np.ones((samples.shape[0], 1))])
     solution, *_ = np.linalg.lstsq(design, values, rcond=None)
     return solution[:-1], float(solution[-1])
+
+
+def _float_amplifier(rng: ReproRandom) -> float:
+    """The protocol's ``r_a`` distribution in floats, for the simulated view:
+    a uniform decimal exponent, then a mantissa uniform on [1, 10)."""
+    exponent = rng.randint(-AMPLIFIER_DECADES, AMPLIFIER_DECADES)
+    return rng.uniform(1.0, 10.0) * 10.0**exponent
 
 
 def _dense_rows(
@@ -250,7 +257,7 @@ class ModelEstimationAttack:
                 )
                 values.append(float(outcome.randomized_value))
             else:
-                amplifier = draw_amplifier(rng.fork("ra", index), exact=False)
+                amplifier = _float_amplifier(rng.fork("ra", index))
                 values.append(amplifier * self.model.decision_value(query))
         return queries, np.asarray(values)
 

@@ -13,7 +13,7 @@ against, plus the OT group's generic discrete-log margin.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from repro.core.ompe.config import OMPEConfig
 from repro.exceptions import ValidationError
@@ -92,14 +92,7 @@ def minimum_security_degree(
     if target_entropy_bits <= 0:
         raise ValidationError("target_entropy_bits must be positive")
     for security_degree in range(1, cap + 1):
-        candidate = OMPEConfig(
-            security_degree=security_degree,
-            cover_expansion=config.cover_expansion,
-            exact=config.exact,
-            coefficient_bound=config.coefficient_bound,
-            node_bound=config.node_bound,
-            group=config.group,
-        )
+        candidate = replace(config, security_degree=security_degree)
         estimate = estimate_security(candidate, function_degree)
         if estimate.cover_entropy_bits >= target_entropy_bits:
             return security_degree

@@ -103,9 +103,9 @@ def predict_classification_bytes(
 ) -> CostBreakdown:
     """Predict the wire cost of one private classification.
 
-    Accurate to ~25% for exact mode with default bounds (the rational
-    encodings are variable-length); the *scaling* in ``M``, ``n``, and
-    the group size is exact.
+    Accurate to ~25% with default bounds (the rational encodings are
+    variable-length); the *scaling* in ``M``, ``n``, and the group size
+    is exact.
     """
     if dimension < 1:
         raise ValidationError(f"dimension must be at least 1, got {dimension}")

@@ -174,7 +174,9 @@ class LinkageJobSpec:
             "config": {
                 "security_degree": self.config.security_degree,
                 "cover_expansion": self.config.cover_expansion,
-                "exact": self.config.exact,
+                # Every run is exact; the key stays so that stores
+                # written when the config had an ``exact`` flag resume.
+                "exact": True,
                 "coefficient_bound": self.config.coefficient_bound,
                 "node_bound": self.config.node_bound,
                 "group": [group.p, group.q, group.g],

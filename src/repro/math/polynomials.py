@@ -4,13 +4,14 @@ The protocols manipulate univariate masking polynomials ``h(u)`` with
 ``h(0) = 0`` and per-coordinate hiding polynomials ``g_i(v)`` with
 ``g_i(0) = t_i`` (paper Section IV).  Coefficients may be
 :class:`fractions.Fraction` for exact protocol arithmetic or ``float``
-for the throughput-oriented mode; the class is agnostic.
+for the numerical analyses (Taylor expansion, the Fig. 5 simulation);
+the class is agnostic.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, List, Sequence, Union
+from typing import List, Sequence, Union
 
 from repro.exceptions import ValidationError
 from repro.math import fastpath
@@ -71,28 +72,24 @@ class Polynomial:
         rng: ReproRandom,
         constant_term: Number = 0,
         coefficient_bound: int = 10,
-        exact: bool = True,
     ) -> "Polynomial":
         """Random polynomial of exactly ``degree`` with fixed constant term.
 
         This is the paper's masking-polynomial generator: ``h(u)`` uses
         ``constant_term=0`` and the client's hiding polynomials ``g_i``
         use ``constant_term=t_i``.  The leading coefficient is forced
-        nonzero so the degree is exact.
+        nonzero so the degree is exact.  Coefficients are ``Fraction``
+        draws on ``rng``'s lattice; :meth:`to_float` gives a float copy.
         """
         if degree < 0:
             raise ValidationError(f"degree must be non-negative, got {degree}")
         if degree == 0:
             return cls([constant_term])
-        draw: Callable[[], Number]
-        if exact:
-            draw = lambda: rng.fraction(-coefficient_bound, coefficient_bound)
-            lead = rng.nonzero_fraction(-coefficient_bound, coefficient_bound)
-        else:
-            draw = lambda: rng.uniform(-coefficient_bound, coefficient_bound)
-            lead = rng.uniform(0.5, coefficient_bound)
+        lead = rng.nonzero_fraction(-coefficient_bound, coefficient_bound)
         coeffs: List[Number] = [constant_term]
-        coeffs.extend(draw() for _ in range(degree - 1))
+        coeffs.extend(
+            rng.fraction(-coefficient_bound, coefficient_bound) for _ in range(degree - 1)
+        )
         coeffs.append(lead)
         return cls(coeffs)
 

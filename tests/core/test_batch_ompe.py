@@ -4,14 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from repro.core.ompe import (
-    OMPEConfig,
-    OMPEFunction,
-    execute_ompe,
-    execute_ompe_batch,
-)
+from repro.core.ompe import OMPEFunction, execute_ompe, execute_ompe_batch
 from repro.exceptions import ValidationError
-from repro.math.groups import fast_group
 from repro.math.multivariate import MultivariatePolynomial
 from repro.net.channel import LinkModel
 
@@ -110,11 +104,6 @@ class TestValidation:
     def test_wrong_arity(self, fast_config, function):
         with pytest.raises(ValidationError):
             execute_ompe_batch(function, [(Fraction(1),)], config=fast_config)
-
-    def test_float_mode_rejected(self, function):
-        config = OMPEConfig(exact=False, group=fast_group())
-        with pytest.raises(ValidationError):
-            execute_ompe_batch(function, INPUTS[:1], config=config)
 
 
 class TestBatchProperties:

@@ -62,8 +62,8 @@ def inputs_for(kind: str, arity: int) -> tuple:
     )
 
 
-def shape_config(q: int, arity: int, exact: bool = True) -> OMPEConfig:
-    return OMPEConfig(security_degree=q, cover_expansion=2 + (q + arity) % 2, exact=exact)
+def shape_config(q: int, arity: int) -> OMPEConfig:
+    return OMPEConfig(security_degree=q, cover_expansion=2 + (q + arity) % 2)
 
 
 def shape_degree(q: int, arity: int) -> int:
@@ -144,16 +144,6 @@ def pooled_messages():
         )
 
 
-def float_messages():
-    for index, (q, arity) in enumerate([(1, 2), (2, 17), (3, 3)]):
-        yield online_points(
-            inputs_for("fraction", arity),
-            shape_config(q, arity, exact=False),
-            shape_degree(q, arity),
-            seed=4000 + index,
-        )
-
-
 def degree_function(degree: int) -> OMPEFunction:
     return OMPEFunction.from_callable(2, degree, lambda vector: vector[0])
 
@@ -163,16 +153,13 @@ SENDER_FLAGS = [(amplify, offset) for amplify in (False, True) for offset in (Fa
 
 def online_sender_draws():
     """``(mask coefficients, amplifier, offset)`` of online senders."""
-    for index, (exact, (amplify, offset), degree) in enumerate(
-        (exact, flags, degree)
-        for exact in (True, False)
-        for flags in SENDER_FLAGS
-        for degree in (1, 2, 3)
+    for index, ((amplify, offset), degree) in enumerate(
+        (flags, degree) for flags in SENDER_FLAGS for degree in (1, 2, 3)
     ):
         sender = OMPESender(
             "alice",
             degree_function(degree),
-            OMPEConfig(security_degree=1 + index % 3, exact=exact),
+            OMPEConfig(security_degree=1 + index % 3),
             rng=ReproRandom(5000 + index),
             amplify=amplify,
             offset=offset,
@@ -186,14 +173,11 @@ def online_sender_draws():
 
 def pooled_sender_draws():
     """The bundles of sender pools, in pop order."""
-    for index, (exact, (amplify, offset), degree) in enumerate(
-        (exact, flags, degree)
-        for exact in (True, False)
-        for flags in SENDER_FLAGS
-        for degree in (1, 3)
+    for index, ((amplify, offset), degree) in enumerate(
+        (flags, degree) for flags in SENDER_FLAGS for degree in (1, 3)
     ):
         pool = SenderPool(
-            OMPEConfig(security_degree=1 + index % 2, exact=exact),
+            OMPEConfig(security_degree=1 + index % 2),
             degree,
             3,
             ReproRandom(6000 + index),
@@ -231,11 +215,10 @@ def digest(messages) -> str:
 
 
 #: SHA-256 over the encoded points messages of the grids above.  The
-#: exact-mode ``online``, ``batch`` and ``pooled`` digests were recorded
-#: from the keyed BLAKE2b hider stream (``hiding.lattice_numerators``);
-#: they pin its key, message layout and draw order together with the
-#: fork labels of nodes, positions and disguise constants.  ``float``
-#: was recorded from the ``Polynomial.random`` receiver.
+#: ``online``, ``batch`` and ``pooled`` digests were recorded from the
+#: keyed BLAKE2b hider stream (``hiding.lattice_numerators``); they pin
+#: its key, message layout and draw order together with the fork labels
+#: of nodes, positions and disguise constants.
 #: The ``sender-*`` digests pin the sender's mask/amplifier/offset draws
 #: the same way; labels and T² are exact whatever the masks, so no
 #: other test would notice a change of fork label or draw order.
@@ -243,9 +226,8 @@ KNOWN_ANSWERS = {
     "online": "52befec8296ca4b52d2a55b891553cee19ee543c284d7d29081f3ea03a36b0f2",
     "batch": "60b32d13c6825691c7f9def9f19b0deafe419905e7aa5974e190491c023c59bf",
     "pooled": "8449723fc2fd59b151c3b3de283ce45734f9e543dd87b30b41a8ce88e7990d64",
-    "float": "816e85815d572f1911c20539b3afa0b19f97a345465dfd9d5599b46ab8a9f2dc",
-    "sender-online": "cf7d0a02c3f84a24f61d396d344e24eb4ef736803d3c7f176bc02e1f0efdaba6",
-    "sender-pooled": "a260e23771535e4ec234f6cb2b981bb1337fe38381a8ac526a09df64f476d337",
+    "sender-online": "34ff1ec77385b03fb9558e03f6cd9b993a3eb2ae8a56971986c7ccd99f6da927",
+    "sender-pooled": "d5b0c9410b034b92b059af9028e7e9bea825278c88e03e026af8fd4973cc7d4e",
     "sender-batch": "685b1c4e9267c77001229196aaf32733cc25ec4b618da59bf57741e783a34e19",
 }
 
@@ -253,7 +235,6 @@ GRIDS = {
     "online": online_messages,
     "batch": batch_messages,
     "pooled": pooled_messages,
-    "float": float_messages,
     "sender-online": online_sender_draws,
     "sender-pooled": pooled_sender_draws,
     "sender-batch": batch_sender_draws,

@@ -1,7 +1,7 @@
 """A hostile sender's sealed evaluations meet a typed error.
 
 The OT hands the receiver whatever the sender sealed.  A sender that
-seals a tuple, a float in exact mode, or a value nested past the
+seals a tuple, a float, or a value nested past the
 decoder's depth bound must make the online and batched receivers raise
 a :class:`~repro.exceptions.ReproError` subclass before interpolation,
 never a ``RecursionError`` or a ``TypeError`` from the arithmetic.
@@ -70,8 +70,3 @@ def test_batched_receiver_refuses(monkeypatch, case):
         execute_ompe_batch(FUNCTION, [INPUT, INPUT], config=CONFIG, seed=3)
     assert isinstance(raised.value, ReproError)
 
-
-def test_float_mode_receiver_accepts_floats():
-    config = OMPEConfig(security_degree=1, cover_expansion=2, exact=False)
-    outcome = execute_ompe(FUNCTION, (0.5, -0.25), config=config, seed=3)
-    assert isinstance(outcome.value, float)

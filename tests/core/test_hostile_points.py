@@ -126,14 +126,3 @@ def test_honest_messages_pass(config):
     _online_sender_after(lambda pairs: pairs, config).handle_points()
     _batch_sender_after(lambda pairs: pairs, config).handle_points()
 
-
-def test_float_mode_accepts_floats():
-    float_config = OMPEConfig(security_degree=1, cover_expansion=2, exact=False)
-    rng = ReproRandom(4)
-    sender = OMPESender("alice", FUNCTION, float_config, rng=rng.fork("s"))
-    receiver = OMPEReceiver("bob", (0.5, -0.25), float_config, rng=rng.fork("r"))
-    connect_parties(sender, receiver)
-    receiver.send_request()
-    sender.handle_request()
-    receiver.handle_params()
-    sender.handle_points()

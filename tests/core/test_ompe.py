@@ -1,7 +1,9 @@
 """Tests for the OMPE protocol — the paper's central building block."""
 
+import struct
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -13,17 +15,71 @@ from repro.core.ompe import (
     OMPESender,
     as_exact_vector,
     execute_ompe,
+    execute_ompe_batch,
 )
+from repro.core.classification import classify_linear
 from repro.core.ompe.config import draw_amplifier
 from repro.exceptions import OMPEError, ProtocolAbort, ValidationError
+from repro.math.groups import fast_group
 from repro.math.multivariate import MultivariatePolynomial
+from repro.ml.svm.model import make_linear_model
 from repro.net.party import connect_parties
 from repro.utils.rng import ReproRandom
+from repro.utils.serialization import decode_payload, encode_payload
 
 
 def affine(weights, bias):
     return MultivariatePolynomial.affine(
         [Fraction(w) for w in weights], Fraction(bias)
+    )
+
+
+#: ``encode_payload(OMPEConfig())`` when the config still had its sixth
+#: field, ``exact: bool``, between ``cover_expansion`` and
+#: ``coefficient_bound``.
+OLD_LAYOUT_DEFAULT = bytes.fromhex(
+    "430000000b6f6d70652f636f6e666967"
+    "4900000002000249000000020003420149000000020008490000000200044e"
+)
+
+CONFIG_DEFAULTS = {
+    "security_degree": 2,
+    "cover_expansion": 3,
+    "coefficient_bound": 8,
+    "node_bound": 4,
+    "group": None,
+}
+
+MISTYPED_FIELDS = {
+    "fractional security_degree": {"security_degree": 2.5},
+    "float cover_expansion": {"cover_expansion": 2.0},
+    "int group": {"group": 7},
+    "bool security_degree": {"security_degree": True},
+    "float node_bound": {"node_bound": 4.5},
+    "str coefficient_bound": {"coefficient_bound": "8"},
+}
+
+#: Receiver input coordinates that are not finite real numbers.
+NOT_FINITE_REALS = [
+    float("nan"),
+    float("inf"),
+    float("-inf"),
+    np.float64("nan"),
+    None,
+    "1",
+    True,
+]
+
+
+def forged_config(**overrides) -> bytes:
+    """An ``ompe/config`` encoding carrying any field values, in layout order."""
+    name = b"ompe/config"
+    fields = {**CONFIG_DEFAULTS, **overrides}
+    return (
+        b"C"
+        + struct.pack(">I", len(name))
+        + name
+        + b"".join(encode_payload(fields[key]) for key in CONFIG_DEFAULTS)
     )
 
 
@@ -43,6 +99,32 @@ class TestConfig:
             OMPEConfig(coefficient_bound=0)
         with pytest.raises(ValidationError):
             OMPEConfig().cover_count(0)
+
+    @pytest.mark.parametrize("case", sorted(MISTYPED_FIELDS))
+    def test_mistyped_field_refused(self, case):
+        with pytest.raises(ValidationError, match="must be"):
+            OMPEConfig(**MISTYPED_FIELDS[case])
+
+    @pytest.mark.parametrize("case", sorted(MISTYPED_FIELDS))
+    def test_mistyped_field_refused_on_decode(self, case):
+        with pytest.raises(ValidationError, match="must be"):
+            decode_payload(forged_config(**MISTYPED_FIELDS[case]))
+
+    def test_forged_encoding_matches_the_codec(self):
+        assert forged_config() == encode_payload(OMPEConfig())
+        assert decode_payload(forged_config()) == OMPEConfig()
+
+    @pytest.mark.parametrize(
+        "config",
+        [OMPEConfig(), OMPEConfig(security_degree=1, cover_expansion=2, group=fast_group())],
+    )
+    def test_wire_round_trip(self, config):
+        assert decode_payload(encode_payload(config)) == config
+
+    def test_old_layout_refused(self):
+        assert len(OMPEConfig.__dataclass_fields__) == 5
+        with pytest.raises(ValidationError):
+            decode_payload(OLD_LAYOUT_DEFAULT)
 
     def test_default_group_resolution(self):
         assert OMPEConfig().resolved_group().p.bit_length() == 256
@@ -76,6 +158,39 @@ class TestFunction:
         assert all(isinstance(v, Fraction) for v in vector)
         assert vector[0] == Fraction(1, 2)
 
+    def test_as_exact_vector_numpy_scalars(self):
+        vector = as_exact_vector([np.float64(0.1), np.int64(-3), np.float32(0.5)])
+        assert vector == (Fraction(0.1), Fraction(-3), Fraction(1, 2))
+        assert all(type(v) is Fraction and type(v.numerator) is int for v in vector)
+
+    @pytest.mark.parametrize("bad", NOT_FINITE_REALS, ids=repr)
+    def test_as_exact_vector_refuses(self, bad):
+        with pytest.raises(ValidationError):
+            as_exact_vector([0.5, bad])
+
+
+class TestInputRefusal:
+    """Every receiver entry point meets a typed error on a bad coordinate."""
+
+    @pytest.mark.parametrize("bad", NOT_FINITE_REALS, ids=repr)
+    def test_execute_ompe(self, fast_config, bad):
+        function = OMPEFunction.from_polynomial(affine([2, -3], Fraction(1, 2)))
+        with pytest.raises(ValidationError):
+            execute_ompe(function, (0.25, bad), config=fast_config, seed=1)
+
+    @pytest.mark.parametrize("bad", NOT_FINITE_REALS, ids=repr)
+    def test_execute_ompe_batch(self, fast_config, bad):
+        function = OMPEFunction.from_polynomial(affine([2, -3], Fraction(1, 2)))
+        with pytest.raises(ValidationError):
+            execute_ompe_batch(
+                function, [(0.25, 0.5), (bad, 0.5)], config=fast_config, seed=1
+            )
+
+    @pytest.mark.parametrize("bad", NOT_FINITE_REALS, ids=repr)
+    def test_classify_linear(self, fast_config, bad):
+        model = make_linear_model([1.0, -0.5], 0.25)
+        with pytest.raises(ValidationError):
+            classify_linear(model, [bad, 0.5], config=fast_config, seed=1)
 
 class TestCorrectness:
     def test_linear_exact(self, fast_config):
@@ -146,16 +261,6 @@ class TestCorrectness:
         alpha = (Fraction(1, 2),)
         outcome = execute_ompe(f, alpha, config=fast_config, seed=9, amplify=False)
         assert outcome.value != alpha[0] ** 3
-
-    def test_float_mode(self):
-        config = OMPEConfig(exact=False, security_degree=2, cover_expansion=2)
-        polynomial = affine([2, -3], Fraction(1, 2))
-        outcome = execute_ompe(
-            OMPEFunction.from_polynomial(polynomial.to_float()), (0.25, -0.5),
-            config=config, seed=3,
-        )
-        expected = 2 * 0.25 - 3 * (-0.5) + 0.5
-        assert outcome.value / outcome.amplifier == pytest.approx(expected, rel=1e-6)
 
     @given(st.integers(0, 10**6))
     @settings(max_examples=15, deadline=None,

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.ompe import OMPEConfig
 from repro.linkage import LinkageJobSpec
 from repro.exceptions import ValidationError
+from repro.math.groups import fast_group
 from repro.ml.svm.model import SVMModel, make_linear_model
 
 
@@ -124,6 +126,22 @@ class TestPairSeeds:
 
 
 class TestFingerprint:
+    def test_pinned_value(self):
+        """Recorded when ``OMPEConfig`` still had an ``exact`` field: a
+        store written then must resume under the same spec now."""
+        spec = LinkageJobSpec(
+            {
+                "L0": make_linear_model([1.0, 0.5], -0.25),
+                "L1": make_linear_model([0.3, -0.7], 0.1),
+            },
+            {"R0": make_linear_model([0.9, 0.4], -0.2)},
+            config=OMPEConfig(security_degree=1, cover_expansion=2, group=fast_group()),
+            seed=7,
+        )
+        assert spec.fingerprint() == (
+            "e8a9e6fedd8f1cbe2c90b0b4f7339e6b025ab512f9fe6629ce869a37bf4cf195"
+        )
+
     def test_stable_for_equal_specs(
         self, left_models, right_models, light_config
     ):

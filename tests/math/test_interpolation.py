@@ -68,7 +68,7 @@ class TestLagrange:
     @settings(max_examples=20)
     def test_float_mode_close(self, degree):
         rng = ReproRandom(degree + 100)
-        poly = Polynomial.random(degree, rng, exact=False)
+        poly = Polynomial.random(degree, rng).to_float()
         nodes = [float(x) for x in rng.distinct_fractions(degree + 1, -3, 3)]
         values = [poly(x) for x in nodes]
         recovered = lagrange_interpolate(nodes, values)
@@ -95,7 +95,7 @@ class TestZeroWeightCache:
 
     def test_cached_identical_in_float_mode(self):
         rng = ReproRandom(23)
-        poly = Polynomial.random(4, rng, exact=False)
+        poly = Polynomial.random(4, rng).to_float()
         nodes = [float(x) for x in rng.distinct_fractions(5, -3, 3)]
         values = [poly(x) for x in nodes]
         clear_zero_weight_cache()

@@ -68,11 +68,6 @@ class TestRandom:
         with pytest.raises(ValidationError):
             Polynomial.random(-1, rng)
 
-    def test_float_mode(self, rng):
-        p = Polynomial.random(3, rng, exact=False)
-        assert p.degree == 3
-        assert all(isinstance(c, float) or c == 0 for c in p.coefficients)
-
     def test_masking_property(self, rng):
         # h(0) = 0 is the paper's masking requirement.
         for _ in range(10):
