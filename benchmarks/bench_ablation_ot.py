@@ -71,26 +71,6 @@ def test_benchmark_k_of_n_default_group(benchmark):
     assert len(received) == len(INDICES)
 
 
-def test_fixed_base_correctness():
-    group = fast_group()
-    rng = ReproRandom(5)
-    for _ in range(20):
-        exponent = group.random_exponent(rng)
-        assert group.exp_g(exponent) == pow(group.g, exponent, group.p)
-
-
-def test_benchmark_fixed_base_exp(benchmark):
-    group = fast_group()
-    rng = ReproRandom(6)
-    exponents = [group.random_exponent(rng) for _ in range(100)]
-    group.exp_g(exponents[0])  # warm the table cache
-
-    def run():
-        return [group.exp_g(e) for e in exponents]
-
-    benchmark(run)
-
-
 def test_benchmark_builtin_pow(benchmark):
     group = fast_group()
     rng = ReproRandom(6)

@@ -13,9 +13,8 @@ committed ``BENCH_hotpath.json``::
 
     python benchmarks/bench_ablation_precompute.py [--quick] [--output PATH]
 
-Rows cover the window-8 generator-table build (cold) vs cached lookup
-(warm, incl. the break-even op count), pooled vs unpooled Paillier
-encryption, and the pooled vs poolless OMPE online path.
+Rows cover pooled vs unpooled Paillier encryption and the pooled vs
+poolless OMPE online path.
 """
 
 from __future__ import annotations
@@ -44,8 +43,8 @@ from repro.core.ompe import (
     execute_ompe,
 )
 from repro.crypto.paillier import PaillierCipher, generate_keypair
-from repro.math import fastpath, groups
-from repro.math.groups import FixedBaseTable, fast_group
+from repro.math import fastpath
+from repro.math.groups import fast_group
 from repro.math.multivariate import MultivariatePolynomial
 from repro.utils.rng import ReproRandom
 
@@ -120,37 +119,7 @@ def _backend_rows(backend, quick=False):
     """Cold-build vs warm-use rows for one bignum backend leg."""
     rows = []
     group = fast_group()
-    draw = ReproRandom(BENCH_SEED)
     iterations = 40 if quick else 200
-    exponents = [draw.randint(1, group.q - 1) for _ in range(iterations)]
-
-    # -- generator table: one-off build cost vs per-op warm lookup ---------
-    started = time.perf_counter()
-    table = FixedBaseTable(group.g, group.p, group.q.bit_length())
-    cold_s = time.perf_counter() - started
-    for e in exponents[:3]:
-        assert table.power(e) == pow(group.g, e, group.p)
-
-    def warm_all():
-        for e in exponents:
-            table.power(e)
-
-    def pow_all():
-        for e in exponents:
-            pow(group.g, e, group.p)
-
-    warm_s = _time_loop(warm_all, 3) / iterations
-    pow_s = _time_loop(pow_all, 3) / iterations
-    saving = pow_s - warm_s
-    rows.append({
-        "backend": backend,
-        "op": "fixed_base_table",
-        "cold_build_ms": round(cold_s * 1e3, 3),
-        "warm_us": round(warm_s * 1e6, 3),
-        "naive_us": round(pow_s * 1e6, 3),
-        "speedup_warm": round(pow_s / warm_s, 3) if warm_s else None,
-        "break_even_ops": round(cold_s / saving, 1) if saving > 0 else None,
-    })
 
     # -- Paillier: pooled (warm r^n) vs unpooled (cold) encryption ---------
     public, private = generate_keypair(
@@ -210,8 +179,6 @@ def run_precompute(quick=False, backend_list=None):
     rows = []
     for backend in backend_list:
         with fastpath.use_backend(backend):
-            groups._FIXED_BASE_TABLES.clear()
-            groups.reset_fixed_base_table_stats()
             rows.extend(_backend_rows(backend, quick=quick))
     return {"quick": quick, "backends": list(backend_list), "rows": rows}
 
@@ -219,7 +186,7 @@ def run_precompute(quick=False, backend_list=None):
 def format_precompute_table(results):
     lines = ["cold vs warm precompute:"]
     for row in results["rows"]:
-        cold = row.get("cold_ms", row.get("cold_us", row.get("cold_build_ms")))
+        cold = row.get("cold_ms", row.get("cold_us"))
         warm = row.get("warm_ms", row.get("warm_us"))
         lines.append(
             f"  {row['op']:20s} {row['backend']:7s} cold {cold:10.3f}   "
@@ -255,7 +222,7 @@ def main(argv=None):
 def test_precompute_rows_quick():
     results = run_precompute(quick=True)
     assert {row["op"] for row in results["rows"]} >= {
-        "fixed_base_table", "paillier_encrypt", "ompe_online",
+        "paillier_encrypt", "ompe_online",
     }
     for row in results["rows"]:
         assert row["speedup_warm"] is not None and row["speedup_warm"] > 0

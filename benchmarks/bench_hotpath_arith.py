@@ -4,8 +4,8 @@ Measures every optimization in the hot-path arithmetic engine against
 its naive reference, asserts the outputs are identical, and writes the
 speedup table to ``BENCH_hotpath.json``:
 
-* micro-op rows — group exponentiation (C ``pow`` vs fixed-base
-  tables), Jacobi membership, the big-int XOR, ``Fraction`` vs
+* micro-op rows — C ``pow`` exponentiation (the baseline), Jacobi
+  membership, the big-int XOR, ``Fraction`` vs
   scaled-integer dot products, and Paillier CRT / pooled-randomizer
   costs;
 * protocol rows — full private nonlinear classification and similarity
@@ -14,9 +14,11 @@ speedup table to ``BENCH_hotpath.json``:
 
 Every row carries a ``backend`` column and the whole suite repeats once
 per available bignum backend (``python`` always; ``gmpy2`` when
-importable; ``gmp`` when the system libgmp loads).  The naive reference is re-measured inside each
-backend leg but always runs on pure CPython ``pow``: the oracle is
-never routed through a backend.  Results land in the ``arith`` section
+importable; ``gmp`` when the system libgmp loads).  The naive reference
+is re-measured inside each backend leg.  Micro-op baselines call
+CPython ``pow`` directly; protocol rows run group exponentiation on the
+leg's backend in both modes, so their speedups measure the membership
+and exact-arithmetic kernels only.  Results land in the ``arith`` section
 of ``BENCH_hotpath.json`` (via ``update_artifact``, so the
 ``precompute`` section from ``bench_ablation_precompute.py`` survives).
 
@@ -58,7 +60,7 @@ from repro.core.similarity.exact import exact_dot
 from repro.core.similarity.linear import evaluate_similarity_private
 from repro.crypto.hashing import _xor
 from repro.crypto.paillier import PaillierCipher, generate_keypair
-from repro.math import fastpath, groups
+from repro.math import fastpath
 from repro.math.groups import fast_group
 from repro.math.numtheory import jacobi_symbol
 from repro.math.polynomials import Polynomial
@@ -104,7 +106,7 @@ def run_micro_benchmarks(quick=False):
     draw = ReproRandom(BENCH_SEED)
     iterations = 40 if quick else 200
 
-    # -- group exponentiation family ------------------------------------------
+    # -- group exponentiation baseline ----------------------------------------
     exponents = [draw.randint(1, group.q - 1) for _ in range(iterations)]
     base = group.random_element(draw)
 
@@ -115,18 +117,6 @@ def run_micro_benchmarks(quick=False):
     pow_s = _time_loop(pow_all, 3) / iterations
     rows.append(_micro_row("variable_base_pow_c", iterations, pow_s, pow_s,
                            note="CPython C pow; the baseline"))
-
-    table = group.fixed_base_table()
-
-    def table_all():
-        for e in exponents:
-            table.power(e)
-
-    for e in exponents[:5]:
-        assert table.power(e) == pow(group.g, e, group.p)
-    table_s = _time_loop(table_all, 3) / iterations
-    rows.append(_micro_row("fixed_base_table_w8", iterations, pow_s, table_s,
-                           note="g^r with the cached window-8 table"))
 
     # -- subgroup membership ---------------------------------------------------
     member = pow(base, 2, group.p)
@@ -369,19 +359,12 @@ def run_protocol_benchmarks(quick=False, backend=None):
 
 
 def run_all(quick=False, backend_list=None):
-    """The full table, once per bignum backend, every row tagged.
-
-    The generator-table cache is cleared between legs so each backend
-    times (and the protocol rows exercise) tables built with its own
-    native entries rather than ones inherited from the previous leg.
-    """
+    """The full table, once per bignum backend, every row tagged."""
     if backend_list is None:
         backend_list = fastpath.available_backends()
     micro, protocol = [], []
     for backend in backend_list:
         with fastpath.use_backend(backend):
-            groups._FIXED_BASE_TABLES.clear()
-            groups.reset_fixed_base_table_stats()
             micro_rows = run_micro_benchmarks(quick=quick)
             protocol_rows = run_protocol_benchmarks(quick=quick, backend=backend)
         for row in micro_rows + protocol_rows:

@@ -22,7 +22,6 @@ CPU-gated.
 
 from __future__ import annotations
 
-import json
 import os
 import signal
 import subprocess

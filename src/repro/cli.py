@@ -224,20 +224,12 @@ def _cmd_observe(args: argparse.Namespace) -> int:
         registry, config, args.dimension, tolerance=args.tolerance
     )
 
-    from repro.crypto.precompute import get_precompute_service
     from repro.math import fastpath
 
-    precompute_stats = get_precompute_service().stats()
-    tables = precompute_stats["tables"]
     print("== arithmetic engine ==")
     print(
         f"bignum backend: {fastpath.backend_name()} "
         f"(available: {', '.join(fastpath.available_backends())})"
-    )
-    print(
-        f"precompute: {tables['cached']} warm generator table(s), "
-        f"{int(tables['hits'])} hits / {int(tables['builds'])} builds "
-        f"({tables['build_seconds'] * 1000.0:.1f} ms building)"
     )
     print()
     print("== span tree ==")

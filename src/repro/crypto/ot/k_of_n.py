@@ -21,8 +21,8 @@ across a batch of transfers and puts the transfer index in the hash.
   ``sealed[i] = wrap(κ_i, message_i)`` under a fresh 16-byte key
   ``κ_i``, draws one ``r``, sends ``R = g^r`` and, for every row ``j``
   and slot ``i``, the pad ``κ_i ⊕ H((V_j · w^{-i})^r, session ‖ j ‖ i)``.
-  It computes ``S = w^{-r} = g^{-rc}`` once from the fixed-base table
-  of ``g``, ``K_j = V_j^r`` once per row, and walks ``K_j · S^i`` by
+  It computes ``S = w^{-r} = g^{-rc}`` once as a power of ``g``,
+  ``K_j = V_j^r`` once per row, and walks ``K_j · S^i`` by
   multiplication: ``k + 2`` exponentiations per transfer, plus one for
   ``w``, whatever ``n`` is.
 * **Retrieve.** Row ``j``'s key at ``i = σ_j`` is ``R^{k_j}``; any
@@ -102,7 +102,7 @@ class KOfNSender:
         with obs.get_tracer().span("ot.setup", sessions=k):
             session = self._rng.bytes(16)
             self._blinding_log = self.group.random_exponent(self._rng)
-            w = self.group.exp_g(self._blinding_log)
+            w = self.group.exp(self.group.g, self._blinding_log)
             self._count = k
             self._setup = OTSetup(session=session, blinding_points=(w,))
             return self._setup
@@ -143,8 +143,8 @@ class KOfNSender:
             key_ints = [int.from_bytes(key, "big") for key in keys]
             suffixes = [_slot_suffix(slot) for slot in range(len(keys))]
             r = group.random_exponent(self._rng)
-            ephemeral_point = group.exp_g(r)
-            step = group.exp_g(-r * self._blinding_log)  # S = w^{-r}
+            ephemeral_point = group.exp(group.g, r)
+            step = group.exp(group.g, -r * self._blinding_log)  # S = w^{-r}
             p, width, sha256 = group.p, group.element_bytes, hashlib.sha256
             rows = []
             for row, point in enumerate(blinded):
@@ -204,7 +204,7 @@ class KOfNReceiver:
             self._count = count
             self._session = setup.session
             blinded = tuple(
-                group.mul(group.exp_g(secret), group.exp(w, index))
+                group.mul(group.exp(group.g, secret), group.exp(w, index))
                 for secret, index in zip(self._secrets, indices)
             )
             return OTChoice(session=setup.session, blinded_keys=blinded)

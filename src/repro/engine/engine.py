@@ -35,7 +35,6 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro import obs
-from repro.crypto.precompute import get_precompute_service
 from repro.engine.jobs import ClassificationJob, Job, JobResult, SimilarityJob
 from repro.engine.worker import DRAIN, make_spec, worker_main
 from repro.exceptions import EngineError, ValidationError
@@ -180,16 +179,6 @@ class ProtocolEngine:
         """Spawn the worker fleet (idempotent)."""
         if self._started:
             return self
-        # Warm the generator table in the *parent* before the fleet
-        # exists: fork children inherit the hot cache outright, and the
-        # serialized copy in the spec covers spawn contexts.  Without
-        # this, every worker silently rebuilt the table.
-        service = get_precompute_service()
-        group = self.spec.config.resolved_group()
-        service.warm_group(group)
-        self.spec = replace(
-            self.spec, warm_state=service.export_state(group_list=[group])
-        )
         try:
             ctx = multiprocessing.get_context("fork")
         except ValueError:  # pragma: no cover - non-POSIX fallback

@@ -29,8 +29,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro import obs
 from repro.core.classification.linear import _label_from_value
 from repro.core.classification.session import decision_function_for_model
-from repro.crypto.precompute import get_precompute_service
-from repro.math import groups
 from repro.core.ompe import OMPEConfig, OMPEFunction, execute_ompe
 from repro.core.ompe.precompute import ReceiverPool, SenderPool, draw_pools
 from repro.core.similarity import (
@@ -78,12 +76,6 @@ class EngineSpec:
     #: Similarity metric parameters shared by every similarity job
     #: (``None`` means library defaults).
     metric_params: Optional[MetricParams] = None
-    #: Serialized warm precompute material (see
-    #: :meth:`repro.crypto.precompute.PrecomputeService.export_state`).
-    #: Under ``fork`` the worker inherits the warm caches anyway and
-    #: installing is a no-op; under ``spawn`` this is what prevents a
-    #: silent per-worker generator-table rebuild.
-    warm_state: Optional[dict] = None
 
     def __post_init__(self) -> None:
         if self.pool_size < 1:
@@ -387,13 +379,6 @@ def worker_main(worker_id: int, spec: EngineSpec, job_queue, result_queue) -> No
     if spec.trace:
         tracer = obs.Tracer()
         obs.set_tracer(tracer)
-    # Builds charged to this worker must be the worker's own: a fork
-    # inherits the parent's (warm) table cache *and* its counters, so
-    # zero the counters before installing/serving.  After a warm start
-    # the regression suite asserts the per-worker miss count stays 0.
-    groups.reset_fixed_base_table_stats()
-    if spec.warm_state is not None:
-        get_precompute_service().install_state(spec.warm_state)
     try:
         state = WorkerState.from_spec(spec, worker_id)
     except ReproError as error:
@@ -415,7 +400,6 @@ def worker_main(worker_id: int, spec: EngineSpec, job_queue, result_queue) -> No
         else 0,
         worker=str(worker_id),
     )
-    get_precompute_service().export_metrics(scope=f"worker-{worker_id}")
     result_queue.put(
         (
             "drain",

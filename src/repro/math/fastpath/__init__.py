@@ -2,17 +2,16 @@
 
 The protocol stack carries two parallel arithmetic implementations:
 
-* the **naive reference** — straight ``pow()`` for group exponentiation
-  and :class:`fractions.Fraction` operator arithmetic everywhere.  This
-  is the seed implementation, retained verbatim as the correctness
-  oracle;
-* the **hot path** — windowed fixed-base exponentiation tables, Jacobi
-  membership tests, and scaled-integer evaluation of rational
-  polynomials that defers the single ``Fraction`` normalisation to the
-  very end.
+* the **naive reference** — the ``e^q mod p`` subgroup membership
+  test and :class:`fractions.Fraction` operator arithmetic everywhere.
+  This is the seed implementation, retained verbatim as the
+  correctness oracle;
+* the **hot path** — Jacobi membership tests and scaled-integer
+  evaluation of rational polynomials that defers the single
+  ``Fraction`` normalisation to the very end.
 
 Every hot path is *output-identical* to the naive reference: same
-integers out of the group layer, same (canonically normalised)
+answers out of the group layer, same (canonically normalised)
 ``Fraction`` values out of the polynomial layer, and therefore the same
 protocol transcripts, labels, and similarity values on the same seeds.
 ``tests/core/test_hotpath_differential.py`` pins that guarantee and

@@ -1,9 +1,10 @@
 """Pluggable bignum backends for the hot-path arithmetic engine.
 
-The hot paths (fixed-base tables, Montgomery batch inversion, Jacobi
-membership, Paillier CRT / ``r^n`` randomizers) all bottom out in a
-handful of bignum primitives.  This module abstracts them behind a
-:class:`BignumBackend` protocol with three implementations:
+Group exponentiation, modular inversion, Jacobi membership and the
+Paillier CRT / ``r^n`` randomizers all bottom out in three bignum
+primitives: ``powmod``, ``invert`` and ``jacobi``.  This module
+abstracts them behind a :class:`BignumBackend` protocol with three
+implementations:
 
 * :class:`PythonBackend` — plain CPython integers.  This is the
   **bit-identity oracle**: its outputs define correct behaviour, and
@@ -57,11 +58,8 @@ from repro.exceptions import ValidationError
 class BignumBackend(Protocol):
     """The primitive set every bignum backend must provide.
 
-    All integer arguments are Python ``int``; all *returned values* are
-    Python ``int`` (never a backend-native type), except :meth:`mpz`
-    which deliberately lifts into the backend's native representation
-    for long product chains — lower with :meth:`to_int` before the
-    value escapes.
+    All integer arguments are Python ``int``; all returned values are
+    Python ``int``, never a backend-native type.
     """
 
     name: str
@@ -72,17 +70,8 @@ class BignumBackend(Protocol):
     def invert(self, value: int, modulus: int) -> int:
         """Modular inverse; raises :class:`ValidationError` when none exists."""
 
-    def mul_mod(self, a: int, b: int, modulus: int) -> int:
-        """``a * b mod modulus``."""
-
     def jacobi(self, a: int, n: int) -> int:
         """Jacobi symbol ``(a | n)`` for odd positive ``n``."""
-
-    def mpz(self, value: int):
-        """Lift an int into the backend-native type (identity for python)."""
-
-    def to_int(self, value) -> int:
-        """Lower a backend-native value back to a Python ``int``."""
 
 
 class PythonBackend:
@@ -115,10 +104,6 @@ class PythonBackend:
         return old_s % modulus
 
     @staticmethod
-    def mul_mod(a: int, b: int, modulus: int) -> int:
-        return (a * b) % modulus
-
-    @staticmethod
     def jacobi(a: int, n: int) -> int:
         if n <= 0 or n % 2 == 0:
             raise ValidationError(f"Jacobi symbol requires odd positive n, got {n}")
@@ -134,14 +119,6 @@ class PythonBackend:
                 result = -result
             a %= n
         return result if n == 1 else 0
-
-    @staticmethod
-    def mpz(value: int) -> int:
-        return value
-
-    @staticmethod
-    def to_int(value) -> int:
-        return int(value)
 
 
 class Gmpy2Backend:
@@ -173,20 +150,10 @@ class Gmpy2Backend:
             ) from None
         return int(inverse) % modulus
 
-    def mul_mod(self, a: int, b: int, modulus: int) -> int:
-        return int(self._mpz(a) * b % modulus)
-
     def jacobi(self, a: int, n: int) -> int:
         if n <= 0 or n % 2 == 0:
             raise ValidationError(f"Jacobi symbol requires odd positive n, got {n}")
         return int(self._gmpy2.jacobi(self._mpz(a), self._mpz(n)))
-
-    def mpz(self, value: int):
-        return self._mpz(value)
-
-    @staticmethod
-    def to_int(value) -> int:
-        return int(value)
 
 
 class _MpzStruct(ctypes.Structure):
@@ -268,14 +235,11 @@ class _Registers:
             self._clear(struct)
 
 
-class GmpBackend(PythonBackend):
+class GmpBackend:
     """The system libgmp through :mod:`ctypes`.
 
-    ``powmod``, ``invert`` and ``jacobi`` run in libgmp; everything
-    else is inherited from the oracle: ``mul_mod`` stays on CPython (a
-    single modmul at protocol sizes is cheaper than a foreign call) and
-    ``mpz``/``to_int`` are the identity, so no GMP value ever leaves
-    the backend.  Values cross as little-endian bytes
+    ``powmod``, ``invert`` and ``jacobi`` run in libgmp, and no GMP
+    value ever leaves the backend.  Values cross as little-endian bytes
     (``int.to_bytes`` + ``mpz_import``, ``mpz_export`` +
     ``int.from_bytes``).  Inputs outside the fast path — operands that
     are not plain ``int``, modulus ≤ 1, negative exponent, even Jacobi

@@ -13,12 +13,9 @@ Parameter sizes here are tunable: tests and benchmarks use small groups
 
 from __future__ import annotations
 
-import time
-from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Optional
 
-from repro import obs
 from repro.exceptions import ValidationError
 from repro.math import fastpath
 from repro.math.numtheory import (
@@ -85,70 +82,14 @@ class SchnorrGroup:
     def exp(self, base: int, exponent: int) -> int:
         """Return ``base ** exponent mod p`` on the active bignum backend.
 
+        The exponent is reduced mod ``q`` first, so a negative exponent
+        such as ``-r·c`` yields the inverse power.  Every public-key
+        operation of the OT layer, ``g^r`` included, is one call here.
         GMP's ``powm`` (gmpy2 or the ctypes ``gmp`` backend) is several
         times faster than CPython ``pow`` at these sizes; the python
         backend is ``pow`` itself.
         """
         return fastpath.get_backend().powmod(base, exponent % self.q, self.p)
-
-    def exp_g(self, exponent: int) -> int:
-        """Return ``g ** exponent mod p`` via a cached fixed-base table.
-
-        The OT protocols compute ``g^r`` for every setup, choice and
-        transfer; a windowed precomputation table for the fixed base ``g``
-        cuts that cost ~10x (see ``bench_hotpath_arith``).  The table is
-        built lazily on first use and cached per parameter set.  When
-        the hot path is disabled this falls back to the naive ``pow``
-        reference; both produce identical group elements.
-        """
-        reduced = exponent % self.q
-        if not fastpath.enabled():
-            return pow(self.g, reduced, self.p)
-        return self.fixed_base_table().power(reduced)
-
-    def fixed_base_table(self) -> "FixedBaseTable":
-        """The cached windowed table for the generator ``g``.
-
-        Keyed by the parameter triple ``(p, q, g)`` in a bounded LRU:
-        keying by ``id(self)`` (as earlier revisions did) both leaked
-        entries for freed groups and could serve a *stale table* if a
-        freed group's id was reused by a new group with different
-        parameters.  Equal parameter sets now share one table
-        regardless of instance identity.
-        """
-        key = (self.p, self.q, self.g)
-        table = _FIXED_BASE_TABLES.get(key)
-        if table is None:
-            started = time.perf_counter()
-            table = FixedBaseTable(self.g, self.p, self.q.bit_length())
-            elapsed = time.perf_counter() - started
-            _TABLE_STATS["builds"] += 1
-            _TABLE_STATS["build_seconds"] += elapsed
-            metrics = obs.get_metrics()
-            if metrics.enabled:
-                metrics.counter(
-                    "repro_precompute_misses_total",
-                    "Precompute-store misses that forced a live build",
-                ).inc(kind="fixed-base-table")
-                metrics.histogram(
-                    "repro_precompute_build_seconds",
-                    "Time spent building precompute material on a miss",
-                ).observe(elapsed, kind="fixed-base-table")
-            _FIXED_BASE_TABLES[key] = table
-            while len(_FIXED_BASE_TABLES) > _FIXED_BASE_TABLE_CAP:
-                try:
-                    _FIXED_BASE_TABLES.popitem(last=False)
-                except KeyError:
-                    break  # another thread emptied the cache under us
-        else:
-            # Hot path (once per exp_g): a plain dict bump only — the
-            # metrics registry is consulted on misses, never on hits.
-            _TABLE_STATS["hits"] += 1
-            try:
-                _FIXED_BASE_TABLES.move_to_end(key)
-            except KeyError:
-                pass  # concurrently evicted; the table in hand stays valid
-        return table
 
     def mul(self, a: int, b: int) -> int:
         """Group multiplication."""
@@ -168,7 +109,7 @@ class SchnorrGroup:
 
     def random_element(self, rng: ReproRandom) -> int:
         """Uniform non-identity subgroup element."""
-        return self.exp_g(self.random_exponent(rng))
+        return self.exp(self.g, self.random_exponent(rng))
 
     @property
     def element_bytes(self) -> int:
@@ -180,162 +121,6 @@ class SchnorrGroup:
         if not 0 < element < self.p:
             raise ValidationError("element out of range for encoding")
         return element.to_bytes(self.element_bytes, "big")
-
-
-#: Cache of generator fixed-base tables, keyed by the group parameter
-#: triple ``(p, q, g)`` — never by object identity, which can be reused
-#: after a group is freed.  Bounded LRU; frozen dataclasses cannot hold
-#: mutable state, so the cache lives module-side.
-_FIXED_BASE_TABLES: "OrderedDict" = OrderedDict()
-_FIXED_BASE_TABLE_CAP = 16
-
-#: Process-local generator-table cache statistics.  Kept as a plain
-#: dict (not metrics instruments) because the hit counter is bumped on
-#: every ``exp_g`` — the precompute service exports these into the
-#: registry at convenient boundaries (engine drain, ``repro observe``).
-_TABLE_STATS: Dict[str, float] = {"hits": 0, "builds": 0, "build_seconds": 0.0}
-
-
-def fixed_base_table_stats() -> Dict[str, float]:
-    """Snapshot of the generator-table cache counters (hits/builds)."""
-    return dict(_TABLE_STATS)
-
-
-def reset_fixed_base_table_stats() -> None:
-    """Zero the cache counters (engine workers call this after fork,
-    so inherited parent-side builds are not charged to the worker)."""
-    _TABLE_STATS["hits"] = 0
-    _TABLE_STATS["builds"] = 0
-    _TABLE_STATS["build_seconds"] = 0.0
-
-
-def cached_table_keys() -> List[tuple]:
-    """The ``(p, q, g)`` triples currently warm in the table cache."""
-    return list(_FIXED_BASE_TABLES.keys())
-
-
-def export_fixed_base_tables(
-    keys: Optional[Sequence[tuple]] = None,
-) -> List[dict]:
-    """Serialize cached generator tables for another process.
-
-    Rows are lowered to plain ints, so the blob is picklable and
-    backend-independent; ``keys`` filters to specific ``(p, q, g)``
-    triples (the engine ships only its own group, not every cached
-    table).
-    """
-    wanted = set(keys) if keys is not None else None
-    exported = []
-    for key, table in _FIXED_BASE_TABLES.items():
-        if wanted is not None and key not in wanted:
-            continue
-        p, q, g = key
-        exported.append(
-            {
-                "p": p,
-                "q": q,
-                "g": g,
-                "window": table.window,
-                "rows": table.to_rows(),
-            }
-        )
-    return exported
-
-
-def install_fixed_base_tables(blobs: Sequence[dict]) -> int:
-    """Install serialized tables into this process's cache.
-
-    Existing entries win (a worker forked from a warm parent already
-    holds the identical table); returns the number actually installed.
-    """
-    installed = 0
-    for blob in blobs:
-        key = (blob["p"], blob["q"], blob["g"])
-        if key in _FIXED_BASE_TABLES:
-            continue
-        _FIXED_BASE_TABLES[key] = FixedBaseTable.from_rows(
-            blob["p"], blob["window"], blob["rows"]
-        )
-        installed += 1
-        while len(_FIXED_BASE_TABLES) > _FIXED_BASE_TABLE_CAP:
-            try:
-                _FIXED_BASE_TABLES.popitem(last=False)
-            except KeyError:
-                break
-    return installed
-
-
-class FixedBaseTable:
-    """Windowed fixed-base exponentiation.
-
-    Precomputes ``base^(d * 2^(w*i))`` for every window position ``i``
-    and digit ``d``; a subsequent exponentiation is then just one
-    modular multiplication per nonzero window — no squarings.  With the
-    default window of 8 a 255-bit exponentiation is ≤32 multiplications
-    (vs ~320 multiplication-equivalents inside C ``pow``), ~10x faster
-    once the one-time table build is amortized.
-    """
-
-    def __init__(self, base: int, modulus: int, exponent_bits: int, window: int = 8):
-        if window < 1:
-            raise ValidationError(f"window must be at least 1, got {window}")
-        self.modulus = modulus
-        self.window = window
-        self.windows = (exponent_bits + window - 1) // window
-        self._table = []
-        # Table entries are held in the backend-native representation
-        # (mpz under gmpy2, plain int under python): the per-window
-        # multiplications in ``power`` then run on native values
-        # with operator syntax — no per-multiply dispatch overhead —
-        # and the result is lowered to int exactly once on return.
-        lift = fastpath.get_backend().mpz
-        native_modulus = lift(modulus)
-        radix = 1 << window
-        block_base = lift(base % modulus)
-        one = lift(1)
-        for _ in range(self.windows):
-            row = [one] * radix
-            for digit in range(1, radix):
-                row[digit] = (row[digit - 1] * block_base) % native_modulus
-            self._table.append(row)
-            block_base = (row[radix - 1] * block_base) % native_modulus
-
-    def to_rows(self) -> List[List[int]]:
-        """The precomputed rows as plain ints (picklable, backend-free)."""
-        return [[int(entry) for entry in row] for row in self._table]
-
-    @classmethod
-    def from_rows(
-        cls, modulus: int, window: int, rows: Sequence[Sequence[int]]
-    ) -> "FixedBaseTable":
-        """Rebuild a table from :meth:`to_rows` output without recomputing."""
-        table = cls.__new__(cls)
-        table.modulus = modulus
-        table.window = window
-        table.windows = len(rows)
-        lift = fastpath.get_backend().mpz
-        table._table = [[lift(entry) for entry in row] for row in rows]
-        return table
-
-    def power(self, exponent: int) -> int:
-        """Return ``base ** exponent mod modulus``."""
-        if exponent < 0:
-            raise ValidationError("exponent must be non-negative")
-        result = 1
-        mask = (1 << self.window) - 1
-        position = 0
-        modulus = self.modulus
-        table = self._table
-        while exponent and position < self.windows:
-            digit = exponent & mask
-            if digit:
-                result = (result * table[position][digit]) % modulus
-            exponent >>= self.window
-            position += 1
-        if exponent:
-            raise ValidationError("exponent exceeds the precomputed range")
-        # Lower back to int: table entries may be backend-native (mpz).
-        return int(result)
 
 
 def generate_group(bits: int, rng: Optional[ReproRandom] = None) -> SchnorrGroup:

@@ -47,7 +47,6 @@ import threading
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional, Tuple
 
-from repro import obs
 from repro.exceptions import ProtocolError, ValidationError
 from repro.net.channel import LinkModel, observe_message
 from repro.net.message import Message

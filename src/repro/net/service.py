@@ -86,7 +86,6 @@ from repro.core.similarity.remote import (
     run_similarity_alice,
     run_similarity_bob,
 )
-from repro.crypto.precompute import get_precompute_service
 from repro.exceptions import (
     BatchItemError,
     ProtocolError,
@@ -330,13 +329,6 @@ class TrainerServer:
         self.session_workers = session_workers
         self.drain_timeout = drain_timeout
         self._function = decision_function_for_model(model)
-        # Warm the shared precompute store before the first accept:
-        # the generator table for this server's group is built exactly
-        # once here, and every session then runs on the hot table —
-        # zero per-session rebuilds.
-        service = get_precompute_service()
-        service.warm_group(self.config.resolved_group())
-        service.export_metrics(scope="server")
         self._socket = wire.listen(host, port, backlog=max(4, max_connections))
         self._lock = threading.Lock()
         self._served = 0
@@ -615,11 +607,6 @@ class TrainerServer:
             raise ProtocolError("session/open 'trace' must be a trace context")
         transport = endpoint.transport
         session_id = f"s{next(self._session_ids)}"
-        # Hand the session the warm store: a hit here (the expected
-        # case after the constructor warmed the group) is counted as
-        # repro_precompute_hits_total{kind="fixed-base-table"}; a miss
-        # rebuilds and is counted loudly as such.
-        get_precompute_service().warm_group(self.config.resolved_group())
         endpoint.note_session(session_id, kind)
         metrics = obs.get_metrics()
         if metrics.enabled:

@@ -19,11 +19,7 @@ import pytest
 from repro.core.classification.linear import classify_linear
 from repro.core.classification.nonlinear import classify_nonlinear
 from repro.core.ompe import OMPEFunction, execute_ompe
-from repro.core.ompe.compose import (
-    cached_composition,
-    clear_composition_cache,
-    composition_cache_stats,
-)
+from repro.core.ompe.compose import clear_composition_cache, composition_cache_stats
 from repro.core.similarity import boundary
 from repro.core.similarity.linear import evaluate_similarity_private
 from repro.math import fastpath

@@ -345,7 +345,7 @@ class TestRecordShape:
     def test_wrong_number_of_blinded_keys(self, group, rng, count):
         sender = KOfNSender(group, rng.fork("s"))
         setup = sender.setup(2)
-        point = group.exp_g(5)
+        point = group.exp(group.g, 5)
         choice = OTChoice(session=setup.session, blinded_keys=(point,) * count)
         with pytest.raises(ObliviousTransferError, match="2 blinded keys"):
             sender.transfer([b"a", b"b", b"c"], choice)

@@ -11,11 +11,12 @@ schedule two ways:
   must be byte-identical to the protocol's, from 1-of-1 to 9-of-81 and
   in the batched OMPE's shape (``batch`` queries of ``k`` choices each
   over ``batch · M`` slots);
-* counting wrappers around ``SchnorrGroup.exp`` / ``exp_g`` pin the
-  public-key work: ``k + 3`` sender and ``3k`` receiver exponentiations
-  per transfer whatever the slot count, 69 for one linear similarity
-  pair and 69 for one kernel pair, whose centroid and normal OMPEs run
-  over the kernel's monomial map at degree 1.
+* a counting wrapper around ``SchnorrGroup.exp``, the one
+  exponentiation entry point, pins the public-key work: ``k + 3``
+  sender and ``3k`` receiver exponentiations per transfer whatever the
+  slot count, 69 for one linear similarity pair and 69 for one kernel
+  pair, whose centroid and normal OMPEs run over the kernel's monomial
+  map at degree 1.
 """
 
 import random
@@ -127,27 +128,26 @@ class TestOracle:
         assert received == [messages[bit]]
 
     def test_known_log_step_matches_variable_base(self, group):
-        """``S = g^{-rc}`` from the generator table is ``w^{-r}``."""
+        """``S = g^{-rc}`` as a power of ``g`` is ``w^{-r}``."""
         draw = ReproRandom(11)
         for _ in range(8):
             c = group.random_exponent(draw)
             r = group.random_exponent(draw)
-            w = group.exp_g(c)
-            assert group.exp_g(-r * c) == group.exp(w, -r) == pow(w, -r, group.p)
+            w = group.exp(group.g, c)
+            assert group.exp(group.g, -r * c) == group.exp(w, -r) == pow(w, -r, group.p)
 
 
 @pytest.fixture
 def exp_calls(monkeypatch):
-    """Count every ``SchnorrGroup.exp`` / ``exp_g`` call by name."""
+    """Count every ``SchnorrGroup.exp`` call."""
     counts = Counter()
-    for name in ("exp", "exp_g"):
-        original = getattr(SchnorrGroup, name)
+    original = SchnorrGroup.exp
 
-        def counted(self, *args, _name=name, _original=original):
-            counts[_name] += 1
-            return _original(self, *args)
+    def counted(self, *args):
+        counts["exp"] += 1
+        return original(self, *args)
 
-        monkeypatch.setattr(SchnorrGroup, name, counted)
+    monkeypatch.setattr(SchnorrGroup, "exp", counted)
     return counts
 
 
@@ -190,7 +190,7 @@ class TestOperationCounts:
         choice = receiver.choose(sender.setup(1), [slots // 2], slots)
         exp_calls.clear()
         transfer = sender.transfer(slot_keys(slots), choice)
-        assert exp_calls == {"exp": 1, "exp_g": 2}
+        assert exp_calls == {"exp": 3}
         exp_calls.clear()
         receiver.retrieve(transfer)
         assert exp_calls == {"exp": 1}
@@ -200,23 +200,23 @@ class TestOperationCounts:
         sender = KOfNSender(group, ReproRandom(1))
         receiver = KOfNReceiver(group, ReproRandom(2))
         setup = sender.setup(k)
-        assert exp_calls == {"exp_g": 1}
-        exp_calls.clear()
+        setup_exps = exp_calls.pop("exp")
         choice = receiver.choose(setup, list(range(0, 2 * k, 2)), 27)
-        assert exp_calls == {"exp": k, "exp_g": k}
-        exp_calls.clear()
+        choose_exps = exp_calls.pop("exp")
         transfer = sender.transfer(slot_keys(27), choice)
-        assert exp_calls == {"exp": k, "exp_g": 2}
-        exp_calls.clear()
+        transfer_exps = exp_calls.pop("exp")
         receiver.retrieve(transfer)
-        assert exp_calls == {"exp": k}
+        retrieve_exps = exp_calls.pop("exp")
+        assert (setup_exps, choose_exps, transfer_exps, retrieve_exps) == (1, 2 * k, k + 2, k)
+        assert setup_exps + transfer_exps == k + 3
+        assert choose_exps + retrieve_exps == 3 * k
 
     def test_linear_similarity_pair(self, group, exp_calls, kdf_calls):
         # Two dot-product OMPEs (m=3 covers of M=9 pairs) and one area
         # OMPE (m=9, M=27).  Each transfer costs the sender m + 3 and
         # the receiver 3m: (3+3) + (3+3) + (9+3) = 24 and 3 * 15 = 45,
         # so 69 in all: 15 (sender K_j) + 30 (receiver w^σ, R^k)
-        # variable-base and 9 + 15 fixed-base.  Each evaluation is
+        # of other bases and 9 + 15 of g.  Each evaluation is
         # sealed once (9 + 9 + 27 = 45) and its key padded once per row
         # (3*9 + 3*9 + 9*27 = 297); the pads hash inline, so ``kdf``
         # runs only for the 45 wraps and 15 unwraps, twice each.
@@ -228,8 +228,7 @@ class TestOperationCounts:
                 config=config,
                 seed=2016,
             )
-        assert sum(exp_calls.values()) == 69
-        assert exp_calls == {"exp": 45, "exp_g": 24}
+        assert exp_calls == {"exp": 69}
         assert len(kdf_calls) == 120
         transfers = tracer.find("ot.transfer")
         assert sum(span.attributes["sessions"] for span in transfers) == 15
@@ -239,7 +238,8 @@ class TestOperationCounts:
     def test_kernel_similarity_pair(self, group, exp_calls, monkeypatch):
         # Degree-3 kernels run OMPE #1 and #2 over the monomial map, as
         # degree-1 OMPEs: the linear pair's (3, 9), (3, 9), (9, 27)
-        # transfers, 45 variable-base and 24 fixed-base, 69 in all.
+        # transfers, 45 exponentiations of other bases and 24 of g, 69
+        # in all.
         # Each transfer checks the sender's m points V_j and the
         # receiver's w and R: (3+2) + (3+2) + (9+2) = 21 membership checks.
         checks = []
@@ -254,6 +254,5 @@ class TestOperationCounts:
         evaluate_similarity_private(
             _kernel_model(1), _kernel_model(2), MetricParams(), config=config, seed=3
         )
-        assert exp_calls == {"exp": 45, "exp_g": 24}
-        assert sum(exp_calls.values()) == 69
+        assert exp_calls == {"exp": 69}
         assert len(checks) == 21

@@ -94,7 +94,7 @@ class TestTampering:
     def test_foreign_ephemeral_point(self, group, exchange):
         """Another member ``R`` keys every row wrongly: the MAC fails."""
         receiver, transfer = exchange
-        foreign = replace(transfer, ephemeral_point=group.exp_g(12345))
+        foreign = replace(transfer, ephemeral_point=group.exp(group.g, 12345))
         with pytest.raises(ObliviousTransferError, match="failed to authenticate"):
             receiver.retrieve(foreign)
 

@@ -189,51 +189,6 @@ class TestEngineDifferential:
         assert all(r.ok for r in report.results)
 
 
-class TestPrecomputeWarmth:
-    """Workers inherit warm generator tables from the parent — the PR 3
-    regression where every fork silently rebuilt the window-8 table is
-    pinned here as *zero worker-side builds after warmup*."""
-
-    def test_workers_never_rebuild_tables_after_warmup(
-        self, model, fast_config, samples
-    ):
-        report = run_engine(
-            model,
-            samples,
-            config=fast_config,
-            workers=2,
-            pool_size=4,
-            seed=SEED,
-        )
-        assert not report.failed
-        snapshot = report.metrics.snapshot()
-        # report.metrics holds only worker-side snapshots (the parent's
-        # own warmup build lives in the global registry), and workers
-        # zero the table counters right after fork — so any miss
-        # counted here is a rebuild inside a worker.  There must be none.
-        assert counter_total(snapshot, "repro_precompute_misses_total") == 0
-        builds = snapshot.get("repro_precompute_table_builds", {}).get(
-            "series", []
-        )
-        worker_builds = [
-            entry
-            for entry in builds
-            if entry["labels"].get("scope", "").startswith("worker-")
-        ]
-        assert worker_builds, "workers must export precompute gauges at drain"
-        assert all(entry["value"] == 0 for entry in worker_builds)
-        # ...and the inherited tables were actually exercised.
-        hits = snapshot.get("repro_precompute_table_hits", {}).get("series", [])
-        assert (
-            sum(
-                entry["value"]
-                for entry in hits
-                if entry["labels"].get("scope", "").startswith("worker-")
-            )
-            > 0
-        )
-
-
 class TestRetryAndTimeout:
     def test_injected_failures_retried(self, model, fast_config):
         with ProtocolEngine(

@@ -26,7 +26,6 @@ import pytest
 
 from repro import obs
 from repro.engine.engine import ProtocolEngine
-from repro.exceptions import ReproError
 from repro.ml.svm.model import make_linear_model
 from repro.net import wire
 from repro.net.service import (

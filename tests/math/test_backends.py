@@ -190,17 +190,6 @@ class TestPrimitiveParity:
             with pytest.raises(ValidationError, match="modulus must exceed 1"):
                 backend.invert(3, 1)
 
-    def test_mul_mod_matches_oracle(self):
-        rng = ReproRandom(2018)
-        group = fast_group()
-        for backend in _all_backends():
-            for _ in range(20):
-                a = rng.randint(0, group.p - 1)
-                b = rng.randint(0, group.p - 1)
-                result = backend.mul_mod(a, b, group.p)
-                assert result == (a * b) % group.p
-                assert type(result) is int
-
     def test_jacobi_matches_oracle(self):
         rng = ReproRandom(2019)
         group = fast_group()
@@ -222,13 +211,6 @@ class TestPrimitiveParity:
                 backend.jacobi(3, 8)
             with pytest.raises(ValidationError, match="odd positive"):
                 backend.jacobi(3, 0)
-
-    def test_lift_lower_round_trip(self):
-        value = 2**255 - 19
-        for backend in _all_backends():
-            lifted = backend.mpz(value)
-            assert backend.to_int(lifted) == value
-            assert type(backend.to_int(lifted)) is int
 
 
 @pytest.mark.parametrize(

@@ -17,12 +17,6 @@ from hypothesis import strategies as st
 
 from repro.exceptions import ValidationError
 from repro.math import fastpath
-from repro.math.groups import (
-    _FIXED_BASE_TABLE_CAP,
-    _FIXED_BASE_TABLES,
-    FixedBaseTable,
-    small_test_group,
-)
 from repro.math.interpolation import lagrange_at_zero
 from repro.math.multivariate import MultivariatePolynomial
 from repro.math.numtheory import jacobi_symbol
@@ -96,45 +90,6 @@ class TestGroupHotpaths:
             with fastpath.naive_arithmetic():
                 naive = group.contains(element)
             assert group.contains(element) == naive
-
-    def test_exp_g_matches_naive(self, group):
-        draw = ReproRandom(8)
-        for _ in range(30):
-            exponent = draw.randint(0, group.q - 1)
-            with fastpath.naive_arithmetic():
-                naive = group.exp_g(exponent)
-            assert group.exp_g(exponent) == naive
-
-    def test_fixed_base_table_matches_pow(self):
-        group = small_test_group()
-        table = FixedBaseTable(group.g, group.p, group.q.bit_length())
-        for exponent in [0, 1, 2, group.q - 1, 12345 % group.q]:
-            assert table.power(exponent) == pow(group.g, exponent, group.p)
-
-    def test_table_cache_keyed_by_parameters_not_identity(self):
-        # Two equal-parameter instances share one cache entry.
-        first = small_test_group()
-        second = small_test_group()
-        assert first is not second
-        assert first.fixed_base_table() is second.fixed_base_table()
-
-    def test_table_cache_bounded(self):
-        group = small_test_group()
-        group.fixed_base_table()
-        key = (group.p, group.q, group.g)
-        # Flood the cache with synthetic keys: the LRU must stay capped
-        # and evict the oldest entries first.
-        sentinel = FixedBaseTable(2, 1000003, 20)
-        for index in range(_FIXED_BASE_TABLE_CAP + 4):
-            _FIXED_BASE_TABLES[("synthetic", index)] = sentinel
-            while len(_FIXED_BASE_TABLES) > _FIXED_BASE_TABLE_CAP:
-                _FIXED_BASE_TABLES.popitem(last=False)
-        assert len(_FIXED_BASE_TABLES) <= _FIXED_BASE_TABLE_CAP
-        assert key not in _FIXED_BASE_TABLES
-        # A fresh request rebuilds transparently.
-        assert group.fixed_base_table().power(5) == pow(group.g, 5, group.p)
-        for index in range(_FIXED_BASE_TABLE_CAP + 4):
-            _FIXED_BASE_TABLES.pop(("synthetic", index), None)
 
 
 coefficients_st = st.lists(mixed_st, min_size=1, max_size=7)

@@ -116,59 +116,25 @@ class TestEncoding:
             group.encode_element(group.p)
 
 
-class TestFixedBase:
-    def test_exp_g_matches_pow(self, group, rng):
+class TestGeneratorPower:
+    """``g^e`` is ``exp(g, e)``: the OT layer's only exponentiation."""
+
+    def test_exp_generator_matches_pow(self, group, rng):
         for _ in range(30):
             exponent = group.random_exponent(rng)
-            assert group.exp_g(exponent) == pow(group.g, exponent, group.p)
+            assert group.exp(group.g, exponent) == pow(group.g, exponent, group.p)
 
-    def test_exp_g_zero_and_one(self, group):
-        assert group.exp_g(0) == 1
-        assert group.exp_g(1) == group.g
+    def test_exp_generator_zero_and_one(self, group):
+        assert group.exp(group.g, 0) == 1
+        assert group.exp(group.g, 1) == group.g
 
-    def test_exp_g_reduces_mod_q(self, group, rng):
+    def test_exp_generator_reduces_mod_q(self, group, rng):
         exponent = group.random_exponent(rng)
-        assert group.exp_g(exponent + group.q) == group.exp_g(exponent)
+        assert group.exp(group.g, exponent + group.q) == group.exp(group.g, exponent)
 
-    def test_table_direct(self, group, rng):
-        from repro.math.groups import FixedBaseTable
-
-        table = FixedBaseTable(group.g, group.p, group.q.bit_length(), window=4)
-        for _ in range(10):
-            exponent = group.random_exponent(rng)
-            assert table.power(exponent) == pow(group.g, exponent, group.p)
-
-    def test_table_rejects_negative(self, group):
-        from repro.math.groups import FixedBaseTable
-
-        table = FixedBaseTable(group.g, group.p, 16)
-        with pytest.raises(ValidationError):
-            table.power(-1)
-
-    def test_table_rejects_oversize(self, group):
-        from repro.math.groups import FixedBaseTable
-
-        table = FixedBaseTable(group.g, group.p, 8)
-        with pytest.raises(ValidationError):
-            table.power(1 << 20)
-
-    def test_table_rejects_bad_window(self, group):
-        from repro.math.groups import FixedBaseTable
-
-        with pytest.raises(ValidationError):
-            FixedBaseTable(group.g, group.p, 16, window=0)
-
-    def test_table_speedup(self, group, rng):
-        import time
-
-        exponents = [group.random_exponent(rng) for _ in range(200)]
-        group.exp_g(exponents[0])  # warm the cache
-        start = time.perf_counter()
-        for exponent in exponents:
-            pow(group.g, exponent, group.p)
-        pow_time = time.perf_counter() - start
-        start = time.perf_counter()
-        for exponent in exponents:
-            group.exp_g(exponent)
-        table_time = time.perf_counter() - start
-        assert table_time < pow_time
+    def test_exp_generator_negative_exponent(self, group, rng):
+        # The OT sender's S = g^{-r·c} is the inverse of (g^c)^r.
+        r, c = group.random_exponent(rng), group.random_exponent(rng)
+        step = group.exp(group.g, -r * c)
+        assert step == pow(group.g, (-r * c) % group.q, group.p)
+        assert group.mul(step, group.exp(group.exp(group.g, c), r)) == 1

@@ -8,7 +8,6 @@ an ``admin/metrics`` dump taken *mid-run* is consistent with the final
 snapshot for monotonic counters.
 """
 
-import json
 import threading
 
 import pytest
