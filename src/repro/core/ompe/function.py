@@ -59,26 +59,12 @@ class OMPEFunction:
 
     @classmethod
     def from_polynomial(cls, polynomial: MultivariatePolynomial) -> "OMPEFunction":
-        """Wrap an explicit multivariate polynomial.
-
-        Wrappers are memoized per polynomial (see
-        :mod:`repro.core.ompe.compose`): repeated runs over the same
-        polynomial — the three chained OMPE runs of the similarity
-        protocol, or a matching sweep reusing one reference model —
-        share a single function object and therefore its compiled
-        scaled-integer evaluation form.
-        """
-        from repro.core.ompe.compose import cached_composition
-
-        def build() -> "OMPEFunction":
-            degree = max(1, polynomial.total_degree)
-            return cls(
-                arity=polynomial.arity,
-                total_degree=degree,
-                evaluate=polynomial,
-            )
-
-        return cached_composition(polynomial, build)
+        """Wrap an explicit multivariate polynomial."""
+        return cls(
+            arity=polynomial.arity,
+            total_degree=max(1, polynomial.total_degree),
+            evaluate=polynomial,
+        )
 
     @classmethod
     def from_callable(

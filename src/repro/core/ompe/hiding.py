@@ -11,19 +11,19 @@ Every coordinate's coefficients are integer numerators over the
 one keyed BLAKE2b stream per hider set: the key comes from
 ``parent.seed``, the message is the label path ``prefix`` followed by
 the coordinate index and a block counter.  The nonzero leading
-numerator ``n_q`` is drawn first, then the ``q - 1`` middle ones.  With
-the hot path on, :class:`Hiders` keeps only those numerators ``n_j``
-and evaluates at a node ``x/y`` as::
+numerator ``n_q`` is drawn first, then the ``q - 1`` middle ones.
+:class:`Hiders` keeps only those numerators ``n_j`` and evaluates at a
+node ``x/y`` as::
 
     g(x/y) = (a·G·y^q + b·Σ n_j·x^j·y^(q-j)) / (b·G·y^q)
 
 for a constant term ``a/b`` and ``G = 10**6``, sharing the node's
 powers ``x^j·y^(q-j)`` across the vector and building one ``Fraction``
-per value.  :func:`repro.math.fastpath.naive_arithmetic` and the
-receiver pool build ``Polynomial`` objects from the same numerators
-(:func:`hiding_polynomials`), and the oracle evaluates them with
-``evaluate_all``.  Both give the same values, value types and bytes
-(``tests/core/test_hiding.py``).
+per value.  The online receiver and the receiver pool (Section VI-B.1,
+:mod:`repro.core.ompe.precompute`) both evaluate this form; the pool
+draws the numerators offline and supplies the constants at query
+time.  ``tests/core/test_hiding.py`` holds it to ``Polynomial`` objects
+built from the same numerators: same values, value types and bytes.
 
 :func:`check_points` is the senders' first step on a received points
 message: it refuses any value that is not a well-formed pair of numbers.
@@ -34,12 +34,11 @@ from __future__ import annotations
 import hashlib
 from fractions import Fraction
 from operator import mul
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.core.ompe.config import OMPEConfig
 from repro.exceptions import ProtocolAbort, ValidationError
-from repro.math import fastpath
-from repro.math.polynomials import Number, Polynomial, evaluate_all
+from repro.math.polynomials import Number
 from repro.utils.rng import _DEFAULT_FRACTION_GRID as LATTICE
 from repro.utils.rng import ReproRandom
 
@@ -59,30 +58,25 @@ _STREAM_PERSON = b"repro.hiders"
 class Hiders:
     """The hiding polynomials of one vector, ready to evaluate at nodes.
 
-    Build with :func:`draw_hiders`.  Holds either ``Polynomial`` objects
-    (naive arithmetic) or, in lattice form, per coordinate the
-    constant term as ``(a, b)`` and the numerators ``(n_q, n_1, ...,
-    n_(q-1))`` in draw order.
+    Per coordinate: the constant term as ``(a, b)`` and the lattice
+    numerators ``(n_q, n_1, ..., n_(q-1))`` in draw order.  Build with
+    :func:`draw_hiders`, or from a receiver pool's numerators.
     """
 
-    __slots__ = ("_polynomials", "_constants", "_numerators", "_degree")
+    __slots__ = ("_constants", "_numerators", "_degree")
 
     def __init__(
         self,
         degree: int,
-        polynomials: Optional[List[Polynomial]] = None,
-        constants: Sequence[Tuple[int, int]] = (),
-        numerators: Sequence[Sequence[int]] = (),
+        constants: Sequence[Tuple[int, int]],
+        numerators: Sequence[Sequence[int]],
     ) -> None:
         self._degree = degree
-        self._polynomials = polynomials
         self._constants = constants
         self._numerators = numerators
 
     def at(self, node: Number) -> Tuple[Number, ...]:
         """The vector ``(g_1(node), ..., g_n(node))``."""
-        if self._polynomials is not None:
-            return tuple(evaluate_all(self._polynomials, node))
         q = self._degree
         x, y = node.numerator, node.denominator
         # x^j·y^(q-j) in draw order: j = q first, then j = 1 .. q-1.
@@ -157,9 +151,11 @@ def lattice_numerators(
     return drawn
 
 
-def _lattice_numerators(
+def draw_numerators(
     parent: ReproRandom, prefix: tuple, count: int, config: OMPEConfig
 ) -> List[List[int]]:
+    """:func:`lattice_numerators` of ``count`` hiders for label path
+    ``prefix`` of ``parent``, at ``config``'s degree and bound."""
     return lattice_numerators(
         parent.seed,
         prefix,
@@ -169,38 +165,14 @@ def _lattice_numerators(
     )
 
 
-def hiding_polynomials(
-    parent: ReproRandom, prefix: tuple, constants: Sequence[Number], config: OMPEConfig
-) -> List[Polynomial]:
-    """``g_i`` with ``g_i(0) = constants[i]`` as ``Polynomial`` objects,
-    built from :func:`lattice_numerators`, the draw the lattice hot path
-    evaluates."""
-    numerators = _lattice_numerators(parent, prefix, len(constants), config)
-    return [
-        Polynomial(
-            [
-                constant,
-                *(Fraction(n, LATTICE) for n in middle),
-                Fraction(lead, LATTICE),
-            ]
-        )
-        for constant, (lead, *middle) in zip(constants, numerators)
-    ]
-
-
 def draw_hiders(
     parent: ReproRandom, prefix: tuple, constants: Sequence[Number], config: OMPEConfig
 ) -> Hiders:
     """Draw ``g_i`` with ``g_i(0) = constants[i]`` for label path ``prefix``."""
-    degree = config.security_degree
-    if not fastpath.enabled():
-        return Hiders(
-            degree, polynomials=hiding_polynomials(parent, prefix, constants, config)
-        )
     return Hiders(
-        degree,
+        config.security_degree,
         constants=[(c.numerator, c.denominator) for c in constants],
-        numerators=_lattice_numerators(parent, prefix, len(constants), config),
+        numerators=draw_numerators(parent, prefix, len(constants), config),
     )
 
 
@@ -213,17 +185,14 @@ def disguise_vector(
     config: OMPEConfig,
 ) -> Tuple[Number, ...]:
     """A disguise at ``node``: fresh hiders whose constant terms ``draw``
-    supplies (uniform on ``[-1, 1]``), drawn for label path ``prefix``
-    of ``parent`` as in :func:`draw_hiders`."""
-    if not fastpath.enabled():
-        constants = [draw.fraction(-1, 1) for _ in range(arity)]
-        return draw_hiders(parent, prefix, constants, config).at(node)
-    # ReproRandom.fraction(-1, 1) draws exactly this numerator over LATTICE.
+    supplies (uniform on ``[-1, 1]``, as ``draw.fraction(-1, 1)``),
+    drawn for label path ``prefix`` of ``parent`` as in
+    :func:`draw_hiders`."""
     constants = [(draw.randint(-LATTICE, LATTICE), LATTICE) for _ in range(arity)]
     hiders = Hiders(
         config.security_degree,
         constants=constants,
-        numerators=_lattice_numerators(parent, prefix, arity, config),
+        numerators=draw_numerators(parent, prefix, arity, config),
     )
     return hiders.at(node)
 

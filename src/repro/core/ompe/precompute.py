@@ -6,10 +6,11 @@ an OMPE run is independent of the actual query:
 
 * **Sender**: the masking polynomial ``h(u)`` (only its degree depends
   on the function), the amplifier ``r_a``, and the offset ``r_b``.
-* **Receiver**: the hiding polynomials can be precomputed as
-  *zero-constant* polynomials ``ĝ_i`` (at query time
-  ``g_i(v) = t̃_i + ĝ_i(v)`` fixes the constant term), plus the nodes
-  ``v_1..v_M``, the cover positions, and the full disguise vectors.
+* **Receiver**: the hiding polynomials' non-constant coefficients,
+  kept as their lattice numerators (at query time the secret
+  coordinates become the constant terms, so
+  ``g_i(v) = t̃_i + ĝ_i(v)``), plus the nodes ``v_1..v_M``, the cover
+  positions, and the full disguise vectors.
 
 :class:`SenderPool` and :class:`ReceiverPool` pre-generate batches of
 these bundles; the sender/receiver classes pop from them during the
@@ -26,7 +27,7 @@ from typing import List, Optional, Tuple
 
 from repro.core.ompe.config import OMPEConfig, draw_amplifier
 from repro.core.ompe.function import OMPEFunction
-from repro.core.ompe.hiding import disguise_vector, draw_nodes, hiding_polynomials
+from repro.core.ompe.hiding import disguise_vector, draw_nodes, draw_numerators
 from repro.exceptions import OMPEError, ValidationError
 from repro.math.polynomials import Number, Polynomial
 from repro.utils.rng import ReproRandom
@@ -75,12 +76,14 @@ def draw_sender_bundle(
 class ReceiverBundle:
     """One precomputed receiver randomness bundle.
 
-    ``zero_hiders[i]`` is a degree-q polynomial with zero constant term;
-    the online phase adds the secret coordinate.  ``disguises`` maps the
-    non-cover positions to ready-made disguise vectors.
+    ``numerators[i]`` holds hider ``i``'s lattice numerators
+    ``(n_q, n_1, ..., n_(q-1))`` (:func:`~repro.core.ompe.hiding.lattice_numerators`);
+    the online phase supplies the secret coordinate as its constant
+    term.  ``disguises`` maps the non-cover positions to ready-made
+    disguise vectors.
     """
 
-    zero_hiders: Tuple[Polynomial, ...]
+    numerators: Tuple[Tuple[int, ...], ...]
     nodes: Tuple[Number, ...]
     cover_positions: Tuple[int, ...]
     disguises: Tuple[Optional[Tuple[Number, ...]], ...]
@@ -164,7 +167,9 @@ class ReceiverPool:
         self._bundles: List[ReceiverBundle] = []
         for index in range(count):
             draw = rng.fork("bundle", index)
-            zero_hiders = tuple(hiding_polynomials(draw, ("g",), [0] * arity, config))
+            numerators = tuple(
+                tuple(row) for row in draw_numerators(draw, ("g",), arity, config)
+            )
             nodes = tuple(draw_nodes(draw.fork("nodes"), pair_count, config))
             positions = tuple(
                 draw.fork("positions").sample_indices(pair_count, cover_count)
@@ -188,7 +193,7 @@ class ReceiverPool:
                 )
             self._bundles.append(
                 ReceiverBundle(
-                    zero_hiders=zero_hiders,
+                    numerators=numerators,
                     nodes=nodes,
                     cover_positions=positions,
                     disguises=tuple(disguises),

@@ -26,11 +26,11 @@ from typing import List, Optional, Sequence
 from repro import obs
 from repro.core.ompe.config import OMPEConfig
 from repro.core.ompe.function import as_exact_vector
-from repro.core.ompe.hiding import points_message
+from repro.core.ompe.hiding import Hiders, points_message
 from repro.crypto.ot.k_of_n import KOfNReceiver
 from repro.exceptions import OMPEError, ProtocolAbort
 from repro.math.interpolation import lagrange_at_zero
-from repro.math.polynomials import Number, evaluate_all
+from repro.math.polynomials import Number
 from repro.net.party import Party
 from repro.utils.rng import ReproRandom
 from repro.utils.serialization import decode_value
@@ -127,18 +127,14 @@ class OMPEReceiver(Party):
             span.set(hiders=0)  # drawn offline with the pool
             with self.timings.measure("receiver/randomize"):
                 bundle = self.pool.pop()
-                hiders = [
-                    hider.shift(constant)
-                    for hider, constant in zip(bundle.zero_hiders, self.input_vector)
-                ]
+                hiders = Hiders(
+                    self.pool.config.security_degree,
+                    constants=[(c.numerator, c.denominator) for c in self.input_vector],
+                    numerators=bundle.numerators,
+                )
                 pairs = []
-                for index, node in enumerate(bundle.nodes):
-                    disguise = bundle.disguises[index]
-                    if disguise is None:
-                        # Shared node power tables across the n hiders.
-                        vector = tuple(evaluate_all(hiders, node))
-                    else:
-                        vector = disguise
+                for node, disguise in zip(bundle.nodes, bundle.disguises):
+                    vector = hiders.at(node) if disguise is None else disguise
                     pairs.append((node, vector))
                 self._nodes = list(bundle.nodes)
                 self._cover_positions = list(bundle.cover_positions)

@@ -34,26 +34,23 @@ def snap_vector(values: Sequence[float]) -> Tuple[Fraction, ...]:
 
 
 def exact_dot(first: Sequence[Fraction], second: Sequence[Fraction]) -> Fraction:
-    """Exact dot product.
+    """Exact dot product of two rational vectors.
 
-    Hot path: rescale each vector onto a common denominator once, take
-    the integer dot product, normalise once — instead of a ``Fraction``
-    multiply-add (with gcd) per coordinate.  Same canonical value.
+    Each vector is rescaled onto a common denominator once; one integer
+    dot product and one normalising ``Fraction`` give the canonical
+    value of the ``Fraction`` multiply-add, without its per-coordinate
+    gcd.
     """
     if len(first) != len(second):
         raise ValidationError(
             f"dot product of mismatched lengths {len(first)} and {len(second)}"
         )
-    if fastpath.enabled():
-        scaled_a = fastpath.scale_to_integers(first)
-        if scaled_a is not None:
-            scaled_b = fastpath.scale_to_integers(second)
-            if scaled_b is not None:
-                numerator = sum(
-                    a * b for a, b in zip(scaled_a[0], scaled_b[0])
-                )
-                return Fraction(numerator, scaled_a[1] * scaled_b[1])
-    return sum((a * b for a, b in zip(first, second)), Fraction(0))
+    scaled_a = fastpath.scale_to_integers(first)
+    scaled_b = fastpath.scale_to_integers(second)
+    if scaled_a is None or scaled_b is None:
+        raise ValidationError("exact_dot takes int or Fraction coordinates")
+    numerator = sum(map(mul, scaled_a[0], scaled_b[0]))
+    return Fraction(numerator, scaled_a[1] * scaled_b[1])
 
 
 @dataclass(frozen=True)

@@ -78,15 +78,13 @@ class DotForm:
     """``y ↦ constant + Σ_i weights_i · y_i``: Alice's OMPE #1/#2 function.
 
     ``numerators`` and ``constant_numerator`` are the weights and the
-    constant over one common ``denominator``.  With the hot path on, an
-    exact point evaluates as one rescale onto its own common
-    denominator, one integer dot product and one ``Fraction``; otherwise
-    (and for a float point) the plain loop over the nonzero weights
-    runs.  Both give the same value and the same type.
+    constant over one common ``denominator``.  A point (int or
+    ``Fraction`` coordinates, as :func:`~repro.core.ompe.hiding.check_points`
+    and :func:`~repro.core.ompe.function.as_exact_vector` guarantee)
+    evaluates as one rescale onto its own common denominator, one
+    integer dot product and one ``Fraction``.
     """
 
-    weights: Tuple[Fraction, ...]
-    constant: Fraction
     numerators: Tuple[int, ...]
     constant_numerator: int
     denominator: int
@@ -94,32 +92,26 @@ class DotForm:
     @classmethod
     def of(cls, weights: Sequence[Fraction], constant: Fraction = Fraction(0)):
         numerators, denominator, _ = fastpath.scale_to_integers((constant, *weights))
-        return cls(tuple(weights), constant, numerators[1:], numerators[0], denominator)
+        return cls(numerators[1:], numerators[0], denominator)
 
-    def __call__(self, point: Sequence[Number]) -> Number:
-        if len(point) != len(self.weights):
+    def __call__(self, point: Sequence[Number]) -> Fraction:
+        if len(point) != len(self.numerators):
             raise ValidationError(
-                f"point has {len(point)} coordinates, expected {len(self.weights)}"
+                f"point has {len(point)} coordinates, expected {len(self.numerators)}"
             )
-        if fastpath.enabled():
-            scaled = fastpath.scale_to_integers(point)
-            if scaled is not None:
-                values, den, _ = scaled
-                return Fraction(
-                    self.constant_numerator * den
-                    + sum(map(mul, self.numerators, values)),
-                    self.denominator * den,
-                )
-        total = self.constant
-        for weight, value in zip(self.weights, point):
-            if weight:
-                total = total + weight * value
-        return total
+        scaled = fastpath.scale_to_integers(point)
+        if scaled is None:
+            raise ValidationError("a dot-form point takes int or Fraction coordinates")
+        values, den, _ = scaled
+        return Fraction(
+            self.constant_numerator * den + sum(map(mul, self.numerators, values)),
+            self.denominator * den,
+        )
 
     def function(self) -> OMPEFunction:
-        """The degree-1 OMPE function over ``len(weights)`` inputs."""
+        """The degree-1 OMPE function, one input per weight."""
         return OMPEFunction.from_callable(
-            arity=len(self.weights), total_degree=1, evaluate=self
+            arity=len(self.numerators), total_degree=1, evaluate=self
         )
 
 

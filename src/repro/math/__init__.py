@@ -2,11 +2,9 @@
 
 from repro.math.groups import SchnorrGroup, default_group, fast_group, generate_group
 from repro.math.interpolation import (
-    clear_zero_weight_cache,
     lagrange_at_zero,
     lagrange_interpolate,
     newton_interpolate,
-    zero_weight_cache_stats,
 )
 from repro.math.multinomial import (
     compositions,
@@ -41,9 +39,7 @@ __all__ = [
     "default_group",
     "fast_group",
     "generate_group",
-    "clear_zero_weight_cache",
     "lagrange_at_zero",
-    "zero_weight_cache_stats",
     "lagrange_interpolate",
     "newton_interpolate",
     "compositions",

@@ -1,43 +1,33 @@
-"""Global switch and shared helpers for the hot-path arithmetic engine.
+"""Shared helpers of the exact-arithmetic hot paths.
 
-The protocol stack carries two parallel arithmetic implementations:
+The protocol stack runs one arithmetic: Jacobi subgroup membership and
+scaled-integer evaluation of rational polynomials, which rescales the
+operands onto a common denominator, works in plain integers and builds
+a single ``Fraction`` at the end.  Each hot path gives the same value
+and the same Python type as the ``Fraction`` operator arithmetic it
+replaces, so transcripts, labels and similarity values are those of
+the plain arithmetic on the same seeds.  The plain loops live on as
+test-local oracles (``tests/reference.py``); ``tests/math/test_fastpath.py``
+and ``tests/core/test_hotpath_differential.py`` hold the hot paths to
+them, and ``benchmarks/bench_hotpath_arith.py`` times each primitive
+against an inline reference.  Floats, which the polynomial classes
+accept but no protocol path passes, fall through to the plain loop
+via :data:`MISS`.
 
-* the **naive reference** — the ``e^q mod p`` subgroup membership
-  test and :class:`fractions.Fraction` operator arithmetic everywhere.
-  This is the seed implementation, retained verbatim as the
-  correctness oracle;
-* the **hot path** — Jacobi membership tests and scaled-integer
-  evaluation of rational polynomials that defers the single
-  ``Fraction`` normalisation to the very end.
-
-Every hot path is *output-identical* to the naive reference: same
-answers out of the group layer, same (canonically normalised)
-``Fraction`` values out of the polynomial layer, and therefore the same
-protocol transcripts, labels, and similarity values on the same seeds.
-``tests/core/test_hotpath_differential.py`` pins that guarantee and
-``benchmarks/bench_hotpath_arith.py`` measures the gap.
-
-The switch is process-global: :func:`naive_arithmetic` flips it for
-the enclosed block (benchmarks and differential tests).
-
-Underneath the switch sits a second, orthogonal axis: the **bignum
-backend** (:mod:`repro.math.fastpath.backends`).  Modular
-exponentiation, inversion and the Jacobi symbol (``powmod``,
-``invert``, ``jacobi``) always run on the active
-:class:`BignumBackend`, switch or no switch — pure CPython by default
-(the oracle), GMP via ``gmpy2`` when importable, else GMP via the
-system libgmp through ctypes (``gmp``) when it loads; any of them can
-be forced with ``REPRO_BIGNUM_BACKEND``.  All backends are
-bit-identical, and the python backend is the one copy of those
-algorithms.
+Modular exponentiation, inversion and the Jacobi symbol (``powmod``,
+``invert``, ``jacobi``) run on the active **bignum backend**
+(:mod:`repro.math.fastpath.backends`): pure CPython (the oracle), GMP
+via ``gmpy2`` when importable, else GMP via the system libgmp through
+ctypes (``gmp``) when it loads; any of them can be forced with
+``REPRO_BIGNUM_BACKEND``.  All backends are bit-identical, and the
+python backend is the one copy of those algorithms.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from fractions import Fraction
 from math import lcm
-from typing import Iterator, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from repro.math.fastpath.backends import (  # noqa: F401 - re-exported API
     BignumBackend,
@@ -53,28 +43,8 @@ from repro.math.fastpath.backends import (  # noqa: F401 - re-exported API
     use_backend,
 )
 
-_ENABLED = True
-
-
-def enabled() -> bool:
-    """True when the hot-path arithmetic engine is active."""
-    return _ENABLED
-
-
-@contextmanager
-def naive_arithmetic() -> Iterator[None]:
-    """Run the enclosed block on the naive reference arithmetic."""
-    global _ENABLED
-    previous = _ENABLED
-    _ENABLED = False
-    try:
-        yield
-    finally:
-        _ENABLED = previous
-
-
 #: Sentinel returned by fast evaluators when the input shape is not
-#: rational (floats, symbolic values) and the naive path must run.
+#: rational (floats, symbolic values) and the plain loop must run.
 MISS = object()
 
 
@@ -100,7 +70,7 @@ def scale_to_integers(
     ``value[i] == numerators[i] / common_denominator`` exactly, or
     ``None`` when any value is not an int/Fraction.  ``has_fraction``
     records whether any input was a :class:`Fraction` *instance* — the
-    naive path's result type depends on that, not on the denominator.
+    plain arithmetic's result type depends on that, not on the denominator.
     """
     has_fraction = False
     for value in values:

@@ -1,4 +1,4 @@
-"""Pluggable bignum backends for the hot-path arithmetic engine.
+"""Pluggable bignum backends for the exact-arithmetic hot paths.
 
 Group exponentiation, modular inversion, Jacobi membership and the
 Paillier CRT / ``r^n`` randomizers all bottom out in three bignum
@@ -32,9 +32,7 @@ Selection order:
 Miller–Rabin), :meth:`repro.math.groups.SchnorrGroup.exp` and the
 Paillier cipher's modular exponentiations dispatch into the active
 backend unconditionally, so :class:`PythonBackend` holds the one
-pure-Python copy of those algorithms;
-:func:`repro.math.fastpath.naive_arithmetic` does not change which
-backend runs them.
+pure-Python copy of those algorithms.
 """
 
 from __future__ import annotations

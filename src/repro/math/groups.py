@@ -63,10 +63,9 @@ class SchnorrGroup:
         For a safe prime ``p = 2q + 1`` the order-``q`` subgroup is
         exactly the set of quadratic residues, so membership is a
         Jacobi-symbol computation (gcd-like, ~5x cheaper than the
-        ``e^q mod p`` test).  The naive ``pow`` test is retained as the
-        reference and used when the hot path is disabled; both agree on
-        every input (``p ≡ 3 mod 4``, so ``-1`` is a non-residue and
-        ``p - 1`` is correctly excluded by either test).  Anything that
+        ``e^q mod p`` test, which the tests keep as the oracle; the two
+        agree on every input, and ``p ≡ 3 mod 4`` makes ``-1`` a
+        non-residue, so ``p - 1`` is excluded by either).  Anything that
         is not an ``int`` — ``bool``, ``Fraction``, ``float``, ``str`` —
         is not an element, so a decoded hostile value is refused here
         rather than failing inside the arithmetic.
@@ -75,9 +74,7 @@ class SchnorrGroup:
             return False
         if not 0 < element < self.p:
             return False
-        if fastpath.enabled():
-            return jacobi_symbol(element, self.p) == 1
-        return pow(element, self.q, self.p) == 1
+        return jacobi_symbol(element, self.p) == 1
 
     def exp(self, base: int, exponent: int) -> int:
         """Return ``base ** exponent mod p`` on the active bignum backend.

@@ -10,9 +10,8 @@ tests and the privacy analysis.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from fractions import Fraction
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.exceptions import InterpolationError
 from repro.math import fastpath
@@ -54,95 +53,38 @@ def lagrange_interpolate(
     return result
 
 
-#: Capacity of the zero-basis weight cache.  One entry per distinct node
-#: set; a batched/pooled run revisits node sets whenever seeds repeat
-#: (benchmark reruns, engine drains, drift checks on fixed workloads).
-_ZERO_WEIGHT_CACHE_CAP = 512
-
-_ZERO_WEIGHT_CACHE: "OrderedDict[Tuple[Number, ...], Tuple[Number, ...]]" = (
-    OrderedDict()
-)
-_ZERO_WEIGHT_STATS: Dict[str, int] = {"hits": 0, "misses": 0}
-
-
-def _zero_basis_weights(xs: Tuple[Number, ...]) -> Tuple[Number, ...]:
+def _zero_basis_weights(xs: Sequence[Number]) -> Tuple[Number, ...]:
     """Lagrange basis weights at ``v = 0``: ``w_j = Π_{i≠j} x_i/(x_i - x_j)``.
 
-    The weights depend only on the node set, never on the values, so
-    they are memoized per node tuple (bounded LRU).  Exact arithmetic
-    makes a cache hit bit-identical to recomputation; the float path is
-    identical too because the multiplication order is preserved.
+    Rational nodes (two or more) take the integer form: rescaling the
+    nodes to ``n_i / D`` over a common denominator makes ``D`` cancel
+    out of every factor, so ``w_j = Π_{i≠j} n_i / Π_{i≠j} (n_i - n_j)``
+    — two integer product chains and one normalising ``Fraction`` per
+    weight instead of ``m - 1`` ``Fraction`` divisions.  Float nodes
+    (and a single node, whose weight stays the int ``1``) run the
+    division loop.
     """
-    cached = _ZERO_WEIGHT_CACHE.get(xs)
-    if cached is not None:
-        _ZERO_WEIGHT_STATS["hits"] += 1
-        try:
-            _ZERO_WEIGHT_CACHE.move_to_end(xs)
-        except KeyError:
-            pass  # concurrently evicted; the value in hand is still valid
-        return cached
-    _ZERO_WEIGHT_STATS["misses"] += 1
-    result = None
-    if fastpath.enabled() and len(xs) > 1:
-        result = _fast_zero_basis_weights(xs)
-    if result is None:
-        weights: List[Number] = []
-        for j, xj in enumerate(xs):
-            weight: Number = 1
-            for i, xi in enumerate(xs):
-                if i == j:
-                    continue
-                weight = weight * _divide(xi, xi - xj)
-            weights.append(weight)
-        result = tuple(weights)
-    _ZERO_WEIGHT_CACHE[xs] = result
-    while len(_ZERO_WEIGHT_CACHE) > _ZERO_WEIGHT_CACHE_CAP:
-        try:
-            _ZERO_WEIGHT_CACHE.popitem(last=False)
-        except KeyError:
-            break  # another thread emptied the cache under us
-    return result
-
-
-def _fast_zero_basis_weights(xs: Tuple[Number, ...]):
-    """Integer fast path for the zero-basis weights (rational nodes).
-
-    Rescaling the nodes to ``n_i / D`` over a common denominator makes
-    ``D`` cancel out of every factor, so
-    ``w_j = Π_{i≠j} n_i / Π_{i≠j} (n_i - n_j)`` — two integer product
-    chains and a single normalising ``Fraction`` per weight, instead of
-    ``m - 1`` Fraction divisions.  Returns ``None`` for non-rational
-    nodes (naive path handles those).
-    """
-    scaled = fastpath.scale_to_integers(xs)
-    if scaled is None:
-        return None
-    nodes, _, _ = scaled
+    scaled = fastpath.scale_to_integers(xs) if len(xs) > 1 else None
+    if scaled is not None:
+        nodes = scaled[0]
+        weights = []
+        for j, nj in enumerate(nodes):
+            numerator = 1
+            denominator = 1
+            for i, ni in enumerate(nodes):
+                if i != j:
+                    numerator *= ni
+                    denominator *= ni - nj
+            weights.append(Fraction(numerator, denominator))
+        return tuple(weights)
     weights = []
-    for j, nj in enumerate(nodes):
-        numerator = 1
-        denominator = 1
-        for i, ni in enumerate(nodes):
-            if i == j:
-                continue
-            numerator *= ni
-            denominator *= ni - nj
-        weights.append(Fraction(numerator, denominator))
+    for j, xj in enumerate(xs):
+        weight: Number = 1
+        for i, xi in enumerate(xs):
+            if i != j:
+                weight = weight * _divide(xi, xi - xj)
+        weights.append(weight)
     return tuple(weights)
-
-
-def clear_zero_weight_cache() -> None:
-    """Drop all cached zero-basis weights and reset hit/miss counters."""
-    _ZERO_WEIGHT_CACHE.clear()
-    _ZERO_WEIGHT_STATS["hits"] = 0
-    _ZERO_WEIGHT_STATS["misses"] = 0
-
-
-def zero_weight_cache_stats() -> Dict[str, int]:
-    """Current ``{"hits", "misses", "size"}`` of the weight cache."""
-    stats = dict(_ZERO_WEIGHT_STATS)
-    stats["size"] = len(_ZERO_WEIGHT_CACHE)
-    return stats
 
 
 def lagrange_at_zero(xs: Sequence[Number], ys: Sequence[Number]) -> Number:
@@ -152,16 +94,13 @@ def lagrange_at_zero(xs: Sequence[Number], ys: Sequence[Number]) -> Number:
     ``O(m^2)`` without constructing coefficients:
     ``B(0) = Σ_j y_j Π_{i≠j} x_i / (x_i - x_j)``.
 
-    The basis weights depend only on the nodes, so they are cached per
-    node set (see :func:`zero_weight_cache_stats`); repeated
-    reconstructions over the same nodes — batched conversations,
-    engine workers draining seeded workloads, benchmark reruns — pay
-    the ``O(m^2)`` division work once.
+    Every OMPE run draws fresh nodes, so the weights are computed per
+    call; nothing is memoized.
     """
     _check_nodes(xs, ys)
     if any(x == 0 for x in xs):
         raise InterpolationError("nodes must be nonzero to evaluate at zero")
-    weights = _zero_basis_weights(tuple(xs))
+    weights = _zero_basis_weights(xs)
     total: Number = 0
     for yj, weight in zip(ys, weights):
         if yj == 0:

@@ -30,7 +30,8 @@ class MultivariatePolynomial:
     onto a common denominator and each evaluation at a rational point
     becomes integer monomial products over shared per-variable power
     tables, normalised by a single final ``Fraction``.  Identical
-    values and result types to the naive reference.
+    values and result types to the plain term sum, which still runs
+    for floats and all-int evaluation.
     """
 
     __slots__ = ("_arity", "_terms", "_fast")
@@ -159,14 +160,14 @@ class MultivariatePolynomial:
         return form
 
     def _evaluate_fast(self, values: Tuple[Number, ...]):
-        """Scaled-integer evaluation; :data:`fastpath.MISS` → naive path.
+        """Scaled-integer evaluation; :data:`fastpath.MISS` → plain term sum.
 
         Writes each coordinate as ``a_i / b_i`` and computes
         ``N = Σ_t c_t · Π_i a_i^{e_i} · b_i^{E_i - e_i}`` over integers
         (``E_i`` the maximum exponent of variable ``i``), so the value
         is exactly ``N / (den · Π_i b_i^{E_i})`` — one ``Fraction``
         normalisation per evaluation.  Claims only the cases where the
-        naive reference would itself return a ``Fraction``.
+        plain term sum would itself return a ``Fraction``.
         """
         form = self._fast_form()
         if form is False:
@@ -177,8 +178,8 @@ class MultivariatePolynomial:
         fraction_result = has_fraction
         for axis, value in enumerate(values):
             if isinstance(value, Fraction):
-                # A Fraction coordinate only fractionalises the naive
-                # result if some term actually raises it to a power.
+                # A Fraction coordinate only fractionalises the plain
+                # term sum if some term actually raises it to a power.
                 if max_exponents[axis] > 0:
                     fraction_result = True
                 point_numerators.append(value.numerator)
@@ -189,7 +190,7 @@ class MultivariatePolynomial:
             else:
                 return fastpath.MISS
         if not fraction_result:
-            return fastpath.MISS  # all-int: naive evaluation is integer-only
+            return fastpath.MISS  # all-int: the term sum is integer-only
         a_power_tables = []
         b_power_tables = []
         total_denominator = common_den
@@ -227,10 +228,9 @@ class MultivariatePolynomial:
             raise ValidationError(
                 f"point has {len(values)} coordinates, expected {self._arity}"
             )
-        if fastpath.enabled():
-            value = self._evaluate_fast(values)
-            if value is not fastpath.MISS:
-                return value
+        value = self._evaluate_fast(values)
+        if value is not fastpath.MISS:
+            return value
         total: Number = 0
         for exponents, coefficient in self._terms.items():
             term = coefficient

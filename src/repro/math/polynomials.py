@@ -2,10 +2,9 @@
 
 The protocols manipulate univariate masking polynomials ``h(u)`` with
 ``h(0) = 0`` and per-coordinate hiding polynomials ``g_i(v)`` with
-``g_i(0) = t_i`` (paper Section IV).  Coefficients may be
-:class:`fractions.Fraction` for exact protocol arithmetic or ``float``
-for the numerical analyses (Taylor expansion, the Fig. 5 simulation);
-the class is agnostic.
+``g_i(0) = t_i`` (paper Section IV).  Protocol coefficients are
+:class:`fractions.Fraction`; the class also accepts ``float``
+coefficients and points, which take plain Horner.
 """
 
 from __future__ import annotations
@@ -30,9 +29,8 @@ class Polynomial:
     are lazily rescaled once onto a common denominator, after which
     every evaluation at a rational point is pure integer arithmetic
     with a single ``Fraction`` normalisation at the end — same value,
-    same result type as the naive Horner reference (which remains the
-    code path for floats, and whenever
-    :func:`repro.math.fastpath.enabled` is off).
+    same result type as plain Horner, which remains the code path for
+    floats and for all-int evaluation.
     """
 
     __slots__ = ("_coefficients", "_fast")
@@ -140,7 +138,7 @@ class Polynomial:
         """Scaled-integer form ``(numerators, common_den, has_fraction)``.
 
         Computed once per instance; ``False`` when any coefficient is
-        not an int/Fraction (floats stay on the naive path).
+        not an int/Fraction (floats stay on plain Horner).
         """
         form = self._fast
         if form is None:
@@ -150,14 +148,14 @@ class Polynomial:
         return form
 
     def _evaluate_fast(self, point: Number):
-        """Scaled-integer Horner; :data:`fastpath.MISS` → use naive path.
+        """Scaled-integer Horner; :data:`fastpath.MISS` → plain Horner.
 
-        Only claims the cases where the naive reference would produce a
+        Only claims the cases where plain Horner would produce a
         :class:`Fraction` (a Fraction coefficient or a Fraction point):
         the weighted Horner recurrence computes ``N = Σ c_j a^j b^(d-j)``
         over plain integers and normalises once via
         ``Fraction(N, den · b^d)``, which is exactly the canonical form
-        the naive operator chain arrives at.
+        the ``Fraction`` operator chain arrives at.
         """
         form = self._fast_form()
         if form is False:
@@ -185,10 +183,9 @@ class Polynomial:
 
     def __call__(self, point: Number) -> Number:
         """Evaluate via Horner's rule (integer fast path when rational)."""
-        if fastpath.enabled():
-            value = self._evaluate_fast(point)
-            if value is not fastpath.MISS:
-                return value
+        value = self._evaluate_fast(point)
+        if value is not fastpath.MISS:
+            return value
         result: Number = 0
         for coeff in reversed(self._coefficients):
             result = result * point + coeff
@@ -279,60 +276,3 @@ class Polynomial:
         """Return a copy with all coefficients as floats."""
         return Polynomial([float(c) for c in self._coefficients])
 
-
-def evaluate_all(polynomials: Sequence[Polynomial], point: Number) -> List[Number]:
-    """Evaluate several polynomials at one shared point.
-
-    The OMPE receiver evaluates all ``n`` hiding polynomials ``g_i`` at
-    each cover node ``v``; building the ``v^j`` (and denominator) power
-    tables once and reusing them across the batch beats ``n``
-    independent Horner runs.  Falls back to per-polynomial evaluation —
-    and therefore to the naive reference — for floats or when the hot
-    path is disabled.  Values and result types are identical either
-    way.
-    """
-    if not fastpath.enabled():
-        return [polynomial(point) for polynomial in polynomials]
-    if isinstance(point, Fraction):
-        a, b = point.numerator, point.denominator
-        point_is_fraction = True
-    elif isinstance(point, int) and not isinstance(point, bool):
-        a, b = point, 1
-        point_is_fraction = False
-    else:
-        return [polynomial(point) for polynomial in polynomials]
-    max_degree = 0
-    forms = []
-    for polynomial in polynomials:
-        form = polynomial._fast_form()
-        forms.append(form)
-        if form is not False:
-            max_degree = max(max_degree, len(form[0]) - 1)
-    a_powers = [1]
-    b_powers = [1]
-    for _ in range(max_degree):
-        a_powers.append(a_powers[-1] * a)
-        b_powers.append(b_powers[-1] * b)
-    results: List[Number] = []
-    for polynomial, form in zip(polynomials, forms):
-        if form is False:
-            results.append(polynomial(point))
-            continue
-        scaled, den, has_fraction = form
-        if not (has_fraction or point_is_fraction):
-            results.append(polynomial(point))  # all-int: naive is integer Horner
-            continue
-        degree = len(scaled) - 1
-        if b == 1:
-            total = sum(
-                coefficient * a_powers[index]
-                for index, coefficient in enumerate(scaled)
-            )
-            results.append(Fraction(total, den))
-        else:
-            total = sum(
-                coefficient * a_powers[index] * b_powers[degree - index]
-                for index, coefficient in enumerate(scaled)
-            )
-            results.append(Fraction(total, den * b_powers[degree]))
-    return results

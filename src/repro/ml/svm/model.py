@@ -250,14 +250,14 @@ class SVMModel:
 
     def _scaled_decision_values(self, exact_points) -> list:
         """Scaled-integer evaluation of ``d`` at every point (bit-identical
-        to the naive loop).
+        to the plain ``Fraction`` kernel loop).
 
         Each point is rescaled onto the lcm of its own denominators.
         For a polynomial kernel the points are stacked into one
         ``dtype=object`` matrix and every kernel value comes out of one
         matmul, so the arithmetic stays in Python ints and its
         summation order cannot change a value.  Every operand is a
-        snapped :class:`Fraction`, so the naive loop always returns a
+        snapped :class:`Fraction`, so the ``Fraction`` loop always returns a
         canonical ``Fraction``; one big integer numerator per point,
         normalised once, is that same canonical value.
         """
@@ -298,44 +298,22 @@ class SVMModel:
             )
         return values
 
-    def _naive_decision_value(self, exact_point) -> Fraction:
-        name, params = self.kernel_spec
-        duals = [_to_fraction(c) for c in self.dual_coefficients]
-        svs = [[_to_fraction(v) for v in row] for row in self.support_vectors]
-        total = _to_fraction(self.bias)
-        if name == "linear":
-            # Snap the collapsed weight vector (matching
-            # linear_decision_polynomial) so the two representations
-            # agree bit-for-bit.
-            weights = [_to_fraction(w) for w in self.weight_vector()]
-            for weight, coordinate in zip(weights, exact_point):
-                total += weight * coordinate
-            return total
-        if name in ("poly", "polynomial"):
-            degree = int(params.get("degree", 3))
-            a0 = _to_fraction(params.get("a0", 1.0))
-            b0 = _to_fraction(params.get("b0", 0.0))
-            for dual, sv in zip(duals, svs):
-                dot = sum(a * b for a, b in zip(sv, exact_point))
-                total += dual * (a0 * dot + b0) ** degree
-            return total
-        raise ValidationError(
-            f"exact evaluation unsupported for kernel {name!r}; "
-            "polynomialize it first (repro.math.taylor)"
-        )
-
     def exact_decision_values(self, points: Sequence[Sequence]) -> list:
         """Exact (Fraction) values of ``d`` at every point, in order.
 
         Coordinates are converted to :class:`Fraction` first (floats
-        exactly), so every point of a linear or polynomial model takes
-        the scaled-integer pass while the hot path is on; under
-        :func:`~repro.math.fastpath.naive_arithmetic` the plain
-        ``Fraction`` loop runs per point as the reference.
+        exactly), and every point of a linear or polynomial model takes
+        the scaled-integer pass; other kernels must be polynomialized
+        first.
         """
-        if fastpath.enabled() and self.kernel_spec[0] in ("linear", "poly", "polynomial"):
-            return self._scaled_decision_values([self._exact_point(p) for p in points])
-        return [self._naive_decision_value(self._exact_point(p)) for p in points]
+        exact_points = [self._exact_point(p) for p in points]
+        name = self.kernel_spec[0]
+        if name not in ("linear", "poly", "polynomial"):
+            raise ValidationError(
+                f"exact evaluation unsupported for kernel {name!r}; "
+                "polynomialize it first (repro.math.taylor)"
+            )
+        return self._scaled_decision_values(exact_points)
 
     def exact_decision_value(self, point: Sequence) -> Fraction:
         """Exact (Fraction) evaluation of ``d`` via the kernel form.

@@ -5,8 +5,8 @@ The OMPE senders evaluate their function once per points message
 decision value runs it as one ``dtype=object`` integer matmul with a
 single ``Fraction`` per point; Alice's kernel normal function, a dot
 product over the kernel's monomial map, costs one integer dot product
-and one ``Fraction`` per point.  These tests compare both with the plain ``Fraction`` loop that
-:func:`repro.math.fastpath.naive_arithmetic` runs, with exact equality
+and one ``Fraction`` per point.  These tests compare both with plain
+``Fraction`` loops (:mod:`tests.reference` and :func:`_plain_dot_form`), with exact equality
 and exact result types, on points whose numerators overflow any fixed
 width, and pin digests of small kernel classifications and a kernel
 similarity job.
@@ -32,10 +32,10 @@ from repro.core.similarity import (
     similarity_profile,
 )
 from repro.exceptions import ValidationError
-from repro.math import fastpath
 from repro.math.groups import fast_group
 from repro.ml.kernels import polynomial_kernel, rbf_kernel
 from repro.ml.svm.model import SVMModel, make_linear_model
+from tests import reference
 
 
 def _kernel_model(seed: int, svs: int, dimension: int, degree: int, b0: float) -> SVMModel:
@@ -75,9 +75,22 @@ def _fraction_points(seed: int, count: int, dimension: int, bits: int = 40) -> l
     ]
 
 
-def _naive_values(function, points) -> list:
-    with fastpath.naive_arithmetic():
-        return [function(point) for point in points]
+def _reference_values(model, points) -> list:
+    return [reference.decision_value(model, point) for point in points]
+
+
+def _plain_dot_form(form, point):
+    """``constant + Σ weight·y`` by ``Fraction`` multiply-add, skipping zero
+    weights, from the form's numerators over its denominator."""
+    total = Fraction(form.constant_numerator, form.denominator)
+    for numerator, value in zip(form.numerators, point):
+        if numerator:
+            total = total + Fraction(numerator, form.denominator) * value
+    return total
+
+
+def _normal_values(profile, points) -> list:
+    return [_plain_dot_form(profile.normal_form, point) for point in points]
 
 
 def _assert_identical(values, expected) -> None:
@@ -97,7 +110,7 @@ class TestDecisionValues:
             points = _fraction_points(degree + dimension, 21, dimension)
             values = model.exact_decision_values(points)
             assert all(type(value) is Fraction for value in values)
-            _assert_identical(values, _naive_values(model.exact_decision_value, points))
+            _assert_identical(values, _reference_values(model, points))
 
     def test_int_only_points(self):
         model = _kernel_model(5, 9, 4, 3, 0.5)
@@ -105,7 +118,7 @@ class TestDecisionValues:
         points = [tuple(rng.randint(-50, 50) for _ in range(4)) for _ in range(9)]
         values = model.exact_decision_values(points)
         assert all(type(value) is Fraction for value in values)
-        _assert_identical(values, _naive_values(model.exact_decision_value, points))
+        _assert_identical(values, _reference_values(model, points))
 
     @pytest.mark.parametrize("bits", [64, 300])
     def test_numerators_past_fixed_width(self, bits):
@@ -115,7 +128,7 @@ class TestDecisionValues:
         points = _fraction_points(bits, 7, 6, bits=bits)
         points.append(tuple(2**bits + index for index in range(6)))
         values = model.exact_decision_values(points)
-        _assert_identical(values, _naive_values(model.exact_decision_value, points))
+        _assert_identical(values, _reference_values(model, points))
 
     def test_float_coordinates(self):
         """Float mode: coordinates convert to exact fractions first."""
@@ -124,14 +137,14 @@ class TestDecisionValues:
         points = [tuple(rng.uniform(-1, 1) for _ in range(3)) for _ in range(5)]
         values = model.exact_decision_values(points)
         assert all(type(value) is Fraction for value in values)
-        _assert_identical(values, _naive_values(model.exact_decision_value, points))
+        _assert_identical(values, _reference_values(model, points))
 
     def test_linear_model(self):
         model = make_linear_model([0.25, -1.5, 3.0], 0.125)
         points = _fraction_points(8, 6, 3) + [(1, 2, 3)]
         _assert_identical(
             model.exact_decision_values(points),
-            _naive_values(model.exact_decision_value, points),
+            _reference_values(model, points),
         )
 
     def test_one_point_and_empty_message(self):
@@ -195,7 +208,7 @@ class TestKernelNormalBatch:
             points = _tau_points(bob, 9, degree * 10 + dimension)
             values = function.evaluate_all(points)
             assert all(type(value) is Fraction for value in values)
-            _assert_identical(values, _naive_values(function, points))
+            _assert_identical(values, _normal_values(alice, points))
             assert values[0] == exact_normal_inner(model_a, model_b)
 
     @pytest.mark.parametrize("bits", [64, 300])
@@ -205,21 +218,33 @@ class TestKernelNormalBatch:
         points = _tau_points(bob, 4, bits, bits=bits)
         arity = len(bob.normal_input)
         points.append((Fraction(2**bits + 1, 3),) + tuple(range(2**bits, 2**bits + arity - 1)))
-        _assert_identical(function.evaluate_all(points), _naive_values(function, points))
+        _assert_identical(function.evaluate_all(points), _normal_values(alice, points))
 
-    def test_float_point_takes_the_naive_loop(self):
-        """Each point takes its own path: a float-mode point runs the
-        plain loop and returns a float; int and ``Fraction`` points give
-        a ``Fraction`` either way."""
+    def test_float_point_is_refused(self):
+        """Int and ``Fraction`` points give a ``Fraction``; a float point
+        never reaches the form in a protocol run (``check_points`` refuses
+        it), and the form refuses it too."""
         alice, bob = _profiles(2, 0.5, 3, 4, 3)
         function = alice.normal_function()
         exact = tuple(bob.normal_input)
-        floats = tuple(float(value) for value in exact)
         ints = tuple(range(len(exact)))
-        points = [exact, floats, ints]
-        values = function.evaluate_all(points)
-        _assert_identical(values, _naive_values(function, points))
-        assert [type(value) for value in values] == [Fraction, float, Fraction]
+        values = function.evaluate_all([exact, ints])
+        _assert_identical(values, _normal_values(alice, [exact, ints]))
+        assert [type(value) for value in values] == [Fraction, Fraction]
+        with pytest.raises(ValidationError, match="int or Fraction"):
+            function(tuple(float(value) for value in exact))
+
+    @pytest.mark.parametrize("b0", [0.0, 0.5])
+    def test_centroid_form_matches_oracle(self, b0):
+        """OMPE #1's form carries the constant monomial's weight when
+        ``b0 ≠ 0``; the oracle adds it as a ``Fraction``."""
+        alice, bob = _profiles(3, b0, 3, 5, 4)
+        assert (alice.centroid_form.constant_numerator != 0) == (b0 != 0)
+        points = [tuple(bob.centroid_input)] + _fraction_points(
+            5, 4, len(bob.centroid_input)
+        )
+        expected = [_plain_dot_form(alice.centroid_form, point) for point in points]
+        _assert_identical(alice.centroid_function().evaluate_all(points), expected)
 
     def test_point_evaluator_is_the_one_point_batch(self):
         alice, bob = _profiles(3, 0.0, 4, 6, 5)

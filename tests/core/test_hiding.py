@@ -1,15 +1,16 @@
-"""Receiver points messages: lattice hiding polynomials ≡ the naive oracle.
+"""Receiver points messages: lattice hiding polynomials ≡ the ``Polynomial`` oracle.
 
 The OMPE receiver hides each input coordinate in a random degree-``q``
 polynomial and evaluates it at the ``M`` nodes of its points message
-(:mod:`repro.core.ompe.hiding`).  In exact mode the coefficients are
-integer numerators over the ``1/10**6`` lattice, drawn from one keyed
-BLAKE2b stream per hider set; the hot path evaluates them without
-building :class:`~fractions.Fraction` coefficients or
-:class:`~repro.math.polynomials.Polynomial` objects, and under
-:func:`repro.math.fastpath.naive_arithmetic` the same numerators go
-through ``Polynomial`` + ``evaluate_all``.  These tests hold the two to
-the same *bytes* (``encode_payload``) and the same value types, for the
+(:mod:`repro.core.ompe.hiding`).  The coefficients are integer
+numerators over the ``1/10**6`` lattice, drawn from one keyed BLAKE2b
+stream per hider set, and :class:`~repro.core.ompe.hiding.Hiders`
+evaluates them without building :class:`~fractions.Fraction`
+coefficients or :class:`~repro.math.polynomials.Polynomial` objects.
+The oracle here (:func:`hiding_polynomials` and :func:`oracle_pairs`)
+builds ``Polynomial`` objects from the same numerators and evaluates
+them by plain ``Fraction`` Horner.  These tests hold the two to the
+same *bytes* (``encode_payload``) and the same value types, for the
 online, batch and pooled receivers, pin the stream layout with
 known-answer digests, and check the sampler's range and uniformity.
 Known-answer digests also pin the online, pooled and batched senders'
@@ -35,14 +36,15 @@ from repro.core.ompe.sender import OMPESender
 from repro.core.similarity import (
     evaluate_similarity_private,
 )
-from repro.math import fastpath
 from repro.math.groups import fast_group
+from repro.math.polynomials import Polynomial
 from repro.ml.kernels import polynomial_kernel
 from repro.ml.svm.model import SVMModel, make_linear_model
 from repro.net.channel import Channel
 from repro.utils.rng import ReproRandom
 from repro.utils.serialization import encode_payload
 from repro.utils.timer import TimingRecorder
+from tests import reference
 
 KINDS = ("int", "fraction", "bigden")
 #: (q, arity, input kind): every security degree 1–4 against arities
@@ -247,11 +249,80 @@ class TestKnownAnswers:
         assert digest(GRIDS[grid]()) == KNOWN_ANSWERS[grid]
 
 
-def fast_and_naive(build):
-    fast = build()
-    with fastpath.naive_arithmetic():
-        naive = build()
-    return fast, naive
+def hiding_polynomials(parent, prefix, constants, config):
+    """``g_i`` with ``g_i(0) = constants[i]`` as ``Polynomial`` objects,
+    from the numerators the lattice form evaluates."""
+    numerators = hiding.draw_numerators(parent, prefix, len(constants), config)
+    return [
+        Polynomial(
+            [
+                constant,
+                *(Fraction(n, hiding.LATTICE) for n in middle),
+                Fraction(lead, hiding.LATTICE),
+            ]
+        )
+        for constant, (lead, *middle) in zip(constants, numerators)
+    ]
+
+
+def evaluate(polynomials, node) -> tuple:
+    return tuple(reference.horner(p.coefficients, node) for p in polynomials)
+
+
+def oracle_disguise(draw, parent, prefix, arity, node, config) -> tuple:
+    """:func:`hiding.disguise_vector` by way of ``Polynomial`` objects:
+    constants ``draw.fraction(-1, 1)``, hiders for ``prefix`` of ``parent``."""
+    constants = [draw.fraction(-1, 1) for _ in range(arity)]
+    return evaluate(hiding_polynomials(parent, prefix, constants, config), node)
+
+
+def oracle_pairs(vector, config, draw, cover_parent, disguise_parent, degree):
+    """One query's points message, rebuilt from ``draw``'s label tree:
+    covers from ``cover_parent``, the disguise at position ``i`` from
+    ``disguise_parent(disguise_draw, i)``."""
+    pair_count = config.pair_count(degree)
+    covers = hiding_polynomials(cover_parent, ("g",), vector, config)
+    nodes = hiding.draw_nodes(draw.fork("nodes"), pair_count, config)
+    positions = set(
+        draw.fork("positions").sample_indices(pair_count, config.cover_count(degree))
+    )
+    disguise_draw = draw.fork("disguises")
+    pairs = []
+    for index, node in enumerate(nodes):
+        if index in positions:
+            vector_at = evaluate(covers, node)
+        else:
+            parent, prefix = disguise_parent(disguise_draw, index)
+            vector_at = oracle_disguise(
+                disguise_draw, parent, prefix, len(vector), node, config
+            )
+        pairs.append((node, vector_at))
+    return tuple(pairs)
+
+
+def oracle_online(vector, config, degree, seed):
+    draw = ReproRandom(seed).fork("hide")
+    return oracle_pairs(
+        vector, config, draw, draw.fork("covers"),
+        lambda parent, index: (parent.fork("poly", index), ("g",)), degree,
+    )
+
+
+def _poly_prefix(parent, index):
+    return parent, ("poly", index)
+
+
+def oracle_batch(vectors, config, degree, seed):
+    queries = [ReproRandom(seed).fork("query", index) for index in range(len(vectors))]
+    return tuple(
+        oracle_pairs(vector, config, draw, draw, _poly_prefix, degree)
+        for vector, draw in zip(vectors, queries)
+    )
+
+
+def oracle_pooled(vector, config, degree, seed):
+    draw = ReproRandom(seed + 1).fork("bundle", 0)
+    return oracle_pairs(vector, config, draw, draw, _poly_prefix, degree)
 
 
 def assert_identical(fast, naive):
@@ -260,39 +331,31 @@ def assert_identical(fast, naive):
 
 
 class TestFastMatchesNaive:
+    """Each receiver's message against its ``Polynomial`` rebuild."""
+
     @pytest.mark.parametrize("q,arity,kind", SHAPES)
     def test_online(self, q, arity, kind):
-        fast, naive = fast_and_naive(
-            lambda: online_points(
-                inputs_for(kind, arity),
-                shape_config(q, arity),
-                shape_degree(q, arity),
-                seed=q * 100 + arity,
-            )
-        )
+        args = (inputs_for(kind, arity), shape_config(q, arity), shape_degree(q, arity))
+        fast = online_points(*args, seed=q * 100 + arity)
+        naive = oracle_online(*args, seed=q * 100 + arity)
         assert_identical(fast, naive)
         assert {type(v) for _, vector in fast for v in vector} == {Fraction}
 
     @pytest.mark.parametrize("q,arity", [(1, 1), (2, 2), (3, 17), (4, 84)])
     def test_batch(self, q, arity):
-        vectors = [inputs_for(kind, arity) for kind in KINDS]
-        fast, naive = fast_and_naive(
-            lambda: batch_points(
-                vectors, shape_config(q, arity), shape_degree(q, arity), seed=7 + q
-            )
+        args = (
+            [inputs_for(kind, arity) for kind in KINDS],
+            shape_config(q, arity),
+            shape_degree(q, arity),
         )
-        assert_identical(fast, naive)
+        assert_identical(batch_points(*args, seed=7 + q), oracle_batch(*args, seed=7 + q))
 
     @pytest.mark.parametrize(
         "q,arity,kind", [(1, 2, "int"), (2, 17, "bigden"), (4, 84, "fraction")]
     )
     def test_pooled(self, q, arity, kind):
-        fast, naive = fast_and_naive(
-            lambda: pooled_points(
-                inputs_for(kind, arity), shape_config(q, arity), shape_degree(q, arity), seed=q
-            )
-        )
-        assert_identical(fast, naive)
+        args = (inputs_for(kind, arity), shape_config(q, arity), shape_degree(q, arity))
+        assert_identical(pooled_points(*args, seed=q), oracle_pooled(*args, seed=q))
 
     def test_integer_constants_and_nodes(self):
         """Plain ``int`` constant terms and an ``int`` node take the lattice
@@ -300,29 +363,30 @@ class TestFastMatchesNaive:
         config = shape_config(2, 3)
         constants = (3, -1, 0)
         nodes = (Fraction(-5, 3), 2, Fraction(7, 1))
-
-        def build():
-            hiders = hiding.draw_hiders(ReproRandom(5), ("g",), constants, config)
-            covers = tuple(hiders.at(node) for node in nodes)
-            disguises = tuple(
+        hiders = hiding.draw_hiders(ReproRandom(5), ("g",), constants, config)
+        polynomials = hiding_polynomials(ReproRandom(5), ("g",), constants, config)
+        assert_identical(
+            tuple(hiders.at(node) for node in nodes),
+            tuple(evaluate(polynomials, node) for node in nodes),
+        )
+        for node in nodes:
+            assert_identical(
                 hiding.disguise_vector(
                     ReproRandom(6), ReproRandom(7), ("poly", 1), 3, node, config
-                )
-                for node in nodes
+                ),
+                oracle_disguise(
+                    ReproRandom(6), ReproRandom(7), ("poly", 1), 3, node, config
+                ),
             )
-            return covers, disguises
-
-        fast, naive = fast_and_naive(build)
-        assert_identical(fast, naive)
 
     def test_hot_path_builds_no_polynomials(self, monkeypatch):
-        """Exact mode with the hot path on never calls ``Polynomial.random``."""
+        """A points message never calls ``Polynomial.random``."""
 
         def refuse(*args, **kwargs):
             raise AssertionError("Polynomial.random on the lattice path")
 
         expected = online_points(inputs_for("fraction", 5), shape_config(2, 5), 2, seed=3)
-        monkeypatch.setattr(hiding.Polynomial, "random", refuse)
+        monkeypatch.setattr(Polynomial, "random", refuse)
         assert online_points(
             inputs_for("fraction", 5), shape_config(2, 5), 2, seed=3
         ) == expected
@@ -378,7 +442,7 @@ class TestLatticeSampler:
         config = OMPEConfig(coefficient_bound=5000, security_degree=3)
         high = 5000 * hiding.LATTICE
         assert 2 * high + 1 > 2**32
-        rows = hiding._lattice_numerators(ReproRandom(1), ("g",), 400, config)
+        rows = hiding.draw_numerators(ReproRandom(1), ("g",), 400, config)
         values = [abs(value) for row in rows for value in row]
         assert max(values) <= high
         assert max(values) > 2**32
@@ -388,19 +452,19 @@ class TestLatticeSampler:
         config = shape_config(2, 4)
         high = config.coefficient_bound * hiding.LATTICE
         parent = ReproRandom(seed)
-        rows = hiding._lattice_numerators(parent, ("g",), 4, config)
-        assert rows == hiding._lattice_numerators(ReproRandom(seed), ("g",), 4, config)
-        assert rows != hiding._lattice_numerators(ReproRandom(abs(seed) + 1), ("g",), 4, config)
+        rows = hiding.draw_numerators(parent, ("g",), 4, config)
+        assert rows == hiding.draw_numerators(ReproRandom(seed), ("g",), 4, config)
+        assert rows != hiding.draw_numerators(ReproRandom(abs(seed) + 1), ("g",), 4, config)
         assert all(row[0] != 0 and all(abs(n) <= high for n in row) for row in rows)
         if seed < 0:
-            assert rows != hiding._lattice_numerators(ReproRandom(-seed), ("g",), 4, config)
+            assert rows != hiding.draw_numerators(ReproRandom(-seed), ("g",), 4, config)
 
-        def build():
-            hiders = hiding.draw_hiders(parent, ("g",), inputs_for("fraction", 4), config)
-            return hiders.at(Fraction(-7, 3))
-
-        fast, naive = fast_and_naive(build)
-        assert_identical(fast, naive)
+        constants = inputs_for("fraction", 4)
+        hiders = hiding.draw_hiders(parent, ("g",), constants, config)
+        polynomials = hiding_polynomials(parent, ("g",), constants, config)
+        assert_identical(
+            hiders.at(Fraction(-7, 3)), evaluate(polynomials, Fraction(-7, 3))
+        )
 
 
 def kernel_model(rng: random.Random, svs: int = 12, dimension: int = 6, degree: int = 3):

@@ -1,16 +1,20 @@
-"""End-to-end differential tests: hot path ≡ naive reference.
+"""End-to-end differential tests: the hot paths against plain oracles.
 
-The acceptance contract of the hot-path arithmetic engine is that every
-protocol — OMPE, private classification, private similarity — produces
-*bit-identical* output on the same seeds with the optimizations on or
-off: identical transcripts (every message payload), identical labels,
-identical randomized values, identical ``T²``.  These tests are the
-enforcement.
+Every protocol runs on the scaled-integer hot paths.  These tests hold
+their outputs to plaintext oracles in ``Fraction`` arithmetic
+(:mod:`tests.reference`): an OMPE value is exactly ``r_a·P(α) + r_b``,
+a classification label is the sign of the exact decision value (and,
+unamplified, the value itself), and a private ``T²`` equals Eq. (6)
+over the snapped geometry.  A rerun on the same seed repeats every
+transcript byte for byte; the digests in ``test_hiding.py``,
+``test_kernel_integer.py``, ``test_batch_evaluation.py`` and the
+linear similarity tests pin those bytes across changes.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -19,14 +23,13 @@ import pytest
 from repro.core.classification.linear import classify_linear
 from repro.core.classification.nonlinear import classify_nonlinear
 from repro.core.ompe import OMPEFunction, execute_ompe
-from repro.core.ompe.compose import clear_composition_cache, composition_cache_stats
-from repro.core.similarity import boundary
+from repro.core.similarity import MetricParams, boundary
 from repro.core.similarity.linear import evaluate_similarity_private
-from repro.math import fastpath
 from repro.math.multivariate import MultivariatePolynomial
 from repro.ml.kernels import polynomial_kernel
 from repro.ml.svm.model import SVMModel, make_linear_model
 from repro.utils.rng import ReproRandom
+from tests import reference
 
 
 def transcript_messages(report):
@@ -46,6 +49,14 @@ def make_poly_model(seed, n_sv=6, dim=3, degree=2):
     )
 
 
+def exact_sample(sample):
+    return [Fraction(float(value)) for value in sample]
+
+
+def label_of(value) -> float:
+    return 1.0 if value >= 0 else -1.0
+
+
 class TestOMPEDifferential:
     @pytest.mark.parametrize("seed,amplify,offset", [
         (11, True, False),
@@ -53,14 +64,11 @@ class TestOMPEDifferential:
         (13, False, False),
     ])
     def test_transcripts_identical(self, fast_config, seed, amplify, offset):
-        polynomial = MultivariatePolynomial(
-            2,
-            {(2, 0): Fraction(3, 7), (1, 1): Fraction(-2, 5), (0, 0): Fraction(1, 3)},
-        )
+        terms = {(2, 0): Fraction(3, 7), (1, 1): Fraction(-2, 5), (0, 0): Fraction(1, 3)}
+        polynomial = MultivariatePolynomial(2, terms)
         point = (Fraction(1, 3), Fraction(-2, 7))
 
         def run():
-            clear_composition_cache()
             return execute_ompe(
                 OMPEFunction.from_polynomial(polynomial),
                 point,
@@ -70,97 +78,84 @@ class TestOMPEDifferential:
                 offset=offset,
             )
 
-        fast = run()
-        with fastpath.naive_arithmetic():
-            naive = run()
-        assert fast.value == naive.value
-        assert type(fast.value) is type(naive.value)
-        assert fast.amplifier == naive.amplifier
-        assert fast.offset == naive.offset
-        assert transcript_messages(fast.report) == transcript_messages(naive.report)
+        first, second = run(), run()
+        expected = first.amplifier * reference.term_sum(terms, point) + first.offset
+        assert first.value == expected
+        assert type(first.value) is Fraction
+        assert (first.amplifier == 1) is not amplify
+        assert (first.offset == 0) is not offset
+        assert second.value == first.value
+        assert transcript_messages(second.report) == transcript_messages(first.report)
 
 
 class TestClassificationDifferential:
     def test_nonlinear_direct_identical(self, fast_config):
         model = make_poly_model(3)
         sample = np.random.default_rng(4).uniform(-1, 1, size=model.dimension)
-        outcomes = {}
-        for mode in ("fast", "naive"):
-            clear_composition_cache()
-            if mode == "naive":
-                with fastpath.naive_arithmetic():
-                    out = classify_nonlinear(model, sample, config=fast_config, seed=21)
-            else:
-                out = classify_nonlinear(model, sample, config=fast_config, seed=21)
-            outcomes[mode] = out
-        fast, naive = outcomes["fast"], outcomes["naive"]
-        assert fast.label == naive.label
-        assert fast.randomized_value == naive.randomized_value
-        assert transcript_messages(fast.report) == transcript_messages(naive.report)
+        expected = reference.decision_value(model, exact_sample(sample))
+        out = classify_nonlinear(model, sample, config=fast_config, seed=21)
+        assert out.label == label_of(expected)
+        assert out.randomized_value / expected > 0
+        clear = classify_nonlinear(
+            model, sample, config=fast_config, seed=21, amplify=False
+        )
+        assert clear.randomized_value == expected
+        again = classify_nonlinear(model, sample, config=fast_config, seed=21)
+        assert again.randomized_value == out.randomized_value
+        assert transcript_messages(again.report) == transcript_messages(out.report)
 
     def test_nonlinear_monomial_identical(self, fast_config):
         model = make_poly_model(5, n_sv=4, dim=2, degree=2)
         sample = np.random.default_rng(6).uniform(-1, 1, size=2)
-        clear_composition_cache()
-        fast = classify_nonlinear(
+        expected = reference.decision_value(model, exact_sample(sample))
+        monomial = classify_nonlinear(
             model, sample, config=fast_config, seed=22, method="monomial"
         )
-        clear_composition_cache()
-        with fastpath.naive_arithmetic():
-            naive = classify_nonlinear(
-                model, sample, config=fast_config, seed=22, method="monomial"
-            )
-        assert fast.label == naive.label
-        assert fast.randomized_value == naive.randomized_value
-        assert transcript_messages(fast.report) == transcript_messages(naive.report)
+        direct = classify_nonlinear(model, sample, config=fast_config, seed=22)
+        assert monomial.label == direct.label == label_of(expected)
+        # Same seed, same amplifier: the two representations of d agree.
+        assert monomial.randomized_value == direct.randomized_value
+        clear = classify_nonlinear(
+            model, sample, config=fast_config, seed=22, method="monomial",
+            amplify=False,
+        )
+        assert clear.randomized_value == expected
 
     def test_linear_identical(self, fast_config):
         model = make_linear_model([0.6, -0.3, 0.2], 0.05)
         sample = [0.4, 0.1, -0.8]
-        clear_composition_cache()
-        fast = classify_linear(model, sample, config=fast_config, seed=23)
-        clear_composition_cache()
-        with fastpath.naive_arithmetic():
-            naive = classify_linear(model, sample, config=fast_config, seed=23)
-        assert fast.label == naive.label
-        assert fast.randomized_value == naive.randomized_value
-        assert transcript_messages(fast.report) == transcript_messages(naive.report)
+        expected = reference.decision_value(model, exact_sample(sample))
+        out = classify_linear(model, sample, config=fast_config, seed=23)
+        assert out.label == label_of(expected)
+        assert out.randomized_value / expected > 0
+        clear = classify_linear(model, sample, config=fast_config, seed=23, amplify=False)
+        assert clear.randomized_value == expected
+        again = classify_linear(model, sample, config=fast_config, seed=23)
+        assert transcript_messages(again.report) == transcript_messages(out.report)
 
 
 class TestSimilarityDifferential:
     def test_linear_t_squared_identical(self, fast_config):
         model_a = make_linear_model([0.5, -0.25, 0.75], 0.1)
         model_b = make_linear_model([0.4, -0.2, 0.9], -0.05)
-        clear_composition_cache()
-        fast = evaluate_similarity_private(model_a, model_b, config=fast_config, seed=31)
-        clear_composition_cache()
-        with fastpath.naive_arithmetic():
-            naive = evaluate_similarity_private(
-                model_a, model_b, config=fast_config, seed=31
-            )
-        assert fast.t_squared == naive.t_squared
-        assert fast.t == naive.t
-        for name in fast.reports:
-            assert transcript_messages(fast.reports[name]) == transcript_messages(
-                naive.reports[name]
+        out = evaluate_similarity_private(model_a, model_b, config=fast_config, seed=31)
+        assert out.t_squared == reference.t_squared(model_a, model_b, MetricParams())
+        assert out.t == math.sqrt(out.t_squared)
+        again = evaluate_similarity_private(model_a, model_b, config=fast_config, seed=31)
+        for name in out.reports:
+            assert transcript_messages(again.reports[name]) == transcript_messages(
+                out.reports[name]
             )
 
     def test_nonlinear_t_squared_identical(self, fast_config):
         model_a = make_poly_model(1, n_sv=4, dim=2, degree=2)
         model_b = make_poly_model(2, n_sv=4, dim=2, degree=2)
-        clear_composition_cache()
-        fast = evaluate_similarity_private(
-            model_a, model_b, config=fast_config, seed=32
-        )
-        clear_composition_cache()
-        with fastpath.naive_arithmetic():
-            naive = evaluate_similarity_private(
-                model_a, model_b, config=fast_config, seed=32
-            )
-        assert fast.t_squared == naive.t_squared
-        for name in fast.reports:
-            assert transcript_messages(fast.reports[name]) == transcript_messages(
-                naive.reports[name]
+        out = evaluate_similarity_private(model_a, model_b, config=fast_config, seed=32)
+        assert out.t_squared == reference.t_squared(model_a, model_b, MetricParams())
+        again = evaluate_similarity_private(model_a, model_b, config=fast_config, seed=32)
+        for name in out.reports:
+            assert transcript_messages(again.reports[name]) == transcript_messages(
+                out.reports[name]
             )
 
 
@@ -170,21 +165,19 @@ class TestModelFastPath:
         draw = ReproRandom(8)
         for _ in range(10):
             point = [draw.fraction(-2, 2) for _ in range(3)]
-            fast = model.exact_decision_value(point)
-            with fastpath.naive_arithmetic():
-                naive = model.exact_decision_value(point)
-            assert fast == naive
-            assert type(fast) is type(naive)
+            value = model.exact_decision_value(point)
+            expected = reference.decision_value(model, point)
+            assert value == expected
+            assert type(value) is type(expected)
 
     def test_exact_decision_value_matches_naive_linear(self):
         model = make_linear_model([0.3, -0.7, 0.2, 0.9], -0.1)
         draw = ReproRandom(9)
         for _ in range(10):
             point = [draw.fraction(-2, 2) for _ in range(4)]
-            fast = model.exact_decision_value(point)
-            with fastpath.naive_arithmetic():
-                naive = model.exact_decision_value(point)
-            assert fast == naive
+            assert model.exact_decision_value(point) == reference.decision_value(
+                model, point
+            )
 
     def test_matches_decision_polynomial(self):
         model = make_poly_model(10, n_sv=4, dim=2, degree=2)
@@ -193,40 +186,6 @@ class TestModelFastPath:
         for _ in range(5):
             point = (draw.fraction(-1, 1), draw.fraction(-1, 1))
             assert model.exact_decision_value(point) == polynomial(point)
-
-
-class TestCompositionCache:
-    def test_from_polynomial_memoized(self):
-        clear_composition_cache()
-        polynomial = MultivariatePolynomial(2, {(1, 0): Fraction(1, 2)})
-        first = OMPEFunction.from_polynomial(polynomial)
-        second = OMPEFunction.from_polynomial(polynomial)
-        assert first is second
-        stats = composition_cache_stats()
-        assert stats["hits"] >= 1
-
-    def test_equal_polynomials_share_entry(self):
-        clear_composition_cache()
-        first = OMPEFunction.from_polynomial(
-            MultivariatePolynomial(2, {(1, 1): Fraction(2, 3)})
-        )
-        second = OMPEFunction.from_polynomial(
-            MultivariatePolynomial(2, {(1, 1): Fraction(2, 3)})
-        )
-        assert first is second
-
-    def test_naive_mode_bypasses_cache(self):
-        clear_composition_cache()
-        polynomial = MultivariatePolynomial(1, {(1,): Fraction(1, 2)})
-        with fastpath.naive_arithmetic():
-            first = OMPEFunction.from_polynomial(polynomial)
-            second = OMPEFunction.from_polynomial(polynomial)
-        assert first is not second
-
-    def test_clear_resets(self):
-        clear_composition_cache()
-        stats = composition_cache_stats()
-        assert stats["hits"] == 0 and stats["misses"] == 0
 
 
 class TestBoundaryScanDifferential:

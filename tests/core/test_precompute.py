@@ -65,8 +65,10 @@ class TestReceiverPool:
     def test_bundle_shape(self, fast_config, rng):
         pool = ReceiverPool(fast_config, 2, 1, 3, rng)
         bundle = pool.pop()
-        assert len(bundle.zero_hiders) == 2
-        assert all(g(0) == 0 for g in bundle.zero_hiders)
+        # One row of q lattice numerators per coordinate, lead n_q ≠ 0.
+        assert len(bundle.numerators) == 2
+        q = fast_config.security_degree
+        assert all(len(row) == q and row[0] != 0 for row in bundle.numerators)
         assert len(bundle.nodes) == fast_config.pair_count(1)
         assert len(bundle.cover_positions) == fast_config.cover_count(1)
         assert len(set(bundle.nodes)) == len(bundle.nodes)
