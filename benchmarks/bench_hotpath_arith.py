@@ -2,8 +2,8 @@
 
 Times each exact-arithmetic and crypto hot path against an explicit
 reference written out in this file (C ``pow`` for membership, a
-per-byte generator for the XOR, ``Fraction`` multiply-add for the dot
-product, ``Fraction`` Horner for polynomial evaluation, the textbook
+per-byte generator for the XOR, ``Fraction`` Horner for polynomial
+evaluation, the textbook
 ``λ`` path of a key without its factors for Paillier decryption, a
 direct draw for the randomizer), asserts the two give the same output,
 and writes the table to the ``arith`` section of ``BENCH_hotpath.json``
@@ -32,7 +32,6 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from fractions import Fraction
 from pathlib import Path
 
 try:
@@ -43,7 +42,6 @@ except ImportError:  # direct execution from a source checkout
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from artifact import BENCH_DIR, BENCH_SEED, update_artifact
-from repro.core.similarity.exact import exact_dot
 from repro.crypto.hashing import _xor
 from repro.crypto.paillier import (
     PaillierCipher,
@@ -131,22 +129,6 @@ def run_micro_benchmarks(quick=False):
         _time_loop(xor_bytes, iterations), _time_loop(xor_int, iterations),
         _xor(data, keystream) == bytes(a ^ b for a, b in zip(data, keystream)),
         note="big-int XOR vs per-byte generator, 1 KiB payload",
-    ))
-
-    vector_a = [draw.fraction(-5, 5) for _ in range(32)]
-    vector_b = [draw.fraction(-5, 5) for _ in range(32)]
-
-    def dot_fast():
-        return exact_dot(vector_a, vector_b)
-
-    def dot_reference():
-        return sum((a * b for a, b in zip(vector_a, vector_b)), Fraction(0))
-
-    rows.append(_micro_row(
-        "exact_dot_32", 32,
-        _time_loop(dot_reference, iterations), _time_loop(dot_fast, iterations),
-        dot_fast() == dot_reference(),
-        note="scaled-integer vs Fraction multiply-add",
     ))
 
     coefficients = [draw.fraction(-3, 3) for _ in range(9)]

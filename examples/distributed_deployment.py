@@ -4,14 +4,15 @@
 The other examples focus on the cryptography; this one exercises the
 deployment substrate:
 
-1. an N-party :class:`~repro.net.network.Network` with aggregate
-   byte/latency accounting across a partner-matching tournament;
-2. a long-lived :class:`PrivateClassificationSession` with precomputed
+1. security budgeting with the entropy estimator and the analytic cost
+   model, before any protocol bytes flow;
+2. an N-party partner-matching tournament
+   (:func:`~repro.core.similarity.run_matching`) with aggregate byte
+   accounting across its pairwise runs;
+3. a long-lived :class:`PrivateClassificationSession` with precomputed
    randomness serving a query stream;
-3. fault injection — a lossy channel makes the protocol abort loudly
-   (never hang, never return silently wrong answers);
-4. security budgeting with the entropy estimator and the analytic cost
-   model, before any protocol bytes flow.
+4. fault injection — a lossy channel makes the protocol abort loudly
+   (never hang, never return silently wrong answers).
 
 Run:  python examples/distributed_deployment.py
 """

@@ -33,26 +33,6 @@ def snap_vector(values: Sequence[float]) -> Tuple[Fraction, ...]:
     return tuple(snap(v) for v in values)
 
 
-def exact_dot(first: Sequence[Fraction], second: Sequence[Fraction]) -> Fraction:
-    """Exact dot product of two rational vectors.
-
-    Each vector is rescaled onto a common denominator once; one integer
-    dot product and one normalising ``Fraction`` give the canonical
-    value of the ``Fraction`` multiply-add, without its per-coordinate
-    gcd.
-    """
-    if len(first) != len(second):
-        raise ValidationError(
-            f"dot product of mismatched lengths {len(first)} and {len(second)}"
-        )
-    scaled_a = fastpath.scale_to_integers(first)
-    scaled_b = fastpath.scale_to_integers(second)
-    if scaled_a is None or scaled_b is None:
-        raise ValidationError("exact_dot takes int or Fraction coordinates")
-    numerator = sum(map(mul, scaled_a[0], scaled_b[0]))
-    return Fraction(numerator, scaled_a[1] * scaled_b[1])
-
-
 @dataclass(frozen=True)
 class ScaledModel:
     """A kernel model's duals and support vectors over common integers.

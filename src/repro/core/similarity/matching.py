@@ -7,8 +7,7 @@ pairwise tournament: every pair runs the two-party private similarity
 protocol, each party sees only its own row of T values, and picks the
 argmin.  This module orchestrates the tournament, aggregates the
 communication cost across all pairwise runs, and reports the stable
-best-match structure.  (For topology-level accounting across many
-channels, see :class:`~repro.net.network.Network`.)
+best-match structure.
 """
 
 from __future__ import annotations
@@ -49,19 +48,6 @@ class MatchingResult:
     best_match: Dict[str, str]
     mutual_matches: List[Pair]
     total_bytes: int
-
-    def partner_ranking(self, party: str) -> List[Tuple[str, float]]:
-        """All potential partners of ``party``, closest first."""
-        rankings = []
-        for (a, b), value in self.t_values.items():
-            if party == a:
-                rankings.append((b, value))
-            elif party == b:
-                rankings.append((a, value))
-        if not rankings:
-            raise ValidationError(f"{party!r} is not part of this matching")
-        return sorted(rankings, key=lambda item: item[1])
-
 
 def _normalized_pair(first: str, second: str) -> Pair:
     return (first, second) if first <= second else (second, first)

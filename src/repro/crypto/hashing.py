@@ -77,12 +77,3 @@ def unwrap_message(
         return None
     keystream = kdf(key_material, len(ciphertext), context + b"|stream")
     return _xor(ciphertext, keystream)
-
-
-def hash_to_bytes(*parts: bytes) -> bytes:
-    """Collision-resistant hash of a sequence of byte strings."""
-    digest = hashlib.sha256()
-    for part in parts:
-        digest.update(len(part).to_bytes(8, "big"))
-        digest.update(part)
-    return digest.digest()

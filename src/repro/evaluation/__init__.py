@@ -5,7 +5,6 @@ from repro.evaluation.harness import (
     ExperimentResult,
     available_experiments,
     run_experiment,
-    write_metrics_snapshot,
 )
 from repro.evaluation.report import render_markdown, render_text, run_all
 
@@ -13,7 +12,6 @@ __all__ = [
     "ExperimentResult",
     "available_experiments",
     "run_experiment",
-    "write_metrics_snapshot",
     "render_markdown",
     "render_text",
     "run_all",

@@ -9,7 +9,6 @@ result containers and the registry that maps experiment ids to runners
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Sequence
 
@@ -107,17 +106,3 @@ def run_experiment(experiment_id: str, **kwargs) -> ExperimentResult:
     if metrics.enabled and result.metrics is None:
         result = replace(result, metrics=metrics.snapshot())
     return result
-
-
-def write_metrics_snapshot(result: ExperimentResult, path: str) -> bool:
-    """Write a result's attached metrics snapshot as JSON.
-
-    Returns ``False`` (writing nothing) when the experiment ran without
-    a live registry.
-    """
-    if result.metrics is None:
-        return False
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(result.metrics, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    return True

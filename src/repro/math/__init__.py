@@ -1,6 +1,6 @@
 """Mathematical substrate: exact algebra, number theory, statistics."""
 
-from repro.math.groups import SchnorrGroup, default_group, fast_group, generate_group
+from repro.math.groups import SchnorrGroup, default_group, fast_group
 from repro.math.interpolation import (
     lagrange_at_zero,
     lagrange_interpolate,
@@ -12,13 +12,10 @@ from repro.math.multinomial import (
     degree_p_basis,
     mixed_degree_basis,
     multinomial_coefficient,
-    transform_point,
 )
 from repro.math.linalg import exact_determinant, exact_solve, fit_affine_exact
 from repro.math.multivariate import MultivariatePolynomial
 from repro.math.numtheory import (
-    crt_combine,
-    extended_gcd,
     generate_prime,
     generate_safe_prime,
     is_probable_prime,
@@ -38,7 +35,6 @@ __all__ = [
     "SchnorrGroup",
     "default_group",
     "fast_group",
-    "generate_group",
     "lagrange_at_zero",
     "lagrange_interpolate",
     "newton_interpolate",
@@ -47,13 +43,10 @@ __all__ = [
     "degree_p_basis",
     "mixed_degree_basis",
     "multinomial_coefficient",
-    "transform_point",
     "MultivariatePolynomial",
     "exact_determinant",
     "exact_solve",
     "fit_affine_exact",
-    "crt_combine",
-    "extended_gcd",
     "generate_prime",
     "generate_safe_prime",
     "is_probable_prime",

@@ -48,19 +48,6 @@ from repro.math.fastpath.backends import (  # noqa: F401 - re-exported API
 MISS = object()
 
 
-def rational_parts(value) -> Optional[Tuple[int, int]]:
-    """Return ``(numerator, denominator)`` for int/Fraction, else None.
-
-    Booleans are rejected: they are ``int`` subclasses but never valid
-    protocol values (serialization refuses them too).
-    """
-    if isinstance(value, Fraction):
-        return value.numerator, value.denominator
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value, 1
-    return None
-
-
 def scale_to_integers(
     values: Sequence,
 ) -> Optional[Tuple[Tuple[int, ...], int, bool]]:

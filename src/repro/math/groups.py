@@ -14,16 +14,10 @@ Parameter sizes here are tunable: tests and benchmarks use small groups
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.exceptions import ValidationError
 from repro.math import fastpath
-from repro.math.numtheory import (
-    generate_safe_prime,
-    is_probable_prime,
-    jacobi_symbol,
-    modular_inverse,
-)
+from repro.math.numtheory import is_probable_prime, jacobi_symbol
 from repro.utils.rng import ReproRandom
 from repro.utils.serialization import register_payload_type
 
@@ -92,14 +86,6 @@ class SchnorrGroup:
         """Group multiplication."""
         return (a * b) % self.p
 
-    def inv(self, element: int) -> int:
-        """Group inverse."""
-        return modular_inverse(element, self.p)
-
-    def div(self, a: int, b: int) -> int:
-        """Return ``a / b`` in the group."""
-        return self.mul(a, self.inv(b))
-
     def random_exponent(self, rng: ReproRandom) -> int:
         """Uniform exponent in ``[1, q - 1]``."""
         return rng.randint(1, self.q - 1)
@@ -118,19 +104,6 @@ class SchnorrGroup:
         if not 0 < element < self.p:
             raise ValidationError("element out of range for encoding")
         return element.to_bytes(self.element_bytes, "big")
-
-
-def generate_group(bits: int, rng: Optional[ReproRandom] = None) -> SchnorrGroup:
-    """Generate a fresh Schnorr group with a ``bits``-bit safe prime."""
-    rng = rng or ReproRandom()
-    p = generate_safe_prime(bits, rng)
-    q = (p - 1) // 2
-    # Squaring any element lands in the order-q subgroup; avoid the identity.
-    while True:
-        h = rng.randint(2, p - 2)
-        g = pow(h, 2, p)
-        if g != 1:
-            return SchnorrGroup(p=p, q=q, g=g)
 
 
 # Precomputed safe primes so callers do not pay generation cost at
@@ -165,9 +138,3 @@ def default_group() -> SchnorrGroup:
 def fast_group() -> SchnorrGroup:
     """Return a shared 256-bit group — fast, for tests and benchmarks."""
     return _cached_group(_P_256)
-
-
-def small_test_group() -> SchnorrGroup:
-    """A tiny (64-bit) group for fast unit tests — NOT secure."""
-    rng = ReproRandom(2016)
-    return generate_group(64, rng)

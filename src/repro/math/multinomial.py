@@ -7,8 +7,9 @@ Paper Section IV-B expands the polynomial kernel decision function
 
 and treats each monomial ``Π t_i^ki`` as a fresh variable ``τ_j``.  This
 module enumerates the exponent vectors (weak compositions of ``p`` into
-``n`` parts), computes multinomial coefficients, and performs the
-``t → τ`` transform in both directions.
+``n`` parts), computes multinomial coefficients, and evaluates single
+monomials; :mod:`repro.core.classification.transform` builds the
+``t → τ`` transform from them.
 """
 
 from __future__ import annotations
@@ -95,13 +96,6 @@ def monomial_value(point: Sequence[Number], exponents: Exponents) -> Number:
         if exponent:
             value = value * coordinate**exponent
     return value
-
-
-def transform_point(
-    point: Sequence[Number], exponent_basis: Sequence[Exponents]
-) -> List[Number]:
-    """Map ``t`` to ``τ = (monomial_j(t))_j`` — the IV-B client transform."""
-    return [monomial_value(point, exponents) for exponents in exponent_basis]
 
 
 def degree_p_basis(dimension: int, degree: int) -> List[Exponents]:

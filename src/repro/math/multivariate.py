@@ -5,9 +5,7 @@ for linear SVMs, degree ``p`` for polynomial-kernel SVMs after the
 monomial expansion of paper Section IV-B).  This module represents such
 polynomials sparsely as ``{exponent_tuple: coefficient}`` maps and
 supports the operations the protocols need: evaluation, addition,
-scaling, multiplication, substitution of univariate polynomials for
-each variable (the step that turns ``d(G(v))`` into a univariate
-polynomial in ``v``), and exponent-vector iteration.
+scaling, multiplication and exponent-vector iteration.
 """
 
 from __future__ import annotations
@@ -17,7 +15,7 @@ from typing import Dict, Mapping, Sequence, Tuple, Union
 
 from repro.exceptions import ValidationError
 from repro.math import fastpath
-from repro.math.polynomials import Number, Polynomial
+from repro.math.polynomials import Number
 
 Exponents = Tuple[int, ...]
 
@@ -293,40 +291,6 @@ class MultivariatePolynomial:
         """Return ``self + value``."""
         return self + MultivariatePolynomial.constant(self._arity, value)
 
-    # -- substitution -------------------------------------------------------------
-
-    def substitute_univariate(
-        self, replacements: Sequence[Polynomial]
-    ) -> Polynomial:
-        """Substitute a univariate polynomial for each variable.
-
-        Given ``G(v) = (g_1(v), ..., g_n(v))`` this returns the
-        univariate polynomial ``self(g_1(v), ..., g_n(v))`` — the
-        algebraic heart of the OMPE receiver's correctness argument:
-        its degree is ``total_degree * max_i deg(g_i)``.
-        """
-        replacements = list(replacements)
-        if len(replacements) != self._arity:
-            raise ValidationError(
-                f"{len(replacements)} replacement polynomials for arity {self._arity}"
-            )
-        result = Polynomial.zero()
-        power_cache: Dict[Tuple[int, int], Polynomial] = {}
-
-        def powered(index: int, exponent: int) -> Polynomial:
-            key = (index, exponent)
-            if key not in power_cache:
-                power_cache[key] = replacements[index].power(exponent)
-            return power_cache[key]
-
-        for exponents, coefficient in self._terms.items():
-            term = Polynomial.constant(coefficient)
-            for index, exponent in enumerate(exponents):
-                if exponent:
-                    term = term * powered(index, exponent)
-            result = result + term
-        return result
-
     def to_exact(self) -> "MultivariatePolynomial":
         """Copy with all coefficients as exact Fractions."""
         return MultivariatePolynomial(
@@ -338,26 +302,3 @@ class MultivariatePolynomial:
         return MultivariatePolynomial(
             self._arity, {e: float(c) for e, c in self._terms.items()}
         )
-
-    def gradient_at(self, point: Sequence[Number]) -> Tuple[Number, ...]:
-        """Gradient vector at ``point`` (used by boundary diagnostics)."""
-        values = tuple(point)
-        if len(values) != self._arity:
-            raise ValidationError(
-                f"point has {len(values)} coordinates, expected {self._arity}"
-            )
-        gradient = []
-        for axis in range(self._arity):
-            partial: Number = 0
-            for exponents, coefficient in self._terms.items():
-                exponent = exponents[axis]
-                if exponent == 0:
-                    continue
-                term = coefficient * exponent
-                for index, (value, power) in enumerate(zip(values, exponents)):
-                    effective = power - 1 if index == axis else power
-                    if effective:
-                        term = term * value**effective
-                partial = partial + term
-            gradient.append(partial)
-        return tuple(gradient)

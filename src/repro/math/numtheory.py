@@ -10,7 +10,7 @@ building blocks for the Naor–Pinkas oblivious transfer group
 from __future__ import annotations
 
 import math
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 from repro.exceptions import KeyGenerationError, ValidationError
 from repro.math import fastpath
@@ -105,19 +105,6 @@ def generate_safe_prime(bits: int, rng: ReproRandom, attempts: int = 200_000) ->
     raise KeyGenerationError(f"no {bits}-bit safe prime found in {attempts} attempts")
 
 
-def extended_gcd(a: int, b: int) -> Tuple[int, int, int]:
-    """Return ``(g, x, y)`` with ``a*x + b*y == g == gcd(a, b)``."""
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        quotient = old_r // r
-        old_r, r = r, old_r - quotient * r
-        old_s, s = s, old_s - quotient * s
-        old_t, t = t, old_t - quotient * t
-    return old_r, old_s, old_t
-
-
 def modular_inverse(value: int, modulus: int) -> int:
     """Return the inverse of ``value`` modulo ``modulus``.
 
@@ -140,30 +127,6 @@ def jacobi_symbol(a: int, n: int) -> int:
     and positive.
     """
     return fastpath.get_backend().jacobi(a, n)
-
-
-def crt_combine(residues: Sequence[int], moduli: Sequence[int]) -> int:
-    """Chinese Remainder Theorem for pairwise-coprime moduli.
-
-    Returns the unique ``x`` modulo the product with
-    ``x ≡ residues[i] (mod moduli[i])`` for every ``i``.
-    """
-    if len(residues) != len(moduli):
-        raise ValidationError("residues and moduli must have equal length")
-    if not moduli:
-        raise ValidationError("at least one congruence is required")
-    for i, m_i in enumerate(moduli):
-        if m_i <= 1:
-            raise ValidationError(f"moduli[{i}] must exceed 1, got {m_i}")
-        for m_j in moduli[i + 1 :]:
-            if math.gcd(m_i, m_j) != 1:
-                raise ValidationError("moduli must be pairwise coprime")
-    total = 0
-    product = math.prod(moduli)
-    for residue, modulus in zip(residues, moduli):
-        partial = product // modulus
-        total += residue * partial * modular_inverse(partial, modulus)
-    return total % product
 
 
 def lcm(a: int, b: int) -> int:

@@ -191,10 +191,6 @@ class Polynomial:
             result = result * point + coeff
         return result
 
-    def evaluate_many(self, points: Sequence[Number]) -> List[Number]:
-        """Evaluate at several points."""
-        return [self(point) for point in points]
-
     # -- arithmetic -----------------------------------------------------------------
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
@@ -240,13 +236,6 @@ class Polynomial:
         """Return ``self + offset`` as a polynomial."""
         return self + Polynomial.constant(offset)
 
-    def compose(self, inner: "Polynomial") -> "Polynomial":
-        """Return ``self(inner(x))`` via Horner on polynomials."""
-        result = Polynomial.zero()
-        for coeff in reversed(self._coefficients):
-            result = result * inner + Polynomial.constant(coeff)
-        return result
-
     def power(self, exponent: int) -> "Polynomial":
         """Return ``self ** exponent`` by repeated squaring."""
         if exponent < 0:
@@ -260,14 +249,6 @@ class Polynomial:
             exponent >>= 1
         return result
 
-    def derivative(self) -> "Polynomial":
-        """First derivative."""
-        if self.degree == 0:
-            return Polynomial.zero()
-        return Polynomial(
-            [coeff * power for power, coeff in enumerate(self._coefficients)][1:]
-        )
-
     def to_exact(self) -> "Polynomial":
         """Return a copy with all coefficients as exact Fractions."""
         return Polynomial([Fraction(c) for c in self._coefficients])
@@ -275,4 +256,3 @@ class Polynomial:
     def to_float(self) -> "Polynomial":
         """Return a copy with all coefficients as floats."""
         return Polynomial([float(c) for c in self._coefficients])
-

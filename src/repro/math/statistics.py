@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Sequence
 
 from repro.exceptions import ValidationError
 
@@ -35,13 +35,6 @@ class KSResult:
     statistic: float
     scaled_statistic: float
     pvalue: float
-
-
-def empirical_cdf(sample: Sequence[float], point: float) -> float:
-    """Empirical CDF of ``sample`` evaluated at ``point``."""
-    if not sample:
-        raise ValidationError("sample must be non-empty")
-    return sum(1 for value in sample if value <= point) / len(sample)
 
 
 def _kolmogorov_sf(x: float, terms: int = 100) -> float:
@@ -159,12 +152,3 @@ def pearson_correlation(first: Sequence[float], second: Sequence[float]) -> floa
     if var_a == 0 or var_b == 0:
         raise ValidationError("correlation undefined for constant samples")
     return cov / math.sqrt(var_a * var_b)
-
-
-def mean_and_std(values: Sequence[float]) -> Tuple[float, float]:
-    """Sample mean and (population) standard deviation."""
-    if not values:
-        raise ValidationError("values must be non-empty")
-    mean = sum(values) / len(values)
-    variance = sum((v - mean) ** 2 for v in values) / len(values)
-    return mean, math.sqrt(variance)

@@ -8,9 +8,7 @@ number p to approximate the infinity").  This module supplies:
 * Bernoulli numbers (exact rationals), which appear in the paper's
   ``tanh`` expansion ``Σ B_{2i} 4^i (4^i - 1) / (2i)! · z^{2i-1}``;
 * truncated series for ``exp`` and ``tanh`` as
-  :class:`repro.math.polynomials.Polynomial` objects;
-* error bounds so callers can pick a truncation degree for a target
-  accuracy on the data domain ``[-1, 1]``.
+  :class:`repro.math.polynomials.Polynomial` objects.
 """
 
 from __future__ import annotations
@@ -55,7 +53,7 @@ def tanh_taylor(degree: int) -> Polynomial:
     expansion quoted for the sigmoid kernel in paper Section IV-B.
     Converges for ``|z| < π/2``, which covers the paper's scaled data
     domain (inner products of vectors in [-1, 1]^n need rescaling for
-    large n; see :func:`tanh_truncation_error`).
+    large n).
     """
     if degree < 0:
         raise ValidationError(f"degree must be non-negative, got {degree}")
@@ -74,44 +72,3 @@ def tanh_taylor(degree: int) -> Polynomial:
         )
         coefficients[power] = coefficient
     return Polynomial(coefficients)
-
-
-def exp_truncation_error(degree: int, radius: float) -> float:
-    """Upper bound on ``|exp(z) - T_degree(z)|`` for ``|z| <= radius``.
-
-    Uses the Lagrange remainder ``e^radius * radius^{d+1} / (d+1)!``.
-    """
-    if radius < 0:
-        raise ValidationError(f"radius must be non-negative, got {radius}")
-    return math.exp(radius) * radius ** (degree + 1) / math.factorial(degree + 1)
-
-
-def tanh_truncation_error(degree: int, radius: float) -> float:
-    """Empirical bound on the tanh truncation error on ``[-radius, radius]``.
-
-    The tanh series alternates for ``|z| < π/2``; we bound the error by
-    the magnitude of the first omitted term, validated by sampling.
-    """
-    if radius >= math.pi / 2:
-        raise ValidationError(
-            f"tanh series diverges for radius >= pi/2, got {radius}"
-        )
-    series = tanh_taylor(degree + 4)
-    worst = 0.0
-    samples = 64
-    for index in range(samples + 1):
-        z = -radius + 2 * radius * index / samples
-        worst = max(worst, abs(math.tanh(z) - float(series.to_float()(z))))
-    return worst + 1e-12
-
-
-def minimal_degree_for_exp(radius: float, tolerance: float, cap: int = 64) -> int:
-    """Smallest truncation degree whose exp error bound is below tolerance."""
-    if tolerance <= 0:
-        raise ValidationError(f"tolerance must be positive, got {tolerance}")
-    for degree in range(cap + 1):
-        if exp_truncation_error(degree, radius) <= tolerance:
-            return degree
-    raise ValidationError(
-        f"no degree <= {cap} achieves tolerance {tolerance} at radius {radius}"
-    )

@@ -19,12 +19,8 @@ from repro.ml.datasets.synthetic import (
     concentric_circles,
     interaction_boundary,
     linear_boundary,
-    offset_linear_boundary,
-    polynomial_boundary,
     scaled_signal_boundary,
     two_gaussians,
-    two_moons,
-    xor_blocks,
 )
 
 __all__ = [
@@ -42,10 +38,6 @@ __all__ = [
     "concentric_circles",
     "interaction_boundary",
     "linear_boundary",
-    "offset_linear_boundary",
-    "polynomial_boundary",
     "scaled_signal_boundary",
     "two_gaussians",
-    "two_moons",
-    "xor_blocks",
 ]

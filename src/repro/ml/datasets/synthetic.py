@@ -6,13 +6,13 @@ chosen so the linear-vs-polynomial accuracy relationships of Table I
 hold (see DESIGN.md §4).  Three boundary families cover the table:
 
 * :func:`linear_boundary` — a true linear separator with label noise:
-  both kernels do well (a1a, australian, ionosphere, breast-cancer).
-* :func:`polynomial_boundary` — labels from a random degree-3 surface:
-  the linear kernel underfits, the polynomial kernel recovers it
-  (splice, madelon, german.numer).
-* :func:`offset_linear_boundary` — a linear separator far from the
-  origin: the paper's *homogeneous* polynomial kernel (b0 = 0) cannot
-  represent the offset and collapses (cod-rna's 94.6% → 54.3% drop).
+  both kernels do well (a1a–a9a, ionosphere, breast-cancer).
+* :func:`interaction_boundary` — labels from a cubic interaction
+  surface: the linear kernel underfits, the polynomial kernel recovers
+  it (splice, madelon, diabetes, german.numer, australian).
+* :func:`scaled_signal_boundary` — low-amplitude signal among
+  full-range nuisance features: the paper's *homogeneous* polynomial
+  kernel (b0 = 0) collapses (cod-rna's 94.6% → 54.3% drop).
 
 All generators return features in ``[-1, 1]`` (the paper scales all
 data to that box) and labels in ``{-1, +1}``.
@@ -126,102 +126,6 @@ def linear_boundary(
         rows.append(batch)
     X = np.vstack(rows)[:total]
     y = _balanced_signs(X @ direction)
-    y = _flip_labels(y, noise, rng)
-    return Dataset(
-        name=name,
-        X_train=X[:train_size],
-        y_train=y[:train_size],
-        X_test=X[train_size:],
-        y_test=y[train_size:],
-    )
-
-
-def polynomial_boundary(
-    name: str,
-    dimension: int,
-    train_size: int,
-    test_size: int,
-    degree: int = 3,
-    noise: float = 0.02,
-    active_dimensions: int = None,
-    seed: int = 0,
-) -> Dataset:
-    """Labels from the sign of a random degree-``degree`` polynomial surface.
-
-    Only ``active_dimensions`` features influence the label (madelon's
-    informative-features structure); the rest are pure noise, which is
-    what makes the linear kernel nearly useless on the analog.
-    """
-    _validate_counts(train_size, test_size, dimension)
-    if degree < 2:
-        raise ValidationError(f"degree must be at least 2, got {degree}")
-    active = active_dimensions or min(dimension, 5)
-    if not 1 <= active <= dimension:
-        raise ValidationError(
-            f"active_dimensions must lie in [1, {dimension}], got {active}"
-        )
-    rng = np.random.default_rng(seed)
-    total = train_size + test_size
-    X = rng.uniform(-1.0, 1.0, size=(total, dimension))
-    used = X[:, :active]
-    # Random cubic surface: pairwise/triple interactions of active dims.
-    values = np.zeros(total)
-    for _ in range(2 * active):
-        picks = rng.integers(0, active, size=degree)
-        coefficient = rng.normal()
-        term = np.ones(total)
-        for pick in picks:
-            term = term * used[:, pick]
-        values += coefficient * term
-    y = _balanced_signs(values)
-    y = _flip_labels(y, noise, rng)
-    return Dataset(
-        name=name,
-        X_train=X[:train_size],
-        y_train=y[:train_size],
-        X_test=X[train_size:],
-        y_test=y[train_size:],
-    )
-
-
-def offset_linear_boundary(
-    name: str,
-    dimension: int,
-    train_size: int,
-    test_size: int,
-    offset: float = 0.6,
-    noise: float = 0.04,
-    seed: int = 0,
-) -> Dataset:
-    """A linear separator displaced from the origin.
-
-    The paper's nonlinear experiments fix the *homogeneous* polynomial
-    kernel (b0 = 0), which cannot express an affine offset: on this
-    family the polynomial SVM drops toward chance while the linear SVM
-    stays strong — the cod-rna row of Table I.
-    """
-    _validate_counts(train_size, test_size, dimension)
-    if not 0.0 < offset < 1.0:
-        raise ValidationError(f"offset must lie in (0, 1), got {offset}")
-    rng = np.random.default_rng(seed)
-    direction = np.abs(rng.normal(size=dimension))
-    direction /= np.linalg.norm(direction)
-    total = train_size + test_size
-    X = rng.uniform(-1.0, 1.0, size=(total, dimension))
-    raw = X @ direction - offset
-    y = np.where(raw >= 0.0, 1.0, -1.0)
-    # Rebalance: shift a random subset across the plane when too skewed.
-    positive_fraction = float(np.mean(y == 1.0))
-    if positive_fraction < 0.25:
-        deficit = int((0.4 - positive_fraction) * total)
-        candidates = np.where(y == -1.0)[0]
-        chosen = rng.choice(candidates, size=min(deficit, candidates.size), replace=False)
-        X[chosen] += np.outer(
-            offset - (X[chosen] @ direction) + rng.uniform(0.02, 0.3, chosen.size),
-            direction,
-        )
-        X = np.clip(X, -1.0, 1.0)
-        y = np.where(X @ direction - offset >= 0.0, 1.0, -1.0)
     y = _flip_labels(y, noise, rng)
     return Dataset(
         name=name,
@@ -358,67 +262,6 @@ def concentric_circles(
     y = np.concatenate([np.ones(half), -np.ones(half)])
     order = rng.permutation(2 * half)[:total]
     X, y = X[order], y[order]
-    y = _flip_labels(y, noise, rng)
-    return Dataset(
-        name=name,
-        X_train=X[:train_size],
-        y_train=y[:train_size],
-        X_test=X[train_size:],
-        y_test=y[train_size:],
-    )
-
-
-def two_moons(
-    name: str,
-    train_size: int,
-    test_size: int,
-    noise: float = 0.05,
-    seed: int = 0,
-) -> Dataset:
-    """The classic two-interleaved-half-circles 2-D nonlinear toy."""
-    _validate_counts(train_size, test_size, 2)
-    rng = np.random.default_rng(seed)
-    total = train_size + test_size
-    half = total // 2 + 1
-    angles = rng.uniform(0.0, np.pi, size=half)
-    upper = np.stack([np.cos(angles), np.sin(angles)], axis=1)
-    lower = np.stack([1.0 - np.cos(angles), -np.sin(angles) + 0.35], axis=1)
-    X = np.vstack([upper, lower]) * 0.7
-    X[:, 0] -= 0.25
-    X += rng.normal(0.0, max(noise, 1e-9), size=X.shape)
-    X = np.clip(X, -1.0, 1.0)
-    y = np.concatenate([np.ones(half), -np.ones(half)])
-    order = rng.permutation(X.shape[0])[:total]
-    X, y = X[order], y[order]
-    return Dataset(
-        name=name,
-        X_train=X[:train_size],
-        y_train=y[:train_size],
-        X_test=X[train_size:],
-        y_test=y[train_size:],
-    )
-
-
-def xor_blocks(
-    name: str,
-    train_size: int,
-    test_size: int,
-    noise: float = 0.0,
-    seed: int = 0,
-) -> Dataset:
-    """2-D XOR: label = sign(x0 · x1) — the minimal non-linear problem.
-
-    A single product term, so even a degree-2 polynomial kernel solves
-    it while the linear kernel scores at chance.
-    """
-    _validate_counts(train_size, test_size, 2)
-    rng = np.random.default_rng(seed)
-    total = train_size + test_size
-    X = rng.uniform(-1.0, 1.0, size=(total, 2))
-    # Keep a margin away from the axes so the classes are separable.
-    X = np.where(np.abs(X) < 0.08, np.sign(X) * 0.08 + X, X)
-    X = np.clip(X, -1.0, 1.0)
-    y = np.where(X[:, 0] * X[:, 1] >= 0.0, 1.0, -1.0)
     y = _flip_labels(y, noise, rng)
     return Dataset(
         name=name,

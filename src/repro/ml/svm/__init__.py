@@ -1,37 +1,15 @@
 """From-scratch SVM training and models (LIBSVM substitute)."""
 
-from repro.ml.svm.grid import (
-    GridSearchResult,
-    cross_validate,
-    grid_search_C,
-    stratified_folds,
-)
-from repro.ml.svm.metrics import ConfusionMatrix, accuracy, train_test_split
+from repro.ml.svm.metrics import accuracy
 from repro.ml.svm.model import SVMModel, make_linear_model
-from repro.ml.svm.multiclass import (
-    MulticlassModel,
-    PrivateMulticlassOutcome,
-    private_classify_multiclass,
-    train_multiclass,
-)
 from repro.ml.svm.persistence import load_model, model_from_dict, model_to_dict, save_model
 from repro.ml.svm.scaling import MinMaxScaler
 from repro.ml.svm.smo import SMOConfig, SMOTrainer, train_svm
 
 __all__ = [
-    "GridSearchResult",
-    "cross_validate",
-    "grid_search_C",
-    "stratified_folds",
-    "ConfusionMatrix",
     "accuracy",
-    "train_test_split",
     "SVMModel",
     "make_linear_model",
-    "MulticlassModel",
-    "PrivateMulticlassOutcome",
-    "private_classify_multiclass",
-    "train_multiclass",
     "load_model",
     "model_from_dict",
     "model_to_dict",

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -19,81 +18,3 @@ def accuracy(predicted: Sequence[float], actual: Sequence[float]) -> float:
     if predicted.size == 0:
         raise ValidationError("cannot compute accuracy of empty arrays")
     return float(np.mean(predicted == actual))
-
-
-@dataclass(frozen=True)
-class ConfusionMatrix:
-    """Binary confusion counts for labels in {-1, +1}."""
-
-    true_positive: int
-    true_negative: int
-    false_positive: int
-    false_negative: int
-
-    @classmethod
-    def from_labels(
-        cls, predicted: Sequence[float], actual: Sequence[float]
-    ) -> "ConfusionMatrix":
-        predicted = np.asarray(predicted, dtype=float)
-        actual = np.asarray(actual, dtype=float)
-        if predicted.shape != actual.shape:
-            raise ValidationError("predicted and actual must have the same shape")
-        return cls(
-            true_positive=int(np.sum((predicted == 1) & (actual == 1))),
-            true_negative=int(np.sum((predicted == -1) & (actual == -1))),
-            false_positive=int(np.sum((predicted == 1) & (actual == -1))),
-            false_negative=int(np.sum((predicted == -1) & (actual == 1))),
-        )
-
-    @property
-    def total(self) -> int:
-        return (
-            self.true_positive
-            + self.true_negative
-            + self.false_positive
-            + self.false_negative
-        )
-
-    @property
-    def accuracy(self) -> float:
-        if self.total == 0:
-            raise ValidationError("empty confusion matrix")
-        return (self.true_positive + self.true_negative) / self.total
-
-    @property
-    def precision(self) -> float:
-        denominator = self.true_positive + self.false_positive
-        return self.true_positive / denominator if denominator else 0.0
-
-    @property
-    def recall(self) -> float:
-        denominator = self.true_positive + self.false_negative
-        return self.true_positive / denominator if denominator else 0.0
-
-    @property
-    def f1(self) -> float:
-        p, r = self.precision, self.recall
-        return 2 * p * r / (p + r) if (p + r) else 0.0
-
-
-def train_test_split(
-    X: np.ndarray,
-    y: np.ndarray,
-    test_fraction: float,
-    seed: int = 0,
-):
-    """Deterministic shuffled split; returns (X_train, y_train, X_test, y_test)."""
-    if not 0.0 < test_fraction < 1.0:
-        raise ValidationError(
-            f"test_fraction must be in (0, 1), got {test_fraction}"
-        )
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if X.shape[0] != y.shape[0]:
-        raise ValidationError("X and y must have the same number of rows")
-    indices = np.arange(X.shape[0])
-    np.random.default_rng(seed).shuffle(indices)
-    cut = int(round(X.shape[0] * (1.0 - test_fraction)))
-    cut = max(1, min(X.shape[0] - 1, cut))
-    train_idx, test_idx = indices[:cut], indices[cut:]
-    return X[train_idx], y[train_idx], X[test_idx], y[test_idx]

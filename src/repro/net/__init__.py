@@ -17,7 +17,6 @@ from repro.net.faults import (
     RetryingChannel,
 )
 from repro.net.message import Message, measure_size
-from repro.net.network import Network
 from repro.net.party import Party, connect_parties
 from repro.net.runner import ProtocolReport, finish_report
 from repro.net.transcript import Transcript, phase_of
@@ -40,7 +39,6 @@ __all__ = [
     "MAX_FRAME_BYTES",
     "Message",
     "measure_size",
-    "Network",
     "Party",
     "WireChannel",
     "WireConnection",

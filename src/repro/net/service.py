@@ -600,7 +600,7 @@ class TrainerServer:
                 f"unknown session kind {kind!r}; supported: {_SESSION_KINDS}"
             )
         seed = request.get("seed")
-        if seed is not None and not isinstance(seed, int):
+        if seed is not None and (not isinstance(seed, int) or isinstance(seed, bool)):
             raise ProtocolError("session seed must be an int or None")
         trace_context = request.get("trace")
         if trace_context is not None and not isinstance(trace_context, TraceContext):
@@ -740,7 +740,12 @@ class TrainerServer:
                     f"{sorted(self.models) if self.models else ['<default>']}"
                 )
         linear = serving.is_linear()
-        if bool(request.get("linear")) != linear:
+        claimed = request.get("linear")
+        if not isinstance(claimed, bool):
+            raise ProtocolError(
+                f"session/open 'linear' must be a bool, got {claimed!r}"
+            )
+        if claimed != linear:
             raise ProtocolError(
                 "similarity requires both models to be linear or both kernel"
             )
@@ -1278,7 +1283,13 @@ class TrainerClient:
                     raise ProtocolError(
                         f"session/accept payload must be a mapping: {accept!r}"
                     )
-                if bool(accept.get("linear")) != linear:
+                echoed_linear = accept.get("linear")
+                if not isinstance(echoed_linear, bool):
+                    raise ProtocolError(
+                        "session/accept 'linear' must be a bool, got "
+                        f"{echoed_linear!r}"
+                    )
+                if echoed_linear != linear:
                     raise ProtocolError(
                         "similarity requires both models to be linear or both "
                         "kernel"

@@ -48,10 +48,6 @@ class Transcript:
 
     # -- views -----------------------------------------------------------
 
-    def sent_by(self, party: str) -> List[Message]:
-        """Messages originated by ``party``."""
-        return [m for m in self.messages if m.sender == party]
-
     def received_by(self, party: str) -> List[Message]:
         """Messages delivered to ``party`` — that party's protocol view."""
         return [m for m in self.messages if m.recipient == party]

@@ -1,24 +1,11 @@
-"""Shared utilities: deterministic randomness, validation, timing, codecs."""
+"""Shared utilities: deterministic randomness, timing, codecs."""
 
-from repro.utils.rng import ReproRandom, derive_seed, fresh_rng
+from repro.utils.rng import ReproRandom, derive_seed
 from repro.utils.timer import Stopwatch, TimingRecorder
-from repro.utils.validation import (
-    ensure_in_range,
-    ensure_positive,
-    ensure_probability,
-    ensure_type,
-    ensure_vector,
-)
 
 __all__ = [
     "ReproRandom",
     "derive_seed",
-    "fresh_rng",
     "Stopwatch",
     "TimingRecorder",
-    "ensure_in_range",
-    "ensure_positive",
-    "ensure_probability",
-    "ensure_type",
-    "ensure_vector",
 ]

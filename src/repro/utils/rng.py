@@ -17,7 +17,7 @@ import hashlib
 import random
 import secrets
 from fractions import Fraction
-from typing import Iterable, List, Optional, Sequence, TypeVar
+from typing import List, Optional, Sequence, TypeVar
 
 from repro.exceptions import ValidationError
 
@@ -193,10 +193,6 @@ class ReproRandom:
 
     # -- sequences ------------------------------------------------------------
 
-    def shuffle(self, items: List[_T]) -> None:
-        """Shuffle ``items`` in place."""
-        self._rng.shuffle(items)
-
     def sample_indices(self, population: int, count: int) -> List[int]:
         """Return ``count`` sorted distinct indices from ``range(population)``."""
         if count > population:
@@ -216,16 +212,3 @@ class ReproRandom:
         if length < 0:
             raise ValidationError(f"length must be non-negative, got {length}")
         return self._rng.getrandbits(8 * length).to_bytes(length, "big") if length else b""
-
-
-def fresh_rng(seed: Optional[int] = None, *labels: object) -> ReproRandom:
-    """Convenience constructor: seeded stream, optionally forked by labels."""
-    rng = ReproRandom(seed)
-    if labels:
-        rng = rng.fork(*labels)
-    return rng
-
-
-def spawn_streams(seed: int, names: Iterable[str]) -> dict:
-    """Return a dict of independent named child streams of ``seed``."""
-    return {name: fresh_rng(seed, name) for name in names}

@@ -231,11 +231,6 @@ def decode_value(data: bytes) -> Encodable:
     return value
 
 
-def encoded_size(value: Encodable) -> int:
-    """Size in bytes of the canonical encoding (communication accounting)."""
-    return len(encode_value(value))
-
-
 # -- message payload codec ---------------------------------------------------
 
 #: Registered dataclass payload types: wire name -> class, and per class

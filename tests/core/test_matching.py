@@ -41,16 +41,6 @@ class TestRunMatching:
             plain = evaluate_similarity_plain(linear_models[a], linear_models[b])
             assert value == pytest.approx(plain.t, rel=1e-9)
 
-    def test_partner_ranking_sorted(self, result):
-        ranking = result.partner_ranking("org1")
-        values = [v for _, v in ranking]
-        assert values == sorted(values)
-        assert ranking[0][0] == "org2"
-
-    def test_partner_ranking_unknown_party(self, result):
-        with pytest.raises(ValidationError):
-            result.partner_ranking("nobody")
-
     def test_bytes_accounted(self, result):
         assert result.total_bytes > 6 * 10_000  # 3 OMPE runs per pair
 

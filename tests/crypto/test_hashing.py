@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from repro.crypto.hashing import (
     TAG_BYTES,
-    hash_to_bytes,
     kdf,
     unwrap_message,
     wrap_message,
@@ -77,18 +76,6 @@ class TestWrapping:
     def test_empty_plaintext(self):
         wrapped = wrap_message(b"secret", b"")
         assert unwrap_message(b"secret", wrapped) == b""
-
-
-class TestHashToBytes:
-    def test_deterministic(self):
-        assert hash_to_bytes(b"a", b"b") == hash_to_bytes(b"a", b"b")
-
-    def test_concatenation_ambiguity_resolved(self):
-        # ("ab", "c") must differ from ("a", "bc") — length framing.
-        assert hash_to_bytes(b"ab", b"c") != hash_to_bytes(b"a", b"bc")
-
-    def test_output_length(self):
-        assert len(hash_to_bytes(b"x")) == 32
 
 
 #: Known answers from the original block-by-block KDF: key bytes 0..31,

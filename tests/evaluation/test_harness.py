@@ -9,7 +9,6 @@ from repro.evaluation.harness import (
     available_experiments,
     register,
     run_experiment,
-    write_metrics_snapshot,
 )
 from repro.exceptions import ValidationError
 
@@ -61,20 +60,14 @@ class TestObservabilityWiring:
         spans = tracer.find("experiment")
         assert spans and spans[0].attributes["experiment"] == "fig6"
 
-    def test_metrics_snapshot_attached_when_registry_live(self, tmp_path):
+    def test_metrics_snapshot_attached_when_registry_live(self):
         with obs.observed():
             result = run_experiment("fig6")
         assert result.metrics is not None
-        path = tmp_path / "metrics.json"
-        assert write_metrics_snapshot(result, str(path)) is True
-        assert path.exists()
 
-    def test_no_registry_means_no_snapshot(self, tmp_path):
+    def test_no_registry_means_no_snapshot(self):
         result = run_experiment("fig6")
         assert result.metrics is None
-        path = tmp_path / "metrics.json"
-        assert write_metrics_snapshot(result, str(path)) is False
-        assert not path.exists()
 
 
 class TestRendering:

@@ -31,12 +31,6 @@ mixed_st = st.one_of(st.integers(min_value=-100, max_value=100), fractions_st)
 
 
 class TestScaleHelpers:
-    def test_rational_parts(self):
-        assert fastpath.rational_parts(Fraction(3, 7)) == (3, 7)
-        assert fastpath.rational_parts(5) == (5, 1)
-        assert fastpath.rational_parts(1.5) is None
-        assert fastpath.rational_parts(True) is None
-
     def test_scale_to_integers(self):
         scaled = fastpath.scale_to_integers([Fraction(1, 2), Fraction(1, 3), 2])
         assert scaled == ((3, 2, 12), 6, True)

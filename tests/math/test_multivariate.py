@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from repro.exceptions import ValidationError
 from repro.math.multivariate import MultivariatePolynomial
-from repro.math.polynomials import Polynomial
 from repro.utils.rng import ReproRandom
 
 
@@ -132,56 +131,3 @@ class TestArithmetic:
         assert isinstance(list(p.to_float().terms.values())[0], float)
         q = MultivariatePolynomial(1, {(2,): 0.5}).to_exact()
         assert isinstance(list(q.terms.values())[0], Fraction)
-
-
-class TestSubstitution:
-    def test_substitute_univariate_degree(self):
-        # P of total degree 3, each g of degree 2 → composed degree 6.
-        p = MultivariatePolynomial(2, {(2, 1): Fraction(1)})
-        rng = ReproRandom(5)
-        g1 = Polynomial.random(2, rng.fork(1))
-        g2 = Polynomial.random(2, rng.fork(2))
-        composed = p.substitute_univariate([g1, g2])
-        assert composed.degree == 6
-
-    @given(st.integers(0, 300))
-    @settings(max_examples=20)
-    def test_substitution_pointwise(self, seed):
-        p = random_mv(seed, arity=2, terms=4, max_exp=2)
-        rng = ReproRandom(seed + 1)
-        g1 = Polynomial.random(2, rng.fork(1))
-        g2 = Polynomial.random(2, rng.fork(2))
-        composed = p.substitute_univariate([g1, g2])
-        v = rng.fraction(-2, 2)
-        assert composed(v) == p((g1(v), g2(v)))
-
-    def test_substitution_at_zero_is_constant_terms(self):
-        """The protocol identity B(0) = P(G(0)) = P(α)."""
-        p = random_mv(77, arity=2, terms=4, max_exp=2)
-        rng = ReproRandom(78)
-        alpha = (rng.fraction(-1, 1), rng.fraction(-1, 1))
-        g1 = Polynomial.random(3, rng.fork(1), constant_term=alpha[0])
-        g2 = Polynomial.random(3, rng.fork(2), constant_term=alpha[1])
-        composed = p.substitute_univariate([g1, g2])
-        assert composed(0) == p(alpha)
-
-    def test_substitution_count_mismatch(self):
-        p = MultivariatePolynomial.affine([1, 2], 0)
-        with pytest.raises(ValidationError):
-            p.substitute_univariate([Polynomial([1])])
-
-
-class TestGradient:
-    def test_gradient_of_affine(self):
-        p = MultivariatePolynomial.affine([3, -2], 7)
-        assert p.gradient_at((0, 0)) == (3, -2)
-
-    def test_gradient_of_quadratic(self):
-        # x^2 + xy: grad = (2x + y, x)
-        p = MultivariatePolynomial(2, {(2, 0): 1, (1, 1): 1})
-        assert p.gradient_at((2, 3)) == (7, 2)
-
-    def test_gradient_wrong_size(self):
-        p = MultivariatePolynomial.affine([1], 0)
-        with pytest.raises(ValidationError):
-            p.gradient_at((1, 2))

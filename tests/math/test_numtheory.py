@@ -1,15 +1,11 @@
 """Tests for repro.math.numtheory."""
 
-import math
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import ValidationError
 from repro.math.numtheory import (
-    crt_combine,
-    extended_gcd,
     generate_prime,
     generate_safe_prime,
     is_probable_prime,
@@ -78,22 +74,6 @@ class TestGeneration:
         assert generate_prime(40, ReproRandom(9)) == generate_prime(40, ReproRandom(9))
 
 
-class TestExtendedGcd:
-    @given(
-        st.integers(min_value=-(10**9), max_value=10**9),
-        st.integers(min_value=-(10**9), max_value=10**9),
-    )
-    @settings(max_examples=100)
-    def test_bezout_identity(self, a, b):
-        g, x, y = extended_gcd(a, b)
-        assert a * x + b * y == g
-        assert g == math.gcd(a, b) or g == -math.gcd(a, b)
-
-    def test_zero_cases(self):
-        assert extended_gcd(0, 0)[0] == 0
-        assert extended_gcd(5, 0)[0] == 5
-
-
 class TestModularInverse:
     @given(st.integers(min_value=1, max_value=10**6))
     @settings(max_examples=100)
@@ -112,34 +92,6 @@ class TestModularInverse:
 
     def test_negative_value(self):
         assert (modular_inverse(-3, 7) * -3) % 7 == 1
-
-
-class TestCRT:
-    def test_basic(self):
-        # x ≡ 2 (3), x ≡ 3 (5), x ≡ 2 (7) → 23 (Sunzi's classic).
-        assert crt_combine([2, 3, 2], [3, 5, 7]) == 23
-
-    def test_round_trip(self):
-        moduli = [11, 13, 17]
-        for x in (0, 1, 100, 2430):
-            residues = [x % m for m in moduli]
-            assert crt_combine(residues, moduli) == x % (11 * 13 * 17)
-
-    def test_not_coprime(self):
-        with pytest.raises(ValidationError):
-            crt_combine([1, 2], [4, 6])
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValidationError):
-            crt_combine([1], [3, 5])
-
-    def test_empty(self):
-        with pytest.raises(ValidationError):
-            crt_combine([], [])
-
-    def test_bad_modulus(self):
-        with pytest.raises(ValidationError):
-            crt_combine([0], [1])
 
 
 class TestMisc:

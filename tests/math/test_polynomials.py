@@ -134,26 +134,11 @@ class TestArithmetic:
         with pytest.raises(ValidationError):
             Polynomial([1]).power(-1)
 
-    @given(coeff_lists, coeff_lists, points)
-    @settings(max_examples=50)
-    def test_composition(self, a, b, x):
-        p, q = Polynomial(a), Polynomial(b)
-        assert p.compose(q)(x) == p(q(x))
-
-    def test_derivative(self):
-        p = Polynomial([5, 3, 2])  # 5 + 3x + 2x^2
-        assert p.derivative() == Polynomial([3, 4])
-        assert Polynomial.constant(5).derivative().is_zero()
-
     def test_horner_matches_naive(self):
         p = Polynomial([1, -2, 0, 4])
         x = Fraction(3, 2)
         naive = sum(c * x**i for i, c in enumerate(p.coefficients))
         assert p(x) == naive
-
-    def test_evaluate_many(self):
-        p = Polynomial([0, 1])
-        assert p.evaluate_many([1, 2, 3]) == [1, 2, 3]
 
     def test_conversions(self):
         p = Polynomial([Fraction(1, 2), Fraction(3)])

@@ -8,10 +8,8 @@ import scipy.stats
 
 from repro.exceptions import ValidationError
 from repro.math.statistics import (
-    empirical_cdf,
     ks_2samp,
     ks_average_over_dimensions,
-    mean_and_std,
     pearson_correlation,
     rankdata,
     spearman_correlation,
@@ -19,10 +17,7 @@ from repro.math.statistics import (
 from repro.math.taylor import (
     bernoulli_numbers,
     exp_taylor,
-    exp_truncation_error,
-    minimal_degree_for_exp,
     tanh_taylor,
-    tanh_truncation_error,
 )
 
 
@@ -74,28 +69,13 @@ class TestTaylor:
 
     def test_exp_error_bound_holds(self):
         for degree in (4, 8):
-            bound = exp_truncation_error(degree, 1.0)
+            # Lagrange remainder on [-1, 1]: e · 1^(d+1) / (d+1)!.
+            bound = math.e / math.factorial(degree + 1)
             series = exp_taylor(degree).to_float()
             worst = max(
                 abs(math.exp(z) - series(z)) for z in np.linspace(-1, 1, 41)
             )
             assert worst <= bound + 1e-12
-
-    def test_tanh_error_estimate(self):
-        assert tanh_truncation_error(9, 0.8) < 0.01
-
-    def test_tanh_divergence_guard(self):
-        with pytest.raises(ValidationError):
-            tanh_truncation_error(5, math.pi / 2)
-
-    def test_minimal_degree(self):
-        degree = minimal_degree_for_exp(1.0, 1e-6)
-        assert exp_truncation_error(degree, 1.0) <= 1e-6
-        assert degree == 0 or exp_truncation_error(degree - 1, 1.0) > 1e-6
-
-    def test_minimal_degree_unreachable(self):
-        with pytest.raises(ValidationError):
-            minimal_degree_for_exp(10.0, 1e-300, cap=5)
 
     def test_negative_degree_rejected(self):
         with pytest.raises(ValidationError):
@@ -152,15 +132,6 @@ class TestKSTest:
         with pytest.raises(ValidationError):
             ks_average_over_dimensions([[1, 2]], [[1, 2, 3]])
 
-    def test_empirical_cdf(self):
-        sample = [1.0, 2.0, 3.0, 4.0]
-        assert empirical_cdf(sample, 2.5) == 0.5
-        assert empirical_cdf(sample, 0.0) == 0.0
-        assert empirical_cdf(sample, 4.0) == 1.0
-        with pytest.raises(ValidationError):
-            empirical_cdf([], 1.0)
-
-
 class TestCorrelation:
     def test_rankdata_ties(self):
         assert rankdata([10.0, 20.0, 20.0, 30.0]) == [1.0, 2.5, 2.5, 4.0]
@@ -189,10 +160,3 @@ class TestCorrelation:
     def test_pearson_length_mismatch(self):
         with pytest.raises(ValidationError):
             pearson_correlation([1.0], [1.0, 2.0])
-
-    def test_mean_and_std(self):
-        mean, std = mean_and_std([2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0])
-        assert mean == pytest.approx(5.0)
-        assert std == pytest.approx(2.0)
-        with pytest.raises(ValidationError):
-            mean_and_std([])

@@ -198,44 +198,45 @@ class TestLibsvmIO:
             format_libsvm(np.zeros((2, 2)), np.zeros(3))
 
 
-class TestExtraGenerators:
-    def test_two_moons_shape(self):
-        from repro.ml.datasets import two_moons
+def _two_moons(total: int, seed: int):
+    """Two interleaved half circles in 2-D, labels ±1."""
+    rng = np.random.default_rng(seed)
+    half = total // 2
+    angles = rng.uniform(0.0, np.pi, size=half)
+    upper = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    lower = np.stack([1.0 - np.cos(angles), 0.35 - np.sin(angles)], axis=1)
+    X = np.vstack([upper, lower]) * 0.7 - [0.25, 0.0]
+    X = np.clip(X + rng.normal(0.0, 0.05, size=X.shape), -1.0, 1.0)
+    y = np.concatenate([np.ones(half), -np.ones(half)])
+    order = rng.permutation(2 * half)
+    return X[order], y[order]
 
-        data = two_moons("m", 80, 40, seed=1)
-        assert data.dimension == 2
-        assert np.all(np.abs(data.X_train) <= 1.0)
+
+def _xor_blocks(total: int, seed: int):
+    """2-D XOR with a margin around the axes: label = sign(x0 · x1)."""
+    X = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(total, 2))
+    X = np.clip(np.where(np.abs(X) < 0.08, np.sign(X) * 0.08 + X, X), -1.0, 1.0)
+    return X, np.where(X[:, 0] * X[:, 1] >= 0.0, 1.0, -1.0)
+
+
+class TestExtraGenerators:
+    """SVM kernels on the two classic 2-D nonlinear toys."""
 
     def test_two_moons_nonlinear(self):
-        from repro.ml.datasets import two_moons
         from repro.ml.svm import accuracy, train_svm
 
-        data = two_moons("m2", 150, 60, seed=2)
-        rbf = train_svm(data.X_train, data.y_train, kernel="rbf", C=10.0, gamma=3.0)
-        assert accuracy(rbf.predict(data.X_test), data.y_test) >= 0.95
-
-    def test_xor_blocks_structure(self):
-        from repro.ml.datasets import xor_blocks
-
-        data = xor_blocks("x", 100, 40, seed=3)
-        products = data.X_train[:, 0] * data.X_train[:, 1]
-        assert np.all(np.sign(products) == data.y_train)
+        X, y = _two_moons(210, seed=2)
+        rbf = train_svm(X[:150], y[:150], kernel="rbf", C=10.0, gamma=3.0)
+        assert accuracy(rbf.predict(X[150:]), y[150:]) >= 0.95
 
     def test_xor_separates_kernels(self):
-        from repro.ml.datasets import xor_blocks
         from repro.ml.svm import accuracy, train_svm
 
-        data = xor_blocks("x2", 150, 60, seed=4)
-        linear = train_svm(data.X_train, data.y_train, kernel="linear", C=10.0)
+        X, y = _xor_blocks(210, seed=4)
+        linear = train_svm(X[:150], y[:150], kernel="linear", C=10.0)
         poly = train_svm(
-            data.X_train, data.y_train, kernel="poly", C=50.0,
+            X[:150], y[:150], kernel="poly", C=50.0,
             degree=2, a0=1.0, b0=0.0,
         )
-        assert accuracy(linear.predict(data.X_test), data.y_test) <= 0.7
-        assert accuracy(poly.predict(data.X_test), data.y_test) >= 0.95
-
-    def test_xor_noise_validation(self):
-        from repro.ml.datasets import xor_blocks
-
-        with pytest.raises(ValidationError):
-            xor_blocks("x", 50, 20, noise=0.7)
+        assert accuracy(linear.predict(X[150:]), y[150:]) <= 0.7
+        assert accuracy(poly.predict(X[150:]), y[150:]) >= 0.95

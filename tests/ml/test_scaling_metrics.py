@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ValidationError
-from repro.ml.svm.metrics import ConfusionMatrix, accuracy, train_test_split
+from repro.ml.svm.metrics import accuracy
 from repro.ml.svm.scaling import MinMaxScaler
 
 
@@ -60,58 +60,3 @@ class TestAccuracy:
     def test_empty(self):
         with pytest.raises(ValidationError):
             accuracy([], [])
-
-
-class TestConfusionMatrix:
-    def test_counts(self):
-        cm = ConfusionMatrix.from_labels(
-            predicted=[1, 1, -1, -1, 1], actual=[1, -1, -1, 1, 1]
-        )
-        assert cm.true_positive == 2
-        assert cm.false_positive == 1
-        assert cm.true_negative == 1
-        assert cm.false_negative == 1
-        assert cm.total == 5
-
-    def test_derived_metrics(self):
-        cm = ConfusionMatrix(true_positive=8, true_negative=5, false_positive=2, false_negative=1)
-        assert cm.accuracy == pytest.approx(13 / 16)
-        assert cm.precision == pytest.approx(0.8)
-        assert cm.recall == pytest.approx(8 / 9)
-        assert cm.f1 == pytest.approx(2 * 0.8 * (8 / 9) / (0.8 + 8 / 9))
-
-    def test_degenerate_precision(self):
-        cm = ConfusionMatrix(0, 5, 0, 0)
-        assert cm.precision == 0.0
-        assert cm.recall == 0.0
-        assert cm.f1 == 0.0
-
-    def test_empty_accuracy_raises(self):
-        with pytest.raises(ValidationError):
-            _ = ConfusionMatrix(0, 0, 0, 0).accuracy
-
-
-class TestTrainTestSplit:
-    def test_partition(self):
-        X = np.arange(20).reshape(10, 2).astype(float)
-        y = np.ones(10)
-        X_tr, y_tr, X_te, y_te = train_test_split(X, y, 0.3, seed=1)
-        assert X_tr.shape[0] + X_te.shape[0] == 10
-        assert y_tr.shape[0] == X_tr.shape[0]
-        combined = np.vstack([X_tr, X_te])
-        assert sorted(map(tuple, combined)) == sorted(map(tuple, X))
-
-    def test_deterministic(self):
-        X = np.random.default_rng(0).normal(size=(10, 2))
-        y = np.ones(10)
-        a = train_test_split(X, y, 0.5, seed=3)
-        b = train_test_split(X, y, 0.5, seed=3)
-        assert np.allclose(a[0], b[0])
-
-    def test_bad_fraction(self):
-        with pytest.raises(ValidationError):
-            train_test_split(np.zeros((4, 1)), np.ones(4), 0.0)
-
-    def test_row_mismatch(self):
-        with pytest.raises(ValidationError):
-            train_test_split(np.zeros((4, 1)), np.ones(3), 0.5)

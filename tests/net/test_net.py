@@ -175,7 +175,6 @@ class TestTranscript:
         transcript = self._sample()
         assert len(transcript.received_by("bob")) == 1
         assert len(transcript.received_by("alice")) == 2
-        assert len(transcript.sent_by("bob")) == 2
         assert len(transcript.of_type("b")) == 2
 
     def test_total_bytes(self):

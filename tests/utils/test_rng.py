@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import ValidationError
-from repro.utils.rng import ReproRandom, derive_seed, fresh_rng, spawn_streams
+from repro.utils.rng import ReproRandom, derive_seed
 
 
 class TestDeriveSeed:
@@ -149,24 +149,8 @@ class TestReproRandom:
         with pytest.raises(ValidationError):
             ReproRandom(1).bytes(-1)
 
-    def test_shuffle_is_permutation(self):
-        items = list(range(20))
-        shuffled = list(items)
-        ReproRandom(11).shuffle(shuffled)
-        assert sorted(shuffled) == items
-
     def test_gauss_runs(self):
         rng = ReproRandom(12)
         samples = [rng.gauss() for _ in range(200)]
         mean = sum(samples) / len(samples)
         assert abs(mean) < 0.3
-
-
-class TestHelpers:
-    def test_fresh_rng_with_labels(self):
-        assert fresh_rng(1, "x").seed == ReproRandom(1).fork("x").seed
-
-    def test_spawn_streams(self):
-        streams = spawn_streams(1, ["a", "b"])
-        assert set(streams) == {"a", "b"}
-        assert streams["a"].seed != streams["b"].seed

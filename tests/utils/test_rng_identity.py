@@ -49,9 +49,6 @@ def _draws(rng):
     for _ in range(3):
         for name, args in CALLS:
             out.append(getattr(rng, name)(*args))
-        items = list(range(20))
-        rng.shuffle(items)
-        out.append(items)
     return out
 
 

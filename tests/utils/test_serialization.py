@@ -17,7 +17,6 @@ from repro.utils.serialization import (
     encode_payload,
     encode_value,
     encoded_payload_size,
-    encoded_size,
 )
 
 
@@ -113,12 +112,8 @@ class TestRejections:
 
 
 class TestEncodedSize:
-    def test_matches_encoding_length(self):
-        value = (Fraction(1, 3), 12345, 2.0)
-        assert encoded_size(value) == len(encode_value(value))
-
     def test_grows_with_magnitude(self):
-        assert encoded_size(2**200) > encoded_size(2)
+        assert len(encode_value(2**200)) > len(encode_value(2))
 
 
 # -- message payload codec ----------------------------------------------------

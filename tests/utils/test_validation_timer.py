@@ -1,81 +1,10 @@
-"""Tests for validation helpers and timing utilities."""
+"""Tests for the timing utilities."""
 
 import time
 
 import pytest
 
-from repro.exceptions import ValidationError
 from repro.utils.timer import Stopwatch, TimingRecorder
-from repro.utils.validation import (
-    ensure_in_range,
-    ensure_non_negative,
-    ensure_positive,
-    ensure_probability,
-    ensure_same_length,
-    ensure_type,
-    ensure_vector,
-)
-
-
-class TestValidation:
-    def test_ensure_type_pass(self):
-        assert ensure_type(5, int, "x") == 5
-
-    def test_ensure_type_fail(self):
-        with pytest.raises(ValidationError, match="x must be"):
-            ensure_type("5", int, "x")
-
-    def test_ensure_positive_pass(self):
-        assert ensure_positive(0.1, "x") == 0.1
-
-    @pytest.mark.parametrize("bad", [0, -1, -0.5])
-    def test_ensure_positive_fail(self, bad):
-        with pytest.raises(ValidationError):
-            ensure_positive(bad, "x")
-
-    def test_ensure_positive_non_numeric(self):
-        with pytest.raises(ValidationError):
-            ensure_positive("x", "x")
-
-    def test_ensure_non_negative(self):
-        assert ensure_non_negative(0, "x") == 0
-        with pytest.raises(ValidationError):
-            ensure_non_negative(-0.001, "x")
-
-    def test_ensure_in_range(self):
-        assert ensure_in_range(5, 0, 10, "x") == 5
-        with pytest.raises(ValidationError):
-            ensure_in_range(11, 0, 10, "x")
-
-    def test_ensure_probability(self):
-        assert ensure_probability(0.5, "p") == 0.5
-        with pytest.raises(ValidationError):
-            ensure_probability(1.5, "p")
-
-    def test_ensure_vector_pass(self):
-        assert ensure_vector([1, 2.5], "v") == (1, 2.5)
-
-    def test_ensure_vector_length(self):
-        assert ensure_vector([1, 2], "v", length=2) == (1, 2)
-        with pytest.raises(ValidationError):
-            ensure_vector([1, 2], "v", length=3)
-
-    def test_ensure_vector_empty(self):
-        with pytest.raises(ValidationError):
-            ensure_vector([], "v")
-
-    def test_ensure_vector_non_numeric(self):
-        with pytest.raises(ValidationError):
-            ensure_vector([1, "a"], "v")
-
-    def test_ensure_vector_non_iterable(self):
-        with pytest.raises(ValidationError):
-            ensure_vector(5, "v")  # type: ignore[arg-type]
-
-    def test_ensure_same_length(self):
-        ensure_same_length([1], [2], "a/b")
-        with pytest.raises(ValidationError):
-            ensure_same_length([1], [2, 3], "a/b")
 
 
 class TestStopwatch:
