@@ -13,8 +13,7 @@ committed ``BENCH_hotpath.json``::
 
     python benchmarks/bench_ablation_precompute.py [--quick] [--output PATH]
 
-Rows cover pooled vs unpooled Paillier encryption and the pooled vs
-poolless OMPE online path.
+The one row is the pooled vs poolless OMPE online path.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 import pytest
 
-from artifact import BENCH_DIR, BENCH_SEED, update_artifact
+from artifact import BENCH_DIR, update_artifact
 from repro.core.ompe import (
     OMPEConfig,
     OMPEFunction,
@@ -42,7 +41,6 @@ from repro.core.ompe import (
     SenderPool,
     execute_ompe,
 )
-from repro.crypto.paillier import PaillierCipher, generate_keypair
 from repro.math import fastpath
 from repro.math.groups import fast_group
 from repro.math.multivariate import MultivariatePolynomial
@@ -118,32 +116,8 @@ def _time_loop(callable_, iterations):
 def _backend_rows(backend, quick=False):
     """Cold-build vs warm-use rows for one bignum backend leg."""
     rows = []
-    group = fast_group()
-    iterations = 40 if quick else 200
-
-    # -- Paillier: pooled (warm r^n) vs unpooled (cold) encryption ---------
-    public, private = generate_keypair(
-        bits=384 if quick else 768, rng=ReproRandom(BENCH_SEED)
-    )
-    iters = max(10, iterations // 4)
-    pooled = PaillierCipher(public, private, rng=ReproRandom(2), pool_batch=64)
-    started = time.perf_counter()
-    pooled.pool.refill(iters + 8)  # the offline phase, reported not gated
-    refill_s = time.perf_counter() - started
-    plain = PaillierCipher(public, private, rng=ReproRandom(2))
-    warm_s = _time_loop(lambda: pooled.encrypt(42), iters)
-    cold_s = _time_loop(lambda: plain.encrypt(42), iters)
-    rows.append({
-        "backend": backend,
-        "op": "paillier_encrypt",
-        "cold_us": round(cold_s * 1e6, 3),
-        "warm_us": round(warm_s * 1e6, 3),
-        "offline_refill_ms": round(refill_s * 1e3, 3),
-        "speedup_warm": round(cold_s / warm_s, 3) if warm_s else None,
-    })
-
     # -- OMPE online: poolless vs precomputed randomness pools -------------
-    config = OMPEConfig(security_degree=2, cover_expansion=3, group=group)
+    config = OMPEConfig(security_degree=2, cover_expansion=3, group=fast_group())
     polynomial = MultivariatePolynomial.affine(
         [Fraction(2), Fraction(-3), Fraction(1, 2)], Fraction(1, 4)
     )
@@ -186,11 +160,9 @@ def run_precompute(quick=False, backend_list=None):
 def format_precompute_table(results):
     lines = ["cold vs warm precompute:"]
     for row in results["rows"]:
-        cold = row.get("cold_ms", row.get("cold_us"))
-        warm = row.get("warm_ms", row.get("warm_us"))
         lines.append(
-            f"  {row['op']:20s} {row['backend']:7s} cold {cold:10.3f}   "
-            f"warm {warm:10.3f}   {row['speedup_warm']:6.2f}x warm"
+            f"  {row['op']:20s} {row['backend']:7s} cold {row['cold_ms']:10.3f}   "
+            f"warm {row['warm_ms']:10.3f}   {row['speedup_warm']:6.2f}x warm"
         )
     return "\n".join(lines)
 
@@ -221,9 +193,7 @@ def main(argv=None):
 
 def test_precompute_rows_quick():
     results = run_precompute(quick=True)
-    assert {row["op"] for row in results["rows"]} >= {
-        "paillier_encrypt", "ompe_online",
-    }
+    assert {row["op"] for row in results["rows"]} >= {"ompe_online"}
     for row in results["rows"]:
         assert row["speedup_warm"] is not None and row["speedup_warm"] > 0
     update_artifact("hotpath_quick", "precompute", results)

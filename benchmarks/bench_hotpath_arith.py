@@ -4,8 +4,8 @@ Times each exact-arithmetic and crypto hot path against an explicit
 reference written out in this file (C ``pow`` for membership, a
 per-byte generator for the XOR, ``Fraction`` Horner for polynomial
 evaluation, the textbook
-``λ`` path of a key without its factors for Paillier decryption, a
-direct draw for the randomizer), asserts the two give the same output,
+``λ`` path of a key without its factors for Paillier decryption),
+asserts the two give the same output,
 and writes the table to the ``arith`` section of ``BENCH_hotpath.json``
 (via ``update_artifact``, so the ``precompute`` section from
 ``bench_ablation_precompute.py`` survives).
@@ -43,11 +43,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from artifact import BENCH_DIR, BENCH_SEED, update_artifact
 from repro.crypto.hashing import _xor
-from repro.crypto.paillier import (
-    PaillierCipher,
-    PaillierPrivateKey,
-    generate_keypair,
-)
+from repro.crypto.paillier import PaillierPrivateKey, generate_keypair
 from repro.math import fastpath
 from repro.math.groups import fast_group
 from repro.math.numtheory import jacobi_symbol
@@ -172,25 +168,6 @@ def run_micro_benchmarks(quick=False):
         _time_loop(decrypt_crt, paillier_iters),
         decrypt_crt() == decrypt_lambda() == message,
         note="CRT split vs textbook lambda path",
-    ))
-
-    pooled = PaillierCipher(public, private, rng=ReproRandom(2), pool_batch=64)
-    pooled.pool.refill(paillier_iters + 8)  # offline phase, not timed
-    plain = PaillierCipher(public, private, rng=ReproRandom(2))
-
-    def encrypt_pooled():
-        pooled.encrypt(42)
-
-    def encrypt_plain():
-        plain.encrypt(42)
-
-    # The i-th pooled randomizer is the i-th direct draw.
-    identical = pooled.encrypt(42) == plain.encrypt(42)
-    rows.append(_micro_row(
-        "paillier_encrypt_online", 1,
-        _time_loop(encrypt_plain, paillier_iters),
-        _time_loop(encrypt_pooled, paillier_iters),
-        identical, note="precomputed r^n pool (online cost only)",
     ))
     return rows
 

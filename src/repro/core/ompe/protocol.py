@@ -134,7 +134,7 @@ def run_ompe_sender(
 
     The distributed counterpart of :func:`execute_ompe`: each process
     calls its own role driver against its endpoint of a
-    :class:`~repro.net.wire.WireChannel` (any blocking channel with the
+    :class:`~repro.net.mux.MuxChannel` (any blocking channel with the
     same contract works).  The drivers reproduce ``execute_ompe``'s
     seed discipline exactly — ``ReproRandom(seed).fork("sender")`` /
     ``.fork("receiver")`` — so a split run with the same seed produces

@@ -12,7 +12,7 @@ per-kind choice, and the shared steps come from
 
 Each protocol phase — the clear norm exchange and the three OMPE runs —
 gets a *fresh channel* from ``channel_factory`` (for the TCP transport,
-a fresh :class:`~repro.net.wire.WireChannel` over the same connection),
+a fresh :class:`~repro.net.mux.MuxChannel` over the same session),
 so per-phase reports carry per-phase transcripts exactly like the
 in-process protocol.  Seeds derive identically on both sides
 (``ReproRandom(seed).fork("run1"/"run2"/"run3").seed``), making the

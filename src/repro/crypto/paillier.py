@@ -45,28 +45,13 @@ class PaillierPublicKey:
     def n_squared(self) -> int:
         return self.n * self.n
 
-    def encrypt_raw(
-        self,
-        message: int,
-        rng: ReproRandom,
-        pool: Optional["RandomizerPool"] = None,
-    ) -> int:
-        """Encrypt an integer already reduced into ``Z_n``.
-
-        ``pool`` optionally supplies a precomputed ``r^n`` randomizer
-        (see :class:`RandomizerPool`); the pool draws its ``r`` values
-        from the same rng in the same order, so pooled and unpooled
-        encryption of the same message sequence yield identical
-        ciphertexts.
-        """
+    def encrypt_raw(self, message: int, rng: ReproRandom) -> int:
+        """Encrypt an integer already reduced into ``Z_n``."""
         if not 0 <= message < self.n:
             raise ValidationError("message out of range for modulus")
         n_sq = self.n_squared
-        if pool is not None:
-            randomizer = pool.take()
-        else:
-            r = rng.randrange_coprime(self.n)
-            randomizer = fastpath.get_backend().powmod(r, self.n, n_sq)
+        r = rng.randrange_coprime(self.n)
+        randomizer = fastpath.get_backend().powmod(r, self.n, n_sq)
         # (1 + n)^m = 1 + m*n (mod n^2) — the g = n + 1 shortcut.
         g_m = (1 + message * self.n) % n_sq
         return (g_m * randomizer) % n_sq
@@ -174,57 +159,6 @@ def generate_keypair(
     return public, PaillierPrivateKey(public_key=public, lam=lam, mu=mu, p=p, q=q)
 
 
-class RandomizerPool:
-    """Precomputed ``r^n`` randomizers for Paillier encryption.
-
-    The ``r^n mod n²`` exponentiation dominates encryption cost and is
-    independent of the message, so it can be hoisted into an offline
-    phase and amortized across a batch — the PINFER-style randomizer
-    precomputation.  The pool draws its ``r`` values from the caller's
-    rng in encryption order, so the ``i``-th pooled encryption uses
-    exactly the randomizer the ``i``-th unpooled encryption would have
-    drawn: ciphertext streams are identical.  It is the private pool
-    behind ``PaillierCipher(pool_batch=...)``, which the Paillier
-    baseline benchmarks use; nothing shares it across threads or
-    processes.
-    """
-
-    def __init__(
-        self, public_key: PaillierPublicKey, rng: ReproRandom, batch: int = 32
-    ) -> None:
-        if batch < 1:
-            raise ValidationError(f"batch must be at least 1, got {batch}")
-        self.public_key = public_key
-        self._rng = rng
-        self._batch = batch
-        self._ready: List[int] = []
-        self.precomputed_total = 0
-
-    def refill(self, count: Optional[int] = None) -> None:
-        """Precompute ``count`` (default: one batch of) randomizers."""
-        count = self._batch if count is None else count
-        n = self.public_key.n
-        n_sq = self.public_key.n_squared
-        powmod = fastpath.get_backend().powmod
-        fresh = [
-            powmod(self._rng.randrange_coprime(n), n, n_sq) for _ in range(count)
-        ]
-        fresh.reverse()  # take() pops from the end, oldest first
-        self._ready[:0] = fresh
-        self.precomputed_total += count
-
-    def take(self) -> int:
-        """Pop the next randomizer, refilling the pool when empty."""
-        if not self._ready:
-            self.refill()
-        return self._ready.pop()
-
-    @property
-    def available(self) -> int:
-        """Randomizers currently precomputed and unused."""
-        return len(self._ready)
-
-
 class FixedPointCodec:
     """Signed fixed-point encoding of rationals into ``Z_n``.
 
@@ -263,26 +197,15 @@ class PaillierCipher:
         private_key: Optional[PaillierPrivateKey] = None,
         precision: int = DEFAULT_PRECISION,
         rng: Optional[ReproRandom] = None,
-        pool_batch: Optional[int] = None,
     ) -> None:
         self.public_key = public_key
         self.private_key = private_key
         self.codec = FixedPointCodec(public_key, precision)
         self._rng = rng or ReproRandom()
-        self.pool: Optional[RandomizerPool] = None
-        if pool_batch is not None:
-            self.pool = RandomizerPool(public_key, self._rng, batch=pool_batch)
 
     def encrypt(self, value: Number) -> int:
-        """Encrypt a signed rational (fixed-point).
-
-        With a randomizer pool configured (``pool_batch``), the ``r^n``
-        work is taken from the precomputed pool; the ciphertext stream
-        is identical to the unpooled one on the same rng seed.
-        """
-        return self.public_key.encrypt_raw(
-            self.codec.encode(value), self._rng, pool=self.pool
-        )
+        """Encrypt a signed rational (fixed-point)."""
+        return self.public_key.encrypt_raw(self.codec.encode(value), self._rng)
 
     def decrypt(self, ciphertext: int, scale_power: int = 1) -> Fraction:
         """Decrypt to a signed rational."""

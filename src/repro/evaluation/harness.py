@@ -9,8 +9,8 @@ result containers and the registry that maps experiment ids to runners
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Sequence
 
 from repro import obs
 from repro.exceptions import ValidationError
@@ -22,10 +22,7 @@ class ExperimentResult:
 
     ``columns`` names the fields; ``rows`` holds one dict per data row
     (tables) or per series point (figures); ``notes`` records paper-vs-
-    measured commentary for EXPERIMENTS.md.  ``metrics`` carries the
-    :meth:`~repro.obs.MetricsRegistry.snapshot` captured while the
-    experiment ran, when a live registry was installed (``None``
-    otherwise).
+    measured commentary for EXPERIMENTS.md.
     """
 
     experiment_id: str
@@ -33,7 +30,6 @@ class ExperimentResult:
     columns: Sequence[str]
     rows: List[dict]
     notes: str = ""
-    metrics: Optional[Dict[str, dict]] = None
 
     def column(self, name: str) -> List:
         """Extract a column as a list."""
@@ -86,10 +82,7 @@ def available_experiments() -> List[str]:
 def run_experiment(experiment_id: str, **kwargs) -> ExperimentResult:
     """Run one experiment by id.
 
-    The run executes inside an ``experiment`` span, and when a live
-    metrics registry is installed (see :func:`repro.obs.observed`) the
-    registry snapshot is attached to the result's ``metrics`` field —
-    so regenerating a table also yields its full protocol telemetry.
+    The run executes inside an ``experiment`` span.
     """
     try:
         runner = _REGISTRY[experiment_id]
@@ -101,8 +94,4 @@ def run_experiment(experiment_id: str, **kwargs) -> ExperimentResult:
     with obs.get_tracer().span(
         "experiment", phase="experiment", experiment=experiment_id
     ):
-        result = runner(**kwargs)
-    metrics = obs.get_metrics()
-    if metrics.enabled and result.metrics is None:
-        result = replace(result, metrics=metrics.snapshot())
-    return result
+        return runner(**kwargs)

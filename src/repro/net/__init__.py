@@ -2,9 +2,9 @@
 
 Two interchangeable transports implement the channel contract: the
 in-memory :class:`Channel` (both parties lock-step in one process, with
-a simulated network clock) and the TCP :class:`WireChannel`
-(:mod:`repro.net.wire` — real sockets, length-prefixed frames, one
-endpoint per process).  Protocol code in :mod:`repro.core` is written
+a simulated network clock) and :class:`~repro.net.mux.MuxChannel` (one
+endpoint per party over a real connection from :mod:`repro.net.wire`,
+on either wire protocol).  Protocol code in :mod:`repro.core` is written
 against the contract and runs unchanged over either.
 """
 
@@ -22,7 +22,6 @@ from repro.net.runner import ProtocolReport, finish_report
 from repro.net.transcript import Transcript, phase_of
 from repro.net.wire import (
     MAX_FRAME_BYTES,
-    WireChannel,
     WireConnection,
     accept,
     connect,
@@ -40,7 +39,6 @@ __all__ = [
     "Message",
     "measure_size",
     "Party",
-    "WireChannel",
     "WireConnection",
     "accept",
     "connect",

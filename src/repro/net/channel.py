@@ -48,8 +48,8 @@ def observe_message(
 ) -> Optional[Tuple[str, str]]:
     """Record one sent protocol message into the global metrics/tracer.
 
-    Shared by the in-memory :class:`Channel` and the TCP
-    :class:`~repro.net.wire.WireChannel` so both transports produce
+    Shared by the in-memory :class:`Channel` and the wire
+    :class:`~repro.net.mux.MuxChannel` so both transports produce
     identical metric streams for identical protocol runs.  Returns the
     updated last-send direction (for round-trip counting); when metrics
     are disabled the direction state is left untouched, mirroring the

@@ -32,7 +32,39 @@ def _record_fault(kind: str) -> None:
     obs.record_fault(kind)
 
 
-class DroppingChannel:
+class _ForwardingChannel:
+    """Forwards the channel contract to the wrapped ``inner`` channel.
+
+    Each fault wrapper overrides only :meth:`send`, where its fault
+    happens; everything a protocol reads or receives passes through.
+    """
+
+    def __init__(self, inner) -> None:
+        self.inner = inner
+
+    @property
+    def parties(self):
+        return self.inner.parties
+
+    @property
+    def transcript(self):
+        return self.inner.transcript
+
+    @property
+    def simulated_time(self):
+        return self.inner.simulated_time
+
+    def receive(self, recipient: str, expected_type: Optional[str] = None) -> Any:
+        return self.inner.receive(recipient, expected_type)
+
+    def pending(self, recipient: str) -> int:
+        return self.inner.pending(recipient)
+
+    def assert_drained(self) -> None:
+        self.inner.assert_drained()
+
+
+class DroppingChannel(_ForwardingChannel):
     """Drops each sent message independently with a fixed probability.
 
     A dropped message simply never arrives; the peer's next ``receive``
@@ -50,22 +82,10 @@ class DroppingChannel:
             raise ValidationError(
                 f"drop_probability must be in [0, 1], got {drop_probability}"
             )
-        self.inner = inner
+        super().__init__(inner)
         self.drop_probability = drop_probability
         self._rng = rng or ReproRandom()
         self.dropped = 0
-
-    @property
-    def parties(self):
-        return self.inner.parties
-
-    @property
-    def transcript(self):
-        return self.inner.transcript
-
-    @property
-    def simulated_time(self):
-        return self.inner.simulated_time
 
     def send(self, sender: str, msg_type: str, payload: Any):
         if self._rng.uniform(0.0, 1.0) < self.drop_probability:
@@ -74,17 +94,8 @@ class DroppingChannel:
             return None
         return self.inner.send(sender, msg_type, payload)
 
-    def receive(self, recipient: str, expected_type: Optional[str] = None) -> Any:
-        return self.inner.receive(recipient, expected_type)
 
-    def pending(self, recipient: str) -> int:
-        return self.inner.pending(recipient)
-
-    def assert_drained(self) -> None:
-        self.inner.assert_drained()
-
-
-class DuplicatingChannel:
+class DuplicatingChannel(_ForwardingChannel):
     """Delivers each message twice with a fixed probability.
 
     Duplicates desynchronize a lock-step protocol: the extra copy is
@@ -102,22 +113,10 @@ class DuplicatingChannel:
             raise ValidationError(
                 f"duplicate_probability must be in [0, 1], got {duplicate_probability}"
             )
-        self.inner = inner
+        super().__init__(inner)
         self.duplicate_probability = duplicate_probability
         self._rng = rng or ReproRandom()
         self.duplicated = 0
-
-    @property
-    def parties(self):
-        return self.inner.parties
-
-    @property
-    def transcript(self):
-        return self.inner.transcript
-
-    @property
-    def simulated_time(self):
-        return self.inner.simulated_time
 
     def send(self, sender: str, msg_type: str, payload: Any):
         message = self.inner.send(sender, msg_type, payload)
@@ -127,17 +126,8 @@ class DuplicatingChannel:
             self.inner.send(sender, msg_type, payload)
         return message
 
-    def receive(self, recipient: str, expected_type: Optional[str] = None) -> Any:
-        return self.inner.receive(recipient, expected_type)
 
-    def pending(self, recipient: str) -> int:
-        return self.inner.pending(recipient)
-
-    def assert_drained(self) -> None:
-        self.inner.assert_drained()
-
-
-class CorruptingChannel:
+class CorruptingChannel(_ForwardingChannel):
     """Applies a payload-mutating function to each message with a
     fixed probability.
 
@@ -158,23 +148,11 @@ class CorruptingChannel:
             raise ValidationError(
                 f"corrupt_probability must be in [0, 1], got {corrupt_probability}"
             )
-        self.inner = inner
+        super().__init__(inner)
         self.corrupt_probability = corrupt_probability
         self.mutator = mutator or _flip_first_byte
         self._rng = rng or ReproRandom()
         self.corrupted = 0
-
-    @property
-    def parties(self):
-        return self.inner.parties
-
-    @property
-    def transcript(self):
-        return self.inner.transcript
-
-    @property
-    def simulated_time(self):
-        return self.inner.simulated_time
 
     def send(self, sender: str, msg_type: str, payload: Any):
         if self._rng.uniform(0.0, 1.0) < self.corrupt_probability:
@@ -183,17 +161,8 @@ class CorruptingChannel:
             payload = self.mutator(payload)
         return self.inner.send(sender, msg_type, payload)
 
-    def receive(self, recipient: str, expected_type: Optional[str] = None) -> Any:
-        return self.inner.receive(recipient, expected_type)
 
-    def pending(self, recipient: str) -> int:
-        return self.inner.pending(recipient)
-
-    def assert_drained(self) -> None:
-        self.inner.assert_drained()
-
-
-class DelayingChannel:
+class DelayingChannel(_ForwardingChannel):
     """Adds extra simulated latency to each message with a fixed
     probability.
 
@@ -216,20 +185,12 @@ class DelayingChannel:
             raise ValidationError(
                 f"delay_probability must be in [0, 1], got {delay_probability}"
             )
-        self.inner = inner
+        super().__init__(inner)
         self.delay_s = delay_s
         self.delay_probability = delay_probability
         self._rng = rng or ReproRandom()
         self.delayed = 0
         self.extra_delay_s = 0.0
-
-    @property
-    def parties(self):
-        return self.inner.parties
-
-    @property
-    def transcript(self):
-        return self.inner.transcript
 
     @property
     def simulated_time(self):
@@ -243,17 +204,8 @@ class DelayingChannel:
             _record_fault("delay")
         return message
 
-    def receive(self, recipient: str, expected_type: Optional[str] = None) -> Any:
-        return self.inner.receive(recipient, expected_type)
 
-    def pending(self, recipient: str) -> int:
-        return self.inner.pending(recipient)
-
-    def assert_drained(self) -> None:
-        self.inner.assert_drained()
-
-
-class RetryingChannel:
+class RetryingChannel(_ForwardingChannel):
     """Resends messages a lossy inner channel dropped — the recovery
     path matching :class:`DroppingChannel`.
 
@@ -270,21 +222,9 @@ class RetryingChannel:
             raise ValidationError(
                 f"max_retries must be at least 1, got {max_retries}"
             )
-        self.inner = inner
+        super().__init__(inner)
         self.max_retries = max_retries
         self.retries = 0
-
-    @property
-    def parties(self):
-        return self.inner.parties
-
-    @property
-    def transcript(self):
-        return self.inner.transcript
-
-    @property
-    def simulated_time(self):
-        return self.inner.simulated_time
 
     def send(self, sender: str, msg_type: str, payload: Any):
         message = self.inner.send(sender, msg_type, payload)
@@ -309,15 +249,6 @@ class RetryingChannel:
                 f"{self.max_retries} retries"
             )
         return message
-
-    def receive(self, recipient: str, expected_type: Optional[str] = None) -> Any:
-        return self.inner.receive(recipient, expected_type)
-
-    def pending(self, recipient: str) -> int:
-        return self.inner.pending(recipient)
-
-    def assert_drained(self) -> None:
-        self.inner.assert_drained()
 
 
 def _flip_first_byte(payload: Any) -> Any:

@@ -13,14 +13,11 @@ account every message identically, byte for byte.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Any
 
 from repro.exceptions import ValidationError
 from repro.utils.serialization import encoded_payload_size
-
-_COUNTER = itertools.count(1)
 
 
 def measure_size(payload: Any) -> int:
@@ -50,8 +47,6 @@ class Message:
         The value itself (kept as a Python object; sizes are estimated).
     size_bytes:
         Estimated wire size.
-    sequence:
-        Global monotonically increasing id (ordering in transcripts).
     session_id:
         Wire session the message travelled on (protocol v2
         multiplexing); ``None`` on unmultiplexed transports.  Excluded
@@ -64,7 +59,6 @@ class Message:
     msg_type: str
     payload: Any
     size_bytes: int = field(default=-1)
-    sequence: int = field(default_factory=lambda: next(_COUNTER))
     session_id: Any = field(default=None, compare=False)
 
     def __post_init__(self) -> None:

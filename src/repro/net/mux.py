@@ -29,12 +29,15 @@ This module holds the pieces shared by both endpoints:
   frame queue plus a serialized send path, used by the protocol
   drivers through :class:`MuxChannel`;
 * :class:`MuxChannel` — the :class:`~repro.net.channel.Channel`
-  contract over a :class:`MuxSession`, mirroring
-  :class:`~repro.net.wire.WireChannel` byte for byte;
+  contract over one session endpoint, the one channel of every wire
+  endpoint: client or server, v1 or v2;
 * :class:`MuxClientConnection` — the client-side multiplexer: one
   reader thread demultiplexing server frames into per-session queues,
   sends serialized by a lock, sessions opened concurrently from any
-  number of threads.
+  number of threads;
+* :class:`V1ClientConnection` and :class:`V1Session` — the same client
+  surface over a protocol-v1 connection: one session at a time, no
+  envelope, read and written on the caller's thread.
 
 The server-side event loop lives in :mod:`repro.net.muxserver`.
 """
@@ -242,7 +245,58 @@ def _payload_bytes(encoded: bytes, msg_type: str) -> int:
     return len(encoded) - (1 + 4 + len(msg_type.encode("utf-8")))
 
 
-class MuxSession:
+def _session_error(payload: Any) -> ProtocolError:
+    return ProtocolError(f"peer reported a session error ({ERROR}): {payload!r}")
+
+
+class _SessionMessages:
+    """The message half of a session endpoint, shared by both protocols.
+
+    A subclass supplies ``_send(encoded) -> frame_bytes`` and
+    ``recv_message()``, which passes each inbound message through
+    :meth:`_check` so a peer's ``session/error`` or ``session/close``
+    surfaces as :class:`ProtocolError` on either protocol.
+    """
+
+    id: Optional[int] = None
+    _peer_closed = False
+
+    def send_message(self, msg_type: str, payload: Any) -> Tuple[int, int]:
+        """Send one message on this session.
+
+        Returns ``(payload_bytes, frame_bytes)`` — the transcript size
+        and the raw on-the-wire cost including any session envelope.
+        """
+        encoded = encode_message(msg_type, payload)
+        return _payload_bytes(encoded, msg_type), self._send(encoded)
+
+    def send_control(self, msg_type: str, payload: Any) -> None:
+        """Send one session-control message (off any transcript)."""
+        self._send(encode_message(msg_type, payload))
+
+    def _check(self, message: bytes) -> Tuple[str, Any, int]:
+        msg_type, payload, payload_bytes = decode_message(message)
+        if msg_type == ERROR:
+            self._peer_closed = True
+            raise _session_error(payload)
+        if msg_type == CLOSE:
+            self._peer_closed = True
+            raise ProtocolError(f"peer closed session {self.id} mid-protocol")
+        return msg_type, payload, payload_bytes
+
+    def recv_control(
+        self, expected: Optional[str] = None
+    ) -> Tuple[str, Any]:
+        """Receive one control message; surfaces ``session/error``."""
+        msg_type, payload, _ = self.recv_message()
+        if expected is not None and msg_type != expected:
+            raise ProtocolError(
+                f"expected control message {expected!r}, got {msg_type!r}"
+            )
+        return msg_type, payload
+
+
+class MuxSession(_SessionMessages):
     """One session endpoint on a multiplexed connection.
 
     The demultiplexer (client reader thread or server event loop)
@@ -267,7 +321,6 @@ class MuxSession:
         self._inbound: "queue.Queue" = queue.Queue()
         self._poison: Optional[Exception] = None
         self._finished = False
-        self._peer_closed = False
         self._lock = threading.Lock()
 
     # -- demultiplexer side ----------------------------------------------------
@@ -284,15 +337,8 @@ class MuxSession:
 
     # -- session-thread side -----------------------------------------------------
 
-    def send_message(self, msg_type: str, payload: Any) -> Tuple[int, int]:
-        """Send one message on this session.
-
-        Returns ``(payload_bytes, frame_bytes)`` — the transcript size
-        and the raw on-the-wire cost including the session envelope.
-        """
-        encoded = encode_message(msg_type, payload)
-        frame_bytes = self._send_frame(encode_mux_frame(self.id, encoded))
-        return _payload_bytes(encoded, msg_type), frame_bytes
+    def _send(self, encoded: bytes) -> int:
+        return self._send_frame(encode_mux_frame(self.id, encoded))
 
     def recv_message(
         self, timeout: Optional[float] = -1.0
@@ -322,30 +368,7 @@ class MuxSession:
             # Leave the poison visible for any later receive too.
             self._inbound.put(item)
             raise item
-        msg_type, payload, payload_bytes = decode_message(item)
-        if msg_type == ERROR:
-            self._peer_closed = True
-            raise ProtocolError(f"peer reported a session error: {payload!r}")
-        if msg_type == CLOSE:
-            self._peer_closed = True
-            raise ProtocolError(f"peer closed session {self.id} mid-protocol")
-        return msg_type, payload, payload_bytes
-
-    def send_control(self, msg_type: str, payload: Any) -> None:
-        """Send one session-control message (off any transcript)."""
-        encoded = encode_message(msg_type, payload)
-        self._send_frame(encode_mux_frame(self.id, encoded))
-
-    def recv_control(
-        self, expected: Optional[str] = None
-    ) -> Tuple[str, Any]:
-        """Receive one control message; surfaces ``session/error``."""
-        msg_type, payload, _ = self.recv_message()
-        if expected is not None and msg_type != expected:
-            raise ProtocolError(
-                f"expected control message {expected!r}, got {msg_type!r}"
-            )
-        return msg_type, payload
+        return self._check(item)
 
     def pending(self) -> bool:
         """True when a data frame is queued for this session.
@@ -388,12 +411,25 @@ class MuxSession:
 
 
 class MuxChannel:
-    """The :class:`Channel` contract over one multiplexed session.
+    """The :class:`Channel` contract over one session endpoint.
 
-    The byte-accounting mirror of :class:`~repro.net.wire.WireChannel`:
+    ``session`` is a :class:`MuxSession` (either protocol, server side;
+    v2, client side) or a :class:`V1Session` (v1, client side), so every
+    protocol in :mod:`repro.core` runs unchanged over any real
+    connection.  Unlike the in-memory channel — one shared object
+    holding both inboxes — each endpoint holds its own channel; ``local``
+    is its party name, sends must originate from it and receives are
+    addressed to it.
+
     ``Message.size_bytes`` is the encoded *payload* size of the inner v1
-    message — identical across the in-memory, v1 TCP, and v2 TCP
-    transports, so ``bytes_by_phase()`` is bit-identical too.  The
+    message — identical across the in-memory, v1 and v2 transports, so
+    ``bytes_by_phase()`` is bit-identical too.  The transcript records
+    both the messages this endpoint sends and the ones it receives, and
+    the simulated clock advances on both, mirroring the shared in-memory
+    clock.  Send-side metrics go through the same
+    :func:`~repro.net.channel.observe_message` helper as the in-memory
+    channel; receives only update the round-trip direction state, so two
+    endpoints sharing one registry count each message exactly once.  The
     session envelope (version byte + session id) and the frame header
     are accounted separately under ``repro_wire_bytes_total`` by the
     transport layer.
@@ -403,7 +439,7 @@ class MuxChannel:
         self,
         local: str,
         peer: str,
-        session: MuxSession,
+        session: _SessionMessages,
         link: Optional[LinkModel] = None,
         transcript: Optional[Transcript] = None,
     ) -> None:
@@ -465,7 +501,12 @@ class MuxChannel:
         return payload
 
     def pending(self, recipient: str) -> int:
-        """1 when a frame is queued for this session, else 0."""
+        """1 when a frame is waiting for this session, else 0.
+
+        A v1 session cannot count messages without consuming the stream,
+        so this is a readability poll, not a queue length; the values
+        still satisfy the contract's only uses (zero/non-zero).
+        """
         self._require_local(recipient, "poll")
         return 1 if self.session.pending() else 0
 
@@ -492,6 +533,8 @@ class MuxClientConnection:
     are counted under ``repro_wire_faults_total{kind=...}`` and dropped
     without touching the healthy sessions.
     """
+
+    protocol = "v2"
 
     def __init__(
         self,
@@ -606,7 +649,7 @@ class MuxClientConnection:
             raise item
         reply_type, reply, _ = decode_message(item)
         if reply_type == ERROR:
-            raise ProtocolError(f"peer reported a session error: {reply!r}")
+            raise _session_error(reply)
         return reply_type, reply
 
     # -- demultiplexing ------------------------------------------------------------
@@ -672,3 +715,67 @@ class MuxClientConnection:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
+
+
+class V1Session(_SessionMessages):
+    """The one session of a protocol-v1 client connection.
+
+    The surface of :class:`MuxSession`, read and written on the
+    caller's thread: no reader thread, no envelope, and the connection
+    is the session, so ``id`` is ``None`` and :meth:`cancel` and
+    :meth:`finish` do nothing.
+    """
+
+    def __init__(self, connection: WireConnection) -> None:
+        self._connection = connection
+
+    def _send(self, encoded: bytes) -> int:
+        return self._connection.send_frame(encoded)
+
+    def recv_message(self) -> Tuple[str, Any, int]:
+        """Block for the peer's next message (the connection's timeout)."""
+        return self._check(self._connection.recv_frame())
+
+    def pending(self) -> bool:
+        """True when unread peer data is waiting on the connection."""
+        return self._connection.readable()
+
+    def cancel(self, reason: str = "session cancelled") -> None:
+        """v1 has no session-scoped cancel."""
+
+    def finish(self) -> None:
+        """v1 keeps no per-session state."""
+
+
+class V1ClientConnection:
+    """Client side of one protocol-v1 connection.
+
+    The surface of :class:`MuxClientConnection` for a peer that speaks
+    only v1: sessions run one at a time, each opened by a
+    ``session/open`` control frame; control requests are plain frames.
+    """
+
+    protocol = "v1"
+
+    def __init__(self, connection: WireConnection) -> None:
+        self._connection = connection
+
+    def open_session(self, payload: Any) -> V1Session:
+        """Open the next session: sends ``session/open``."""
+        session = V1Session(self._connection)
+        session.send_control(OPEN, payload)
+        return session
+
+    def control_request(self, msg_type: str, payload: Any) -> Tuple[str, Any]:
+        """One request/response control exchange (admin)."""
+        session = V1Session(self._connection)
+        session.send_control(msg_type, payload)
+        return session.recv_control()
+
+    def close(self) -> None:
+        """Say ``session/close`` (best effort) and close the connection."""
+        try:
+            self._connection.send_frame(encode_message(CLOSE, None))
+        except ProtocolError:
+            pass  # peer already gone
+        self._connection.close()

@@ -68,7 +68,7 @@ import queue
 import threading
 import time
 from contextlib import contextmanager
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro import obs
 from repro.core.classification.linear import (
@@ -94,10 +94,20 @@ from repro.exceptions import (
 )
 from repro.ml.svm.model import SVMModel
 from repro.net import wire
-from repro.net.mux import MuxChannel, MuxClientConnection, MuxRouter
+from repro.net.mux import (  # OPEN and CLOSE are re-exported
+    ACCEPT,
+    CLOSE,  # noqa: F401
+    ERROR,
+    OPEN,  # noqa: F401
+    MuxChannel,
+    MuxClientConnection,
+    MuxRouter,
+    MuxSession,
+    V1ClientConnection,
+)
 from repro.net.muxserver import MuxConnection, MuxServerLoop
 from repro.net.transcript import Transcript
-from repro.net.wire import WireChannel, WireConnection
+from repro.net.wire import WireConnection
 from repro.obs.distributed import (
     AdminHealth,
     AdminMetricsDump,
@@ -110,15 +120,8 @@ from repro.obs.metrics import DEFAULT_LATENCY_BUCKETS
 from repro.obs.tracing import spans_to_jsonl
 from repro.utils.serialization import (
     CONTROL_SESSION_ID,
-    decode_message,
     encode_message,
 )
-
-#: Control message labels (never seen by protocol transcripts).
-OPEN = "session/open"
-ACCEPT = "session/accept"
-ERROR = "session/error"
-CLOSE = "session/close"
 
 #: Admin channel labels — request/response pairs on any connection,
 #: outside any session and outside the session budget.
@@ -163,25 +166,6 @@ def _sessions_inflight(delta: float, protocol: str) -> None:
             SESSIONS_INFLIGHT,
             "Protocol sessions currently being served, by wire protocol",
         ).inc(delta, protocol=protocol)
-
-
-def send_control(connection: WireConnection, msg_type: str, payload: Any) -> None:
-    """Send one control message outside any protocol channel."""
-    connection.send_frame(encode_message(msg_type, payload))
-
-
-def recv_control(
-    connection: WireConnection, expected: Optional[str] = None
-) -> Tuple[str, Any]:
-    """Receive one control message; surfaces ``session/error`` payloads."""
-    msg_type, payload, _ = decode_message(connection.recv_frame())
-    if msg_type == ERROR:
-        raise ProtocolError(f"peer reported a session error: {payload!r}")
-    if expected is not None and msg_type != expected:
-        raise ProtocolError(
-            f"expected control message {expected!r}, got {msg_type!r}"
-        )
-    return msg_type, payload
 
 
 def _annotate_session(span: Any, accept: Any) -> None:
@@ -877,48 +861,6 @@ class TrainerServer:
         )
 
 
-class _WireClientSession:
-    """Client-side v1 session: control + channel on the raw connection."""
-
-    def __init__(self, connection: WireConnection, request: Any) -> None:
-        self._connection = connection
-        send_control(connection, OPEN, request)
-
-    def recv_accept(self) -> Any:
-        return recv_control(self._connection, ACCEPT)[1]
-
-    def channel(self) -> WireChannel:
-        return WireChannel("bob", "alice", self._connection)
-
-    def abort(self, reason: str) -> None:
-        pass  # v1 has no session-scoped cancel; the connection is the session
-
-    def finish(self) -> None:
-        pass
-
-
-class _MuxClientSession:
-    """Client-side v2 session: one endpoint on the shared connection."""
-
-    def __init__(
-        self, mux_connection: MuxClientConnection, request: Any
-    ) -> None:
-        self._session = mux_connection.open_session(request)
-
-    def recv_accept(self) -> Any:
-        _, payload = self._session.recv_control(ACCEPT)
-        return payload
-
-    def channel(self) -> MuxChannel:
-        return MuxChannel("bob", "alice", self._session)
-
-    def abort(self, reason: str) -> None:
-        self._session.cancel(reason)
-
-    def finish(self) -> None:
-        self._session.finish()
-
-
 class SessionFuture:
     """Result handle for one pipelined (protocol v2) session.
 
@@ -935,17 +877,17 @@ class SessionFuture:
         self._error: Optional[BaseException] = None
         self._finished = threading.Event()
         self._lock = threading.Lock()
-        self._session: Optional[_MuxClientSession] = None
+        self._session: Optional[MuxSession] = None
         self._cancel_reason: Optional[str] = None
 
     # -- driver side -----------------------------------------------------------
 
-    def _attach(self, session: _MuxClientSession) -> None:
+    def _attach(self, session: MuxSession) -> None:
         with self._lock:
             self._session = session
             reason = self._cancel_reason
         if reason is not None:
-            session.abort(reason)
+            session.cancel(reason)
 
     def _resolve(self, value: Any) -> None:
         self._value = value
@@ -973,7 +915,7 @@ class SessionFuture:
             session = self._session
             self._cancel_reason = reason
         if session is not None:
-            session.abort(reason)
+            session.cancel(reason)
         return True
 
     def result(self, timeout: Optional[float] = None) -> Any:
@@ -991,31 +933,47 @@ class SessionFuture:
         return self._value
 
 
-def _upgrade_client(
-    connection: WireConnection,
+def _dial(
+    who: str,
+    host: Optional[str],
+    port: Optional[int],
+    connection: Optional[WireConnection],
     protocol: str,
     timeout: Optional[float],
-    redial: Any = None,
-) -> Tuple[WireConnection, Optional[MuxClientConnection]]:
-    """Negotiate the client's wire protocol on a fresh connection.
+    attempts: int,
+    retry_delay_s: float,
+) -> Union[V1ClientConnection, MuxClientConnection]:
+    """Connect (unless handed ``connection``) and negotiate the protocol.
 
-    Returns ``(connection, mux_or_None)``.  With ``protocol="auto"``, a
-    peer that refuses the v2 upgrade (it drops the connection after its
-    error reply) is redialed through ``redial`` and spoken to in v1.
+    Returns a :class:`~repro.net.mux.V1ClientConnection` or a
+    :class:`~repro.net.mux.MuxClientConnection`; both open sessions and
+    carry control requests through one interface.  With
+    ``protocol="auto"``, a peer that refuses the v2 upgrade (it drops
+    the connection after its error reply) is redialed and spoken to in
+    v1; a handed-in connection cannot be redialed, so its refusal
+    raises.
     """
     if protocol not in CLIENT_PROTOCOLS:
         raise ValidationError(
             f"protocol must be one of {CLIENT_PROTOCOLS}, got {protocol!r}"
         )
+    dialed = connection is None
+    if connection is None:
+        if host is None or port is None:
+            raise ValidationError(f"{who} needs host and port (or a connection)")
+        connection = wire.connect(
+            host, port, timeout=timeout,
+            attempts=attempts, retry_delay_s=retry_delay_s,
+        )
     if protocol == "v1":
-        return connection, None
+        return V1ClientConnection(connection)
     try:
-        return connection, MuxClientConnection(connection, timeout=timeout)
+        return MuxClientConnection(connection, timeout=timeout)
     except ProtocolError:
         connection.close()
-        if protocol == "v2" or redial is None:
+        if protocol == "v2" or not dialed:
             raise
-        return redial(), None
+    return _dial(who, host, port, None, "v1", timeout, attempts, retry_delay_s)
 
 
 class TrainerClient:
@@ -1048,39 +1006,14 @@ class TrainerClient:
     ) -> None:
         self.config = config or OMPEConfig()
         self.params = params or MetricParams()
-        redial = None
-        if connection is not None:
-            self._connection = connection
-        else:
-            if host is None or port is None:
-                raise ValidationError(
-                    "TrainerClient needs host and port (or a connection)"
-                )
-
-            def redial() -> WireConnection:
-                return wire.connect(
-                    host,
-                    port,
-                    timeout=timeout,
-                    attempts=attempts,
-                    retry_delay_s=retry_delay_s,
-                )
-
-            self._connection = redial()
-        self._connection, self._mux = _upgrade_client(
-            self._connection, protocol, timeout, redial=redial
+        self._connection = _dial(
+            "TrainerClient", host, port, connection, protocol,
+            timeout, attempts, retry_delay_s,
         )
         #: The negotiated wire protocol ("v1" or "v2").
-        self.protocol = "v2" if self._mux is not None else "v1"
+        self.protocol: str = self._connection.protocol
 
     def close(self) -> None:
-        if self._mux is not None:
-            self._mux.close()
-            return
-        try:
-            send_control(self._connection, CLOSE, None)
-        except ReproError:
-            pass  # server already hung up
         self._connection.close()
 
     def __enter__(self) -> "TrainerClient":
@@ -1090,11 +1023,6 @@ class TrainerClient:
         self.close()
 
     # -- sessions ------------------------------------------------------------
-
-    def _open_session(self, request: Any) -> Any:
-        if self._mux is not None:
-            return _MuxClientSession(self._mux, request)
-        return _WireClientSession(self._connection, request)
 
     def classify(
         self, sample: Sequence[float], seed: Optional[int] = None
@@ -1116,7 +1044,7 @@ class TrainerClient:
         Returns immediately with a :class:`SessionFuture`; any number
         of sessions may be in flight on this one connection at once.
         """
-        self._require_mux()
+        self._require_v2()
         future = SessionFuture()
         sample = tuple(sample)
 
@@ -1141,7 +1069,7 @@ class TrainerClient:
         server_model: Optional[str] = None,
     ) -> SessionFuture:
         """Pipeline one similarity session (protocol v2 only)."""
-        self._require_mux()
+        self._require_v2()
         future = SessionFuture()
 
         def drive() -> None:
@@ -1161,8 +1089,8 @@ class TrainerClient:
         ).start()
         return future
 
-    def _require_mux(self) -> None:
-        if self._mux is None:
+    def _require_v2(self) -> None:
+        if self.protocol != "v2":
             raise ValidationError(
                 "pipelined sessions need protocol='v2' (or 'auto' against "
                 "a v2 server)"
@@ -1184,10 +1112,10 @@ class TrainerClient:
                 request["trace"] = context
             session = None
             try:
-                session = self._open_session(request)
+                session = self._connection.open_session(request)
                 if on_session is not None:
                     on_session(session)
-                accept = session.recv_accept()
+                _, accept = session.recv_control(ACCEPT)
                 if not isinstance(accept, dict) or not isinstance(
                     accept.get("dimension"), int
                 ):
@@ -1202,14 +1130,14 @@ class TrainerClient:
                         f"sample has {len(sample)} coordinates, server model "
                         f"expects {dimension}"
                     )
-                channel = session.channel()
+                channel = MuxChannel("bob", "alice", session)
                 outcome = run_ompe_receiver(
                     sample, channel, config=self.config, seed=seed, name="bob"
                 )
                 session.finish()
             except ReproError as error:
                 if session is not None:
-                    session.abort(f"{type(error).__name__}: {error}")
+                    session.cancel(f"{type(error).__name__}: {error}")
                 if span.enabled:
                     span.set(error=f"{type(error).__name__}: {error}")
                 raise
@@ -1275,10 +1203,10 @@ class TrainerClient:
                 request["trace"] = context
             session = None
             try:
-                session = self._open_session(request)
+                session = self._connection.open_session(request)
                 if on_session is not None:
                     on_session(session)
-                accept = session.recv_accept()
+                _, accept = session.recv_control(ACCEPT)
                 if not isinstance(accept, dict):
                     raise ProtocolError(
                         f"session/accept payload must be a mapping: {accept!r}"
@@ -1316,7 +1244,7 @@ class TrainerClient:
                     )
                 _annotate_session(span, accept)
                 outcome = run_similarity_bob(
-                    model, session.channel,
+                    model, lambda: MuxChannel("bob", "alice", session),
                     params=self.params, config=self.config, seed=seed,
                     policy=echoed,
                 )
@@ -1324,7 +1252,7 @@ class TrainerClient:
                 return outcome
             except ReproError as error:
                 if session is not None:
-                    session.abort(f"{type(error).__name__}: {error}")
+                    session.cancel(f"{type(error).__name__}: {error}")
                 if span.enabled:
                     span.set(error=f"{type(error).__name__}: {error}")
                 raise
@@ -1350,38 +1278,13 @@ class AdminClient:
         connection: Optional[WireConnection] = None,
         protocol: str = "v1",
     ) -> None:
-        redial = None
-        if connection is not None:
-            self._connection = connection
-        else:
-            if host is None or port is None:
-                raise ValidationError(
-                    "AdminClient needs host and port (or a connection)"
-                )
-
-            def redial() -> WireConnection:
-                return wire.connect(
-                    host,
-                    port,
-                    timeout=timeout,
-                    attempts=attempts,
-                    retry_delay_s=retry_delay_s,
-                )
-
-            self._connection = redial()
-        self._connection, self._mux = _upgrade_client(
-            self._connection, protocol, timeout, redial=redial
+        self._connection = _dial(
+            "AdminClient", host, port, connection, protocol,
+            timeout, attempts, retry_delay_s,
         )
-        self.protocol = "v2" if self._mux is not None else "v1"
+        self.protocol: str = self._connection.protocol
 
     def close(self) -> None:
-        if self._mux is not None:
-            self._mux.close()
-            return
-        try:
-            send_control(self._connection, CLOSE, None)
-        except ReproError:
-            pass  # server already hung up
         self._connection.close()
 
     def __enter__(self) -> "AdminClient":
@@ -1391,17 +1294,15 @@ class AdminClient:
         self.close()
 
     def _request(self, msg_type: str, payload: Any) -> Any:
-        if self._mux is not None:
-            # Admin traffic rides the reserved control session (id 0),
-            # so it never contends with protocol sessions for an id.
-            reply_type, response = self._mux.control_request(msg_type, payload)
-            if reply_type != msg_type:
-                raise ProtocolError(
-                    f"expected control message {msg_type!r}, got {reply_type!r}"
-                )
-            return response
-        send_control(self._connection, msg_type, payload)
-        _, response = recv_control(self._connection, msg_type)
+        # On v2, admin traffic rides the reserved control session (id 0),
+        # so it never contends with protocol sessions for an id.
+        reply_type, response = self._connection.control_request(
+            msg_type, payload
+        )
+        if reply_type != msg_type:
+            raise ProtocolError(
+                f"expected control message {msg_type!r}, got {reply_type!r}"
+            )
         return response
 
     def metrics(self) -> AdminMetricsDump:

@@ -2,28 +2,23 @@
 
 The in-memory :class:`~repro.net.channel.Channel` runs both parties
 lock-step inside one process; this module runs them over an actual
-socket.  Three layers:
+socket.  Two layers:
 
 * :class:`WireConnection` — length-prefixed framing over a blocking
   socket: each frame is a 4-byte big-endian length followed by one
   encoded message (:func:`repro.utils.serialization.encode_message`).
   All transport failures — peer EOF, resets, timeouts, hostile length
   prefixes — surface as typed :class:`~repro.exceptions.ProtocolError`
-  and bump ``repro_wire_faults_total{kind=...}``.
-* :class:`WireChannel` — the :class:`Channel` send/receive contract
-  (``parties``, ``transcript``, ``pending``, ``assert_drained``) over a
-  :class:`WireConnection`, so every protocol in :mod:`repro.core` runs
-  unchanged over a real connection.  ``Message.size_bytes`` is the
-  *true encoded payload size* — the same number ``measure_size``
-  computes for the in-memory transport — so per-phase byte accounting
-  (:meth:`~repro.net.transcript.Transcript.bytes_by_phase`) is
-  identical across transports.  Frame overhead (version byte, type
-  label, length prefix) is accounted separately under
-  ``repro_wire_bytes_total``.
+  and bump ``repro_wire_faults_total{kind=...}``.  Frame overhead
+  (length prefix) is accounted under ``repro_wire_bytes_total``;
+  :class:`MemoryConnection` is the same endpoint over in-process queues.
 * :func:`listen` / :func:`connect` — socket lifecycle helpers; the
   client side retries refused connections with a backoff
   (``repro_wire_retries_total``), the recovery path expected from
   clients of a restarting trainer service.
+
+The :class:`~repro.net.channel.Channel` contract over a connection is
+:class:`~repro.net.mux.MuxChannel`, for both wire protocols.
 """
 
 from __future__ import annotations
@@ -35,14 +30,10 @@ import socket
 import struct
 import threading
 import time
-from typing import Any, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro import obs
 from repro.exceptions import ProtocolError, ValidationError
-from repro.net.channel import LinkModel, observe_message
-from repro.net.message import Message
-from repro.net.transcript import Transcript
-from repro.utils.serialization import decode_message, encode_message
 
 #: Hard ceiling on one frame's length prefix.  A hostile peer can claim
 #: any 32-bit length; bounding it keeps a malformed or malicious prefix
@@ -402,118 +393,6 @@ def memory_pair(
     first = MemoryConnection(b_to_a, a_to_b, timeout, max_frame_bytes)
     second = MemoryConnection(a_to_b, b_to_a, timeout, max_frame_bytes)
     return first, second
-
-
-class WireChannel:
-    """The :class:`Channel` contract over one TCP connection endpoint.
-
-    Unlike the in-memory channel — one shared object holding both
-    inboxes — each process holds *its own* ``WireChannel`` wrapping its
-    end of the connection.  ``local`` is this process's party name;
-    sends must originate from it and receives are addressed to it.
-
-    The transcript records both the messages this endpoint sends and
-    the ones it receives, so after a clean run each side holds the
-    complete conversation and ``bytes_by_phase()`` matches the
-    in-memory transcript bit for bit.  The simulated clock likewise
-    advances on both send and receive, mirroring the shared in-memory
-    clock.  Send-side metrics go through the same
-    :func:`~repro.net.channel.observe_message` helper as the in-memory
-    channel; receives only update the round-trip direction state, so
-    two endpoints sharing one registry count each message exactly once.
-    """
-
-    def __init__(
-        self,
-        local: str,
-        peer: str,
-        connection: WireConnection,
-        link: Optional[LinkModel] = None,
-        transcript: Optional[Transcript] = None,
-    ) -> None:
-        if local == peer:
-            raise ValidationError("a channel needs two distinct parties")
-        if not local or not peer:
-            raise ValidationError("party names must be non-empty")
-        self.local = local
-        self.peer = peer
-        self.parties: Tuple[str, str] = (local, peer)
-        self.connection = connection
-        self.link = link or LinkModel()
-        self.transcript = transcript if transcript is not None else Transcript()
-        self.simulated_time: float = 0.0
-        self._last_direction: Optional[Tuple[str, str]] = None
-
-    def _require_local(self, party: str, action: str) -> None:
-        if party != self.local:
-            raise ProtocolError(
-                f"{party!r} cannot {action} on {self.local!r}'s wire endpoint"
-            )
-
-    def send(self, sender: str, msg_type: str, payload: Any) -> Message:
-        """Encode and transmit one message to the peer."""
-        self._require_local(sender, "send")
-        encoded = encode_message(msg_type, payload)
-        # Header = version byte + length-prefixed type label; the rest
-        # is payload — the quantity both transports record as
-        # ``Message.size_bytes``.
-        payload_bytes = len(encoded) - (1 + 4 + len(msg_type.encode("utf-8")))
-        message = Message(
-            sender=sender,
-            recipient=self.peer,
-            msg_type=msg_type,
-            payload=payload,
-            size_bytes=payload_bytes,
-        )
-        self.connection.send_frame(encoded)
-        self.transcript.record(message)
-        self.simulated_time += self.link.transfer_time(message.size_bytes)
-        self._last_direction = observe_message(message, self._last_direction)
-        return message
-
-    def receive(self, recipient: str, expected_type: Optional[str] = None) -> Any:
-        """Block for the peer's next message; returns the payload."""
-        self._require_local(recipient, "receive")
-        data = self.connection.recv_frame()
-        msg_type, payload, payload_bytes = decode_message(data)
-        message = Message(
-            sender=self.peer,
-            recipient=recipient,
-            msg_type=msg_type,
-            payload=payload,
-            size_bytes=payload_bytes,
-        )
-        self.transcript.record(message)
-        self.simulated_time += self.link.transfer_time(message.size_bytes)
-        # Count the message's metrics on the sending side only, but keep
-        # the direction state in sync so this endpoint's next send knows
-        # whether the conversation turned around.
-        self._last_direction = (self.peer, recipient)
-        if expected_type is not None and msg_type != expected_type:
-            raise ProtocolError(
-                f"{recipient} expected {expected_type!r} but got {msg_type!r}"
-            )
-        return payload
-
-    def pending(self, recipient: str) -> int:
-        """1 when peer data is waiting on the socket, else 0.
-
-        TCP does not expose a message count without consuming the
-        stream, so this is a readability poll, not a queue length; the
-        values still satisfy the contract's only uses (zero/non-zero).
-        """
-        self._require_local(recipient, "poll")
-        return 1 if self.connection.readable() else 0
-
-    def assert_drained(self) -> None:
-        """Raise unless no peer data remains buffered (clean completion)."""
-        if self.connection.readable():
-            raise ProtocolError(
-                f"{self.local} still has undelivered peer data on the wire"
-            )
-
-    def close(self) -> None:
-        self.connection.close()
 
 
 def listen(

@@ -259,7 +259,7 @@ def drift_from_service_metrics(
     the server reconciles from every session transcript's
     ``bytes_by_phase()`` — restricted to sessions of the given
     ``kind``, and compares against the analytic cost model.  Because
-    the server-side :class:`~repro.net.wire.WireChannel` transcript
+    the server-side :class:`~repro.net.mux.MuxChannel` transcript
     records both directions, those numbers are directly comparable to
     the single-process ``repro_phase_bytes_total`` path in
     :func:`drift_from_metrics`.  ``runs`` defaults to the

@@ -552,7 +552,7 @@ def decode_message(data: bytes) -> Tuple[str, Any, int]:
     """Decode one message; returns ``(msg_type, payload, payload_bytes)``.
 
     ``payload_bytes`` is the exact encoded size of the payload segment —
-    the number :class:`repro.net.wire.WireChannel` records as the
+    the number :class:`repro.net.mux.MuxChannel` records as the
     message's wire size (and which
     :func:`repro.net.message.measure_size` reproduces for the simulated
     transport).

@@ -4,8 +4,7 @@ OT transfers repeat byte for byte on one rng seed and carry only
 points that pass the Euler-criterion membership oracle (the Jacobi
 test runs in the protocol); Paillier CRT decryption gives the
 plaintexts and rejections of the textbook ``λ`` path (a key without
-its factors); the randomizer pool gives the ciphertext stream of
-direct draws.
+its factors).
 """
 
 from __future__ import annotations
@@ -14,13 +13,8 @@ import pytest
 
 from repro.crypto.hashing import _xor, unwrap_message, wrap_message
 from repro.crypto.ot.k_of_n import run_k_of_n
-from repro.exceptions import DecryptionError, ValidationError
-from repro.crypto.paillier import (
-    PaillierCipher,
-    PaillierPrivateKey,
-    RandomizerPool,
-    generate_keypair,
-)
+from repro.exceptions import DecryptionError
+from repro.crypto.paillier import PaillierPrivateKey, generate_keypair
 from repro.utils.rng import ReproRandom
 from tests import reference
 
@@ -114,55 +108,3 @@ class TestPaillierCRT:
             private.decrypt_raw(0)
         with pytest.raises(DecryptionError):
             private.decrypt_raw(public.n_squared)
-
-
-class TestRandomizerPool:
-    def test_pooled_ciphertext_stream_identical(self, keypair):
-        public, private = keypair
-        values = [1, 42, 1000, 31337]
-        pooled_cipher = PaillierCipher(
-            public, private, rng=ReproRandom(314), pool_batch=8
-        )
-        pooled_cipher.pool.refill()  # offline phase
-        plain_cipher = PaillierCipher(public, private, rng=ReproRandom(314))
-        pooled = [pooled_cipher.encrypt(v) for v in values]
-        unpooled = [plain_cipher.encrypt(v) for v in values]
-        assert pooled == unpooled
-        for ciphertext, value in zip(pooled, values):
-            assert pooled_cipher.decrypt(ciphertext) == value
-
-    def test_refill_accounting(self, keypair):
-        public, _ = keypair
-        pool = RandomizerPool(public, ReproRandom(1), batch=4)
-        assert pool.available == 0
-        pool.refill()
-        assert pool.available == 4
-        pool.take()
-        assert pool.available == 3
-        pool.refill(2)
-        assert pool.available == 5
-        assert pool.precomputed_total == 6
-
-    def test_take_refills_when_empty(self, keypair):
-        public, _ = keypair
-        pool = RandomizerPool(public, ReproRandom(2), batch=3)
-        randomizer = pool.take()
-        assert randomizer > 0
-        assert pool.available == 2
-
-    def test_take_order_is_draw_order(self, keypair):
-        # The i-th pooled take() must equal the i-th direct draw.
-        public, _ = keypair
-        pool = RandomizerPool(public, ReproRandom(9), batch=5)
-        pool.refill()
-        direct_rng = ReproRandom(9)
-        n, n_sq = public.n, public.n_squared
-        direct = [
-            pow(direct_rng.randrange_coprime(n), n, n_sq) for _ in range(5)
-        ]
-        assert [pool.take() for _ in range(5)] == direct
-
-    def test_batch_validation(self, keypair):
-        public, _ = keypair
-        with pytest.raises(ValidationError):
-            RandomizerPool(public, ReproRandom(0), batch=0)

@@ -138,8 +138,10 @@ class TestFig9:
         assert private[0] < private[-1]
 
     def test_nonlinear_above_linear(self, result):
+        # Transcript bytes, not wall time: a timing order flips under
+        # host noise, while the kernel's larger OMPE shows in its bytes.
         for row in result.rows:
-            assert row["nonlinear_private_ms"] > row["linear_private_ms"]
+            assert row["nonlinear_private_bytes"] > row["linear_private_bytes"]
 
 
 class TestFig10:

@@ -60,15 +60,6 @@ class TestObservabilityWiring:
         spans = tracer.find("experiment")
         assert spans and spans[0].attributes["experiment"] == "fig6"
 
-    def test_metrics_snapshot_attached_when_registry_live(self):
-        with obs.observed():
-            result = run_experiment("fig6")
-        assert result.metrics is not None
-
-    def test_no_registry_means_no_snapshot(self):
-        result = run_experiment("fig6")
-        assert result.metrics is None
-
 
 class TestRendering:
     def test_markdown(self):

@@ -28,14 +28,13 @@ from repro import obs
 from repro.engine.engine import ProtocolEngine
 from repro.ml.svm.model import make_linear_model
 from repro.net import wire
+from repro.net.mux import V1Session
 from repro.net.service import (
     ACCEPT,
     OPEN,
     AdminClient,
     TrainerClient,
     TrainerServer,
-    recv_control,
-    send_control,
 )
 from repro.obs import MetricsRegistry
 from repro.obs.distributed import (
@@ -207,10 +206,11 @@ class TestFaultPathTraces:
             peer.start()
             with tracer.span("client.vanishes", party="bob"):
                 context = current_trace_context()
-                send_control(client_end, OPEN, {
+                session = V1Session(client_end)
+                session.send_control(OPEN, {
                     "kind": "classify", "seed": 1, "trace": context,
                 })
-                recv_control(client_end, ACCEPT)
+                session.recv_control(ACCEPT)
                 client_end.close()  # walk away mid-protocol
             peer.join_result()
             entries = _server_entries(server)
@@ -239,10 +239,11 @@ class TestFaultPathTraces:
             peer.start()
             with tracer.span("client.stalls", party="bob"):
                 context = current_trace_context()
-                send_control(client_end, OPEN, {
+                session = V1Session(client_end)
+                session.send_control(OPEN, {
                     "kind": "classify", "seed": 1, "trace": context,
                 })
-                recv_control(client_end, ACCEPT)
+                session.recv_control(ACCEPT)
                 # Session is open; never send the first protocol
                 # message.  The drain deadline must cut us off.
                 server.stop()

@@ -30,7 +30,7 @@ from repro.exceptions import (
 from repro.math.multivariate import MultivariatePolynomial
 from repro.net import wire
 from repro.net.party import connect_parties
-from repro.net.wire import WireChannel
+from repro.net.mux import MuxChannel, V1Session
 from repro.utils.rng import ReproRandom
 from repro.utils.serialization import WIRE_VERSION, encode_payload
 
@@ -194,7 +194,16 @@ def _send_raw(channel, msg_type: str, body: bytes) -> None:
     )
 
 
-class _LegacyTransferChannel(WireChannel):
+class _RawSenderChannel(MuxChannel):
+    """A v1 sender endpoint that can also put hand-built frames on its
+    connection."""
+
+    def __init__(self, local, peer, connection):
+        super().__init__(local, peer, V1Session(connection))
+        self.connection = connection
+
+
+class _LegacyTransferChannel(_RawSenderChannel):
     """A sender endpoint still on the per-slot schedule: its OT
     transfers go out as ``ot/transfer`` records with one point per slot."""
 
@@ -215,7 +224,7 @@ class _LegacyTransferChannel(WireChannel):
         )
 
 
-class _PerSessionTransferChannel(WireChannel):
+class _PerSessionTransferChannel(_RawSenderChannel):
     """A sender endpoint on the one-session-per-choice schedule: its OT
     transfers go out as an ``ot/kofn`` record of ``ot/transfer2``
     sessions, each with its own point."""
@@ -235,7 +244,7 @@ class _PerSessionTransferChannel(WireChannel):
         )
 
 
-class _PreSealingTransferChannel(WireChannel):
+class _PreSealingTransferChannel(_RawSenderChannel):
     """A sender endpoint from before sealing: its OT transfers go out as
     a bare list of padded rows, outside any ``ot/kofn2`` record."""
 
@@ -269,7 +278,7 @@ def _legacy_peer(fast_config, channel_type):
     peer.start()
     try:
         with wire.connect(host, port, timeout=10.0) as conn:
-            channel = WireChannel("bob", "alice", conn)
+            channel = MuxChannel("bob", "alice", V1Session(conn))
             yield lambda: run_ompe_receiver(
                 (Fraction(1, 3),) * 2, channel, config=fast_config, seed=5
             )

@@ -33,13 +33,8 @@ from repro.core.similarity.policy import (
 from repro.exceptions import ProtocolError, ValidationError
 from repro.ml.svm.model import make_linear_model
 from repro.net import wire
-from repro.net.service import (
-    OPEN,
-    TrainerClient,
-    TrainerServer,
-    recv_control,
-    send_control,
-)
+from repro.net.mux import V1Session
+from repro.net.service import OPEN, TrainerClient, TrainerServer
 from repro.obs import MetricsRegistry
 from repro.utils.serialization import encode_payload, encode_value
 
@@ -265,14 +260,15 @@ class TestPolicyNegotiation:
         model_a, _ = models
         server, peer, end = self._serve_pair(fast_config, model_a)
         try:
-            send_control(end, OPEN, {
+            session = V1Session(end)
+            session.send_control(OPEN, {
                 "kind": "similarity",
                 "seed": SEED,
                 "linear": True,
                 "policy": "top-k:2",
             })
             with pytest.raises(ProtocolError, match="output-policy"):
-                recv_control(end)
+                session.recv_control()
         finally:
             end.close()
             peer.join_result()

@@ -30,8 +30,8 @@ from repro.ml.datasets import interaction_boundary
 from repro.ml.svm import train_svm
 from repro.ml.svm.model import make_linear_model
 from repro.net import wire
+from repro.net.mux import MuxChannel, V1Session
 from repro.net.service import TrainerClient, TrainerServer
-from repro.net.wire import WireChannel
 from repro.obs import MetricsRegistry
 
 pytestmark = pytest.mark.socket
@@ -111,7 +111,7 @@ class TestOMPEConformance:
         def alice():
             connection = wire.accept(server, timeout=30.0)
             with connection:
-                channel = WireChannel("alice", "bob", connection)
+                channel = MuxChannel("alice", "bob", V1Session(connection))
                 return run_ompe_sender(
                     function, channel, config=fast_config, seed=seed
                 )
@@ -121,7 +121,7 @@ class TestOMPEConformance:
         try:
             connection = wire.connect(host, port, timeout=30.0)
             with connection:
-                channel = WireChannel("bob", "alice", connection)
+                channel = MuxChannel("bob", "alice", V1Session(connection))
                 outcome = run_ompe_receiver(
                     sample, channel, config=fast_config, seed=seed
                 )

@@ -17,6 +17,7 @@ from repro.core.classification import private_classify
 from repro.exceptions import ProtocolError
 from repro.ml.svm.model import make_linear_model
 from repro.net import wire
+from repro.net.mux import V1Session
 from repro.net.service import (
     ADMIN_HEALTH,
     SESSION_BYTES,
@@ -24,7 +25,6 @@ from repro.net.service import (
     AdminClient,
     TrainerClient,
     TrainerServer,
-    send_control,
 )
 from repro.obs import MetricsRegistry
 from repro.obs.distributed import stitch, structure
@@ -352,7 +352,7 @@ class TestAdminTrace:
     def test_malformed_session_filter_rejected(self, fast_config, model):
         with TrainerServer(model, config=fast_config) as server:
             client_end, peer = _serve_memory(server)
-            send_control(client_end, "admin/trace", {"session": 7})
+            V1Session(client_end).send_control("admin/trace", {"session": 7})
             with pytest.raises(ProtocolError):
                 AdminClient(connection=client_end)._request(ADMIN_HEALTH, None)
             peer.join_result()

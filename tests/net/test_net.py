@@ -1,11 +1,14 @@
 """Tests for the distributed substrate: messages, channels, transcripts."""
 
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
 
+from repro.core.classification import private_classify
 from repro.exceptions import ProtocolError, ValidationError
+from repro.ml.svm.model import make_linear_model
 from repro.net import (
     Channel,
     LinkModel,
@@ -15,7 +18,9 @@ from repro.net import (
     connect_parties,
     finish_report,
     measure_size,
+    wire,
 )
+from repro.net.service import TrainerClient, TrainerServer
 from repro.utils.serialization import encode_payload, register_payload_type
 from repro.utils.timer import TimingRecorder
 
@@ -77,10 +82,42 @@ class TestMessage:
         message = Message(sender="a", recipient="b", msg_type="t", payload=b"12345")
         assert message.size_bytes == 5 + 5
 
-    def test_sequence_monotone(self):
-        m1 = Message(sender="a", recipient="b", msg_type="t", payload=b"")
-        m2 = Message(sender="a", recipient="b", msg_type="t", payload=b"")
-        assert m2.sequence > m1.sequence
+    def test_equal_fields_compare_equal(self):
+        first = Message(sender="a", recipient="b", msg_type="t", payload=b"x")
+        assert first == Message(
+            sender="a", recipient="b", msg_type="t", payload=b"x"
+        )
+        assert first == Message(
+            sender="a", recipient="b", msg_type="t", payload=b"x", session_id=3
+        )
+        assert first != Message(
+            sender="a", recipient="b", msg_type="t", payload=b"y"
+        )
+
+    def test_one_run_same_messages_on_every_transport(self, fast_config):
+        """One seeded classification records equal messages in process,
+        over protocol v1 and over protocol v2 (memory connections)."""
+        model = make_linear_model([0.75, -0.5], 0.25)
+        sample = (0.5, 0.25)
+        reference = private_classify(model, sample, config=fast_config, seed=7)
+        for protocol in ("v1", "v2"):
+            server = TrainerServer(model, config=fast_config)
+            server_end, client_end = wire.memory_pair(timeout=10.0)
+            serving = threading.Thread(
+                target=server.serve_connection, args=(server_end,)
+            )
+            serving.start()
+            with TrainerClient(
+                connection=client_end, config=fast_config, protocol=protocol
+            ) as client:
+                outcome = client.classify(sample, seed=7)
+            serving.join(10.0)
+            server.close()
+            assert not serving.is_alive()
+            assert (
+                outcome.report.transcript.messages
+                == reference.report.transcript.messages
+            ), protocol
 
     def test_empty_type_rejected(self):
         with pytest.raises(ValidationError):

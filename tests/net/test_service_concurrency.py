@@ -24,16 +24,16 @@ from repro.core.similarity.metric import MetricParams
 from repro.exceptions import ProtocolError, ValidationError
 from repro.ml.svm.model import make_linear_model
 from repro.net import wire
-from repro.net.mux import MuxRouter
+from repro.net.mux import MuxRouter, V1Session
 from repro.net.muxserver import MuxServerLoop
 from repro.net.service import (
+    ACCEPT,
     ERROR,
     OPEN,
     SERVICE_FAULTS,
     TrainerClient,
     TrainerClientPool,
     TrainerServer,
-    send_control,
 )
 from repro.obs import MetricsRegistry
 from repro.utils.serialization import decode_message
@@ -178,7 +178,9 @@ class TestConcurrentSessions:
         def vanisher():
             # Open a session, then hang up mid-protocol.
             connection = wire.connect(host, port, timeout=5.0)
-            send_control(connection, OPEN, {"kind": "classify", "seed": 1})
+            V1Session(connection).send_control(
+                OPEN, {"kind": "classify", "seed": 1}
+            )
             connection.recv_frame()  # session/accept
             connection.close()
 
@@ -321,7 +323,9 @@ class TestStopAndDrain:
         # Open a session and then go silent: the session worker blocks
         # waiting for protocol traffic that never comes.
         connection = wire.connect(host, port, timeout=5.0)
-        send_control(connection, OPEN, {"kind": "classify", "seed": 1})
+        V1Session(connection).send_control(
+            OPEN, {"kind": "classify", "seed": 1}
+        )
         connection.recv_frame()  # session/accept — now mid-session
         start = time.monotonic()
         server.stop()
@@ -406,15 +410,16 @@ class TestV1ControlFaults:
         host, port = server.address
         serving = _serve_in_thread(server, max_sessions=4, accept_timeout=30.0)
         bystander = TrainerClient(host, port, config=fast_config)
-        faulty = TrainerClient(host, port, config=fast_config)
+        faulty_end = wire.connect(host, port, timeout=30.0)
+        faulty = TrainerClient(connection=faulty_end, config=fast_config)
         try:
             bystander.classify(SAMPLES[0], seed=21)
             faulty.classify(SAMPLES[1], seed=22)
-            faulty._connection.send_frame(b"\x07 not a message")
-            msg_type, _, _ = decode_message(faulty._connection.recv_frame())
+            faulty_end.send_frame(b"\x07 not a message")
+            msg_type, _, _ = decode_message(faulty_end.recv_frame())
             assert msg_type == ERROR
             with pytest.raises(ProtocolError):
-                faulty._connection.recv_frame()  # the server hung up
+                faulty_end.recv_frame()  # the server hung up
             bystander.classify(SAMPLES[2], seed=23)
             with TrainerClient(host, port, config=fast_config) as late:
                 outcome = late.classify(SAMPLES[3], seed=24)
@@ -470,16 +475,15 @@ class TestClientAcceptValidation:
     ):
         """Regression: a session/accept payload missing 'dimension'
         must fail with a clear ProtocolError, not a TypeError."""
-        from repro.net.service import ACCEPT, recv_control
-
         server = wire.listen()
         host, port = server.getsockname()[:2]
 
         def bogus_trainer():
             connection = wire.accept(server, timeout=10.0)
             with connection:
-                recv_control(connection)  # session/open
-                send_control(connection, ACCEPT, {"degree": 1})
+                session = V1Session(connection)
+                session.recv_control()  # session/open
+                session.send_control(ACCEPT, {"degree": 1})
 
         peer = _Peer(bogus_trainer)
         peer.start()
@@ -492,16 +496,15 @@ class TestClientAcceptValidation:
             server.close()
 
     def test_similarity_rejects_non_mapping_accept(self, fast_config, model_b):
-        from repro.net.service import ACCEPT, recv_control
-
         server = wire.listen()
         host, port = server.getsockname()[:2]
 
         def bogus_trainer():
             connection = wire.accept(server, timeout=10.0)
             with connection:
-                recv_control(connection)
-                send_control(connection, ACCEPT, "yes")
+                session = V1Session(connection)
+                session.recv_control()
+                session.send_control(ACCEPT, "yes")
 
         peer = _Peer(bogus_trainer)
         peer.start()

@@ -14,14 +14,8 @@ from repro.core.ompe import OMPEConfig
 from repro.exceptions import ProtocolError
 from repro.ml.svm.model import make_linear_model
 from repro.net import wire
-from repro.net.service import (
-    ACCEPT,
-    OPEN,
-    TrainerClient,
-    TrainerServer,
-    recv_control,
-    send_control,
-)
+from repro.net.mux import V1Session
+from repro.net.service import ACCEPT, OPEN, TrainerClient, TrainerServer
 
 SEED = 42
 
@@ -56,9 +50,10 @@ def _refusal(config, model, request):
     server = TrainerServer(model, config=config)
     thread, _ = _run_in_thread(lambda: server.serve_connection(end_server))
     try:
-        send_control(end_client, OPEN, request)
+        session = V1Session(end_client)
+        session.send_control(OPEN, request)
         with pytest.raises(ProtocolError) as refused:
-            recv_control(end_client)
+            session.recv_control()
     finally:
         end_client.close()
         thread.join(10.0)
@@ -90,8 +85,9 @@ class TestClientRefuses:
 
         def fake_server():
             try:
-                recv_control(end_server, OPEN)
-                send_control(end_server, ACCEPT, {
+                session = V1Session(end_server)
+                session.recv_control(OPEN)
+                session.send_control(ACCEPT, {
                     "linear": echoed,
                     "session": "s1",
                     "policy": None,

@@ -161,7 +161,7 @@ class TestHostileFrames:
             # Unknown session: never opened on this connection.  The
             # server answers with an error frame on that id, which this
             # client (that never opened it) also drops as a fault.
-            client._mux._send_frame(
+            client._connection._send_frame(
                 encode_mux_frame(
                     9999, encode_message("ompe/points", (1, 2))
                 )
@@ -173,7 +173,7 @@ class TestHostileFrames:
             # server refuses with DuplicateSessionError; its error frame
             # lands on an id this client already finished — dropped and
             # counted as closed-session, never delivered anywhere.
-            client._mux._send_frame(
+            client._connection._send_frame(
                 encode_mux_frame(
                     1, encode_message(OPEN, {"kind": "classify", "seed": 0})
                 )
@@ -182,7 +182,7 @@ class TestHostileFrames:
             _await_fault(registry, WIRE_FAULTS, "closed-session")
 
             # Closed session: a protocol frame for a finished id.
-            client._mux._send_frame(
+            client._connection._send_frame(
                 encode_mux_frame(2, encode_message("ompe/points", (3, 4)))
             )
             _await_fault(registry, WIRE_FAULTS, "closed-session", minimum=2)

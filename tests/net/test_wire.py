@@ -18,8 +18,9 @@ from repro.core.ompe.protocol import run_ompe_receiver
 from repro.exceptions import ProtocolError, ValidationError
 from repro.net import wire
 from repro.net.message import measure_size
+from repro.net.mux import MuxChannel, V1Session
 from repro.net.service import TrainerClient, TrainerServer
-from repro.net.wire import WireChannel, WireConnection
+from repro.net.wire import WireConnection
 from repro.obs import MetricsRegistry
 
 pytestmark = pytest.mark.socket
@@ -164,12 +165,15 @@ class TestFraming:
 
 
 class TestWireChannel:
+    """The channel contract over a v1 wire endpoint: a
+    :class:`MuxChannel` over a :class:`V1Session`."""
+
     @pytest.fixture
     def channels(self, pair):
         left, right = pair
         return (
-            WireChannel("alice", "bob", left),
-            WireChannel("bob", "alice", right),
+            MuxChannel("alice", "bob", V1Session(left)),
+            MuxChannel("bob", "alice", V1Session(right)),
         )
 
     def test_exchange_and_size_accounting(self, channels):
@@ -210,12 +214,12 @@ class TestWireChannel:
         with pytest.raises(ProtocolError, match="expected"):
             bob.receive("bob", expected_type="expected")
 
-    def test_pending_and_drained(self, channels):
+    def test_pending_and_drained(self, pair, channels):
         alice, bob = channels
         assert bob.pending("bob") == 0
         bob.assert_drained()
         alice.send("alice", "x", 7)
-        _wait_readable(bob.connection)
+        _wait_readable(pair[1])
         assert bob.pending("bob") == 1
         with pytest.raises(ProtocolError, match="undelivered"):
             bob.assert_drained()
@@ -226,9 +230,9 @@ class TestWireChannel:
     def test_distinct_nonempty_parties_required(self, pair):
         left, _ = pair
         with pytest.raises(ValidationError):
-            WireChannel("alice", "alice", left)
+            MuxChannel("alice", "alice", V1Session(left))
         with pytest.raises(ValidationError):
-            WireChannel("", "bob", left)
+            MuxChannel("", "bob", V1Session(left))
 
     def test_simulated_time_advances_on_both_ends(self, channels):
         alice, bob = channels
@@ -405,7 +409,7 @@ class TestFaultPaths:
         peer.start()
         try:
             connection = wire.connect(host, port, timeout=5.0)
-            channel = WireChannel("bob", "alice", connection)
+            channel = MuxChannel("bob", "alice", V1Session(connection))
             with pytest.raises(ProtocolError):
                 run_ompe_receiver(
                     (0.5, -0.25), channel, config=fast_config, seed=3
@@ -489,7 +493,6 @@ class TestFaultPaths:
         """A bogus open payload aborts that session with a session/error
         reply instead of crashing the server."""
         from repro.ml.svm.model import make_linear_model
-        from repro.net.service import recv_control, send_control
 
         model = make_linear_model([1.0, -1.0], 0.0)
         server = TrainerServer(model, config=fast_config, session_timeout=5.0)
@@ -500,9 +503,10 @@ class TestFaultPaths:
         peer.start()
         try:
             connection = wire.connect(host, port, timeout=5.0)
-            send_control(connection, "session/open", {"kind": "frobnicate"})
+            session = V1Session(connection)
+            session.send_control("session/open", {"kind": "frobnicate"})
             with pytest.raises(ProtocolError, match="session error"):
-                recv_control(connection)
+                session.recv_control()
             connection.close()
             # The server survives and serves the next, well-formed client.
             with TrainerClient(host, port, config=fast_config) as client:
