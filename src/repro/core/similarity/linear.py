@@ -31,8 +31,13 @@ choice, so one driver runs both kinds:
        d₁ = r_am⁻¹,  d₂ = r_aw⁻²,  d₃ = −r_b
 
    (note ``d₂ = r_aw⁻²``: the paper's Eq. 7 prints ``r_aw⁻¹``, which
-   does not cancel the squared amplifier — see DESIGN.md errata) and
-   Bob evaluates it at ``(x₁, x₂)`` *unamplified*, obtaining ``T²``.
+   does not cancel the squared amplifier — see DESIGN.md errata).  She
+   sends it as a degree-1 form over its monomial map (Section IV-B's τ
+   over ``(x₁, x₂)``): the weights are its coefficients on the 14
+   monomials of degree 1..4 (:data:`AREA_MAP`), the constant its
+   constant term.  Bob evaluates it *unamplified* at
+   ``τ(x₁, x₂)`` (:func:`area_input`), obtaining ``T²``.  Like OMPE #1
+   and #2 it is a degree-1 OMPE: ``m = q + 1`` covers.
 
 :func:`evaluate_similarity_private` runs both parties in one process;
 :mod:`~repro.core.similarity.remote` splits the same steps into Alice's
@@ -48,7 +53,8 @@ from fractions import Fraction
 from typing import Dict, Optional
 
 from repro import obs
-from repro.core.ompe import OMPEConfig, OMPEFunction, execute_ompe
+from repro.core.classification.transform import MonomialTransform
+from repro.core.ompe import OMPEConfig, execute_ompe
 from repro.core.similarity.exact import snap
 from repro.core.similarity.metric import MetricParams
 from repro.core.similarity.policy import (
@@ -57,6 +63,7 @@ from repro.core.similarity.policy import (
     policy_seed,
 )
 from repro.core.similarity.profile import (
+    DotForm,
     ModelOrProfile,
     SimilarityProfile,
     similarity_profile,
@@ -67,6 +74,10 @@ from repro.math.polynomials import Number
 from repro.net.channel import Channel
 from repro.net.runner import ProtocolReport
 from repro.utils.rng import ReproRandom
+
+#: OMPE #3's monomial map: the 14 monomials of degree 1..4 in
+#: ``(x₁, x₂)``, over which Eq. (7) is a degree-1 form.
+AREA_MAP = MonomialTransform(2, 4, homogeneous=False)
 
 
 @dataclass(frozen=True)
@@ -129,24 +140,32 @@ def area_function(
     normal_norm_b: Number,
     run1,
     run2,
-) -> OMPEFunction:
+) -> DotForm:
     """Alice's OMPE #3 function: Eq. (7) with this pair's constants.
 
     ``centroid_norm_b`` and ``normal_norm_b`` are Bob's clear norms;
     ``run1`` and ``run2`` are Alice's OMPE #1/#2 outcomes, whose
-    amplifiers and offset the polynomial cancels.
+    amplifiers and offset the polynomial cancels.  The form weighs
+    :func:`area_input`'s coordinates by the polynomial's coefficients.
     """
-    return OMPEFunction.from_polynomial(
-        build_t_squared_polynomial(
-            alice.centroid_norm + centroid_norm_b,
-            snap(params.l0) ** 4,
-            1 / (alice.normal_norm * normal_norm_b),
-            1 + snap(params.sin_theta0) ** 2,
-            1 / run1.amplifier,
-            1 / run2.amplifier**2,
-            -run2.offset,
-        )
+    terms = build_t_squared_polynomial(
+        alice.centroid_norm + centroid_norm_b,
+        snap(params.l0) ** 4,
+        1 / (alice.normal_norm * normal_norm_b),
+        1 + snap(params.sin_theta0) ** 2,
+        1 / run1.amplifier,
+        1 / run2.amplifier**2,
+        -run2.offset,
+    ).terms
+    return DotForm.of(
+        [terms.get(k, Fraction(0)) for k in AREA_MAP.basis],
+        terms.get((0, 0), Fraction(0)),
     )
+
+
+def area_input(x1: Number, x2: Number) -> tuple:
+    """Bob's OMPE #3 input: ``τ(x₁, x₂)`` over :data:`AREA_MAP`."""
+    return AREA_MAP.transform_sample((x1, x2))
 
 
 def clear_report(channel) -> ProtocolReport:
@@ -286,11 +305,14 @@ def evaluate_similarity_private(
             "normal", alice.normal_function(), bob.normal_input,
             "run2", amplify=True, offset=True,
         )
-        # Step 5 — OMPE #3: Bob evaluates Eq. (7) at (x1, x2), unamplified.
+        # Step 5 — OMPE #3: Bob evaluates Eq. (7) at τ(x1, x2), unamplified.
         run3 = run(
             "area",
-            area_function(params, alice, centroid_norm_b, normal_norm_b, run1, run2),
-            (run1.value, run2.value), "run3", amplify=False, offset=False,
+            area_function(
+                params, alice, centroid_norm_b, normal_norm_b, run1, run2
+            ).function(),
+            area_input(run1.value, run2.value), "run3",
+            amplify=False, offset=False,
         )
         outcome = release_outcome(
             kind, run3.value, phase_reports(clear, run1, run2, run3),

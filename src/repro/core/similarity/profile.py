@@ -75,7 +75,7 @@ KernelParams = Tuple[Fraction, Fraction, int]
 
 @dataclass(frozen=True)
 class DotForm:
-    """``y ↦ constant + Σ_i weights_i · y_i``: Alice's OMPE #1/#2 function.
+    """``y ↦ constant + Σ_i weights_i · y_i``: each of Alice's OMPE functions.
 
     ``numerators`` and ``constant_numerator`` are the weights and the
     constant over one common ``denominator``.  A point (int or

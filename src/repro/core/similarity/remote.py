@@ -39,6 +39,7 @@ from repro.core.ompe.protocol import run_ompe_receiver, run_ompe_sender
 from repro.core.similarity.linear import (
     PrivateSimilarityOutcome,
     area_function,
+    area_input,
     check_normal,
     clear_report,
     phase_reports,
@@ -91,7 +92,9 @@ def run_similarity_alice(
     run1 = send(alice.centroid_function(), "run1", amplify=True, offset=False)
     run2 = send(alice.normal_function(), "run2", amplify=True, offset=True)
     run3 = send(
-        area_function(params, alice, centroid_norm_b, normal_norm_b, run1, run2),
+        area_function(
+            params, alice, centroid_norm_b, normal_norm_b, run1, run2
+        ).function(),
         "run3", amplify=False, offset=False,
     )
     return phase_reports(clear_phase, run1, run2, run3)
@@ -132,7 +135,7 @@ def run_similarity_bob(
 
     run1 = receive(bob.centroid_input, "run1")
     run2 = receive(bob.normal_input, "run2")
-    run3 = receive((run1.value, run2.value), "run3")
+    run3 = receive(area_input(run1.value, run2.value), "run3")
     return release_outcome(
         "remote", run3.value, phase_reports(clear_phase, run1, run2, run3),
         policy, seed,

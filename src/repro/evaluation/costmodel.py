@@ -9,12 +9,14 @@ sealed once plus one ``bits``-bit group element and ``m`` rows of ``M``
 ``tests/evaluation/test_costmodel.py`` checks it against measured
 transcripts (within a tolerance covering the variable-length integer
 encodings).  Operators can budget bandwidth without running protocols.
+:func:`predict_public_key_ops` gives the public-key side of the same
+budget: the group exponentiations of one m-of-M transfer.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 from repro.core.ompe.config import OMPEConfig
 from repro.crypto.hashing import TAG_BYTES
@@ -155,6 +157,20 @@ def predict_classification_bytes(
     )
 
 
+def predict_public_key_ops(cover_count: int) -> Tuple[int, int]:
+    """``(sender, receiver)`` group exponentiations of one transfer.
+
+    One Naor–Pinkas exchange moves ``m = cover_count`` of the ``M``
+    slots: the sender pays one setup point, one ephemeral and one key
+    per chosen slot plus the ephemeral's shared point (``m + 3``); the
+    receiver pays two per blinded choice and one per retrieved key
+    (``3m``).  ``M`` does not enter: the pads hash.
+    """
+    if cover_count < 1:
+        raise ValidationError(f"cover_count must be at least 1, got {cover_count}")
+    return cover_count + 3, 3 * cover_count
+
+
 def predict_similarity_bytes(
     config: OMPEConfig,
     dimension: int,
@@ -163,27 +179,34 @@ def predict_similarity_bytes(
 ) -> int:
     """Lower-bound the wire cost of one private similarity run.
 
-    Three OMPE runs: two dot products (degree 1) and one 2-variate
-    degree-4 polynomial, plus the clear norm exchange.  A linear pair's
-    dot products run over ``dimension`` inputs; a polynomial-kernel
-    pair's (``kernel_degree`` set) over the kernel's monomial map, whose
-    arity is the monomial count — plus, for OMPE #2 of a
-    non-``homogeneous`` kernel (``b0 ≠ 0``), the constant monomial.
-    This is a *lower bound*: the area run's inputs ``x₁, x₂`` are
-    already products of long rationals, so its scalars exceed the
-    calibrated first-run sizes (measured runs land within about 1.5x of
-    the bound).
+    Three degree-1 OMPE runs, plus the clear norm exchange.  A linear
+    pair's dot products (OMPE #1 and #2) run over ``dimension`` inputs;
+    a polynomial-kernel pair's (``kernel_degree`` set) over the
+    kernel's monomial map, whose arity is the monomial count — plus,
+    for OMPE #2 of a non-``homogeneous`` kernel (``b0 ≠ 0``), the
+    constant monomial.  The area run (OMPE #3) of either kind runs over
+    Eq. (7)'s monomial map of ``(x₁, x₂)``, 14 inputs.  This is a
+    *lower bound*: the area run's cover coordinates ``τ_k(x₁, x₂)`` are
+    products of long exact rationals, so they exceed the calibrated
+    scalar size.  A degree-``p`` kernel pair's ``x₁`` and ``x₂`` are
+    degree-``p`` in the snapped coordinates, so its ``m`` area covers
+    are priced at ``p`` scalars a coordinate (measured runs land within
+    about 2.5x of the bound).
     """
-    centroid = normal = dimension
-    if kernel_degree is not None:
-        from repro.core.classification.transform import MonomialTransform
+    from repro.core.classification.transform import MonomialTransform
+    from repro.core.similarity.linear import AREA_MAP
 
+    centroid = normal = dimension
+    cover_growth = 0
+    if kernel_degree is not None:
         centroid = MonomialTransform(dimension, kernel_degree, homogeneous).arity
         normal = centroid + (0 if homogeneous else 1)
-    dot_products = sum(
+        # The area run's first scalar per coordinate is priced below.
+        cover_growth = config.cover_count(1) * AREA_MAP.arity * (kernel_degree - 1)
+    scalar = _scalar_bytes(config.security_degree)
+    runs = sum(
         predict_classification_bytes(config, arity, 1).total_bytes
-        for arity in (centroid, normal)
+        for arity in (centroid, normal, AREA_MAP.arity)
     )
-    area = predict_classification_bytes(config, 2, 4).total_bytes
-    clear_exchange = 5 + 2 * _scalar_bytes(config.security_degree)
-    return dot_products + area + clear_exchange
+    clear_exchange = 5 + 2 * scalar
+    return runs + cover_growth * scalar + clear_exchange

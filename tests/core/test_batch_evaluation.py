@@ -356,7 +356,7 @@ def test_kernel_similarity_digest():
     """SHA-256 of the T² values of a 2×2 kernel job (degree 2, dimension
     4, ``b0 = 0``), pinned from the per-point packed-model
     implementation, and of its ``(non-OT, OT)`` bytes, pinned from OMPE
-    #1 and #2 over the kernel's monomial map."""
+    #1 and #2 over the kernel's monomial map and OMPE #3 over Eq. (7)'s."""
     config = OMPEConfig(security_degree=1, cover_expansion=3, group=fast_group())
     params = MetricParams()
     lefts = [_crossing_model(300 + i, 5, 4, 2, 0.0) for i in range(2)]
@@ -373,5 +373,5 @@ def test_kernel_similarity_digest():
         "e4fef3b41170fd6a35a43e0c1ac9703d201eae2c94f7c03a39d945248d15579d"
     )
     assert _digest(byte_rows) == (
-        "ab57195d8a5f378ac024c2ad4ccfc53f2feada8c8aa126075a8eca990808bfe9"
+        "21251b75ce2ccb93acf1f53755be15053b075cf03c61f5bf87aa1947c651858b"
     )

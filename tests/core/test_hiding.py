@@ -529,8 +529,9 @@ class TestHiderCounts:
             )
         )
         # Arity 56 (the degree-3 monomials in 6 variables) over
-        # M - m + 1 = 7 hider sets for OMPE #1 and #2, then 2 · 19.
-        assert [span.attributes["hiders"] for span in spans] == [392, 392, 38]
+        # M - m + 1 = 7 hider sets for OMPE #1 and #2, then arity 14
+        # (Eq. (7)'s monomials) over 7 for OMPE #3.
+        assert [span.attributes["hiders"] for span in spans] == [392, 392, 98]
 
     def test_linear_pair(self):
         left = make_linear_model([0.5, -0.25, 0.75], -0.2)
@@ -538,7 +539,8 @@ class TestHiderCounts:
         spans = points_spans(
             lambda: evaluate_similarity_private(left, right, config=self.CONFIG, seed=1)
         )
-        assert sum(span.attributes["hiders"] for span in spans) == 80
+        # 3 · 7 for OMPE #1 and #2 each, 14 · 7 for OMPE #3.
+        assert sum(span.attributes["hiders"] for span in spans) == 140
 
     def test_linkage_kernel_pair_reseeds(self, monkeypatch):
         rng = random.Random(2016)

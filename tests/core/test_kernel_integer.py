@@ -192,7 +192,8 @@ def test_small_kernel_job_digest():
     The T² digest is pinned from the implementation before the array
     scan and the integer ``⟨n, n⟩``: boundary points, centroids and
     norms feed every protocol value, so any drift moves it.  The bytes
-    are pinned from OMPE #1 and #2 over the kernel's monomial map.
+    are pinned from OMPE #1 and #2 over the kernel's monomial map and
+    OMPE #3 over Eq. (7)'s.
     """
     config = OMPEConfig(security_degree=1, cover_expansion=2, group=fast_group())
     params = MetricParams()
@@ -216,5 +217,5 @@ def test_small_kernel_job_digest():
         "cbaf0cac1d619368364fed659b1d5d8b8606e9eeea50f56f36f64b95f8717d34"
     )
     assert hashlib.sha256(repr(byte_rows).encode()).hexdigest() == (
-        "9093d2c9a93097a366b3ed246ad1bf31ef37b4ef726f0b8b27fa690f9b36f897"
+        "fc1103eb6ca666c7d2180343511b96a0dd8450f98f4cbc07f41850de64c9e013"
     )

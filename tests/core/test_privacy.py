@@ -422,6 +422,26 @@ class TestCoverConsistencyAttack:
             assert len(points[0][1]) == 56
             assert len(cover_consistency_attack(points, q=2)) == 3
 
+    @pytest.mark.parametrize("kind", ["linear", "kernel"])
+    def test_area_run_is_not_overdetermined(self, kind):
+        """OMPE #3 runs over Eq. (7)'s 14 monomials at degree 1, so
+        m = q + 1 = 3 covers of M = 9.  Sent as the degree-4 polynomial
+        in (x₁, x₂) it had m = 9 covers of 27, and this attack returned
+        those 9 and Bob's (x₁, x₂)."""
+        from repro.core.similarity import evaluate_similarity_private
+
+        if kind == "linear":
+            left = make_linear_model([0.5, -0.25, 0.75], -0.2)
+            right = make_linear_model([-0.3, 0.9, 0.1], 0.1)
+        else:
+            rng = np.random.default_rng(2016)
+            left, right = _linkage_kernel_model(rng), _linkage_kernel_model(rng)
+        outcome = evaluate_similarity_private(left, right, config=self._config(), seed=1)
+        points = _points_payload(outcome.reports["area_ompe"])
+        assert len(points) == 9
+        assert {len(vector) for _, vector in points} == {14}
+        assert len(cover_consistency_attack(points, q=2)) == 3
+
     def test_recovers_the_old_packed_input(self):
         """Power: the packed-model normal function (degree p + 1 = 4, so
         m = 9 covers of M = 27) hands Alice Bob's whole packed model."""

@@ -20,13 +20,16 @@ import pytest
 
 from repro import obs
 from repro.core.ompe import OMPEConfig
+from repro.core.ompe.receiver import OMPEReceiver
 from repro.core.similarity import (
     MetricParams,
     evaluate_similarity_private,
     similarity_profile,
 )
 from repro.core.similarity import profile as profile_module
+from repro.core.similarity import remote
 from repro.core.similarity.exact import snap
+from repro.core.similarity.linear import AREA_MAP
 from repro.core.similarity.remote import run_similarity_alice, run_similarity_bob
 from repro.engine.jobs import SimilarityJob
 from repro.engine.worker import EngineSpec, WorkerState, execute_job
@@ -408,3 +411,61 @@ class TestMixedKindSession:
         assert entry["error"] == (
             "ProtocolAbort: receiver announced arity 12, function has 3"
         )
+
+
+class TestOldAreaShape:
+    """A client still running OMPE #3 over ``(x₁, x₂)``, from before it
+    moved onto Eq. (7)'s 14 monomials, meets the server's typed abort
+    over a real connection: never a hang, never a TypeError."""
+
+    def _refusal(self, light_config):
+        """Run one linear session; return the server's logged error."""
+        server = TrainerServer(
+            PAIRS["linear"][0], config=light_config, params=PARAMS
+        )
+        end_a, end_b = wire.memory_pair(timeout=30.0)
+        peer = threading.Thread(target=server.serve_connection, args=(end_a,))
+        previous = obs.get_tracer()
+        obs.set_tracer(Tracer())
+        try:
+            peer.start()
+            with TrainerClient(
+                connection=end_b, config=light_config, params=PARAMS
+            ) as client:
+                with pytest.raises(ProtocolError, match="session/error"):
+                    client.evaluate_similarity(PAIRS["linear"][1], seed=4)
+            peer.join(30)
+            assert not peer.is_alive()
+        finally:
+            obs.set_tracer(previous)
+            server.close()
+        (entry,) = server._trace_log
+        return entry["error"]
+
+    def test_old_arity_refused_at_request(self, light_config, monkeypatch):
+        monkeypatch.setattr(remote, "area_input", lambda x1, x2: (x1, x2))
+        assert self._refusal(light_config) == (
+            "ProtocolAbort: receiver announced arity 2, function has 14"
+        )
+
+    def test_two_coordinate_points_refused_by_check_points(
+        self, light_config, monkeypatch
+    ):
+        """The client announces the new arity for OMPE #3, then sends
+        points of 2 coordinates: ``check_points`` refuses the message
+        before the sender evaluates anything."""
+        monkeypatch.setattr(remote, "area_input", lambda x1, x2: (x1, x2))
+        send_request = OMPEReceiver.send_request
+        requests = []
+
+        def announce_new_area_arity(receiver):
+            requests.append(receiver)
+            if len(requests) < 3:
+                return send_request(receiver)
+            receiver.send("ompe/request", AREA_MAP.arity)
+
+        monkeypatch.setattr(OMPEReceiver, "send_request", announce_new_area_arity)
+        assert self._refusal(light_config) == (
+            "ProtocolAbort: points entry 0: vector is not 14 coordinates"
+        )
+        assert len(requests) == 3

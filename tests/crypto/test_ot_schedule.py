@@ -14,9 +14,9 @@ schedule two ways:
 * a counting wrapper around ``SchnorrGroup.exp``, the one
   exponentiation entry point, pins the public-key work: ``k + 3``
   sender and ``3k`` receiver exponentiations per transfer whatever the
-  slot count, 69 for one linear similarity pair and 69 for one kernel
-  pair, whose centroid and normal OMPEs run over the kernel's monomial
-  map at degree 1.
+  slot count (the cost model's ``predict_public_key_ops``), 45 for one
+  linear similarity pair and 45 for one kernel pair: every similarity
+  OMPE runs over a monomial map at degree 1, a (3, 9) transfer.
 """
 
 import random
@@ -31,6 +31,7 @@ from repro.crypto import hashing
 from repro.crypto.hashing import kdf, wrap_message
 from repro.crypto.ot import KOfNReceiver, KOfNSender
 from repro.crypto.ot.base import KOfNTransfer
+from repro.evaluation.costmodel import predict_public_key_ops
 from repro.math.groups import SchnorrGroup
 from repro.ml.kernels import polynomial_kernel
 from repro.ml.svm.model import SVMModel, make_linear_model
@@ -182,6 +183,12 @@ def _kernel_model(seed):
             return model
 
 
+def _similarity_pair_ops(config):
+    """The cost model's public-key operations for one similarity pair:
+    three degree-1 OMPEs, one transfer of ``q + 1`` covers each."""
+    return 3 * sum(predict_public_key_ops(config.cover_count(1)))
+
+
 class TestOperationCounts:
     @pytest.mark.parametrize("slots", [9, 27, 81])
     def test_three_sender_exponentiations_per_transfer(self, group, exp_calls, slots):
@@ -208,18 +215,18 @@ class TestOperationCounts:
         receiver.retrieve(transfer)
         retrieve_exps = exp_calls.pop("exp")
         assert (setup_exps, choose_exps, transfer_exps, retrieve_exps) == (1, 2 * k, k + 2, k)
-        assert setup_exps + transfer_exps == k + 3
-        assert choose_exps + retrieve_exps == 3 * k
+        assert (setup_exps + transfer_exps, choose_exps + retrieve_exps) == (
+            predict_public_key_ops(k)
+        )
 
     def test_linear_similarity_pair(self, group, exp_calls, kdf_calls):
-        # Two dot-product OMPEs (m=3 covers of M=9 pairs) and one area
-        # OMPE (m=9, M=27).  Each transfer costs the sender m + 3 and
-        # the receiver 3m: (3+3) + (3+3) + (9+3) = 24 and 3 * 15 = 45,
-        # so 69 in all: 15 (sender K_j) + 30 (receiver w^σ, R^k)
-        # of other bases and 9 + 15 of g.  Each evaluation is
-        # sealed once (9 + 9 + 27 = 45) and its key padded once per row
-        # (3*9 + 3*9 + 9*27 = 297); the pads hash inline, so ``kdf``
-        # runs only for the 45 wraps and 15 unwraps, twice each.
+        # Three OMPEs of m=3 covers among M=9 pairs: the two dot
+        # products and the area run over Eq. (7)'s monomial map.  Each
+        # transfer costs the sender m + 3 and the receiver 3m, so
+        # 3 * (6 + 9) = 45 in all.  Each evaluation is sealed once
+        # (3 * 9 = 27) and its key padded once per row (3 * 3 * 9 = 81);
+        # the pads hash inline, so ``kdf`` runs only for the 27 wraps
+        # and 9 unwraps, twice each.
         config = OMPEConfig(security_degree=2, cover_expansion=3, group=group)
         with obs.observed() as (tracer, _):
             evaluate_similarity_private(
@@ -228,20 +235,19 @@ class TestOperationCounts:
                 config=config,
                 seed=2016,
             )
-        assert exp_calls == {"exp": 69}
-        assert len(kdf_calls) == 120
+        assert exp_calls == {"exp": _similarity_pair_ops(config)} == {"exp": 45}
+        assert len(kdf_calls) == 72
         transfers = tracer.find("ot.transfer")
-        assert sum(span.attributes["sessions"] for span in transfers) == 15
-        assert sum(span.attributes["sealed"] for span in transfers) == 45
-        assert sum(span.attributes["padded"] for span in transfers) == 297
+        assert sum(span.attributes["sessions"] for span in transfers) == 9
+        assert sum(span.attributes["sealed"] for span in transfers) == 27
+        assert sum(span.attributes["padded"] for span in transfers) == 81
 
     def test_kernel_similarity_pair(self, group, exp_calls, monkeypatch):
-        # Degree-3 kernels run OMPE #1 and #2 over the monomial map, as
-        # degree-1 OMPEs: the linear pair's (3, 9), (3, 9), (9, 27)
-        # transfers, 45 exponentiations of other bases and 24 of g, 69
-        # in all.
+        # Degree-3 kernels run OMPE #1 and #2 over the kernel's monomial
+        # map, and OMPE #3 runs over Eq. (7)'s, all at degree 1: the
+        # linear pair's three (3, 9) transfers, 45 exponentiations.
         # Each transfer checks the sender's m points V_j and the
-        # receiver's w and R: (3+2) + (3+2) + (9+2) = 21 membership checks.
+        # receiver's w and R: 3 * (3 + 2) = 15 membership checks.
         checks = []
         contains = SchnorrGroup.contains
 
@@ -254,5 +260,5 @@ class TestOperationCounts:
         evaluate_similarity_private(
             _kernel_model(1), _kernel_model(2), MetricParams(), config=config, seed=3
         )
-        assert exp_calls == {"exp": 69}
-        assert len(checks) == 21
+        assert exp_calls == {"exp": _similarity_pair_ops(config)} == {"exp": 45}
+        assert len(checks) == 15

@@ -158,10 +158,9 @@ class TestFraming:
                 left.send_frame(b"x" * 65536)
 
     def test_invalid_frame_cap_rejected(self, pair):
-        left_sock, _ = socket.socketpair()
-        with pytest.raises(ValidationError):
+        left_sock, right_sock = socket.socketpair()
+        with left_sock, right_sock, pytest.raises(ValidationError):
             WireConnection(left_sock, max_frame_bytes=0)
-        left_sock.close()
 
 
 class TestWireChannel:
@@ -408,12 +407,12 @@ class TestFaultPaths:
         peer = _Peer(flaky_trainer)
         peer.start()
         try:
-            connection = wire.connect(host, port, timeout=5.0)
-            channel = MuxChannel("bob", "alice", V1Session(connection))
-            with pytest.raises(ProtocolError):
-                run_ompe_receiver(
-                    (0.5, -0.25), channel, config=fast_config, seed=3
-                )
+            with wire.connect(host, port, timeout=5.0) as connection:
+                channel = MuxChannel("bob", "alice", V1Session(connection))
+                with pytest.raises(ProtocolError):
+                    run_ompe_receiver(
+                        (0.5, -0.25), channel, config=fast_config, seed=3
+                    )
         finally:
             peer.join_result()
             server.close()
