@@ -2,15 +2,12 @@
 
 from repro.core.ompe.config import OMPEConfig
 from repro.core.ompe.function import OMPEFunction, as_exact_vector, audit_degree
-from repro.core.ompe.batch import BatchOutcome, execute_ompe_batch
 from repro.core.ompe.precompute import ReceiverPool, SenderPool
 from repro.core.ompe.protocol import OMPEOutcome, execute_ompe
 from repro.core.ompe.receiver import OMPEReceiver
 from repro.core.ompe.sender import OMPESender
 
 __all__ = [
-    "BatchOutcome",
-    "execute_ompe_batch",
     "OMPEConfig",
     "OMPEFunction",
     "as_exact_vector",

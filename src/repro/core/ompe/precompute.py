@@ -14,9 +14,9 @@ an OMPE run is independent of the actual query:
 
 :class:`SenderPool` and :class:`ReceiverPool` pre-generate batches of
 these bundles; the sender/receiver classes pop from them during the
-online phase.  :func:`draw_sender_bundle` is the one sender draw: the
-pool, the online sender and the batched sender all call it, each with
-its own stream.  ``benchmarks/bench_ablation_precompute.py`` measures the
+online phase (a sender of ``k`` functions pops one sender bundle per
+function).  :func:`draw_sender_bundle` is the one sender draw: the
+pool and the online sender call it, each with its own stream.  ``benchmarks/bench_ablation_precompute.py`` measures the
 online-latency reduction.
 """
 
@@ -49,7 +49,8 @@ def draw_sender_bundle(
     amplify: bool = True,
     offset: bool = False,
 ) -> SenderBundle:
-    """The sender's randomness for one query, drawn from ``draw``.
+    """The sender's randomness for one function of one query, drawn
+    from ``draw``.
 
     The mask ``h`` (degree ``deg(P)·q``, ``h(0) = 0``) comes from
     ``draw.fork("mask")``, the amplifier ``r_a`` from

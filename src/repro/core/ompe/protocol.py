@@ -10,13 +10,14 @@ classification and similarity protocols build on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Tuple, Union
 
 from repro import obs
 from repro.core.ompe.config import OMPEConfig
 from repro.core.ompe.function import OMPEFunction
 from repro.core.ompe.receiver import OMPEReceiver
-from repro.core.ompe.sender import OMPESender
+from repro.core.ompe.sender import Flags, OMPESender
+from repro.exceptions import OMPEError
 from repro.math.polynomials import Number
 from repro.net.channel import LinkModel
 from repro.net.party import connect_parties
@@ -27,28 +28,51 @@ from repro.utils.timer import TimingRecorder
 
 @dataclass(frozen=True)
 class OMPEOutcome:
-    """Result of one OMPE run.
+    """Result of one OMPE run of ``k ≥ 1`` functions.
 
-    ``value`` is the receiver's output ``r_a P(α) + r_b``.  The sender's
-    secret randomizers are *not* part of the receiver's view; they are
-    surfaced here (from the sender object) only for tests and for
-    higher protocols where the same party plays the sender in a later
-    phase (similarity evaluation needs ``r_am``, ``r_aw``, ``r_b``).
+    ``values[j]`` is the receiver's output ``r_j P_j(α_j) + o_j``.  The
+    sender's secret randomizers are *not* part of the receiver's view;
+    they are surfaced here (from the sender object) only for tests and
+    for higher protocols where the same party plays the sender in a
+    later phase (similarity evaluation needs ``r_am``, ``r_aw``,
+    ``r_b``).  A role that does not hold a field has ``None`` there.
+    ``value``, ``amplifier`` and ``offset`` read the one function of a
+    ``k = 1`` run.
     """
 
-    value: Number
-    amplifier: Number
-    offset: Number
+    values: Optional[Tuple[Number, ...]]
+    amplifiers: Optional[Tuple[Number, ...]]
+    offsets: Optional[Tuple[Number, ...]]
     report: ProtocolReport
+
+    @property
+    def value(self) -> Optional[Number]:
+        return _only(self.values)
+
+    @property
+    def amplifier(self) -> Optional[Number]:
+        return _only(self.amplifiers)
+
+    @property
+    def offset(self) -> Optional[Number]:
+        return _only(self.offsets)
+
+
+def _only(items: Optional[Tuple[Number, ...]]) -> Optional[Number]:
+    if items is None:
+        return None
+    if len(items) != 1:
+        raise OMPEError(f"the run evaluated {len(items)} functions, not one")
+    return items[0]
 
 
 def execute_ompe(
-    function: OMPEFunction,
+    function: Union[OMPEFunction, Sequence[OMPEFunction]],
     input_vector: Sequence[Number],
     config: Optional[OMPEConfig] = None,
     seed: Optional[int] = None,
-    amplify: bool = True,
-    offset: bool = False,
+    amplify: Flags = True,
+    offset: Flags = False,
     link: Optional[LinkModel] = None,
     sender_name: str = "alice",
     receiver_name: str = "bob",
@@ -57,7 +81,10 @@ def execute_ompe(
 ) -> OMPEOutcome:
     """Run the full OMPE protocol between two in-process parties.
 
-    ``sender_pool`` / ``receiver_pool`` are optional
+    ``function`` is one :class:`OMPEFunction` or a sequence of ``k`` of
+    them; ``input_vector`` is then ``α₁‖…‖α_k``, function ``j`` reading
+    its own slice, and ``amplify``/``offset`` are one flag for all or
+    one per function.  ``sender_pool`` / ``receiver_pool`` are optional
     :mod:`repro.core.ompe.precompute` pools; when given, the parties
     draw their randomness from the pools instead of generating it
     online (the paper's Section VI-B.1 optimization).
@@ -82,6 +109,7 @@ def execute_ompe(
         rng=root.fork("receiver"),
         timings=timings,
         pool=receiver_pool,
+        function_count=len(sender.functions),
     )
     channel = connect_parties(sender, receiver, link=link) if link else connect_parties(
         sender, receiver
@@ -90,10 +118,10 @@ def execute_ompe(
     with obs.get_tracer().span(
         "ompe",
         phase="protocol",
-        arity=function.arity,
-        degree=function.total_degree,
-        m=config.cover_count(function.total_degree),
-        M=config.pair_count(function.total_degree),
+        arity=sender.arity,
+        degree=sender.degree,
+        m=config.cover_count(sender.degree),
+        M=config.pair_count(sender.degree),
     ) as root_span:
         receiver.send_request()
         sender.handle_request()
@@ -101,7 +129,7 @@ def execute_ompe(
         sender.handle_points()
         receiver.handle_ot_setups()
         sender.handle_choices()
-        value = receiver.finish()
+        values = receiver.finish()
         root_span.set(total_bytes=channel.transcript.total_bytes())
 
     metrics = obs.get_metrics()
@@ -110,22 +138,22 @@ def execute_ompe(
             "repro_ompe_runs_total", "Completed OMPE protocol executions"
         ).inc()
 
-    report = finish_report(value, channel, timings)
+    report = finish_report(values, channel, timings)
     return OMPEOutcome(
-        value=value,
-        amplifier=sender.amplifier,
-        offset=sender.offset_value,
+        values=values,
+        amplifiers=sender.amplifiers,
+        offsets=sender.offsets,
         report=report,
     )
 
 
 def run_ompe_sender(
-    function: OMPEFunction,
+    function: Union[OMPEFunction, Sequence[OMPEFunction]],
     channel,
     config: Optional[OMPEConfig] = None,
     seed: Optional[int] = None,
-    amplify: bool = True,
-    offset: bool = False,
+    amplify: Flags = True,
+    offset: Flags = False,
     name: str = "alice",
     pool=None,
     timings: Optional[TimingRecorder] = None,
@@ -140,7 +168,7 @@ def run_ompe_sender(
     ``.fork("receiver")`` — so a split run with the same seed produces
     bit-identical messages, masked values, and outputs.
 
-    The returned outcome carries this role's view only: ``value`` is
+    The returned outcome carries this role's view only: ``values`` is
     ``None`` (the output belongs to the receiver) and the report's
     transcript is this endpoint's copy of the conversation.
     """
@@ -158,7 +186,7 @@ def run_ompe_sender(
     )
     sender.connect(channel)
     with obs.get_tracer().span(
-        "ompe.sender", party=name, phase="protocol", degree=function.total_degree
+        "ompe.sender", party=name, phase="protocol", degree=sender.degree
     ):
         sender.handle_request()
         sender.handle_points()
@@ -174,9 +202,9 @@ def run_ompe_sender(
         simulated_network_s=channel.simulated_time,
     )
     return OMPEOutcome(
-        value=None,
-        amplifier=sender.amplifier,
-        offset=sender.offset_value,
+        values=None,
+        amplifiers=sender.amplifiers,
+        offsets=sender.offsets,
         report=report,
     )
 
@@ -189,12 +217,14 @@ def run_ompe_receiver(
     name: str = "bob",
     pool=None,
     timings: Optional[TimingRecorder] = None,
+    function_count: int = 1,
 ) -> OMPEOutcome:
     """Run only the *receiver* role over an already-connected channel.
 
-    See :func:`run_ompe_sender`.  ``value`` is the receiver's secret
-    output ``r_a P(α) + r_b``; the sender's randomizers are not in this
-    role's view, so ``amplifier``/``offset`` are ``None``.  The
+    See :func:`run_ompe_sender`.  ``values`` are the receiver's secret
+    outputs ``r_j P_j(α_j) + o_j`` of the sender's ``function_count``
+    functions; the sender's randomizers are not in this role's view, so
+    ``amplifiers``/``offsets`` are ``None``.  The
     receiver side owns the ``repro_ompe_runs_total`` increment, keeping
     the shared-registry count identical to an in-process run.
     """
@@ -207,6 +237,7 @@ def run_ompe_receiver(
         rng=ReproRandom(seed).fork("receiver"),
         timings=timings,
         pool=pool,
+        function_count=function_count,
     )
     receiver.connect(channel)
     with obs.get_tracer().span(
@@ -215,11 +246,11 @@ def run_ompe_receiver(
         receiver.send_request()
         receiver.handle_params()
         receiver.handle_ot_setups()
-        value = receiver.finish()
+        values = receiver.finish()
     metrics = obs.get_metrics()
     if metrics.enabled:
         metrics.counter(
             "repro_ompe_runs_total", "Completed OMPE protocol executions"
         ).inc()
-    report = finish_report(value, channel, timings)
-    return OMPEOutcome(value=value, amplifier=None, offset=None, report=report)
+    report = finish_report(values, channel, timings)
+    return OMPEOutcome(values=values, amplifiers=None, offsets=None, report=report)

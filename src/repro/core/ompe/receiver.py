@@ -1,6 +1,8 @@
 """OMPE receiver (the paper's Bob / client side).
 
-Implements the receiver steps of Sections III-C and IV-A:
+Implements the receiver steps of Sections III-C and IV-A, for a run
+of ``k ≥ 1`` sender functions over one input ``α = α₁‖…‖α_k`` (see
+:mod:`repro.core.ompe.sender`):
 
 1. Announce the arity; learn the interpolation parameters ``(p, m, M)``.
 2. Hide the input ``α`` in random degree-``q`` polynomials
@@ -13,15 +15,15 @@ Implements the receiver steps of Sections III-C and IV-A:
    are identically distributed — strictly stronger camouflage than the
    paper's "randomly selected" values, and testable
    (:mod:`repro.core.privacy.analysis`).
-3. Run ``m``-out-of-``M`` OT to learn the cover evaluations only.
-4. Lagrange-interpolate ``B(v)`` and output the secret
-   ``B(0) = r_a P(α) + r_b``.
+3. Run ``m``-out-of-``M`` OT to learn the cover slots only.
+4. Read the ``k`` values of each slot, Lagrange-interpolate each
+   ``B_j(v)`` and output the secrets ``B_j(0) = r_j P_j(α_j) + o_j``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.core.ompe.config import OMPEConfig
@@ -33,16 +35,22 @@ from repro.math.interpolation import lagrange_at_zero
 from repro.math.polynomials import Number
 from repro.net.party import Party
 from repro.utils.rng import ReproRandom
-from repro.utils.serialization import decode_value
+from repro.utils.serialization import decode_values
 from repro.utils.timer import TimingRecorder
 
 
-def check_evaluations(values: List[Number]) -> List[Number]:
-    """Refuse a decoded evaluation that is not an ``int`` or ``Fraction``.
+def check_evaluations(values: Sequence[Number], count: int) -> Sequence[Number]:
+    """Refuse a decoded slot that is not ``count`` values, each an
+    ``int`` or ``Fraction``.
 
-    The sender seals whatever it likes, so a tuple or a float is refused
-    here, before it reaches the interpolation.
+    The sender seals whatever it likes, so a slot of another length, a
+    tuple or a float is refused here, before it reaches the
+    interpolation.
     """
+    if len(values) != count:
+        raise ProtocolAbort(
+            f"retrieved slot carries {len(values)} values, expected {count}"
+        )
     for value in values:
         if not isinstance(value, (int, Fraction)):
             raise ProtocolAbort(
@@ -52,7 +60,11 @@ def check_evaluations(values: List[Number]) -> List[Number]:
 
 
 class OMPEReceiver(Party):
-    """Holds the input ``α``; learns only ``r_a P(α) + r_b``."""
+    """Holds the input ``α``; learns only each ``r_j P_j(α_j) + o_j``.
+
+    ``function_count`` is the ``k`` of the run: how many values each
+    retrieved slot must carry.
+    """
 
     def __init__(
         self,
@@ -62,6 +74,7 @@ class OMPEReceiver(Party):
         rng: Optional[ReproRandom] = None,
         timings: Optional[TimingRecorder] = None,
         pool=None,
+        function_count: int = 1,
     ) -> None:
         super().__init__(name, rng)
         if pool is not None and pool.arity != len(tuple(input_vector)):
@@ -73,7 +86,10 @@ class OMPEReceiver(Party):
         vector = tuple(input_vector)
         if not vector:
             raise OMPEError("input vector must be non-empty")
+        if function_count < 1:
+            raise OMPEError(f"function_count must be at least 1, got {function_count}")
         self.input_vector = as_exact_vector(vector)
+        self.function_count = function_count
         self.config = config
         self.timings = timings or TimingRecorder()
         self._cover_count: int = 0
@@ -167,8 +183,8 @@ class OMPEReceiver(Party):
                 )
             self.send("ompe/ot-choices", choice)
 
-    def finish(self) -> Number:
-        """Retrieve cover evaluations, interpolate, return ``B(0)``."""
+    def finish(self) -> Tuple[Number, ...]:
+        """Retrieve the cover slots, interpolate, return every ``B_j(0)``."""
         tracer = obs.get_tracer()
         with tracer.span("ompe.finish", party=self.name, phase="finish"):
             if self._ot_receiver is None:
@@ -183,7 +199,12 @@ class OMPEReceiver(Party):
                 covers=len(self._cover_positions),
             ):
                 with self.timings.measure("receiver/interpolate"):
-                    values = check_evaluations([decode_value(blob) for blob in payloads])
+                    slots = [
+                        check_evaluations(decode_values(blob), self.function_count)
+                        for blob in payloads
+                    ]
                     nodes = [self._nodes[i] for i in self._cover_positions]
-                    secret = lagrange_at_zero(nodes, values)
-        return secret
+                    secrets = tuple(
+                        lagrange_at_zero(nodes, list(values)) for values in zip(*slots)
+                    )
+        return secrets

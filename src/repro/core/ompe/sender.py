@@ -1,20 +1,27 @@
 """OMPE sender (the paper's Alice / trainer side).
 
-Implements the sender steps of Sections III-C and IV-A:
+Implements the sender steps of Sections III-C and IV-A for ``k ≥ 1``
+secret functions ``P_1 … P_k`` over one hidden input ``α₁‖…‖α_k``:
+``P_j`` reads its own slice ``α_j``, so the run's arity is
+``Σ P_j.arity`` and its degree ``D`` the largest ``P_j.total_degree``.
 
-1. On request, generate the masking polynomial ``h(u)`` of degree
-   ``deg(P) * q`` with ``h(0) = 0``, draw the positive amplifier ``r_a``
-   (and optionally the offset ``r_b``), and announce the interpolation
-   parameters.
+1. On request, generate for each function a masking polynomial
+   ``h_j(u)`` of degree ``D · q`` with ``h_j(0) = 0``, its amplifier
+   ``r_j`` (``1`` unless amplified) and its offset ``o_j`` (``0``
+   unless offset), and announce the interpolation parameters.
 2. On receiving the ``M`` point/vector pairs, evaluate
-   ``A(v_i, z_i) = h(v_i) + r_a · P(z_i) + r_b`` for every pair.
-3. Serve the evaluations through an ``m``-out-of-``M`` oblivious
-   transfer, learning nothing about which ``m`` were real covers.
+   ``A_j(v_i, z_i) = h_j(v_i) + r_j · P_j(z_i) + o_j`` for every pair and
+   function; slot ``i`` seals the ``k`` values one after another.
+3. Serve the slots through one ``m``-out-of-``M`` oblivious transfer,
+   learning nothing about which ``m`` were real covers.
+
+With ``k = 1`` this is the paper's one-function run, message for
+message and byte for byte.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Sequence, Tuple, Union
 
 from repro import obs
 from repro.core.ompe.config import OMPEConfig
@@ -22,52 +29,90 @@ from repro.core.ompe.function import OMPEFunction
 from repro.core.ompe.hiding import check_points
 from repro.core.ompe.precompute import draw_sender_bundle
 from repro.crypto.ot.k_of_n import KOfNSender
-from repro.exceptions import OMPEError, ProtocolAbort
+from repro.exceptions import OMPEError, ProtocolAbort, ValidationError
 from repro.math.polynomials import Number, Polynomial
 from repro.net.party import Party
 from repro.utils.rng import ReproRandom
 from repro.utils.serialization import encode_value
 from repro.utils.timer import TimingRecorder
 
+#: One flag for every function, or one per function.
+Flags = Union[bool, Sequence[bool]]
+
+
+def per_function(flags: Flags, count: int, name: str) -> Tuple[bool, ...]:
+    """One ``amplify``/``offset`` flag per function."""
+    if isinstance(flags, bool):
+        return (flags,) * count
+    flags = tuple(flags)
+    if len(flags) != count:
+        raise ValidationError(f"{len(flags)} {name} flags for {count} functions")
+    return flags
+
 
 class OMPESender(Party):
-    """Holds the secret function ``P``; reveals only ``r_a P(α) + r_b``."""
+    """Holds the secret functions ``P_j``; reveals only ``r_j P_j(α_j) + o_j``."""
 
     def __init__(
         self,
         name: str,
-        function: OMPEFunction,
+        function: Union[OMPEFunction, Sequence[OMPEFunction]],
         config: OMPEConfig,
         rng: Optional[ReproRandom] = None,
-        amplify: bool = True,
-        offset: bool = False,
+        amplify: Flags = True,
+        offset: Flags = False,
         timings: Optional[TimingRecorder] = None,
         pool=None,
     ) -> None:
         super().__init__(name, rng)
-        self.function = function
+        self.functions = (
+            (function,) if isinstance(function, OMPEFunction) else tuple(function)
+        )
+        if not self.functions:
+            raise ValidationError("an OMPE run needs at least one function")
+        count = len(self.functions)
+        self.amplify = per_function(amplify, count, "amplify")
+        self.offset = per_function(offset, count, "offset")
+        self.arity = sum(function.arity for function in self.functions)
+        self.degree = max(function.total_degree for function in self.functions)
         self.config = config
-        self.amplify = amplify
-        self.offset = offset
         self.pool = pool
         if pool is not None:
-            if pool.function_degree != function.total_degree:
+            if pool.function_degree != self.degree:
                 raise OMPEError(
                     f"precomputation pool was built for degree "
-                    f"{pool.function_degree}, function has {function.total_degree}"
+                    f"{pool.function_degree}, function has {self.degree}"
                 )
-            if (pool.amplify, pool.offset) != (amplify, offset):
-                raise OMPEError(
-                    f"precomputation pool was built for amplify={pool.amplify}, "
-                    f"offset={pool.offset}; sender has amplify={amplify}, "
-                    f"offset={offset}"
-                )
+            for amplify_j, offset_j in zip(self.amplify, self.offset):
+                if (pool.amplify, pool.offset) != (amplify_j, offset_j):
+                    raise OMPEError(
+                        f"precomputation pool was built for amplify={pool.amplify}, "
+                        f"offset={pool.offset}; sender has amplify={amplify_j}, "
+                        f"offset={offset_j}"
+                    )
         self.timings = timings or TimingRecorder()
-        self.amplifier: Number = 1
-        self.offset_value: Number = 0
-        self._mask: Optional[Polynomial] = None
+        self.amplifiers: Tuple[Number, ...] = (1,) * count
+        self.offsets: Tuple[Number, ...] = (0,) * count
+        self._masks: Tuple[Polynomial, ...] = ()
         self._ot_sender: Optional[KOfNSender] = None
         self._cover_count: int = 0
+
+    def _bundles(self) -> list:
+        """One randomness bundle per function: the first from the
+        sender's own stream, function ``j ≥ 1`` from its fork
+        ``("function", j)``; or popped from the pool."""
+        if self.pool is not None:
+            return [self.pool.pop() for _ in self.functions]
+        return [
+            draw_sender_bundle(
+                self.rng if index == 0 else self.rng.fork("function", index),
+                self.config,
+                self.degree,
+                amplify,
+                offset,
+            )
+            for index, (amplify, offset) in enumerate(zip(self.amplify, self.offset))
+        ]
 
     # -- step 1 -------------------------------------------------------------
 
@@ -78,73 +123,56 @@ class OMPESender(Party):
         ) as span:
             with self.timings.measure("sender/randomize"):
                 arity = self.receive("ompe/request")
-                if arity != self.function.arity:
+                if arity != self.arity:
                     raise ProtocolAbort(
                         f"receiver announced arity {arity}, function has "
-                        f"{self.function.arity}"
+                        f"{self.arity}"
                     )
-                if self.pool is not None:
-                    bundle = self.pool.pop()
-                else:
-                    bundle = draw_sender_bundle(
-                        self.rng,
-                        self.config,
-                        self.function.total_degree,
-                        self.amplify,
-                        self.offset,
-                    )
-                self._mask = bundle.mask
-                self.amplifier = bundle.amplifier
-                self.offset_value = bundle.offset
-                self._cover_count = self.config.cover_count(
-                    self.function.total_degree
-                )
-                pair_count = self.config.pair_count(self.function.total_degree)
-            span.set(
-                m=self._cover_count,
-                M=pair_count,
-                degree=self.function.total_degree,
-            )
-            self.send(
-                "ompe/params",
-                (self.function.total_degree, self._cover_count, pair_count),
-            )
+                bundles = self._bundles()
+                self._masks = tuple(bundle.mask for bundle in bundles)
+                self.amplifiers = tuple(bundle.amplifier for bundle in bundles)
+                self.offsets = tuple(bundle.offset for bundle in bundles)
+                self._cover_count = self.config.cover_count(self.degree)
+                pair_count = self.config.pair_count(self.degree)
+            span.set(m=self._cover_count, M=pair_count, degree=self.degree)
+            self.send("ompe/params", (self.degree, self._cover_count, pair_count))
 
     # -- steps 2 and 3 -------------------------------------------------------
 
     def handle_points(self) -> None:
-        """Evaluate ``A`` on all pairs and open the OT phase."""
+        """Evaluate every ``A_j`` on all pairs and open the OT phase."""
         tracer = obs.get_tracer()
         pairs = self.receive("ompe/points")
-        check_points(pairs, self.function.arity)
-        expected = self.config.pair_count(self.function.total_degree)
+        check_points(pairs, self.arity)
+        expected = self.config.pair_count(self.degree)
         if len(pairs) != expected:
             raise ProtocolAbort(
                 f"expected {expected} point/vector pairs, got {len(pairs)}"
             )
-        if self._mask is None:
+        if not self._masks:
             raise OMPEError("handle_points before handle_request")
         with tracer.span(
             "ompe.evaluate", party=self.name, phase="evaluate", pairs=len(pairs)
         ):
             with self.timings.measure("sender/evaluate"):
-                # With identity amplifier/offset (amplify=False runs,
-                # e.g. the similarity protocol's third OMPE), skip the
-                # no-op Fraction multiply/add — the values are unchanged
-                # (x*1 == x, x+0 == x exactly on int and Fraction).
-                skip_amplifier = self.amplifier == 1
-                skip_offset = self.offset_value == 0
-                values = self.function.evaluate_all(
-                    [vector for _, vector in pairs]
-                )
-                evaluations: List[bytes] = []
-                for (node, _), value in zip(pairs, values):
-                    if not skip_amplifier:
-                        value = self.amplifier * value
-                    value = self._mask(node) + value
-                    if not skip_offset:
-                        value = value + self.offset_value
-                    evaluations.append(encode_value(value))
+                nodes = [node for node, _ in pairs]
+                columns = []
+                start = 0
+                for function, mask, amplifier, offset in zip(
+                    self.functions, self._masks, self.amplifiers, self.offsets
+                ):
+                    end = start + function.arity
+                    values = function.evaluate_all(
+                        [vector[start:end] for _, vector in pairs]
+                    )
+                    columns.append(
+                        [
+                            encode_value(mask(node) + amplifier * value + offset)
+                            for node, value in zip(nodes, values)
+                        ]
+                    )
+                    start = end
+                evaluations: List[bytes] = [b"".join(slot) for slot in zip(*columns)]
         with tracer.span(
             "ompe.ot_setup",
             party=self.name,

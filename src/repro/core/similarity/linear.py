@@ -6,38 +6,40 @@ nothing else about Alice's model; Alice learns only the two inseparable
 norms ``|m_B|²`` and ``|w_B|²`` (``K(m_B, m_B)`` and ``⟨n_B, n_B⟩`` for a
 kernel model).
 
-Protocol (three OMPE runs plus one clear exchange), in its linear form;
-the kernel form runs the same dot products over the kernel's monomial
-map (``τ``, paper Section IV-B), with Bob's inputs ``τ(m_B)`` and
-``τ(n_B) = Σ_j c_j τ(x_j)`` and Alice's weights scaled by the kernel's
-multinomial weights.  Each party's
-:class:`~repro.core.similarity.profile.SimilarityProfile` makes that
-choice, so one driver runs both kinds:
+Protocol (three OMPE evaluations in two runs, plus one clear
+exchange), in its linear form; the kernel form runs the same dot
+products over the kernel's monomial map (``τ``, paper Section IV-B),
+with Bob's inputs ``τ(m_B)`` and ``τ(n_B) = Σ_j c_j τ(x_j)`` and
+Alice's weights scaled by the kernel's multinomial weights.  Each
+party's :class:`~repro.core.similarity.profile.SimilarityProfile`
+makes that choice, so one driver runs both kinds:
 
 1. Both parties locally compute their bounded-hyperplane boundary
    points (Eq. 5), centroid ``m``, and normal ``w``.
 2. Bob → Alice (clear): ``|m_B|²`` and ``|w_B|²`` — vector-module
    squares from which no coordinate can be recovered.
-3. OMPE #1 — sender function ``m_A · y``, Bob's input ``m_B``, positive
-   amplifier ``r_am``: Bob obtains ``x₁ = r_am (m_A · m_B)``.
-4. OMPE #2 — sender function ``w_A · y`` with amplifier ``r_aw`` *and*
-   offset ``r_b`` (so an orthogonal-normals zero is not recognizable):
-   Bob obtains ``x₂ = r_aw (w_A · w_B) + r_b``.
-5. OMPE #3 — Alice assembles the two-variate degree-4 polynomial of
-   Eq. (7) with constants
+3. OMPE #1 and #2, one run of two functions over Bob's input
+   ``m_B‖w_B`` (:mod:`repro.core.ompe.sender`): sender function
+   ``m_A · y`` with positive amplifier ``r_am``, and ``w_A · y`` with
+   amplifier ``r_aw`` *and* offset ``r_b`` (so an orthogonal-normals
+   zero is not recognizable).  Bob obtains
+   ``x₁ = r_am (m_A · m_B)`` and ``x₂ = r_aw (w_A · w_B) + r_b``.
+4. OMPE #3 — Alice assembles the two-variate polynomial of Eq. (7)
+   with constants
 
        c₁ = |m_A|² + |m_B|²,  c₂ = L₀⁴,
        c₃ = (|w_A|² |w_B|²)⁻¹,  c₄ = 1 + sin²θ₀,
        d₁ = r_am⁻¹,  d₂ = r_aw⁻²,  d₃ = −r_b
 
    (note ``d₂ = r_aw⁻²``: the paper's Eq. 7 prints ``r_aw⁻¹``, which
-   does not cancel the squared amplifier — see DESIGN.md errata).  She
-   sends it as a degree-1 form over its monomial map (Section IV-B's τ
-   over ``(x₁, x₂)``): the weights are its coefficients on the 14
-   monomials of degree 1..4 (:data:`AREA_MAP`), the constant its
-   constant term.  Bob evaluates it *unamplified* at
-   ``τ(x₁, x₂)`` (:func:`area_input`), obtaining ``T²``.  Like OMPE #1
-   and #2 it is a degree-1 OMPE: ``m = q + 1`` covers.
+   does not cancel the squared amplifier — see DESIGN.md errata).  It
+   has degree 2 in each of ``x₁`` and ``x₂``, so she sends it as a
+   degree-1 form over its monomial map (Section IV-B's τ over
+   ``(x₁, x₂)``): the weights are its coefficients on the 8 monomials
+   ``x₁^a x₂^b``, ``1 ≤ a + b``, ``a, b ≤ 2`` (:data:`AREA_BASIS`),
+   the constant its constant term.  Bob evaluates it *unamplified* at
+   ``τ(x₁, x₂)`` (:func:`area_input`), obtaining ``T²``.  Like the
+   first run it is a degree-1 OMPE: ``m = q + 1`` covers.
 
 :func:`evaluate_similarity_private` runs both parties in one process;
 :mod:`~repro.core.similarity.remote` splits the same steps into Alice's
@@ -50,10 +52,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 from repro import obs
-from repro.core.classification.transform import MonomialTransform
 from repro.core.ompe import OMPEConfig, execute_ompe
 from repro.core.similarity.exact import snap
 from repro.core.similarity.metric import MetricParams
@@ -69,16 +70,18 @@ from repro.core.similarity.profile import (
     similarity_profile,
 )
 from repro.exceptions import SimilarityError, ValidationError
+from repro.math.multinomial import mixed_degree_basis, monomial_value
 from repro.math.multivariate import MultivariatePolynomial
 from repro.math.polynomials import Number
 from repro.net.channel import Channel
 from repro.net.runner import ProtocolReport
 from repro.utils.rng import ReproRandom
 
-#: OMPE #3's monomial map: the 14 monomials of degree 1..4 in
-#: ``(x₁, x₂)``, over which Eq. (7) is a degree-1 form.
-AREA_MAP = MonomialTransform(2, 4, homogeneous=False)
-
+#: OMPE #3's monomial map: the 8 monomials ``x₁^a x₂^b`` with
+#: ``1 ≤ a + b`` and ``a, b ≤ 2``, over which Eq. (7) is a degree-1 form.
+AREA_BASIS: Tuple[Tuple[int, int], ...] = tuple(
+    exponents for exponents in mixed_degree_basis(2, 4) if max(exponents) <= 2
+)
 
 @dataclass(frozen=True)
 class PrivateSimilarityOutcome:
@@ -138,34 +141,40 @@ def area_function(
     alice: SimilarityProfile,
     centroid_norm_b: Number,
     normal_norm_b: Number,
-    run1,
-    run2,
+    dots,
 ) -> DotForm:
     """Alice's OMPE #3 function: Eq. (7) with this pair's constants.
 
     ``centroid_norm_b`` and ``normal_norm_b`` are Bob's clear norms;
-    ``run1`` and ``run2`` are Alice's OMPE #1/#2 outcomes, whose
+    ``dots`` is Alice's outcome of the OMPE #1/#2 run, whose two
     amplifiers and offset the polynomial cancels.  The form weighs
-    :func:`area_input`'s coordinates by the polynomial's coefficients.
+    :func:`area_input`'s coordinates by the polynomial's coefficients;
+    a coefficient outside :data:`AREA_BASIS` raises
+    :class:`~repro.exceptions.SimilarityError`.
     """
-    terms = build_t_squared_polynomial(
-        alice.centroid_norm + centroid_norm_b,
-        snap(params.l0) ** 4,
-        1 / (alice.normal_norm * normal_norm_b),
-        1 + snap(params.sin_theta0) ** 2,
-        1 / run1.amplifier,
-        1 / run2.amplifier**2,
-        -run2.offset,
-    ).terms
-    return DotForm.of(
-        [terms.get(k, Fraction(0)) for k in AREA_MAP.basis],
-        terms.get((0, 0), Fraction(0)),
+    r_am, r_aw = dots.amplifiers
+    terms = dict(
+        build_t_squared_polynomial(
+            alice.centroid_norm + centroid_norm_b,
+            snap(params.l0) ** 4,
+            1 / (alice.normal_norm * normal_norm_b),
+            1 + snap(params.sin_theta0) ** 2,
+            1 / r_am,
+            1 / r_aw**2,
+            -dots.offsets[1],
+        ).terms
     )
+    constant = terms.pop((0, 0), Fraction(0))
+    outside = sorted(k for k, c in terms.items() if c and k not in AREA_BASIS)
+    if outside:
+        raise SimilarityError(f"Eq. (7) has monomials {outside} outside the area basis")
+    return DotForm.of([terms.get(k, Fraction(0)) for k in AREA_BASIS], constant)
 
 
 def area_input(x1: Number, x2: Number) -> tuple:
-    """Bob's OMPE #3 input: ``τ(x₁, x₂)`` over :data:`AREA_MAP`."""
-    return AREA_MAP.transform_sample((x1, x2))
+    """Bob's OMPE #3 input: ``τ(x₁, x₂)`` over :data:`AREA_BASIS`."""
+    point = (Fraction(x1), Fraction(x2))
+    return tuple(monomial_value(point, exponents) for exponents in AREA_BASIS)
 
 
 def clear_report(channel) -> ProtocolReport:
@@ -177,14 +186,9 @@ def clear_report(channel) -> ProtocolReport:
     )
 
 
-def phase_reports(clear, run1, run2, run3) -> Dict[str, ProtocolReport]:
+def phase_reports(clear, dots, area) -> Dict[str, ProtocolReport]:
     """One report per protocol phase, keyed as every driver reports them."""
-    return {
-        "clear": clear,
-        "centroid_ompe": run1.report,
-        "normal_ompe": run2.report,
-        "area_ompe": run3.report,
-    }
+    return {"clear": clear, "dots_ompe": dots.report, "area_ompe": area.report}
 
 
 def release_outcome(
@@ -295,30 +299,25 @@ def evaluate_similarity_private(
         check_normal("Bob", normal_norm_b)
         check_normal("Alice", alice.normal_norm)
 
-        # Step 3 — OMPE #1: x1 = r_am (m_A · m_B).
-        run1 = run(
-            "centroid", alice.centroid_function(), bob.centroid_input, "run1",
-            amplify=True, offset=False,
+        # Step 3 — OMPE #1 and #2 in one run:
+        # x1 = r_am (m_A · m_B), x2 = r_aw (w_A · w_B) + r_b.
+        dots = run(
+            "dots", alice.dots_functions(), bob.dots_input, "run1",
+            amplify=True, offset=(False, True),
         )
-        # Step 4 — OMPE #2: x2 = r_aw (w_A · w_B) + r_b.
-        run2 = run(
-            "normal", alice.normal_function(), bob.normal_input,
-            "run2", amplify=True, offset=True,
-        )
-        # Step 5 — OMPE #3: Bob evaluates Eq. (7) at τ(x1, x2), unamplified.
-        run3 = run(
+        # Step 4 — OMPE #3: Bob evaluates Eq. (7) at τ(x1, x2), unamplified.
+        area = run(
             "area",
             area_function(
-                params, alice, centroid_norm_b, normal_norm_b, run1, run2
+                params, alice, centroid_norm_b, normal_norm_b, dots
             ).function(),
-            area_input(run1.value, run2.value), "run3",
+            area_input(*dots.values), "run3",
             amplify=False, offset=False,
         )
         outcome = release_outcome(
-            kind, run3.value, phase_reports(clear, run1, run2, run3),
-            policy, seed,
+            kind, area.value, phase_reports(clear, dots, area), policy, seed,
         )
         span.set(
-            total_bytes=outcome.total_bytes, t=math.sqrt(float(run3.value))
+            total_bytes=outcome.total_bytes, t=math.sqrt(float(area.value))
         )
     return outcome

@@ -33,6 +33,7 @@ so that upgrade changes no caller.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence, Tuple
 
@@ -243,10 +244,14 @@ def apply_output_policy(
         ranked = sorted(pairs, key=lambda pair: (pair[1], repr(pair[0])))
         entries = tuple(ranked[: policy.k])
     else:  # PERMUTED
+        # A subnormal score times a mask near 1 rounds back to itself,
+        # which would release the raw score: it is masked as 0.0.
+        floored = [
+            (pair_id, value if abs(value) >= sys.float_info.min else 0.0)
+            for pair_id, value in pairs
+        ]
         entries = tuple(
-            sorted(
-                _mask_for(seed, pair_id) * value for pair_id, value in pairs
-            )
+            sorted(_mask_for(seed, pair_id) * value for pair_id, value in floored)
         )
     return MitigatedScores(policy=policy, count=len(values), entries=entries)
 

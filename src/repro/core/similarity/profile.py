@@ -156,6 +156,15 @@ class SimilarityProfile:
         """Alice's OMPE #2 function: ``y ↦ w_A · y``, or ``⟨n_A, ·⟩`` in τ."""
         return self.normal_form.function()
 
+    def dots_functions(self) -> Tuple[OMPEFunction, OMPEFunction]:
+        """Alice's functions of the one OMPE #1/#2 run, in input order."""
+        return self.centroid_function(), self.normal_function()
+
+    @property
+    def dots_input(self) -> Tuple[Fraction, ...]:
+        """Bob's input to the OMPE #1/#2 run: ``centroid_input‖normal_input``."""
+        return self.centroid_input + self.normal_input
+
 
 ModelOrProfile = Union[SVMModel, SimilarityProfile]
 

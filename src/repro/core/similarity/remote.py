@@ -2,20 +2,20 @@
 
 :func:`~repro.core.similarity.linear.evaluate_similarity_private` runs
 both trainers lock-step in one process.  These drivers split that flow
-into Alice's side (:func:`run_similarity_alice`, the OMPE sender of all
-three runs) and Bob's side (:func:`run_similarity_bob`, the receiver,
+into Alice's side (:func:`run_similarity_alice`, the OMPE sender of
+both runs) and Bob's side (:func:`run_similarity_bob`, the receiver,
 who learns ``T``), each running against its own endpoint of a real
 connection.  Like the in-process driver, each serves linear and
 polynomial-kernel models alike: the party's profile supplies every
 per-kind choice, and the shared steps come from
 :mod:`~repro.core.similarity.linear`.
 
-Each protocol phase — the clear norm exchange and the three OMPE runs —
-gets a *fresh channel* from ``channel_factory`` (for the TCP transport,
-a fresh :class:`~repro.net.mux.MuxChannel` over the same session),
-so per-phase reports carry per-phase transcripts exactly like the
-in-process protocol.  Seeds derive identically on both sides
-(``ReproRandom(seed).fork("run1"/"run2"/"run3").seed``), making the
+Each protocol phase — the clear norm exchange, the OMPE #1/#2 run and
+the OMPE #3 run — gets a *fresh channel* from ``channel_factory`` (for
+the TCP transport, a fresh :class:`~repro.net.mux.MuxChannel` over the
+same session), so per-phase reports carry per-phase transcripts
+exactly like the in-process protocol.  Seeds derive identically on both sides
+(``ReproRandom(seed).fork("run1"/"run3").seed``), making the
 split runs bit-identical to the in-process reference: same masked
 values, same ``T²``, same per-phase byte counts.
 
@@ -89,15 +89,12 @@ def run_similarity_alice(
     check_normal("Bob", normal_norm_b)
     check_normal("Alice", alice.normal_norm)
 
-    run1 = send(alice.centroid_function(), "run1", amplify=True, offset=False)
-    run2 = send(alice.normal_function(), "run2", amplify=True, offset=True)
-    run3 = send(
-        area_function(
-            params, alice, centroid_norm_b, normal_norm_b, run1, run2
-        ).function(),
+    dots = send(alice.dots_functions(), "run1", amplify=True, offset=(False, True))
+    area = send(
+        area_function(params, alice, centroid_norm_b, normal_norm_b, dots).function(),
         "run3", amplify=False, offset=False,
     )
-    return phase_reports(clear_phase, run1, run2, run3)
+    return phase_reports(clear_phase, dots, area)
 
 
 def run_similarity_bob(
@@ -122,10 +119,10 @@ def run_similarity_bob(
     root = ReproRandom(seed)
     bob = similarity_profile(model_b, params, party="bob")
 
-    def receive(receiver_input, label):
+    def receive(receiver_input, label, function_count):
         return run_ompe_receiver(
             receiver_input, channel_factory(), config=config,
-            seed=root.fork(label).seed, name="bob",
+            seed=root.fork(label).seed, name="bob", function_count=function_count,
         )
 
     clear = channel_factory()
@@ -133,10 +130,8 @@ def run_similarity_bob(
     clear_phase = clear_report(clear)
     check_normal("Bob", bob.normal_norm)
 
-    run1 = receive(bob.centroid_input, "run1")
-    run2 = receive(bob.normal_input, "run2")
-    run3 = receive(area_input(run1.value, run2.value), "run3")
+    dots = receive(bob.dots_input, "run1", 2)
+    area = receive(area_input(*dots.values), "run3", 1)
     return release_outcome(
-        "remote", run3.value, phase_reports(clear_phase, run1, run2, run3),
-        policy, seed,
+        "remote", area.value, phase_reports(clear_phase, dots, area), policy, seed,
     )

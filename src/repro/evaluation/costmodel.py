@@ -179,34 +179,38 @@ def predict_similarity_bytes(
 ) -> int:
     """Lower-bound the wire cost of one private similarity run.
 
-    Three degree-1 OMPE runs, plus the clear norm exchange.  A linear
-    pair's dot products (OMPE #1 and #2) run over ``dimension`` inputs;
-    a polynomial-kernel pair's (``kernel_degree`` set) over the
-    kernel's monomial map, whose arity is the monomial count — plus,
-    for OMPE #2 of a non-``homogeneous`` kernel (``b0 ≠ 0``), the
-    constant monomial.  The area run (OMPE #3) of either kind runs over
-    Eq. (7)'s monomial map of ``(x₁, x₂)``, 14 inputs.  This is a
-    *lower bound*: the area run's cover coordinates ``τ_k(x₁, x₂)`` are
-    products of long exact rationals, so they exceed the calibrated
-    scalar size.  A degree-``p`` kernel pair's ``x₁`` and ``x₂`` are
-    degree-``p`` in the snapped coordinates, so its ``m`` area covers
-    are priced at ``p`` scalars a coordinate (measured runs land within
-    about 2.5x of the bound).
+    Two degree-1 OMPE runs, plus the clear norm exchange.  OMPE #1 and
+    #2 share one run over both dot products' inputs, each slot sealing
+    two evaluations.  A linear pair's dot products run over
+    ``dimension`` inputs each; a polynomial-kernel pair's
+    (``kernel_degree`` set) over the kernel's monomial map, whose arity
+    is the monomial count — plus, for OMPE #2 of a non-``homogeneous``
+    kernel (``b0 ≠ 0``), the constant monomial.  The area run (OMPE #3)
+    of either kind runs over Eq. (7)'s monomial map of ``(x₁, x₂)``,
+    8 inputs.  This is a *lower bound*: the area run's cover
+    coordinates ``τ_k(x₁, x₂)`` are products of long exact rationals,
+    so they exceed the calibrated scalar size.  A degree-``p`` kernel
+    pair's ``x₁`` and ``x₂`` are degree-``p`` in the snapped
+    coordinates, so its ``m`` area covers are priced at ``p`` scalars a
+    coordinate.
     """
     from repro.core.classification.transform import MonomialTransform
-    from repro.core.similarity.linear import AREA_MAP
+    from repro.core.similarity.linear import AREA_BASIS
 
+    area = len(AREA_BASIS)
     centroid = normal = dimension
     cover_growth = 0
     if kernel_degree is not None:
         centroid = MonomialTransform(dimension, kernel_degree, homogeneous).arity
         normal = centroid + (0 if homogeneous else 1)
         # The area run's first scalar per coordinate is priced below.
-        cover_growth = config.cover_count(1) * AREA_MAP.arity * (kernel_degree - 1)
+        cover_growth = config.cover_count(1) * area * (kernel_degree - 1)
     scalar = _scalar_bytes(config.security_degree)
+    # The OMPE #1/#2 run's second evaluation in each of its M slots.
+    second_values = config.pair_count(1) * _evaluation_bytes(config.security_degree, 1)
     runs = sum(
         predict_classification_bytes(config, arity, 1).total_bytes
-        for arity in (centroid, normal, AREA_MAP.arity)
+        for arity in (centroid + normal, area)
     )
     clear_exchange = 5 + 2 * scalar
-    return runs + cover_growth * scalar + clear_exchange
+    return runs + second_values + cover_growth * scalar + clear_exchange

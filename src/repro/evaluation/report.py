@@ -1,13 +1,12 @@
 """Report generation: run every experiment and render the results.
 
 ``python -m repro.evaluation.report`` regenerates all tables/figures
-and prints them; :func:`write_experiments_markdown` produces the
-paper-vs-measured record used to refresh EXPERIMENTS.md.
+and prints them; :func:`render_markdown` renders one result as a
+markdown table.
 """
 
 from __future__ import annotations
 
-from pathlib import Path
 from typing import Dict, Optional, Sequence
 
 from repro.evaluation import extensions, figures, tables  # noqa: F401 (registry side effects)
@@ -46,16 +45,6 @@ def render_markdown(result: ExperimentResult) -> str:
     if result.notes:
         lines.extend(["", f"*{result.notes}*"])
     return "\n".join(lines)
-
-
-def write_experiments_markdown(
-    path: str, results: Optional[Dict[str, ExperimentResult]] = None
-) -> None:
-    """Write a paper-vs-measured markdown report to ``path``."""
-    results = results or run_all()
-    sections = [render_markdown(results[key]) for key in sorted(results)]
-    body = "# Regenerated evaluation results\n\n" + "\n\n".join(sections) + "\n"
-    Path(path).write_text(body, encoding="utf-8")
 
 
 def main(argv: Optional[Sequence[str]] = None) -> None:

@@ -287,16 +287,6 @@ class MultivariatePolynomial:
         """Return ``factor * self``."""
         return self * factor
 
-    def add_constant(self, value: Number) -> "MultivariatePolynomial":
-        """Return ``self + value``."""
-        return self + MultivariatePolynomial.constant(self._arity, value)
-
-    def to_exact(self) -> "MultivariatePolynomial":
-        """Copy with all coefficients as exact Fractions."""
-        return MultivariatePolynomial(
-            self._arity, {e: Fraction(c) for e, c in self._terms.items()}
-        )
-
     def to_float(self) -> "MultivariatePolynomial":
         """Copy with all coefficients as floats."""
         return MultivariatePolynomial(

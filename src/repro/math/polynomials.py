@@ -249,10 +249,6 @@ class Polynomial:
             exponent >>= 1
         return result
 
-    def to_exact(self) -> "Polynomial":
-        """Return a copy with all coefficients as exact Fractions."""
-        return Polynomial([Fraction(c) for c in self._coefficients])
-
     def to_float(self) -> "Polynomial":
         """Return a copy with all coefficients as floats."""
         return Polynomial([float(c) for c in self._coefficients])

@@ -55,7 +55,3 @@ class MinMaxScaler:
         unit = np.where(spans == 0.0, 0.5, unit)
         scaled = self.lower + (self.upper - self.lower) * unit
         return np.clip(scaled, self.lower, self.upper)
-
-    def fit_transform(self, X: np.ndarray) -> np.ndarray:
-        """Fit then transform in one call."""
-        return self.fit(X).transform(X)

@@ -21,11 +21,11 @@ def phase_of(msg_type: str) -> str:
     """Canonical phase label for a message type.
 
     Message types are ``<protocol>/<phase>`` (``"ompe/points"``,
-    ``"ompe-batch/ot-setups"``); the phase is the last path segment, so
-    the one-shot and batched protocols — and the metrics registry, the
-    transcripts, and the cost model — all account bytes under one
-    phase vocabulary: ``request``, ``params``, ``points``,
-    ``ot-setups``, ``ot-choices``, ``ot-transfers``, ...
+    ``"similarity/norms"``); the phase is the last path segment, so
+    every protocol — and the metrics registry, the transcripts, and the
+    cost model — accounts bytes under one phase vocabulary:
+    ``request``, ``params``, ``points``, ``ot-setups``, ``ot-choices``,
+    ``ot-transfers``, ...
     """
     return msg_type.rsplit("/", 1)[-1]
 

@@ -183,10 +183,6 @@ class WireConnection:
             self.bytes_received += len(chunk)
         return b"".join(chunks)
 
-    def set_timeout(self, timeout: Optional[float]) -> None:
-        """Re-bound every subsequent blocking operation."""
-        self._sock.settimeout(timeout)
-
     def detach(self) -> socket.socket:
         """Hand off the underlying socket and retire this wrapper.
 
@@ -346,9 +342,6 @@ class MemoryConnection:
         self.bytes_received += _HEADER.size + len(data)
         _count_wire_bytes("received", _HEADER.size + len(data))
         return data
-
-    def set_timeout(self, timeout: Optional[float]) -> None:
-        self._timeout = timeout
 
     # -- polling -------------------------------------------------------------
 

@@ -235,9 +235,6 @@ class StitchedSpan:
         for child in self.children:
             yield from child.walk(depth + 1)
 
-    def find(self, name: str) -> List["StitchedSpan"]:
-        return [span for span, _ in self.walk() if span.name == name]
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"StitchedSpan({self.name!r}, origin={self.origin!r}, "
@@ -320,19 +317,6 @@ def stitch(fragments: Iterable[Tuple[str, str]]) -> List[StitchedSpan]:
         span_node.children.sort(key=sort_key)
     top.sort(key=sort_key)
     return top
-
-
-def structure(roots: List[StitchedSpan]) -> Tuple:
-    """The stitched trees as nested ``(name, children)`` tuples.
-
-    Strips timings, origins, and attributes — exactly the shape the
-    cross-transport conformance test compares.
-    """
-
-    def one(span: StitchedSpan) -> Tuple:
-        return (span.name, tuple(one(child) for child in span.children))
-
-    return tuple(one(root) for root in roots)
 
 
 def render(roots: List[StitchedSpan]) -> str:

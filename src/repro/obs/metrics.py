@@ -397,10 +397,6 @@ class MetricsRegistry:
     def names(self) -> List[str]:
         return sorted(self._metrics)
 
-    def reset(self) -> None:
-        with self._lock:
-            self._metrics = {}
-
     # -- export ------------------------------------------------------------
 
     def to_prometheus(self) -> str:

@@ -133,10 +133,6 @@ class Span:
         for child in self.children:
             yield from child.walk(depth + 1)
 
-    def find(self, name: str) -> List["Span"]:
-        """All spans named ``name`` in this subtree, depth-first."""
-        return [span for span, _ in self.walk() if span.name == name]
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"Span({self.name!r}, party={self.party!r}, phase={self.phase!r}, "
@@ -280,39 +276,12 @@ class Tracer:
                 out[ident] = stack[-1]
         return out
 
-    def reset(self) -> None:
-        """Drop all recorded spans (and every thread's open-span stack)."""
-        with self._roots_lock:
-            self.roots = []
-            self._local = threading.local()
-            self._open_stacks = {}
-
-    def merge(self, other: "Tracer") -> None:
-        """Fold another tracer's root trees into this one, losslessly.
-
-        The per-connection/per-worker aggregation path: a workload that
-        recorded into its own tracer folds its completed span trees into
-        a parent here; every root (and therefore every descendant)
-        carries over.  Roots are re-sorted by ``(start time, span id)``
-        so the merged order is deterministic regardless of which worker
-        merged first (concurrent drains arrive in racy order).
-        """
-        with other._roots_lock:
-            adopted = list(other.roots)
-        with self._roots_lock:
-            self.roots.extend(adopted)
-            self.roots.sort(key=lambda span: (span.start_s, span.span_id))
-
     # -- queries -----------------------------------------------------------
 
     def spans(self) -> Iterator[tuple]:
         """Depth-first ``(span, depth)`` over every recorded tree."""
         for root in self.roots:
             yield from root.walk()
-
-    def find(self, name: str) -> List[Span]:
-        """All recorded spans with the given name."""
-        return [span for span, _ in self.spans() if span.name == name]
 
     def phases(self) -> List[str]:
         """Distinct phase labels seen, in first-seen order."""

@@ -231,6 +231,20 @@ def decode_value(data: bytes) -> Encodable:
     return value
 
 
+def decode_values(data: bytes) -> Tuple[Encodable, ...]:
+    """Decode a run of :func:`encode_value` outputs laid end to end.
+
+    An OMPE slot seals one value per sender function this way; each
+    value meets the same checks as in :func:`decode_value`.
+    """
+    values = []
+    offset = 0
+    while offset < len(data):
+        value, offset = _decode_at(data, offset)
+        values.append(value)
+    return tuple(values)
+
+
 # -- message payload codec ---------------------------------------------------
 
 #: Registered dataclass payload types: wire name -> class, and per class

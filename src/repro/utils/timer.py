@@ -82,8 +82,3 @@ class TimingRecorder:
     def as_dict(self) -> Dict[str, float]:
         """Mapping of phase name to total seconds."""
         return {name: self.total(name) for name in self.names()}
-
-    def merge(self, other: "TimingRecorder") -> None:
-        """Fold another recorder's samples into this one."""
-        for name, samples in other._samples.items():
-            self._samples[name].extend(samples)

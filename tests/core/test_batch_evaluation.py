@@ -24,7 +24,6 @@ import pytest
 
 from repro.core.classification.nonlinear import classify_nonlinear
 from repro.core.ompe import OMPEConfig, OMPEFunction, execute_ompe
-from repro.core.ompe.batch import execute_ompe_batch
 from repro.core.similarity import (
     MetricParams,
     evaluate_similarity_private,
@@ -282,14 +281,17 @@ class TestSenders:
         assert outcome.value == outcome.amplifier * model.exact_decision_value(sample)
 
     def test_batch_sender_evaluates_once_per_query(self, fast_config):
+        """A run of two functions calls each one's batch evaluator once,
+        on its own slice of every point."""
         model = _kernel_model(12, 5, 3, 3, 0.5)
         calls: list = []
         inputs = [
             (Fraction(1, 3), Fraction(-1, 2), Fraction(2, 5)),
             (Fraction(0), Fraction(1, 7), Fraction(-3, 4)),
         ]
-        outcome = execute_ompe_batch(
-            _counting_function(model, calls), inputs, config=fast_config, seed=5
+        function = _counting_function(model, calls)
+        outcome = execute_ompe(
+            (function, function), inputs[0] + inputs[1], config=fast_config, seed=5
         )
         assert calls == [fast_config.pair_count(3)] * len(inputs)
         for value, amplifier, point in zip(outcome.values, outcome.amplifiers, inputs):
@@ -356,7 +358,8 @@ def test_kernel_similarity_digest():
     """SHA-256 of the T² values of a 2×2 kernel job (degree 2, dimension
     4, ``b0 = 0``), pinned from the per-point packed-model
     implementation, and of its ``(non-OT, OT)`` bytes, pinned from OMPE
-    #1 and #2 over the kernel's monomial map and OMPE #3 over Eq. (7)'s."""
+    #1 and #2 as one two-function run over the kernel's monomial map and
+    OMPE #3 over Eq. (7)'s 8 monomials."""
     config = OMPEConfig(security_degree=1, cover_expansion=3, group=fast_group())
     params = MetricParams()
     lefts = [_crossing_model(300 + i, 5, 4, 2, 0.0) for i in range(2)]
@@ -373,5 +376,5 @@ def test_kernel_similarity_digest():
         "e4fef3b41170fd6a35a43e0c1ac9703d201eae2c94f7c03a39d945248d15579d"
     )
     assert _digest(byte_rows) == (
-        "21251b75ce2ccb93acf1f53755be15053b075cf03c61f5bf87aa1947c651858b"
+        "8bae485fc62e2a2de9db1cadff3d27d2cc14d670683f3e82ba7e8d5b22354a13"
     )

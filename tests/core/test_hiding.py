@@ -11,10 +11,11 @@ The oracle here (:func:`hiding_polynomials` and :func:`oracle_pairs`)
 builds ``Polynomial`` objects from the same numerators and evaluates
 them by plain ``Fraction`` Horner.  These tests hold the two to the
 same *bytes* (``encode_payload``) and the same value types, for the
-online, batch and pooled receivers, pin the stream layout with
-known-answer digests, and check the sampler's range and uniformity.
-Known-answer digests also pin the online, pooled and batched senders'
-mask/amplifier/offset draws.
+online and pooled receivers and the receiver of a run of several
+functions, pin the stream layout with known-answer digests, and check
+the sampler's range and uniformity.  Known-answer digests also pin the
+mask/amplifier/offset draws of online and pooled senders and of
+senders of several functions.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ import pytest
 
 from repro import obs
 from repro.core.ompe import OMPEConfig, hiding
-from repro.core.ompe.batch import _BatchReceiver, _BatchSender
 from repro.core.ompe.function import OMPEFunction
 from repro.core.ompe.precompute import ReceiverPool, SenderPool
 from repro.core.ompe.receiver import OMPEReceiver
@@ -43,7 +43,6 @@ from repro.ml.svm.model import SVMModel, make_linear_model
 from repro.net.channel import Channel
 from repro.utils.rng import ReproRandom
 from repro.utils.serialization import encode_payload
-from repro.utils.timer import TimingRecorder
 from tests import reference
 
 KINDS = ("int", "fraction", "bigden")
@@ -87,19 +86,9 @@ def online_points(vector, config, degree, seed, pool=None):
 
 
 def batch_points(vectors, config, degree, seed):
-    """The points message a batched receiver sends for ``vectors``."""
-    receiver = _BatchReceiver(
-        "bob", list(vectors), config, ReproRandom(seed), TimingRecorder()
-    )
-    channel = Channel("alice", "bob")
-    receiver.connect(channel)
-    channel.send(
-        "alice",
-        "ompe-batch/params",
-        (degree, config.cover_count(degree), config.pair_count(degree)),
-    )
-    receiver.handle_params()
-    return channel.receive("alice", "ompe-batch/points")
+    """The points message of a run of one function per vector: the
+    vectors' concatenation, hidden once."""
+    return online_points(sum(vectors, ()), config, degree, seed)
 
 
 def pooled_points(vector, config, degree, seed):
@@ -127,6 +116,7 @@ def online_messages():
 
 
 def batch_messages():
+    """Points messages of runs of one function per vector."""
     for index, (q, arity) in enumerate([(1, 1), (2, 2), (3, 17), (4, 5), (2, 84)]):
         vectors = [inputs_for(kind, arity) for kind in KINDS]
         yield batch_points(
@@ -170,7 +160,8 @@ def online_sender_draws():
         sender.connect(channel)
         channel.send("bob", "ompe/request", 2)
         sender.handle_request()
-        yield (sender._mask.coefficients, sender.amplifier, sender.offset_value)
+        (mask,) = sender._masks
+        yield (mask.coefficients, *sender.amplifiers, *sender.offsets)
 
 
 def pooled_sender_draws():
@@ -191,22 +182,26 @@ def pooled_sender_draws():
             yield (bundle.mask.coefficients, bundle.amplifier, bundle.offset)
 
 
-def batch_sender_draws():
-    """The per-query masks and amplifiers of batched senders."""
-    for index, (q, degree, batch_size) in enumerate([(1, 1, 1), (2, 2, 3), (3, 1, 4)]):
-        sender = _BatchSender(
+def functions_sender_draws():
+    """The per-function masks, amplifiers and offsets of senders of
+    several functions, the flags cycling over the functions."""
+    for index, (q, degrees) in enumerate([(1, (1, 1)), (2, (2, 1, 3)), (3, (1,) * 4)]):
+        sender = OMPESender(
             "alice",
-            degree_function(degree),
+            [degree_function(degree) for degree in degrees],
             OMPEConfig(security_degree=q),
-            ReproRandom(7000 + index),
-            TimingRecorder(),
+            rng=ReproRandom(7000 + index),
+            amplify=[j % 2 == 0 for j in range(len(degrees))],
+            offset=[j >= 1 for j in range(len(degrees))],
         )
         channel = Channel("alice", "bob")
         sender.connect(channel)
-        channel.send("bob", "ompe-batch/request", (2, batch_size))
+        channel.send("bob", "ompe/request", 2 * len(degrees))
         sender.handle_request()
-        for mask, amplifier in zip(sender._masks, sender.amplifiers):
-            yield (mask.coefficients, amplifier, 0)
+        for mask, amplifier, offset in zip(
+            sender._masks, sender.amplifiers, sender.offsets
+        ):
+            yield (mask.coefficients, amplifier, offset)
 
 
 def digest(messages) -> str:
@@ -217,20 +212,23 @@ def digest(messages) -> str:
 
 
 #: SHA-256 over the encoded points messages of the grids above.  The
-#: ``online``, ``batch`` and ``pooled`` digests were recorded from the
+#: ``online`` and ``pooled`` digests were recorded from the
 #: keyed BLAKE2b hider stream (``hiding.lattice_numerators``); they pin
 #: its key, message layout and draw order together with the fork labels
-#: of nodes, positions and disguise constants.
+#: of nodes, positions and disguise constants.  ``batch`` (a run of one
+#: function per vector, hiding their concatenation once) was recorded
+#: when the separate batched conversation gave way to that run.
 #: The ``sender-*`` digests pin the sender's mask/amplifier/offset draws
-#: the same way; labels and T² are exact whatever the masks, so no
-#: other test would notice a change of fork label or draw order.
+#: the same way (``sender-batch``: per-function draws of senders of
+#: several functions); labels and T² are exact whatever the masks, so
+#: no other test would notice a change of fork label or draw order.
 KNOWN_ANSWERS = {
     "online": "52befec8296ca4b52d2a55b891553cee19ee543c284d7d29081f3ea03a36b0f2",
-    "batch": "60b32d13c6825691c7f9def9f19b0deafe419905e7aa5974e190491c023c59bf",
+    "batch": "c8398b39111dd9385d1a11485228f0249f90f5d2c13106d96ea8463e54d3142c",
     "pooled": "8449723fc2fd59b151c3b3de283ce45734f9e543dd87b30b41a8ce88e7990d64",
     "sender-online": "34ff1ec77385b03fb9558e03f6cd9b993a3eb2ae8a56971986c7ccd99f6da927",
     "sender-pooled": "d5b0c9410b034b92b059af9028e7e9bea825278c88e03e026af8fd4973cc7d4e",
-    "sender-batch": "685b1c4e9267c77001229196aaf32733cc25ec4b618da59bf57741e783a34e19",
+    "sender-batch": "2331de385b50cf10fa5efd9cab48edccb8dc86e12ae393b0c67daba5e1899080",
 }
 
 GRIDS = {
@@ -239,7 +237,7 @@ GRIDS = {
     "pooled": pooled_messages,
     "sender-online": online_sender_draws,
     "sender-pooled": pooled_sender_draws,
-    "sender-batch": batch_sender_draws,
+    "sender-batch": functions_sender_draws,
 }
 
 
@@ -313,11 +311,7 @@ def _poly_prefix(parent, index):
 
 
 def oracle_batch(vectors, config, degree, seed):
-    queries = [ReproRandom(seed).fork("query", index) for index in range(len(vectors))]
-    return tuple(
-        oracle_pairs(vector, config, draw, draw, _poly_prefix, degree)
-        for vector, draw in zip(vectors, queries)
-    )
+    return oracle_online(sum(vectors, ()), config, degree, seed)
 
 
 def oracle_pooled(vector, config, degree, seed):
@@ -528,10 +522,10 @@ class TestHiderCounts:
                 left, right, config=self.CONFIG, seed=1
             )
         )
-        # Arity 56 (the degree-3 monomials in 6 variables) over
-        # M - m + 1 = 7 hider sets for OMPE #1 and #2, then arity 14
-        # (Eq. (7)'s monomials) over 7 for OMPE #3.
-        assert [span.attributes["hiders"] for span in spans] == [392, 392, 98]
+        # Arity 56 + 56 (the degree-3 monomials in 6 variables, for
+        # OMPE #1 and #2 in one run) over M - m + 1 = 7 hider sets, then
+        # arity 8 (Eq. (7)'s monomials) over 7 for OMPE #3.
+        assert [span.attributes["hiders"] for span in spans] == [784, 56]
 
     def test_linear_pair(self):
         left = make_linear_model([0.5, -0.25, 0.75], -0.2)
@@ -539,10 +533,12 @@ class TestHiderCounts:
         spans = points_spans(
             lambda: evaluate_similarity_private(left, right, config=self.CONFIG, seed=1)
         )
-        # 3 · 7 for OMPE #1 and #2 each, 14 · 7 for OMPE #3.
-        assert sum(span.attributes["hiders"] for span in spans) == 140
+        # (3 + 3) · 7 for the OMPE #1/#2 run, 8 · 7 for OMPE #3.
+        assert sum(span.attributes["hiders"] for span in spans) == 98
 
     def test_linkage_kernel_pair_reseeds(self, monkeypatch):
+        # 6 for each of the two runs, plus one per mask, amplifier and
+        # offset: 2 + 3 for the OMPE #1/#2 run's functions, 1 for OMPE #3.
         rng = random.Random(2016)
         left, right = kernel_model(rng), kernel_model(rng)
         assert reseeds(
@@ -550,7 +546,7 @@ class TestHiderCounts:
             lambda: evaluate_similarity_private(
                 left, right, config=self.CONFIG, seed=1
             ),
-        ) == 24
+        ) == 18
 
     def test_linear_pair_reseeds(self, monkeypatch):
         left = make_linear_model([0.5, -0.25, 0.75], -0.2)
@@ -558,7 +554,7 @@ class TestHiderCounts:
         assert reseeds(
             monkeypatch,
             lambda: evaluate_similarity_private(left, right, config=self.CONFIG, seed=1),
-        ) == 24
+        ) == 18
 
     def test_hiding_never_reseeds_a_mersenne_twister(self):
         assert not hasattr(hiding, "random")

@@ -1,9 +1,10 @@
 """A hostile sender's sealed evaluations meet a typed error.
 
 The OT hands the receiver whatever the sender sealed.  A sender that
-seals a tuple, a float, or a value nested past the
-decoder's depth bound must make the online and batched receivers raise
-a :class:`~repro.exceptions.ReproError` subclass before interpolation,
+seals a tuple, a float, a value nested past the decoder's depth bound,
+or a slot with another number of values than the run has functions,
+must make the receiver of a one- or two-function run raise a
+:class:`~repro.exceptions.ReproError` subclass before interpolation,
 never a ``RecursionError`` or a ``TypeError`` from the arithmetic.
 """
 
@@ -14,13 +15,16 @@ from fractions import Fraction
 import pytest
 
 from repro.core.ompe import OMPEConfig, OMPEFunction, execute_ompe
-from repro.core.ompe import batch as batch_module
 from repro.core.ompe import sender as sender_module
-from repro.core.ompe.batch import execute_ompe_batch
 from repro.exceptions import ProtocolAbort, ReproError, ValidationError
 from repro.math.groups import fast_group
 from repro.math.multivariate import MultivariatePolynomial
-from repro.utils.serialization import MAX_DECODE_DEPTH, decode_value, encode_value
+from repro.utils.serialization import (
+    MAX_DECODE_DEPTH,
+    decode_value,
+    decode_values,
+    encode_value,
+)
 
 FUNCTION = OMPEFunction.from_polynomial(
     MultivariatePolynomial.affine([Fraction(1), Fraction(-2)], Fraction(3))
@@ -64,9 +68,36 @@ def test_online_receiver_refuses(monkeypatch, case):
 
 @pytest.mark.parametrize("case", sorted(SEALS))
 def test_batched_receiver_refuses(monkeypatch, case):
+    """The same seals in a two-function run's slots."""
     seal, error = SEALS[case]
-    monkeypatch.setattr(batch_module, "encode_value", seal)
+    monkeypatch.setattr(sender_module, "encode_value", seal)
     with pytest.raises(error) as raised:
-        execute_ompe_batch(FUNCTION, [INPUT, INPUT], config=CONFIG, seed=3)
+        execute_ompe((FUNCTION, FUNCTION), INPUT + INPUT, config=CONFIG, seed=3)
     assert isinstance(raised.value, ReproError)
 
+
+#: Slots of the wrong length: ``(k, seal)``, where ``seal`` maps the
+#: ``k`` encoded values of an honest slot to what the sender seals.
+WRONG_LENGTH = {
+    "empty slot, k = 1": (1, lambda values: b""),
+    "two values, k = 1": (1, lambda values: values[0] * 2),
+    "one value, k = 2": (2, lambda values: values[0]),
+    "three values, k = 2": (2, lambda values: values[0] * 3),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WRONG_LENGTH))
+def test_slot_of_wrong_length_refused(monkeypatch, case):
+    count, seal = WRONG_LENGTH[case]
+    handle_points = sender_module.OMPESender.handle_points
+
+    def reseal(sender):
+        handle_points(sender)
+        sender._evaluations = [
+            seal([encode_value(value) for value in decode_values(blob)])
+            for blob in sender._evaluations
+        ]
+
+    monkeypatch.setattr(sender_module.OMPESender, "handle_points", reseal)
+    with pytest.raises(ProtocolAbort, match="slot carries"):
+        execute_ompe((FUNCTION,) * count, INPUT * count, config=CONFIG, seed=3)

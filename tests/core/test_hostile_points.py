@@ -2,10 +2,10 @@
 
 The codec accepts any encodable value, so a peer can send a points
 message of the right shape whose nodes or coordinates are text, bytes,
-``None``, nested tuples, booleans or floats.  The online and batched
-senders check the message first (``check_points``) and raise
-:class:`~repro.exceptions.ProtocolAbort`, never an untyped error from
-the evaluator.
+``None``, nested tuples, booleans or floats.  The sender of a one- or
+two-function run checks the message first (``check_points``) and
+raises :class:`~repro.exceptions.ProtocolAbort`, never an untyped error
+from the evaluator.
 """
 
 from __future__ import annotations
@@ -15,12 +15,10 @@ from fractions import Fraction
 import pytest
 
 from repro.core.ompe import OMPEConfig, OMPEFunction, OMPEReceiver, OMPESender
-from repro.core.ompe.batch import _BatchReceiver, _BatchSender
 from repro.exceptions import ProtocolAbort
 from repro.math.multivariate import MultivariatePolynomial
 from repro.net.party import connect_parties
 from repro.utils.rng import ReproRandom
-from repro.utils.timer import TimingRecorder
 
 FUNCTION = OMPEFunction.from_polynomial(
     MultivariatePolynomial.affine([Fraction(1), Fraction(-2)], Fraction(3))
@@ -73,10 +71,14 @@ def config():
     return OMPEConfig(security_degree=1, cover_expansion=2, group=fast_group())
 
 
-def _online_sender_after(mutate, config):
+def _online_sender_after(mutate, config, count=1):
+    """A sender of ``count`` copies of ``FUNCTION`` that has received
+    ``mutate`` of the honest points message."""
     rng = ReproRandom(4)
-    sender = OMPESender("alice", FUNCTION, config, rng=rng.fork("s"))
-    receiver = OMPEReceiver("bob", INPUT, config, rng=rng.fork("r"))
+    sender = OMPESender("alice", (FUNCTION,) * count, config, rng=rng.fork("s"))
+    receiver = OMPEReceiver(
+        "bob", INPUT * count, config, rng=rng.fork("r"), function_count=count
+    )
     connect_parties(sender, receiver)
     receiver.send_request()
     sender.handle_request()
@@ -87,17 +89,8 @@ def _online_sender_after(mutate, config):
 
 
 def _batch_sender_after(mutate, config):
-    rng = ReproRandom(4)
-    timings = TimingRecorder()
-    sender = _BatchSender("alice", FUNCTION, config, rng.fork("s"), timings)
-    receiver = _BatchReceiver("bob", [INPUT, INPUT], config, rng.fork("r"), timings)
-    connect_parties(sender, receiver)
-    receiver.send_request()
-    sender.handle_request()
-    receiver.handle_params()
-    first, second = sender.receive("ompe-batch/points")
-    receiver.send("ompe-batch/points", (first, mutate(second)))
-    return sender
+    """The sender of a two-function run, after ``mutate``d points."""
+    return _online_sender_after(mutate, config, count=2)
 
 
 @pytest.mark.parametrize("case", sorted(HOSTILE))
@@ -115,10 +108,13 @@ def test_batched_sender_aborts(case, config):
 
 
 def test_batch_container_checked(config):
-    sender = _batch_sender_after(lambda pairs: pairs, config)
-    sender.receive("ompe-batch/points")
-    sender.channel.send("bob", "ompe-batch/points", "not batches")
-    with pytest.raises(ProtocolAbort):
+    """A two-function sender refuses points that carry one function's
+    slice only, as a one-function peer would send."""
+    sender = _batch_sender_after(
+        lambda pairs: tuple((node, vector[: len(INPUT)]) for node, vector in pairs),
+        config,
+    )
+    with pytest.raises(ProtocolAbort, match="vector is not 4 coordinates"):
         sender.handle_points()
 
 

@@ -15,7 +15,6 @@ from repro.core.ompe import (
     OMPESender,
     as_exact_vector,
     execute_ompe,
-    execute_ompe_batch,
 )
 from repro.core.classification import classify_linear
 from repro.core.ompe.config import draw_amplifier
@@ -180,10 +179,11 @@ class TestInputRefusal:
 
     @pytest.mark.parametrize("bad", NOT_FINITE_REALS, ids=repr)
     def test_execute_ompe_batch(self, fast_config, bad):
+        """A run of two functions refuses a bad coordinate in either slice."""
         function = OMPEFunction.from_polynomial(affine([2, -3], Fraction(1, 2)))
         with pytest.raises(ValidationError):
-            execute_ompe_batch(
-                function, [(0.25, 0.5), (bad, 0.5)], config=fast_config, seed=1
+            execute_ompe(
+                (function, function), (0.25, 0.5, bad, 0.5), config=fast_config, seed=1
             )
 
     @pytest.mark.parametrize("bad", NOT_FINITE_REALS, ids=repr)

@@ -112,7 +112,7 @@ class TestCornerCases:
     def test_zero_polynomial(self, fast_config):
         """All-zero coefficients: d ≡ 0 everywhere, so the masked value
         must be exactly zero (the d(t̃)=0 decision boundary)."""
-        polynomial = MultivariatePolynomial.zero(2).add_constant(Fraction(0))
+        polynomial = MultivariatePolynomial.zero(2)
         outcome = execute_ompe(
             OMPEFunction.from_polynomial(polynomial),
             (Fraction(1, 3), Fraction(-2, 5)),

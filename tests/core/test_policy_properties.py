@@ -97,6 +97,14 @@ class TestPolicyInvariants:
                 score == 0 for score in scores
             )
 
+    def test_permuted_subnormal_score_is_not_released(self):
+        """``5e-324`` times a mask near 1 rounds back to ``5e-324``: a
+        subnormal score is masked as 0.0, never released as itself."""
+        released = apply_output_policy(
+            [5e-324], OutputPolicy(mode="permuted"), seed=112
+        )
+        assert released.entries == (0.0,)
+
     @given(scores=scores_strategy)
     @settings(max_examples=40, deadline=None)
     def test_raw_releases_everything_in_order(self, scores):

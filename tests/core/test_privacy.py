@@ -416,15 +416,15 @@ class TestCoverConsistencyAttack:
         rng = np.random.default_rng(2016)
         left, right = _linkage_kernel_model(rng), _linkage_kernel_model(rng)
         outcome = evaluate_similarity_private(left, right, config=self._config(), seed=1)
-        for phase in ("centroid_ompe", "normal_ompe"):
-            points = _points_payload(outcome.reports[phase])
-            assert len(points) == 9
-            assert len(points[0][1]) == 56
-            assert len(cover_consistency_attack(points, q=2)) == 3
+        # OMPE #1 and #2 share one run over both 56-monomial slices.
+        points = _points_payload(outcome.reports["dots_ompe"])
+        assert len(points) == 9
+        assert len(points[0][1]) == 2 * 56
+        assert len(cover_consistency_attack(points, q=2)) == 3
 
     @pytest.mark.parametrize("kind", ["linear", "kernel"])
     def test_area_run_is_not_overdetermined(self, kind):
-        """OMPE #3 runs over Eq. (7)'s 14 monomials at degree 1, so
+        """OMPE #3 runs over Eq. (7)'s 8 monomials at degree 1, so
         m = q + 1 = 3 covers of M = 9.  Sent as the degree-4 polynomial
         in (x₁, x₂) it had m = 9 covers of 27, and this attack returned
         those 9 and Bob's (x₁, x₂)."""
@@ -439,7 +439,7 @@ class TestCoverConsistencyAttack:
         outcome = evaluate_similarity_private(left, right, config=self._config(), seed=1)
         points = _points_payload(outcome.reports["area_ompe"])
         assert len(points) == 9
-        assert {len(vector) for _, vector in points} == {14}
+        assert {len(vector) for _, vector in points} == {8}
         assert len(cover_consistency_attack(points, q=2)) == 3
 
     def test_recovers_the_old_packed_input(self):

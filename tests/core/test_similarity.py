@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,7 +21,11 @@ from repro.core.similarity import (
     normal_inner_product,
     triangle_t_squared,
 )
+from repro.core.similarity import linear
+from repro.core.similarity.linear import AREA_BASIS
+from repro.core.similarity.profile import similarity_profile
 from repro.exceptions import SimilarityError, ValidationError
+from repro.math.multivariate import MultivariatePolynomial
 from repro.ml.datasets import interaction_boundary, two_gaussians
 from repro.ml.svm import train_svm
 from repro.ml.svm.model import make_linear_model
@@ -256,6 +261,29 @@ class TestEquationSeven:
         via_eq6 = Fraction(1, 4) * 1 * (1 - cos_sq)
         assert via_eq7 != via_eq6
 
+    def test_degree_two_in_each_variable(self, rng):
+        """Eq. (7) lies in the span of the 8 area monomials: its terms
+        all have degree ≤ 2 in each of x₁ and x₂, whatever the constants."""
+        for trial in range(5):
+            draw = rng.fork("basis", trial)
+            constants = [draw.nonzero_fraction(-3, 3) for _ in range(7)]
+            terms = build_t_squared_polynomial(*constants).terms
+            assert {k for k in terms if k != (0, 0)} <= set(AREA_BASIS)
+        assert len(AREA_BASIS) == 8
+
+    def test_area_function_refuses_a_term_outside_the_basis(self, monkeypatch):
+        """A polynomial with an x₁³ term cannot be sent over the area
+        basis: ``area_function`` raises instead of dropping it."""
+        a = make_linear_model([1.0, 0.7], -0.2)
+        cubic = build_t_squared_polynomial(*[Fraction(1)] * 7) + MultivariatePolynomial(
+            2, {(3, 0): Fraction(1)}
+        )
+        monkeypatch.setattr(linear, "build_t_squared_polynomial", lambda *c: cubic)
+        dots = SimpleNamespace(amplifiers=(Fraction(2), Fraction(3)), offsets=(0, Fraction(1)))
+        profile = similarity_profile(a, MetricParams())
+        with pytest.raises(SimilarityError, match=r"\(3, 0\)"):
+            linear.area_function(MetricParams(), profile, Fraction(1), Fraction(1), dots)
+
 
 class TestPrivateLinearSimilarity:
     def test_matches_plain(self, fast_config):
@@ -287,11 +315,10 @@ class TestPrivateLinearSimilarity:
         a = make_linear_model([1.0, 0.7], -0.2)
         b = make_linear_model([0.8, -0.5], 0.3)
         private = evaluate_similarity_private(a, b, config=fast_config, seed=10)
-        assert set(private.reports) == {
-            "clear", "centroid_ompe", "normal_ompe", "area_ompe"
-        }
+        assert set(private.reports) == {"clear", "dots_ompe", "area_ompe"}
         assert private.total_bytes > 0
-        assert private.total_rounds >= 18  # 3 OMPE runs x 6 + clear
+        # OMPE #1 and #2 share one run: 2 OMPE runs x 6 + clear.
+        assert private.total_rounds == 13
 
     def test_orthogonal_normals_hidden_by_offset(self, fast_config):
         """w_A ⊥ w_B: the offset r_b keeps x2 nonzero (paper's fix)."""

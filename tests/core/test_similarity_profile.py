@@ -29,7 +29,7 @@ from repro.core.similarity import (
 from repro.core.similarity import profile as profile_module
 from repro.core.similarity import remote
 from repro.core.similarity.exact import snap
-from repro.core.similarity.linear import AREA_MAP
+from repro.core.similarity.linear import AREA_BASIS
 from repro.core.similarity.remote import run_similarity_alice, run_similarity_bob
 from repro.engine.jobs import SimilarityJob
 from repro.engine.worker import EngineSpec, WorkerState, execute_job
@@ -378,8 +378,9 @@ class TestMixedKindSession:
     def test_packed_model_client_refused_with_protocol_abort(self, light_config):
         """A client still sending the packed kernel model (duals, then
         support vectors: arity k_B·(d+1) = 12) into OMPE #2 meets the
-        server's typed arity abort (3 degree-2 monomials in 2
-        variables), never a TypeError."""
+        server's typed arity abort at the OMPE #1/#2 run (3 + 3
+        degree-2 monomials in 2 variables, where the client announces
+        3 + 12), never a TypeError."""
         model_b = PAIRS["kernel"][1]
         packed = tuple(snap(c) for c in model_b.dual_coefficients) + tuple(
             snap(value) for row in model_b.support_vectors for value in row
@@ -409,13 +410,13 @@ class TestMixedKindSession:
         (entry,) = server._trace_log
         assert len(packed) == 12
         assert entry["error"] == (
-            "ProtocolAbort: receiver announced arity 12, function has 3"
+            "ProtocolAbort: receiver announced arity 15, function has 6"
         )
 
 
 class TestOldAreaShape:
     """A client still running OMPE #3 over ``(x₁, x₂)``, from before it
-    moved onto Eq. (7)'s 14 monomials, meets the server's typed abort
+    moved onto Eq. (7)'s 8 monomials, meets the server's typed abort
     over a real connection: never a hang, never a TypeError."""
 
     def _refusal(self, light_config):
@@ -445,7 +446,7 @@ class TestOldAreaShape:
     def test_old_arity_refused_at_request(self, light_config, monkeypatch):
         monkeypatch.setattr(remote, "area_input", lambda x1, x2: (x1, x2))
         assert self._refusal(light_config) == (
-            "ProtocolAbort: receiver announced arity 2, function has 14"
+            "ProtocolAbort: receiver announced arity 2, function has 8"
         )
 
     def test_two_coordinate_points_refused_by_check_points(
@@ -460,12 +461,12 @@ class TestOldAreaShape:
 
         def announce_new_area_arity(receiver):
             requests.append(receiver)
-            if len(requests) < 3:
+            if len(requests) < 2:
                 return send_request(receiver)
-            receiver.send("ompe/request", AREA_MAP.arity)
+            receiver.send("ompe/request", len(AREA_BASIS))
 
         monkeypatch.setattr(OMPEReceiver, "send_request", announce_new_area_arity)
         assert self._refusal(light_config) == (
-            "ProtocolAbort: points entry 0: vector is not 14 coordinates"
+            "ProtocolAbort: points entry 0: vector is not 8 coordinates"
         )
-        assert len(requests) == 3
+        assert len(requests) == 2

@@ -9,14 +9,15 @@ schedule two ways:
 * a test-local oracle replays the sender's seeded draws and computes
   each key directly as ``pow(V_j · w^{-i} mod p, r, p)``; its transfers
   must be byte-identical to the protocol's, from 1-of-1 to 9-of-81 and
-  in the batched OMPE's shape (``batch`` queries of ``k`` choices each
-  over ``batch · M`` slots);
+  in the shape of ``batch`` queries of ``k`` choices each over
+  ``batch · M`` slots;
 * a counting wrapper around ``SchnorrGroup.exp``, the one
   exponentiation entry point, pins the public-key work: ``k + 3``
   sender and ``3k`` receiver exponentiations per transfer whatever the
-  slot count (the cost model's ``predict_public_key_ops``), 45 for one
-  linear similarity pair and 45 for one kernel pair: every similarity
-  OMPE runs over a monomial map at degree 1, a (3, 9) transfer.
+  slot count (the cost model's ``predict_public_key_ops``), 30 for one
+  linear similarity pair and 30 for one kernel pair: OMPE #1 and #2
+  share one run and OMPE #3 is the other, each over a monomial map at
+  degree 1, a (3, 9) transfer.
 """
 
 import random
@@ -36,6 +37,7 @@ from repro.math.groups import SchnorrGroup
 from repro.ml.kernels import polynomial_kernel
 from repro.ml.svm.model import SVMModel, make_linear_model
 from repro.utils.rng import ReproRandom
+from tests.spans import find
 
 
 def oracle_k_of_n(group, seed, choice, messages):
@@ -185,8 +187,8 @@ def _kernel_model(seed):
 
 def _similarity_pair_ops(config):
     """The cost model's public-key operations for one similarity pair:
-    three degree-1 OMPEs, one transfer of ``q + 1`` covers each."""
-    return 3 * sum(predict_public_key_ops(config.cover_count(1)))
+    two degree-1 OMPE runs, one transfer of ``q + 1`` covers each."""
+    return 2 * sum(predict_public_key_ops(config.cover_count(1)))
 
 
 class TestOperationCounts:
@@ -220,13 +222,13 @@ class TestOperationCounts:
         )
 
     def test_linear_similarity_pair(self, group, exp_calls, kdf_calls):
-        # Three OMPEs of m=3 covers among M=9 pairs: the two dot
-        # products and the area run over Eq. (7)'s monomial map.  Each
-        # transfer costs the sender m + 3 and the receiver 3m, so
-        # 3 * (6 + 9) = 45 in all.  Each evaluation is sealed once
-        # (3 * 9 = 27) and its key padded once per row (3 * 3 * 9 = 81);
-        # the pads hash inline, so ``kdf`` runs only for the 27 wraps
-        # and 9 unwraps, twice each.
+        # Two OMPE runs of m=3 covers among M=9 pairs: the two dot
+        # products in one run, and the area run over Eq. (7)'s monomial
+        # map.  Each transfer costs the sender m + 3 and the receiver
+        # 3m, so 2 * (6 + 9) = 30 in all.  Each slot is sealed once
+        # (2 * 9 = 18) and its key padded once per row (2 * 3 * 9 = 54);
+        # the pads hash inline, so ``kdf`` runs only for the 18 wraps
+        # and 6 unwraps, twice each.
         config = OMPEConfig(security_degree=2, cover_expansion=3, group=group)
         with obs.observed() as (tracer, _):
             evaluate_similarity_private(
@@ -235,19 +237,20 @@ class TestOperationCounts:
                 config=config,
                 seed=2016,
             )
-        assert exp_calls == {"exp": _similarity_pair_ops(config)} == {"exp": 45}
-        assert len(kdf_calls) == 72
-        transfers = tracer.find("ot.transfer")
-        assert sum(span.attributes["sessions"] for span in transfers) == 9
-        assert sum(span.attributes["sealed"] for span in transfers) == 27
-        assert sum(span.attributes["padded"] for span in transfers) == 81
+        assert exp_calls == {"exp": _similarity_pair_ops(config)} == {"exp": 30}
+        assert len(kdf_calls) == 48
+        transfers = find(tracer, "ot.transfer")
+        assert sum(span.attributes["sessions"] for span in transfers) == 6
+        assert sum(span.attributes["sealed"] for span in transfers) == 18
+        assert sum(span.attributes["padded"] for span in transfers) == 54
 
     def test_kernel_similarity_pair(self, group, exp_calls, monkeypatch):
         # Degree-3 kernels run OMPE #1 and #2 over the kernel's monomial
-        # map, and OMPE #3 runs over Eq. (7)'s, all at degree 1: the
-        # linear pair's three (3, 9) transfers, 45 exponentiations.
-        # Each transfer checks the sender's m points V_j and the
-        # receiver's w and R: 3 * (3 + 2) = 15 membership checks.
+        # map in one run, and OMPE #3 runs over Eq. (7)'s, all at
+        # degree 1: the linear pair's two (3, 9) transfers, 30
+        # exponentiations.  Each transfer checks the sender's m points
+        # V_j and the receiver's w and R: 2 * (3 + 2) = 10 membership
+        # checks.
         checks = []
         contains = SchnorrGroup.contains
 
@@ -260,5 +263,5 @@ class TestOperationCounts:
         evaluate_similarity_private(
             _kernel_model(1), _kernel_model(2), MetricParams(), config=config, seed=3
         )
-        assert exp_calls == {"exp": _similarity_pair_ops(config)} == {"exp": 45}
-        assert len(checks) == 15
+        assert exp_calls == {"exp": _similarity_pair_ops(config)} == {"exp": 30}
+        assert len(checks) == 10

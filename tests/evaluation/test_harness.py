@@ -11,6 +11,7 @@ from repro.evaluation.harness import (
     run_experiment,
 )
 from repro.exceptions import ValidationError
+from tests.spans import find
 
 
 class TestRegistry:
@@ -57,7 +58,7 @@ class TestObservabilityWiring:
     def test_experiment_runs_inside_a_span(self):
         with obs.observed() as (tracer, _):
             run_experiment("fig6")
-        spans = tracer.find("experiment")
+        spans = find(tracer, "experiment")
         assert spans and spans[0].attributes["experiment"] == "fig6"
 
 
@@ -71,13 +72,3 @@ class TestRendering:
         markdown = render_markdown(result)
         assert "| v |" in markdown
         assert "1.235" in markdown
-
-    def test_write_markdown(self, tmp_path):
-        from repro.evaluation.report import write_experiments_markdown
-
-        result = ExperimentResult(
-            experiment_id="x", title="X", columns=["v"], rows=[{"v": 1}]
-        )
-        path = tmp_path / "exp.md"
-        write_experiments_markdown(str(path), {"x": result})
-        assert "Regenerated" in path.read_text()

@@ -6,7 +6,6 @@ from repro.evaluation.report import (
     render_markdown,
     render_text,
     run_all,
-    write_experiments_markdown,
 )
 
 
@@ -35,15 +34,6 @@ class TestMarkdown:
         assert "0.1235" in markdown
         assert "*remark*" in markdown
         assert markdown.startswith("### x — X")
-
-    def test_write_file(self, tmp_path):
-        result = ExperimentResult(
-            experiment_id="x", title="X", columns=["v"], rows=[{"v": 2}]
-        )
-        path = tmp_path / "out.md"
-        write_experiments_markdown(str(path), {"x": result})
-        content = path.read_text()
-        assert "| v |" in content
 
 
 class TestMainEntry:

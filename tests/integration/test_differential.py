@@ -2,7 +2,8 @@
 
 Three implementations compute ``sign(d(t̃))`` for the same model and
 samples — the plain (non-private) decision function, the one-shot OMPE
-protocol, and the batched OMPE conversation.  Their masked values
+protocol, and one OMPE run of the decision function repeated once per
+sample over their concatenation.  Their masked values
 differ by construction (independent ``r_a`` draws), but the *labels and
 signs* must be identical on identical inputs: any divergence means one
 path evaluates a different polynomial than the others.
@@ -20,7 +21,7 @@ from fractions import Fraction
 import pytest
 
 from repro.core.classification import classify_linear
-from repro.core.ompe import OMPEFunction, execute_ompe, execute_ompe_batch
+from repro.core.ompe import OMPEFunction, execute_ompe
 from repro.engine import run_engine
 from repro.ml.svm.model import make_linear_model
 from repro.utils.rng import ReproRandom, derive_seed
@@ -47,6 +48,13 @@ def samples():
     return [near_boundary] + random_points
 
 
+def _repeated(function, samples, config):
+    """One OMPE run of ``function`` once per sample."""
+    return execute_ompe(
+        [function] * len(samples), sum(samples, ()), config=config, seed=SEED
+    )
+
+
 class TestOneShotVsBatchVsPlain:
     def test_labels_and_signs_agree(self, model, fast_config, samples):
         function = OMPEFunction.from_polynomial(
@@ -69,9 +77,7 @@ class TestOneShotVsBatchVsPlain:
             )
             for index, sample in enumerate(exact_samples)
         ]
-        batch = execute_ompe_batch(
-            function, exact_samples, config=fast_config, seed=SEED
-        )
+        batch = _repeated(function, exact_samples, fast_config)
 
         assert [_sign(o.value) for o in one_shot] == plain_signs
         assert [_sign(v) for v in batch.values] == plain_signs
@@ -86,12 +92,8 @@ class TestOneShotVsBatchVsPlain:
         exact_samples = [
             tuple(Fraction(value) for value in sample) for sample in samples
         ]
-        first = execute_ompe_batch(
-            function, exact_samples, config=fast_config, seed=SEED
-        )
-        second = execute_ompe_batch(
-            function, exact_samples, config=fast_config, seed=SEED
-        )
+        first = _repeated(function, exact_samples, fast_config)
+        second = _repeated(function, exact_samples, fast_config)
         assert first.values == second.values
         assert first.amplifiers == second.amplifiers
 

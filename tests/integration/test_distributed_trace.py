@@ -41,9 +41,9 @@ from repro.obs.distributed import (
     current_trace_context,
     render,
     stitch,
-    structure,
 )
 from repro.obs.tracing import Tracer, spans_to_jsonl
+from tests.spans import find, structure
 
 SAMPLE = (0.5, -0.25, 0.75)
 
@@ -129,7 +129,7 @@ class TestCrossTransportConformance:
     and over an in-memory pair."""
 
     def _run_memory(self, tracer, model, fast_config):
-        tracer.reset()
+        tracer.roots.clear()
         with TrainerServer(model, config=fast_config) as server:
             server_end, client_end = wire.memory_pair(timeout=20.0)
             peer = _Peer(lambda: server.serve_connection(server_end))
@@ -144,7 +144,7 @@ class TestCrossTransportConformance:
         return outcome, _client_fragment(tracer, "client.run"), entries
 
     def _run_tcp(self, tracer, model, fast_config):
-        tracer.reset()
+        tracer.roots.clear()
         server = TrainerServer(model, config=fast_config)
         host, port = server.address
         serve = _Peer(lambda: server.serve_forever())
@@ -183,13 +183,13 @@ class TestCrossTransportConformance:
         # One tree each, session stitched under the client, no orphans.
         for roots in (mem_roots, tcp_roots):
             assert len(roots) == 1
-            assert roots[0].find("service.session")
+            assert find(roots[0], "service.session")
             assert not any(
                 span.orphan for span, _ in roots[0].walk()
             )
         # The transport label is the one allowed difference.
-        mem_session = mem_roots[0].find("service.session")[0]
-        tcp_session = tcp_roots[0].find("service.session")[0]
+        mem_session = find(mem_roots[0], "service.session")[0]
+        tcp_session = find(tcp_roots[0], "service.session")[0]
         assert mem_session.attributes["transport"] == "memory"
         assert tcp_session.attributes["transport"] == "tcp"
 
@@ -222,7 +222,7 @@ class TestFaultPathTraces:
             (f"server/{entries[0]['session']}", entries[0]["jsonl"]),
         ])
         assert len(roots) == 1  # stitched under the client span
-        sessions = roots[0].find("service.session")
+        sessions = find(roots[0], "service.session")
         assert len(sessions) == 1
         assert not sessions[0].orphan
         assert "error" in sessions[0].attributes
@@ -258,7 +258,7 @@ class TestFaultPathTraces:
             (f"server/{entries[0]['session']}", entries[0]["jsonl"]),
         ])
         assert len(roots) == 1
-        session = roots[0].find("service.session")[0]
+        session = find(roots[0], "service.session")[0]
         assert not session.orphan
         assert "error" in session.attributes
 
@@ -281,7 +281,7 @@ class TestFaultPathTraces:
             fragments.append((f"worker-{worker_id}", jsonl))
         roots = stitch(fragments)
         assert len(roots) == 1
-        jobs = roots[0].find("engine.job")
+        jobs = find(roots[0], "engine.job")
         assert len(jobs) == 2  # one per attempt, siblings under the batch
         assert all(not job.orphan for job in jobs)
         by_attempt = {job.attributes["attempt"]: job for job in jobs}

@@ -143,5 +143,3 @@ class TestArithmetic:
     def test_conversions(self):
         p = Polynomial([Fraction(1, 2), Fraction(3)])
         assert all(isinstance(c, float) for c in p.to_float().coefficients)
-        q = Polynomial([0.5, 3.0]).to_exact()
-        assert all(isinstance(c, Fraction) for c in q.coefficients)

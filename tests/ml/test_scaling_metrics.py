@@ -11,7 +11,7 @@ from repro.ml.svm.scaling import MinMaxScaler
 class TestMinMaxScaler:
     def test_scales_into_range(self):
         X = np.array([[0.0, 10.0], [5.0, 20.0], [10.0, 30.0]])
-        scaled = MinMaxScaler().fit_transform(X)
+        scaled = MinMaxScaler().fit(X).transform(X)
         assert scaled.min() >= -1.0
         assert scaled.max() <= 1.0
         assert scaled[0, 0] == -1.0
@@ -20,7 +20,7 @@ class TestMinMaxScaler:
 
     def test_constant_feature_maps_to_midpoint(self):
         X = np.array([[5.0], [5.0], [5.0]])
-        scaled = MinMaxScaler().fit_transform(X)
+        scaled = MinMaxScaler().fit(X).transform(X)
         assert np.allclose(scaled, 0.0)
 
     def test_test_data_clipped(self):
@@ -30,7 +30,7 @@ class TestMinMaxScaler:
 
     def test_custom_range(self):
         X = np.array([[0.0], [1.0]])
-        scaled = MinMaxScaler(lower=0.0, upper=1.0).fit_transform(X)
+        scaled = MinMaxScaler(lower=0.0, upper=1.0).fit(X).transform(X)
         assert scaled[0, 0] == 0.0 and scaled[1, 0] == 1.0
 
     def test_transform_before_fit(self):

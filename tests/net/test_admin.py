@@ -27,9 +27,10 @@ from repro.net.service import (
     TrainerServer,
 )
 from repro.obs import MetricsRegistry
-from repro.obs.distributed import stitch, structure
+from repro.obs.distributed import stitch
 from repro.obs.drift import drift_from_service_metrics
 from repro.obs.tracing import Tracer, spans_to_jsonl
+from tests.spans import find, structure
 
 SAMPLE = (0.5, -0.25, 0.75)
 
@@ -287,7 +288,7 @@ class TestAdminTrace:
         assert len(roots) == 1  # ONE stitched tree, nothing orphaned
         tree = structure(roots)
         assert tree[0][0] == "cli.remote-classify"
-        session_spans = roots[0].find("service.session")
+        session_spans = find(roots[0], "service.session")
         assert [span.origin for span in session_spans] == [
             f"server/{entry['session']}"
         ]

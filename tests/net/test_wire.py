@@ -141,11 +141,16 @@ class TestFraming:
             right.recv_frame()
         assert registry.counter(FAULTS).value(kind="disconnect") >= 1
 
-    def test_recv_timeout(self, registry, pair):
-        _, right = pair
-        right.set_timeout(0.05)
-        with pytest.raises(ProtocolError, match="timed out"):
-            right.recv_frame()
+    def test_recv_timeout(self, registry):
+        left_sock, right_sock = socket.socketpair()
+        left = WireConnection(left_sock, timeout=10.0)
+        right = WireConnection(right_sock, timeout=0.05)
+        try:
+            with pytest.raises(ProtocolError, match="timed out"):
+                right.recv_frame()
+        finally:
+            left.close()
+            right.close()
         assert registry.counter(FAULTS).value(kind="timeout") == 1
 
     def test_send_after_peer_close(self, registry, pair):

@@ -24,10 +24,10 @@ from repro.obs.distributed import (
     current_trace_context,
     render,
     stitch,
-    structure,
 )
 from repro.obs.tracing import Tracer, new_span_id, spans_to_jsonl
 from repro.utils.serialization import decode_message, encode_message
+from tests.spans import structure
 
 
 @pytest.fixture
@@ -300,4 +300,4 @@ class TestStitchedSpanHelpers:
         )
         root.children.append(child)
         assert [d for _, d in root.walk()] == [0, 1]
-        assert root.find("leaf") == [child]
+        assert [span for span, _ in root.walk() if span.name == "leaf"] == [child]

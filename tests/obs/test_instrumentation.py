@@ -12,6 +12,7 @@ from repro.core.ompe import OMPEFunction, execute_ompe
 from repro.core.similarity import evaluate_similarity_private
 from repro.math.multivariate import MultivariatePolynomial
 from repro.ml.svm.model import make_linear_model
+from tests.spans import find
 
 
 @pytest.fixture
@@ -49,11 +50,11 @@ class TestClassificationSpanTree:
             "ompe.finish",
         ]
         # The OT primitives and interpolation nest one level deeper.
-        assert root.find("ot.setup")
-        assert root.find("ot.choose")
-        assert root.find("ot.transfer")
-        assert root.find("ot.retrieve")
-        assert root.find("ompe.interpolate")
+        assert find(root, "ot.setup")
+        assert find(root, "ot.choose")
+        assert find(root, "ot.transfer")
+        assert find(root, "ot.retrieve")
+        assert find(root, "ompe.interpolate")
 
     def test_phases_cover_the_wire_vocabulary(self, traced_classification):
         tracer, _, _ = traced_classification
@@ -124,11 +125,11 @@ class TestHigherLayers:
             )
             session.classify([0.1, 0.2])
             session.classify([0.3, -0.4])
-        assert tracer.find("classification.refill")
-        assert len(tracer.find("classification.query")) == 2
+        assert find(tracer, "classification.refill")
+        assert len(find(tracer, "classification.query")) == 2
         # Each query span wraps one full protocol tree.
-        query = tracer.find("classification.query")[0]
-        assert query.find("ompe")
+        query = find(tracer, "classification.query")[0]
+        assert find(query, "ompe")
         assert registry.counter("repro_classifications_total").total() == 2
         assert registry.counter("repro_session_refills_total").total() == 1
 
@@ -144,33 +145,32 @@ class TestHigherLayers:
         assert root.attributes["total_bytes"] == outcome.total_bytes
         for name in (
             "similarity.clear",
-            "similarity.centroid_ompe",
-            "similarity.normal_ompe",
+            "similarity.dots_ompe",
             "similarity.area_ompe",
         ):
-            assert root.find(name), name
-        # Three OMPE sub-protocols, each a complete tree.
-        assert len(root.find("ompe")) == 3
+            assert find(root, name), name
+        # Two OMPE sub-protocols (OMPE #1 and #2 share one), each a
+        # complete tree.
+        assert len(find(root, "ompe")) == 2
         assert registry.counter("repro_similarity_runs_total").value(
             kind="linear"
         ) == 1
 
     def test_batch_execution_spans(self, fast_config):
-        from repro.core.ompe.batch import execute_ompe_batch
-
-        polynomial = MultivariatePolynomial.affine(
-            [Fraction(1, 2), Fraction(-1, 3)], Fraction(1, 4)
+        """A run of two functions is one ``ompe`` tree and one run."""
+        function = OMPEFunction.from_polynomial(
+            MultivariatePolynomial.affine([Fraction(1, 2), Fraction(-1, 3)], Fraction(1, 4))
         )
         with obs.observed() as (tracer, registry):
-            execute_ompe_batch(
-                OMPEFunction.from_polynomial(polynomial),
-                [(Fraction(1, 2), Fraction(1, 3)), (Fraction(2, 5), Fraction(1, 7))],
+            execute_ompe(
+                (function, function),
+                (Fraction(1, 2), Fraction(1, 3), Fraction(2, 5), Fraction(1, 7)),
                 config=fast_config,
                 seed=6,
             )
-        assert [root.name for root in tracer.roots] == ["ompe.batch"]
-        assert registry.counter("repro_ompe_batch_runs_total").total() == 1
-        assert registry.counter("repro_ompe_batch_queries_total").total() == 2
+        assert [root.name for root in tracer.roots] == ["ompe"]
+        assert tracer.roots[0].attributes["arity"] == 4
+        assert registry.counter("repro_ompe_runs_total").total() == 1
 
     def test_disabled_run_records_nothing(self, fast_config):
         polynomial = MultivariatePolynomial.affine(

@@ -103,12 +103,6 @@ class TestRegistry:
         assert parsed["c"]["series"][0]["labels"] == {"phase": "points"}
         assert parsed["h"]["series"][0]["count"] == 1
 
-    def test_reset(self):
-        registry = MetricsRegistry()
-        registry.counter("c").inc()
-        registry.reset()
-        assert registry.names() == []
-
 
 class TestPrometheusExposition:
     """Golden-output checks against the text exposition format.

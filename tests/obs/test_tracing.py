@@ -11,6 +11,7 @@ from repro.obs import (
     observed,
 )
 from repro.obs.tracing import NOOP_SPAN
+from tests.spans import find
 
 
 class TestSpanTree:
@@ -67,15 +68,8 @@ class TestSpanTree:
                 pass
             with tracer.span("b", phase="one"):
                 pass
-        assert len(tracer.find("b")) == 2
+        assert len(find(tracer, "b")) == 2
         assert tracer.phases() == ["one", "two"]
-
-    def test_reset(self):
-        tracer = Tracer()
-        with tracer.span("x"):
-            pass
-        tracer.reset()
-        assert tracer.roots == []
 
 
 class TestExport:
@@ -130,7 +124,7 @@ class TestGlobalTracer:
             assert get_tracer() is tracer
             with get_tracer().span("visible"):
                 pass
-            assert tracer.find("visible")
+            assert find(tracer, "visible")
         finally:
             disable_tracing()
         assert get_tracer() is NOOP_TRACER
@@ -170,7 +164,7 @@ class TestThreadSafety:
             thread.join()
         assert len(tracer.roots) == threads_n * spans_per_thread
         for worker in range(threads_n):
-            roots = tracer.find(f"w{worker}")
+            roots = find(tracer, f"w{worker}")
             assert len(roots) == spans_per_thread
             for root in roots:
                 # Children stayed on their own thread's tree.
@@ -193,45 +187,6 @@ class TestThreadSafety:
             assert tracer.current() is outer
         assert observed["inner"] is NOOP_SPAN
 
-    def test_merge_is_lossless(self):
-        parent = Tracer()
-        child = Tracer()
-        with parent.span("kept"):
-            pass
-        with child.span("adopted.a"):
-            with child.span("adopted.nested"):
-                pass
-        with child.span("adopted.b"):
-            pass
-        parent.merge(child)
-        assert [root.name for root in parent.roots] == [
-            "kept", "adopted.a", "adopted.b",
-        ]
-        assert parent.find("adopted.nested")
-        # The child tracer is left intact.
-        assert len(child.roots) == 2
-
-    def test_merge_order_is_deterministic(self):
-        """Regression: merged roots sort by (start time, span id), so
-        the result does not depend on which tracer merged first."""
-        def build():
-            left, right = Tracer(), Tracer()
-            with right.span("late"):
-                pass
-            with left.span("early"):
-                pass
-            return left, right
-
-        left_a, right_a = build()
-        left_a.merge(right_a)
-        left_b, right_b = build()
-        right_b.merge(left_b)
-        names_a = [root.name for root in left_a.roots]
-        names_b = [root.name for root in right_b.roots]
-        assert names_a == names_b
-        # Chronological, not insertion, order.
-        starts = [root.start_s for root in left_a.roots]
-        assert starts == sorted(starts)
 
 
 class TestSpanIdentity:

@@ -48,16 +48,6 @@ class TestTimingRecorder:
         recorder.add("a", 1.0)
         assert recorder.as_dict() == {"a": 1.0}
 
-    def test_merge(self):
-        first = TimingRecorder()
-        second = TimingRecorder()
-        first.add("a", 1.0)
-        second.add("a", 2.0)
-        second.add("b", 3.0)
-        first.merge(second)
-        assert first.total("a") == 3.0
-        assert first.total("b") == 3.0
-
     def test_measure_records_on_exception(self):
         recorder = TimingRecorder()
         with pytest.raises(RuntimeError):
