@@ -7,8 +7,9 @@ Sweeps the :class:`repro.engine.ProtocolEngine` worker fleet over
 Methodology (see EXPERIMENTS.md "Engine scaling"):
 
 * identical jobs and per-job seeds at every worker count — each job's
-  protocol randomness derives from its job id, so the labels are
-  byte-identical across fleet sizes and against the serial path;
+  protocol randomness derives from its job id, so the labels (and the
+  masked values and bytes) are identical across fleet sizes and against
+  the serial path;
 * correctness is asserted unconditionally: sorted-by-job-id labels must
   equal the serial run's, and the merged ``repro_ompe_runs_total``
   counter must equal the job count (per-worker metric merge is lossless);
@@ -33,7 +34,6 @@ BENCH_SEED = 2016
 
 JOBS = 24
 DIMENSION = 3
-POOL_SIZE = 8
 WORKER_SWEEP = (1, 2, 4)
 
 
@@ -59,7 +59,7 @@ def workload(light_config):
 @pytest.fixture(scope="module")
 def serial_reference(workload):
     model, samples, config = workload
-    spec = make_spec(model, config=config, seed=BENCH_SEED, pool_size=POOL_SIZE)
+    spec = make_spec(model, config=config)
     jobs = [
         ClassificationJob(
             job_id=index,
@@ -88,7 +88,6 @@ def test_engine_scaling_sweep(workload, serial_reference):
             samples,
             config=config,
             workers=workers,
-            pool_size=POOL_SIZE,
             seed=BENCH_SEED,
         )
         assert not report.failed
@@ -125,7 +124,6 @@ def test_benchmark_engine_two_workers(benchmark, workload):
             samples,
             config=config,
             workers=2,
-            pool_size=POOL_SIZE,
             seed=BENCH_SEED,
         )
         assert not report.failed

@@ -308,7 +308,6 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
             samples,
             config=config,
             workers=workers,
-            pool_size=args.pool_size,
             queue_capacity=args.queue_capacity,
             policy=policy,
             seed=args.seed,
@@ -893,7 +892,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve_bench.add_argument("--jobs", type=int, default=16)
     serve_bench.add_argument("--workers", default="1,2,4",
                              help="comma-separated worker counts to sweep")
-    serve_bench.add_argument("--pool-size", type=int, default=16)
     serve_bench.add_argument("--queue-capacity", type=int, default=64)
     serve_bench.add_argument("--security-degree", type=int, default=2)
     serve_bench.add_argument("--seed", type=int, default=0)

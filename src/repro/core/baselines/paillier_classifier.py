@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
+from repro import obs
 from repro.crypto.paillier import (
     PaillierCipher,
     generate_keypair,
@@ -33,7 +34,6 @@ from repro.ml.svm.model import SVMModel
 from repro.net.channel import Channel
 from repro.net.runner import ProtocolReport
 from repro.utils.rng import ReproRandom
-from repro.utils.timer import TimingRecorder
 
 
 @dataclass(frozen=True)
@@ -69,14 +69,14 @@ def classify_paillier(
             f"sample has {len(sample)} coordinates, expected {model.dimension}"
         )
     rng = ReproRandom(seed)
-    timings = TimingRecorder()
+    tracer = obs.get_tracer()
     channel = Channel("bob", "alice")
 
     # Client: key generation + encryption.
-    with timings.measure("client/keygen"):
+    with tracer.span("paillier.keygen", party="bob", phase="keygen"):
         public, private = generate_keypair(key_bits, rng.fork("keys"))
         cipher = PaillierCipher(public, private, precision=precision, rng=rng.fork("enc"))
-    with timings.measure("client/encrypt"):
+    with tracer.span("paillier.encrypt", party="bob", phase="encrypt"):
         encrypted_sample = tuple(cipher.encrypt(value) for value in sample)
     channel.send("bob", "paillier/query", (public.n, encrypted_sample))
 
@@ -84,7 +84,7 @@ def classify_paillier(
     modulus, ciphertexts = channel.receive("alice", "paillier/query")
     trainer_cipher = PaillierCipher(public, None, precision=precision, rng=rng.fork("alice"))
     weights = model.weight_vector()
-    with timings.measure("trainer/evaluate"):
+    with tracer.span("paillier.evaluate", party="alice", phase="evaluate"):
         accumulator = trainer_cipher.encrypt(float(model.bias))
         # Enc(b)·Π Enc(t_i)^{w_i} = Enc(b + Σ w_i t_i); the plain-weight
         # product adds one fixed-point scale factor, so the bias must be
@@ -97,13 +97,12 @@ def classify_paillier(
 
     # Client: decrypt and classify.
     encrypted_result = channel.receive("bob", "paillier/result")
-    with timings.measure("client/decrypt"):
+    with tracer.span("paillier.decrypt", party="bob", phase="decrypt"):
         decision_value = cipher.decrypt(encrypted_result, scale_power=2)
     channel.assert_drained()
     report = ProtocolReport(
         result=decision_value,
         transcript=channel.transcript,
-        timings=timings,
         simulated_network_s=channel.simulated_time,
     )
     return PaillierClassificationOutcome(

@@ -19,10 +19,11 @@ node ``x/y`` as::
 
 for a constant term ``a/b`` and ``G = 10**6``, sharing the node's
 powers ``x^j·y^(q-j)`` across the vector and building one ``Fraction``
-per value.  The online receiver and the receiver pool (Section VI-B.1,
-:mod:`repro.core.ompe.precompute`) both evaluate this form; the pool
-draws the numerators offline and supplies the constants at query
-time.  ``tests/core/test_hiding.py`` holds it to ``Polynomial`` objects
+per value.  A receiver bundle
+(:func:`repro.core.ompe.precompute.draw_receiver_bundle`, drawn online
+or ahead of time by a pool) keeps the cover hiders' numerators and
+supplies the input as their constants at query time.
+``tests/core/test_hiding.py`` holds this form to ``Polynomial`` objects
 built from the same numerators: same values, value types and bytes.
 
 :func:`check_points` is the senders' first step on a received points
@@ -59,8 +60,8 @@ class Hiders:
     """The hiding polynomials of one vector, ready to evaluate at nodes.
 
     Per coordinate: the constant term as ``(a, b)`` and the lattice
-    numerators ``(n_q, n_1, ..., n_(q-1))`` in draw order.  Build with
-    :func:`draw_hiders`, or from a receiver pool's numerators.
+    numerators ``(n_q, n_1, ..., n_(q-1))`` in draw order, as
+    :func:`draw_numerators` returns them.
     """
 
     __slots__ = ("_constants", "_numerators", "_degree")
@@ -165,17 +166,6 @@ def draw_numerators(
     )
 
 
-def draw_hiders(
-    parent: ReproRandom, prefix: tuple, constants: Sequence[Number], config: OMPEConfig
-) -> Hiders:
-    """Draw ``g_i`` with ``g_i(0) = constants[i]`` for label path ``prefix``."""
-    return Hiders(
-        config.security_degree,
-        constants=[(c.numerator, c.denominator) for c in constants],
-        numerators=draw_numerators(parent, prefix, len(constants), config),
-    )
-
-
 def disguise_vector(
     draw: ReproRandom,
     parent: ReproRandom,
@@ -185,9 +175,9 @@ def disguise_vector(
     config: OMPEConfig,
 ) -> Tuple[Number, ...]:
     """A disguise at ``node``: fresh hiders whose constant terms ``draw``
-    supplies (uniform on ``[-1, 1]``, as ``draw.fraction(-1, 1)``),
-    drawn for label path ``prefix`` of ``parent`` as in
-    :func:`draw_hiders`."""
+    supplies (uniform on ``[-1, 1]``, as ``draw.fraction(-1, 1)``) and
+    whose numerators :func:`draw_numerators` draws for label path
+    ``prefix`` of ``parent``."""
     constants = [(draw.randint(-LATTICE, LATTICE), LATTICE) for _ in range(arity)]
     hiders = Hiders(
         config.security_degree,
@@ -233,35 +223,3 @@ def check_points(pairs, arity: int) -> None:
                 raise ProtocolAbort(
                     f"points entry {index}: coordinate of type {type(value).__name__}"
                 )
-
-
-def points_message(
-    input_vector: Sequence[Number],
-    config: OMPEConfig,
-    draw: ReproRandom,
-    cover_count: int,
-    pair_count: int,
-) -> Tuple[PointsMessage, List[Number], List[int]]:
-    """The online receiver's points message, its nodes and cover positions.
-
-    Draws ``arity·(M - m + 1)`` hiding polynomials: one set of cover
-    hiders, reused at all ``m`` cover nodes, and one per disguise.
-    """
-    hiders = draw_hiders(draw.fork("covers"), ("g",), input_vector, config)
-    nodes = draw_nodes(draw.fork("nodes"), pair_count, config)
-    positions = draw.fork("positions").sample_indices(pair_count, cover_count)
-    position_set = set(positions)
-    disguise_draw = draw.fork("disguises")
-    arity = len(input_vector)
-    pairs = []
-    for index, node in enumerate(nodes):
-        if index in position_set:
-            vector = hiders.at(node)
-        else:
-            # Fresh hiding polynomials with random constant terms:
-            # disguises are identically distributed with covers.
-            vector = disguise_vector(
-                disguise_draw, disguise_draw.fork("poly", index), ("g",), arity, node, config
-            )
-        pairs.append((node, vector))
-    return tuple(pairs), nodes, positions

@@ -12,22 +12,31 @@ an OMPE run is independent of the actual query:
   ``g_i(v) = t̃_i + ĝ_i(v)``), plus the nodes ``v_1..v_M``, the cover
   positions, and the full disguise vectors.
 
-:class:`SenderPool` and :class:`ReceiverPool` pre-generate batches of
-these bundles; the sender/receiver classes pop from them during the
-online phase (a sender of ``k`` functions pops one sender bundle per
-function).  :func:`draw_sender_bundle` is the one sender draw: the
-pool and the online sender call it, each with its own stream.  ``benchmarks/bench_ablation_precompute.py`` measures the
-online-latency reduction.
+:func:`draw_sender_bundle` and :func:`draw_receiver_bundle` are each
+role's one draw.  An online run calls them on its own stream when the
+query arrives; :class:`SenderPool` and :class:`ReceiverPool` call them
+ahead of time on the forks ``("bundle", k)`` of theirs, and the roles
+pop from the pools during the online phase (a sender of ``k``
+functions pops one sender bundle per function).  Precomputation thus
+changes when the randomness is drawn, never how.
+``benchmarks/bench_ablation_precompute.py`` measures the online-latency
+reduction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Optional, Sequence, Tuple
 
 from repro.core.ompe.config import OMPEConfig, draw_amplifier
 from repro.core.ompe.function import OMPEFunction
-from repro.core.ompe.hiding import disguise_vector, draw_nodes, draw_numerators
+from repro.core.ompe.hiding import (
+    Hiders,
+    PointsMessage,
+    disguise_vector,
+    draw_nodes,
+    draw_numerators,
+)
 from repro.exceptions import OMPEError, ValidationError
 from repro.math.polynomials import Number, Polynomial
 from repro.utils.rng import ReproRandom
@@ -75,19 +84,73 @@ def draw_sender_bundle(
 
 @dataclass(frozen=True)
 class ReceiverBundle:
-    """One precomputed receiver randomness bundle.
+    """The receiver's randomness for one query.
 
-    ``numerators[i]`` holds hider ``i``'s lattice numerators
+    ``numerators[i]`` holds cover hider ``i``'s lattice numerators
     ``(n_q, n_1, ..., n_(q-1))`` (:func:`~repro.core.ompe.hiding.lattice_numerators`);
-    the online phase supplies the secret coordinate as its constant
-    term.  ``disguises`` maps the non-cover positions to ready-made
-    disguise vectors.
+    the query supplies the secret coordinate as its constant term.
+    ``disguises`` holds the ready-made disguise vector at each non-cover
+    position and ``None`` at the covers.
     """
 
     numerators: Tuple[Tuple[int, ...], ...]
     nodes: Tuple[Number, ...]
     cover_positions: Tuple[int, ...]
     disguises: Tuple[Optional[Tuple[Number, ...]], ...]
+
+    def points(self, input_vector: Sequence[Number], config: OMPEConfig) -> PointsMessage:
+        """The points message hiding ``input_vector``: the cover hiders
+        at the covers, the stored disguise elsewhere."""
+        hiders = Hiders(
+            config.security_degree,
+            constants=[(c.numerator, c.denominator) for c in input_vector],
+            numerators=self.numerators,
+        )
+        return tuple(
+            (node, hiders.at(node) if disguise is None else disguise)
+            for node, disguise in zip(self.nodes, self.disguises)
+        )
+
+
+def draw_receiver_bundle(
+    draw: ReproRandom, config: OMPEConfig, arity: int, function_degree: int
+) -> ReceiverBundle:
+    """The receiver's randomness for one query of ``arity`` coordinates
+    against a degree-``function_degree`` function, drawn from ``draw``.
+
+    The cover hiders' numerators come from ``draw.fork("covers")`` at
+    label path ``("g",)``, the ``M`` nodes from ``draw.fork("nodes")``
+    and the ``m`` cover positions from ``draw.fork("positions")``.  The
+    disguise at position ``j`` takes its constant terms from
+    ``draw.fork("disguises")``, in position order, and its numerators
+    from that stream's fork ``("poly", j)`` at ``("g",)``: fresh hiders
+    with random constant terms, so disguises are identically
+    distributed with covers.  That is ``arity·(M - m + 1)`` hiders.
+    """
+    pair_count = config.pair_count(function_degree)
+    numerators = draw_numerators(draw.fork("covers"), ("g",), arity, config)
+    nodes = tuple(draw_nodes(draw.fork("nodes"), pair_count, config))
+    positions = tuple(
+        draw.fork("positions").sample_indices(
+            pair_count, config.cover_count(function_degree)
+        )
+    )
+    covers = set(positions)
+    disguise_draw = draw.fork("disguises")
+    disguises = tuple(
+        None
+        if index in covers
+        else disguise_vector(
+            disguise_draw, disguise_draw.fork("poly", index), ("g",), arity, node, config
+        )
+        for index, node in enumerate(nodes)
+    )
+    return ReceiverBundle(
+        numerators=tuple(tuple(row) for row in numerators),
+        nodes=nodes,
+        cover_positions=positions,
+        disguises=disguises,
+    )
 
 
 class SenderPool:
@@ -136,8 +199,8 @@ class SenderPool:
         or implicitly re-derived mask/amplifier would break one-time
         randomness.  Refill is a *caller* policy:
         :class:`~repro.core.classification.session.PrivateClassificationSession`
-        and the :mod:`repro.engine` workers construct a fresh pool from
-        their own seeded stream when this error would otherwise trip.
+        constructs a fresh pool from its own seeded stream when this
+        error would otherwise trip.
         """
         if not self._bundles:
             raise OMPEError("sender precomputation pool exhausted")
@@ -163,43 +226,10 @@ class ReceiverPool:
         self.arity = arity
         self.function_degree = function_degree
         rng = rng or ReproRandom()
-        pair_count = config.pair_count(function_degree)
-        cover_count = config.cover_count(function_degree)
-        self._bundles: List[ReceiverBundle] = []
-        for index in range(count):
-            draw = rng.fork("bundle", index)
-            numerators = tuple(
-                tuple(row) for row in draw_numerators(draw, ("g",), arity, config)
-            )
-            nodes = tuple(draw_nodes(draw.fork("nodes"), pair_count, config))
-            positions = tuple(
-                draw.fork("positions").sample_indices(pair_count, cover_count)
-            )
-            position_set = set(positions)
-            disguise_draw = draw.fork("disguises")
-            disguises: List[Optional[Tuple[Number, ...]]] = []
-            for pair_index, node in enumerate(nodes):
-                if pair_index in position_set:
-                    disguises.append(None)
-                    continue
-                disguises.append(
-                    disguise_vector(
-                        disguise_draw,
-                        disguise_draw,
-                        ("poly", pair_index),
-                        arity,
-                        node,
-                        config,
-                    )
-                )
-            self._bundles.append(
-                ReceiverBundle(
-                    numerators=numerators,
-                    nodes=nodes,
-                    cover_positions=positions,
-                    disguises=tuple(disguises),
-                )
-            )
+        self._bundles = [
+            draw_receiver_bundle(rng.fork("bundle", index), config, arity, function_degree)
+            for index in range(count)
+        ]
 
     def __len__(self) -> int:
         return len(self._bundles)
@@ -209,7 +239,7 @@ class ReceiverPool:
 
         Same exhaustion contract as :meth:`SenderPool.pop`: raises
         :class:`~repro.exceptions.OMPEError` when empty, never refills
-        itself — transparent refill belongs to the session/engine layer.
+        itself — transparent refill belongs to the session.
         """
         if not self._bundles:
             raise OMPEError("receiver precomputation pool exhausted")

@@ -2,8 +2,8 @@
 
 :func:`execute_ompe` runs both roles in-process through a measured
 channel and returns the receiver's secret output plus a full
-:class:`~repro.net.runner.ProtocolReport` (transcript, timings,
-simulated network time).  This is the single entry point the
+:class:`~repro.net.runner.ProtocolReport` (transcript and simulated
+network time).  This is the single entry point the
 classification and similarity protocols build on.
 """
 
@@ -23,7 +23,6 @@ from repro.net.channel import LinkModel
 from repro.net.party import connect_parties
 from repro.net.runner import ProtocolReport, finish_report
 from repro.utils.rng import ReproRandom
-from repro.utils.timer import TimingRecorder
 
 
 @dataclass(frozen=True)
@@ -86,12 +85,11 @@ def execute_ompe(
     its own slice, and ``amplify``/``offset`` are one flag for all or
     one per function.  ``sender_pool`` / ``receiver_pool`` are optional
     :mod:`repro.core.ompe.precompute` pools; when given, the parties
-    draw their randomness from the pools instead of generating it
-    online (the paper's Section VI-B.1 optimization).
+    pop randomness drawn ahead of time instead of drawing it when the
+    query arrives (the paper's Section VI-B.1 optimization).
     """
     config = config or OMPEConfig()
     root = ReproRandom(seed)
-    timings = TimingRecorder()
     sender = OMPESender(
         sender_name,
         function,
@@ -99,7 +97,6 @@ def execute_ompe(
         rng=root.fork("sender"),
         amplify=amplify,
         offset=offset,
-        timings=timings,
         pool=sender_pool,
     )
     receiver = OMPEReceiver(
@@ -107,7 +104,6 @@ def execute_ompe(
         input_vector,
         config,
         rng=root.fork("receiver"),
-        timings=timings,
         pool=receiver_pool,
         function_count=len(sender.functions),
     )
@@ -138,7 +134,7 @@ def execute_ompe(
             "repro_ompe_runs_total", "Completed OMPE protocol executions"
         ).inc()
 
-    report = finish_report(values, channel, timings)
+    report = finish_report(values, channel)
     return OMPEOutcome(
         values=values,
         amplifiers=sender.amplifiers,
@@ -155,8 +151,6 @@ def run_ompe_sender(
     amplify: Flags = True,
     offset: Flags = False,
     name: str = "alice",
-    pool=None,
-    timings: Optional[TimingRecorder] = None,
 ) -> OMPEOutcome:
     """Run only the *sender* role over an already-connected channel.
 
@@ -173,7 +167,6 @@ def run_ompe_sender(
     transcript is this endpoint's copy of the conversation.
     """
     config = config or OMPEConfig()
-    timings = timings or TimingRecorder()
     sender = OMPESender(
         name,
         function,
@@ -181,8 +174,6 @@ def run_ompe_sender(
         rng=ReproRandom(seed).fork("sender"),
         amplify=amplify,
         offset=offset,
-        timings=timings,
-        pool=pool,
     )
     sender.connect(channel)
     with obs.get_tracer().span(
@@ -198,7 +189,6 @@ def run_ompe_sender(
     report = ProtocolReport(
         result=None,
         transcript=channel.transcript,
-        timings=timings,
         simulated_network_s=channel.simulated_time,
     )
     return OMPEOutcome(
@@ -215,8 +205,6 @@ def run_ompe_receiver(
     config: Optional[OMPEConfig] = None,
     seed: Optional[int] = None,
     name: str = "bob",
-    pool=None,
-    timings: Optional[TimingRecorder] = None,
     function_count: int = 1,
 ) -> OMPEOutcome:
     """Run only the *receiver* role over an already-connected channel.
@@ -229,14 +217,11 @@ def run_ompe_receiver(
     the shared-registry count identical to an in-process run.
     """
     config = config or OMPEConfig()
-    timings = timings or TimingRecorder()
     receiver = OMPEReceiver(
         name,
         input_vector,
         config,
         rng=ReproRandom(seed).fork("receiver"),
-        timings=timings,
-        pool=pool,
         function_count=function_count,
     )
     receiver.connect(channel)
@@ -252,5 +237,5 @@ def run_ompe_receiver(
         metrics.counter(
             "repro_ompe_runs_total", "Completed OMPE protocol executions"
         ).inc()
-    report = finish_report(values, channel, timings)
+    report = finish_report(values, channel)
     return OMPEOutcome(values=values, amplifiers=None, offsets=None, report=report)

@@ -23,12 +23,12 @@ of ``k ≥ 1`` sender functions over one input ``α = α₁‖…‖α_k`` (see
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from repro import obs
 from repro.core.ompe.config import OMPEConfig
 from repro.core.ompe.function import as_exact_vector
-from repro.core.ompe.hiding import Hiders, points_message
+from repro.core.ompe.precompute import draw_receiver_bundle
 from repro.crypto.ot.k_of_n import KOfNReceiver
 from repro.exceptions import OMPEError, ProtocolAbort
 from repro.math.interpolation import lagrange_at_zero
@@ -36,7 +36,6 @@ from repro.math.polynomials import Number
 from repro.net.party import Party
 from repro.utils.rng import ReproRandom
 from repro.utils.serialization import decode_values
-from repro.utils.timer import TimingRecorder
 
 
 def check_evaluations(values: Sequence[Number], count: int) -> Sequence[Number]:
@@ -63,7 +62,10 @@ class OMPEReceiver(Party):
     """Holds the input ``α``; learns only each ``r_j P_j(α_j) + o_j``.
 
     ``function_count`` is the ``k`` of the run: how many values each
-    retrieved slot must carry.
+    retrieved slot must carry.  ``pool`` is an optional
+    :class:`~repro.core.ompe.precompute.ReceiverPool` drawn for this
+    config and arity; without one the query's randomness is drawn
+    online from ``rng.fork("hide")``.
     """
 
     def __init__(
@@ -72,18 +74,23 @@ class OMPEReceiver(Party):
         input_vector: Sequence[Number],
         config: OMPEConfig,
         rng: Optional[ReproRandom] = None,
-        timings: Optional[TimingRecorder] = None,
         pool=None,
         function_count: int = 1,
     ) -> None:
         super().__init__(name, rng)
-        if pool is not None and pool.arity != len(tuple(input_vector)):
-            raise OMPEError(
-                f"precomputation pool was built for arity {pool.arity}, "
-                f"input has {len(tuple(input_vector))}"
-            )
-        self.pool = pool
         vector = tuple(input_vector)
+        if pool is not None:
+            if pool.config != config:
+                raise OMPEError(
+                    "precomputation pool was built for another OMPE config "
+                    "than the receiver's"
+                )
+            if pool.arity != len(vector):
+                raise OMPEError(
+                    f"precomputation pool was built for arity {pool.arity}, "
+                    f"input has {len(vector)}"
+                )
+        self.pool = pool
         if not vector:
             raise OMPEError("input vector must be non-empty")
         if function_count < 1:
@@ -91,11 +98,10 @@ class OMPEReceiver(Party):
         self.input_vector = as_exact_vector(vector)
         self.function_count = function_count
         self.config = config
-        self.timings = timings or TimingRecorder()
         self._cover_count: int = 0
         self._pair_count: int = 0
-        self._nodes: List[Number] = []
-        self._cover_positions: List[int] = []
+        self._nodes: Sequence[Number] = ()
+        self._cover_positions: Sequence[int] = ()
         self._ot_receiver: Optional[KOfNReceiver] = None
 
     # -- step 1 --------------------------------------------------------------
@@ -134,34 +140,22 @@ class OMPEReceiver(Party):
             )
         self._cover_count = cover_count
         self._pair_count = pair_count
-        if self.pool is not None:
+        if self.pool is None:
+            span.set(hiders=len(self.input_vector) * (pair_count - cover_count + 1))
+            bundle = draw_receiver_bundle(
+                self.rng.fork("hide"), self.config, len(self.input_vector), degree
+            )
+        else:
             if self.pool.function_degree != degree:
                 raise ProtocolAbort(
                     f"precomputation pool was built for degree "
                     f"{self.pool.function_degree}, sender announced {degree}"
                 )
             span.set(hiders=0)  # drawn offline with the pool
-            with self.timings.measure("receiver/randomize"):
-                bundle = self.pool.pop()
-                hiders = Hiders(
-                    self.pool.config.security_degree,
-                    constants=[(c.numerator, c.denominator) for c in self.input_vector],
-                    numerators=bundle.numerators,
-                )
-                pairs = []
-                for node, disguise in zip(bundle.nodes, bundle.disguises):
-                    vector = hiders.at(node) if disguise is None else disguise
-                    pairs.append((node, vector))
-                self._nodes = list(bundle.nodes)
-                self._cover_positions = list(bundle.cover_positions)
-            self.send("ompe/points", tuple(pairs))
-            return
-        span.set(hiders=len(self.input_vector) * (pair_count - cover_count + 1))
-        with self.timings.measure("receiver/randomize"):
-            pairs, self._nodes, self._cover_positions = points_message(
-                self.input_vector, self.config, self.rng.fork("hide"), cover_count, pair_count
-            )
-        self.send("ompe/points", pairs)
+            bundle = self.pool.pop()
+        self._nodes = bundle.nodes
+        self._cover_positions = bundle.cover_positions
+        self.send("ompe/points", bundle.points(self.input_vector, self.config))
 
     # -- steps 3 and 4 ----------------------------------------------------------
 
@@ -174,13 +168,12 @@ class OMPEReceiver(Party):
             m=self._cover_count,
         ):
             setup = self.receive("ompe/ot-setups")
-            with self.timings.measure("receiver/ot"):
-                self._ot_receiver = KOfNReceiver(
-                    self.config.resolved_group(), self.rng.fork("ot")
-                )
-                choice = self._ot_receiver.choose(
-                    setup, self._cover_positions, self._pair_count
-                )
+            self._ot_receiver = KOfNReceiver(
+                self.config.resolved_group(), self.rng.fork("ot")
+            )
+            choice = self._ot_receiver.choose(
+                setup, self._cover_positions, self._pair_count
+            )
             self.send("ompe/ot-choices", choice)
 
     def finish(self) -> Tuple[Number, ...]:
@@ -190,21 +183,19 @@ class OMPEReceiver(Party):
             if self._ot_receiver is None:
                 raise OMPEError("finish before handle_ot_setups")
             transfer = self.receive("ompe/ot-transfers")
-            with self.timings.measure("receiver/ot"):
-                payloads = self._ot_receiver.retrieve(transfer)
+            payloads = self._ot_receiver.retrieve(transfer)
             with tracer.span(
                 "ompe.interpolate",
                 party=self.name,
                 phase="interpolate",
                 covers=len(self._cover_positions),
             ):
-                with self.timings.measure("receiver/interpolate"):
-                    slots = [
-                        check_evaluations(decode_values(blob), self.function_count)
-                        for blob in payloads
-                    ]
-                    nodes = [self._nodes[i] for i in self._cover_positions]
-                    secrets = tuple(
-                        lagrange_at_zero(nodes, list(values)) for values in zip(*slots)
-                    )
+                slots = [
+                    check_evaluations(decode_values(blob), self.function_count)
+                    for blob in payloads
+                ]
+                nodes = [self._nodes[i] for i in self._cover_positions]
+                secrets = tuple(
+                    lagrange_at_zero(nodes, list(values)) for values in zip(*slots)
+                )
         return secrets

@@ -34,7 +34,6 @@ from repro.math.polynomials import Number, Polynomial
 from repro.net.party import Party
 from repro.utils.rng import ReproRandom
 from repro.utils.serialization import encode_value
-from repro.utils.timer import TimingRecorder
 
 #: One flag for every function, or one per function.
 Flags = Union[bool, Sequence[bool]]
@@ -61,7 +60,6 @@ class OMPESender(Party):
         rng: Optional[ReproRandom] = None,
         amplify: Flags = True,
         offset: Flags = False,
-        timings: Optional[TimingRecorder] = None,
         pool=None,
     ) -> None:
         super().__init__(name, rng)
@@ -78,6 +76,11 @@ class OMPESender(Party):
         self.config = config
         self.pool = pool
         if pool is not None:
+            if pool.config != config:
+                raise OMPEError(
+                    "precomputation pool was built for another OMPE config "
+                    "than the sender's"
+                )
             if pool.function_degree != self.degree:
                 raise OMPEError(
                     f"precomputation pool was built for degree "
@@ -90,7 +93,6 @@ class OMPESender(Party):
                         f"offset={pool.offset}; sender has amplify={amplify_j}, "
                         f"offset={offset_j}"
                     )
-        self.timings = timings or TimingRecorder()
         self.amplifiers: Tuple[Number, ...] = (1,) * count
         self.offsets: Tuple[Number, ...] = (0,) * count
         self._masks: Tuple[Polynomial, ...] = ()
@@ -121,19 +123,17 @@ class OMPESender(Party):
         with obs.get_tracer().span(
             "ompe.params", party=self.name, phase="params"
         ) as span:
-            with self.timings.measure("sender/randomize"):
-                arity = self.receive("ompe/request")
-                if arity != self.arity:
-                    raise ProtocolAbort(
-                        f"receiver announced arity {arity}, function has "
-                        f"{self.arity}"
-                    )
-                bundles = self._bundles()
-                self._masks = tuple(bundle.mask for bundle in bundles)
-                self.amplifiers = tuple(bundle.amplifier for bundle in bundles)
-                self.offsets = tuple(bundle.offset for bundle in bundles)
-                self._cover_count = self.config.cover_count(self.degree)
-                pair_count = self.config.pair_count(self.degree)
+            arity = self.receive("ompe/request")
+            if arity != self.arity:
+                raise ProtocolAbort(
+                    f"receiver announced arity {arity}, function has {self.arity}"
+                )
+            bundles = self._bundles()
+            self._masks = tuple(bundle.mask for bundle in bundles)
+            self.amplifiers = tuple(bundle.amplifier for bundle in bundles)
+            self.offsets = tuple(bundle.offset for bundle in bundles)
+            self._cover_count = self.config.cover_count(self.degree)
+            pair_count = self.config.pair_count(self.degree)
             span.set(m=self._cover_count, M=pair_count, degree=self.degree)
             self.send("ompe/params", (self.degree, self._cover_count, pair_count))
 
@@ -154,37 +154,35 @@ class OMPESender(Party):
         with tracer.span(
             "ompe.evaluate", party=self.name, phase="evaluate", pairs=len(pairs)
         ):
-            with self.timings.measure("sender/evaluate"):
-                nodes = [node for node, _ in pairs]
-                columns = []
-                start = 0
-                for function, mask, amplifier, offset in zip(
-                    self.functions, self._masks, self.amplifiers, self.offsets
-                ):
-                    end = start + function.arity
-                    values = function.evaluate_all(
-                        [vector[start:end] for _, vector in pairs]
-                    )
-                    columns.append(
-                        [
-                            encode_value(mask(node) + amplifier * value + offset)
-                            for node, value in zip(nodes, values)
-                        ]
-                    )
-                    start = end
-                evaluations: List[bytes] = [b"".join(slot) for slot in zip(*columns)]
+            nodes = [node for node, _ in pairs]
+            columns = []
+            start = 0
+            for function, mask, amplifier, offset in zip(
+                self.functions, self._masks, self.amplifiers, self.offsets
+            ):
+                end = start + function.arity
+                values = function.evaluate_all(
+                    [vector[start:end] for _, vector in pairs]
+                )
+                columns.append(
+                    [
+                        encode_value(mask(node) + amplifier * value + offset)
+                        for node, value in zip(nodes, values)
+                    ]
+                )
+                start = end
+            evaluations: List[bytes] = [b"".join(slot) for slot in zip(*columns)]
         with tracer.span(
             "ompe.ot_setup",
             party=self.name,
             phase="ot-setups",
             m=self._cover_count,
         ):
-            with self.timings.measure("sender/ot"):
-                self._ot_sender = KOfNSender(
-                    self.config.resolved_group(), self.rng.fork("ot")
-                )
-                setup = self._ot_sender.setup(self._cover_count)
-                self._evaluations = evaluations
+            self._ot_sender = KOfNSender(
+                self.config.resolved_group(), self.rng.fork("ot")
+            )
+            setup = self._ot_sender.setup(self._cover_count)
+            self._evaluations = evaluations
             self.send("ompe/ot-setups", setup)
 
     def handle_choices(self) -> None:
@@ -195,6 +193,5 @@ class OMPESender(Party):
             choice = self.receive("ompe/ot-choices")
             if self._ot_sender is None:
                 raise OMPEError("handle_choices before handle_points")
-            with self.timings.measure("sender/ot"):
-                transfer = self._ot_sender.transfer(self._evaluations, choice)
+            transfer = self._ot_sender.transfer(self._evaluations, choice)
             self.send("ompe/ot-transfers", transfer)

@@ -29,7 +29,8 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from repro.core.ompe.config import OMPEConfig
-from repro.core.ompe.hiding import PointsMessage, points_message
+from repro.core.ompe.hiding import PointsMessage
+from repro.core.ompe.precompute import draw_receiver_bundle
 from repro.exceptions import ValidationError
 from repro.math.statistics import KSResult, ks_2samp
 from repro.utils.rng import ReproRandom
@@ -43,23 +44,18 @@ def simulate_sender_view(
 ) -> PointsMessage:
     """Produce a points message distributed like a real one.
 
-    Runs the receiver's own generator
-    (:func:`repro.core.ompe.hiding.points_message`) on a dummy all-zero
-    input, so the result is exactly what an :class:`OMPEReceiver` with
-    input zero and stream ``rng`` would send; if the real distribution
-    depended on the input, the statistical test below would expose it.
+    Runs the receiver's own draw
+    (:func:`repro.core.ompe.precompute.draw_receiver_bundle`) and hides
+    a dummy all-zero input, so the result is exactly what an
+    :class:`OMPEReceiver` with input zero and stream ``rng`` would send;
+    if the real distribution depended on the input, the statistical
+    test below would expose it.
     """
     if arity < 1:
         raise ValidationError(f"arity must be at least 1, got {arity}")
     rng = rng or ReproRandom()
-    pairs, _, _ = points_message(
-        tuple(Fraction(0) for _ in range(arity)),
-        config,
-        rng.fork("hide"),
-        config.cover_count(function_degree),
-        config.pair_count(function_degree),
-    )
-    return pairs
+    bundle = draw_receiver_bundle(rng.fork("hide"), config, arity, function_degree)
+    return bundle.points((Fraction(0),) * arity, config)
 
 
 def _scalar_pool(messages: Sequence[PointsMessage]) -> Tuple[List[float], List[float]]:

@@ -1,7 +1,7 @@
 """Multi-core protocol engine (paper §VI scale-out).
 
 Shards classification/similarity jobs across worker processes, each
-owning its own precompute pools and seeded randomness, with bounded
+job drawing its protocol randomness from its own seed, with bounded
 submission (backpressure), ``net.faults``-style timeout/retry, and
 per-worker observability merged back into the parent registry.
 """

@@ -1,4 +1,4 @@
-"""Multi-process protocol engine with shared precompute pools.
+"""Multi-process protocol engine.
 
 :class:`ProtocolEngine` shards a stream of classification/similarity
 jobs across a pool of worker processes.  Design points, each pinned by
@@ -7,13 +7,10 @@ jobs across a pool of worker processes.  Design points, each pinned by
 * **Backpressure** — the submission queue is bounded
   (``queue_capacity``); :meth:`submit` blocks once the in-flight window
   is full, so an unbounded producer cannot balloon memory.
-* **Sharding with per-worker precompute** — every worker owns its own
-  :class:`~repro.core.ompe.precompute.SenderPool` /
-  :class:`~repro.core.ompe.precompute.ReceiverPool` and a seeded
-  :class:`~repro.utils.rng.ReproRandom` forked from
-  ``(seed, "worker", worker_id)``; per-job protocol randomness derives
-  from the job id, so labels/similarity values are
-  scheduling-invariant.
+* **Sharding with per-job seeds** — a job draws all of its protocol
+  randomness online from ``derive_seed(seed, "job", job_id)``, so its
+  whole outcome (label or similarity value, masked value, bytes) is
+  the same at any worker count and in any schedule.
 * **Timeout/retry policy** — mirrors :mod:`repro.net.faults` semantics:
   a failed or timed-out attempt is resubmitted up to ``max_retries``
   times (the :class:`~repro.net.faults.RetryingChannel` resend path,
@@ -122,7 +119,6 @@ class ProtocolEngine:
         model: Optional[SVMModel] = None,
         config=None,
         workers: int = 2,
-        pool_size: int = 16,
         queue_capacity: int = 64,
         policy: Optional[EnginePolicy] = None,
         seed: int = 0,
@@ -151,8 +147,6 @@ class ProtocolEngine:
         self.spec = make_spec(
             model,
             config=config,
-            seed=seed,
-            pool_size=pool_size,
             timeout_s=self.policy.timeout_s,
             trace=trace,
             models=dict(models) if models is not None else None,
@@ -428,7 +422,6 @@ def run_engine(
     samples: Sequence[Sequence[float]],
     config=None,
     workers: int = 2,
-    pool_size: int = 16,
     queue_capacity: int = 64,
     policy: Optional[EnginePolicy] = None,
     seed: int = 0,
@@ -439,7 +432,6 @@ def run_engine(
         model,
         config=config,
         workers=workers,
-        pool_size=pool_size,
         queue_capacity=queue_capacity,
         policy=policy,
         seed=seed,

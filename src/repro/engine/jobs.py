@@ -8,14 +8,13 @@ dataclass of picklable scalars (models travel as the persistence-layer
 JSON documents of :mod:`repro.ml.svm.persistence`).
 
 Seeding discipline: each job carries ``seed = derive_seed(root, "job",
-job_id)``, so the per-job protocol randomness (masks drawn online, OT
-session keys, hiding polynomials) is a pure function of the job id —
-never of which worker runs it or in which order.  The only
-scheduling-dependent randomness is the precompute *bundle* a worker
-pops from its own pool (mask/amplifier material), which randomizes the
-masked value but never the label, the similarity metric, or the sign —
-those are what the differential suite pins (see
-``tests/engine/test_engine.py``).
+job_id)`` and draws all of its protocol randomness (masks, hiding
+polynomials, OT keys) online from it, exactly as
+:func:`~repro.core.classification.linear.classify_linear` does with
+the same seed.  A job's whole outcome (label or similarity metric,
+masked value, bytes) is therefore a pure function of the job id —
+never of which worker runs it or in which order; the differential
+suite pins this (see ``tests/engine/test_engine.py``).
 
 The failure-injection fields exist for the retry/timeout tests: they
 let a test deterministically make the first ``inject_failures``

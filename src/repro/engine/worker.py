@@ -1,21 +1,18 @@
 """Worker-side execution for the multi-core protocol engine.
 
 Each worker process owns the mutable, non-picklable protocol state:
-the reconstructed model and decision function, its *own*
-:class:`~repro.core.ompe.precompute.SenderPool` /
-:class:`~repro.core.ompe.precompute.ReceiverPool` bundles (refilled
-transparently when drained, mirroring
-:class:`~repro.core.classification.session.PrivateClassificationSession`),
-a seeded :class:`~repro.utils.rng.ReproRandom` stream forked per
-``(engine seed, worker id)``, and an in-process
-:class:`~repro.obs.MetricsRegistry` (plus an optional tracer) whose
-snapshot travels back to the parent on drain.
+the reconstructed models, decision function and similarity profiles,
+and an in-process :class:`~repro.obs.MetricsRegistry` (plus an
+optional tracer) whose snapshot travels back to the parent on drain.
+A job draws all of its protocol randomness online from its own seed,
+as :func:`~repro.core.classification.linear.classify_linear` does, so
+a worker holds no randomness of its own.
 
 The same :func:`execute_job` body also backs :func:`run_jobs_serial`,
 the single-process reference path the differential tests compare the
-engine against: identical job seeds flow through identical code, so
-labels, similarity values, and masked-value signs cannot depend on
-worker count or scheduling.
+engine against: identical job seeds flow through identical code, so a
+job's whole outcome (label or similarity value, masked value, bytes)
+cannot depend on worker count or scheduling.
 """
 
 from __future__ import annotations
@@ -30,7 +27,6 @@ from repro import obs
 from repro.core.classification.linear import _label_from_value
 from repro.core.classification.session import decision_function_for_model
 from repro.core.ompe import OMPEConfig, OMPEFunction, execute_ompe
-from repro.core.ompe.precompute import ReceiverPool, SenderPool, draw_pools
 from repro.core.similarity import (
     MetricParams,
     SimilarityProfile,
@@ -49,7 +45,6 @@ from repro.exceptions import EngineError, EngineTimeout, ReproError, ValidationE
 from repro.ml.svm.model import SVMModel
 from repro.obs.distributed import adopt_context
 from repro.ml.svm.persistence import model_from_dict, model_to_dict
-from repro.utils.rng import ReproRandom
 
 
 @dataclass(frozen=True)
@@ -63,8 +58,6 @@ class EngineSpec:
 
     model_document: dict
     config: OMPEConfig
-    seed: int
-    pool_size: int = 16
     timeout_s: Optional[float] = None
     trace: bool = False
     #: Optional keyed collection of additional left-side models for
@@ -78,10 +71,6 @@ class EngineSpec:
     metric_params: Optional[MetricParams] = None
 
     def __post_init__(self) -> None:
-        if self.pool_size < 1:
-            raise ValidationError(
-                f"pool_size must be at least 1, got {self.pool_size}"
-            )
         if self.timeout_s is not None and self.timeout_s <= 0:
             raise ValidationError(
                 f"timeout_s must be positive, got {self.timeout_s}"
@@ -91,8 +80,6 @@ class EngineSpec:
 def make_spec(
     model: SVMModel,
     config: Optional[OMPEConfig] = None,
-    seed: int = 0,
-    pool_size: int = 16,
     timeout_s: Optional[float] = None,
     trace: bool = False,
     models: Optional[dict] = None,
@@ -115,8 +102,6 @@ def make_spec(
     return EngineSpec(
         model_document=model_to_dict(model),
         config=config or OMPEConfig(),
-        seed=seed,
-        pool_size=pool_size,
         timeout_s=timeout_s,
         trace=trace,
         model_documents=documents,
@@ -126,16 +111,12 @@ def make_spec(
 
 @dataclass
 class WorkerState:
-    """Per-worker protocol state (model, pools, seeded streams)."""
+    """Per-worker protocol state (models, decision function, profiles)."""
 
     worker_id: int
     spec: EngineSpec
     model: SVMModel
     function: OMPEFunction
-    root: ReproRandom
-    sender_pool: Optional[SenderPool] = None
-    receiver_pool: Optional[ReceiverPool] = None
-    refills: int = 0
     jobs_done: int = 0
     #: Lazily reconstructed keyed left models (``spec.model_documents``).
     extra_models: Dict[str, SVMModel] = field(default_factory=dict)
@@ -151,7 +132,6 @@ class WorkerState:
             spec=spec,
             model=model,
             function=decision_function_for_model(model),
-            root=ReproRandom(spec.seed).fork("worker", worker_id),
         )
 
     def model_for(self, left_key: Optional[str]) -> SVMModel:
@@ -182,39 +162,6 @@ class WorkerState:
             )
             self.profiles[left_key] = profile
         return profile
-
-    # -- precompute pools --------------------------------------------------
-
-    def _refill_pools(self) -> None:
-        """Regenerate both pools from the worker's seeded stream.
-
-        Raw pools raise :class:`~repro.exceptions.OMPEError` when
-        popped empty (pinned in ``tests/core/test_precompute.py``); the
-        worker — like ``PrivateClassificationSession`` — refills
-        transparently instead, so a long drain never trips exhaustion.
-        """
-        self.refills += 1
-        self.sender_pool, self.receiver_pool = draw_pools(
-            self.spec.config,
-            self.function,
-            self.spec.pool_size,
-            self.root.fork("pools", self.refills),
-        )
-        metrics = obs.get_metrics()
-        if metrics.enabled:
-            metrics.counter(
-                "repro_engine_refills_total",
-                "Precompute pool refills across engine workers",
-            ).inc()
-
-    def _pools(self) -> Tuple[SenderPool, ReceiverPool]:
-        if (
-            self.sender_pool is None
-            or self.receiver_pool is None
-            or min(len(self.sender_pool), len(self.receiver_pool)) == 0
-        ):
-            self._refill_pools()
-        return self.sender_pool, self.receiver_pool
 
 
 @contextmanager
@@ -303,7 +250,6 @@ def _run_classification(
     state: WorkerState, job: ClassificationJob, attempt: int
 ) -> JobResult:
     start = time.perf_counter()
-    sender_pool, receiver_pool = state._pools()
     outcome = execute_ompe(
         state.function,
         tuple(job.sample),
@@ -311,8 +257,6 @@ def _run_classification(
         seed=job.seed,
         amplify=True,
         offset=False,
-        sender_pool=sender_pool,
-        receiver_pool=receiver_pool,
     )
     return JobResult(
         job_id=job.job_id,
@@ -391,15 +335,6 @@ def worker_main(worker_id: int, spec: EngineSpec, job_queue, result_queue) -> No
         job, attempt = item
         result = execute_job(state, job, attempt)
         result_queue.put(("result", result, job))
-    registry.gauge(
-        "repro_engine_pool_remaining",
-        "Unused precompute bundles per worker at drain",
-    ).set(
-        min(len(state.sender_pool), len(state.receiver_pool))
-        if state.sender_pool is not None and state.receiver_pool is not None
-        else 0,
-        worker=str(worker_id),
-    )
     result_queue.put(
         (
             "drain",
@@ -417,7 +352,7 @@ def run_jobs_serial(
     """Reference path: execute ``jobs`` in order in this process.
 
     Uses the identical :func:`execute_job` body and per-job seeds as
-    the worker pool, with one worker state (``worker_id=0``).  Returns
+    the worker fleet, with one worker state (``worker_id=0``).  Returns
     the results (in submission order) and the metrics snapshot, for
     differential comparison against a parallel drain.
     """

@@ -6,13 +6,12 @@ from repro.evaluation.harness import (
     available_experiments,
     run_experiment,
 )
-from repro.evaluation.report import render_markdown, render_text, run_all
+from repro.evaluation.report import render_text, run_all
 
 __all__ = [
     "ExperimentResult",
     "available_experiments",
     "run_experiment",
-    "render_markdown",
     "render_text",
     "run_all",
 ]

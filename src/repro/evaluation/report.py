@@ -1,8 +1,7 @@
 """Report generation: run every experiment and render the results.
 
 ``python -m repro.evaluation.report`` regenerates all tables/figures
-and prints them; :func:`render_markdown` renders one result as a
-markdown table.
+and prints them.
 """
 
 from __future__ import annotations
@@ -28,23 +27,6 @@ def run_all(
 def render_text(results: Dict[str, ExperimentResult]) -> str:
     """Render all results as plain text."""
     return "\n\n".join(results[key].to_text() for key in sorted(results))
-
-
-def render_markdown(result: ExperimentResult) -> str:
-    """Render one experiment as a GitHub-flavored markdown table."""
-    columns = list(result.columns)
-    lines = [f"### {result.experiment_id} — {result.title}", ""]
-    lines.append("| " + " | ".join(columns) + " |")
-    lines.append("|" + "|".join("---" for _ in columns) + "|")
-    for row in result.rows:
-        rendered = []
-        for column in columns:
-            value = row[column]
-            rendered.append(f"{value:.4g}" if isinstance(value, float) else str(value))
-        lines.append("| " + " | ".join(rendered) + " |")
-    if result.notes:
-        lines.extend(["", f"*{result.notes}*"])
-    return "\n".join(lines)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> None:

@@ -142,13 +142,11 @@ class EngineLinkageRunner(LinkageRunner):
     def __init__(
         self,
         workers: int = 2,
-        pool_size: int = 16,
         queue_capacity: int = 64,
         policy: Optional[EnginePolicy] = None,
         seed: int = 0,
     ) -> None:
         self.workers = workers
-        self.pool_size = pool_size
         self.queue_capacity = queue_capacity
         self.policy = policy
         self.seed = seed
@@ -159,7 +157,6 @@ class EngineLinkageRunner(LinkageRunner):
             models=spec.left,
             config=spec.config,
             workers=self.workers,
-            pool_size=self.pool_size,
             queue_capacity=self.queue_capacity,
             policy=self.policy,
             seed=self.seed,

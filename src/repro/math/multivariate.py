@@ -286,9 +286,3 @@ class MultivariatePolynomial:
     def scale(self, factor: Number) -> "MultivariatePolynomial":
         """Return ``factor * self``."""
         return self * factor
-
-    def to_float(self) -> "MultivariatePolynomial":
-        """Copy with all coefficients as floats."""
-        return MultivariatePolynomial(
-            self._arity, {e: float(c) for e, c in self._terms.items()}
-        )

@@ -73,11 +73,11 @@ class Polynomial:
     ) -> "Polynomial":
         """Random polynomial of exactly ``degree`` with fixed constant term.
 
-        This is the paper's masking-polynomial generator: ``h(u)`` uses
-        ``constant_term=0`` and the client's hiding polynomials ``g_i``
-        use ``constant_term=t_i``.  The leading coefficient is forced
-        nonzero so the degree is exact.  Coefficients are ``Fraction``
-        draws on ``rng``'s lattice; :meth:`to_float` gives a float copy.
+        This is the paper's masking-polynomial generator: the sender's
+        ``h(u)`` uses ``constant_term=0``
+        (:func:`repro.core.ompe.precompute.draw_sender_bundle`).  The
+        leading coefficient is forced nonzero so the degree is exact.
+        Coefficients are ``Fraction`` draws on ``rng``'s lattice.
         """
         if degree < 0:
             raise ValidationError(f"degree must be non-negative, got {degree}")
@@ -248,7 +248,3 @@ class Polynomial:
             base = base * base
             exponent >>= 1
         return result
-
-    def to_float(self) -> "Polynomial":
-        """Return a copy with all coefficients as floats."""
-        return Polynomial([float(c) for c in self._coefficients])

@@ -3,18 +3,17 @@
 Two-party protocols in this library are written as plain sequential
 code (both roles in one process, communicating strictly through the
 channel).  :class:`ProtocolReport` bundles everything an experiment
-needs afterwards: the result, the transcript, wall-clock timings per
-phase, and the simulated network time.
+needs afterwards: the result, the transcript, and the simulated
+network time.  Wall time per phase lives in the trace spans.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict
 
 from repro.net.channel import Channel
 from repro.net.transcript import Transcript
-from repro.utils.timer import TimingRecorder
 
 
 @dataclass
@@ -23,7 +22,6 @@ class ProtocolReport:
 
     result: Any
     transcript: Transcript
-    timings: TimingRecorder = field(default_factory=TimingRecorder)
     simulated_network_s: float = 0.0
 
     @property
@@ -38,24 +36,19 @@ class ProtocolReport:
 
     def summary(self) -> Dict[str, object]:
         """Flat dictionary for tables and benchmark reports."""
-        summary = {
+        return {
             "total_bytes": self.total_bytes,
             "rounds": self.rounds,
             "messages": len(self.transcript),
             "simulated_network_s": self.simulated_network_s,
         }
-        summary.update(
-            {f"time_{name}_s": total for name, total in self.timings.as_dict().items()}
-        )
-        return summary
 
 
-def finish_report(result: Any, channel: Channel, timings: TimingRecorder) -> ProtocolReport:
+def finish_report(result: Any, channel: Channel) -> ProtocolReport:
     """Build a report and assert the channel drained cleanly."""
     channel.assert_drained()
     return ProtocolReport(
         result=result,
         transcript=channel.transcript,
-        timings=timings,
         simulated_network_s=channel.simulated_time,
     )

@@ -4,6 +4,7 @@
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.core.baselines import (
     classify_paillier,
     classify_plain,
@@ -71,11 +72,15 @@ class TestPaillierBaseline:
 
     def test_timing_phases_recorded(self, linear_model):
         model, data = linear_model
-        outcome = classify_paillier(model, data.X_test[0], key_bits=256, seed=3)
-        names = outcome.report.timings.names()
-        assert "client/keygen" in names
-        assert "trainer/evaluate" in names
-        assert "client/decrypt" in names
+        with obs.observed() as (tracer, _):
+            classify_paillier(model, data.X_test[0], key_bits=256, seed=3)
+        names = [span.name for span, _ in tracer.spans()]
+        assert names == [
+            "paillier.keygen",
+            "paillier.encrypt",
+            "paillier.evaluate",
+            "paillier.decrypt",
+        ]
 
     def test_rejects_nonlinear(self):
         data = two_gaussians("pn", dimension=2, train_size=50, test_size=5, seed=4)

@@ -13,9 +13,11 @@ them by plain ``Fraction`` Horner.  These tests hold the two to the
 same *bytes* (``encode_payload``) and the same value types, for the
 online and pooled receivers and the receiver of a run of several
 functions, pin the stream layout with known-answer digests, and check
-the sampler's range and uniformity.  Known-answer digests also pin the
-mask/amplifier/offset draws of online and pooled senders and of
-senders of several functions.
+the sampler's range and uniformity.  Online and pooled receivers share
+one draw (:func:`~repro.core.ompe.precompute.draw_receiver_bundle`) and
+one oracle; only the root stream differs.  Known-answer digests also
+pin the mask/amplifier/offset draws of online and pooled senders and
+of senders of several functions.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import pytest
 from repro import obs
 from repro.core.ompe import OMPEConfig, hiding
 from repro.core.ompe.function import OMPEFunction
-from repro.core.ompe.precompute import ReceiverPool, SenderPool
+from repro.core.ompe.precompute import ReceiverPool, SenderPool, draw_receiver_bundle
 from repro.core.ompe.receiver import OMPEReceiver
 from repro.core.ompe.sender import OMPESender
 from repro.core.similarity import (
@@ -215,9 +217,12 @@ def digest(messages) -> str:
 #: ``online`` and ``pooled`` digests were recorded from the
 #: keyed BLAKE2b hider stream (``hiding.lattice_numerators``); they pin
 #: its key, message layout and draw order together with the fork labels
-#: of nodes, positions and disguise constants.  ``batch`` (a run of one
-#: function per vector, hiding their concatenation once) was recorded
-#: when the separate batched conversation gave way to that run.
+#: of nodes, positions and disguise constants.  ``pooled`` was
+#: re-recorded when the pool took the online draw's label tree
+#: (``covers`` + ``("g",)``; disguise ``j`` at ``("poly", j)`` +
+#: ``("g",)``).  ``batch`` (a run of one function per vector, hiding
+#: their concatenation once) was recorded when the separate batched
+#: conversation gave way to that run.
 #: The ``sender-*`` digests pin the sender's mask/amplifier/offset draws
 #: the same way (``sender-batch``: per-function draws of senders of
 #: several functions); labels and T² are exact whatever the masks, so
@@ -225,7 +230,7 @@ def digest(messages) -> str:
 KNOWN_ANSWERS = {
     "online": "52befec8296ca4b52d2a55b891553cee19ee543c284d7d29081f3ea03a36b0f2",
     "batch": "c8398b39111dd9385d1a11485228f0249f90f5d2c13106d96ea8463e54d3142c",
-    "pooled": "8449723fc2fd59b151c3b3de283ce45734f9e543dd87b30b41a8ce88e7990d64",
+    "pooled": "3024046a67523cd5c9bb0975e4e27ca0ca8396cb8714723e5879ce761cb1e6df",
     "sender-online": "34ff1ec77385b03fb9558e03f6cd9b993a3eb2ae8a56971986c7ccd99f6da927",
     "sender-pooled": "d5b0c9410b034b92b059af9028e7e9bea825278c88e03e026af8fd4973cc7d4e",
     "sender-batch": "2331de385b50cf10fa5efd9cab48edccb8dc86e12ae393b0c67daba5e1899080",
@@ -274,12 +279,12 @@ def oracle_disguise(draw, parent, prefix, arity, node, config) -> tuple:
     return evaluate(hiding_polynomials(parent, prefix, constants, config), node)
 
 
-def oracle_pairs(vector, config, draw, cover_parent, disguise_parent, degree):
+def oracle_pairs(vector, config, draw, degree):
     """One query's points message, rebuilt from ``draw``'s label tree:
-    covers from ``cover_parent``, the disguise at position ``i`` from
-    ``disguise_parent(disguise_draw, i)``."""
+    covers from ``draw.fork("covers")``, the disguise at position ``i``
+    from the fork ``("poly", i)`` of ``draw.fork("disguises")``."""
     pair_count = config.pair_count(degree)
-    covers = hiding_polynomials(cover_parent, ("g",), vector, config)
+    covers = hiding_polynomials(draw.fork("covers"), ("g",), vector, config)
     nodes = hiding.draw_nodes(draw.fork("nodes"), pair_count, config)
     positions = set(
         draw.fork("positions").sample_indices(pair_count, config.cover_count(degree))
@@ -290,24 +295,20 @@ def oracle_pairs(vector, config, draw, cover_parent, disguise_parent, degree):
         if index in positions:
             vector_at = evaluate(covers, node)
         else:
-            parent, prefix = disguise_parent(disguise_draw, index)
             vector_at = oracle_disguise(
-                disguise_draw, parent, prefix, len(vector), node, config
+                disguise_draw,
+                disguise_draw.fork("poly", index),
+                ("g",),
+                len(vector),
+                node,
+                config,
             )
         pairs.append((node, vector_at))
     return tuple(pairs)
 
 
 def oracle_online(vector, config, degree, seed):
-    draw = ReproRandom(seed).fork("hide")
-    return oracle_pairs(
-        vector, config, draw, draw.fork("covers"),
-        lambda parent, index: (parent.fork("poly", index), ("g",)), degree,
-    )
-
-
-def _poly_prefix(parent, index):
-    return parent, ("poly", index)
+    return oracle_pairs(vector, config, ReproRandom(seed).fork("hide"), degree)
 
 
 def oracle_batch(vectors, config, degree, seed):
@@ -315,8 +316,7 @@ def oracle_batch(vectors, config, degree, seed):
 
 
 def oracle_pooled(vector, config, degree, seed):
-    draw = ReproRandom(seed + 1).fork("bundle", 0)
-    return oracle_pairs(vector, config, draw, draw, _poly_prefix, degree)
+    return oracle_pairs(vector, config, ReproRandom(seed + 1).fork("bundle", 0), degree)
 
 
 def assert_identical(fast, naive):
@@ -351,13 +351,30 @@ class TestFastMatchesNaive:
         args = (inputs_for(kind, arity), shape_config(q, arity), shape_degree(q, arity))
         assert_identical(pooled_points(*args, seed=q), oracle_pooled(*args, seed=q))
 
+    @pytest.mark.parametrize("q,arity,kind", [(1, 1, "int"), (3, 17, "bigden")])
+    def test_online_is_the_bundle_draw(self, q, arity, kind):
+        """The online receiver sends the points of
+        ``draw_receiver_bundle`` on its ``hide`` fork."""
+        vector, config = inputs_for(kind, arity), shape_config(q, arity)
+        degree = shape_degree(q, arity)
+        bundle = draw_receiver_bundle(
+            ReproRandom(q).fork("hide"), config, arity, degree
+        )
+        assert_identical(
+            online_points(vector, config, degree, seed=q), bundle.points(vector, config)
+        )
+
     def test_integer_constants_and_nodes(self):
         """Plain ``int`` constant terms and an ``int`` node take the lattice
         path too, with the oracle's ``Fraction`` results."""
         config = shape_config(2, 3)
         constants = (3, -1, 0)
         nodes = (Fraction(-5, 3), 2, Fraction(7, 1))
-        hiders = hiding.draw_hiders(ReproRandom(5), ("g",), constants, config)
+        hiders = hiding.Hiders(
+            config.security_degree,
+            constants=[(c, 1) for c in constants],
+            numerators=hiding.draw_numerators(ReproRandom(5), ("g",), 3, config),
+        )
         polynomials = hiding_polynomials(ReproRandom(5), ("g",), constants, config)
         assert_identical(
             tuple(hiders.at(node) for node in nodes),
@@ -454,7 +471,11 @@ class TestLatticeSampler:
             assert rows != hiding.draw_numerators(ReproRandom(-seed), ("g",), 4, config)
 
         constants = inputs_for("fraction", 4)
-        hiders = hiding.draw_hiders(parent, ("g",), constants, config)
+        hiders = hiding.Hiders(
+            config.security_degree,
+            constants=[(c.numerator, c.denominator) for c in constants],
+            numerators=rows,
+        )
         polynomials = hiding_polynomials(parent, ("g",), constants, config)
         assert_identical(
             hiders.at(Fraction(-7, 3)), evaluate(polynomials, Fraction(-7, 3))

@@ -183,8 +183,7 @@ class TestScoreTableBuilders:
         probes = synthetic_population(2, DIMENSION, seed=PROBE_SEED)
         (subject_id,) = subjects
         with ProtocolEngine(
-            subjects[subject_id], config=fast_config, workers=1,
-            pool_size=2, seed=11,
+            subjects[subject_id], config=fast_config, workers=1, seed=11,
         ) as engine:
             job_ids = [
                 engine.submit_similarity(probes[probe_id])

@@ -5,7 +5,10 @@ from fractions import Fraction
 import pytest
 
 from repro.core.ompe import (
+    OMPEConfig,
     OMPEFunction,
+    OMPEReceiver,
+    OMPESender,
     ReceiverPool,
     SenderPool,
     execute_ompe,
@@ -123,6 +126,30 @@ class TestPooledExecution:
                 receiver_pool=receiver_pool,
             )
 
+    def test_sender_refuses_pool_of_another_config(self, function):
+        # A q=1 pool would mask with degree 1 where deg(P)·q = 3 is required.
+        pool = SenderPool(OMPEConfig(security_degree=1), 1, 1, ReproRandom(16))
+        with pytest.raises(OMPEError, match="another OMPE config"):
+            OMPESender("alice", function, OMPEConfig(security_degree=3), pool=pool)
+        with pytest.raises(OMPEError, match="another OMPE config"):
+            execute_ompe(
+                function, ALPHA, config=OMPEConfig(security_degree=3), seed=16,
+                sender_pool=pool,
+            )
+        assert len(pool) == 1
+
+    def test_receiver_refuses_pool_of_another_config(self, function):
+        # A (q=1, k=4) pool would hide the input at q=1 among 8 pairs.
+        pool = ReceiverPool(
+            OMPEConfig(security_degree=1, cover_expansion=4), 2, 1, 1, ReproRandom(17)
+        )
+        config = OMPEConfig(security_degree=3, cover_expansion=2)
+        with pytest.raises(OMPEError, match="another OMPE config"):
+            OMPEReceiver("bob", ALPHA, config, pool=pool)
+        with pytest.raises(OMPEError, match="another OMPE config"):
+            execute_ompe(function, ALPHA, config=config, seed=17, receiver_pool=pool)
+        assert len(pool) == 1
+
     def test_degree_mismatch_rejected(self, fast_config, function):
         sender_pool = SenderPool(fast_config, 3, 1, ReproRandom(6))
         with pytest.raises(OMPEError):
@@ -162,8 +189,7 @@ class TestPooledExecution:
 class TestExhaustionContract:
     """Pin the exhaustion/refill split documented on ``pop()``: raw
     pools fail loud when empty and never regenerate themselves; the
-    session and engine layers refill transparently from their own
-    seeded streams."""
+    session refills transparently from its own seeded stream."""
 
     def test_raw_pools_never_self_refill(self, fast_config):
         sender_pool = SenderPool(fast_config, 1, 2, ReproRandom(21))
@@ -204,20 +230,3 @@ class TestExhaustionContract:
         ]
         assert all(o.label in (-1.0, 1.0) for o in outcomes)
         assert session.queries_served == 5
-
-    def test_engine_worker_refills_transparently(self, fast_config):
-        from repro.engine import make_spec
-        from repro.engine.jobs import ClassificationJob
-        from repro.engine.worker import WorkerState, execute_job
-        from repro.ml.svm.model import make_linear_model
-
-        model = make_linear_model([1.0, -0.5], bias=0.1)
-        spec = make_spec(model, config=fast_config, seed=99, pool_size=2)
-        state = WorkerState.from_spec(spec, worker_id=0)
-        jobs = [
-            ClassificationJob(job_id=i, sample=(0.2 * i, -0.1 * i), seed=i)
-            for i in range(5)
-        ]
-        results = [execute_job(state, job, attempt=1) for job in jobs]
-        assert all(result.ok for result in results)
-        assert state.refills == 3  # ceil(5 / 2) refills for 5 queries

@@ -236,7 +236,6 @@ class TestProfileReuse:
         spec = EngineSpec(
             model_document=model_to_dict(left),
             config=light_config,
-            seed=1,
             metric_params=PARAMS,
         )
         state = WorkerState.from_spec(spec, worker_id=0)

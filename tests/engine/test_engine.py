@@ -2,10 +2,12 @@
 
 The differential backbone: every parallel drain is compared against
 :func:`repro.engine.run_jobs_serial`, which runs the *same*
-``execute_job`` body with the same per-job seeds in one process.
-Labels, similarity metrics, and merged protocol counters must be
-identical regardless of worker count or scheduling; only the masked
-values (which depend on worker-local precompute bundles) may differ.
+``execute_job`` body with the same per-job seeds in one process, and
+against :func:`~repro.core.classification.linear.classify_linear` with
+each job's seed.  A job draws all of its randomness from its seed, so
+whole outcomes (labels, masked values, bytes, similarity metrics) and
+merged protocol counters must be identical regardless of worker count
+or scheduling.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import time
 import pytest
 
 from repro import obs
+from repro.core.classification import classify_linear
 from repro.core.similarity import MetricParams, evaluate_similarity_private
 from repro.engine import (
     EnginePolicy,
@@ -54,7 +57,7 @@ def samples():
 
 @pytest.fixture(scope="module")
 def spec(model, fast_config):
-    return make_spec(model, config=fast_config, seed=SEED, pool_size=4)
+    return make_spec(model, config=fast_config)
 
 
 def counter_total(snapshot, name):
@@ -96,8 +99,7 @@ class TestJobs:
             EngineSpec(
                 model_document=model_to_dict(model),
                 config=fast_config,
-                seed=0,
-                pool_size=0,
+                timeout_s=0.0,
             )
 
     def test_engine_validation(self, model, fast_config):
@@ -121,6 +123,11 @@ class TestSerialReference:
         assert counter_total(snapshot, "repro_ompe_runs_total") == len(samples)
 
 
+def outcomes(results):
+    """What a classification job computes: label, masked value, bytes."""
+    return [(r.label, r.value, r.total_bytes) for r in results]
+
+
 class TestEngineDifferential:
     """Engine results are order-independent: sorted-by-job-id equality
     with the serial path at every worker count."""
@@ -133,16 +140,22 @@ class TestEngineDifferential:
             spec, classification_jobs(samples)
         )
         report = run_engine(
-            model,
-            samples,
-            config=fast_config,
-            workers=workers,
-            pool_size=4,
-            seed=SEED,
+            model, samples, config=fast_config, workers=workers, seed=SEED
         )
         assert not report.failed
         assert [r.job_id for r in report.results] == list(range(len(samples)))
-        assert [r.label for r in report.results] == [r.label for r in serial]
+        # The whole outcome, masked value and bytes included, is a pure
+        # function of the job seed: the serial path and a one-shot
+        # classify_linear with that seed compute the same.
+        direct = [
+            classify_linear(
+                model, sample, config=fast_config, seed=derive_seed(SEED, "job", index)
+            )
+            for index, sample in enumerate(samples)
+        ]
+        assert outcomes(report.results) == outcomes(serial) == [
+            (d.label, d.randomized_value, d.total_bytes) for d in direct
+        ]
         # Merged per-worker metrics are lossless: the OMPE session count
         # equals the serial run's exactly (the ISSUE acceptance check).
         merged = counter_total(
@@ -156,7 +169,7 @@ class TestEngineDifferential:
         self, model, other_model, fast_config
     ):
         with ProtocolEngine(
-            model, config=fast_config, workers=2, seed=SEED, pool_size=2
+            model, config=fast_config, workers=2, seed=SEED
         ) as engine:
             job_id = engine.submit_similarity(other_model)
             report = engine.drain()
@@ -174,7 +187,7 @@ class TestEngineDifferential:
 
     def test_mixed_jobs_sorted_by_id(self, model, other_model, fast_config):
         with ProtocolEngine(
-            model, config=fast_config, workers=2, seed=SEED, pool_size=4
+            model, config=fast_config, workers=2, seed=SEED
         ) as engine:
             engine.submit_classification([0.4, -0.3, 0.1])
             engine.submit_similarity(other_model)
@@ -196,7 +209,6 @@ class TestRetryAndTimeout:
             config=fast_config,
             workers=1,
             seed=SEED,
-            pool_size=2,
             policy=EnginePolicy(max_retries=3),
         ) as engine:
             engine.submit_classification([0.1, 0.2, 0.3], inject_failures=2)
@@ -213,7 +225,6 @@ class TestRetryAndTimeout:
             config=fast_config,
             workers=1,
             seed=SEED,
-            pool_size=2,
             policy=EnginePolicy(max_retries=1),
         ) as engine:
             engine.submit_classification([0.1, 0.2, 0.3], inject_failures=5)
@@ -233,7 +244,6 @@ class TestRetryAndTimeout:
             config=fast_config,
             workers=1,
             seed=SEED,
-            pool_size=2,
             policy=EnginePolicy(timeout_s=0.2, max_retries=0),
         ) as engine:
             engine.submit_classification([0.1, 0.2, 0.3], inject_delay_s=5.0)
@@ -247,8 +257,6 @@ class TestRetryAndTimeout:
         slow_spec = EngineSpec(
             model_document=spec.model_document,
             config=spec.config,
-            seed=spec.seed,
-            pool_size=spec.pool_size,
             timeout_s=0.05,
         )
         state.spec = slow_spec
@@ -269,7 +277,6 @@ class TestBackpressure:
             config=fast_config,
             workers=1,
             seed=SEED,
-            pool_size=4,
             queue_capacity=1,
         ) as engine:
             engine.submit_classification([0.1, 0.2, 0.3], inject_delay_s=1.0)
@@ -291,7 +298,7 @@ class TestLifecycle:
 
     def test_submit_after_drain_raises(self, model, fast_config):
         with ProtocolEngine(
-            model, config=fast_config, workers=1, seed=SEED, pool_size=2
+            model, config=fast_config, workers=1, seed=SEED
         ) as engine:
             engine.submit_classification([0.1, 0.2, 0.3])
             engine.drain()
@@ -308,7 +315,6 @@ class TestLifecycle:
                 [[0.1, 0.2, 0.3], [0.4, 0.5, 0.6]],
                 config=fast_config,
                 workers=2,
-                pool_size=2,
                 seed=SEED,
             )
         finally:
@@ -338,12 +344,9 @@ class TestWorkerMain:
         _, worker_id, jobs_done, snapshot, trace = records[-1]
         assert worker_id == 7 and jobs_done == 3 and trace is None
         assert counter_total(snapshot, "repro_ompe_runs_total") == 3
-        assert "repro_engine_pool_remaining" in snapshot
 
     def test_trace_enabled_ships_jsonl(self, model, fast_config, samples):
-        spec = make_spec(
-            model, config=fast_config, seed=SEED, pool_size=2, trace=True
-        )
+        spec = make_spec(model, config=fast_config, trace=True)
         jobs_in, results_out = queue.Queue(), queue.Queue()
         jobs_in.put((classification_jobs(samples)[0], 1))
         jobs_in.put(DRAIN)
@@ -362,8 +365,6 @@ class TestWorkerMain:
         bad_spec = EngineSpec(
             model_document={"schema": "nonsense"},
             config=fast_config,
-            seed=0,
-            pool_size=2,
         )
         jobs_in, results_out = queue.Queue(), queue.Queue()
         previous = obs.get_metrics()
@@ -373,12 +374,3 @@ class TestWorkerMain:
             obs.set_metrics(previous)
         record = results_out.get()
         assert record[0] == "fatal" and record[1] == 0
-
-    def test_pool_refill_transparent(self, spec, samples):
-        """More jobs than pool_size: the worker refills instead of
-        raising the raw pools' exhaustion OMPEError."""
-        state = WorkerState.from_spec(spec, worker_id=0)
-        jobs = classification_jobs(samples)  # 8 jobs > pool_size 4
-        results = [execute_job(state, job, attempt=1) for job in jobs]
-        assert all(result.ok for result in results)
-        assert state.refills >= 2

@@ -60,15 +60,3 @@ class TestObservabilityWiring:
             run_experiment("fig6")
         spans = find(tracer, "experiment")
         assert spans and spans[0].attributes["experiment"] == "fig6"
-
-
-class TestRendering:
-    def test_markdown(self):
-        from repro.evaluation.report import render_markdown
-
-        result = ExperimentResult(
-            experiment_id="x", title="X", columns=["v"], rows=[{"v": 1.23456}]
-        )
-        markdown = render_markdown(result)
-        assert "| v |" in markdown
-        assert "1.235" in markdown

@@ -2,11 +2,7 @@
 
 
 from repro.evaluation.harness import ExperimentResult
-from repro.evaluation.report import (
-    render_markdown,
-    render_text,
-    run_all,
-)
+from repro.evaluation.report import render_text, run_all
 
 
 class TestRunAll:
@@ -20,20 +16,6 @@ class TestRunAll:
         text = render_text(results)
         assert "Retrieval" in text
         assert "EXTENSION" in text
-
-
-class TestMarkdown:
-    def test_round_numbers_rendered(self):
-        result = ExperimentResult(
-            experiment_id="x", title="X",
-            columns=["name", "value"],
-            rows=[{"name": "row", "value": 0.123456}],
-            notes="remark",
-        )
-        markdown = render_markdown(result)
-        assert "0.1235" in markdown
-        assert "*remark*" in markdown
-        assert markdown.startswith("### x — X")
 
 
 class TestMainEntry:

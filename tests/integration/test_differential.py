@@ -9,7 +9,8 @@ signs* must be identical on identical inputs: any divergence means one
 path evaluates a different polynomial than the others.
 
 A fourth pairing checks the engine: classification through
-:class:`repro.engine.ProtocolEngine` must produce the same labels as
+:class:`repro.engine.ProtocolEngine` must produce the same labels,
+masked values and bytes as
 :func:`repro.core.classification.classify_linear` with the engine's own
 derived per-job seeds.
 """
@@ -102,25 +103,20 @@ class TestEngineVsDirectProtocol:
     def test_engine_labels_match_classify_linear(
         self, model, fast_config, samples
     ):
-        report = run_engine(
-            model,
-            samples,
-            config=fast_config,
-            workers=2,
-            pool_size=4,
-            seed=SEED,
-        )
+        report = run_engine(model, samples, config=fast_config, workers=2, seed=SEED)
         assert not report.failed
-        direct_labels = [
+        direct = [
             classify_linear(
                 model,
                 sample,
                 config=fast_config,
                 seed=derive_seed(SEED, "job", index),
-            ).label
+            )
             for index, sample in enumerate(samples)
         ]
-        assert [result.label for result in report.results] == direct_labels
+        assert [(r.label, r.value, r.total_bytes) for r in report.results] == [
+            (d.label, d.randomized_value, d.total_bytes) for d in direct
+        ]
 
     def test_boundary_sample_classified_positive_everywhere(
         self, model, fast_config, samples
@@ -131,8 +127,5 @@ class TestEngineVsDirectProtocol:
         assert model.exact_decision_value(list(boundary)) == 0
         direct = classify_linear(model, boundary, config=fast_config, seed=1)
         assert direct.label == 1.0
-        report = run_engine(
-            model, [boundary], config=fast_config, workers=1,
-            pool_size=2, seed=SEED,
-        )
+        report = run_engine(model, [boundary], config=fast_config, workers=1, seed=SEED)
         assert report.results[0].label == 1.0

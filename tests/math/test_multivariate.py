@@ -124,7 +124,3 @@ class TestArithmetic:
             _ = p + q
         with pytest.raises(ValidationError):
             _ = p * q
-
-    def test_conversions(self):
-        p = MultivariatePolynomial(1, {(2,): Fraction(1, 3)})
-        assert isinstance(list(p.to_float().terms.values())[0], float)

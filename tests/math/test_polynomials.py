@@ -139,7 +139,3 @@ class TestArithmetic:
         x = Fraction(3, 2)
         naive = sum(c * x**i for i, c in enumerate(p.coefficients))
         assert p(x) == naive
-
-    def test_conversions(self):
-        p = Polynomial([Fraction(1, 2), Fraction(3)])
-        assert all(isinstance(c, float) for c in p.to_float().coefficients)

@@ -7,6 +7,7 @@ import pytest
 import scipy.stats
 
 from repro.exceptions import ValidationError
+from repro.math.polynomials import Polynomial
 from repro.math.statistics import (
     ks_2samp,
     ks_average_over_dimensions,
@@ -19,6 +20,11 @@ from repro.math.taylor import (
     exp_taylor,
     tanh_taylor,
 )
+
+
+def float_copy(series: Polynomial) -> Polynomial:
+    """``series`` with every coefficient as a ``float``."""
+    return Polynomial([float(c) for c in series.coefficients])
 
 
 class TestBernoulli:
@@ -47,18 +53,18 @@ class TestBernoulli:
 class TestTaylor:
     @pytest.mark.parametrize("z", [-1.0, -0.3, 0.0, 0.4, 1.0])
     def test_exp_accuracy(self, z):
-        series = exp_taylor(12).to_float()
+        series = float_copy(exp_taylor(12))
         assert series(z) == pytest.approx(math.exp(z), rel=1e-8)
 
     @pytest.mark.parametrize("z", [-1.0, -0.5, 0.0, 0.5, 1.0])
     def test_tanh_accuracy(self, z):
-        series = tanh_taylor(15).to_float()
+        series = float_copy(tanh_taylor(15))
         assert series(z) == pytest.approx(math.tanh(z), abs=2e-3)
 
     def test_tanh_converges_slowly_near_radius(self):
         # |z| close to pi/2 needs far higher degree — documents the
         # sigmoid-kernel rescaling requirement of Section IV-B.
-        series = tanh_taylor(15).to_float()
+        series = float_copy(tanh_taylor(15))
         assert abs(series(1.4) - math.tanh(1.4)) > 1e-3
 
     def test_tanh_is_odd(self):
@@ -71,7 +77,7 @@ class TestTaylor:
         for degree in (4, 8):
             # Lagrange remainder on [-1, 1]: e · 1^(d+1) / (d+1)!.
             bound = math.e / math.factorial(degree + 1)
-            series = exp_taylor(degree).to_float()
+            series = float_copy(exp_taylor(degree))
             worst = max(
                 abs(math.exp(z) - series(z)) for z in np.linspace(-1, 1, 41)
             )

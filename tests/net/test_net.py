@@ -22,7 +22,6 @@ from repro.net import (
 )
 from repro.net.service import TrainerClient, TrainerServer
 from repro.utils.serialization import encode_payload, register_payload_type
-from repro.utils.timer import TimingRecorder
 
 
 class TestMeasureSize:
@@ -265,19 +264,15 @@ class TestReport:
         channel = connect_parties(alice, bob)
         alice.send("m", b"xyz")
         bob.receive()
-        timings = TimingRecorder()
-        timings.add("phase", 0.5)
-        report = finish_report("result", channel, timings)
+        report = finish_report("result", channel)
         assert report.result == "result"
         assert report.total_bytes == 8
         assert report.rounds == 1
-        summary = report.summary()
-        assert summary["time_phase_s"] == 0.5
-        assert summary["messages"] == 1
+        assert report.summary()["messages"] == 1
 
     def test_finish_report_undrained(self):
         alice, bob = Party("alice"), Party("bob")
         channel = connect_parties(alice, bob)
         alice.send("m", b"xyz")
         with pytest.raises(ProtocolError):
-            finish_report(None, channel, TimingRecorder())
+            finish_report(None, channel)

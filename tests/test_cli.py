@@ -173,7 +173,6 @@ class TestServeBench:
         assert main([
             "serve-bench", "--jobs", "4", "--workers", "1,2",
             "--dimension", "2", "--security-degree", "1",
-            "--pool-size", "2",
         ]) == 0
         output = capsys.readouterr().out
         assert "jobs/s" in output
