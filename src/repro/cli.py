@@ -419,8 +419,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
               f"{policy_note}, "
               f"bignum backend {fastpath.backend_name()})")
         if args.port_file:
-            with open(args.port_file, "w", encoding="utf-8") as handle:
+            # Renamed into place, so a reader polling for the file never
+            # sees it empty.
+            staging = f"{args.port_file}.tmp"
+            with open(staging, "w", encoding="utf-8") as handle:
                 handle.write(str(port))
+            os.replace(staging, args.port_file)
         served = server.serve_forever(max_sessions=args.max_sessions)
         print(f"served {served} sessions")
     return 0

@@ -15,10 +15,16 @@ an OMPE run is independent of the actual query:
 :func:`draw_sender_bundle` and :func:`draw_receiver_bundle` are each
 role's one draw.  An online run calls them on its own stream when the
 query arrives; :class:`SenderPool` and :class:`ReceiverPool` call them
-ahead of time on the forks ``("bundle", k)`` of theirs, and the roles
-pop from the pools during the online phase (a sender of ``k``
-functions pops one sender bundle per function).  Precomputation thus
-changes when the randomness is drawn, never how.
+ahead of time on the forks ``("bundle", k)`` of theirs.  The sender
+pops one sender bundle per function of its run.  The receiver takes a
+:class:`HiddenInput`: a receiver bundle bound to one input, with its
+points message finished (:meth:`ReceiverBundle.hide`,
+:func:`hide_input`).  An online receiver hides its input when the
+parameters arrive, :func:`~repro.core.ompe.protocol.execute_ompe` hides
+it from a pool before the run starts, and a caller whose input repeats
+across runs may hide it once and hand the same value to each run (a
+linkage job does so for each right model's OMPE #1/#2 input).
+Precomputation thus changes when the randomness is drawn, never how.
 ``benchmarks/bench_ablation_precompute.py`` measures the online-latency
 reduction.
 """
@@ -29,7 +35,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 from repro.core.ompe.config import OMPEConfig, draw_amplifier
-from repro.core.ompe.function import OMPEFunction
+from repro.core.ompe.function import OMPEFunction, as_exact_vector
 from repro.core.ompe.hiding import (
     Hiders,
     PointsMessage,
@@ -111,6 +117,37 @@ class ReceiverBundle:
             for node, disguise in zip(self.nodes, self.disguises)
         )
 
+    def hide(self, input_vector: Sequence[Number], config: OMPEConfig) -> "HiddenInput":
+        """This draw bound to ``input_vector``: its points message, ready to send."""
+        vector = as_exact_vector(input_vector)
+        return HiddenInput(
+            input_vector=vector,
+            config=config,
+            nodes=self.nodes,
+            cover_positions=self.cover_positions,
+            points=self.points(vector, config),
+        )
+
+
+@dataclass(frozen=True)
+class HiddenInput:
+    """One input hidden by one receiver draw, ready for any number of runs.
+
+    A receiver sends ``points`` as its points message and keeps
+    ``nodes`` and ``cover_positions`` for the OT and the interpolation.
+    It accepts the value only for the very ``input_vector`` and
+    ``config`` it was hidden under: the same nodes and hiders over
+    another input would give the sender ``α − α'`` at the covers.
+    Every run that reuses it shows the sender the same points message
+    again, with a fresh OT session and fresh sender masks.
+    """
+
+    input_vector: Tuple[Number, ...]
+    config: OMPEConfig
+    nodes: Tuple[Number, ...]
+    cover_positions: Tuple[int, ...]
+    points: PointsMessage
+
 
 def draw_receiver_bundle(
     draw: ReproRandom, config: OMPEConfig, arity: int, function_degree: int
@@ -151,6 +188,18 @@ def draw_receiver_bundle(
         cover_positions=positions,
         disguises=disguises,
     )
+
+
+def hide_input(
+    draw: ReproRandom,
+    config: OMPEConfig,
+    input_vector: Sequence[Number],
+    function_degree: int,
+) -> HiddenInput:
+    """``input_vector`` hidden for a degree-``function_degree`` run by
+    :func:`draw_receiver_bundle` on ``draw``."""
+    bundle = draw_receiver_bundle(draw, config, len(input_vector), function_degree)
+    return bundle.hide(input_vector, config)
 
 
 class SenderPool:
@@ -224,7 +273,6 @@ class ReceiverPool:
             raise ValidationError(f"arity must be at least 1, got {arity}")
         self.config = config
         self.arity = arity
-        self.function_degree = function_degree
         rng = rng or ReproRandom()
         self._bundles = [
             draw_receiver_bundle(rng.fork("bundle", index), config, arity, function_degree)
@@ -244,6 +292,24 @@ class ReceiverPool:
         if not self._bundles:
             raise OMPEError("receiver precomputation pool exhausted")
         return self._bundles.pop()
+
+    def hide(self, input_vector: Sequence[Number], config: OMPEConfig) -> HiddenInput:
+        """Pop one bundle and hide ``input_vector`` with it.
+
+        A receiver of another ``config`` or arity is refused with
+        :class:`~repro.exceptions.OMPEError` before anything is popped.
+        """
+        if self.config != config:
+            raise OMPEError(
+                "precomputation pool was built for another OMPE config "
+                "than the receiver's"
+            )
+        if self.arity != len(input_vector):
+            raise OMPEError(
+                f"precomputation pool was built for arity {self.arity}, "
+                f"input has {len(input_vector)}"
+            )
+        return self.pop().hide(input_vector, config)
 
 
 def draw_pools(

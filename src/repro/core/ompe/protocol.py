@@ -15,6 +15,7 @@ from typing import Optional, Sequence, Tuple, Union
 from repro import obs
 from repro.core.ompe.config import OMPEConfig
 from repro.core.ompe.function import OMPEFunction
+from repro.core.ompe.precompute import HiddenInput
 from repro.core.ompe.receiver import OMPEReceiver
 from repro.core.ompe.sender import Flags, OMPESender
 from repro.exceptions import OMPEError
@@ -77,6 +78,7 @@ def execute_ompe(
     receiver_name: str = "bob",
     sender_pool=None,
     receiver_pool=None,
+    receiver_hidden: Optional[HiddenInput] = None,
 ) -> OMPEOutcome:
     """Run the full OMPE protocol between two in-process parties.
 
@@ -85,8 +87,13 @@ def execute_ompe(
     its own slice, and ``amplify``/``offset`` are one flag for all or
     one per function.  ``sender_pool`` / ``receiver_pool`` are optional
     :mod:`repro.core.ompe.precompute` pools; when given, the parties
-    pop randomness drawn ahead of time instead of drawing it when the
-    query arrives (the paper's Section VI-B.1 optimization).
+    use randomness drawn ahead of time instead of drawing it when the
+    query arrives (the paper's Section VI-B.1 optimization): the sender
+    pops its bundles, and the receiver's input is hidden with a popped
+    bundle before the run starts.  ``receiver_hidden`` is an input
+    hidden before the call
+    (:class:`~repro.core.ompe.precompute.HiddenInput`), in place of a
+    receiver pool.
     """
     config = config or OMPEConfig()
     root = ReproRandom(seed)
@@ -99,12 +106,17 @@ def execute_ompe(
         offset=offset,
         pool=sender_pool,
     )
+    hidden = receiver_hidden
+    if receiver_pool is not None:
+        if hidden is not None:
+            raise OMPEError("pass a receiver pool or a hidden input, not both")
+        hidden = receiver_pool.hide(input_vector, config)
     receiver = OMPEReceiver(
         receiver_name,
         input_vector,
         config,
         rng=root.fork("receiver"),
-        pool=receiver_pool,
+        hidden=hidden,
         function_count=len(sender.functions),
     )
     channel = connect_parties(sender, receiver, link=link) if link else connect_parties(
@@ -206,13 +218,16 @@ def run_ompe_receiver(
     seed: Optional[int] = None,
     name: str = "bob",
     function_count: int = 1,
+    hidden: Optional[HiddenInput] = None,
 ) -> OMPEOutcome:
     """Run only the *receiver* role over an already-connected channel.
 
     See :func:`run_ompe_sender`.  ``values`` are the receiver's secret
     outputs ``r_j P_j(α_j) + o_j`` of the sender's ``function_count``
     functions; the sender's randomizers are not in this role's view, so
-    ``amplifiers``/``offsets`` are ``None``.  The
+    ``amplifiers``/``offsets`` are ``None``.  ``hidden`` is the input's
+    :class:`~repro.core.ompe.precompute.HiddenInput`, if it was hidden
+    before the run.  The
     receiver side owns the ``repro_ompe_runs_total`` increment, keeping
     the shared-registry count identical to an in-process run.
     """
@@ -222,6 +237,7 @@ def run_ompe_receiver(
         input_vector,
         config,
         rng=ReproRandom(seed).fork("receiver"),
+        hidden=hidden,
         function_count=function_count,
     )
     receiver.connect(channel)

@@ -8,7 +8,9 @@ of ``k ≥ 1`` sender functions over one input ``α = α₁‖…‖α_k`` (see
 2. Hide the input ``α`` in random degree-``q`` polynomials
    ``g_i(v)`` with ``g_i(0) = α_i``, pick ``M`` distinct nonzero nodes,
    select ``m`` cover positions where ``z_i = G(v_i)``, fill the rest
-   with disguises, and send all ``M`` pairs.
+   with disguises, and send all ``M`` pairs.  An input hidden before
+   the run (:class:`~repro.core.ompe.precompute.HiddenInput`) sends its
+   ready points message instead.
 
    Disguises here are drawn as evaluations of *fresh* random hiding
    polynomials (with random constant terms), so covers and disguises
@@ -28,7 +30,7 @@ from typing import Optional, Sequence, Tuple
 from repro import obs
 from repro.core.ompe.config import OMPEConfig
 from repro.core.ompe.function import as_exact_vector
-from repro.core.ompe.precompute import draw_receiver_bundle
+from repro.core.ompe.precompute import HiddenInput, hide_input
 from repro.crypto.ot.k_of_n import KOfNReceiver
 from repro.exceptions import OMPEError, ProtocolAbort
 from repro.math.interpolation import lagrange_at_zero
@@ -62,10 +64,12 @@ class OMPEReceiver(Party):
     """Holds the input ``α``; learns only each ``r_j P_j(α_j) + o_j``.
 
     ``function_count`` is the ``k`` of the run: how many values each
-    retrieved slot must carry.  ``pool`` is an optional
-    :class:`~repro.core.ompe.precompute.ReceiverPool` drawn for this
-    config and arity; without one the query's randomness is drawn
-    online from ``rng.fork("hide")``.
+    retrieved slot must carry.  ``hidden`` is an optional
+    :class:`~repro.core.ompe.precompute.HiddenInput` of this very input
+    and config, whose points message the receiver sends as it is;
+    without one the input is hidden online, by
+    :func:`~repro.core.ompe.precompute.hide_input` on
+    ``rng.fork("hide")``, when the parameters arrive.
     """
 
     def __init__(
@@ -74,28 +78,28 @@ class OMPEReceiver(Party):
         input_vector: Sequence[Number],
         config: OMPEConfig,
         rng: Optional[ReproRandom] = None,
-        pool=None,
+        hidden: Optional[HiddenInput] = None,
         function_count: int = 1,
     ) -> None:
         super().__init__(name, rng)
         vector = tuple(input_vector)
-        if pool is not None:
-            if pool.config != config:
-                raise OMPEError(
-                    "precomputation pool was built for another OMPE config "
-                    "than the receiver's"
-                )
-            if pool.arity != len(vector):
-                raise OMPEError(
-                    f"precomputation pool was built for arity {pool.arity}, "
-                    f"input has {len(vector)}"
-                )
-        self.pool = pool
         if not vector:
             raise OMPEError("input vector must be non-empty")
         if function_count < 1:
             raise OMPEError(f"function_count must be at least 1, got {function_count}")
         self.input_vector = as_exact_vector(vector)
+        if hidden is not None:
+            if hidden.config != config:
+                raise OMPEError(
+                    "hidden input was prepared for another OMPE config "
+                    "than the receiver's"
+                )
+            if hidden.input_vector != self.input_vector:
+                raise OMPEError(
+                    "hidden input was prepared for another input than the "
+                    "receiver's"
+                )
+        self.hidden = hidden
         self.function_count = function_count
         self.config = config
         self._cover_count: int = 0
@@ -140,22 +144,25 @@ class OMPEReceiver(Party):
             )
         self._cover_count = cover_count
         self._pair_count = pair_count
-        if self.pool is None:
+        hidden = self.hidden
+        if hidden is None:
             span.set(hiders=len(self.input_vector) * (pair_count - cover_count + 1))
-            bundle = draw_receiver_bundle(
-                self.rng.fork("hide"), self.config, len(self.input_vector), degree
+            hidden = hide_input(
+                self.rng.fork("hide"), self.config, self.input_vector, degree
             )
         else:
-            if self.pool.function_degree != degree:
+            if (len(hidden.cover_positions), len(hidden.points)) != (
+                cover_count, pair_count
+            ):
                 raise ProtocolAbort(
-                    f"precomputation pool was built for degree "
-                    f"{self.pool.function_degree}, sender announced {degree}"
+                    f"hidden input has {len(hidden.cover_positions)} covers "
+                    f"among {len(hidden.points)} points, sender announced "
+                    f"m={cover_count}, M={pair_count}"
                 )
-            span.set(hiders=0)  # drawn offline with the pool
-            bundle = self.pool.pop()
-        self._nodes = bundle.nodes
-        self._cover_positions = bundle.cover_positions
-        self.send("ompe/points", bundle.points(self.input_vector, self.config))
+            span.set(hiders=0, prepared=True)  # hidden before the run
+        self._nodes = hidden.nodes
+        self._cover_positions = hidden.cover_positions
+        self.send("ompe/points", hidden.points)
 
     # -- steps 3 and 4 ----------------------------------------------------------
 

@@ -8,7 +8,6 @@ from repro.core.similarity.boundary import (
 )
 from repro.core.similarity.linear import (
     PrivateSimilarityOutcome,
-    build_t_squared_polynomial,
     evaluate_similarity_private,
 )
 from repro.core.similarity.matching import MatchingResult, run_matching
@@ -40,7 +39,6 @@ __all__ = [
     "linear_boundary_points",
     "model_boundary_points",
     "PrivateSimilarityOutcome",
-    "build_t_squared_polynomial",
     "evaluate_similarity_private",
     "MatchingResult",
     "run_matching",

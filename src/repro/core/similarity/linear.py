@@ -24,6 +24,10 @@ makes that choice, so one driver runs both kinds:
    amplifier ``r_aw`` *and* offset ``r_b`` (so an orthogonal-normals
    zero is not recognizable).  Bob obtains
    ``x₁ = r_am (m_A · m_B)`` and ``x₂ = r_aw (w_A · w_B) + r_b``.
+   His input is his model's alone, so a caller scoring one model of
+   Bob's against many of Alice's may hide it once
+   (:func:`hide_dots_input`) and pass it to every pair; each pair still
+   runs a fresh OT and Alice draws fresh masks.
 4. OMPE #3 — Alice assembles the two-variate polynomial of Eq. (7)
    with constants
 
@@ -56,6 +60,7 @@ from typing import Dict, Optional, Tuple
 
 from repro import obs
 from repro.core.ompe import OMPEConfig, execute_ompe
+from repro.core.ompe.precompute import HiddenInput, hide_input
 from repro.core.similarity.exact import snap
 from repro.core.similarity.metric import MetricParams
 from repro.core.similarity.policy import (
@@ -71,7 +76,6 @@ from repro.core.similarity.profile import (
 )
 from repro.exceptions import SimilarityError, ValidationError
 from repro.math.multinomial import mixed_degree_basis, monomial_value
-from repro.math.multivariate import MultivariatePolynomial
 from repro.math.polynomials import Number
 from repro.net.channel import Channel
 from repro.net.runner import ProtocolReport
@@ -105,29 +109,6 @@ class PrivateSimilarityOutcome:
         return sum(report.rounds for report in self.reports.values())
 
 
-def build_t_squared_polynomial(
-    c1: Fraction,
-    c2: Fraction,
-    c3: Fraction,
-    c4: Fraction,
-    d1: Fraction,
-    d2: Fraction,
-    d3: Fraction,
-) -> MultivariatePolynomial:
-    """Assemble Eq. (7) as an explicit two-variate degree-4 polynomial.
-
-    ``T²(x₁, x₂) = ¼ [(c₁ − 2 d₁ x₁)² + c₂] [c₄ − c₃ d₂ (d₃ + x₂)²]``
-    """
-    x1 = MultivariatePolynomial(2, {(1, 0): Fraction(1)})
-    x2 = MultivariatePolynomial(2, {(0, 1): Fraction(1)})
-    const = lambda value: MultivariatePolynomial.constant(2, Fraction(value))
-    left = const(c1) - x1 * (2 * d1)
-    left = left * left + const(c2)
-    shifted = const(d3) + x2
-    right = const(c4) - shifted * shifted * (c3 * d2)
-    return left * right * Fraction(1, 4)
-
-
 def check_normal(party: str, normal_norm: Number) -> None:
     """Refuse a degenerate normal: ``‖w‖²`` or ``⟨n, n⟩`` not positive."""
     if normal_norm <= 0:
@@ -147,28 +128,43 @@ def area_function(
 
     ``centroid_norm_b`` and ``normal_norm_b`` are Bob's clear norms;
     ``dots`` is Alice's outcome of the OMPE #1/#2 run, whose two
-    amplifiers and offset the polynomial cancels.  The form weighs
-    :func:`area_input`'s coordinates by the polynomial's coefficients;
-    a coefficient outside :data:`AREA_BASIS` raises
-    :class:`~repro.exceptions.SimilarityError`.
+    amplifiers and offset the polynomial cancels.  Eq. (7),
+
+        T²(x₁, x₂) = ¼ [(c₁ − 2 d₁ x₁)² + c₂] [c₄ − c₃ d₂ (d₃ + x₂)²],
+
+    is ``¼ L(x₁) R(x₂)`` with ``L = (c₁² + c₂, −4 c₁ d₁, 4 d₁²)`` and
+    ``R = (c₄ − c₃ d₂ d₃², −2 c₃ d₂ d₃, −c₃ d₂)`` by ascending power,
+    so the form weighs :func:`area_input`'s coordinate ``x₁^a x₂^b`` by
+    ``¼ L[a] R[b]`` and its constant is ``¼ L[0] R[0]``.
     """
     r_am, r_aw = dots.amplifiers
-    terms = dict(
-        build_t_squared_polynomial(
-            alice.centroid_norm + centroid_norm_b,
-            snap(params.l0) ** 4,
-            1 / (alice.normal_norm * normal_norm_b),
-            1 + snap(params.sin_theta0) ** 2,
-            1 / r_am,
-            1 / r_aw**2,
-            -dots.offsets[1],
-        ).terms
+    c1 = alice.centroid_norm + centroid_norm_b
+    c2 = snap(params.l0) ** 4
+    c3 = 1 / (alice.normal_norm * normal_norm_b)
+    c4 = 1 + snap(params.sin_theta0) ** 2
+    d1 = 1 / r_am
+    d2 = 1 / r_aw**2
+    d3 = -dots.offsets[1]
+    left = (c1 * c1 + c2, -4 * c1 * d1, 4 * d1 * d1)
+    right = (c4 - c3 * d2 * d3 * d3, -2 * c3 * d2 * d3, -c3 * d2)
+    quarter = Fraction(1, 4)
+    return DotForm.of(
+        [quarter * left[a] * right[b] for a, b in AREA_BASIS],
+        quarter * left[0] * right[0],
     )
-    constant = terms.pop((0, 0), Fraction(0))
-    outside = sorted(k for k, c in terms.items() if c and k not in AREA_BASIS)
-    if outside:
-        raise SimilarityError(f"Eq. (7) has monomials {outside} outside the area basis")
-    return DotForm.of([terms.get(k, Fraction(0)) for k in AREA_BASIS], constant)
+
+
+def hide_dots_input(
+    bob: SimilarityProfile, config: OMPEConfig, seed: Optional[int]
+) -> HiddenInput:
+    """Bob's OMPE #1/#2 input hidden once, on ``ReproRandom(seed)``.
+
+    Every pair of Bob's model may send it as its OMPE #1/#2 points
+    message: the run is degree 1 whoever Alice is, and the input is
+    Bob's alone.  OMPE #3's input depends on the pair, so it is hidden
+    in each run.
+    """
+    return hide_input(ReproRandom(seed), config, bob.dots_input, 1)
 
 
 def area_input(x1: Number, x2: Number) -> tuple:
@@ -243,6 +239,7 @@ def evaluate_similarity_private(
     config: Optional[OMPEConfig] = None,
     seed: Optional[int] = None,
     policy: Optional[OutputPolicy] = None,
+    dots_hidden: Optional[HiddenInput] = None,
 ) -> PrivateSimilarityOutcome:
     """Run the full private similarity protocol, both parties in process.
 
@@ -257,7 +254,10 @@ def evaluate_similarity_private(
     return type to a
     :class:`~repro.core.similarity.policy.MitigatedSimilarityOutcome`
     that withholds whatever the policy forbids; ``None`` keeps the
-    legacy raw outcome.
+    legacy raw outcome.  ``dots_hidden`` is Bob's OMPE #1/#2 input
+    hidden before the call (:func:`hide_dots_input`), which the
+    OMPE #1/#2 run sends in place of fresh hiders; ``None`` hides it
+    in the run.
     """
     params = params or MetricParams()
     config = config or OMPEConfig()
@@ -265,7 +265,7 @@ def evaluate_similarity_private(
     tracer = obs.get_tracer()
     root = ReproRandom(seed)
 
-    def run(phase, function, receiver_input, label, amplify, offset):
+    def run(phase, function, receiver_input, label, amplify, offset, hidden=None):
         with tracer.span(f"similarity.{phase}_ompe", phase=phase):
             return execute_ompe(
                 function,
@@ -276,6 +276,7 @@ def evaluate_similarity_private(
                 offset=offset,
                 sender_name="alice",
                 receiver_name="bob",
+                receiver_hidden=hidden,
             )
 
     with tracer.span(
@@ -303,7 +304,7 @@ def evaluate_similarity_private(
         # x1 = r_am (m_A · m_B), x2 = r_aw (w_A · w_B) + r_b.
         dots = run(
             "dots", alice.dots_functions(), bob.dots_input, "run1",
-            amplify=True, offset=(False, True),
+            amplify=True, offset=(False, True), hidden=dots_hidden,
         )
         # Step 4 — OMPE #3: Bob evaluates Eq. (7) at τ(x1, x2), unamplified.
         area = run(

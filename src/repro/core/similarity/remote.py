@@ -35,6 +35,7 @@ from __future__ import annotations
 from typing import Callable, Dict, Optional
 
 from repro.core.ompe import OMPEConfig
+from repro.core.ompe.precompute import HiddenInput
 from repro.core.ompe.protocol import run_ompe_receiver, run_ompe_sender
 from repro.core.similarity.linear import (
     PrivateSimilarityOutcome,
@@ -104,6 +105,7 @@ def run_similarity_bob(
     config: Optional[OMPEConfig] = None,
     seed: Optional[int] = None,
     policy: Optional[OutputPolicy] = None,
+    dots_hidden: Optional[HiddenInput] = None,
 ) -> PrivateSimilarityOutcome:
     """Bob's (receiver) side — he learns the triangle metric ``T``.
 
@@ -112,17 +114,20 @@ def run_similarity_bob(
     applies output mitigation before the outcome leaves this function,
     with the mitigation seed derived from the protocol seed — the same
     derivation the in-process evaluator uses, so mitigated outcomes are
-    bit-identical across transports.
+    bit-identical across transports.  ``dots_hidden`` is his OMPE #1/#2
+    input hidden before the call, as for
+    :func:`~repro.core.similarity.linear.evaluate_similarity_private`.
     """
     params = params or MetricParams()
     config = config or OMPEConfig()
     root = ReproRandom(seed)
     bob = similarity_profile(model_b, params, party="bob")
 
-    def receive(receiver_input, label, function_count):
+    def receive(receiver_input, label, function_count, hidden=None):
         return run_ompe_receiver(
             receiver_input, channel_factory(), config=config,
             seed=root.fork(label).seed, name="bob", function_count=function_count,
+            hidden=hidden,
         )
 
     clear = channel_factory()
@@ -130,7 +135,7 @@ def run_similarity_bob(
     clear_phase = clear_report(clear)
     check_normal("Bob", bob.normal_norm)
 
-    dots = receive(bob.dots_input, "run1", 2)
+    dots = receive(bob.dots_input, "run1", 2, dots_hidden)
     area = receive(area_input(*dots.values), "run3", 1)
     return release_outcome(
         "remote", area.value, phase_reports(clear_phase, dots, area), policy, seed,

@@ -16,7 +16,10 @@ pairs with the private T² protocol:
 All three produce **bit-identical** scores for a given spec: the
 per-pair protocol seed is a pure function of record keys
 (:meth:`~repro.linkage.spec.LinkageJobSpec.pair_seed`), never of job
-ids, scheduling, or transport.
+ids, scheduling, or transport.  The serial and TCP backends hide each
+right model's OMPE #1/#2 input once per job and reuse it for all of
+that model's pairs, while the engine hides it per pair; ``T²`` does not
+depend on how the input was hidden, so the scores agree.
 
 :func:`run_linkage` drives a spec through a runner against a
 :class:`~repro.linkage.store.LinkageResultStore`: completed chunks are
@@ -33,11 +36,13 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro import obs
+from repro.core.ompe.precompute import HiddenInput
 from repro.core.similarity import (
     SimilarityProfile,
     evaluate_similarity_private,
     similarity_profile,
 )
+from repro.core.similarity.linear import hide_dots_input
 from repro.engine.engine import EnginePolicy, ProtocolEngine
 from repro.exceptions import (
     BatchItemError,
@@ -77,23 +82,27 @@ class LinkageRunner:
         return False
 
 
-class SerialLinkageRunner(LinkageRunner):
-    """Pair-at-a-time scoring in the calling process (the baseline).
+class _JobCache:
+    """Each model's profile and each right model's hidden input, per job.
 
-    Each model's :class:`~repro.core.similarity.profile.SimilarityProfile`
-    is derived on its first pair in a job and reused for the rest of
-    the job's pairs; :meth:`close` drops them.
+    A :class:`~repro.core.similarity.profile.SimilarityProfile` is
+    derived on a model's first pair in a job, and a right model's
+    OMPE #1/#2 input is hidden on its first pair, from
+    :meth:`~repro.linkage.spec.LinkageJobSpec.hide_seed`, inside a
+    ``linkage.hide`` span; the rest of the job's pairs reuse both.  A
+    new spec, or :meth:`_clear`, drops them.
     """
 
     def __init__(self) -> None:
         self._spec: Optional[LinkageJobSpec] = None
         self._profiles: Dict[Tuple[str, str], SimilarityProfile] = {}
+        self._hidden_inputs: Dict[str, HiddenInput] = {}
 
     def _profile(
         self, spec: LinkageJobSpec, party: str, key: str
     ) -> SimilarityProfile:
         if spec is not self._spec:
-            self.close()
+            self._clear()
             self._spec = spec
         profile = self._profiles.get((party, key))
         if profile is None:
@@ -102,6 +111,37 @@ class SerialLinkageRunner(LinkageRunner):
             self._profiles[party, key] = profile
         return profile
 
+    def _hidden(self, spec: LinkageJobSpec, right_key: str) -> HiddenInput:
+        profile = self._profile(spec, "bob", right_key)
+        hidden = self._hidden_inputs.get(right_key)
+        if hidden is None:
+            with obs.get_tracer().span(
+                "linkage.hide", party="bob", phase="linkage", right=right_key
+            ) as span:
+                hidden = hide_dots_input(
+                    profile, spec.config, spec.hide_seed(right_key)
+                )
+                span.set(
+                    hiders=len(hidden.input_vector)
+                    * (len(hidden.points) - len(hidden.cover_positions) + 1)
+                )
+            self._hidden_inputs[right_key] = hidden
+        return hidden
+
+    def _clear(self) -> None:
+        self._spec = None
+        self._profiles.clear()
+        self._hidden_inputs.clear()
+
+
+class SerialLinkageRunner(_JobCache, LinkageRunner):
+    """Pair-at-a-time scoring in the calling process (the baseline).
+
+    Each model's profile, and each right model's hidden OMPE #1/#2
+    input, is built on its first pair in a job and reused for the rest
+    of the job's pairs (:class:`_JobCache`); :meth:`close` drops them.
+    """
+
     def run_chunk(
         self, spec: LinkageJobSpec, chunk: LinkageChunk
     ) -> List[PairScore]:
@@ -109,12 +149,14 @@ class SerialLinkageRunner(LinkageRunner):
         scores = []
         for right_key in chunk.right_keys:
             right = self._profile(spec, "bob", right_key)
+            hidden = self._hidden(spec, right_key)
             outcome = evaluate_similarity_private(
                 left,
                 right,
                 spec.params,
                 config=spec.config,
                 seed=spec.pair_seed(chunk.left_key, right_key),
+                dots_hidden=hidden,
             )
             scores.append(
                 PairScore.from_outcome(
@@ -124,8 +166,7 @@ class SerialLinkageRunner(LinkageRunner):
         return scores
 
     def close(self) -> None:
-        self._spec = None
-        self._profiles.clear()
+        self._clear()
 
 
 class EngineLinkageRunner(LinkageRunner):
@@ -206,33 +247,35 @@ class EngineLinkageRunner(LinkageRunner):
             engine.close()
 
 
-class ServiceLinkageRunner(LinkageRunner):
+class ServiceLinkageRunner(_JobCache, LinkageRunner):
     """Chunked scoring through a :class:`TrainerClientPool`.
 
     The remote :class:`~repro.net.service.TrainerServer` must host the
     spec's left collection under the same keys (``models=``); each
     chunk fans one batch out with ``server_models`` pinning the left
-    key and per-pair seeds pinning the protocol randomness.  The pool
-    is caller-owned: :meth:`close` leaves it open unless
-    ``owns_pool=True``.
+    key and per-pair seeds pinning the protocol randomness.  Each right
+    model goes out as its profile with its hidden OMPE #1/#2 input,
+    both built once per job as in :class:`SerialLinkageRunner`, so the
+    pool's ``params`` and ``config`` must be the spec's.  The pool is
+    caller-owned: :meth:`close` leaves it open unless ``owns_pool=True``.
     """
 
     def __init__(self, pool, owns_pool: bool = False) -> None:
+        super().__init__()
         self._pool = pool
         self._owns_pool = owns_pool
 
     def run_chunk(
         self, spec: LinkageJobSpec, chunk: LinkageChunk
     ) -> List[PairScore]:
-        right_models = [spec.right[key] for key in chunk.right_keys]
-        seeds = [
-            spec.pair_seed(chunk.left_key, key) for key in chunk.right_keys
-        ]
+        keys = chunk.right_keys
+        seeds = [spec.pair_seed(chunk.left_key, key) for key in keys]
         outcomes = self._pool.evaluate_similarity_many(
-            right_models,
+            [self._profile(spec, "bob", key) for key in keys],
             seeds=seeds,
-            server_models=[chunk.left_key] * len(right_models),
+            server_models=[chunk.left_key] * len(keys),
             return_errors=True,
+            dots_hidden=[self._hidden(spec, key) for key in keys],
         )
         scores = []
         for right_key, outcome in zip(chunk.right_keys, outcomes):
@@ -249,6 +292,7 @@ class ServiceLinkageRunner(LinkageRunner):
         return scores
 
     def close(self) -> None:
+        self._clear()
         if self._owns_pool:
             self._pool.close()
 

@@ -17,6 +17,10 @@ inputs:
   function of record keys (never of job ids or scheduling), so the
   engine backend, the TCP backend, and a resumed run all produce
   bit-identical outcomes for every pair;
+* the **hide seed** of each right record
+  (:meth:`LinkageJobSpec.hide_seed`): the serial and TCP backends hide
+  a right model's OMPE #1/#2 input once per job from it, and every pair
+  of that model reuses the hidden input;
 * the **spec fingerprint** (:meth:`LinkageJobSpec.fingerprint`): a
   digest over the model documents and every scoring parameter, written
   into the result store's manifest so a resume against a store built
@@ -145,6 +149,12 @@ class LinkageJobSpec:
     def pair_seed(self, left_key: str, right_key: str) -> int:
         """The protocol seed for one pair — a pure function of keys."""
         return derive_seed(self.seed, "linkage", left_key, right_key)
+
+    def hide_seed(self, right_key: str) -> int:
+        """The seed of the draw that hides one right model's OMPE #1/#2
+        input for every pair of the job.  Bob's alone: it never crosses
+        the wire, and T² does not depend on it."""
+        return derive_seed(self.seed, "linkage-hide", right_key)
 
     # -- identity -----------------------------------------------------------
 

@@ -77,11 +77,16 @@ from repro.core.classification.linear import (
 )
 from repro.core.classification.session import decision_function_for_model
 from repro.core.ompe import OMPEConfig
+from repro.core.ompe.precompute import HiddenInput
 from repro.core.ompe.protocol import run_ompe_receiver, run_ompe_sender
 from repro.core.similarity.linear import PrivateSimilarityOutcome
 from repro.core.similarity.metric import MetricParams
 from repro.core.similarity.policy import OutputPolicy
-from repro.core.similarity.profile import SimilarityProfile, similarity_profile
+from repro.core.similarity.profile import (
+    ModelOrProfile,
+    SimilarityProfile,
+    similarity_profile,
+)
 from repro.core.similarity.remote import (
     run_similarity_alice,
     run_similarity_bob,
@@ -1063,10 +1068,11 @@ class TrainerClient:
 
     def evaluate_similarity_async(
         self,
-        model: SVMModel,
+        model: ModelOrProfile,
         seed: Optional[int] = None,
         policy: Optional[OutputPolicy] = None,
         server_model: Optional[str] = None,
+        dots_hidden: Optional[HiddenInput] = None,
     ) -> SessionFuture:
         """Pipeline one similarity session (protocol v2 only)."""
         self._require_v2()
@@ -1079,6 +1085,7 @@ class TrainerClient:
                         model, seed, policy,
                         server_model=server_model,
                         on_session=future._attach,
+                        dots_hidden=dots_hidden,
                     )
                 )
             except BaseException as error:  # noqa: BLE001 — surfaced by result()
@@ -1149,12 +1156,13 @@ class TrainerClient:
 
     def evaluate_similarity(
         self,
-        model: SVMModel,
+        model: ModelOrProfile,
         seed: Optional[int] = None,
         policy: Optional[OutputPolicy] = None,
         server_model: Optional[str] = None,
+        dots_hidden: Optional[HiddenInput] = None,
     ) -> PrivateSimilarityOutcome:
-        """Compare the client's model against the server's.
+        """Compare the client's model (or its profile) against the server's.
 
         The client learns the triangle metric ``T``; the server learns
         only the inseparable clear norms, exactly as in the in-process
@@ -1165,17 +1173,22 @@ class TrainerClient:
         returns a mitigated outcome instead of the raw one.
         ``server_model`` selects one key of a multi-model server's
         collection as the server-side model (``None`` keeps the
-        server's default).
+        server's default).  ``dots_hidden`` is the model's OMPE #1/#2
+        input hidden before the session
+        (:func:`~repro.core.similarity.linear.hide_dots_input`).
         """
-        return self._similarity(model, seed, policy, server_model=server_model)
+        return self._similarity(
+            model, seed, policy, server_model=server_model, dots_hidden=dots_hidden
+        )
 
     def _similarity(
         self,
-        model: SVMModel,
+        model: ModelOrProfile,
         seed: Optional[int],
         policy: Optional[OutputPolicy],
         server_model: Optional[str] = None,
         on_session: Any = None,
+        dots_hidden: Optional[HiddenInput] = None,
     ) -> PrivateSimilarityOutcome:
         linear = model.is_linear()
         if policy is not None and not isinstance(policy, OutputPolicy):
@@ -1246,7 +1259,7 @@ class TrainerClient:
                 outcome = run_similarity_bob(
                     model, lambda: MuxChannel("bob", "alice", session),
                     params=self.params, config=self.config, seed=seed,
-                    policy=echoed,
+                    policy=echoed, dots_hidden=dots_hidden,
                 )
                 session.finish()
                 return outcome
@@ -1445,6 +1458,20 @@ class TrainerClientPool:
             )
         return seed_list
 
+    @staticmethod
+    def _item_list(
+        items: Optional[Sequence[Any]], count: int, what: str
+    ) -> List[Any]:
+        """One entry per model: ``items`` as a list, or ``None`` each."""
+        if items is None:
+            return [None] * count
+        item_list = list(items)
+        if len(item_list) != count:
+            raise ValidationError(
+                f"got {count} models but {len(item_list)} {what}"
+            )
+        return item_list
+
     def classify_many(
         self,
         samples: Sequence[Sequence[float]],
@@ -1474,31 +1501,27 @@ class TrainerClientPool:
 
     def evaluate_similarity_many(
         self,
-        models: Sequence[SVMModel],
+        models: Sequence[ModelOrProfile],
         seeds: Optional[Sequence[Optional[int]]] = None,
         policy: Optional[OutputPolicy] = None,
         server_models: Optional[Sequence[Optional[str]]] = None,
         return_errors: bool = False,
+        dots_hidden: Optional[Sequence[Optional[HiddenInput]]] = None,
     ) -> List[Any]:
         """Run a batch of similarity sessions; outcomes keep input order.
 
         The similarity twin of :meth:`classify_many` — this is the
         fan-out the bulk-linkage TCP backend drives.  ``server_models``
         optionally names, per item, which key of a multi-model server's
-        collection serves as the server-side model.  Error semantics
+        collection serves as the server-side model, and ``dots_hidden``
+        each item's OMPE #1/#2 input hidden before the batch (see
+        :meth:`TrainerClient.evaluate_similarity`).  Error semantics
         match :meth:`classify_many`, including ``return_errors``.
         """
         models = list(models)
         seed_list = self._seed_list(seeds, len(models), "models")
-        if server_models is None:
-            key_list: List[Optional[str]] = [None] * len(models)
-        else:
-            key_list = list(server_models)
-            if len(key_list) != len(models):
-                raise ValidationError(
-                    f"got {len(models)} models but {len(key_list)} "
-                    "server_models"
-                )
+        key_list = self._item_list(server_models, len(models), "server_models")
+        hidden_list = self._item_list(dots_hidden, len(models), "hidden inputs")
 
         def run(client: TrainerClient, index: int) -> PrivateSimilarityOutcome:
             return client.evaluate_similarity(
@@ -1506,6 +1529,7 @@ class TrainerClientPool:
                 seed=seed_list[index],
                 policy=policy,
                 server_model=key_list[index],
+                dots_hidden=hidden_list[index],
             )
 
         def start(client: TrainerClient, index: int) -> SessionFuture:
@@ -1514,6 +1538,7 @@ class TrainerClientPool:
                 seed=seed_list[index],
                 policy=policy,
                 server_model=key_list[index],
+                dots_hidden=hidden_list[index],
             )
 
         return self._fan_out(len(models), run, start, return_errors)

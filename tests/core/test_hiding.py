@@ -73,9 +73,9 @@ def shape_degree(q: int, arity: int) -> int:
     return 1 + (q + arity) % 3
 
 
-def online_points(vector, config, degree, seed, pool=None):
+def online_points(vector, config, degree, seed, hidden=None):
     """The points message an :class:`OMPEReceiver` sends for one query."""
-    receiver = OMPEReceiver("bob", vector, config, rng=ReproRandom(seed), pool=pool)
+    receiver = OMPEReceiver("bob", vector, config, rng=ReproRandom(seed), hidden=hidden)
     channel = Channel("alice", "bob")
     receiver.connect(channel)
     channel.send(
@@ -96,7 +96,7 @@ def batch_points(vectors, config, degree, seed):
 def pooled_points(vector, config, degree, seed):
     """The points message of a receiver drawing from a one-bundle pool."""
     pool = ReceiverPool(config, len(vector), degree, 1, ReproRandom(seed + 1))
-    return online_points(vector, config, degree, seed, pool=pool)
+    return online_points(vector, config, degree, seed, hidden=pool.pop().hide(vector, config))
 
 
 def value_types(payload):
@@ -589,3 +589,5 @@ class TestHiderCounts:
         assert batch.attributes["hiders"] == 3 * 3 * (big_m - m + 1)
         (pooled,) = points_spans(lambda: pooled_points(vectors[0], config, 1, seed=1))
         assert pooled.attributes["hiders"] == 0
+        assert pooled.attributes["prepared"] is True
+        assert "prepared" not in batch.attributes

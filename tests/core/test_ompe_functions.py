@@ -179,7 +179,10 @@ PARAMS = MetricParams(resolution=16)
 MODELS = (make_linear_model([1.0, 0.7], -0.2), make_linear_model([0.8, -0.5], 0.3))
 
 
-def old_bob(model, channel_factory, params=None, config=None, seed=None, policy=None):
+def old_bob(
+    model, channel_factory, params=None, config=None, seed=None, policy=None,
+    dots_hidden=None,
+):
     """Bob before OMPE #1 and #2 shared a run: OMPE #1 over ``m_B`` alone."""
     bob = similarity_profile(model, params, party="bob")
     channel_factory().send("bob", bob.norms_tag, (bob.centroid_norm, bob.normal_norm))

@@ -144,8 +144,9 @@ class TestPooledExecution:
             OMPEConfig(security_degree=1, cover_expansion=4), 2, 1, 1, ReproRandom(17)
         )
         config = OMPEConfig(security_degree=3, cover_expansion=2)
+        twin = ReceiverPool(pool.config, 2, 1, 1, ReproRandom(17))
         with pytest.raises(OMPEError, match="another OMPE config"):
-            OMPEReceiver("bob", ALPHA, config, pool=pool)
+            OMPEReceiver("bob", ALPHA, config, hidden=twin.pop().hide(ALPHA, twin.config))
         with pytest.raises(OMPEError, match="another OMPE config"):
             execute_ompe(function, ALPHA, config=config, seed=17, receiver_pool=pool)
         assert len(pool) == 1

@@ -9,7 +9,6 @@ import pytest
 
 from repro.core.similarity import (
     MetricParams,
-    build_t_squared_polynomial,
     centroid,
     cosine_similarity,
     evaluate_similarity_plain,
@@ -22,13 +21,14 @@ from repro.core.similarity import (
     triangle_t_squared,
 )
 from repro.core.similarity import linear
+from repro.core.similarity.exact import snap
 from repro.core.similarity.linear import AREA_BASIS
-from repro.core.similarity.profile import similarity_profile
+from repro.core.similarity.profile import DotForm, similarity_profile
 from repro.exceptions import SimilarityError, ValidationError
-from repro.math.multivariate import MultivariatePolynomial
 from repro.ml.datasets import interaction_boundary, two_gaussians
 from repro.ml.svm import train_svm
 from repro.ml.svm.model import make_linear_model
+from tests.reference import build_t_squared_polynomial
 
 
 class TestLinearBoundaryPoints:
@@ -271,18 +271,37 @@ class TestEquationSeven:
             assert {k for k in terms if k != (0, 0)} <= set(AREA_BASIS)
         assert len(AREA_BASIS) == 8
 
-    def test_area_function_refuses_a_term_outside_the_basis(self, monkeypatch):
-        """A polynomial with an x₁³ term cannot be sent over the area
-        basis: ``area_function`` raises instead of dropping it."""
-        a = make_linear_model([1.0, 0.7], -0.2)
-        cubic = build_t_squared_polynomial(*[Fraction(1)] * 7) + MultivariatePolynomial(
-            2, {(3, 0): Fraction(1)}
-        )
-        monkeypatch.setattr(linear, "build_t_squared_polynomial", lambda *c: cubic)
-        dots = SimpleNamespace(amplifiers=(Fraction(2), Fraction(3)), offsets=(0, Fraction(1)))
-        profile = similarity_profile(a, MetricParams())
-        with pytest.raises(SimilarityError, match=r"\(3, 0\)"):
-            linear.area_function(MetricParams(), profile, Fraction(1), Fraction(1), dots)
+    def test_area_function_matches_the_oracle(self, rng):
+        """The closed form ``¼ L(x₁) R(x₂)`` puts on each area monomial,
+        and on the constant, the coefficient of the polynomial built by
+        products, for random constants and with ``d₃ = 0``."""
+        model = make_linear_model([1.0, 0.7], -0.2)
+        params = MetricParams()
+        alice = similarity_profile(model, params)
+        for trial in range(8):
+            draw = rng.fork("closed-form", trial)
+            r_am = draw.positive_fraction(0, 5)
+            r_aw = draw.positive_fraction(0, 5)
+            r_b = Fraction(0) if trial == 0 else draw.fraction(-3, 3)
+            norm_m = draw.positive_fraction(0, 4)
+            norm_w = draw.positive_fraction(0, 4)
+            dots = SimpleNamespace(amplifiers=(r_am, r_aw), offsets=(0, r_b))
+            terms = dict(
+                build_t_squared_polynomial(
+                    alice.centroid_norm + norm_m,
+                    snap(params.l0) ** 4,
+                    1 / (alice.normal_norm * norm_w),
+                    1 + snap(params.sin_theta0) ** 2,
+                    1 / r_am,
+                    1 / r_aw**2,
+                    -r_b,
+                ).terms
+            )
+            expected = DotForm.of(
+                [terms.get(k, Fraction(0)) for k in AREA_BASIS],
+                terms.get((0, 0), Fraction(0)),
+            )
+            assert linear.area_function(params, alice, norm_m, norm_w, dots) == expected
 
 
 class TestPrivateLinearSimilarity:

@@ -252,7 +252,7 @@ class _FailingPool:
 
     def evaluate_similarity_many(
         self, models, seeds=None, policy=None, server_models=None,
-        return_errors=False,
+        return_errors=False, dots_hidden=None,
     ):
         assert return_errors
         results = []

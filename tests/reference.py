@@ -2,8 +2,8 @@
 
 Each function is the textbook loop a hot path in ``src/`` replaces:
 Horner's rule, a term-by-term multivariate sum, the Lagrange weight
-product, Euler-criterion membership, an SVM's kernel sum and the
-similarity metric of Eq. (6).  They use ``Fraction`` operators only
+product, Euler-criterion membership, an SVM's kernel sum, the
+similarity metric of Eq. (6) and Eq. (7) as a two-variate polynomial.  They use ``Fraction`` operators only
 (no rescaling onto common denominators), so a hot path that agrees
 with them on value and Python type computes what the operator chain
 computes.
@@ -20,6 +20,7 @@ from repro.core.similarity.boundary import (
     linear_boundary_points,
 )
 from repro.core.similarity.exact import snap, snap_vector
+from repro.math.multivariate import MultivariatePolynomial
 from repro.math.polynomials import Number
 from repro.ml.svm.model import SVMModel, _to_fraction
 
@@ -158,3 +159,27 @@ def t_squared(model_a: SVMModel, model_b: SVMModel, params) -> Fraction:
     return Fraction(1, 4) * (l_squared**2 + snap(params.l0) ** 4) * (
         1 - cos_squared + snap(params.sin_theta0) ** 2
     )
+
+
+def build_t_squared_polynomial(
+    c1: Fraction,
+    c2: Fraction,
+    c3: Fraction,
+    c4: Fraction,
+    d1: Fraction,
+    d2: Fraction,
+    d3: Fraction,
+) -> MultivariatePolynomial:
+    """Eq. (7) as an explicit two-variate degree-4 polynomial, by
+    polynomial products:
+
+    ``T²(x₁, x₂) = ¼ [(c₁ − 2 d₁ x₁)² + c₂] [c₄ − c₃ d₂ (d₃ + x₂)²]``
+    """
+    x1 = MultivariatePolynomial(2, {(1, 0): Fraction(1)})
+    x2 = MultivariatePolynomial(2, {(0, 1): Fraction(1)})
+    const = lambda value: MultivariatePolynomial.constant(2, Fraction(value))
+    left = const(c1) - x1 * (2 * d1)
+    left = left * left + const(c2)
+    shifted = const(d3) + x2
+    right = const(c4) - shifted * shifted * (c3 * d2)
+    return left * right * Fraction(1, 4)
