@@ -15,8 +15,7 @@ Usage (after ``pip install -e .``)::
     python -m repro.cli remote-classify d.libsvm --connect 127.0.0.1:9000
     python -m repro.cli remote-similarity model_b.json --connect 127.0.0.1:9000
     python -m repro.cli link --left-dir left/ --right-dir right/ \
-        --store store/ --backend engine --workers 4 --threshold 0.8
-    python -m repro.cli serve-bench --jobs 16 --workers 1,2,4
+        --store store/ --threshold 0.8
     python -m repro.cli top --connect 127.0.0.1:9000 # live server view
     python -m repro.cli trace --connect 127.0.0.1:9000 --session s1
 
@@ -252,84 +251,6 @@ def _cmd_observe(args: argparse.Namespace) -> int:
         print(f"DRIFT detected in: {drifted}", file=sys.stderr)
         return 3
     return 0
-
-
-def _parse_worker_counts(text: str) -> List[int]:
-    """Parse ``--workers "1,2,4"`` into validated worker counts."""
-    from repro.exceptions import ValidationError
-
-    try:
-        counts = [int(part) for part in text.split(",") if part.strip()]
-    except ValueError:
-        raise ValidationError(
-            f"--workers expects a comma-separated list of integers, got {text!r}"
-        ) from None
-    if not counts or any(count < 1 for count in counts):
-        raise ValidationError(
-            f"--workers needs one or more positive counts, got {text!r}"
-        )
-    return counts
-
-
-def _cmd_serve_bench(args: argparse.Namespace) -> int:
-    from repro.engine import EnginePolicy, run_engine
-    from repro.exceptions import ValidationError
-    from repro.math.groups import fast_group
-    from repro.ml.svm import make_linear_model
-    from repro.utils.rng import ReproRandom
-
-    if args.jobs < 1:
-        raise ValidationError(f"--jobs must be at least 1, got {args.jobs}")
-    if args.dimension < 1:
-        raise ValidationError(
-            f"--dimension must be at least 1, got {args.dimension}"
-        )
-    worker_counts = _parse_worker_counts(args.workers)
-
-    rng = ReproRandom(args.seed)
-    model = make_linear_model(
-        [rng.uniform(-2.0, 2.0) for _ in range(args.dimension)],
-        rng.uniform(-1.0, 1.0),
-    )
-    samples = [
-        [rng.uniform(-1.0, 1.0) for _ in range(args.dimension)]
-        for _ in range(args.jobs)
-    ]
-    config = OMPEConfig(security_degree=args.security_degree, group=fast_group())
-    policy = EnginePolicy(timeout_s=args.timeout, max_retries=args.max_retries)
-
-    print(f"{'workers':>7s} {'jobs/s':>9s} {'elapsed':>9s} {'failed':>6s} "
-          f"{'ompe runs':>9s}")
-    baseline: Optional[float] = None
-    exit_code = 0
-    for workers in worker_counts:
-        report = run_engine(
-            model,
-            samples,
-            config=config,
-            workers=workers,
-            queue_capacity=args.queue_capacity,
-            policy=policy,
-            seed=args.seed,
-        )
-        snapshot = report.metrics.snapshot()
-        ompe_runs = sum(
-            entry["value"]
-            for entry in snapshot.get("repro_ompe_runs_total", {}).get("series", [])
-        )
-        speedup = ""
-        if baseline is None:
-            baseline = report.jobs_per_second
-        elif baseline > 0:
-            speedup = f"  ({report.jobs_per_second / baseline:.2f}x vs first)"
-        print(
-            f"{workers:7d} {report.jobs_per_second:9.2f} "
-            f"{report.elapsed_s:8.2f}s {len(report.failed):6d} "
-            f"{int(ompe_runs):9d}{speedup}"
-        )
-        if report.failed:
-            exit_code = 1
-    return exit_code
 
 
 def _parse_endpoint(text: str) -> tuple:
@@ -600,7 +521,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 def _cmd_link(args: argparse.Namespace) -> int:
     from repro.linkage import (
-        EngineLinkageRunner,
         LinkageJobSpec,
         SerialLinkageRunner,
         ServiceLinkageRunner,
@@ -621,9 +541,7 @@ def _cmd_link(args: argparse.Namespace) -> int:
         seed=args.seed,
         config=config,
     )
-    if args.backend == "engine":
-        runner = EngineLinkageRunner(workers=args.workers, seed=args.seed)
-    elif args.backend == "tcp":
+    if args.backend == "tcp":
         from repro.net.service import TrainerClientPool
 
         if not args.connect:
@@ -850,11 +768,9 @@ def build_parser() -> argparse.ArgumentParser:
     link.add_argument("--store", required=True,
                       help="result-store directory (reused to resume)")
     link.add_argument("--backend", default="serial",
-                      choices=("serial", "engine", "tcp"),
-                      help="serial (baseline), engine (worker fleet), or "
-                           "tcp (fan out to a served left collection)")
-    link.add_argument("--workers", type=int, default=2,
-                      help="engine backend worker processes")
+                      choices=("serial", "tcp"),
+                      help="serial (in this process) or tcp (fan out to a "
+                           "served left collection)")
     link.add_argument("--connect", default=None,
                       help="tcp backend endpoint host:port (serve the left "
                            "collection with serve --models-dir first)")
@@ -887,21 +803,6 @@ def build_parser() -> argparse.ArgumentParser:
                            "JSONL (stable bytes across backends/resumes)")
     link.add_argument("--limit", type=int, default=20,
                       help="max surviving pairs to print")
-
-    serve_bench = sub.add_parser(
-        "serve-bench",
-        help="benchmark the multi-core protocol engine (jobs/sec per worker count)",
-    )
-    serve_bench.add_argument("--dimension", type=int, default=3)
-    serve_bench.add_argument("--jobs", type=int, default=16)
-    serve_bench.add_argument("--workers", default="1,2,4",
-                             help="comma-separated worker counts to sweep")
-    serve_bench.add_argument("--queue-capacity", type=int, default=64)
-    serve_bench.add_argument("--security-degree", type=int, default=2)
-    serve_bench.add_argument("--seed", type=int, default=0)
-    serve_bench.add_argument("--timeout", type=float, default=None,
-                             help="per-job timeout in seconds")
-    serve_bench.add_argument("--max-retries", type=int, default=2)
 
     top = sub.add_parser(
         "top",
@@ -951,7 +852,6 @@ _HANDLERS = {
     "serve": _cmd_serve,
     "remote-classify": _cmd_remote_classify,
     "remote-similarity": _cmd_remote_similarity,
-    "serve-bench": _cmd_serve_bench,
     "top": _cmd_top,
     "trace": _cmd_trace,
 }

@@ -6,14 +6,13 @@ holding an *approximate* reference table — built from public or partial
 auxiliary data about the pseudonymous population — matches each
 released score vector against its reference rows and re-identifies
 records.  The attack needs only the output of the protocol, so it
-applies equally to local runs, :class:`~repro.engine.ProtocolEngine`
-batches, and TCP similarity sessions: anything that yields an ordered
-T² score table.
+applies equally to local runs, linkage jobs, and TCP similarity
+sessions: anything that yields an ordered T² score table.
 
 This module turns that attack into a measurement instrument:
 
 * :class:`ScoreTable` / builders — assemble score tables from any
-  evaluation path (plain metric, private protocol, engine, TCP client)
+  evaluation path (plain metric, private protocol, TCP client)
   through one ``evaluate(row_model, column_model)`` callable;
 * :func:`release_table` — apply an
   :class:`~repro.core.similarity.policy.OutputPolicy` to each row, the
@@ -108,7 +107,7 @@ def collect_score_table(
     """Build a table by calling ``evaluate(row_id, column_id)`` per cell.
 
     The callable abstracts the evaluation path: a plain metric, the
-    private protocol, an engine ``submit_similarity`` round-trip, or a
+    private protocol, or a
     :class:`~repro.net.service.TrainerClient` session all fit — the
     attack downstream is oblivious to how the scores were produced.
     """

@@ -53,14 +53,6 @@ class OMPEError(ProtocolError):
     """The oblivious multivariate polynomial evaluation failed."""
 
 
-class EngineError(ProtocolError):
-    """The multi-core protocol engine failed (dead worker, bad job)."""
-
-
-class EngineTimeout(EngineError):
-    """A job exceeded the engine's per-job timeout budget."""
-
-
 class BatchItemError(ProtocolError):
     """One item of a batched fan-out failed.
 

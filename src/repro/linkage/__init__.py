@@ -11,13 +11,12 @@ result store that survives hard crashes:
 * :mod:`repro.linkage.store` — :class:`LinkageResultStore`: canonical
   per-chunk JSONL with done markers; resume skips verified chunks and
   quarantines damaged ones;
-* :mod:`repro.linkage.runner` — :func:`run_linkage` over
-  interchangeable backends (serial baseline, engine worker fleet, TCP
-  client pool), all bit-identical.
+* :mod:`repro.linkage.runner` — :func:`run_linkage` over two
+  interchangeable backends (in-process serial, TCP client pool), both
+  bit-identical.
 """
 
 from repro.linkage.runner import (
-    EngineLinkageRunner,
     LinkageReport,
     LinkageRunner,
     SerialLinkageRunner,
@@ -28,7 +27,6 @@ from repro.linkage.spec import LinkageChunk, LinkageJobSpec
 from repro.linkage.store import LinkageResultStore, PairScore, StoreScan
 
 __all__ = [
-    "EngineLinkageRunner",
     "LinkageChunk",
     "LinkageJobSpec",
     "LinkageReport",

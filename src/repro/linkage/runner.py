@@ -1,25 +1,20 @@
 """Linkage execution backends and the chunked job driver.
 
-Three interchangeable :class:`LinkageRunner` backends score a chunk's
+Two interchangeable :class:`LinkageRunner` backends score a chunk's
 pairs with the private T² protocol:
 
-* :class:`SerialLinkageRunner` — pair-at-a-time in this process (the
-  baseline the benchmark measures chunked throughput against);
-* :class:`EngineLinkageRunner` — a
-  :class:`~repro.engine.engine.ProtocolEngine` worker fleet, kept alive
-  across chunks and settled per chunk via :meth:`ProtocolEngine.sync`;
+* :class:`SerialLinkageRunner` — pair-at-a-time in this process;
 * :class:`ServiceLinkageRunner` — a
   :class:`~repro.net.service.TrainerClientPool` fanning sessions out to
   a remote :class:`~repro.net.service.TrainerServer` hosting the left
   collection (protocol v2 pipelines the window).
 
-All three produce **bit-identical** scores for a given spec: the
-per-pair protocol seed is a pure function of record keys
-(:meth:`~repro.linkage.spec.LinkageJobSpec.pair_seed`), never of job
-ids, scheduling, or transport.  The serial and TCP backends hide each
-right model's OMPE #1/#2 input once per job and reuse it for all of
-that model's pairs, while the engine hides it per pair; ``T²`` does not
-depend on how the input was hidden, so the scores agree.
+Both produce **bit-identical** scores for a given spec: the per-pair
+protocol seed is a pure function of record keys
+(:meth:`~repro.linkage.spec.LinkageJobSpec.pair_seed`), never of
+scheduling or transport.  Both hide each right model's OMPE #1/#2
+input once per job and reuse it for all of that model's pairs
+(:class:`_JobCache`).
 
 :func:`run_linkage` drives a spec through a runner against a
 :class:`~repro.linkage.store.LinkageResultStore`: completed chunks are
@@ -43,7 +38,6 @@ from repro.core.similarity import (
     similarity_profile,
 )
 from repro.core.similarity.linear import hide_dots_input
-from repro.engine.engine import EnginePolicy, ProtocolEngine
 from repro.exceptions import (
     BatchItemError,
     LinkageError,
@@ -167,84 +161,6 @@ class SerialLinkageRunner(_JobCache, LinkageRunner):
 
     def close(self) -> None:
         self._clear()
-
-
-class EngineLinkageRunner(LinkageRunner):
-    """Chunked scoring over a :class:`ProtocolEngine` worker fleet.
-
-    The fleet hosts the *entire left collection* (keyed models in the
-    worker spec) and stays alive across chunks; each chunk submits one
-    similarity job per pair — seed pinned to the spec's per-pair seed,
-    ``left_key`` selecting the model, ``tag`` carrying the right key —
-    and settles with :meth:`ProtocolEngine.sync`.  :meth:`close` drains
-    the fleet so worker metrics merge into the active registry.
-    """
-
-    def __init__(
-        self,
-        workers: int = 2,
-        queue_capacity: int = 64,
-        policy: Optional[EnginePolicy] = None,
-        seed: int = 0,
-    ) -> None:
-        self.workers = workers
-        self.queue_capacity = queue_capacity
-        self.policy = policy
-        self.seed = seed
-        self._engine: Optional[ProtocolEngine] = None
-
-    def prepare(self, spec: LinkageJobSpec) -> None:
-        self._engine = ProtocolEngine(
-            models=spec.left,
-            config=spec.config,
-            workers=self.workers,
-            queue_capacity=self.queue_capacity,
-            policy=self.policy,
-            seed=self.seed,
-            params=spec.params,
-        ).start()
-
-    def run_chunk(
-        self, spec: LinkageJobSpec, chunk: LinkageChunk
-    ) -> List[PairScore]:
-        if self._engine is None:
-            raise LinkageError("runner is not prepared (no engine fleet)")
-        submitted: Dict[int, str] = {}
-        for right_key in chunk.right_keys:
-            job_id = self._engine.submit_similarity(
-                spec.right[right_key],
-                seed=spec.pair_seed(chunk.left_key, right_key),
-                left_key=chunk.left_key,
-                tag=right_key,
-            )
-            submitted[job_id] = right_key
-        by_right: Dict[str, PairScore] = {}
-        for result in self._engine.sync():
-            right_key = submitted.get(result.job_id)
-            if right_key is None:  # pragma: no cover - defensive
-                raise LinkageError(
-                    f"chunk {chunk.chunk_id}: engine returned unknown "
-                    f"job {result.job_id}"
-                )
-            if not result.ok:
-                raise LinkageError(
-                    f"chunk {chunk.chunk_id} pair "
-                    f"({chunk.left_key!r}, {right_key!r}): {result.error}"
-                )
-            by_right[right_key] = PairScore.from_outcome(
-                chunk.left_key, right_key, result.t, result.t_squared
-            )
-        return [by_right[right_key] for right_key in chunk.right_keys]
-
-    def close(self) -> None:
-        if self._engine is None:
-            return
-        engine, self._engine = self._engine, None
-        try:
-            if not engine._closed:
-                engine.drain()
-        finally:
-            engine.close()
 
 
 class ServiceLinkageRunner(_JobCache, LinkageRunner):

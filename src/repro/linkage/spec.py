@@ -14,8 +14,8 @@ inputs:
   completed chunks;
 * the **per-pair protocol seed** (:meth:`LinkageJobSpec.pair_seed`):
   ``derive_seed(spec seed, "linkage", left key, right key)``, a pure
-  function of record keys (never of job ids or scheduling), so the
-  engine backend, the TCP backend, and a resumed run all produce
+  function of record keys (never of scheduling or transport), so the
+  serial backend, the TCP backend, and a resumed run all produce
   bit-identical outcomes for every pair;
 * the **hide seed** of each right record
   (:meth:`LinkageJobSpec.hide_seed`): the serial and TCP backends hide
@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import numbers
 from dataclasses import dataclass
 from typing import Dict, Mapping, Optional, Tuple
 
@@ -64,6 +65,10 @@ def _chunk_id(left_key: str, right_keys: Tuple[str, ...]) -> str:
     """A stable, filesystem-safe id hashed from the member keys."""
     material = "\x1f".join((left_key,) + right_keys)
     return hashlib.sha256(material.encode("utf-8")).hexdigest()[:16]
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def _validate_collection(name: str, collection: Mapping[str, SVMModel]) -> Dict[str, SVMModel]:
@@ -97,16 +102,25 @@ class LinkageJobSpec:
         params: Optional[MetricParams] = None,
         config: Optional[OMPEConfig] = None,
     ) -> None:
-        if chunk_pairs < 1:
+        if not _is_int(chunk_pairs) or chunk_pairs < 1:
             raise ValidationError(
-                f"chunk_pairs must be at least 1, got {chunk_pairs}"
+                f"chunk_pairs must be an integer of at least 1, "
+                f"got {chunk_pairs!r}"
             )
-        if threshold is not None and threshold < 0:
+        # ``not threshold >= 0`` also refuses NaN, which compares false
+        # either way and would otherwise keep no pair at all.
+        if threshold is not None and (
+            isinstance(threshold, bool)
+            or not isinstance(threshold, numbers.Real)
+            or not threshold >= 0
+        ):
             raise ValidationError(
-                f"threshold must be non-negative, got {threshold}"
+                f"threshold must be a non-negative number, got {threshold!r}"
             )
-        if top_k is not None and top_k < 1:
-            raise ValidationError(f"top_k must be at least 1, got {top_k}")
+        if top_k is not None and (not _is_int(top_k) or top_k < 1):
+            raise ValidationError(
+                f"top_k must be an integer of at least 1, got {top_k!r}"
+            )
         self.left = _validate_collection("left", left)
         self.right = _validate_collection("right", right)
         linear = {m.is_linear() for m in self.left.values()}

@@ -1,16 +1,16 @@
 """Cross-process trace propagation and stitching.
 
 One protocol run may touch several processes: the client that opened
-the session, the trainer-server thread that served it, and the engine
-worker processes that executed jobs.  Each process records spans into
-its own tracer, so a run yields *fragments* — span trees that are
-complete locally but disconnected globally.
+the session and the trainer-server thread that served it.  Each
+process records spans into its own tracer, so a run yields
+*fragments* — span trees that are complete locally but disconnected
+globally.
 
 This module joins them:
 
 * :class:`TraceContext` — the propagation envelope (trace id + parent
   span id + string baggage).  It is a registered wire payload, carried
-  inside ``session/open`` control frames and engine job envelopes.
+  inside ``session/open`` control frames.
 * :func:`current_trace_context` — capture the innermost open span as a
   context to hand to a remote party (``None`` when tracing is off, so
   the disabled path stays one attribute load + one check).
@@ -153,8 +153,7 @@ class AdminMetricsDump:
     """``admin/metrics`` response: the live registry, two renderings.
 
     ``prometheus`` is the text exposition format; ``snapshot_json`` is
-    the JSON snapshot (the same shape
-    :meth:`repro.obs.MetricsRegistry.merge_snapshot` accepts).
+    the JSON snapshot (:meth:`repro.obs.MetricsRegistry.snapshot`).
     """
 
     enabled: bool

@@ -236,25 +236,6 @@ class Histogram:
         counts = series[0] if series else [0] * len(self.buckets)
         return dict(zip(self.buckets, counts))
 
-    def _merge(
-        self,
-        labels: Dict[str, Any],
-        bucket_counts: Dict[float, int],
-        total: float,
-        count: int,
-    ) -> None:
-        """Add another series' cumulative state (cross-process merge)."""
-        key = _label_key(labels)
-        with self._lock:
-            series = self._series.get(key)
-            if series is None:
-                series = [[0] * len(self.buckets), 0.0, 0]
-                self._series[key] = series
-            for index, bound in enumerate(self.buckets):
-                series[0][index] += int(bucket_counts.get(bound, 0))
-            series[1] += total
-            series[2] += count
-
     def _expose(self) -> List[str]:
         lines: List[str] = []
         for key, (counts, total, count) in sorted(self._series.items()):
@@ -425,52 +406,6 @@ class MetricsRegistry:
 
     def to_json(self, indent: Optional[int] = None) -> str:
         return json.dumps(self.snapshot(), indent=indent, sort_keys=True)
-
-    def merge_snapshot(self, snapshot: Dict[str, Any]) -> None:
-        """Fold a :meth:`snapshot` dump from another registry into this one.
-
-        This is the cross-process aggregation path: engine workers run
-        with their own in-process registry, snapshot it on drain, and
-        the parent merges every worker's snapshot here.  Merge
-        semantics follow the instrument kinds: counters *add*, gauges
-        *last-write-win*, histograms add per-bucket counts, sums, and
-        counts (bucket bounds must match any existing series).
-        """
-        for name, dump in snapshot.items():
-            kind = dump.get("kind")
-            help_text = dump.get("help", "")
-            series = dump.get("series", [])
-            if kind == "counter":
-                counter = self.counter(name, help_text)
-                for entry in series:
-                    counter.inc(entry["value"], **entry.get("labels", {}))
-            elif kind == "gauge":
-                gauge = self.gauge(name, help_text)
-                for entry in series:
-                    gauge.set(entry["value"], **entry.get("labels", {}))
-            elif kind == "histogram":
-                for entry in series:
-                    bounds = tuple(
-                        sorted(float(b) for b in entry.get("buckets", {}))
-                    )
-                    histogram = self.histogram(
-                        name, help_text, buckets=bounds or None
-                    )
-                    if tuple(histogram.buckets) != (bounds or histogram.buckets):
-                        raise ValidationError(
-                            f"histogram {name!r} bucket bounds disagree "
-                            f"across merged snapshots"
-                        )
-                    histogram._merge(
-                        entry.get("labels", {}),
-                        {float(b): c for b, c in entry.get("buckets", {}).items()},
-                        entry.get("sum", 0.0),
-                        entry.get("count", 0),
-                    )
-            else:
-                raise ValidationError(
-                    f"cannot merge metric {name!r} of unknown kind {kind!r}"
-                )
 
 
 # -- module-level registry (no-op unless enabled) -------------------------

@@ -37,11 +37,11 @@ from typing import Any, Dict, Iterator, List, Optional
 # -- span identity ---------------------------------------------------------
 #
 # Every recorded span carries a process-unique ``span_id`` so span trees
-# from *different* processes (client/server/engine workers) can be
-# stitched back together (:mod:`repro.obs.distributed`).  The id is a
-# ``<pid-token>.<counter>`` string: the token re-derives itself after a
-# fork (engine workers), and the counter increment is atomic under the
-# GIL, so ids are unique across threads and processes without a lock.
+# from *different* processes (client and server) can be stitched back
+# together (:mod:`repro.obs.distributed`).  The id is a
+# ``<pid-token>.<counter>`` string: the token re-derives itself in a
+# forked child, and the counter increment is atomic under the GIL, so
+# ids are unique across threads and processes without a lock.
 
 _ID_COUNTER = itertools.count(1)
 _TOKEN: Optional[str] = None

@@ -173,45 +173,6 @@ class TestScoreTableBuilders:
         noisy = perturb_table(table, sigma=10.0, seed=3)
         assert all(v >= 0.0 for row in noisy.scores for v in row)
 
-    def test_engine_batch_builds_a_table_row(self, fast_config):
-        """One ProtocolEngine batch yields one attackable table row —
-        the engine path feeds the same harness as everything else."""
-        from repro.engine import ProtocolEngine
-        from repro.utils.rng import derive_seed
-
-        subjects = synthetic_population(1, DIMENSION, seed=POPULATION_SEED)
-        probes = synthetic_population(2, DIMENSION, seed=PROBE_SEED)
-        (subject_id,) = subjects
-        with ProtocolEngine(
-            subjects[subject_id], config=fast_config, workers=1, seed=11,
-        ) as engine:
-            job_ids = [
-                engine.submit_similarity(probes[probe_id])
-                for probe_id in probes
-            ]
-            report = engine.drain()
-        by_job = {result.job_id: result.t for result in report.results}
-        table = ScoreTable(
-            row_ids=(subject_id,),
-            column_ids=tuple(probes),
-            scores=(tuple(by_job[job_id] for job_id in job_ids),),
-        )
-        # The engine derives per-job seeds; the direct protocol with the
-        # same derivation produces the identical row.
-        from repro.core.similarity import evaluate_similarity_private
-
-        direct = tuple(
-            float(
-                evaluate_similarity_private(
-                    subjects[subject_id], probes[probe_id],
-                    config=fast_config,
-                    seed=derive_seed(11, "job", job_id),
-                ).t
-            )
-            for job_id, probe_id in zip(job_ids, probes)
-        )
-        assert table.scores[0] == direct
-
 
 class TestLeakageScore:
     def test_raw_is_total_leakage(self):

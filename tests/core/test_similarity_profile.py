@@ -31,14 +31,11 @@ from repro.core.similarity import remote
 from repro.core.similarity.exact import snap
 from repro.core.similarity.linear import AREA_BASIS
 from repro.core.similarity.remote import run_similarity_alice, run_similarity_bob
-from repro.engine.jobs import SimilarityJob
-from repro.engine.worker import EngineSpec, WorkerState, execute_job
 from repro.exceptions import ProtocolError, SimilarityError, ValidationError
 from repro.linkage import LinkageJobSpec, SerialLinkageRunner, run_linkage
 from repro.math.groups import fast_group
 from repro.ml.kernels import polynomial_kernel
 from repro.ml.svm.model import SVMModel, make_linear_model
-from repro.ml.svm.persistence import model_to_dict
 from repro.net import wire
 from repro.net.channel import Channel
 from repro.net.service import TrainerClient, TrainerServer
@@ -230,25 +227,6 @@ class TestProfileReuse:
         assert len(scans) == 6
         assert len(maps) == 6
         assert runner._profiles == {}
-
-    def test_engine_worker_reuses_left_profile(self, light_config):
-        left = _kernel_model(30)
-        spec = EngineSpec(
-            model_document=model_to_dict(left),
-            config=light_config,
-            metric_params=PARAMS,
-        )
-        state = WorkerState.from_spec(spec, worker_id=0)
-        for job_id, seed in enumerate((4, 5)):
-            job = SimilarityJob(
-                job_id=job_id,
-                model_document=model_to_dict(_kernel_model(31)),
-                seed=seed,
-            )
-            assert execute_job(state, job, attempt=1).ok
-            if job_id == 0:
-                first = state.profiles[None]
-        assert state.profiles == {None: first}
 
 
 @pytest.mark.socket

@@ -7,12 +7,6 @@ sample over their concatenation.  Their masked values
 differ by construction (independent ``r_a`` draws), but the *labels and
 signs* must be identical on identical inputs: any divergence means one
 path evaluates a different polynomial than the others.
-
-A fourth pairing checks the engine: classification through
-:class:`repro.engine.ProtocolEngine` must produce the same labels,
-masked values and bytes as
-:func:`repro.core.classification.classify_linear` with the engine's own
-derived per-job seeds.
 """
 
 from __future__ import annotations
@@ -23,7 +17,6 @@ import pytest
 
 from repro.core.classification import classify_linear
 from repro.core.ompe import OMPEFunction, execute_ompe
-from repro.engine import run_engine
 from repro.ml.svm.model import make_linear_model
 from repro.utils.rng import ReproRandom, derive_seed
 
@@ -98,34 +91,12 @@ class TestOneShotVsBatchVsPlain:
         assert first.values == second.values
         assert first.amplifiers == second.amplifiers
 
-
-class TestEngineVsDirectProtocol:
-    def test_engine_labels_match_classify_linear(
-        self, model, fast_config, samples
-    ):
-        report = run_engine(model, samples, config=fast_config, workers=2, seed=SEED)
-        assert not report.failed
-        direct = [
-            classify_linear(
-                model,
-                sample,
-                config=fast_config,
-                seed=derive_seed(SEED, "job", index),
-            )
-            for index, sample in enumerate(samples)
-        ]
-        assert [(r.label, r.value, r.total_bytes) for r in report.results] == [
-            (d.label, d.randomized_value, d.total_bytes) for d in direct
-        ]
-
     def test_boundary_sample_classified_positive_everywhere(
         self, model, fast_config, samples
     ):
         """d(t̃) = 0 must label +1 (the paper's boundary convention) in
-        the plain path, the one-shot protocol, and the engine."""
+        the plain path and the one-shot protocol."""
         boundary = samples[0]
         assert model.exact_decision_value(list(boundary)) == 0
         direct = classify_linear(model, boundary, config=fast_config, seed=1)
         assert direct.label == 1.0
-        report = run_engine(model, [boundary], config=fast_config, workers=1, seed=SEED)
-        assert report.results[0].label == 1.0

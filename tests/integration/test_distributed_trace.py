@@ -6,9 +6,9 @@ Three layers of the tentpole contract:
   yields a stitched tree whose *structure* is identical whether the
   session ran over TCP or an in-memory pair.  Span identity, context
   propagation, and stitching are transport-independent.
-* **Fault paths** — a mid-session disconnect, a force-close at the
-  drain deadline, and an engine resubmission all surface as
-  error-annotated spans *inside* the stitched tree, never as orphans.
+* **Fault paths** — a mid-session disconnect and a force-close at the
+  drain deadline both surface as error-annotated spans *inside* the
+  stitched tree, never as orphans.
 * **CLI end-to-end** — ``serve --observe`` + ``remote-classify
   --trace-out`` + ``trace --stitch`` produce one stitched view, the
   acceptance criterion, through the real subcommands.
@@ -25,7 +25,6 @@ import time
 import pytest
 
 from repro import obs
-from repro.engine.engine import ProtocolEngine
 from repro.ml.svm.model import make_linear_model
 from repro.net import wire
 from repro.net.mux import V1Session
@@ -261,32 +260,6 @@ class TestFaultPathTraces:
         session = find(roots[0], "service.session")[0]
         assert not session.orphan
         assert "error" in session.attributes
-
-    def test_engine_resubmission_spans_are_error_annotated_siblings(
-        self, tracer, model, fast_config
-    ):
-        """A failed attempt and its resubmission both stitch under the
-        submitting span — per-attempt spans, first one error-marked."""
-        with ProtocolEngine(
-            model, config=fast_config, workers=2, seed=5, trace=True
-        ) as engine:
-            with tracer.span("client.batch", party="bob"):
-                engine.submit_classification(SAMPLE, inject_failures=1)
-            report = engine.drain()
-
-        assert report.results[0].ok
-        assert report.results[0].attempts == 2
-        fragments = [("parent", _client_fragment(tracer, "client.batch"))]
-        for worker_id, jsonl in sorted(report.worker_traces.items()):
-            fragments.append((f"worker-{worker_id}", jsonl))
-        roots = stitch(fragments)
-        assert len(roots) == 1
-        jobs = find(roots[0], "engine.job")
-        assert len(jobs) == 2  # one per attempt, siblings under the batch
-        assert all(not job.orphan for job in jobs)
-        by_attempt = {job.attributes["attempt"]: job for job in jobs}
-        assert "error" in by_attempt[1].attributes
-        assert "error" not in by_attempt[2].attributes
 
 
 @pytest.mark.socket

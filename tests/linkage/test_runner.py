@@ -1,10 +1,10 @@
 """The linkage driver: backend equivalence, filtering, resume.
 
-The backbone invariant: serial and engine backends write **the same
-bytes** to the store for the same spec, and a resumed run reproduces
-the same final pair set without recomputing completed chunks.
-(The TCP backend joins this differential in the socket-marked
-``test_linkage_tcp.py``.)
+The backbone invariant: the serial backend writes exactly what direct
+protocol calls compute, and a resumed run reproduces the same final
+pair set without recomputing completed chunks.  (The TCP backend's
+store bytes are compared against the serial store in the
+socket-marked ``test_linkage_tcp.py``.)
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from repro.exceptions import (
     ResultStoreError,
 )
 from repro.linkage import (
-    EngineLinkageRunner,
     LinkageJobSpec,
     LinkageResultStore,
     SerialLinkageRunner,
@@ -70,22 +69,6 @@ class TestBackendEquivalence:
                 score = by_pair[(left_key, right_key)]
                 assert score.t_squared == outcome.t_squared
                 assert score.t == outcome.t
-
-    def test_engine_store_is_bit_identical_to_serial(
-        self, small_spec, tmp_path
-    ):
-        serial = run_linkage(
-            small_spec, SerialLinkageRunner(), tmp_path / "serial"
-        )
-        engine = run_linkage(
-            small_spec,
-            EngineLinkageRunner(workers=2),
-            tmp_path / "engine",
-        )
-        assert chunk_bytes(small_spec, tmp_path / "serial") == chunk_bytes(
-            small_spec, tmp_path / "engine"
-        )
-        assert serial.matches == engine.matches
 
 
 class TestFiltering:

@@ -32,6 +32,29 @@ class TestValidation:
         with pytest.raises(ValidationError, match="top_k"):
             LinkageJobSpec(left_models, right_models, top_k=0)
 
+    def test_nan_threshold_rejected(self, left_models, right_models):
+        # NaN passes ``threshold < 0`` and would score every pair, then
+        # keep none of them.
+        with pytest.raises(ValidationError, match="threshold"):
+            LinkageJobSpec(left_models, right_models, threshold=float("nan"))
+
+    def test_non_number_threshold_rejected(self, left_models, right_models):
+        for threshold in (True, "0.5"):
+            with pytest.raises(ValidationError, match="threshold"):
+                LinkageJobSpec(left_models, right_models, threshold=threshold)
+
+    def test_non_integer_top_k_rejected(self, left_models, right_models):
+        # A float top_k would otherwise fail only at finalize, after
+        # every chunk has been scored.
+        for top_k in (1.5, 2.0, True):
+            with pytest.raises(ValidationError, match="top_k"):
+                LinkageJobSpec(left_models, right_models, top_k=top_k)
+
+    def test_non_integer_chunk_pairs_rejected(self, left_models, right_models):
+        for chunk_pairs in (2.5, 4.0, True, "8"):
+            with pytest.raises(ValidationError, match="chunk_pairs"):
+                LinkageJobSpec(left_models, right_models, chunk_pairs=chunk_pairs)
+
     def test_mixed_model_families_rejected(self, left_models):
         import numpy as np
 

@@ -167,41 +167,8 @@ class TestObserve:
         assert obs.get_tracer().enabled is False
         assert obs.get_metrics().enabled is False
 
-
-class TestServeBench:
-    def test_happy_path_exit_zero(self, capsys):
-        assert main([
-            "serve-bench", "--jobs", "4", "--workers", "1,2",
-            "--dimension", "2", "--security-degree", "1",
-        ]) == 0
-        output = capsys.readouterr().out
-        assert "jobs/s" in output
-        assert "ompe runs" in output
-        # One row per worker count, each reporting the full job count.
-        rows = [line for line in output.splitlines()
-                if line.strip() and line.lstrip()[0].isdigit()]
-        assert len(rows) == 2
-        assert all(row.split()[4] == "4" for row in rows)
-
-    def test_invalid_worker_list_exit_one(self, capsys):
-        assert main(["serve-bench", "--workers", "0,2"]) == 1
-        assert "positive counts" in capsys.readouterr().err
-        assert main(["serve-bench", "--workers", "two"]) == 1
-        assert main(["serve-bench", "--workers", ","]) == 1
-
-    def test_invalid_jobs_and_dimension_exit_one(self, capsys):
-        assert main(["serve-bench", "--jobs", "0"]) == 1
-        assert "--jobs" in capsys.readouterr().err
-        assert main(["serve-bench", "--dimension", "0"]) == 1
-        assert "--dimension" in capsys.readouterr().err
-
-    def test_argparse_error_exit_two(self):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["serve-bench", "--jobs", "not-a-number"])
-        assert excinfo.value.code == 2
-
     def test_observe_clean_run_exits_zero(self):
-        # Companion to TestObserve.test_drift_exit_code: the same
+        # Companion to test_drift_exit_code: the same
         # subcommand with a sane tolerance must exit 0, so automation
         # can branch on 0 (clean) / 3 (drift).
         assert main(["observe", "--security-degree", "1"]) == 0
