@@ -15,19 +15,23 @@ numerator ``n_q`` is drawn first, then the ``q - 1`` middle ones.
 :class:`Hiders` keeps only those numerators ``n_j`` and evaluates at a
 node ``x/y`` as::
 
-    g(x/y) = (a·G·y^q + b·Σ n_j·x^j·y^(q-j)) / (b·G·y^q)
+    g_i(x/y) = (A_i·G·y^q + B·Σ n_j·x^j·y^(q-j)) / (B·G·y^q)
 
-for a constant term ``a/b`` and ``G = 10**6``, sharing the node's
-powers ``x^j·y^(q-j)`` across the vector and building one ``Fraction``
-per value.  A receiver bundle
+for constant terms ``A_i/B`` over one common denominator ``B`` and
+``G = 10**6``, sharing the node's powers
+``x^j·y^(q-j)`` across the vector and bringing the vector to its one
+canonical :class:`~repro.math.scaled.ScaledVector` with one gcd per
+point.  A receiver bundle
 (:func:`repro.core.ompe.precompute.draw_receiver_bundle`, drawn online
 or ahead of time by a pool) keeps the cover hiders' numerators and
 supplies the input as their constants at query time.
 ``tests/core/test_hiding.py`` holds this form to ``Polynomial`` objects
-built from the same numerators: same values, value types and bytes.
+built from the same numerators, and ``tests/core/test_scaled_points.py``
+to the per-coordinate ``Fraction`` formula it replaced.
 
 :func:`check_points` is the senders' first step on a received points
-message: it refuses any value that is not a well-formed pair of numbers.
+message: it refuses any entry that is not a distinct non-zero node and a
+:class:`~repro.math.scaled.ScaledVector` of the announced arity.
 """
 
 from __future__ import annotations
@@ -40,12 +44,13 @@ from typing import List, Sequence, Tuple
 from repro.core.ompe.config import OMPEConfig
 from repro.exceptions import ProtocolAbort, ValidationError
 from repro.math.polynomials import Number
+from repro.math.scaled import ScaledVector
 from repro.utils.rng import _DEFAULT_FRACTION_GRID as LATTICE
 from repro.utils.rng import ReproRandom
 
-PointsMessage = Tuple[Tuple[Number, Tuple[Number, ...]], ...]
+PointsMessage = Tuple[Tuple[Number, ScaledVector], ...]
 
-#: Number types a points message may carry; ``bool`` never counts.
+#: Number types a points message's nodes may be; ``bool`` never counts.
 _POINT_TYPES = (int, Fraction)
 
 #: Bytes per stream block: one full-width BLAKE2b digest.
@@ -59,35 +64,41 @@ _STREAM_PERSON = b"repro.hiders"
 class Hiders:
     """The hiding polynomials of one vector, ready to evaluate at nodes.
 
-    Per coordinate: the constant term as ``(a, b)`` and the lattice
-    numerators ``(n_q, n_1, ..., n_(q-1))`` in draw order, as
+    The constant terms are ``constants[i] / denominator`` over one
+    ``denominator ≥ 1``, and per coordinate the lattice numerators
+    ``(n_q, n_1, ..., n_(q-1))`` in draw order, as
     :func:`draw_numerators` returns them.
     """
 
-    __slots__ = ("_constants", "_numerators", "_degree")
+    __slots__ = ("_denominator", "_constants", "_numerators", "_degree")
 
     def __init__(
         self,
         degree: int,
-        constants: Sequence[Tuple[int, int]],
+        constants: Sequence[int],
+        denominator: int,
         numerators: Sequence[Sequence[int]],
     ) -> None:
         self._degree = degree
         self._constants = constants
+        self._denominator = denominator
         self._numerators = numerators
 
-    def at(self, node: Number) -> Tuple[Number, ...]:
+    def at(self, node: Number) -> ScaledVector:
         """The vector ``(g_1(node), ..., g_n(node))``."""
         q = self._degree
         x, y = node.numerator, node.denominator
         # x^j·y^(q-j) in draw order: j = q first, then j = 1 .. q-1.
         powers = [x**q] + [x**j * y ** (q - j) for j in range(1, q)]
         scale = LATTICE * y**q
-        values = []
-        for (a, b), numerators in zip(self._constants, self._numerators):
-            total = sum(map(mul, numerators, powers))
-            values.append(Fraction(a * scale + b * total, b * scale))
-        return tuple(values)
+        common = self._denominator
+        return ScaledVector.reduced(
+            common * scale,
+            [
+                constant * scale + common * sum(map(mul, numerators, powers))
+                for constant, numerators in zip(self._constants, self._numerators)
+            ],
+        )
 
 
 def _stream_key(seed: int) -> bytes:
@@ -173,15 +184,15 @@ def disguise_vector(
     arity: int,
     node: Number,
     config: OMPEConfig,
-) -> Tuple[Number, ...]:
+) -> ScaledVector:
     """A disguise at ``node``: fresh hiders whose constant terms ``draw``
     supplies (uniform on ``[-1, 1]``, as ``draw.fraction(-1, 1)``) and
     whose numerators :func:`draw_numerators` draws for label path
     ``prefix`` of ``parent``."""
-    constants = [(draw.randint(-LATTICE, LATTICE), LATTICE) for _ in range(arity)]
     hiders = Hiders(
         config.security_degree,
-        constants=constants,
+        constants=[draw.randint(-LATTICE, LATTICE) for _ in range(arity)],
+        denominator=LATTICE,
         numerators=draw_numerators(parent, prefix, arity, config),
     )
     return hiders.at(node)
@@ -197,15 +208,23 @@ def _is_number(value) -> bool:
 
 
 def check_points(pairs, arity: int) -> None:
-    """Refuse a points message that is not ``((node, vector), ...)`` of numbers.
+    """Refuse a points message that is not ``((node, vector), ...)`` of
+    distinct non-zero nodes and canonical vectors.
 
-    Each entry must be a 2-sequence of a number and a sequence of
-    ``arity`` numbers; numbers are ``int`` or ``Fraction``.  Raises
+    Each entry must be a 2-sequence of a node (``int`` or ``Fraction``,
+    non-zero and unlike every other node) and a
+    :class:`~repro.math.scaled.ScaledVector` of ``arity`` coordinates.
+    A vector of separate ``Fraction``s, as a peer older than the scaled
+    form sends, is refused like any other type.  Honest receivers draw
+    distinct non-zero nodes (:func:`draw_nodes`); a repeated node would
+    put the same mask value ``h(v)`` in several slots, whose differences
+    are then ``r·(P(z₁) − P(z₂))`` — the function's own ratios.  Raises
     :class:`~repro.exceptions.ProtocolAbort` on the first violation, so
     a hostile peer meets the typed abort and never the evaluator.
     """
     if not isinstance(pairs, (tuple, list)):
         raise ProtocolAbort(f"points message is a {type(pairs).__name__}, not a sequence")
+    nodes = set()
     for index, pair in enumerate(pairs):
         if not isinstance(pair, (tuple, list)) or len(pair) != 2:
             raise ProtocolAbort(f"points entry {index} is not a (node, vector) pair")
@@ -214,12 +233,20 @@ def check_points(pairs, arity: int) -> None:
             raise ProtocolAbort(
                 f"points entry {index}: node of type {type(node).__name__}"
             )
-        if not isinstance(vector, (tuple, list)) or len(vector) != arity:
+        # A canonical node's (numerator, denominator) names it, and a
+        # tuple of ints hashes far faster than a Fraction.
+        key = (node.numerator, node.denominator)
+        if not key[0]:
+            raise ProtocolAbort(f"points entry {index}: node 0 would reveal the input")
+        if key in nodes:
+            raise ProtocolAbort(f"points entry {index}: node {node} repeats")
+        nodes.add(key)
+        if type(vector) is not ScaledVector:
+            raise ProtocolAbort(
+                f"points entry {index}: vector is a {type(vector).__name__}, "
+                f"not an ompe/vector"
+            )
+        if len(vector) != arity:
             raise ProtocolAbort(
                 f"points entry {index}: vector is not {arity} coordinates"
             )
-        for value in vector:
-            if not _is_number(value):
-                raise ProtocolAbort(
-                    f"points entry {index}: coordinate of type {type(value).__name__}"
-                )

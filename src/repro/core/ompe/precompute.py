@@ -44,7 +44,9 @@ from repro.core.ompe.hiding import (
     draw_numerators,
 )
 from repro.exceptions import OMPEError, ValidationError
+from repro.math import fastpath
 from repro.math.polynomials import Number, Polynomial
+from repro.math.scaled import ScaledVector
 from repro.utils.rng import ReproRandom
 
 
@@ -102,14 +104,16 @@ class ReceiverBundle:
     numerators: Tuple[Tuple[int, ...], ...]
     nodes: Tuple[Number, ...]
     cover_positions: Tuple[int, ...]
-    disguises: Tuple[Optional[Tuple[Number, ...]], ...]
+    disguises: Tuple[Optional[ScaledVector], ...]
 
     def points(self, input_vector: Sequence[Number], config: OMPEConfig) -> PointsMessage:
         """The points message hiding ``input_vector``: the cover hiders
         at the covers, the stored disguise elsewhere."""
+        constants, denominator, _ = fastpath.scale_to_integers(input_vector)
         hiders = Hiders(
             config.security_degree,
-            constants=[(c.numerator, c.denominator) for c in input_vector],
+            constants=constants,
+            denominator=denominator,
             numerators=self.numerators,
         )
         return tuple(

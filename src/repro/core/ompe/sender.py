@@ -161,6 +161,8 @@ class OMPESender(Party):
                 self.functions, self._masks, self.amplifiers, self.offsets
             ):
                 end = start + function.arity
+                # A ScaledVector slice keeps one denominator; a run of
+                # one function takes the vector itself.
                 values = function.evaluate_all(
                     [vector[start:end] for _, vector in pairs]
                 )

@@ -48,7 +48,8 @@ makes that choice, so one driver runs both kinds:
 :func:`evaluate_similarity_private` runs both parties in one process;
 :mod:`~repro.core.similarity.remote` splits the same steps into Alice's
 and Bob's sides.  The helpers both share — the degenerate-normal check,
-the Eq. (7) assembly and Bob's outcome-plus-policy step — live here.
+the norm checks, the Eq. (7) assembly and Bob's outcome-plus-policy
+step — live here.
 """
 
 from __future__ import annotations
@@ -115,6 +116,30 @@ def check_normal(party: str, normal_norm: Number) -> None:
         raise SimilarityError(
             f"{party}'s normal is degenerate (squared norm {normal_norm})"
         )
+
+
+def check_norms(norms) -> Tuple[Number, Number]:
+    """Bob's clear norms as Alice receives them: ``(centroid, normal)``.
+
+    Refuses anything but a pair of ``int``/``Fraction`` values (never
+    ``bool``) with the centroid norm ``≥ 0`` and the normal norm
+    ``> 0``, with :class:`~repro.exceptions.SimilarityError`, before
+    either enters a protocol run.
+    """
+    if not isinstance(norms, (tuple, list)) or len(norms) != 2:
+        raise SimilarityError(
+            f"Bob's norms are a {type(norms).__name__}, not a (centroid, normal) pair"
+        )
+    for value in norms:
+        if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
+            raise SimilarityError(
+                f"Bob's norm is a {type(value).__name__}, not an int or Fraction"
+            )
+    centroid_norm, normal_norm = norms
+    if centroid_norm < 0:
+        raise SimilarityError(f"Bob's centroid norm {centroid_norm} is negative")
+    check_normal("Bob", normal_norm)
+    return centroid_norm, normal_norm
 
 
 def area_function(
@@ -293,11 +318,9 @@ def evaluate_similarity_private(
             clear_channel.send(
                 "bob", bob.norms_tag, (bob.centroid_norm, bob.normal_norm)
             )
-            centroid_norm_b, normal_norm_b = clear_channel.receive(
-                "alice", alice.norms_tag
-            )
+            norms = clear_channel.receive("alice", alice.norms_tag)
         clear = clear_report(clear_channel)
-        check_normal("Bob", normal_norm_b)
+        centroid_norm_b, normal_norm_b = check_norms(norms)
         check_normal("Alice", alice.normal_norm)
 
         # Step 3 — OMPE #1 and #2 in one run:

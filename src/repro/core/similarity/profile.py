@@ -67,6 +67,7 @@ from repro.exceptions import ValidationError
 from repro.math import fastpath
 from repro.math.multinomial import multinomial_coefficient
 from repro.math.polynomials import Number
+from repro.math.scaled import ScaledVector
 from repro.ml.svm.model import SVMModel
 
 #: ``(a0, b0, degree)`` of a polynomial kernel, snapped.
@@ -78,11 +79,12 @@ class DotForm:
     """``y ↦ constant + Σ_i weights_i · y_i``: each of Alice's OMPE functions.
 
     ``numerators`` and ``constant_numerator`` are the weights and the
-    constant over one common ``denominator``.  A point (int or
-    ``Fraction`` coordinates, as :func:`~repro.core.ompe.hiding.check_points`
-    and :func:`~repro.core.ompe.function.as_exact_vector` guarantee)
-    evaluates as one rescale onto its own common denominator, one
-    integer dot product and one ``Fraction``.
+    constant over one common ``denominator``.  A point of a points
+    message is a :class:`~repro.math.scaled.ScaledVector`
+    (:func:`~repro.core.ompe.hiding.check_points`) and evaluates as one
+    integer dot product over its own denominator and one ``Fraction``;
+    any other point of int or ``Fraction`` coordinates is first put in
+    that form.
     """
 
     numerators: Tuple[int, ...]
@@ -99,12 +101,12 @@ class DotForm:
             raise ValidationError(
                 f"point has {len(point)} coordinates, expected {len(self.numerators)}"
             )
-        scaled = fastpath.scale_to_integers(point)
-        if scaled is None:
-            raise ValidationError("a dot-form point takes int or Fraction coordinates")
-        values, den, _ = scaled
+        if type(point) is not ScaledVector:
+            point = ScaledVector.of(point)
+        den = point.denominator
         return Fraction(
-            self.constant_numerator * den + sum(map(mul, self.numerators, values)),
+            self.constant_numerator * den
+            + sum(map(mul, self.numerators, point.numerators)),
             self.denominator * den,
         )
 

@@ -41,6 +41,7 @@ from repro.core.similarity.linear import (
     PrivateSimilarityOutcome,
     area_function,
     area_input,
+    check_norms,
     check_normal,
     clear_report,
     phase_reports,
@@ -66,7 +67,10 @@ def run_similarity_alice(
     """Alice's (sender) side of the private similarity protocol.
 
     Returns Alice's per-phase reports; the similarity value belongs to
-    Bob and never enters Alice's view.
+    Bob and never enters Alice's view.  Bob's clear norms meet
+    :func:`~repro.core.similarity.linear.check_norms` before any OMPE
+    run, so a mistyped or negative norm ends the session with
+    :class:`~repro.exceptions.SimilarityError`.
     """
     params = params or MetricParams()
     config = config or OMPEConfig()
@@ -85,9 +89,9 @@ def run_similarity_alice(
         )
 
     clear = channel_factory()
-    centroid_norm_b, normal_norm_b = clear.receive("alice", alice.norms_tag)
+    norms = clear.receive("alice", alice.norms_tag)
     clear_phase = clear_report(clear)
-    check_normal("Bob", normal_norm_b)
+    centroid_norm_b, normal_norm_b = check_norms(norms)
     check_normal("Alice", alice.normal_norm)
 
     dots = send(alice.dots_functions(), "run1", amplify=True, offset=(False, True))

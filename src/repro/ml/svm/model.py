@@ -28,6 +28,7 @@ from repro.exceptions import ValidationError
 from repro.math import fastpath
 from repro.math.multinomial import compositions, multinomial_coefficient
 from repro.math.multivariate import MultivariatePolynomial
+from repro.math.scaled import ScaledVector
 from repro.ml.kernels import Kernel, linear_kernel
 
 #: Denominator used when snapping float model coefficients to exact
@@ -240,19 +241,25 @@ class SVMModel:
         self.__dict__["_scaled_form_cache"] = form
         return form
 
-    def _exact_point(self, point: Sequence) -> list:
-        exact_point = [Fraction(v) if not isinstance(v, Fraction) else v for v in point]
-        if len(exact_point) != self.dimension:
-            raise ValidationError(
-                f"point must have {self.dimension} coordinates, got {len(exact_point)}"
+    def _scaled_point(self, point: Sequence) -> ScaledVector:
+        """``point`` as a :class:`ScaledVector`: as it is when it is one,
+        else its coordinates converted to ``Fraction`` (floats exactly)
+        and put over the lcm of their denominators."""
+        if type(point) is not ScaledVector:
+            point = ScaledVector.of(
+                [v if isinstance(v, Fraction) else Fraction(v) for v in point]
             )
-        return exact_point
+        if len(point) != self.dimension:
+            raise ValidationError(
+                f"point must have {self.dimension} coordinates, got {len(point)}"
+            )
+        return point
 
-    def _scaled_decision_values(self, exact_points) -> list:
+    def _scaled_decision_values(self, scaled_points) -> list:
         """Scaled-integer evaluation of ``d`` at every point (bit-identical
         to the plain ``Fraction`` kernel loop).
 
-        Each point is rescaled onto the lcm of its own denominators.
+        Each point is read over its own denominator.
         For a polynomial kernel the points are stacked into one
         ``dtype=object`` matrix and every kernel value comes out of one
         matmul, so the arithmetic stays in Python ints and its
@@ -263,7 +270,7 @@ class SVMModel:
         """
         form = self._exact_scaled_form()
         bias = form["bias"]
-        scaled = [fastpath.scale_to_integers(point)[:2] for point in exact_points]
+        scaled = [(point.numerators, point.denominator) for point in scaled_points]
         values = []
         if self.kernel_spec[0] == "linear":
             for point_numerators, point_den in scaled:
@@ -301,19 +308,20 @@ class SVMModel:
     def exact_decision_values(self, points: Sequence[Sequence]) -> list:
         """Exact (Fraction) values of ``d`` at every point, in order.
 
-        Coordinates are converted to :class:`Fraction` first (floats
-        exactly), and every point of a linear or polynomial model takes
-        the scaled-integer pass; other kernels must be polynomialized
-        first.
+        A :class:`ScaledVector` point (an OMPE points message's) is read
+        as it is; any other has its coordinates converted to
+        :class:`Fraction` first (floats exactly).  Every point of a
+        linear or polynomial model takes the scaled-integer pass; other
+        kernels must be polynomialized first.
         """
-        exact_points = [self._exact_point(p) for p in points]
+        scaled_points = [self._scaled_point(p) for p in points]
         name = self.kernel_spec[0]
         if name not in ("linear", "poly", "polynomial"):
             raise ValidationError(
                 f"exact evaluation unsupported for kernel {name!r}; "
                 "polynomialize it first (repro.math.taylor)"
             )
-        return self._scaled_decision_values(exact_points)
+        return self._scaled_decision_values(scaled_points)
 
     def exact_decision_value(self, point: Sequence) -> Fraction:
         """Exact (Fraction) evaluation of ``d`` via the kernel form.

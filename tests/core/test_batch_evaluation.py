@@ -301,8 +301,9 @@ class TestSenders:
 # -- digests pinned from the per-point implementation --------------------------
 
 #: Transcript phases of the oblivious transfer.  Their bytes moved when
-#: a k-of-n transfer became one exchange; every other phase, the
-#: randomized values and T² are pinned from the per-point implementation.
+#: a k-of-n transfer became one exchange, and the ``points`` phase's when
+#: its vectors became scaled integers (``ompe/vector``); the randomized
+#: values and T² are pinned from the per-point implementation.
 OT_PHASES = ("ot-setups", "ot-choices", "ot-transfers")
 
 
@@ -331,23 +332,40 @@ def _split_bytes(outcome):
     return protocol, ot
 
 
-def test_kernel_classification_digest():
-    """SHA-256 of ``(non-OT bytes_by_phase, randomized_value)`` over five
-    in-process kernel classifications, pinned from the implementation
-    that evaluated one point per call, and of their OT phase bytes,
-    pinned from the one-exchange transfer."""
+def _kernel_classifications() -> list:
+    """Five in-process kernel classifications."""
     config = OMPEConfig(security_degree=1, cover_expansion=2, group=fast_group())
     model = _kernel_model(2016, 10, 5, 3, 0.5)
     rng = np.random.default_rng(7)
+    return [
+        classify_nonlinear(
+            model, rng.uniform(-1.0, 1.0, size=5), config=config, seed=index
+        )
+        for index in range(5)
+    ]
+
+
+def test_kernel_classification_digest():
+    """SHA-256 of the randomized values of five in-process kernel
+    classifications, pinned from the implementation that evaluated one
+    point per call and unchanged by every later wire form."""
+    rows = [str(outcome.randomized_value) for outcome in _kernel_classifications()]
+    assert _digest(rows) == (
+        "fd78c190a426dd8f3ac8b98965812e9f09e6e76471e9e1a1284991bfc3d5f4a1"
+    )
+
+
+def test_kernel_classification_bytes_digest():
+    """SHA-256 of the same classifications' non-OT ``bytes_by_phase``,
+    pinned from the scaled-integer points vectors (``ompe/vector``), and
+    of their OT phase bytes, pinned from the one-exchange transfer."""
     rows, ot_rows = [], []
-    for index in range(5):
-        sample = rng.uniform(-1.0, 1.0, size=5)
-        outcome = classify_nonlinear(model, sample, config=config, seed=index)
+    for outcome in _kernel_classifications():
         protocol, ot = _split_phases(outcome.report.transcript.bytes_by_phase())
-        rows.append((protocol, str(outcome.randomized_value)))
+        rows.append(protocol)
         ot_rows.append(ot)
     assert _digest(rows) == (
-        "c3fab7b299f529814ecdf07c37c92bd7a0dd919e580fce28bddcd30f4b8d3425"
+        "d6582af88732e57e3baeeb61f63e043011c3bcaf880a0e866e735674ef7402a5"
     )
     assert _digest(ot_rows) == (
         "249a819e644d46ab2e1dd846e42de6db69076ecc9daed7fdf519288982abfc5e"
@@ -359,7 +377,8 @@ def test_kernel_similarity_digest():
     4, ``b0 = 0``), pinned from the per-point packed-model
     implementation, and of its ``(non-OT, OT)`` bytes, pinned from OMPE
     #1 and #2 as one two-function run over the kernel's monomial map and
-    OMPE #3 over Eq. (7)'s 8 monomials."""
+    OMPE #3 over Eq. (7)'s 8 monomials, with points vectors as scaled
+    integers (``ompe/vector``)."""
     config = OMPEConfig(security_degree=1, cover_expansion=3, group=fast_group())
     params = MetricParams()
     lefts = [_crossing_model(300 + i, 5, 4, 2, 0.0) for i in range(2)]
@@ -376,5 +395,5 @@ def test_kernel_similarity_digest():
         "e4fef3b41170fd6a35a43e0c1ac9703d201eae2c94f7c03a39d945248d15579d"
     )
     assert _digest(byte_rows) == (
-        "8bae485fc62e2a2de9db1cadff3d27d2cc14d670683f3e82ba7e8d5b22354a13"
+        "595bfdb9f4773f3dc611ecee9f1896ac7ecec244c9cdea9a52afa39403a5a98f"
     )

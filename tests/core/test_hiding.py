@@ -40,6 +40,7 @@ from repro.core.similarity import (
 )
 from repro.math.groups import fast_group
 from repro.math.polynomials import Polynomial
+from repro.math.scaled import ScaledVector
 from repro.ml.kernels import polynomial_kernel
 from repro.ml.svm.model import SVMModel, make_linear_model
 from repro.net.channel import Channel
@@ -222,15 +223,17 @@ def digest(messages) -> str:
 #: (``covers`` + ``("g",)``; disguise ``j`` at ``("poly", j)`` +
 #: ``("g",)``).  ``batch`` (a run of one function per vector, hiding
 #: their concatenation once) was recorded when the separate batched
-#: conversation gave way to that run.
+#: conversation gave way to that run.  All three were re-recorded when
+#: each vector became one ``ompe/vector`` (``ScaledVector``): the same
+#: values, checked equal to the earlier messages, in fewer bytes.
 #: The ``sender-*`` digests pin the sender's mask/amplifier/offset draws
 #: the same way (``sender-batch``: per-function draws of senders of
 #: several functions); labels and T² are exact whatever the masks, so
 #: no other test would notice a change of fork label or draw order.
 KNOWN_ANSWERS = {
-    "online": "52befec8296ca4b52d2a55b891553cee19ee543c284d7d29081f3ea03a36b0f2",
-    "batch": "c8398b39111dd9385d1a11485228f0249f90f5d2c13106d96ea8463e54d3142c",
-    "pooled": "3024046a67523cd5c9bb0975e4e27ca0ca8396cb8714723e5879ce761cb1e6df",
+    "online": "29d7f64c2dee048598ddd44a63c0f53fb5040a54306a59882031397663159352",
+    "batch": "3ceb81a828f51a29de8325c1c40af110d727f9019a6d85d4061140d8f3bbabb3",
+    "pooled": "cd4bbeb639dbc58e6c958dccbd4c624eedb792304ce478d91074fcb2b3401455",
     "sender-online": "34ff1ec77385b03fb9558e03f6cd9b993a3eb2ae8a56971986c7ccd99f6da927",
     "sender-pooled": "d5b0c9410b034b92b059af9028e7e9bea825278c88e03e026af8fd4973cc7d4e",
     "sender-batch": "2331de385b50cf10fa5efd9cab48edccb8dc86e12ae393b0c67daba5e1899080",
@@ -268,8 +271,12 @@ def hiding_polynomials(parent, prefix, constants, config):
     ]
 
 
-def evaluate(polynomials, node) -> tuple:
-    return tuple(reference.horner(p.coefficients, node) for p in polynomials)
+def evaluate(polynomials, node) -> ScaledVector:
+    """The vector of ``polynomials`` at ``node`` by ``Fraction`` Horner,
+    in the canonical form a points message carries."""
+    return ScaledVector.of(
+        tuple(reference.horner(p.coefficients, node) for p in polynomials)
+    )
 
 
 def oracle_disguise(draw, parent, prefix, arity, node, config) -> tuple:
@@ -372,7 +379,8 @@ class TestFastMatchesNaive:
         nodes = (Fraction(-5, 3), 2, Fraction(7, 1))
         hiders = hiding.Hiders(
             config.security_degree,
-            constants=[(c, 1) for c in constants],
+            constants=constants,
+            denominator=1,
             numerators=hiding.draw_numerators(ReproRandom(5), ("g",), 3, config),
         )
         polynomials = hiding_polynomials(ReproRandom(5), ("g",), constants, config)
@@ -471,9 +479,11 @@ class TestLatticeSampler:
             assert rows != hiding.draw_numerators(ReproRandom(-seed), ("g",), 4, config)
 
         constants = inputs_for("fraction", 4)
+        scaled = ScaledVector.of(constants)
         hiders = hiding.Hiders(
             config.security_degree,
-            constants=[(c.numerator, c.denominator) for c in constants],
+            constants=scaled.numerators,
+            denominator=scaled.denominator,
             numerators=rows,
         )
         polynomials = hiding_polynomials(parent, ("g",), constants, config)

@@ -193,7 +193,8 @@ def test_small_kernel_job_digest():
     scan and the integer ``⟨n, n⟩``: boundary points, centroids and
     norms feed every protocol value, so any drift moves it.  The bytes
     are pinned from OMPE #1 and #2 as one two-function run over the
-    kernel's monomial map and OMPE #3 over Eq. (7)'s 8 monomials.
+    kernel's monomial map and OMPE #3 over Eq. (7)'s 8 monomials, with
+    points vectors as scaled integers (``ompe/vector``).
     """
     config = OMPEConfig(security_degree=1, cover_expansion=2, group=fast_group())
     params = MetricParams()
@@ -217,5 +218,5 @@ def test_small_kernel_job_digest():
         "cbaf0cac1d619368364fed659b1d5d8b8606e9eeea50f56f36f64b95f8717d34"
     )
     assert hashlib.sha256(repr(byte_rows).encode()).hexdigest() == (
-        "e0902db91a584c43de4100fedb687b12038eadb3f5737088a99461bbefe8eec6"
+        "de9965d88a7f2153d0587012ad619ecbaed8b3d2ee6f2a8222af42fee7af6b63"
     )

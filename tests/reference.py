@@ -2,7 +2,8 @@
 
 Each function is the textbook loop a hot path in ``src/`` replaces:
 Horner's rule, a term-by-term multivariate sum, the Lagrange weight
-product, Euler-criterion membership, an SVM's kernel sum, the
+product, the per-coordinate hider values of a points message,
+Euler-criterion membership, an SVM's kernel sum, the
 similarity metric of Eq. (6) and Eq. (7) as a two-variate polynomial.  They use ``Fraction`` operators only
 (no rescaling onto common denominators), so a hot path that agrees
 with them on value and Python type computes what the operator chain
@@ -61,6 +62,26 @@ def lagrange_at_zero(xs: Sequence[Number], ys: Sequence[Number]) -> Number:
                     weight = weight * (Fraction(xi) / Fraction(xi - xj))
         total = total + yj * weight
     return total
+
+
+def hider_values(degree: int, constants, numerators, node: Number) -> tuple:
+    """``(g_1(node), ..., g_n(node))`` of lattice hiders, one ``Fraction``
+    per coordinate: the formula ``Hiders.at`` used before a points vector
+    became one scaled-integer vector.
+
+    ``constants[i]`` is ``(a, b)`` and ``numerators[i]`` is
+    ``(n_q, n_1, ..., n_(q-1))``; with ``x/y = node`` and ``G = 10**6``,
+    ``g_i = (a·G·y^q + b·Σ n_j·x^j·y^(q-j)) / (b·G·y^q)``.
+    """
+    q = degree
+    x, y = node.numerator, node.denominator
+    powers = [x**q] + [x**j * y ** (q - j) for j in range(1, q)]
+    scale = 10**6 * y**q
+    values = []
+    for (a, b), row in zip(constants, numerators):
+        total = sum(n * power for n, power in zip(row, powers))
+        values.append(Fraction(a * scale + b * total, b * scale))
+    return tuple(values)
 
 
 def is_member(group, element: int) -> bool:

@@ -35,6 +35,7 @@ from repro.crypto.hashing import TAG_BYTES
 from repro.crypto.ot.base import KEY_BYTES, KOfNTransfer, OTChoice, OTSetup
 from repro.exceptions import ProtocolError, ValidationError
 from repro.math.groups import fast_group
+from repro.math.scaled import ScaledVector
 from repro.ml.kernels import polynomial_kernel
 from repro.ml.svm.model import SVMModel
 from repro.net import wire
@@ -481,6 +482,8 @@ def _registered_examples() -> list:
         AdminTraceDump(({"session": "s1", "jsonl": ""},)),
         OTSetup(b"sid-1", (2, 3, 2**255 + 1)),
         OTChoice(b"sid-1", (4, 5)),
+        ScaledVector(1, (0,)),
+        ScaledVector(10**6 * 49, (-3, 2**70 + 1, 0, -(10**30))),
         KOfNTransfer(
             (b"s" * TAG_BYTES, b"t" * (TAG_BYTES + 9)),
             12345,
