@@ -25,6 +25,7 @@ from fractions import Fraction
 from typing import Iterable, List, Sequence, Set, Tuple
 
 from repro.exceptions import ValidationError
+from repro.math.scaled import ScaledVector
 from repro.math.statistics import KSResult, ks_2samp
 from repro.net.message import Message
 from repro.net.transcript import Transcript
@@ -44,6 +45,10 @@ def _iter_scalars(payload) -> Iterable:
     elif isinstance(payload, dict):
         for value in payload.values():
             yield from _iter_scalars(value)
+    elif type(payload) is ScaledVector:
+        # A points vector's scalars are its exact coordinates, not the
+        # integers it is written in.
+        yield from payload
     elif hasattr(payload, "__dataclass_fields__"):
         for name in payload.__dataclass_fields__:
             yield from _iter_scalars(getattr(payload, name))

@@ -21,6 +21,7 @@ from repro.core.privacy import (
 )
 from repro.exceptions import ValidationError
 from repro.math.multivariate import MultivariatePolynomial
+from repro.math.scaled import ScaledVector
 from repro.ml.datasets import two_gaussians
 from repro.ml.svm import train_svm
 from repro.ml.svm.model import make_linear_model
@@ -79,6 +80,22 @@ class TestLevelOne:
         trainer_view = extract_view(channel.transcript, "alice")
         hits = scan_view_for_values(trainer_view, list(alpha))
         assert ("leak", alpha[0]) in hits
+
+    def test_scan_reads_points_vectors_as_coordinates(self, fast_config):
+        """A points vector equal to Bob's input is found in Alice's view,
+        read as its exact coordinates, not the integers it is sent in."""
+        _, alpha, _, _, channel, _ = run_instrumented_ompe(fast_config)
+        honest = channel.transcript.of_type("ompe/points")[0].payload
+        leaked = ScaledVector.of(alpha)  # 21, (6, -7) for (2/7, -1/3)
+        planted = ((honest[0][0], leaked),) + honest[1:]
+        channel.send("bob", "ompe/points", planted)
+        channel.receive("alice")
+        trainer_view = extract_view(channel.transcript, "alice")
+        hits = scan_view_for_values(trainer_view, list(alpha))
+        assert hits == [("ompe/points", alpha[0]), ("ompe/points", alpha[1])]
+        # The vector's integer form is not part of what Alice reads.
+        integers = [leaked.denominator, *leaked.numerators]
+        assert scan_view_for_values(trainer_view[-1:], integers) == []
 
     def test_scan_requires_forbidden_values(self, fast_config):
         _, _, _, _, channel, _ = run_instrumented_ompe(fast_config)
