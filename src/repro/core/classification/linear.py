@@ -16,6 +16,7 @@ from typing import Iterable, List, Optional, Sequence
 import numpy as np
 
 from repro.core.ompe import OMPEConfig, OMPEFunction, execute_ompe
+from repro.core.ompe.protocol import OMPEOutcome
 from repro.exceptions import ValidationError
 from repro.math.polynomials import Number
 from repro.ml.svm.model import SVMModel
@@ -40,10 +41,43 @@ class ClassificationOutcome:
     def total_bytes(self) -> int:
         return self.report.total_bytes
 
+    @classmethod
+    def from_ompe(cls, outcome: OMPEOutcome) -> "ClassificationOutcome":
+        """Bob's result from his OMPE outcome ``r_a d(t̃)``.
 
-def _label_from_value(value: Number) -> float:
-    # The paper assigns +1 on the hyperplane boundary (d >= 0).
-    return 1.0 if value >= 0 else -1.0
+        The paper assigns +1 on the hyperplane boundary (``d ≥ 0``).
+        """
+        value = outcome.value
+        return cls(
+            label=1.0 if value >= 0 else -1.0,
+            randomized_value=value,
+            report=outcome.report,
+        )
+
+
+def decision_function_for_model(model: SVMModel) -> OMPEFunction:
+    """The sender-side OMPE function of a model's decision boundary.
+
+    Linear models expose the decision polynomial directly; polynomial-
+    kernel models use the exact kernel-form evaluator (the ``direct``
+    method of :mod:`repro.core.classification.nonlinear`).  Every
+    classification path — one-shot, session and the TCP trainer
+    service — builds its function here.
+    """
+    if model.is_linear():
+        return OMPEFunction.from_polynomial(model.linear_decision_polynomial())
+    name, params = model.kernel_spec
+    if name not in ("poly", "polynomial"):
+        raise ValidationError(
+            "sessions support linear and polynomial-kernel models; "
+            "polynomialize RBF/sigmoid models first"
+        )
+    return OMPEFunction.from_callable(
+        arity=model.dimension,
+        total_degree=int(params.get("degree", 3)),
+        evaluate=model.exact_decision_value,
+        evaluate_batch=model.exact_decision_values,
+    )
 
 
 def classify_linear(
@@ -68,21 +102,16 @@ def classify_linear(
             f"sample has {len(sample)} coordinates, model expects "
             f"{model.dimension}"
         )
-    function = OMPEFunction.from_polynomial(model.linear_decision_polynomial())
     outcome = execute_ompe(
-        function,
-        tuple(sample),
+        decision_function_for_model(model),
+        sample,
         config=config,
         seed=seed,
         amplify=amplify,
         offset=False,
         link=link,
     )
-    return ClassificationOutcome(
-        label=_label_from_value(outcome.value),
-        randomized_value=outcome.value,
-        report=outcome.report,
-    )
+    return ClassificationOutcome.from_ompe(outcome)
 
 
 def classify_linear_batch(

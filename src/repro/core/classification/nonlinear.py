@@ -24,7 +24,7 @@ import numpy as np
 
 from repro.core.classification.linear import (
     ClassificationOutcome,
-    _label_from_value,
+    decision_function_for_model,
 )
 from repro.core.classification.transform import MonomialTransform
 from repro.core.ompe import OMPEConfig, OMPEFunction, execute_ompe
@@ -80,13 +80,8 @@ def classify_nonlinear(
         function = OMPEFunction.from_polynomial(linearized)
         protocol_input: Sequence = transform.transform_sample(tuple(sample))
     else:
-        function = OMPEFunction.from_callable(
-            arity=model.dimension,
-            total_degree=degree,
-            evaluate=model.exact_decision_value,
-            evaluate_batch=model.exact_decision_values,
-        )
-        protocol_input = tuple(sample)
+        function = decision_function_for_model(model)
+        protocol_input = sample
 
     outcome = execute_ompe(
         function,
@@ -97,11 +92,7 @@ def classify_nonlinear(
         offset=False,
         link=link,
     )
-    return ClassificationOutcome(
-        label=_label_from_value(outcome.value),
-        randomized_value=outcome.value,
-        report=outcome.report,
-    )
+    return ClassificationOutcome.from_ompe(outcome)
 
 
 def classify_nonlinear_batch(

@@ -234,10 +234,7 @@ def classify_polynomialized(
     Taylor form, so the label matches the true kernel model whenever
     the sample's margin exceeds ``polynomialized.error_bound``.
     """
-    from repro.core.classification.linear import (
-        ClassificationOutcome,
-        _label_from_value,
-    )
+    from repro.core.classification.linear import ClassificationOutcome
     from repro.core.ompe import execute_ompe
 
     outcome = execute_ompe(
@@ -248,11 +245,7 @@ def classify_polynomialized(
         amplify=True,
         offset=False,
     )
-    return ClassificationOutcome(
-        label=_label_from_value(outcome.value),
-        randomized_value=outcome.value,
-        report=outcome.report,
-    )
+    return ClassificationOutcome.from_ompe(outcome)
 
 
 def polynomialize(model: SVMModel, truncation_degree: Optional[int] = None) -> PolynomializedModel:

@@ -16,37 +16,15 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from repro import obs
-from repro.core.classification.linear import ClassificationOutcome, _label_from_value
-from repro.core.ompe import OMPEConfig, OMPEFunction, execute_ompe
+from repro.core.classification.linear import (
+    ClassificationOutcome,
+    decision_function_for_model,
+)
+from repro.core.ompe import OMPEConfig, execute_ompe
 from repro.core.ompe.precompute import ReceiverPool, SenderPool, draw_pools
 from repro.exceptions import ValidationError
 from repro.ml.svm.model import SVMModel
 from repro.utils.rng import ReproRandom
-
-
-def decision_function_for_model(model: SVMModel) -> OMPEFunction:
-    """The sender-side OMPE function of a model's decision boundary.
-
-    Linear models expose the decision polynomial directly; polynomial-
-    kernel models use the exact kernel-form evaluator (the ``direct``
-    method of :mod:`repro.core.classification.nonlinear`).  Shared by
-    in-process sessions and the TCP trainer service so both construct
-    the same function for the same model.
-    """
-    if model.is_linear():
-        return OMPEFunction.from_polynomial(model.linear_decision_polynomial())
-    name, params = model.kernel_spec
-    if name not in ("poly", "polynomial"):
-        raise ValidationError(
-            "sessions support linear and polynomial-kernel models; "
-            "polynomialize RBF/sigmoid models first"
-        )
-    return OMPEFunction.from_callable(
-        arity=model.dimension,
-        total_degree=int(params.get("degree", 3)),
-        evaluate=model.exact_decision_value,
-        evaluate_batch=model.exact_decision_values,
-    )
 
 
 class PrivateClassificationSession:
@@ -147,11 +125,7 @@ class PrivateClassificationSession:
                 "repro_session_pool_remaining",
                 "Unused precompute bundles before the next refill",
             ).set(self.remaining_bundles)
-        return ClassificationOutcome(
-            label=_label_from_value(outcome.value),
-            randomized_value=outcome.value,
-            report=outcome.report,
-        )
+        return ClassificationOutcome.from_ompe(outcome)
 
     def classify_batch(
         self, samples: np.ndarray, limit: Optional[int] = None

@@ -22,7 +22,7 @@ from repro.exceptions import OMPEError
 from repro.math.polynomials import Number
 from repro.net.channel import LinkModel
 from repro.net.party import connect_parties
-from repro.net.runner import ProtocolReport, finish_report
+from repro.net.runner import ProtocolReport, channel_report, finish_report
 from repro.utils.rng import ReproRandom
 
 
@@ -198,16 +198,11 @@ def run_ompe_sender(
     # data readable at this instant is the peer's *next* protocol phase
     # racing ahead on a multiplexed connection, not an undrained message
     # of this run.  The receiver side keeps the strict check.
-    report = ProtocolReport(
-        result=None,
-        transcript=channel.transcript,
-        simulated_network_s=channel.simulated_time,
-    )
     return OMPEOutcome(
         values=None,
         amplifiers=sender.amplifiers,
         offsets=sender.offsets,
-        report=report,
+        report=channel_report(channel),
     )
 
 

@@ -45,11 +45,17 @@ makes that choice, so one driver runs both kinds:
    ``τ(x₁, x₂)`` (:func:`area_input`), obtaining ``T²``.  Like the
    first run it is a degree-1 OMPE: ``m = q + 1`` covers.
 
-:func:`evaluate_similarity_private` runs both parties in one process;
-:mod:`~repro.core.similarity.remote` splits the same steps into Alice's
-and Bob's sides.  The helpers both share — the degenerate-normal check,
-the norm checks, the Eq. (7) assembly and Bob's outcome-plus-policy
-step — live here.
+The steps are written once, as a party pair: :class:`SimilarityAlice`
+checks Bob's clear norms and sends both runs, :class:`SimilarityBob`
+sends the norms, receives both runs and releases ``T``.  Each run's
+seed fork, flags and function count are keyword arguments of the OMPE
+entry points.  :func:`evaluate_similarity_private` drives both objects
+lock-step in one process; :func:`run_similarity_alice` and
+:func:`run_similarity_bob` each drive one over a connection, one fresh
+channel per phase, so all three report the same transcripts, masked
+values and ``T²`` for the same seed.  A pair whose public parameters
+differ is refused before any message (:func:`check_pair`): in process
+here, over TCP by the service from Bob's ``session/open``.
 """
 
 from __future__ import annotations
@@ -57,11 +63,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro import obs
 from repro.core.ompe import OMPEConfig, execute_ompe
 from repro.core.ompe.precompute import HiddenInput, hide_input
+from repro.core.ompe.protocol import run_ompe_receiver, run_ompe_sender
 from repro.core.similarity.exact import snap
 from repro.core.similarity.metric import MetricParams
 from repro.core.similarity.policy import (
@@ -79,7 +86,7 @@ from repro.exceptions import SimilarityError, ValidationError
 from repro.math.multinomial import mixed_degree_basis, monomial_value
 from repro.math.polynomials import Number
 from repro.net.channel import Channel
-from repro.net.runner import ProtocolReport
+from repro.net.runner import ProtocolReport, channel_report
 from repro.utils.rng import ReproRandom
 
 #: OMPE #3's monomial map: the 8 monomials ``x₁^a x₂^b`` with
@@ -198,13 +205,30 @@ def area_input(x1: Number, x2: Number) -> tuple:
     return tuple(monomial_value(point, exponents) for exponents in AREA_BASIS)
 
 
-def clear_report(channel) -> ProtocolReport:
-    """The report of the clear norm exchange on ``channel``."""
-    return ProtocolReport(
-        result=None,
-        transcript=channel.transcript,
-        simulated_network_s=channel.simulated_time,
-    )
+def check_pair(alice: SimilarityProfile, kernel, dimension, params) -> None:
+    """Refuse Bob's public pair parameters unless they are Alice's.
+
+    ``kernel`` is his snapped ``(a0, b0, degree)`` triple (``None`` when
+    linear), ``dimension`` his input dimension and ``params`` his
+    :class:`~repro.core.similarity.metric.MetricParams`, as his profile
+    holds them and ``session/open`` carries them.  A linear side paired
+    with a kernel side raises :class:`~repro.exceptions.ValidationError`,
+    any other difference :class:`~repro.exceptions.SimilarityError`.
+    """
+    if (alice.kernel is None) != (kernel is None):
+        raise ValidationError(
+            "similarity requires both models to be linear or both kernel, "
+            "got one of each"
+        )
+    if alice.kernel != kernel:
+        raise SimilarityError("both models must share the same kernel configuration")
+    if alice.dimension != dimension:
+        raise SimilarityError("models must share input dimensionality")
+    if alice.params != params:
+        raise SimilarityError(
+            f"both parties must share the metric parameters, not {alice.params!r} "
+            f"and {params!r}"
+        )
 
 
 def phase_reports(clear, dots, area) -> Dict[str, ProtocolReport]:
@@ -212,49 +236,147 @@ def phase_reports(clear, dots, area) -> Dict[str, ProtocolReport]:
     return {"clear": clear, "dots_ompe": dots.report, "area_ompe": area.report}
 
 
-def release_outcome(
-    kind: str,
-    t_squared: Number,
-    reports: Dict[str, ProtocolReport],
-    policy: Optional[OutputPolicy],
-    seed: Optional[int],
-):
-    """Bob's last step: refuse a negative ``T²``, count the run, apply ``policy``.
+class _SimilarityParty:
+    """One side's model (or profile) under ``params``, and its runs' seeds."""
 
-    ``kind`` labels ``repro_similarity_runs_total``.  A non-``None``
-    ``policy`` returns a
-    :class:`~repro.core.similarity.policy.MitigatedSimilarityOutcome`,
-    its mitigation seed derived from the protocol ``seed`` alike on
-    every transport.
+    party = ""
+
+    def __init__(
+        self,
+        model_or_profile: ModelOrProfile,
+        params: Optional[MetricParams] = None,
+        config: Optional[OMPEConfig] = None,
+        seed: Optional[int] = None,
+    ) -> None:
+        self.params = params or MetricParams()
+        self.config = config or OMPEConfig()
+        self.profile = similarity_profile(
+            model_or_profile, self.params, party=self.party
+        )
+        self.seed = seed
+        # Each side forks the runs' seeds alike, so every driver's
+        # messages match for the same seed.
+        root = ReproRandom(seed)
+        self._dots_seed, self._area_seed = (
+            root.fork(run).seed for run in ("run1", "run3")
+        )
+
+
+class SimilarityAlice(_SimilarityParty):
+    """Alice's side: she checks Bob's norms and is the OMPE sender.
+
+    :meth:`dots_run` and :meth:`area_run` are keyword arguments of
+    :func:`~repro.core.ompe.protocol.run_ompe_sender` (and of
+    :func:`~repro.core.ompe.protocol.execute_ompe`).
     """
-    if t_squared < 0:
-        raise SimilarityError(f"negative T² ({t_squared}) — protocol corrupted")
-    metrics = obs.get_metrics()
-    if metrics.enabled:
-        metrics.counter(
-            "repro_similarity_runs_total",
-            "Completed private similarity evaluations",
-        ).inc(kind=kind)
-    outcome = PrivateSimilarityOutcome(
-        t=math.sqrt(float(t_squared)), t_squared=t_squared, reports=reports
-    )
-    if policy is None:
-        return outcome
-    return mitigate_similarity_outcome(outcome, policy, seed=policy_seed(seed))
+
+    party = "alice"
+
+    def receive_norms(self, channel) -> ProtocolReport:
+        """Step 2: Bob's clear norms, refused before any run if mistyped,
+        negative or degenerate (or if her own normal is degenerate)."""
+        norms = channel.receive("alice", self.profile.norms_tag)
+        self._bob_norms = check_norms(norms)
+        check_normal("Alice", self.profile.normal_norm)
+        return channel_report(channel)
+
+    def dots_run(self) -> Dict[str, Any]:
+        """OMPE #1 and #2: ``x₁ = r_am (m_A · m_B)``, ``x₂ = r_aw (w_A · w_B) + r_b``."""
+        return {
+            "function": self.profile.dots_functions(),
+            "seed": self._dots_seed,
+            "amplify": True,
+            "offset": (False, True),
+        }
+
+    def area_run(self, dots) -> Dict[str, Any]:
+        """OMPE #3: Eq. (7), unamplified, from her outcome ``dots`` of
+        the first run."""
+        area = area_function(self.params, self.profile, *self._bob_norms, dots)
+        return {
+            "function": area.function(),
+            "seed": self._area_seed,
+            "amplify": False,
+            "offset": False,
+        }
 
 
-def _check_pair(alice: SimilarityProfile, bob: SimilarityProfile) -> None:
-    if alice.is_linear() != bob.is_linear():
-        raise ValidationError(
-            "similarity needs two linear or two polynomial-kernel models, "
-            "got one of each"
+class SimilarityBob(_SimilarityParty):
+    """Bob's side: he sends his norms, is the OMPE receiver and learns ``T``.
+
+    :meth:`dots_run` and :meth:`area_run` are keyword arguments of
+    :func:`~repro.core.ompe.protocol.run_ompe_receiver`.  ``dots_hidden``
+    is his OMPE #1/#2 input hidden before the pair
+    (:func:`hide_dots_input`); :meth:`release` applies ``policy``.
+    """
+
+    party = "bob"
+
+    def __init__(
+        self,
+        model_or_profile: ModelOrProfile,
+        params: Optional[MetricParams] = None,
+        config: Optional[OMPEConfig] = None,
+        seed: Optional[int] = None,
+        policy: Optional[OutputPolicy] = None,
+        dots_hidden: Optional[HiddenInput] = None,
+    ) -> None:
+        super().__init__(model_or_profile, params, config, seed)
+        self.policy = policy
+        self.dots_hidden = dots_hidden
+
+    def send_norms(self, channel) -> ProtocolReport:
+        """Step 2: his two inseparable norms in the clear.  He refuses
+        his own degenerate normal right after, as Alice does on receipt,
+        so neither side waits on a run the other never starts."""
+        profile = self.profile
+        channel.send(
+            "bob", profile.norms_tag, (profile.centroid_norm, profile.normal_norm)
         )
-    if alice.kernel != bob.kernel:
-        raise SimilarityError(
-            "both models must share the same kernel configuration"
+        check_normal("Bob", profile.normal_norm)
+        return channel_report(channel)
+
+    def dots_run(self) -> Dict[str, Any]:
+        """His input ``m_B‖w_B`` to Alice's two functions."""
+        return {
+            "input_vector": self.profile.dots_input,
+            "seed": self._dots_seed,
+            "function_count": 2,
+            "hidden": self.dots_hidden,
+        }
+
+    def area_run(self, dots) -> Dict[str, Any]:
+        """His input ``τ(x₁, x₂)`` to Eq. (7), from his outcome ``dots``."""
+        return {
+            "input_vector": area_input(*dots.values),
+            "seed": self._area_seed,
+            "function_count": 1,
+            "hidden": None,
+        }
+
+    def release(self, kind: str, clear: ProtocolReport, dots, area):
+        """Refuse a negative ``T²``, count the run under ``kind`` in
+        ``repro_similarity_runs_total`` and apply the policy, whose
+        mitigation seed derives from the protocol seed on every transport."""
+        t_squared = area.value
+        if t_squared < 0:
+            raise SimilarityError(f"negative T² ({t_squared}) — protocol corrupted")
+        metrics = obs.get_metrics()
+        if metrics.enabled:
+            metrics.counter(
+                "repro_similarity_runs_total",
+                "Completed private similarity evaluations",
+            ).inc(kind=kind)
+        outcome = PrivateSimilarityOutcome(
+            t=math.sqrt(float(t_squared)),
+            t_squared=t_squared,
+            reports=phase_reports(clear, dots, area),
         )
-    if alice.dimension != bob.dimension:
-        raise SimilarityError("models must share input dimensionality")
+        if self.policy is None:
+            return outcome
+        return mitigate_similarity_outcome(
+            outcome, self.policy, seed=policy_seed(self.seed)
+        )
 
 
 def evaluate_similarity_private(
@@ -270,78 +392,92 @@ def evaluate_similarity_private(
 
     Each side is a linear or polynomial-kernel model, or its
     :class:`~repro.core.similarity.profile.SimilarityProfile` built
-    under ``params``; both sides must be of one kind
-    (:class:`~repro.exceptions.ValidationError` otherwise), share the
-    kernel and the dimension
-    (:class:`~repro.exceptions.SimilarityError` otherwise).
-    ``policy`` (an
-    :class:`~repro.core.similarity.policy.OutputPolicy`) switches the
-    return type to a
+    under ``params``; the pair must pass :func:`check_pair`.  ``policy``
+    (an :class:`~repro.core.similarity.policy.OutputPolicy`) switches
+    the return type to a
     :class:`~repro.core.similarity.policy.MitigatedSimilarityOutcome`
-    that withholds whatever the policy forbids; ``None`` keeps the
-    legacy raw outcome.  ``dots_hidden`` is Bob's OMPE #1/#2 input
-    hidden before the call (:func:`hide_dots_input`), which the
-    OMPE #1/#2 run sends in place of fresh hiders; ``None`` hides it
-    in the run.
+    that withholds whatever the policy forbids.  ``dots_hidden`` is
+    Bob's OMPE #1/#2 input hidden before the call
+    (:func:`hide_dots_input`); ``None`` hides it in the run.
     """
-    params = params or MetricParams()
-    config = config or OMPEConfig()
     kind = "linear" if model_a.is_linear() else "nonlinear"
     tracer = obs.get_tracer()
-    root = ReproRandom(seed)
-
-    def run(phase, function, receiver_input, label, amplify, offset, hidden=None):
-        with tracer.span(f"similarity.{phase}_ompe", phase=phase):
-            return execute_ompe(
-                function,
-                receiver_input,
-                config=config,
-                seed=root.fork(label).seed,
-                amplify=amplify,
-                offset=offset,
-                sender_name="alice",
-                receiver_name="bob",
-                receiver_hidden=hidden,
-            )
-
     with tracer.span(
         f"similarity.{kind}", phase="similarity", dimension=model_a.dimension
     ) as span:
         # Step 1 — local geometry, snapped to exact rationals.
-        alice = similarity_profile(model_a, params, party="alice")
-        bob = similarity_profile(model_b, params, party="bob")
-        _check_pair(alice, bob)
+        alice = SimilarityAlice(model_a, params, config, seed)
+        bob = SimilarityBob(model_b, params, config, seed, policy, dots_hidden)
+        profile = bob.profile
+        check_pair(alice.profile, profile.kernel, profile.dimension, profile.params)
+
+        def run(phase, send, receive):
+            with tracer.span(f"similarity.{phase}_ompe", phase=phase):
+                return execute_ompe(
+                    **send,
+                    input_vector=receive["input_vector"],
+                    config=alice.config,
+                    sender_name="alice",
+                    receiver_name="bob",
+                    receiver_hidden=receive["hidden"],
+                )
 
         # Step 2 — Bob sends the two inseparable norms in the clear.
         with tracer.span("similarity.clear", party="bob", phase="norms"):
-            clear_channel = Channel("bob", "alice")
-            clear_channel.send(
-                "bob", bob.norms_tag, (bob.centroid_norm, bob.normal_norm)
-            )
-            norms = clear_channel.receive("alice", alice.norms_tag)
-        clear = clear_report(clear_channel)
-        centroid_norm_b, normal_norm_b = check_norms(norms)
-        check_normal("Alice", alice.normal_norm)
-
-        # Step 3 — OMPE #1 and #2 in one run:
-        # x1 = r_am (m_A · m_B), x2 = r_aw (w_A · w_B) + r_b.
-        dots = run(
-            "dots", alice.dots_functions(), bob.dots_input, "run1",
-            amplify=True, offset=(False, True), hidden=dots_hidden,
-        )
-        # Step 4 — OMPE #3: Bob evaluates Eq. (7) at τ(x1, x2), unamplified.
-        area = run(
-            "area",
-            area_function(
-                params, alice, centroid_norm_b, normal_norm_b, dots
-            ).function(),
-            area_input(*dots.values), "run3",
-            amplify=False, offset=False,
-        )
-        outcome = release_outcome(
-            kind, area.value, phase_reports(clear, dots, area), policy, seed,
-        )
-        span.set(
-            total_bytes=outcome.total_bytes, t=math.sqrt(float(area.value))
-        )
+            channel = Channel("bob", "alice")
+            bob.send_norms(channel)
+            clear = alice.receive_norms(channel)
+        # Step 3 — OMPE #1 and #2 in one run; step 4 — OMPE #3.
+        dots = run("dots", alice.dots_run(), bob.dots_run())
+        area = run("area", alice.area_run(dots), bob.area_run(dots))
+        outcome = bob.release(kind, clear, dots, area)
+        span.set(total_bytes=outcome.total_bytes, t=math.sqrt(float(area.value)))
     return outcome
+
+
+#: Factory yielding one fresh channel endpoint per protocol phase.
+ChannelFactory = Callable[[], object]
+
+
+def run_similarity_alice(
+    model_a: ModelOrProfile,
+    channel_factory: ChannelFactory,
+    params: Optional[MetricParams] = None,
+    config: Optional[OMPEConfig] = None,
+    seed: Optional[int] = None,
+) -> Dict[str, ProtocolReport]:
+    """Alice's side over ``channel_factory``; returns her phase reports
+    (``T`` is Bob's and never enters her view)."""
+    alice = SimilarityAlice(model_a, params, config, seed)
+    clear = alice.receive_norms(channel_factory())
+
+    def send(run):
+        return run_ompe_sender(
+            channel=channel_factory(), config=alice.config, name="alice", **run
+        )
+
+    dots = send(alice.dots_run())
+    return phase_reports(clear, dots, send(alice.area_run(dots)))
+
+
+def run_similarity_bob(
+    model_b: ModelOrProfile,
+    channel_factory: ChannelFactory,
+    params: Optional[MetricParams] = None,
+    config: Optional[OMPEConfig] = None,
+    seed: Optional[int] = None,
+    policy: Optional[OutputPolicy] = None,
+    dots_hidden: Optional[HiddenInput] = None,
+) -> PrivateSimilarityOutcome:
+    """Bob's side over ``channel_factory``; ``policy`` and ``dots_hidden``
+    as for :func:`evaluate_similarity_private`."""
+    bob = SimilarityBob(model_b, params, config, seed, policy, dots_hidden)
+    clear = bob.send_norms(channel_factory())
+
+    def receive(run):
+        return run_ompe_receiver(
+            channel=channel_factory(), config=bob.config, name="bob", **run
+        )
+
+    dots = receive(bob.dots_run())
+    return bob.release("remote", clear, dots, receive(bob.area_run(dots)))

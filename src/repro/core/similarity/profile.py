@@ -31,10 +31,11 @@ Alice's OMPE #1 and #2 functions (:meth:`SimilarityProfile.centroid_function`,
 :meth:`SimilarityProfile.normal_function`), Bob's inputs
 (:attr:`SimilarityProfile.centroid_input`,
 :attr:`SimilarityProfile.normal_input`) and the tag of Bob's clear norms
-(:attr:`SimilarityProfile.norms_tag`).  The three drivers — in process
-in :mod:`~repro.core.similarity.linear`, Alice's and Bob's split sides
-in :mod:`~repro.core.similarity.remote` — accept a model or a profile
-for each side, start from the profile and never branch on the kind.
+(:attr:`SimilarityProfile.norms_tag`).  The party pair in
+:mod:`~repro.core.similarity.linear` (``SimilarityAlice`` and
+``SimilarityBob``, which every driver runs) accepts a model or a
+profile for each side, starts from the profile and never branches on
+the kind.
 """
 
 from __future__ import annotations

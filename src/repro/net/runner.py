@@ -44,11 +44,16 @@ class ProtocolReport:
         }
 
 
-def finish_report(result: Any, channel: Channel) -> ProtocolReport:
-    """Build a report and assert the channel drained cleanly."""
-    channel.assert_drained()
+def channel_report(channel: Channel, result: Any = None) -> ProtocolReport:
+    """The report of ``channel``'s conversation so far."""
     return ProtocolReport(
         result=result,
         transcript=channel.transcript,
         simulated_network_s=channel.simulated_time,
     )
+
+
+def finish_report(result: Any, channel: Channel) -> ProtocolReport:
+    """Build a report and assert the channel drained cleanly."""
+    channel.assert_drained()
+    return channel_report(channel, result)

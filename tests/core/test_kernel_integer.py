@@ -31,7 +31,7 @@ from repro.core.similarity import (
     similarity_profile,
 )
 from repro.core.similarity.boundary import centroid, kernel_boundary_points
-from repro.core.similarity.remote import run_similarity_alice, run_similarity_bob
+from repro.core.similarity.linear import run_similarity_alice, run_similarity_bob
 from repro.exceptions import ValidationError
 from repro.math.groups import fast_group
 from repro.ml.kernels import polynomial_kernel

@@ -27,10 +27,10 @@ from repro.core.similarity import (
     similarity_profile,
 )
 from repro.core.similarity import profile as profile_module
-from repro.core.similarity import remote
+from repro.core.similarity import linear
 from repro.core.similarity.exact import snap
 from repro.core.similarity.linear import AREA_BASIS
-from repro.core.similarity.remote import run_similarity_alice, run_similarity_bob
+from repro.core.similarity.linear import run_similarity_alice, run_similarity_bob
 from repro.exceptions import ProtocolError, SimilarityError, ValidationError
 from repro.linkage import LinkageJobSpec, SerialLinkageRunner, run_linkage
 from repro.math.groups import fast_group
@@ -421,7 +421,7 @@ class TestOldAreaShape:
         return entry["error"]
 
     def test_old_arity_refused_at_request(self, light_config, monkeypatch):
-        monkeypatch.setattr(remote, "area_input", lambda x1, x2: (x1, x2))
+        monkeypatch.setattr(linear, "area_input", lambda x1, x2: (x1, x2))
         assert self._refusal(light_config) == (
             "ProtocolAbort: receiver announced arity 2, function has 8"
         )
@@ -432,7 +432,7 @@ class TestOldAreaShape:
         """The client announces the new arity for OMPE #3, then sends
         points of 2 coordinates: ``check_points`` refuses the message
         before the sender evaluates anything."""
-        monkeypatch.setattr(remote, "area_input", lambda x1, x2: (x1, x2))
+        monkeypatch.setattr(linear, "area_input", lambda x1, x2: (x1, x2))
         send_request = OMPEReceiver.send_request
         requests = []
 

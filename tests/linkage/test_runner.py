@@ -71,6 +71,42 @@ class TestBackendEquivalence:
                 assert score.t == outcome.t
 
 
+class TestPairProbe:
+    def test_serial_runner_calls_the_module_binding_once_per_pair(
+        self, left_models, right_models, light_config, tmp_path, monkeypatch
+    ):
+        """The untraced linkage benchmark reads its per-pair latency and
+        bytes from a wrapper on ``repro.linkage.runner``'s
+        ``evaluate_similarity_private`` binding: each pair must go
+        through it once, and its outcome must carry all three phases'
+        bytes."""
+        from repro.linkage import runner as runner_module
+
+        evaluate = runner_module.evaluate_similarity_private
+        calls = []
+
+        def probe(*args, **kwargs):
+            outcome = evaluate(*args, **kwargs)
+            calls.append(outcome)
+            return outcome
+
+        monkeypatch.setattr(runner_module, "evaluate_similarity_private", probe)
+        left = {key: left_models[key] for key in ("L0", "L1")}
+        right = {key: right_models[key] for key in ("R0", "R1")}
+        spec = LinkageJobSpec(
+            left, right, chunk_pairs=2, seed=7, config=light_config
+        )
+        report = run_linkage(spec, SerialLinkageRunner(), tmp_path / "store")
+        assert report.pairs_scored == 4
+        assert len(calls) == 4
+        for outcome in calls:
+            assert set(outcome.reports) == {"clear", "dots_ompe", "area_ompe"}
+            assert all(phase.total_bytes > 0 for phase in outcome.reports.values())
+            assert outcome.total_bytes == sum(
+                phase.total_bytes for phase in outcome.reports.values()
+            )
+
+
 class TestFiltering:
     @pytest.fixture(scope="class")
     def raw_scores(self, left_models, right_models, light_config, tmp_path_factory):
