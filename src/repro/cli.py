@@ -364,8 +364,7 @@ def _cmd_remote_classify(args: argparse.Namespace) -> int:
         if args.pool > 1:
             with TrainerClientPool(
                 host, port, size=args.pool, config=config,
-                timeout=args.timeout, protocol=args.protocol,
-                pipeline=args.pipeline,
+                timeout=args.timeout, pipeline=args.pipeline,
             ) as pool:
                 outcomes = pool.classify_many(
                     [X[index] for index in range(limit)], seeds=seeds
@@ -373,7 +372,7 @@ def _cmd_remote_classify(args: argparse.Namespace) -> int:
         else:
             with TrainerClient(
                 host, port, config=config, timeout=args.timeout,
-                protocol=args.protocol,
+                protocol="v2",
             ) as client:
                 outcomes = [
                     client.classify(X[index], seed=seeds[index])
@@ -410,8 +409,7 @@ def _cmd_remote_similarity(args: argparse.Namespace) -> int:
 
         policy = parse_output_policy(args.output_policy)
     with TrainerClient(
-        host, port, config=config, timeout=args.timeout,
-        protocol=args.protocol,
+        host, port, config=config, timeout=args.timeout, protocol="v2"
     ) as client:
         outcome = client.evaluate_similarity(
             model, seed=args.seed, policy=policy
@@ -472,7 +470,7 @@ def _cmd_top(args: argparse.Namespace) -> int:
 
     host, port = _parse_endpoint(args.connect)
     with AdminClient(
-        host, port, timeout=args.timeout, protocol=args.protocol
+        host, port, timeout=args.timeout, protocol="v2"
     ) as admin:
         for iteration in range(max(1, args.iterations)):
             if iteration:
@@ -497,7 +495,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     if args.connect:
         host, port = _parse_endpoint(args.connect)
         with AdminClient(
-            host, port, timeout=args.timeout, protocol=args.protocol
+            host, port, timeout=args.timeout, protocol="v2"
         ) as admin:
             dump = admin.trace(session=args.session)
         for entry in dump.sessions:
@@ -550,8 +548,7 @@ def _cmd_link(args: argparse.Namespace) -> int:
         host, port = _parse_endpoint(args.connect)
         pool = TrainerClientPool(
             host, port, size=args.pool, config=config,
-            timeout=args.timeout, protocol=args.protocol,
-            pipeline=args.pipeline,
+            timeout=args.timeout, pipeline=args.pipeline,
         )
         runner = ServiceLinkageRunner(pool, owns_pool=True)
     else:
@@ -725,14 +722,9 @@ def build_parser() -> argparse.ArgumentParser:
     remote_classify.add_argument("--seed", type=int, default=0)
     remote_classify.add_argument("--timeout", type=float, default=30.0)
     remote_classify.add_argument("--security-degree", type=int, default=2)
-    remote_classify.add_argument("--protocol", default="auto",
-                                 choices=("v1", "v2", "auto"),
-                                 help="wire protocol: v1 (one session per "
-                                      "connection), v2 (multiplexed "
-                                      "sessions), or auto-negotiate")
     remote_classify.add_argument("--pipeline", type=int, default=16,
-                                 help="max in-flight sessions per pooled v2 "
-                                      "connection (ignored on v1)")
+                                 help="max in-flight sessions per pooled "
+                                      "connection")
     remote_classify.add_argument("--trace-out", default=None,
                                  help="trace the run and write the client-side "
                                       "span fragment as JSON lines")
@@ -747,10 +739,6 @@ def build_parser() -> argparse.ArgumentParser:
     remote_similarity.add_argument("--seed", type=int, default=0)
     remote_similarity.add_argument("--timeout", type=float, default=30.0)
     remote_similarity.add_argument("--security-degree", type=int, default=2)
-    remote_similarity.add_argument("--protocol", default="auto",
-                                   choices=("v1", "v2", "auto"),
-                                   help="wire protocol: v1, v2, or "
-                                        "auto-negotiate")
     remote_similarity.add_argument("--output-policy", default=None,
                                    help="request a mitigated output mode: "
                                         "raw, threshold:<t>, top-k:<k>, or "
@@ -777,10 +765,8 @@ def build_parser() -> argparse.ArgumentParser:
     link.add_argument("--pool", type=int, default=2,
                       help="tcp backend pooled connections")
     link.add_argument("--pipeline", type=int, default=16,
-                      help="tcp backend in-flight sessions per v2 connection")
-    link.add_argument("--protocol", default="auto",
-                      choices=("v1", "v2", "auto"),
-                      help="tcp backend wire protocol")
+                      help="tcp backend in-flight sessions per pooled "
+                           "connection")
     link.add_argument("--timeout", type=float, default=30.0,
                       help="tcp backend per-session timeout in seconds")
     link.add_argument("--chunk-pairs", type=int, default=128,
@@ -817,9 +803,6 @@ def build_parser() -> argparse.ArgumentParser:
     top.add_argument("--no-clear", action="store_true",
                      help="do not clear the screen between frames")
     top.add_argument("--timeout", type=float, default=10.0)
-    top.add_argument("--protocol", default="auto",
-                     choices=("v1", "v2", "auto"),
-                     help="admin channel wire protocol")
 
     trace = sub.add_parser(
         "trace",
@@ -833,9 +816,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="extra local trace JSONL files to stitch in "
                             "(e.g. from remote-classify --trace-out)")
     trace.add_argument("--timeout", type=float, default=10.0)
-    trace.add_argument("--protocol", default="auto",
-                       choices=("v1", "v2", "auto"),
-                       help="admin channel wire protocol")
 
     return parser
 

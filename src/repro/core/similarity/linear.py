@@ -354,10 +354,11 @@ class SimilarityBob(_SimilarityParty):
             "hidden": None,
         }
 
-    def release(self, kind: str, clear: ProtocolReport, dots, area):
-        """Refuse a negative ``T²``, count the run under ``kind`` in
-        ``repro_similarity_runs_total`` and apply the policy, whose
-        mitigation seed derives from the protocol seed on every transport."""
+    def release(self, clear: ProtocolReport, dots, area):
+        """Refuse a negative ``T²``, count the run under its model kind
+        (``linear`` or ``nonlinear``) in ``repro_similarity_runs_total``
+        and apply the policy, whose mitigation seed derives from the
+        protocol seed on every transport."""
         t_squared = area.value
         if t_squared < 0:
             raise SimilarityError(f"negative T² ({t_squared}) — protocol corrupted")
@@ -366,7 +367,7 @@ class SimilarityBob(_SimilarityParty):
             metrics.counter(
                 "repro_similarity_runs_total",
                 "Completed private similarity evaluations",
-            ).inc(kind=kind)
+            ).inc(kind="linear" if self.profile.is_linear() else "nonlinear")
         outcome = PrivateSimilarityOutcome(
             t=math.sqrt(float(t_squared)),
             t_squared=t_squared,
@@ -430,7 +431,7 @@ def evaluate_similarity_private(
         # Step 3 — OMPE #1 and #2 in one run; step 4 — OMPE #3.
         dots = run("dots", alice.dots_run(), bob.dots_run())
         area = run("area", alice.area_run(dots), bob.area_run(dots))
-        outcome = bob.release(kind, clear, dots, area)
+        outcome = bob.release(clear, dots, area)
         span.set(total_bytes=outcome.total_bytes, t=math.sqrt(float(area.value)))
     return outcome
 
@@ -480,4 +481,4 @@ def run_similarity_bob(
         )
 
     dots = receive(bob.dots_run())
-    return bob.release("remote", clear, dots, receive(bob.area_run(dots)))
+    return bob.release(clear, dots, receive(bob.area_run(dots)))

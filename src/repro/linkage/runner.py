@@ -5,9 +5,10 @@ pairs with the private T² protocol:
 
 * :class:`SerialLinkageRunner` — pair-at-a-time in this process;
 * :class:`ServiceLinkageRunner` — a
-  :class:`~repro.net.service.TrainerClientPool` fanning sessions out to
-  a remote :class:`~repro.net.service.TrainerServer` hosting the left
-  collection (protocol v2 pipelines the window).
+  :class:`~repro.net.service.TrainerClientPool` pipelining sessions
+  over protocol-v2 connections to a remote
+  :class:`~repro.net.service.TrainerServer` hosting the left
+  collection.
 
 Both produce **bit-identical** scores for a given spec: the per-pair
 protocol seed is a pure function of record keys

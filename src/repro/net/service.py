@@ -64,12 +64,10 @@ from __future__ import annotations
 
 import collections
 import itertools
-import queue
 import threading
 import time
 import traceback
-from contextlib import contextmanager
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro import obs
 from repro.core.classification.linear import (
@@ -155,10 +153,10 @@ _SERVICE_FAULTS_HELP = "Trainer service faults, by kind"
 #: multiplexed).
 SESSIONS_INFLIGHT = "repro_service_sessions_inflight"
 
-#: Client-side wire protocol selection: ``"v1"`` (legacy sequential),
-#: ``"v2"`` (multiplexed, refuses v1-only peers), ``"auto"`` (try v2,
-#: fall back to v1 when the peer refuses the upgrade).
-CLIENT_PROTOCOLS = ("v1", "v2", "auto")
+#: Client-side wire protocol selection: ``"v1"`` (legacy sequential)
+#: or ``"v2"`` (multiplexed; a peer that refuses ``mux/hello`` raises a
+#: typed :class:`ProtocolError`).  Pools and the CLI always dial v2.
+CLIENT_PROTOCOLS = ("v1", "v2")
 
 
 def _service_fault(kind: str) -> None:
@@ -970,17 +968,13 @@ def _dial(
 
     Returns a :class:`~repro.net.mux.V1ClientConnection` or a
     :class:`~repro.net.mux.MuxClientConnection`; both open sessions and
-    carry control requests through one interface.  With
-    ``protocol="auto"``, a peer that refuses the v2 upgrade (it drops
-    the connection after its error reply) is redialed and spoken to in
-    v1; a handed-in connection cannot be redialed, so its refusal
-    raises.
+    carry control requests through one interface.  A peer that refuses
+    the v2 upgrade raises :class:`ProtocolError`; nothing is redialed.
     """
     if protocol not in CLIENT_PROTOCOLS:
         raise ValidationError(
             f"protocol must be one of {CLIENT_PROTOCOLS}, got {protocol!r}"
         )
-    dialed = connection is None
     if connection is None:
         if host is None or port is None:
             raise ValidationError(f"{who} needs host and port (or a connection)")
@@ -994,9 +988,7 @@ def _dial(
         return MuxClientConnection(connection, timeout=timeout)
     except ProtocolError:
         connection.close()
-        if protocol == "v2" or not dialed:
-            raise
-    return _dial(who, host, port, None, "v1", timeout, attempts, retry_delay_s)
+        raise
 
 
 class TrainerClient:
@@ -1007,12 +999,12 @@ class TrainerClient:
     connection instead of dialing ``host:port``.
 
     ``protocol`` selects the wire protocol: ``"v1"`` (default, the
-    legacy sequential connection), ``"v2"`` (session-multiplexed —
+    legacy sequential connection) or ``"v2"`` (session-multiplexed —
     :meth:`classify_async` / :meth:`evaluate_similarity_async` pipeline
-    any number of concurrent sessions over this one connection), or
-    ``"auto"`` (try v2, fall back to v1 when the server refuses the
-    upgrade; needs ``host``/``port`` to redial).  Protocol runs are
-    bit-identical across v1 and v2 for the same seed.
+    any number of concurrent sessions over this one connection; a
+    server that refuses the upgrade raises :class:`ProtocolError`).
+    Protocol runs are bit-identical across v1 and v2 for the same
+    seed.
     """
 
     def __init__(
@@ -1116,10 +1108,7 @@ class TrainerClient:
 
     def _require_v2(self) -> None:
         if self.protocol != "v2":
-            raise ValidationError(
-                "pipelined sessions need protocol='v2' (or 'auto' against "
-                "a v2 server)"
-            )
+            raise ValidationError("pipelined sessions need protocol='v2'")
 
     def _classify(
         self,
@@ -1355,20 +1344,15 @@ class AdminClient:
 
 
 class TrainerClientPool:
-    """``size`` pooled trainer-service connections with batched fan-out.
+    """``size`` pooled protocol-v2 connections with batched fan-out.
 
-    Each pooled connection is a full :class:`TrainerClient`; a session
-    borrows one connection for its whole duration and returns it, so
-    concurrent callers never interleave frames on a connection.
-    :meth:`classify_many` fans a batch out across the pool (one worker
-    thread per pooled connection) and returns outcomes in input order —
-    with pinned seeds the results are bit-identical to running the
-    batch sequentially on one client.
-
-    With ``protocol="v2"`` (or ``"auto"`` against a v2 server) each
-    pooled connection is multiplexed: :meth:`classify_many` pipelines up
-    to ``pipeline`` concurrent sessions *per connection* instead of one,
-    so a small pool drives a large session fan-out.
+    Each pooled connection is a multiplexed :class:`TrainerClient`, so
+    sessions never need a connection to themselves.
+    :meth:`classify_many` pipelines up to ``pipeline`` concurrent
+    sessions *per connection* across the pool and returns outcomes in
+    input order — with pinned seeds the results are bit-identical to
+    running the batch sequentially on one client.  A small pool thus
+    drives a large session fan-out.
     """
 
     def __init__(
@@ -1381,7 +1365,6 @@ class TrainerClientPool:
         timeout: Optional[float] = 30.0,
         attempts: int = 5,
         retry_delay_s: float = 0.05,
-        protocol: str = "v1",
         pipeline: int = 16,
     ) -> None:
         if size < 1:
@@ -1392,26 +1375,18 @@ class TrainerClientPool:
             )
         self.size = size
         self.pipeline = pipeline
-        #: Bound on each pipelined result wait (see
-        #: :meth:`_fan_out_pipelined`); ``None`` waits forever.
+        #: Bound on each pipelined result wait (see :meth:`_fan_out`);
+        #: ``None`` waits forever.
         self._timeout = timeout
-        self._host = host
-        self._port = port
-        self._connect_kwargs = dict(
-            config=config,
-            params=params,
-            timeout=timeout,
-            attempts=attempts,
-            retry_delay_s=retry_delay_s,
-            protocol=protocol,
-        )
         self._clients: List[TrainerClient] = []
-        self._idle: "queue.LifoQueue[TrainerClient]" = queue.LifoQueue()
+        self._next = itertools.count()
         try:
             for _ in range(size):
-                client = TrainerClient(host, port, **self._connect_kwargs)
-                self._clients.append(client)
-                self._idle.put(client)
+                self._clients.append(TrainerClient(
+                    host, port, config=config, params=params,
+                    timeout=timeout, attempts=attempts,
+                    retry_delay_s=retry_delay_s, protocol="v2",
+                ))
         except ReproError:
             self.close()
             raise
@@ -1423,7 +1398,6 @@ class TrainerClientPool:
             except ReproError:
                 pass
         self._clients = []
-        self._idle = queue.LifoQueue()
 
     def __enter__(self) -> "TrainerClientPool":
         return self
@@ -1431,22 +1405,17 @@ class TrainerClientPool:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-    @contextmanager
-    def _borrow(self) -> Iterator[TrainerClient]:
-        client = self._idle.get()
-        try:
-            yield client
-        finally:
-            self._idle.put(client)
+    def _client(self) -> TrainerClient:
+        """The next pooled connection, round-robin."""
+        return self._clients[next(self._next) % len(self._clients)]
 
     # -- sessions ------------------------------------------------------------
 
     def classify(
         self, sample: Sequence[float], seed: Optional[int] = None
     ) -> ClassificationOutcome:
-        """Classify one sample on any idle pooled connection."""
-        with self._borrow() as client:
-            return client.classify(sample, seed=seed)
+        """Classify one sample on a pooled connection."""
+        return self._client().classify(sample, seed=seed)
 
     def evaluate_similarity(
         self,
@@ -1454,9 +1423,10 @@ class TrainerClientPool:
         seed: Optional[int] = None,
         policy: Optional[OutputPolicy] = None,
     ) -> PrivateSimilarityOutcome:
-        """Run one similarity session on any idle pooled connection."""
-        with self._borrow() as client:
-            return client.evaluate_similarity(model, seed=seed, policy=policy)
+        """Run one similarity session on a pooled connection."""
+        return self._client().evaluate_similarity(
+            model, seed=seed, policy=policy
+        )
 
     @staticmethod
     def _seed_list(
@@ -1504,13 +1474,10 @@ class TrainerClientPool:
         samples = [tuple(sample) for sample in samples]
         seed_list = self._seed_list(seeds, len(samples), "samples")
 
-        def run(client: TrainerClient, index: int) -> ClassificationOutcome:
-            return client.classify(samples[index], seed=seed_list[index])
-
         def start(client: TrainerClient, index: int) -> SessionFuture:
             return client.classify_async(samples[index], seed=seed_list[index])
 
-        return self._fan_out(len(samples), run, start, return_errors)
+        return self._fan_out(len(samples), start, return_errors)
 
     def evaluate_similarity_many(
         self,
@@ -1536,15 +1503,6 @@ class TrainerClientPool:
         key_list = self._item_list(server_models, len(models), "server_models")
         hidden_list = self._item_list(dots_hidden, len(models), "hidden inputs")
 
-        def run(client: TrainerClient, index: int) -> PrivateSimilarityOutcome:
-            return client.evaluate_similarity(
-                models[index],
-                seed=seed_list[index],
-                policy=policy,
-                server_model=key_list[index],
-                dots_hidden=hidden_list[index],
-            )
-
         def start(client: TrainerClient, index: int) -> SessionFuture:
             return client.evaluate_similarity_async(
                 models[index],
@@ -1554,103 +1512,27 @@ class TrainerClientPool:
                 dots_hidden=hidden_list[index],
             )
 
-        return self._fan_out(len(models), run, start, return_errors)
+        return self._fan_out(len(models), start, return_errors)
 
     # -- batched fan-out -------------------------------------------------------
 
     def _fan_out(
-        self,
-        count: int,
-        run: Any,
-        start: Any,
-        return_errors: bool,
-    ) -> List[Any]:
-        """Fan ``count`` sessions out across the pool, input-ordered.
-
-        Dispatches to the pipelined (v2) or thread-per-session (v1)
-        strategy.  Failures never scramble or drop neighbours: every
-        item's outcome (or typed error) lands at its own index.
-        """
-        if count == 0:
-            return []
-        if self._clients and self._clients[0].protocol == "v2":
-            return self._fan_out_pipelined(count, start, return_errors)
-        return self._fan_out_threaded(count, run, return_errors)
-
-    def _revive(self, client: TrainerClient) -> TrainerClient:
-        """Swap a possibly-dead pooled connection for a fresh one.
-
-        A v1 server closes the *whole connection* on a session error,
-        so after a failed item the borrowed connection may be unusable;
-        handing it back as-is would doom every later item that draws
-        it.  Reconnect is best-effort: if the server is truly gone the
-        dead client goes back and later items fail loudly (typed, at
-        their own index) rather than hang.
-        """
-        try:
-            fresh = TrainerClient(
-                self._host, self._port, **self._connect_kwargs
-            )
-        except ReproError:
-            return client
-        try:
-            client.close()
-        except ReproError:
-            pass
-        self._clients[self._clients.index(client)] = fresh
-        return fresh
-
-    def _fan_out_threaded(
-        self, count: int, run: Any, return_errors: bool
-    ) -> List[Any]:
-        """v1 fan-out: one worker thread per pooled connection."""
-        results: List[Any] = [None] * count
-        errors: List[Tuple[int, BaseException]] = []
-        pending: "queue.SimpleQueue[int]" = queue.SimpleQueue()
-        for index in range(count):
-            pending.put(index)
-
-        def worker() -> None:
-            while True:
-                try:
-                    index = pending.get_nowait()
-                except queue.Empty:
-                    return
-                client = self._idle.get()
-                try:
-                    results[index] = run(client, index)
-                except BaseException as error:  # noqa: BLE001 — surfaced below
-                    results[index] = self._batch_error(index, error)
-                    errors.append((index, error))
-                    client = self._revive(client)
-                finally:
-                    self._idle.put(client)
-
-        threads = [
-            threading.Thread(target=worker, daemon=True)
-            for _ in range(min(self.size, count))
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        return self._finish_batch(results, errors, return_errors)
-
-    def _fan_out_pipelined(
         self, count: int, start: Any, return_errors: bool
     ) -> List[Any]:
-        """v2 fan-out: pipeline sessions over the pooled connections.
+        """Pipeline ``count`` sessions over the pooled connections.
 
         Items round-robin across the pool's multiplexed connections
         with a bounded in-flight window (``pipeline`` sessions per
-        connection), collected in input order.  A session that errors
-        or gets poisoned mid-window releases its in-flight slot the
-        moment it is collected — a failed start never occupies a slot,
-        and a collected failure frees one — so the window keeps
-        advancing.  Result waits are bounded by the pool's ``timeout``;
-        an expired wait cancels the session (releasing its server slot)
-        and surfaces as that item's typed error instead of deadlocking
-        the whole batch.
+        connection), collected in input order.  Failures never scramble
+        or drop neighbours: every item's outcome (or typed error) lands
+        at its own index.  A session that errors or gets poisoned
+        mid-window releases its in-flight slot the moment it is
+        collected — a failed start never occupies a slot, and a
+        collected failure frees one — so the window keeps advancing.
+        Result waits are bounded by the pool's ``timeout``; an expired
+        wait cancels the session (releasing its server slot) and
+        surfaces as that item's typed error instead of deadlocking the
+        whole batch.
         """
         results: List[Any] = [None] * count
         errors: List[Tuple[int, BaseException]] = []

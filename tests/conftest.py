@@ -10,6 +10,7 @@ import os
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import signal  # noqa: E402
+import socket  # noqa: E402
 import threading  # noqa: E402
 
 import pytest  # noqa: E402
@@ -73,6 +74,40 @@ def pytest_runtest_call(item):
             watchdog.join(timeout=5.0)
             signal.signal(signal.SIGALRM, previous)
     else:
+        yield
+
+
+@pytest.hookimpl(hookwrapper=True)
+def pytest_runtest_protocol(item, nextitem):
+    """Refuse TCP connects from every test not marked ``socket``.
+
+    The hermetic CI legs run ``-m "not socket"``; a test that opens a
+    TCP connection without the marker would dial out there.  The guard
+    spans the test's setup, call and teardown, so fixtures are held to
+    it too.  Only ``connect``/``connect_ex`` are refused: binding a
+    loopback listener (every ``TrainerServer`` does, even one driven
+    over :func:`repro.net.wire.memory_pair`) stays allowed.
+    """
+    if item.get_closest_marker("socket"):
+        yield
+        return
+
+    def refuse(original):
+        def guarded(sock, address):
+            if sock.family in (socket.AF_INET, socket.AF_INET6):
+                pytest.fail(
+                    f"{item.nodeid} is not marked 'socket' but connects "
+                    f"to {address!r}"
+                )
+            return original(sock, address)
+
+        return guarded
+
+    with pytest.MonkeyPatch.context() as patch:
+        for name in ("connect", "connect_ex"):
+            patch.setattr(
+                socket.socket, name, refuse(getattr(socket.socket, name))
+            )
         yield
 
 

@@ -325,6 +325,32 @@ class TestDegenerateNormal:
         assert str(bob_error) == str(alice_error)
 
 
+class TestServedPairMetrics:
+    def test_served_kernel_pair_counted_under_its_kind(self, light_config):
+        """Bob's release labels a served pair by its model kind, as the
+        in-process driver does: one ``nonlinear`` run, no other series."""
+        server = TrainerServer(
+            PAIRS["kernel"][0], config=light_config, params=PARAMS
+        )
+        end_a, end_b = wire.memory_pair(timeout=30.0)
+        peer = threading.Thread(target=server.serve_connection, args=(end_a,))
+        try:
+            with obs.observed() as (_, registry):
+                peer.start()
+                with TrainerClient(
+                    connection=end_b, config=light_config, params=PARAMS
+                ) as client:
+                    client.evaluate_similarity(PAIRS["kernel"][1], seed=4)
+                peer.join(30)
+            assert not peer.is_alive()
+        finally:
+            server.close()
+        runs = registry.counter("repro_similarity_runs_total")
+        assert runs.value(kind="nonlinear") == 1
+        assert runs.value(kind="remote") == 0
+        assert runs.total() == 1
+
+
 class TestMixedKindSession:
     def test_kernel_client_refused_by_linear_server(self, light_config):
         """A typed ProtocolError on both sides, and nothing hangs."""

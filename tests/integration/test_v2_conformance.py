@@ -7,12 +7,13 @@ output policy) produce the same labels, the same ``T²``, and the same
 connection, or over a v2-multiplexed TCP connection — including when
 many v2 sessions interleave on one socket.  Negotiation is covered at
 the wire level: a v1 client never sees a v2 frame, and a v2 client
-falls back to v1 when the server predates the mux layer.
+gets a typed refusal from a server that predates the mux layer.
 
 All tests open loopback sockets and are marked ``socket``.
 """
 
 import threading
+import time
 
 import pytest
 
@@ -23,12 +24,14 @@ from repro.core.similarity import (
 )
 from repro.core.similarity.metric import MetricParams
 from repro.core.similarity.policy import parse_output_policy
+from repro.exceptions import ProtocolError, ValidationError
 from repro.ml.datasets import interaction_boundary
 from repro.ml.svm import train_svm
 from repro.ml.svm.model import make_linear_model
 from repro.net import wire
 from repro.net.mux import ERROR, HELLO, WELCOME
 from repro.net.service import TrainerClient, TrainerServer
+from repro.net.wire import AcceptTimeout
 from repro.obs import MetricsRegistry
 from repro.utils.serialization import (
     CONTROL_SESSION_ID,
@@ -386,22 +389,14 @@ class TestNegotiation:
                 reference.report
             )
 
-    def test_auto_client_falls_back_to_v1_on_legacy_server(
-        self, fast_config, linear_model_a
-    ):
+    def test_v2_client_refused_by_legacy_server(self, fast_config):
         """Against a server that answers mux/hello with a session error
-        (what a pre-v2 build does with any unknown control frame), an
-        auto client redials and completes the session as pure v1."""
-        sample = (0.5, -0.25, 0.75)
-        reference = private_classify(
-            linear_model_a, sample, config=fast_config, seed=55
-        )
+        (what a pre-v2 build does with any unknown control frame), a v2
+        client raises the typed refusal at once and never redials."""
         listener = wire.listen()
         host, port = listener.getsockname()[:2]
-        server = TrainerServer(linear_model_a, config=fast_config)
 
         def legacy_server():
-            # Dial 1: refuse the hello the way a v1-only build does.
             first = wire.accept(listener, timeout=30.0)
             with first:
                 msg_type, _, _ = decode_message(first.recv_frame())
@@ -409,28 +404,32 @@ class TestNegotiation:
                 first.send_frame(
                     encode_message(ERROR, f"unexpected {HELLO!r}")
                 )
-            # Dial 2: a plain v1 serve loop.
-            second = wire.accept(listener, timeout=30.0)
-            return server.serve_connection(second)
 
         peer = _Peer(legacy_server)
         peer.start()
         try:
-            with TrainerClient(
-                host, port, config=fast_config, protocol="auto"
-            ) as client:
-                assert client.protocol == "v1"
-                outcome = client.classify(sample, seed=55)
+            started = time.monotonic()
+            with pytest.raises(ProtocolError, match="peer refused protocol v2"):
+                TrainerClient(
+                    host, port, config=fast_config, timeout=10.0,
+                    protocol="v2",
+                )
+            elapsed = time.monotonic() - started
             peer.join_result()
+            # A redial would already sit in the listener's backlog.
+            with pytest.raises(AcceptTimeout):
+                wire.accept(listener, timeout=0.5)
         finally:
             listener.close()
-            server.close()
+        assert elapsed < 2.5
 
-        assert outcome.label == reference.label
-        assert outcome.randomized_value == reference.randomized_value
-        assert _phase_profile(outcome.report) == _phase_profile(
-            reference.report
-        )
+    def test_unknown_protocol_refused_before_negotiating(self, fast_config):
+        end_a, end_b = wire.memory_pair(timeout=1.0)
+        with end_a, end_b:
+            with pytest.raises(ValidationError, match=r"\('v1', 'v2'\)"):
+                TrainerClient(
+                    connection=end_b, config=fast_config, protocol="auto"
+                )
 
     def test_v2_over_memory_transport_bit_identical(
         self, fast_config, linear_model_a

@@ -91,7 +91,7 @@ class TestPoisonedItemIsolation:
 
     BAD = 2  # mid-window: earlier items already in flight, later queued
 
-    def _run_batch(self, served, fast_config, right_models, protocol):
+    def _run_batch(self, served, fast_config, right_models):
         host, port = served.address
         seeds = list(range(300, 300 + len(right_models)))
         # server_models["nope"] is refused at session/accept — a
@@ -99,7 +99,7 @@ class TestPoisonedItemIsolation:
         keys = [None] * len(right_models)
         keys[self.BAD] = "nope"
         with TrainerClientPool(
-            host, port, size=2, config=fast_config, protocol=protocol
+            host, port, size=2, config=fast_config
         ) as pool:
             outcomes = pool.evaluate_similarity_many(
                 right_models, seeds=seeds, server_models=keys,
@@ -107,13 +107,10 @@ class TestPoisonedItemIsolation:
             )
         return outcomes, seeds
 
-    @pytest.mark.parametrize("protocol", ["v2", "v1"])
     def test_neighbours_bit_identical_error_typed(
-        self, served, fast_config, model_a, right_models, protocol
+        self, served, fast_config, model_a, right_models
     ):
-        outcomes, seeds = self._run_batch(
-            served, fast_config, right_models, protocol
-        )
+        outcomes, seeds = self._run_batch(served, fast_config, right_models)
         references = similarity_references(
             model_a, right_models, fast_config, seeds
         )
@@ -156,7 +153,6 @@ class TestWindowAdvancesPastFailures:
         keys[0] = "nope"
         with TrainerClientPool(
             host, port, size=1, pipeline=2, config=fast_config,
-            protocol="v2",
         ) as pool:
             outcomes = pool.evaluate_similarity_many(
                 right_models, seeds=seeds, server_models=keys,
@@ -213,7 +209,6 @@ class TestMidFanOutDisconnect:
         try:
             with TrainerClientPool(
                 host, port, size=2, config=fast_config, timeout=10.0,
-                protocol="v2",
             ) as pool:
                 outcomes = pool.classify_many(
                     samples, seeds=seeds, return_errors=True
