@@ -63,8 +63,8 @@ def test_pooled_run_is_exact(setup):
     sender_pool = SenderPool(config, 1, 3, ReproRandom(1))
     receiver_pool = ReceiverPool(config, 3, 1, 3, ReproRandom(2))
     outcome = execute_ompe(
-        function, alpha, config=config, seed=5,
-        sender_pool=sender_pool, receiver_pool=receiver_pool,
+        function, alpha, config=config, seed=5, sender_pool=sender_pool,
+        receiver_hidden=receiver_pool.hide(alpha, config),
     )
     assert outcome.value == polynomial(alpha) * outcome.amplifier
 
@@ -97,8 +97,8 @@ def test_benchmark_online_with_pool(benchmark, setup):
 
     def run():
         return execute_ompe(
-            function, alpha, config=config, seed=1,
-            sender_pool=sender_pool, receiver_pool=receiver_pool,
+            function, alpha, config=config, seed=1, sender_pool=sender_pool,
+            receiver_hidden=receiver_pool.hide(alpha, config),
         ).value
 
     benchmark.pedantic(run, rounds=rounds, warmup_rounds=warmup, iterations=1)
@@ -132,8 +132,8 @@ def _backend_rows(backend, quick=False):
 
     def pooled_run():
         execute_ompe(
-            function, alpha, config=config, seed=1,
-            sender_pool=sender_pool, receiver_pool=receiver_pool,
+            function, alpha, config=config, seed=1, sender_pool=sender_pool,
+            receiver_hidden=receiver_pool.hide(alpha, config),
         )
 
     warm_s = _time_loop(pooled_run, rounds)

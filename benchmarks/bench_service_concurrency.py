@@ -16,6 +16,7 @@ concurrency is only worth shipping if it never perturbs an outcome.
 import os
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -341,10 +342,10 @@ def _run_v2_multiplexed(model, config, think_s):
                 for session in range(_SESSIONS_PER_CLIENT):
                     if session:
                         time.sleep(think_s)
-                    outcomes[(index, session)] = client.classify_async(
+                    outcomes[(index, session)] = client.classify(
                         _SAMPLES[index % len(_SAMPLES)],
                         seed=_v2_seed(index, session),
-                    ).result(timeout=120.0)
+                    )
             except BaseException as error:  # noqa: BLE001 — reported below
                 errors.append(error)
 
@@ -460,11 +461,13 @@ def test_v2_64_sessions_on_one_connection(bench_config):
     serving.start()
     with TrainerClient(
         host, port, config=bench_config, timeout=120.0, protocol="v2"
-    ) as client:
+    ) as client, ThreadPoolExecutor(max_workers=count) as threads:
         start = time.perf_counter()
         futures = [
-            client.classify_async(
-                _SAMPLES[index % len(_SAMPLES)], seed=7000 + index
+            threads.submit(
+                client.classify,
+                _SAMPLES[index % len(_SAMPLES)],
+                seed=7000 + index,
             )
             for index in range(count)
         ]

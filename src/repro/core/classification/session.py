@@ -105,15 +105,16 @@ class PrivateClassificationSession:
         with obs.get_tracer().span(
             "classification.query", phase="classification", query=self._queries
         ):
+            sample = tuple(sample)
             outcome = execute_ompe(
                 self._function,
-                tuple(sample),
+                sample,
                 config=self.config,
                 seed=self._root.fork("query", self._queries).seed,
                 amplify=True,
                 offset=False,
                 sender_pool=self._sender_pool,
-                receiver_pool=self._receiver_pool,
+                receiver_hidden=self._receiver_pool.hide(sample, self.config),
             )
         metrics = obs.get_metrics()
         if metrics.enabled:

@@ -77,7 +77,6 @@ def execute_ompe(
     sender_name: str = "alice",
     receiver_name: str = "bob",
     sender_pool=None,
-    receiver_pool=None,
     receiver_hidden: Optional[HiddenInput] = None,
 ) -> OMPEOutcome:
     """Run the full OMPE protocol between two in-process parties.
@@ -85,15 +84,13 @@ def execute_ompe(
     ``function`` is one :class:`OMPEFunction` or a sequence of ``k`` of
     them; ``input_vector`` is then ``α₁‖…‖α_k``, function ``j`` reading
     its own slice, and ``amplify``/``offset`` are one flag for all or
-    one per function.  ``sender_pool`` / ``receiver_pool`` are optional
-    :mod:`repro.core.ompe.precompute` pools; when given, the parties
-    use randomness drawn ahead of time instead of drawing it when the
-    query arrives (the paper's Section VI-B.1 optimization): the sender
-    pops its bundles, and the receiver's input is hidden with a popped
-    bundle before the run starts.  ``receiver_hidden`` is an input
-    hidden before the call
-    (:class:`~repro.core.ompe.precompute.HiddenInput`), in place of a
-    receiver pool.
+    one per function.  ``sender_pool`` is an optional
+    :mod:`repro.core.ompe.precompute` sender pool whose bundles the
+    sender pops instead of drawing its randomness when the query
+    arrives (the paper's Section VI-B.1 optimization).
+    ``receiver_hidden`` is the receiver's input hidden before the call
+    (:class:`~repro.core.ompe.precompute.HiddenInput`), for example by
+    a receiver pool's ``hide``.
     """
     config = config or OMPEConfig()
     root = ReproRandom(seed)
@@ -106,17 +103,12 @@ def execute_ompe(
         offset=offset,
         pool=sender_pool,
     )
-    hidden = receiver_hidden
-    if receiver_pool is not None:
-        if hidden is not None:
-            raise OMPEError("pass a receiver pool or a hidden input, not both")
-        hidden = receiver_pool.hide(input_vector, config)
     receiver = OMPEReceiver(
         receiver_name,
         input_vector,
         config,
         rng=root.fork("receiver"),
-        hidden=hidden,
+        hidden=receiver_hidden,
         function_count=len(sender.functions),
     )
     channel = connect_parties(sender, receiver, link=link) if link else connect_parties(

@@ -37,7 +37,7 @@ from repro.math.interpolation import lagrange_at_zero
 from repro.math.polynomials import Number
 from repro.net.party import Party
 from repro.utils.rng import ReproRandom
-from repro.utils.serialization import decode_values
+from repro.utils.serialization import decode_payloads
 
 
 def check_evaluations(values: Sequence[Number], count: int) -> Sequence[Number]:
@@ -45,15 +45,16 @@ def check_evaluations(values: Sequence[Number], count: int) -> Sequence[Number]:
     ``int`` or ``Fraction``.
 
     The sender seals whatever it likes, so a slot of another length, a
-    tuple or a float is refused here, before it reaches the
-    interpolation.
+    tuple, a float, a boolean or any other decoded payload is refused
+    here, before it reaches the interpolation.  The check is on the
+    exact type: a ``bool`` is an ``int`` to ``isinstance``.
     """
     if len(values) != count:
         raise ProtocolAbort(
             f"retrieved slot carries {len(values)} values, expected {count}"
         )
     for value in values:
-        if not isinstance(value, (int, Fraction)):
+        if type(value) is not int and type(value) is not Fraction:
             raise ProtocolAbort(
                 f"retrieved evaluation is a {type(value).__name__}, not a scalar"
             )
@@ -198,7 +199,7 @@ class OMPEReceiver(Party):
                 covers=len(self._cover_positions),
             ):
                 slots = [
-                    check_evaluations(decode_values(blob), self.function_count)
+                    check_evaluations(decode_payloads(blob), self.function_count)
                     for blob in payloads
                 ]
                 nodes = [self._nodes[i] for i in self._cover_positions]

@@ -33,7 +33,7 @@ from repro.exceptions import OMPEError, ProtocolAbort, ValidationError
 from repro.math.polynomials import Number, Polynomial
 from repro.net.party import Party
 from repro.utils.rng import ReproRandom
-from repro.utils.serialization import encode_value
+from repro.utils.serialization import encode_payload
 
 #: One flag for every function, or one per function.
 Flags = Union[bool, Sequence[bool]]
@@ -168,7 +168,7 @@ class OMPESender(Party):
                 )
                 columns.append(
                     [
-                        encode_value(mask(node) + amplifier * value + offset)
+                        encode_payload(mask(node) + amplifier * value + offset)
                         for node, value in zip(nodes, values)
                     ]
                 )

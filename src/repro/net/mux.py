@@ -44,7 +44,6 @@ The server-side event loop lives in :mod:`repro.net.muxserver`.
 
 from __future__ import annotations
 
-import itertools
 import queue
 import threading
 from dataclasses import dataclass
@@ -545,9 +544,10 @@ class MuxClientConnection:
         self._timeout = timeout
         self._send_lock = threading.Lock()
         self._sessions: Dict[int, MuxSession] = {}
-        self._finished_ids: set = set()
         self._sessions_lock = threading.Lock()
-        self._ids = itertools.count(1)
+        #: The id the next session gets; every id below it that is not
+        #: in ``_sessions`` belongs to a finished session.
+        self._next_id = 1
         self._control_inbox: "queue.Queue" = queue.Queue()
         self._control_lock = threading.Lock()
         self._closed = False
@@ -599,16 +599,17 @@ class MuxClientConnection:
         """
         if timeout is not None and timeout < 0:
             timeout = self._timeout
-        session_id = next(self._ids)
-        session = MuxSession(
-            session_id,
-            self._send_frame,
-            timeout=timeout,
-            on_finished=self._session_finished,
-        )
         with self._sessions_lock:
             if self._closed:
                 raise ProtocolError("connection is closed")
+            session_id = self._next_id
+            self._next_id += 1
+            session = MuxSession(
+                session_id,
+                self._send_frame,
+                timeout=timeout,
+                on_finished=self._session_finished,
+            )
             self._sessions[session_id] = session
         try:
             session.send_control(OPEN, payload)
@@ -621,7 +622,6 @@ class MuxClientConnection:
     def _session_finished(self, session: MuxSession) -> None:
         with self._sessions_lock:
             self._sessions.pop(session.id, None)
-            self._finished_ids.add(session.id)
 
     # -- control (session 0) -----------------------------------------------------
 
@@ -670,7 +670,7 @@ class MuxClientConnection:
                     continue
                 with self._sessions_lock:
                     session = self._sessions.get(session_id)
-                    finished = session_id in self._finished_ids
+                    finished = session_id < self._next_id
                 if session is not None:
                     session.deliver(message)
                 elif finished:

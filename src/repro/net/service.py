@@ -10,8 +10,11 @@ loop.  A connection's first frame picks its wire protocol (``mux/hello``
 for multiplexed v2, anything else for sequential v1); either way each
 session runs on a pool of ``session_workers`` threads.
 :class:`TrainerClient` dials a server and drives the client side of one
-connection; :class:`TrainerClientPool` keeps ``size`` pooled
-connections and fans batches out across them
+connection: each :meth:`~TrainerClient.classify` or
+:meth:`~TrainerClient.evaluate_similarity` call runs one session as a
+blocking call, and on a v2 connection several threads may call them at
+once.  :class:`TrainerClientPool` keeps ``size`` pooled connections and
+fans batches out across them on worker threads it reuses
 (:meth:`~TrainerClientPool.classify_many`).
 
 A v1 connection carries any number of sequential sessions, a v2
@@ -67,6 +70,7 @@ import itertools
 import threading
 import time
 import traceback
+from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro import obs
@@ -106,7 +110,6 @@ from repro.net.mux import (  # OPEN and CLOSE are re-exported
     MuxChannel,
     MuxClientConnection,
     MuxRouter,
-    MuxSession,
     V1ClientConnection,
 )
 from repro.net.muxserver import MuxConnection, MuxServerLoop
@@ -882,78 +885,6 @@ class TrainerServer:
         )
 
 
-class SessionFuture:
-    """Result handle for one pipelined (protocol v2) session.
-
-    Returned by :meth:`TrainerClient.classify_async` and
-    :meth:`TrainerClient.evaluate_similarity_async`.  ``result()``
-    blocks (optionally bounded) for the session's outcome; ``cancel()``
-    aborts the in-flight session — the server receives a
-    ``session/error`` frame on exactly that session and every other
-    pipelined session keeps running.
-    """
-
-    def __init__(self) -> None:
-        self._value: Any = None
-        self._error: Optional[BaseException] = None
-        self._finished = threading.Event()
-        self._lock = threading.Lock()
-        self._session: Optional[MuxSession] = None
-        self._cancel_reason: Optional[str] = None
-
-    # -- driver side -----------------------------------------------------------
-
-    def _attach(self, session: MuxSession) -> None:
-        with self._lock:
-            self._session = session
-            reason = self._cancel_reason
-        if reason is not None:
-            session.cancel(reason)
-
-    def _resolve(self, value: Any) -> None:
-        self._value = value
-        self._finished.set()
-
-    def _fail(self, error: BaseException) -> None:
-        self._error = error
-        self._finished.set()
-
-    # -- caller side -----------------------------------------------------------
-
-    def done(self) -> bool:
-        """True once the session finished (successfully or not)."""
-        return self._finished.is_set()
-
-    def cancel(self, reason: str = "session cancelled by client") -> bool:
-        """Abort the in-flight session; False if it already finished.
-
-        The session's driver thread unblocks with a
-        :class:`ProtocolError`, which :meth:`result` then re-raises.
-        """
-        if self._finished.is_set():
-            return False
-        with self._lock:
-            session = self._session
-            self._cancel_reason = reason
-        if session is not None:
-            session.cancel(reason)
-        return True
-
-    def result(self, timeout: Optional[float] = None) -> Any:
-        """The session outcome; raises what the session raised.
-
-        An expired ``timeout`` raises :class:`ProtocolError` and leaves
-        the session running — pair with :meth:`cancel` to abandon it.
-        """
-        if not self._finished.wait(timeout):
-            raise ProtocolError(
-                "timed out waiting for the pipelined session result"
-            )
-        if self._error is not None:
-            raise self._error
-        return self._value
-
-
 def _dial(
     who: str,
     host: Optional[str],
@@ -999,10 +930,11 @@ class TrainerClient:
     connection instead of dialing ``host:port``.
 
     ``protocol`` selects the wire protocol: ``"v1"`` (default, the
-    legacy sequential connection) or ``"v2"`` (session-multiplexed —
-    :meth:`classify_async` / :meth:`evaluate_similarity_async` pipeline
-    any number of concurrent sessions over this one connection; a
-    server that refuses the upgrade raises :class:`ProtocolError`).
+    legacy sequential connection: one session at a time) or ``"v2"``
+    (session-multiplexed: any number of threads may call
+    :meth:`classify` / :meth:`evaluate_similarity` at once, each
+    running its own session over this one connection; a server that
+    refuses the upgrade raises :class:`ProtocolError`).
     Protocol runs are bit-identical across v1 and v2 for the same
     seed.
     """
@@ -1047,75 +979,10 @@ class TrainerClient:
         Given the same seed, the result — label, masked value
         ``r_a·d(t̃)``, and per-phase byte counts — is bit-identical to
         an in-process :func:`~repro.core.classification.private_classify`
-        against the same model, on either wire protocol.
+        against the same model, on either wire protocol.  Sessions run
+        concurrently when several threads call this on one protocol-v2
+        client.
         """
-        return self._classify(sample, seed)
-
-    def classify_async(
-        self, sample: Sequence[float], seed: Optional[int] = None
-    ) -> SessionFuture:
-        """Pipeline one classification session (protocol v2 only).
-
-        Returns immediately with a :class:`SessionFuture`; any number
-        of sessions may be in flight on this one connection at once.
-        """
-        self._require_v2()
-        future = SessionFuture()
-        sample = tuple(sample)
-
-        def drive() -> None:
-            try:
-                future._resolve(
-                    self._classify(sample, seed, on_session=future._attach)
-                )
-            except BaseException as error:  # noqa: BLE001 — surfaced by result()
-                future._fail(error)
-
-        threading.Thread(
-            target=drive, name="client-session", daemon=True
-        ).start()
-        return future
-
-    def evaluate_similarity_async(
-        self,
-        model: ModelOrProfile,
-        seed: Optional[int] = None,
-        policy: Optional[OutputPolicy] = None,
-        server_model: Optional[str] = None,
-        dots_hidden: Optional[HiddenInput] = None,
-    ) -> SessionFuture:
-        """Pipeline one similarity session (protocol v2 only)."""
-        self._require_v2()
-        future = SessionFuture()
-
-        def drive() -> None:
-            try:
-                future._resolve(
-                    self._similarity(
-                        model, seed, policy,
-                        server_model=server_model,
-                        on_session=future._attach,
-                        dots_hidden=dots_hidden,
-                    )
-                )
-            except BaseException as error:  # noqa: BLE001 — surfaced by result()
-                future._fail(error)
-
-        threading.Thread(
-            target=drive, name="client-session", daemon=True
-        ).start()
-        return future
-
-    def _require_v2(self) -> None:
-        if self.protocol != "v2":
-            raise ValidationError("pipelined sessions need protocol='v2'")
-
-    def _classify(
-        self,
-        sample: Sequence[float],
-        seed: Optional[int],
-        on_session: Any = None,
-    ) -> ClassificationOutcome:
         sample = tuple(sample)
         with obs.get_tracer().span(
             "service.classify", party="bob", phase="service"
@@ -1127,8 +994,6 @@ class TrainerClient:
             session = None
             try:
                 session = self._connection.open_session(request)
-                if on_session is not None:
-                    on_session(session)
                 _, accept = session.recv_control(ACCEPT)
                 if not isinstance(accept, dict) or not isinstance(
                     accept.get("dimension"), int
@@ -1180,19 +1045,6 @@ class TrainerClient:
         input hidden before the session
         (:func:`~repro.core.similarity.linear.hide_dots_input`).
         """
-        return self._similarity(
-            model, seed, policy, server_model=server_model, dots_hidden=dots_hidden
-        )
-
-    def _similarity(
-        self,
-        model: ModelOrProfile,
-        seed: Optional[int],
-        policy: Optional[OutputPolicy],
-        server_model: Optional[str] = None,
-        on_session: Any = None,
-        dots_hidden: Optional[HiddenInput] = None,
-    ) -> PrivateSimilarityOutcome:
         if policy is not None and not isinstance(policy, OutputPolicy):
             raise ValidationError(
                 f"policy must be an OutputPolicy, got {policy!r}"
@@ -1222,8 +1074,6 @@ class TrainerClient:
             session = None
             try:
                 session = self._connection.open_session(request)
-                if on_session is not None:
-                    on_session(session)
                 _, accept = session.recv_control(ACCEPT)
                 if not isinstance(accept, dict):
                     raise ProtocolError(
@@ -1348,11 +1198,12 @@ class TrainerClientPool:
 
     Each pooled connection is a multiplexed :class:`TrainerClient`, so
     sessions never need a connection to themselves.
-    :meth:`classify_many` pipelines up to ``pipeline`` concurrent
-    sessions *per connection* across the pool and returns outcomes in
-    input order — with pinned seeds the results are bit-identical to
-    running the batch sequentially on one client.  A small pool thus
-    drives a large session fan-out.
+    :meth:`classify_many` runs up to ``pipeline`` concurrent sessions
+    *per connection* across the pool, on ``size × pipeline`` worker
+    threads started once and reused by every batch, and returns
+    outcomes in input order — with pinned seeds the results are
+    bit-identical to running the batch sequentially on one client.  A
+    small pool thus drives a large session fan-out.
     """
 
     def __init__(
@@ -1375,11 +1226,11 @@ class TrainerClientPool:
             )
         self.size = size
         self.pipeline = pipeline
-        #: Bound on each pipelined result wait (see :meth:`_fan_out`);
-        #: ``None`` waits forever.
-        self._timeout = timeout
         self._clients: List[TrainerClient] = []
         self._next = itertools.count()
+        self._workers = ThreadPoolExecutor(
+            max_workers=size * pipeline, thread_name_prefix="pool-session"
+        )
         try:
             for _ in range(size):
                 self._clients.append(TrainerClient(
@@ -1392,6 +1243,7 @@ class TrainerClientPool:
             raise
 
     def close(self) -> None:
+        self._workers.shutdown()
         for client in self._clients:
             try:
                 client.close()
@@ -1474,10 +1326,10 @@ class TrainerClientPool:
         samples = [tuple(sample) for sample in samples]
         seed_list = self._seed_list(seeds, len(samples), "samples")
 
-        def start(client: TrainerClient, index: int) -> SessionFuture:
-            return client.classify_async(samples[index], seed=seed_list[index])
+        def run(client: TrainerClient, index: int) -> ClassificationOutcome:
+            return client.classify(samples[index], seed=seed_list[index])
 
-        return self._fan_out(len(samples), start, return_errors)
+        return self._fan_out(len(samples), run, return_errors)
 
     def evaluate_similarity_many(
         self,
@@ -1503,8 +1355,8 @@ class TrainerClientPool:
         key_list = self._item_list(server_models, len(models), "server_models")
         hidden_list = self._item_list(dots_hidden, len(models), "hidden inputs")
 
-        def start(client: TrainerClient, index: int) -> SessionFuture:
-            return client.evaluate_similarity_async(
+        def run(client: TrainerClient, index: int) -> PrivateSimilarityOutcome:
+            return client.evaluate_similarity(
                 models[index],
                 seed=seed_list[index],
                 policy=policy,
@@ -1512,55 +1364,33 @@ class TrainerClientPool:
                 dots_hidden=hidden_list[index],
             )
 
-        return self._fan_out(len(models), start, return_errors)
+        return self._fan_out(len(models), run, return_errors)
 
     # -- batched fan-out -------------------------------------------------------
 
     def _fan_out(
-        self, count: int, start: Any, return_errors: bool
+        self, count: int, run: Any, return_errors: bool
     ) -> List[Any]:
-        """Pipeline ``count`` sessions over the pooled connections.
+        """Run ``count`` sessions over the pooled connections.
 
-        Items round-robin across the pool's multiplexed connections
-        with a bounded in-flight window (``pipeline`` sessions per
-        connection), collected in input order.  Failures never scramble
-        or drop neighbours: every item's outcome (or typed error) lands
-        at its own index.  A session that errors or gets poisoned
-        mid-window releases its in-flight slot the moment it is
-        collected — a failed start never occupies a slot, and a
-        collected failure frees one — so the window keeps advancing.
-        Result waits are bounded by the pool's ``timeout``; an expired
-        wait cancels the session (releasing its server slot) and
-        surfaces as that item's typed error instead of deadlocking the
-        whole batch.
+        Item ``i`` runs on connection ``i mod size`` on one of the
+        pool's worker threads, so at most ``size × pipeline`` sessions
+        are in flight.  Failures never scramble or drop neighbours:
+        every item's outcome (or typed error) lands at its own index.
+        Each session bounds its own waits by the connection timeout
+        and cancels itself on failure, freeing its server slot.
         """
-        results: List[Any] = [None] * count
+        clients = self._clients
         errors: List[Tuple[int, BaseException]] = []
-        window = self.pipeline * len(self._clients)
-        inflight: "collections.deque" = collections.deque()
 
-        def collect(index: int, future: SessionFuture) -> None:
+        def attempt(index: int) -> Any:
             try:
-                results[index] = future.result(self._timeout)
-            except BaseException as error:  # noqa: BLE001 — surfaced below
-                # Harmless when the session already finished (the
-                # common case: it failed); essential when the wait
-                # timed out with the session still running.
-                future.cancel("abandoned by batch fan-out")
-                results[index] = self._batch_error(index, error)
+                return run(clients[index % len(clients)], index)
+            except Exception as error:  # noqa: BLE001 — surfaced below
                 errors.append((index, error))
+                return self._batch_error(index, error)
 
-        for index in range(count):
-            if len(inflight) >= window:
-                collect(*inflight.popleft())
-            client = self._clients[index % len(self._clients)]
-            try:
-                inflight.append((index, start(client, index)))
-            except BaseException as error:  # noqa: BLE001 — surfaced below
-                results[index] = self._batch_error(index, error)
-                errors.append((index, error))
-        while inflight:
-            collect(*inflight.popleft())
+        results = list(self._workers.map(attempt, range(count)))
         return self._finish_batch(results, errors, return_errors)
 
     @staticmethod

@@ -1,20 +1,18 @@
 """Canonical byte encodings for protocol values and wire messages.
 
-Two codec layers live here:
-
-* The **scalar codec** (:func:`encode_value` / :func:`decode_value`) —
-  the original OMPE vocabulary of exact rationals and rational tuples.
-  The oblivious-transfer layer transports these as opaque byte strings,
-  and their encodings are part of the protocol transcript, so this
-  layer must stay bit-stable.
-* The **message codec** (:func:`encode_payload` / :func:`decode_payload`
-  and :func:`encode_message` / :func:`decode_message`) — a strict
-  superset covering everything the protocols actually put on a channel:
-  ``None``, booleans, byte strings, text, lists, dicts, and the
-  registered protocol dataclasses (OT setups/choices/transfers, the
-  OMPE config, ...).  This is what :mod:`repro.net.wire` frames onto a
-  real TCP connection, and what :func:`repro.net.message.measure_size`
-  mirrors byte-for-byte for the simulated transport.
+One codec lives here: :func:`encode_payload` / :func:`decode_payload`
+for one value, :func:`encode_message` / :func:`decode_message` for a
+typed message.  It covers everything the protocols put on a channel:
+integers, exact rationals, floats, tuples, ``None``, booleans, byte
+strings, text, lists, dicts, and the registered protocol dataclasses
+(OT setups/choices/transfers, the OMPE config, ...).  This is what
+:mod:`repro.net.wire` frames onto a real TCP connection, and what
+:func:`repro.net.message.measure_size` mirrors byte-for-byte for the
+simulated transport.  An OMPE sender seals each slot as the
+:func:`encode_payload` bytes of its values laid end to end, which the
+receiver reads back with :func:`decode_payloads`; the oblivious
+transfer carries those as opaque byte strings, and they are part of
+the protocol transcript, so the codec must stay bit-stable.
 
 Wire format (all integers big-endian; ``varbytes(x)`` is a ``u32``
 length followed by the raw payload; integers use a leading sign byte):
@@ -39,8 +37,8 @@ unknown-tag input raises :class:`ValidationError` (never a bare
 rejected, and so is every non-canonical form — an integer with a sign
 byte other than 0/1, an empty magnitude, a leading zero byte or a
 negative zero; a fraction not in lowest terms with a positive
-denominator; a dict with a repeated key — so both codecs are injective
-in each direction.
+denominator; a dict with a repeated key — so the codec is injective in
+each direction.
 
 Encoding and sizing share one dispatch: the exact type picks the
 branch for the values messages are made of (``Fraction``, ``tuple``,
@@ -57,12 +55,9 @@ from __future__ import annotations
 import dataclasses
 import struct
 from fractions import Fraction
-from typing import Any, Dict, Optional, Tuple, Type, Union
+from typing import Any, Dict, Optional, Tuple, Type
 
 from repro.exceptions import ValidationError
-
-Scalar = Union[int, float, Fraction]
-Encodable = Union[Scalar, Tuple]
 
 #: Version byte leading every encoded message.  Bump on any
 #: backwards-incompatible change to the tag vocabulary.
@@ -154,95 +149,6 @@ def _decode_float(data: bytes, offset: int) -> Tuple[float, int]:
         raise ValidationError("truncated float payload")
     (value,) = _DOUBLE.unpack_from(data, offset)
     return value, offset + 8
-
-
-def _encode_value_into(value: Encodable, append) -> None:
-    """Append ``value``'s scalar-codec encoding to a parts list."""
-    if isinstance(value, bool):
-        raise ValidationError("booleans are not protocol values")
-    if isinstance(value, int):
-        append(b"I")
-        append(_encode_int(value))
-    elif isinstance(value, Fraction):
-        append(b"F")
-        append(_encode_int(value.numerator))
-        append(_encode_int(value.denominator))
-    elif isinstance(value, float):
-        append(b"D")
-        append(_DOUBLE.pack(value))
-    elif isinstance(value, tuple):
-        append(b"T")
-        append(_pack_u32(len(value)))
-        for item in value:
-            _encode_value_into(item, append)
-    else:
-        raise ValidationError(
-            f"cannot encode {type(value).__name__} as a protocol value"
-        )
-
-
-def encode_value(value: Encodable) -> bytes:
-    """Encode a scalar or (nested) tuple of scalars to canonical bytes."""
-    parts: list = []
-    _encode_value_into(value, parts.append)
-    return b"".join(parts)
-
-
-def _decode_at(data: bytes, offset: int, depth: int = 0) -> Tuple[Encodable, int]:
-    if depth > MAX_DECODE_DEPTH:
-        raise ValidationError("protocol value nesting exceeds the decoder depth bound")
-    if offset >= len(data):
-        raise ValidationError("truncated protocol value")
-    tag = data[offset]
-    offset += 1
-    if tag == _TAG_F:
-        return _decode_fraction(data, offset)
-    if tag == _TAG_I:
-        return _decode_int(data, offset)
-    if tag == _TAG_D:
-        return _decode_float(data, offset)
-    if tag == _TAG_T:
-        if offset + 4 > len(data):
-            raise ValidationError("truncated tuple count")
-        (count,) = _unpack_u32(data, offset)
-        offset += 4
-        if count > len(data) - offset:
-            raise ValidationError("tuple count exceeds available bytes")
-        items = []
-        for _ in range(count):
-            item, offset = _decode_at(data, offset, depth + 1)
-            items.append(item)
-        return tuple(items), offset
-    raise ValidationError(
-        f"unknown protocol value tag {data[offset - 1 : offset]!r}"
-    )
-
-
-def decode_value(data: bytes) -> Encodable:
-    """Decode bytes produced by :func:`encode_value`.
-
-    Raises :class:`ValidationError` on trailing garbage, on nesting
-    deeper than :data:`MAX_DECODE_DEPTH` and on any non-canonical
-    integer or fraction, so the codec is injective in both directions.
-    """
-    value, offset = _decode_at(data, 0)
-    if offset != len(data):
-        raise ValidationError("trailing bytes after protocol value")
-    return value
-
-
-def decode_values(data: bytes) -> Tuple[Encodable, ...]:
-    """Decode a run of :func:`encode_value` outputs laid end to end.
-
-    An OMPE slot seals one value per sender function this way; each
-    value meets the same checks as in :func:`decode_value`.
-    """
-    values = []
-    offset = 0
-    while offset < len(data):
-        value, offset = _decode_at(data, offset)
-        values.append(value)
-    return tuple(values)
 
 
 # -- message payload codec ---------------------------------------------------
@@ -343,8 +249,16 @@ def _encode_payload_into(payload: Any, append) -> None:
         append(b"N")
     elif isinstance(payload, bool):
         append(b"B\x01" if payload else b"B\x00")
-    elif isinstance(payload, (int, float, Fraction)):
-        _encode_value_into(payload, append)
+    elif isinstance(payload, int):
+        append(b"I")
+        append(_encode_int(payload))
+    elif isinstance(payload, Fraction):
+        append(b"F")
+        append(_encode_int(payload.numerator))
+        append(_encode_int(payload.denominator))
+    elif isinstance(payload, float):
+        append(b"D")
+        append(_DOUBLE.pack(payload))
     elif isinstance(payload, str):
         append(b"S")
         append(_varbytes(payload.encode("utf-8")))
@@ -512,17 +426,38 @@ def _decode_payload_at(data: bytes, offset: int, depth: int) -> Tuple[Any, int]:
     )
 
 
-def decode_payload(data: bytes) -> Any:
-    """Decode bytes produced by :func:`encode_payload` (strict)."""
+def _decode_payload_checked(data: bytes, offset: int) -> Tuple[Any, int]:
+    """:func:`_decode_payload_at` at depth 0, every failure typed."""
     try:
-        payload, offset = _decode_payload_at(bytes(data), 0, 0)
+        return _decode_payload_at(data, offset, 0)
     except ValidationError:
         raise
     except Exception as error:  # struct.error, OverflowError, ...
         raise ValidationError(f"malformed message payload: {error}")
+
+
+def decode_payload(data: bytes) -> Any:
+    """Decode bytes produced by :func:`encode_payload` (strict)."""
+    payload, offset = _decode_payload_checked(bytes(data), 0)
     if offset != len(data):
         raise ValidationError("trailing bytes after message payload")
     return payload
+
+
+def decode_payloads(data: bytes) -> Tuple[Any, ...]:
+    """Decode a run of :func:`encode_payload` outputs laid end to end.
+
+    An OMPE slot seals one value per sender function this way; each
+    value is decoded as strictly as by :func:`decode_payload`, and the
+    caller checks that each is a value its protocol step expects.
+    """
+    data = bytes(data)
+    values = []
+    offset = 0
+    while offset < len(data):
+        value, offset = _decode_payload_checked(data, offset)
+        values.append(value)
+    return tuple(values)
 
 
 # -- full message codec ------------------------------------------------------

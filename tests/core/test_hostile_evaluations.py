@@ -1,11 +1,12 @@
 """A hostile sender's sealed evaluations meet a typed error.
 
 The OT hands the receiver whatever the sender sealed.  A sender that
-seals a tuple, a float, a value nested past the decoder's depth bound,
-or a slot with another number of values than the run has functions,
-must make the receiver of a one- or two-function run raise a
-:class:`~repro.exceptions.ReproError` subclass before interpolation,
-never a ``RecursionError`` or a ``TypeError`` from the arithmetic.
+seals a tuple, a float, a boolean, text, ``None``, a registered record,
+a value nested past the decoder's depth bound, or a slot with another
+number of values than the run has functions, must make the receiver of
+a one- or two-function run raise a :class:`~repro.exceptions.ReproError`
+subclass before interpolation, never a ``RecursionError`` or a
+``TypeError`` from the arithmetic.
 """
 
 from __future__ import annotations
@@ -19,11 +20,12 @@ from repro.core.ompe import sender as sender_module
 from repro.exceptions import ProtocolAbort, ReproError, ValidationError
 from repro.math.groups import fast_group
 from repro.math.multivariate import MultivariatePolynomial
+from repro.math.scaled import ScaledVector
 from repro.utils.serialization import (
     MAX_DECODE_DEPTH,
-    decode_value,
-    decode_values,
-    encode_value,
+    decode_payload,
+    decode_payloads,
+    encode_payload,
 )
 
 FUNCTION = OMPEFunction.from_polynomial(
@@ -32,35 +34,44 @@ FUNCTION = OMPEFunction.from_polynomial(
 INPUT = (Fraction(1, 2), Fraction(-1, 3))
 CONFIG = OMPEConfig(security_degree=1, cover_expansion=2, group=fast_group())
 
-#: What a hostile sender seals in place of ``encode_value(value)``,
+#: What a hostile sender seals in place of ``encode_payload(value)``,
 #: and the typed error the receiver raises for it.
 SEALS = {
-    "nested tuple": (lambda value: encode_value(((value,),)), ProtocolAbort),
-    "pair": (lambda value: encode_value((value, value)), ProtocolAbort),
-    "float": (lambda value: encode_value(float(value)), ProtocolAbort),
+    "nested tuple": (lambda value: encode_payload(((value,),)), ProtocolAbort),
+    "pair": (lambda value: encode_payload((value, value)), ProtocolAbort),
+    "float": (lambda value: encode_payload(float(value)), ProtocolAbort),
+    # ``B\x01`` decodes to ``True``, which ``isinstance`` takes for an int.
+    "bool": (lambda value: encode_payload(True), ProtocolAbort),
+    "str": (lambda value: encode_payload(str(value)), ProtocolAbort),
+    "None": (lambda value: encode_payload(None), ProtocolAbort),
+    "ompe/vector": (
+        lambda value: encode_payload(ScaledVector.of((value,))),
+        ProtocolAbort,
+    ),
     "past the depth bound": (
-        lambda value: b"T\x00\x00\x00\x01" * 3000 + encode_value(value),
+        lambda value: b"T\x00\x00\x00\x01" * 3000 + encode_payload(value),
         ValidationError,
     ),
 }
 
 
-def test_decode_value_depth_bound():
-    at_bound = b"T\x00\x00\x00\x01" * MAX_DECODE_DEPTH + encode_value(1)
-    nested = decode_value(at_bound)
+def test_decode_depth_bound():
+    at_bound = b"T\x00\x00\x00\x01" * MAX_DECODE_DEPTH + encode_payload(1)
+    nested = decode_payload(at_bound)
     for _ in range(MAX_DECODE_DEPTH):
         (nested,) = nested
     assert nested == 1
-    with pytest.raises(ValidationError, match="depth bound"):
-        decode_value(b"T\x00\x00\x00\x01" + at_bound)
-    with pytest.raises(ValidationError, match="depth bound"):
-        decode_value(b"T\x00\x00\x00\x01" * 3000 + encode_value(1))
+    for decode in (decode_payload, decode_payloads):
+        with pytest.raises(ValidationError, match="depth bound"):
+            decode(b"T\x00\x00\x00\x01" + at_bound)
+        with pytest.raises(ValidationError, match="depth bound"):
+            decode(b"T\x00\x00\x00\x01" * 3000 + encode_payload(1))
 
 
 @pytest.mark.parametrize("case", sorted(SEALS))
 def test_online_receiver_refuses(monkeypatch, case):
     seal, error = SEALS[case]
-    monkeypatch.setattr(sender_module, "encode_value", seal)
+    monkeypatch.setattr(sender_module, "encode_payload", seal)
     with pytest.raises(error) as raised:
         execute_ompe(FUNCTION, INPUT, config=CONFIG, seed=3)
     assert isinstance(raised.value, ReproError)
@@ -70,7 +81,7 @@ def test_online_receiver_refuses(monkeypatch, case):
 def test_batched_receiver_refuses(monkeypatch, case):
     """The same seals in a two-function run's slots."""
     seal, error = SEALS[case]
-    monkeypatch.setattr(sender_module, "encode_value", seal)
+    monkeypatch.setattr(sender_module, "encode_payload", seal)
     with pytest.raises(error) as raised:
         execute_ompe((FUNCTION, FUNCTION), INPUT + INPUT, config=CONFIG, seed=3)
     assert isinstance(raised.value, ReproError)
@@ -94,7 +105,7 @@ def test_slot_of_wrong_length_refused(monkeypatch, case):
     def reseal(sender):
         handle_points(sender)
         sender._evaluations = [
-            seal([encode_value(value) for value in decode_values(blob)])
+            seal([encode_payload(value) for value in decode_payloads(blob)])
             for blob in sender._evaluations
         ]
 

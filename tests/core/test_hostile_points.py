@@ -33,7 +33,7 @@ from repro.math.multivariate import MultivariatePolynomial
 from repro.math.scaled import ScaledVector
 from repro.net.party import connect_parties
 from repro.utils.rng import ReproRandom
-from repro.utils.serialization import decode_value
+from repro.utils.serialization import decode_payload
 
 FUNCTION = OMPEFunction.from_polynomial(
     MultivariatePolynomial.affine([Fraction(1), Fraction(-2)], Fraction(3))
@@ -181,7 +181,7 @@ def _repeated_node_ratio(seed: int) -> Fraction:
     receiver.handle_ot_setups()
     sender.handle_choices()
     payloads = receiver._ot_receiver.retrieve(receiver.receive("ompe/ot-transfers"))
-    base, first, second = (decode_value(payload) for payload in payloads)
+    base, first, second = (decode_payload(payload) for payload in payloads)
     return (first - base) / (second - base)
 
 

@@ -3,7 +3,7 @@
 ``{x: 2, y: 3}`` and ``{x: Fraction(2), y: Fraction(3)}`` are equal
 polynomials with one hash, yet they evaluate to different types at an
 integer point (``int`` against ``Fraction``), and so to different
-``encode_value`` bytes.  A function built from either must give exactly
+``encode_payload`` bytes.  A function built from either must give exactly
 that polynomial's value and bytes, whichever was wrapped first.
 """
 
@@ -15,7 +15,7 @@ import pytest
 
 from repro.core.ompe import OMPEFunction
 from repro.math.multivariate import MultivariatePolynomial
-from repro.utils.serialization import encode_value
+from repro.utils.serialization import encode_payload
 
 TERMS = {
     "int": {(1, 0): 2, (0, 1): 3},
@@ -40,5 +40,5 @@ def test_from_polynomial_keeps_value_types(order):
         for point in POINTS:
             value, expected = function(point), polynomial(point)
             assert type(value) is type(expected), (name, point)
-            assert encode_value(value) == encode_value(expected), (name, point)
+            assert encode_payload(value) == encode_payload(expected), (name, point)
         assert function.evaluate_all(POINTS) == [polynomial(p) for p in POINTS]

@@ -152,11 +152,9 @@ class TestPolicyCodec:
     def test_out_of_range_k_rejected_at_decode(self):
         # Patch the encoded k (MAX_TOP_K) up by one; decode must re-run
         # dataclass validation, not trust the wire.
-        from repro.utils.serialization import encode_value
-
         data = encode_payload(OutputPolicy(mode="top-k", k=MAX_TOP_K))
         hostile = data.replace(
-            encode_value(MAX_TOP_K), encode_value(MAX_TOP_K + 1)
+            encode_payload(MAX_TOP_K), encode_payload(MAX_TOP_K + 1)
         )
         assert hostile != data
         with pytest.raises(ValidationError):

@@ -99,7 +99,8 @@ class TestPooledExecution:
         receiver_pool = ReceiverPool(fast_config, 2, 1, 3, ReproRandom(2))
         outcome = execute_ompe(
             function, ALPHA, config=fast_config, seed=9,
-            sender_pool=sender_pool, receiver_pool=receiver_pool,
+            sender_pool=sender_pool,
+            receiver_hidden=receiver_pool.hide(ALPHA, fast_config),
         )
         assert outcome.value == polynomial(ALPHA) * outcome.amplifier
 
@@ -114,7 +115,7 @@ class TestPooledExecution:
         receiver_pool = ReceiverPool(fast_config, 2, 1, 2, ReproRandom(4))
         outcome = execute_ompe(
             function, ALPHA, config=fast_config, seed=11,
-            receiver_pool=receiver_pool,
+            receiver_hidden=receiver_pool.hide(ALPHA, fast_config),
         )
         assert outcome.value == polynomial(ALPHA) * outcome.amplifier
 
@@ -123,7 +124,7 @@ class TestPooledExecution:
         with pytest.raises(OMPEError):
             execute_ompe(
                 function, ALPHA, config=fast_config, seed=12,
-                receiver_pool=receiver_pool,
+                receiver_hidden=receiver_pool.hide(ALPHA, fast_config),
             )
 
     def test_sender_refuses_pool_of_another_config(self, function):
@@ -148,7 +149,10 @@ class TestPooledExecution:
         with pytest.raises(OMPEError, match="another OMPE config"):
             OMPEReceiver("bob", ALPHA, config, hidden=twin.pop().hide(ALPHA, twin.config))
         with pytest.raises(OMPEError, match="another OMPE config"):
-            execute_ompe(function, ALPHA, config=config, seed=17, receiver_pool=pool)
+            execute_ompe(
+                function, ALPHA, config=config, seed=17,
+                receiver_hidden=pool.hide(ALPHA, config),
+            )
         assert len(pool) == 1
 
     def test_degree_mismatch_rejected(self, fast_config, function):

@@ -36,7 +36,7 @@ from repro.net import wire
 from repro.net.mux import V1Session
 from repro.net.service import OPEN, TrainerClient, TrainerServer
 from repro.obs import MetricsRegistry
-from repro.utils.serialization import encode_payload, encode_value
+from repro.utils.serialization import encode_payload
 
 POLICIES = ["raw", "threshold:0.5", "top-k:1", "permuted"]
 SEED = 42
@@ -182,7 +182,7 @@ class TestNoRawScoreLeakage:
         assert blob, "expected a non-empty wire transcript"
         assert struct.pack(">d", raw.t) not in blob
         assert struct.pack(">d", float(raw.t_squared)) not in blob
-        assert encode_value(raw.t_squared) not in blob
+        assert encode_payload(raw.t_squared) not in blob
 
 
 class TestPolicyNegotiation:

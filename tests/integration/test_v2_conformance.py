@@ -14,6 +14,7 @@ All tests open loopback sockets and are marked ``socket``.
 
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -203,9 +204,9 @@ class TestClassificationConformance:
         peer = _serve(server, len(samples))
         with TrainerClient(
             host, port, config=fast_config, protocol="v2"
-        ) as client:
+        ) as client, ThreadPoolExecutor(max_workers=len(samples)) as threads:
             futures = [
-                client.classify_async(sample, seed=seed)
+                threads.submit(client.classify, sample, seed=seed)
                 for sample, seed in zip(samples, seeds)
             ]
             outcomes = [future.result(timeout=55.0) for future in futures]
@@ -452,10 +453,10 @@ class TestNegotiation:
         try:
             with TrainerClient(
                 connection=end_b, config=fast_config, protocol="v2"
-            ) as client:
+            ) as client, ThreadPoolExecutor(max_workers=len(samples)) as threads:
                 assert client.protocol == "v2"
                 futures = [
-                    client.classify_async(sample, seed=seed)
+                    threads.submit(client.classify, sample, seed=seed)
                     for sample, seed in zip(samples, seeds)
                 ]
                 outcomes = [future.result(timeout=30.0) for future in futures]

@@ -21,7 +21,7 @@ import pytest
 from repro import obs
 from repro.core.ompe import OMPEConfig, OMPEFunction, OMPEReceiver, execute_ompe
 from repro.core.ompe import precompute
-from repro.core.ompe.precompute import ReceiverPool, hide_input
+from repro.core.ompe.precompute import hide_input
 from repro.core.similarity import evaluate_similarity_private, similarity_profile
 from repro.core.similarity.linear import hide_dots_input
 from repro.exceptions import OMPEError, ProtocolAbort
@@ -218,15 +218,6 @@ class TestReceiverRefusals:
         )
         with pytest.raises(ProtocolAbort, match="covers among"):
             receiver.handle_params()
-
-    def test_refuses_a_pool_beside_a_hidden_input(self, fast_config, function):
-        hidden = hide_input(ReproRandom(8), fast_config, ALPHA, 1)
-        pool = ReceiverPool(fast_config, len(ALPHA), 1, 1, ReproRandom(9))
-        with pytest.raises(OMPEError, match="not both"):
-            execute_ompe(
-                function, ALPHA, config=fast_config, seed=10,
-                receiver_pool=pool, receiver_hidden=hidden,
-            )
 
     def test_reused_input_evaluates_exactly(self, fast_config, function):
         hidden = hide_input(ReproRandom(5), fast_config, ALPHA, 1)

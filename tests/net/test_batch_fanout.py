@@ -1,13 +1,15 @@
 """Batch fan-out error semantics: one bad item never hurts the rest.
 
-Regression suite for the bounded-window fan-out in
+Regression suite for the fan-out in
 :class:`~repro.net.service.TrainerClientPool`.  The bug class pinned
 here: a session that errors or gets poisoned mid-fan-out used to hold
 its in-flight slot (stalling the window into deadlock) or shift its
 neighbours' results.  Now every item's outcome — or a typed
 :class:`~repro.exceptions.BatchItemError` — lands at its own index,
 failed items release their slots, and the default mode re-raises the
-*original* first error once the batch has been attempted.
+*original* first error once the batch has been attempted.  Batches run
+on worker threads the pool starts once, with at most
+``size × pipeline`` sessions in flight.
 
 Real loopback sockets throughout (``socket``-marked; the SIGALRM hard
 timeout in ``tests/conftest.py`` is what turns a would-be deadlock
@@ -24,6 +26,7 @@ from repro.core.classification import private_classify
 from repro.core.similarity import evaluate_similarity_private
 from repro.exceptions import BatchItemError, ProtocolError
 from repro.ml.svm.model import make_linear_model
+from repro.net.mux import MuxClientConnection
 from repro.net.service import TrainerClientPool, TrainerServer
 
 pytestmark = pytest.mark.socket
@@ -232,3 +235,53 @@ class TestMidFanOutDisconnect:
                     outcome.randomized_value == reference.randomized_value
                 )
         assert failures >= 1
+
+
+class TestReusedWorkers:
+    def test_second_batch_starts_no_thread(
+        self, served, fast_config, model_a, monkeypatch
+    ):
+        """Two 24-item batches on ``size=2, pipeline=2``: the second
+        starts no client thread, every item stays bit-identical, and
+        no more than 4 sessions are ever open on the pool's
+        connections at once."""
+        samples = [
+            (0.05 * i - 0.6, 0.3 - 0.025 * i, 0.1 * (i % 5)) for i in range(24)
+        ]
+        host, port = served.address
+        with TrainerClientPool(
+            host, port, size=2, pipeline=2, config=fast_config
+        ) as pool:
+            open_counts = []
+            open_session = MuxClientConnection.open_session
+
+            def counted_open(connection, *args, **kwargs):
+                session = open_session(connection, *args, **kwargs)
+                open_counts.append(sum(
+                    len(client._connection._sessions) for client in pool._clients
+                ))
+                return session
+
+            monkeypatch.setattr(MuxClientConnection, "open_session", counted_open)
+            pool.classify_many(samples, seeds=range(600, 624))
+            started = []
+            thread_start = threading.Thread.start
+
+            def start(thread):
+                started.append(thread.name)
+                thread_start(thread)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(threading.Thread, "start", start)
+                outcomes = pool.classify_many(samples, seeds=range(700, 724))
+        # The server's own session executor may still grow towards its
+        # ``session_workers`` bound; the client side starts nothing.
+        assert [
+            name for name in started if not name.startswith("mux-session")
+        ] == []
+        assert len(open_counts) == 48 and max(open_counts) <= 4
+        for index, outcome in enumerate(outcomes):
+            reference = private_classify(
+                model_a, samples[index], config=fast_config, seed=700 + index
+            )
+            assert outcome.randomized_value == reference.randomized_value

@@ -9,9 +9,13 @@ arbitrarily interleaved and out-of-order delivery.  The contract under
 test: every hostile input raises a *typed* :class:`MuxError` subclass
 (never a bare crash), errors leave the router state untouched, and no
 frame is ever routed to a session other than the one in its envelope.
+The last class drives a real client connection over an in-memory pair
+and checks what it keeps once its sessions finish.
 """
 
 import queue
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +23,8 @@ from hypothesis import strategies as st
 
 from repro import obs
 from repro.exceptions import ProtocolError, ValidationError
+from repro.ml.svm.model import make_linear_model
+from repro.net import wire
 from repro.net.mux import (
     ACCEPT,
     CLOSE,
@@ -28,11 +34,14 @@ from repro.net.mux import (
     DuplicateSessionError,
     MuxChannel,
     MuxError,
+    WELCOME,
+    MuxClientConnection,
     MuxFrameError,
     MuxRouter,
     MuxSession,
     UnknownSessionError,
 )
+from repro.net.service import TrainerClient, TrainerServer
 from repro.obs import MetricsRegistry
 from repro.utils.serialization import (
     CONTROL_SESSION_ID,
@@ -359,3 +368,74 @@ class TestMuxSession:
         assert payload == {"session": "s8"}
         with pytest.raises(queue.Empty):
             session._inbound.get_nowait()
+
+
+class TestClientConnectionState:
+    def test_finished_sessions_leave_no_state(self, fast_config):
+        """300 sessions on one v2 connection: once they finish, the
+        client connection holds no per-session entry."""
+        end_a, end_b = wire.memory_pair(timeout=30.0)
+        server = TrainerServer(
+            make_linear_model([0.5, 0.25], -0.125), config=fast_config
+        )
+        serving = threading.Thread(
+            target=server.serve_connection, args=(end_a,), daemon=True
+        )
+        serving.start()
+        try:
+            with TrainerClient(
+                connection=end_b, config=fast_config, protocol="v2"
+            ) as client:
+                for seed in range(300):
+                    client.classify((0.125, -0.25), seed=seed)
+                containers = {
+                    name: len(value)
+                    for name, value in vars(client._connection).items()
+                    if isinstance(value, (dict, set, list))
+                }
+        finally:
+            serving.join(30.0)
+            server.close()
+        assert containers == {"_sessions": 0}
+
+    def test_concurrent_opens_take_distinct_ids(self):
+        """Threads opening sessions at once on one connection each get
+        their own id, and finished sessions leave nothing behind."""
+        end_a, end_b = wire.memory_pair(timeout=30.0)
+
+        def peer():
+            end_a.recv_frame()
+            end_a.send_frame(encode_message(WELCOME, {"version": 2}))
+            try:
+                while True:
+                    end_a.recv_frame()
+            except ProtocolError:
+                pass  # the client closed the connection
+
+        serving = threading.Thread(target=peer, daemon=True)
+        serving.start()
+        connection = MuxClientConnection(end_b, timeout=30.0)
+        ids = []
+
+        def open_many():
+            for _ in range(50):
+                session = connection.open_session({"kind": "classify"})
+                ids.append(session.id)
+                session.finish()
+
+        workers = [threading.Thread(target=open_many) for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(30.0)
+        finally:
+            sys.setswitchinterval(interval)
+            connection.close()
+            serving.join(30.0)
+        assert not any(worker.is_alive() for worker in workers)
+        assert not serving.is_alive()
+        assert sorted(ids) == list(range(1, 401))
+        assert connection._sessions == {} and connection._next_id == 401

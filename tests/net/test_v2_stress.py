@@ -13,6 +13,7 @@ All tests open loopback sockets and are marked ``socket``.
 
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -120,9 +121,9 @@ class TestManySessions:
         peer = _serve(server, count)
         with TrainerClient(
             host, port, config=fast_config, protocol="v2"
-        ) as client:
+        ) as client, ThreadPoolExecutor(max_workers=count) as threads:
             futures = [
-                client.classify_async(sample, seed=seed)
+                threads.submit(client.classify, sample, seed=seed)
                 for sample, seed in zip(samples, seeds)
             ]
             outcomes = [future.result(timeout=55.0) for future in futures]
@@ -153,9 +154,9 @@ class TestHostileFrames:
         peer = _serve(server, 9)
         with TrainerClient(
             host, port, config=fast_config, protocol="v2"
-        ) as client:
+        ) as client, ThreadPoolExecutor(max_workers=8) as threads:
             futures = [
-                client.classify_async(_sample(index), seed=500 + index)
+                threads.submit(client.classify, _sample(index), seed=500 + index)
                 for index in range(8)
             ]
             # Unknown session: never opened on this connection.  The
@@ -225,9 +226,11 @@ class TestMisbehavingClients:
 
             with TrainerClient(
                 host, port, config=fast_config, protocol="v2"
-            ) as client:
+            ) as client, ThreadPoolExecutor(max_workers=4) as threads:
                 futures = [
-                    client.classify_async(_sample(index), seed=600 + index)
+                    threads.submit(
+                        client.classify, _sample(index), seed=600 + index
+                    )
                     for index in range(4)
                 ]
                 outcomes = [

@@ -10,7 +10,10 @@ decoded values, and on every cut and byte flip of real recorded
 accept/raise decision with the same error text.  The one intended
 difference is listed in :data:`CANONICAL_REFUSALS`: the decoder now
 refuses non-canonical integers, fractions and dicts, which the oracle
-accepted and re-encoded to other bytes.
+accepted and re-encoded to other bytes.  The oracle's value codec
+(``encode_value``/``decode_value``) is what OMPE slots were once sealed
+with: the message codec must write its bytes for every value it took,
+and the receiver must refuse, as a slot value, every value it refused.
 """
 
 from __future__ import annotations
@@ -22,18 +25,19 @@ import random
 import struct
 import threading
 from fractions import Fraction
-from typing import Any, Tuple
+from typing import Any, Tuple, Union
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.ompe import OMPEConfig
+from repro.core.ompe.receiver import check_evaluations
 from repro.core.similarity.metric import MetricParams
 from repro.core.similarity.policy import OutputPolicy
 from repro.crypto.hashing import TAG_BYTES
 from repro.crypto.ot.base import KEY_BYTES, KOfNTransfer, OTChoice, OTSetup
-from repro.exceptions import ProtocolError, ValidationError
+from repro.exceptions import ProtocolError, ReproError, ValidationError
 from repro.math.groups import fast_group
 from repro.math.scaled import ScaledVector
 from repro.ml.kernels import polynomial_kernel
@@ -52,8 +56,10 @@ from repro.utils.serialization import (
     _PAYLOAD_TYPES_BY_NAME,
     MAX_DECODE_DEPTH,
     WIRE_VERSION,
-    Encodable,
 )
+
+#: The scalar vocabulary the oracle's value codec took.
+Encodable = Union[int, float, Fraction, Tuple]
 
 
 class _NamesByType:
@@ -583,10 +589,16 @@ class TestVocabulary:
     @given(protocol_values)
     @ORACLE
     def test_protocol_value_bytes_and_value(self, value):
+        """A value the oracle's value codec took seals to the same bytes
+        under the message codec, and a run of them reads back alike."""
         expected = _outcome(encode_value, value)
-        assert _outcome(codec.encode_value, value) == expected
         if expected[0] == "ok":
-            _assert_decoders_agree(expected[1], codec.decode_value, decode_value)
+            blob = expected[1]
+            assert codec.encode_payload(value) == blob
+            _assert_decoders_agree(blob, codec.decode_payload, decode_value)
+            run = codec.decode_payloads(blob * 2)
+            decoded = decode_value(blob)
+            assert len(run) == 2 and all(_same_value(item, decoded) for item in run)
 
     @pytest.mark.parametrize(
         "value",
@@ -604,7 +616,14 @@ class TestVocabulary:
         ids=repr,
     )
     def test_protocol_value_vocabulary(self, value):
-        assert _outcome(codec.encode_value, value) == _outcome(encode_value, value)
+        """What the oracle's value codec refused, the receiver refuses
+        as a sealed slot value; what it took seals to the same bytes."""
+        expected = _outcome(encode_value, value)
+        if expected[0] == "ok":
+            assert codec.encode_payload(value) == expected[1]
+            return
+        with pytest.raises(ReproError):
+            check_evaluations(codec.decode_payloads(codec.encode_payload(value)), 1)
 
     @pytest.mark.parametrize(
         "value",
@@ -658,7 +677,7 @@ class TestCanonicalForm:
         blob = NON_CANONICAL[name]
         accepted = decode_value(blob)
         assert encode_value(accepted) != blob
-        for decode in (codec.decode_value, codec.decode_payload):
+        for decode in (codec.decode_payload, codec.decode_payloads):
             with pytest.raises(ValidationError, match="non-canonical"):
                 decode(blob)
         wrapped = codec.encode_message("x", [1]).replace(b"I" + _int_field(0, b"\x01"), blob)
@@ -702,7 +721,7 @@ class TestCanonicalForm:
         "value", [0, 1, -1, 255, -256, 2**64, -(2**4096), Fraction(0), Fraction(-7, 3)]
     )
     def test_canonical_scalars_still_decode(self, value):
-        assert codec.decode_value(codec.encode_value(value)) == value
+        assert codec.decode_payloads(codec.encode_payload(value)) == (value,)
 
     @given(st.one_of(payloads, protocol_values), st.data())
     @ORACLE
@@ -715,7 +734,10 @@ class TestCanonicalForm:
         blob = bytes(blob)
         for decode, encode in (
             (codec.decode_payload, codec.encode_payload),
-            (codec.decode_value, codec.encode_value),
+            (
+                codec.decode_payloads,
+                lambda run: b"".join(map(codec.encode_payload, run)),
+            ),
         ):
             try:
                 value = decode(blob)

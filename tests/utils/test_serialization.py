@@ -1,4 +1,4 @@
-"""Tests for the canonical protocol-value and message codecs."""
+"""Tests for the canonical message codec."""
 
 import dataclasses
 from fractions import Fraction
@@ -12,10 +12,9 @@ from repro.utils.serialization import (
     MAX_DECODE_DEPTH,
     decode_message,
     decode_payload,
-    decode_value,
+    decode_payloads,
     encode_message,
     encode_payload,
-    encode_value,
     encoded_payload_size,
 )
 
@@ -55,65 +54,72 @@ class TestRoundTrip:
     @given(scalars)
     @settings(max_examples=200)
     def test_scalar_round_trip(self, value):
-        assert decode_value(encode_value(value)) == value
+        assert decode_payload(encode_payload(value)) == value
 
     @given(st.lists(scalars, max_size=8).map(tuple))
     @settings(max_examples=100)
     def test_tuple_round_trip(self, values):
-        assert decode_value(encode_value(values)) == values
+        assert decode_payload(encode_payload(values)) == values
 
     def test_nested_tuples(self):
         value = (1, (Fraction(1, 3), (2.5, -7)), ())
-        assert decode_value(encode_value(value)) == value
+        assert decode_payload(encode_payload(value)) == value
 
     def test_zero(self):
-        assert decode_value(encode_value(0)) == 0
+        assert decode_payload(encode_payload(0)) == 0
 
     def test_negative_fraction(self):
         value = Fraction(-22, 7)
-        assert decode_value(encode_value(value)) == value
+        assert decode_payload(encode_payload(value)) == value
 
     def test_huge_integer(self):
         value = -(2**4096) + 12345
-        assert decode_value(encode_value(value)) == value
+        assert decode_payload(encode_payload(value)) == value
 
     def test_type_preserved(self):
-        assert isinstance(decode_value(encode_value(Fraction(1, 2))), Fraction)
-        assert isinstance(decode_value(encode_value(1)), int)
-        assert isinstance(decode_value(encode_value(1.0)), float)
+        assert type(decode_payload(encode_payload(Fraction(1, 2)))) is Fraction
+        assert type(decode_payload(encode_payload(1))) is int
+        assert type(decode_payload(encode_payload(1.0))) is float
+
+    def test_run_of_values(self):
+        """An OMPE slot: values laid end to end, read back in order."""
+        values = (3, Fraction(-1, 7), 2**300)
+        blob = b"".join(map(encode_payload, values))
+        assert decode_payloads(blob) == values
+        assert decode_payloads(b"") == ()
 
 
 class TestRejections:
-    def test_boolean_rejected(self):
-        with pytest.raises(ValidationError):
-            encode_value(True)
-
     def test_unknown_type_rejected(self):
         with pytest.raises(ValidationError):
-            encode_value("string")  # type: ignore[arg-type]
+            encode_payload(object())
 
     def test_trailing_garbage_rejected(self):
-        blob = encode_value(7) + b"\x00"
+        blob = encode_payload(7) + b"\x00"
         with pytest.raises(ValidationError):
-            decode_value(blob)
+            decode_payload(blob)
+        with pytest.raises(ValidationError):
+            decode_payloads(blob)
 
     def test_truncated_rejected(self):
-        blob = encode_value(Fraction(355, 113))
-        with pytest.raises(ValidationError):
-            decode_value(blob[:-2])
+        blob = encode_payload(Fraction(355, 113))
+        for decode in (decode_payload, decode_payloads):
+            with pytest.raises(ValidationError):
+                decode(blob[:-2])
 
     def test_empty_rejected(self):
         with pytest.raises(ValidationError):
-            decode_value(b"")
+            decode_payload(b"")
 
     def test_unknown_tag_rejected(self):
-        with pytest.raises(ValidationError):
-            decode_value(b"Zxyz")
+        for decode in (decode_payload, decode_payloads):
+            with pytest.raises(ValidationError):
+                decode(b"Zxyz")
 
 
 class TestEncodedSize:
     def test_grows_with_magnitude(self):
-        assert len(encode_value(2**200)) > len(encode_value(2))
+        assert len(encode_payload(2**200)) > len(encode_payload(2))
 
 
 # -- message payload codec ----------------------------------------------------
